@@ -34,9 +34,6 @@ class BoundaryEdge:
     endpoints: tuple
     points: tuple
 
-    def contains_point(self, p):
-        return _on_segment(p, *self.endpoints) is not None
-
     def escapes_hyperplane(self, axis0):
         """True when the edge is not contained in {x_axis = 0} (0-based)."""
         return any(q[axis0] != 0 for q in self.endpoints)

@@ -309,6 +309,8 @@ def _cmd_nu(args):
         results["nu"] = _fmt(vv.newton_number())
         results["volume_vector"] = _jsonable(vv.V)
     elif args.series:
+        if args.cap < 1:
+            raise InputError(f"--cap must be at least 1, got {args.cap}")
         series = newton_number_series(s, missing_axis_cap=args.cap)
         results["mode"] = "series"
         results["nu"] = _fmt(series.value)

@@ -19,7 +19,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import factorial, gcd
 
 from .geometry import (ONE, ZERO, GeometryError, InternalConsistencyError,
                        convex_hull, determinant, frac, intersect_polytopes,
@@ -277,9 +277,7 @@ def _relative_section_volume(poly, v0, basis):
     if poly.dim < d:
         return ZERO
     total = ZERO
-    f = 1
-    for i in range(2, d + 1):
-        f *= i
+    f = factorial(d)
     for simplex in triangulate_polytope(poly):
         pts = [_chart_coords(p, v0, basis) for p in simplex]
         rows = [[a - b for a, b in zip(pts[i], pts[0])]

@@ -1,9 +1,15 @@
 """Exact rational convex geometry: hulls, triangulations, volumes.
 
-Everything runs on fractions.Fraction; there is no floating point and no
+Results are fractions.Fraction or int; there is no floating point and no
 epsilon anywhere.  A Polytope carries a vertex description, an irredundant
 facet description with primitive integer normals, and the affine hull as a
 list of equalities, so lower-dimensional polytopes are first-class values.
+
+Every conversion between points and inequalities goes through one
+double-description routine (_extreme_rays) that works on integer rows with
+fraction-free updates: convex_hull and polyhedra.newton_polyhedron read
+facets off the rays of a dual cone, polytope_from_constraints reads vertices
+off the rays of the homogenized cone.
 
 Determinism: vertices are kept in lexicographic order, facets are sorted by
 (normal, offset), and the pulling triangulation always cones from the
@@ -13,10 +19,9 @@ structures in every run.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import factorial, gcd, lcm
 
 DIMENSION_CAP = 8
 
@@ -44,10 +49,6 @@ def frac(x):
 def vec(xs):
     """Normalise a sequence of numbers to a tuple of Fractions."""
     return tuple(frac(x) for x in xs)
-
-
-def vadd(a, b):
-    return tuple(x + y for x, y in zip(a, b))
 
 
 def vsub(a, b):
@@ -205,6 +206,116 @@ def determinant(rows):
     return det
 
 
+# --- double description ---------------------------------------------------
+
+def _integer_row(row):
+    """Coprime integer row with the direction of a rational row; None for
+    the zero row."""
+    den = lcm(*(x.denominator for x in row))
+    ints = [x.numerator * (den // x.denominator) for x in row]
+    g = gcd(*ints)
+    if g == 0:
+        return None
+    return tuple(x // g for x in ints) if g > 1 else tuple(ints)
+
+
+def _combine(s, u, t, v):
+    """The primitive integer vector s*u - t*v."""
+    w = [s * x - t * y for x, y in zip(u, v)]
+    g = gcd(*w)
+    return tuple(x // g for x in w) if g > 1 else tuple(w)
+
+
+def _extreme_rays(equalities, inequalities, dim):
+    """Double description of the cone {x : <e, x> = 0, <a, x> >= 0} in Q^dim.
+
+    Rows are rational sequences of length dim, scaled to coprime integer
+    rows first.  Returns (rays, lineality): an integer basis of the cone's
+    lineality space and the primitive integer extreme rays of the cone
+    modulo that space, so the cone is pointed exactly when the basis is
+    empty, and then the rays are its extreme rays.
+
+    The cone starts as the whole space, all lineality.  A row that is
+    nonzero on the lineality space splits one lineality vector off: an
+    equality drops it, an inequality keeps it as a new ray, and the other
+    lineality vectors and rays move into the row's hyperplane.  Every other
+    inequality is a double-description step (Fukuda & Prodon 1996): rays on
+    its nonnegative side stay, and each pair of rays on opposite sides that
+    is adjacent, meaning no third ray is tight on every inequality both of
+    them are tight on, gives the ray where their 2-face meets the
+    hyperplane.  Zero sets are bitmasks over the inequalities processed so
+    far, and every update is an integer combination divided by its gcd
+    (Bareiss 1968), so no rational arithmetic runs.
+    """
+    rows = []
+    for is_eq, group in ((True, equalities), (False, inequalities)):
+        for row in group:
+            if len(row) != dim:
+                raise GeometryError(
+                    f"constraint row of length {len(row)} in dimension {dim}")
+            row = _integer_row(row)
+            if row is not None:
+                rows.append((is_eq, row))
+    lin = [tuple(int(i == j) for j in range(dim)) for i in range(dim)]
+    rays, masks = [], []
+    bits = 0
+    subspace_dim = dim
+    for is_eq, a in rows:
+        vals = [sum(x * y for x, y in zip(a, v)) for v in lin]
+        k = next((i for i, v in enumerate(vals) if v), None)
+        if k is not None:
+            pivot, s = lin[k], vals[k]
+            if s < 0:
+                pivot, s = tuple(-x for x in pivot), -s
+            lin = [_combine(s, v, vals[i], pivot)
+                   for i, v in enumerate(lin) if i != k]
+            rays = [_combine(s, r, sum(x * y for x, y in zip(a, r)), pivot)
+                    for r in rays]
+            if is_eq:
+                subspace_dim -= 1
+                continue
+            bit = 1 << bits
+            bits += 1
+            masks = [m | bit for m in masks]
+            rays.append(pivot)
+            masks.append(bit - 1)
+            continue
+        if is_eq:
+            continue  # implied by the earlier equalities
+        bit = 1 << bits
+        bits += 1
+        vals = [sum(x * y for x, y in zip(a, r)) for r in rays]
+        neg = [i for i, v in enumerate(vals) if v < 0]
+        if not neg:
+            masks = [m | bit if v == 0 else m for m, v in zip(masks, vals)]
+            continue
+        pos = [i for i, v in enumerate(vals) if v > 0]
+        # the span of a 2-face (an edge modulo lineality) is cut out by its
+        # tight rows, so an adjacent pair shares at least this many
+        need = subspace_dim - 2 - len(lin)
+        new_rays, new_masks = [], []
+        for i in pos:
+            mi, vi = masks[i], vals[i]
+            for j in neg:
+                z = mi & masks[j]
+                if z.bit_count() < need:
+                    continue
+                if any(mk & z == z for k, mk in enumerate(masks)
+                       if k != i and k != j):
+                    continue
+                new_rays.append(_combine(vi, rays[j], vals[j], rays[i]))
+                new_masks.append(z | bit)
+        for r, m, v in zip(rays, masks, vals):
+            if v > 0:
+                new_rays.append(r)
+                new_masks.append(m)
+            elif v == 0:
+                new_rays.append(r)
+                new_masks.append(m | bit)
+        rays, masks = new_rays, new_masks
+    return rays, lin
+
+
 # --- polytopes ------------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -296,9 +407,13 @@ def _lift_normal(nu, basis):
 def convex_hull(points, dim_cap=DIMENSION_CAP):
     """Exact convex hull of rational points in dimension <= dim_cap.
 
-    Facets are found by exhaustive supporting-hyperplane enumeration, which
-    is immune to the degeneracies (coplanar points, lower-dimensional input)
-    that plague incremental insertion, and is fast enough at this scale.
+    The points are written in coordinates of an affine basis of their hull,
+    where they span a full-dimensional polytope of dimension d.  Its facets
+    are the extreme rays (nu, c) with nu != 0 of the cone of valid
+    inequalities {(nu, c) : <nu, x> >= c for every point x}, which is
+    pointed because the polytope is bounded and full-dimensional, so
+    coplanar and lower-dimensional inputs need no special care.  Normals
+    are lifted back to the ambient space by _lift_normal.
     """
     pts = tuple(sorted({vec(p) for p in points}))
     if not pts:
@@ -335,27 +450,15 @@ def convex_hull(points, dim_cap=DIMENSION_CAP):
         inner_facets[((1,), lo)] = frozenset(i for i, v in enumerate(vals) if v == lo)
         inner_facets[((-1,), -hi)] = frozenset(i for i, v in enumerate(vals) if v == hi)
     else:
-        m = len(pts)
-        for subset in itertools.combinations(range(m), d):
-            first = coords[subset[0]]
-            diffs = [vsub(coords[j], first) for j in subset[1:]]
-            ns = nullspace(diffs, d)
-            if len(ns) != 1:
-                continue
-            nu = primitive_vector(ns[0])
-            c = dot(nu, first)
+        rays, _ = _extreme_rays((), [x + (-1,) for x in coords], d + 1)
+        for ray in rays:
+            if not any(ray[:d]):
+                continue  # the ray (0, -1) of the trivial inequality 0 >= -1
+            nu = _integer_row(ray[:d])
             vals = [dot(nu, x) for x in coords]
-            if all(v >= c for v in vals):
-                pass
-            elif all(v <= c for v in vals):
-                nu = tuple(-x for x in nu)
-                c = -c
-                vals = [-v for v in vals]
-            else:
-                continue
-            key = (nu, c)
-            if key not in inner_facets:
-                inner_facets[key] = frozenset(i for i, v in enumerate(vals) if v == c)
+            c = min(vals)
+            inner_facets[(nu, c)] = frozenset(
+                i for i, v in enumerate(vals) if v == c)
 
     # vertices: points whose active facet normals span the hull dimension
     vertex_idx = []
@@ -429,12 +532,7 @@ def simplex_volume(verts, coords=None):
     if len(coords) != k:
         raise GeometryError("simplex dimension does not match coordinate count")
     rows = [[verts[i][c] - verts[0][c] for c in coords] for i in range(1, k + 1)]
-    det = determinant(rows)
-    vol = abs(det)
-    f = 1
-    for i in range(2, k + 1):
-        f *= i
-    return vol / f
+    return abs(determinant(rows)) / factorial(k)
 
 
 def polytope_volume(poly):
@@ -464,27 +562,24 @@ def polytope_from_constraints(equalities, inequalities, ambient_dim):
     equalities:   iterable of (normal, offset) with <n,x> == c
     inequalities: iterable of (normal, offset) with <n,x> >= c
     Returns a Polytope, or None when the system is infeasible.
+
+    The vertices are x/t over the extreme rays (x, t) with t > 0 of the
+    homogenized cone {(x, t) : <n,x> = c t, <n,x> >= c t, t >= 0}; when no
+    ray has t > 0 the system is infeasible.  A feasible system whose cone
+    has a ray with t = 0 or a lineality space is unbounded and raises
+    GeometryError.
     """
-    eqs = [(vec(nrm), frac(off)) for nrm, off in equalities]
-    ineqs = [(vec(nrm), frac(off)) for nrm, off in inequalities]
-    eq_rows = [list(nrm) for nrm, _ in eqs]
-    eq_rhs = [off for _, off in eqs]
-    r = mat_rank(eq_rows) if eq_rows else 0
-    need = ambient_dim - r
-    candidates = set()
-    for subset in itertools.combinations(range(len(ineqs)), need):
-        rows = eq_rows + [list(ineqs[i][0]) for i in subset]
-        rhs = eq_rhs + [ineqs[i][1] for i in subset]
-        x = solve_unique(rows, rhs)
-        if x is None:
-            continue
-        ok = all(dot(nrm, x) >= off for nrm, off in ineqs) and \
-            all(dot(nrm, x) == off for nrm, off in eqs)
-        if ok:
-            candidates.add(x)
-    if not candidates:
+    eqs = [tuple(nrm) + (-frac(off),) for nrm, off in equalities]
+    ineqs = [(0,) * ambient_dim + (1,)]
+    ineqs += [tuple(nrm) + (-frac(off),) for nrm, off in inequalities]
+    rays, lineality = _extreme_rays(eqs, ineqs, ambient_dim + 1)
+    vertices = [tuple(Fraction(x, r[-1]) for x in r[:-1])
+                for r in rays if r[-1] > 0]
+    if not vertices:
         return None
-    return convex_hull(candidates)
+    if lineality or len(vertices) < len(rays):
+        raise GeometryError("constraint system is unbounded")
+    return convex_hull(vertices)
 
 
 def intersect_polytopes(a, b):

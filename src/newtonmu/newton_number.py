@@ -22,6 +22,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from math import factorial
 
 from .geometry import (ONE, ZERO, GeometryError, convex_hull, frac,
                        intersect_polytopes, polytope_from_constraints,
@@ -45,13 +46,6 @@ def _support(v):
     return frozenset(i for i, x in enumerate(v) if x != 0)
 
 
-def _factorial(k):
-    f = 1
-    for i in range(2, k + 1):
-        f *= i
-    return f
-
-
 @dataclass(frozen=True)
 class NewtonVolumeVector:
     """Coordinate-subspace volume sums (V_0, V_1, ..., V_n)."""
@@ -63,7 +57,7 @@ class NewtonVolumeVector:
         total = ZERO
         for k, vk in enumerate(self.V):
             sign = 1 if (n - k) % 2 == 0 else -1
-            total += sign * _factorial(k) * vk
+            total += sign * factorial(k) * vk
         return total
 
 
@@ -340,7 +334,7 @@ def projection_formula_check(region, axes):
             pts = _project_out(list(simplex), coords)
             shadows.append(convex_hull(pts))
         proj_nu = newton_number_union(shadows, n - k)
-    rhs = _factorial(k) * base_vol * proj_nu
+    rhs = factorial(k) * base_vol * proj_nu
     return lhs, rhs
 
 

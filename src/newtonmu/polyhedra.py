@@ -15,14 +15,11 @@ the pieces form a simplicial complex.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
-from fractions import Fraction
 
-from .geometry import (DIMENSION_CAP, GeometryError, DimensionCapExceeded,
-                       ONE, ZERO, convex_hull, dot, frac, mat_rank,
-                       nullspace, primitive_vector, triangulate_polytope,
-                       vec)
+from .geometry import (DIMENSION_CAP, DimensionCapExceeded, ONE, ZERO,
+                       _extreme_rays, _integer_row, convex_hull, dot, frac,
+                       mat_rank, triangulate_polytope, vec, vsub)
 
 
 class SupportError(ValueError):
@@ -102,9 +99,6 @@ class Face:
     dim: int
     compact: bool
 
-    def vertex_points(self):
-        return self.points
-
 
 @dataclass(frozen=True)
 class NewtonPolyhedron:
@@ -139,14 +133,6 @@ class NewtonPolyhedron:
                 out.append((nrm, off, active))
         return tuple(out)
 
-    def boundary_faces(self):
-        """Compact faces whose supporting normals include a strictly
-        positive one: the faces of the Newton boundary."""
-        return self.compact_faces()
-
-    def edges(self):
-        return tuple(f for f in self.faces if f.dim == 1)
-
     def support_value(self, direction):
         """min over the polyhedron of <direction, x>; requires a
         componentwise nonnegative direction, else the value is -infinity."""
@@ -162,10 +148,12 @@ _np_cache = {}
 def newton_polyhedron(support):
     """Build the Newton polyhedron of a support set.
 
-    Facet enumeration is exhaustive: every facet hyperplane is spanned by k
-    support points and n-k orthant directions, so we scan the subsets.  The
-    polyhedron is pointed and full-dimensional (recession cone exactly the
-    orthant), so the H-description is the facet list alone.
+    The valid inequalities <w, x> >= c of the polyhedron form the cone
+    {(w, c) : <w, p> >= c for every support point p, w >= 0}, the second
+    condition because the recession cone is the whole orthant.  The
+    polyhedron is pointed and full-dimensional, so this cone is pointed and
+    its extreme rays are the facets, the rays with w != 0, and the trivial
+    inequality 0 >= -1.  The H-description is the facet list alone.
     """
     if not isinstance(support, SupportSet):
         raise SupportError("newton_polyhedron expects a SupportSet")
@@ -175,45 +163,17 @@ def newton_polyhedron(support):
     n = support.dim
     pts = support.points
 
-    facets = {}
-    if n == 1:
-        m = min(p[0] for p in pts)
-        facets[((1,), m)] = None
-    else:
-        units = [_unit(n, i) for i in range(n)]
-        for k in range(1, n + 1):
-            for ptsub in itertools.combinations(range(len(pts)), k):
-                span_pts = [pts[i] for i in ptsub]
-                for dirsub in itertools.combinations(range(n), n - k):
-                    rows = [vsub_(p, span_pts[0]) for p in span_pts[1:]]
-                    rows += [units[i] for i in dirsub]
-                    ns = nullspace(rows, n) if rows else nullspace([[ZERO] * n], n)
-                    if len(ns) != 1:
-                        continue
-                    w = ns[0]
-                    if all(x == 0 for x in w):
-                        continue
-                    w = primitive_vector(w)
-                    if any(x < 0 for x in w):
-                        w = tuple(-x for x in w)
-                    if any(x < 0 for x in w):
-                        continue
-                    c = dot(w, span_pts[0])
-                    if any(dot(w, p) < c for p in pts):
-                        continue
-                    facets.setdefault((w, c), None)
-
-    # keep only genuine facets: affine span of incident points plus free
-    # orthant directions must have dimension n-1
+    orthant = [_unit(n, i) + (0,) for i in range(n)]
+    rays, _ = _extreme_rays((), orthant + [p + (-1,) for p in pts], n + 1)
     final = []
-    for (w, c) in facets:
+    for ray in rays:
+        if not any(ray[:n]):
+            continue
+        w = _integer_row(ray[:n])
+        c = min(dot(w, p) for p in pts)
         active = tuple(p for p in pts if dot(w, p) == c)
         rec = frozenset(i for i in range(n) if w[i] == 0)
-        rows = [vsub_(p, active[0]) for p in active[1:]]
-        rows += [_unit(n, i) for i in rec]
-        r = mat_rank(rows) if rows else 0
-        if r == n - 1:
-            final.append((w, frac(c), active, rec))
+        final.append((w, c, active, rec))
     final.sort(key=lambda f: (f[0], f[1]))
     facets = tuple(final)
 
@@ -225,10 +185,6 @@ def newton_polyhedron(support):
     return np_
 
 
-def vsub_(a, b):
-    return tuple(x - y for x, y in zip(a, b))
-
-
 def _face_lattice(n, facets):
     """All proper nonempty faces, from pairwise intersections of facets.
 
@@ -238,14 +194,14 @@ def _face_lattice(n, facets):
     finds everything.
     """
     seed = {(f[2], f[3]) for f in facets}
+    seed_sets = [(frozenset(pb), rb) for pb, rb in seed]
     known = set(seed)
     frontier = set(seed)
     while frontier:
         new = set()
         for (pa, ra) in frontier:
-            sa = set(pa)
-            for (pb, rb) in seed:
-                pc = tuple(p for p in pa if p in set(pb))
+            for (sb, rb) in seed_sets:
+                pc = tuple(p for p in pa if p in sb)
                 rc = ra & rb
                 if not pc:
                     # every nonempty face of a pointed polyhedron with
@@ -259,7 +215,7 @@ def _face_lattice(n, facets):
 
     faces = []
     for (pc, rc) in known:
-        rows = [vsub_(p, pc[0]) for p in pc[1:]]
+        rows = [vsub(p, pc[0]) for p in pc[1:]]
         rows += [_unit(n, i) for i in rc]
         d = mat_rank(rows) if rows else 0
         faces.append(Face(tuple(sorted(pc)), rc, d, not rc))

@@ -155,6 +155,16 @@ def test_nu_series_fallback(tmp_path, capsys):
     assert any("did not stabilize" in w for w in doc["warnings"])
 
 
+def test_series_cap_must_be_positive(tmp_path, capsys):
+    path = write(tmp_path, "n.json", dict(QUAD, support=[["2", "0"], ["1", "1"]]))
+    for cap in ("0", "-3"):
+        code, out, err = run(capsys, ["nu", path, "--series", "--cap", cap])
+        assert code == 2
+        error = json.loads(out)["results"]["error"]
+        assert error["type"] == "input" and "--cap" in error["message"]
+        assert err.startswith("error:")
+
+
 def test_input_errors(tmp_path, capsys):
     code, out, err = run(capsys, ["nu", write(tmp_path, "bad.json", "{nope")])
     assert code == 2 and "error" in json.loads(out)["results"]

@@ -1,0 +1,158 @@
+"""The double-description conversions against the exhaustive-scan oracles.
+
+Each property compares a whole result, with the type of every number in
+it, so a canonical form that differs only by int versus Fraction fails too.
+"""
+
+import dataclasses
+from fractions import Fraction as F
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from newtonmu.geometry import (GeometryError, _extreme_rays, convex_hull,
+                               polytope_from_constraints)
+from newtonmu.polyhedra import newton_polyhedron, support_set
+from oracles import (convex_hull_scan, newton_polyhedron_scan,
+                     polytope_from_constraints_scan)
+
+PROPERTY = settings(derandomize=True, deadline=None, max_examples=80)
+
+rational = st.builds(F, st.integers(0, 6), st.sampled_from([1, 1, 2, 3]))
+
+
+def typed(x):
+    """Structure with every number tagged by its type."""
+    if dataclasses.is_dataclass(x):
+        return typed(dataclasses.astuple(x))
+    if isinstance(x, (tuple, list)):
+        return tuple(typed(y) for y in x)
+    if isinstance(x, frozenset):
+        return frozenset(typed(y) for y in x)
+    return (type(x).__name__, x)
+
+
+@st.composite
+def supports(draw, dims=(2, 3, 4), convenient=False):
+    """Supports with rational points and, half the time, points dominated
+    by another support point."""
+    n = draw(st.sampled_from(dims))
+    point = st.tuples(*[rational] * n).filter(any)
+    pts = draw(st.lists(point, min_size=1, max_size=8 - n))
+    if convenient:
+        pts += [tuple(draw(st.integers(1, 6)) if j == i else 0
+                      for j in range(n)) for i in range(n)]
+    if draw(st.booleans()):
+        p = draw(st.sampled_from(pts))
+        i = draw(st.integers(0, n - 1))
+        pts.append(p[:i] + (p[i] + draw(rational.filter(bool)),) + p[i + 1:])
+    return support_set(n, pts)
+
+
+@st.composite
+def flats(draw):
+    """Points spanning an affine flat of dimension d <= n: single points,
+    collinear and coplanar sets, and full-dimensional sets."""
+    n = draw(st.integers(1, 4))
+    d = draw(st.integers(0, n))
+    small = st.integers(-3, 3)
+    base = draw(st.tuples(*[rational] * n))
+    dirs = draw(st.lists(st.tuples(*[small] * n), min_size=d, max_size=d))
+    coeffs = draw(st.lists(st.tuples(*[rational] * d), min_size=1,
+                           max_size=7))
+    return [tuple(b + sum(c * u[k] for c, u in zip(cs, dirs))
+                  for k, b in enumerate(base)) for cs in coeffs]
+
+
+@given(supports())
+@PROPERTY
+def test_newton_polyhedron_matches_scan(s):
+    assert typed(newton_polyhedron(s)) == typed(newton_polyhedron_scan(s))
+
+
+@given(flats())
+@PROPERTY
+def test_convex_hull_matches_scan(pts):
+    assert typed(convex_hull(pts)) == typed(convex_hull_scan(pts))
+
+
+def test_convex_hull_degenerate_inputs_match_scan():
+    for pts in ([(1, 2, 3)] * 3,                                # a point
+                [(0, 0, 0), (1, 1, 1), (3, 3, 3), (2, 2, 2)],   # a segment
+                [(0, 0, 1), (2, 0, 1), (0, 2, 1), (1, 1, 1),    # coplanar
+                 (2, 2, 1)],
+                [(0, 0, 0, 0), (1, 0, 1, 0), (0, 1, 0, 1),      # d=2 in R^4
+                 (1, 1, 1, 1), (F(1, 2), F(1, 2), F(1, 2), F(1, 2))]):
+        assert typed(convex_hull(pts)) == typed(convex_hull_scan(pts))
+
+
+def _both(eqs, ineqs, n):
+    new = polytope_from_constraints(eqs, ineqs, n)
+    old = polytope_from_constraints_scan(eqs, ineqs, n)
+    assert typed(new) == typed(old)
+    return new
+
+
+@given(supports(dims=(2, 3), convenient=True), st.lists(
+    st.tuples(rational, rational, rational), min_size=1, max_size=2))
+@PROPERTY
+def test_difference_region_pieces_match_scan(s, extra):
+    """The systems difference_region solves: the cone over a compact facet
+    of the smaller polyhedron cut by the facets of the bigger one."""
+    n = s.dim
+    extra = [p[:n] for p in extra if any(p[:n])]
+    big = newton_polyhedron(s.augment(extra))
+    big_ineqs = [(nrm, off) for nrm, off, _, _ in big.facets]
+    orthant = [(tuple(int(j == i) for j in range(n)), 0) for i in range(n)]
+    origin = (F(0),) * n
+    for _, _, active in newton_polyhedron(s).compact_facets():
+        cone = convex_hull(active + (origin,))
+        _both(list(cone.equalities),
+              list(cone.facets) + big_ineqs + orthant, n)
+
+
+@given(supports())
+@PROPERTY
+def test_newton_fan_dual_cones_match_scan(s):
+    """The systems newton_fan solves: the directions minimized at a vertex,
+    sliced by the coordinate-sum-one hyperplane."""
+    n = s.dim
+    np_ = newton_polyhedron(s)
+    orthant = [(tuple(int(j == i) for j in range(n)), 0) for i in range(n)]
+    for v in np_.vertices:
+        ineqs = orthant + [(tuple(a - b for a, b in zip(w, v)), 0)
+                           for w in np_.vertices if w != v]
+        assert _both([((1,) * n, 1)], ineqs, n) is not None
+
+
+def test_infeasible_systems_return_none():
+    square = [((1, 0), 0), ((0, 1), 0), ((-1, 0), -2), ((0, -1), -2)]
+    assert _both([], square + [((1, 1), 5)], 2) is None
+    assert _both([((1, 1), 7)], square, 2) is None
+    # infeasible, with the line x_2 free in every direction
+    assert _both([], [((1, 0), 1), ((-1, 0), 0)], 2) is None
+
+
+def test_unbounded_system_raises():
+    with pytest.raises(GeometryError):
+        polytope_from_constraints([], [((1, 0), 0), ((0, 1), 0)], 2)
+    with pytest.raises(GeometryError):
+        polytope_from_constraints([], [((1, 0), 0), ((-1, 0), -1)], 2)
+    with pytest.raises(GeometryError):
+        polytope_from_constraints([], [((1, 0, 0), 0)], 2)
+
+
+def test_extreme_rays():
+    # the quadrant, pointed: two rays and no lineality
+    rays, lin = _extreme_rays([], [(1, 0), (0, 1)], 2)
+    assert sorted(rays) == [(0, 1), (1, 0)] and lin == []
+    # a half-plane: one ray modulo a line
+    rays, lin = _extreme_rays([], [(1, 0)], 2)
+    assert len(rays) == 1 and rays[0][0] > 0 and lin == [(0, 1)]
+    # rational rows; the cone over a square pyramid has four rays
+    rows = [(F(1, 2), 0, 0), (0, F(1, 3), 0), (-1, 0, 1), (0, -1, 1)]
+    rays, lin = _extreme_rays([], rows, 3)
+    assert sorted(rays) == [(0, 0, 1), (0, 1, 1), (1, 0, 1), (1, 1, 1)]
+    # an equality leaves the rays of the slice
+    rays, lin = _extreme_rays([(1, -1, 0)], [(1, 0, 0), (0, 0, 1)], 3)
+    assert sorted(rays) == [(0, 0, 1), (1, 1, 0)] and lin == []
