@@ -7,7 +7,8 @@ string.  Field order is fixed so identical invocations produce identical
 bytes.
 
 Exit codes: 0 success, 2 input error, 3 mathematical precondition failure,
-4 budget exceeded.
+4 budget exceeded, 5 internal inconsistency (two independent computations
+of the same quantity disagreed, a bug to report).
 """
 
 import argparse
@@ -21,7 +22,7 @@ from .apex import mu_constant_test
 from .degenerate import b1d_detector, monomial_arc, valuative_falsifier
 from .families import family
 from .fans import is_regular_cone, newton_fan, regularize_fan, simplicialize
-from .geometry import GeometryError
+from .geometry import GeometryError, InternalConsistencyError
 from .groebner import DEFAULT_BUDGET, BudgetExceeded
 from .milnor import milnor_number, nondegeneracy_check
 from .newton_number import newton_number_series, volume_vector
@@ -606,7 +607,7 @@ def _build_parser():
 
 
 _EXIT_CODES = ((InputError, 2), (SupportError, 3), (GeometryError, 3),
-               (BudgetExceeded, 4))
+               (BudgetExceeded, 4), (InternalConsistencyError, 5))
 
 
 def main(argv=None):
@@ -616,7 +617,8 @@ def main(argv=None):
         doc = args.run(args)
     except tuple(e for e, _ in _EXIT_CODES) as exc:
         code = next(c for e, c in _EXIT_CODES if isinstance(exc, e))
-        kind = {2: "input", 3: "precondition", 4: "budget"}[code]
+        kind = {2: "input", 3: "precondition", 4: "budget",
+                5: "internal"}[code]
         print(f"error: {exc}", file=sys.stderr)
         _emit(_report(args.command, {}, [],
                       {"error": {"type": kind, "message": str(exc)}}, []),

@@ -116,10 +116,6 @@ def spoly(n_vars, terms):
     return SPoly(n_vars, cleaned)
 
 
-def spoly_from_dict(n_vars, d):
-    return spoly(n_vars, list(d.items()))
-
-
 def _coefficient_poly(coeff, n_params):
     """Normalize a coefficient: a bare rational means an s-free constant,
     otherwise an iterable of (s_exponent, value)."""

@@ -6,12 +6,18 @@ and regular subdivisions, and the apex pyramid construction whose output
 regularity is certified by the minor-divisibility argument rather than
 assumed.
 
-Cones are stored by their primitive integer extremal rays.  All secondary
-computations (membership, intersections, faces, relative volumes) go
-through the cross-section polytope, the slice by the hyperplane where the
-coordinates sum to one; for cones inside the orthant this slice is a
-bounded polytope with rational vertices and faith fully mirrors the conical
-structure.
+Cones are stored by their primitive integer extremal rays.  Each cone also
+carries one integer H-description, computed once by the double-description
+routine and cached on the instance: the equalities of its linear span and
+its facet normals.  Dimension, membership, intersections and the face test
+are integer sign tests and double-description calls on those rows.  A
+simplicial cone carries the k-row minor of its ray matrix with the least
+nonzero |det| D and that minor's adjugate; coordinates in the rays are
+adjugate products over D, and the fundamental-box points are read off the
+group that adjugate generates mod D, so no rational solve runs.  Only
+non-simplicial cones still use the cross-section polytope, the slice by the
+hyperplane where the coordinates sum to one: for their face lattice, and
+triangulated, for the volume comparison of subdivisions.
 """
 
 from __future__ import annotations
@@ -19,16 +25,21 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from math import factorial, gcd
+from functools import cached_property
+from math import gcd
 
-from .geometry import (ONE, ZERO, GeometryError, InternalConsistencyError,
-                       convex_hull, determinant, frac, intersect_polytopes,
-                       mat_rank, polytope_from_constraints, primitive_vector,
-                       solve_linear, triangulate_polytope, vec)
+from .geometry import (GeometryError, InternalConsistencyError, _extreme_rays,
+                       convex_hull, determinant, frac,
+                       polytope_from_constraints, primitive_vector,
+                       triangulate_polytope, vec)
 from .polyhedra import SupportError, newton_polyhedron
 
 _section_cache = {}
 _faces_cache = {}
+
+
+def _pair(a, x):
+    return sum(p * q for p, q in zip(a, x))
 
 
 @dataclass(frozen=True)
@@ -42,11 +53,47 @@ class LatticeCone:
     ambient_dim: int
     rays: tuple
 
+    @cached_property
+    def _h_description(self):
+        """(lineality, normals): integer rows with the cone equal to
+        {x : <e, x> = 0 for e in lineality, <a, x> >= 0 for a in normals}.
+
+        They are the lineality basis and the extreme rays of the dual cone
+        {y : <r, y> >= 0 for every ray r}: the lineality space is the
+        orthogonal complement of the span, the rays are the facet normals.
+        """
+        normals, lineality = _extreme_rays((), self.rays, self.ambient_dim)
+        return lineality, normals
+
+    @cached_property
+    def _minor_chart(self):
+        """(rows, adjugate, D) for a simplicial cone with k rays.
+
+        M is the k-row minor of the ray matrix (coordinates as rows, rays
+        as columns) with the least nonzero |det| = D, the first such rows
+        in lexicographic order.  The adjugate is adj(M) sign(det M), so a
+        point p of the span has coordinates lambda = adjugate p_rows / D in
+        the rays.
+        """
+        k = len(self.rays)
+        best = None
+        for rows in itertools.combinations(range(self.ambient_dim), k):
+            m = [[r[j] for r in self.rays] for j in rows]
+            det = int(determinant(m))
+            if det and (best is None or abs(det) < abs(best[2])):
+                best = (rows, m, det)
+        rows, m, det = best
+        sign = 1 if det > 0 else -1
+        cof = [[(-1) ** (i + j) * int(determinant(
+            [row[:j] + row[j + 1:] for row in m[:i] + m[i + 1:]]))
+            for j in range(k)] for i in range(k)]
+        adj = tuple(tuple(sign * cof[j][i] for j in range(k))
+                    for i in range(k))
+        return rows, adj, abs(det)
+
     @property
     def dim(self):
-        if not self.rays:
-            return 0
-        return mat_rank(self.rays)
+        return self.ambient_dim - len(self._h_description[0])
 
     @property
     def is_simplicial(self):
@@ -64,16 +111,9 @@ class LatticeCone:
         return _section_cache[key]
 
     def contains(self, point):
-        point = vec(point)
-        if all(x == 0 for x in point):
-            return True
-        if any(x < 0 for x in point):
-            return False
-        if not self.rays:
-            return False
-        total = sum(point)
-        return self.cross_section().contains(
-            tuple(x / total for x in point))
+        lineality, normals = self._h_description
+        return (all(_pair(e, point) == 0 for e in lineality)
+                and all(_pair(a, point) >= 0 for a in normals))
 
     def faces(self):
         """Every face, the zero cone and the cone itself included."""
@@ -110,7 +150,8 @@ class LatticeCone:
         return tuple(f for f in self.faces() if f.dim == d - 1)
 
     def is_face_of(self, other):
-        """Exact exposed-face test through the cross-section polytopes."""
+        """Exact face test: the face of other cut out by its facet normals
+        that vanish on all of self's rays has exactly self's rays."""
         if not self.rays:
             return True
         if self == other:
@@ -119,19 +160,10 @@ class LatticeCone:
             return False
         if not all(other.contains(r) for r in self.rays):
             return False
-        x = other.cross_section()
-        pts = [tuple(frac(c) / sum(r) for c in r) for r in self.rays]
-        active = []
-        for nrm, off in x.facets:
-            if all(sum(n * c for n, c in zip(nrm, p)) == off for p in pts):
-                active.append((nrm, off))
-        if not active:
-            return False
-        hull_pts = [v for v in x.vertices
-                    if all(sum(n * c for n, c in zip(nrm, v)) == off
-                           for nrm, off in active)]
-        mine = sorted(primitive_vector(p) for p in pts)
-        return sorted(primitive_vector(p) for p in hull_pts) == mine
+        tight = [a for a in other._h_description[1]
+                 if all(_pair(a, r) == 0 for r in self.rays)]
+        face = {r for r in other.rays if all(_pair(a, r) == 0 for a in tight)}
+        return face == set(self.rays)
 
 
 def cone_from_rays(ambient_dim, rays):
@@ -160,12 +192,14 @@ def intersect_cones(a, b):
         raise GeometryError("ambient dimension mismatch")
     if not a.rays or not b.rays:
         return LatticeCone(a.ambient_dim, ())
-    meet = intersect_polytopes(a.cross_section(), b.cross_section())
-    if meet is None:
-        return LatticeCone(a.ambient_dim, ())
-    return LatticeCone(a.ambient_dim,
-                       tuple(sorted(primitive_vector(v)
-                                    for v in meet.vertices)))
+    lin_a, nrm_a = a._h_description
+    lin_b, nrm_b = b._h_description
+    rays, lineality = _extreme_rays(lin_a + lin_b, nrm_a + nrm_b,
+                                    a.ambient_dim)
+    if lineality:
+        raise InternalConsistencyError(
+            f"cones {a.rays} and {b.rays} meet in a cone with a line")
+    return LatticeCone(a.ambient_dim, tuple(sorted(rays)))
 
 
 @dataclass(frozen=True)
@@ -244,51 +278,28 @@ def newton_fan(s):
 
 # --- subdivisions -----------------------------------------------------------
 
-def _affine_chart(section):
-    """Origin and independent difference basis of a cross-section."""
-    verts = section.vertices
-    v0 = verts[0]
-    basis = []
-    for v in verts[1:]:
-        cand = basis + [tuple(a - b for a, b in zip(v, v0))]
-        if mat_rank(cand) == len(cand):
-            basis = cand
-        if len(basis) == section.dim:
-            break
-    return v0, basis
+def _section_simplices(cone):
+    """A triangulation of the cross-section, as point tuples."""
+    if cone.is_simplicial:
+        return (tuple(tuple(Fraction(x, sum(r)) for x in r)
+                      for r in cone.rays),)
+    return triangulate_polytope(cone.cross_section())
 
 
-def _chart_coords(point, v0, basis):
-    rhs = [a - b for a, b in zip(point, v0)]
-    rows = [[b[c] for b in basis] for c in range(len(v0))]
-    sol = solve_linear(rows, rhs)
-    if sol is None:
-        raise GeometryError("point outside the chart's affine hull")
-    return sol[0]
-
-
-def _relative_section_volume(poly, v0, basis):
-    """Volume of a cross-section in the chart coordinates of the parent.
-
-    Exact and consistently scaled inside one chart, which is all the
-    coverage comparisons need.
-    """
-    d = len(basis)
-    if poly.dim < d:
-        return ZERO
-    total = ZERO
-    f = factorial(d)
-    for simplex in triangulate_polytope(poly):
-        pts = [_chart_coords(p, v0, basis) for p in simplex]
-        rows = [[a - b for a, b in zip(pts[i], pts[0])]
-                for i in range(1, d + 1)]
-        total += abs(determinant(rows)) / f
-    return total
+def _measure(simplex, rows):
+    """|det| of the simplex's points in the given coordinate rows: the
+    volume of the cone over it up to a factor fixed by the rows, when they
+    project the span injectively."""
+    return abs(determinant([[p[j] for j in rows] for p in simplex]))
 
 
 def is_subdivision(sub, base):
     """Every maximal sub-cone sits inside a base cone, and per base cone
-    the cross-section volumes of its pieces add up to the whole."""
+    the cross-section volumes of its pieces add up to the whole.
+
+    Volumes are measured by |det| in one fixed set of dim coordinate rows
+    per base cone, rows on which the base cone's span projects
+    injectively."""
     if sub.ambient_dim != base.ambient_dim:
         raise GeometryError("ambient dimension mismatch")
     for piece in sub.maximal:
@@ -298,17 +309,18 @@ def is_subdivision(sub, base):
     for parent in base.maximal:
         if not parent.rays:
             continue
-        x = parent.cross_section()
-        v0, basis = _affine_chart(x)
-        want = _relative_section_volume(x, v0, basis)
-        have = ZERO
         d = parent.dim
+        whole = _section_simplices(parent)
+        rows = next(rows for rows in itertools.combinations(
+            range(parent.ambient_dim), d) if _measure(whole[0], rows))
+        want = sum(_measure(s, rows) for s in whole)
+        have = 0
         for piece in sub.maximal:
             if piece.dim != d:
                 continue
             if not all(parent.contains(r) for r in piece.rays):
                 continue
-            have += _relative_section_volume(piece.cross_section(), v0, basis)
+            have += sum(_measure(s, rows) for s in _section_simplices(piece))
         if have != want:
             return False
     return True
@@ -358,24 +370,40 @@ def is_regular_cone(c):
 
 def box_points(c):
     """Nonzero lattice points of the half-open fundamental box, ordered by
-    coordinate sum then lexicographically."""
+    coordinate sum then lexicographically, each with its coordinates in
+    the rays.
+
+    With M, adjugate A and D from the minor chart, a lattice point R lambda
+    has lambda = A p_rows / D, so D lambda runs over the subgroup of
+    (Z/D)^k that A's columns generate, at most D residues u; the box
+    points are the R u / D that are integral.
+    """
     if not c.is_simplicial:
         raise GeometryError("fundamental box needs a simplicial cone")
     if not c.rays:
         return ()
-    n = c.ambient_dim
-    rows = [[r[j] for r in c.rays] for j in range(n)]
-    bounds = [sum(r[j] for r in c.rays) for j in range(n)]
+    _, adj, d = c._minor_chart
+    k = len(c.rays)
+    gens = [tuple(row[j] % d for row in adj) for j in range(k)]
+    zero = (0,) * k
+    group, frontier = {zero}, [zero]
+    while frontier:
+        grown = []
+        for u in frontier:
+            for g in gens:
+                v = tuple((x + y) % d for x, y in zip(u, g))
+                if v not in group:
+                    group.add(v)
+                    grown.append(v)
+        frontier = grown
     found = []
-    for cand in itertools.product(*(range(b + 1) for b in bounds)):
-        if all(x == 0 for x in cand):
-            continue
-        sol = solve_linear(rows, cand)
-        if sol is None:
-            continue
-        lam = sol[0]
-        if all(0 <= l < 1 for l in lam):
-            found.append((sum(cand), cand, lam))
+    for u in group - {zero}:
+        sums = [sum(r[j] * x for r, x in zip(c.rays, u))
+                for j in range(c.ambient_dim)]
+        if all(s % d == 0 for s in sums):
+            point = tuple(s // d for s in sums)
+            found.append((sum(point), point,
+                          tuple(Fraction(x, d) for x in u)))
     found.sort(key=lambda t: (t[0], t[1]))
     return tuple((t[1], t[2]) for t in found)
 
@@ -395,10 +423,9 @@ def _stellar_raw(cones, xi):
         if not c.contains(xi):
             out.append(c)
             continue
-        rows = [[r[j] for r in c.rays] for j in range(c.ambient_dim)]
-        lam = solve_linear(rows, xi)[0]
-        for r, l in zip(c.rays, lam):
-            if l > 0:
+        rows, adj, _ = c._minor_chart
+        for r, a in zip(c.rays, adj):
+            if sum(x * xi[j] for x, j in zip(a, rows)) > 0:
                 kept = tuple(sorted([q for q in c.rays if q != r] + [xi]))
                 out.append(LatticeCone(c.ambient_dim, kept))
     return tuple(sorted(set(out), key=lambda c: (len(c.rays), c.rays)))
@@ -460,14 +487,19 @@ def regularize_fan(fan):
     fundamental-box point of smallest coordinate sum; its proper faces are
     regular by minimality, so the point is interior and regular cones are
     never touched.  Terminates because piece multiplicities strictly drop.
+    Regularity verdicts are kept for the call, so each step tests only the
+    faces it created.
     """
     work = list(fan.maximal)
     for c in work:
         if not c.is_simplicial:
             raise GeometryError("regularize_fan needs a simplicial fan")
+    verdicts = {}
     while True:
-        bad = [c for c in _all_faces_simplicial(work)
-               if not is_regular_cone(c)]
+        faces = _all_faces_simplicial(work)
+        for c in faces - verdicts.keys():
+            verdicts[c] = is_regular_cone(c)
+        bad = [c for c in faces if not verdicts[c]]
         if not bad:
             break
         target = min(bad, key=lambda c: (len(c.rays), c.rays))

@@ -181,29 +181,39 @@ def solve_unique(rows, rhs):
 
 
 def determinant(rows):
-    rows = [list(map(frac, r)) for r in rows]
-    n = len(rows)
-    if any(len(r) != n for r in rows):
+    """Exact determinant, a Fraction.
+
+    Each row is scaled to integers by the lcm of its denominators and the
+    integer matrix is eliminated fraction-free (Bareiss 1968): every update
+    m_ij <- (m_ij m_kk - m_ik m_kj) / p, with p the previous pivot, is an
+    exact integer division, so no rational arithmetic runs.
+    """
+    m = []
+    scale = 1
+    for row in rows:
+        row = [x if isinstance(x, int) else frac(x) for x in row]
+        den = lcm(*(x.denominator for x in row))
+        scale *= den
+        m.append([x.numerator * (den // x.denominator) for x in row])
+    n = len(m)
+    if any(len(r) != n for r in m):
         raise GeometryError("determinant needs a square matrix")
-    det = ONE
-    for col in range(n):
-        piv = None
-        for i in range(col, n):
-            if rows[i][col] != 0:
-                piv = i
-                break
+    sign, prev = 1, 1
+    for k in range(n - 1):
+        piv = next((i for i in range(k, n) if m[i][k]), None)
         if piv is None:
             return ZERO
-        if piv != col:
-            rows[col], rows[piv] = rows[piv], rows[col]
-            det = -det
-        lead = rows[col]
-        det *= lead[col]
-        for i in range(col + 1, n):
-            if rows[i][col] != 0:
-                f = rows[i][col] / lead[col]
-                rows[i] = [a - f * b for a, b in zip(rows[i], lead)]
-    return det
+        if piv != k:
+            m[k], m[piv] = m[piv], m[k]
+            sign = -sign
+        lead = m[k]
+        pk = lead[k]
+        for row in m[k + 1:]:
+            f = row[k]
+            for j in range(k + 1, n):
+                row[j] = (row[j] * pk - f * lead[j]) // prev
+        prev = pk
+    return Fraction(sign * m[-1][-1], scale) if n else ONE
 
 
 # --- double description ---------------------------------------------------

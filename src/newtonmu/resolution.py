@@ -37,10 +37,6 @@ class Chart:
     def generators(self):
         return self.cone.rays
 
-    @property
-    def monomial_map(self):
-        return self.cone.rays
-
     def pullback_exponent(self, alpha):
         return tuple(dot(q, alpha) for q in self.cone.rays)
 

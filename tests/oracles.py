@@ -11,15 +11,25 @@ that replaced them: the supporting-hyperplane scan over point subsets
 (polytope_from_constraints_scan).  They run on the Fraction rref/nullspace
 of newtonmu.geometry, which share no code with the fraction-free integer
 routine they check, and they keep no cache.
+
+The fan oracles at the end are the library's former cone queries, which
+work on the cross-section polytope (the slice of a cone by the hyperplane
+where the coordinates sum to one) where the library now uses integer
+H-descriptions and adjugates: membership, intersection, the face test and
+the chart-volume subdivision test, and the bounding-box scan of the
+fundamental box with one rational solve per lattice point.
 """
 
 import itertools
 from fractions import Fraction as F
+from math import factorial
 
+from newtonmu.fans import LatticeCone
 from newtonmu.geometry import (Polytope, _affine_basis, _coords_in_basis,
-                               _lift_normal, dot, frac, mat_rank, nullspace,
-                               primitive_vector, sign_canonical, solve_unique,
-                               vec, vsub)
+                               _lift_normal, convex_hull, determinant, dot,
+                               frac, intersect_polytopes, mat_rank, nullspace,
+                               primitive_vector, sign_canonical, solve_linear,
+                               solve_unique, triangulate_polytope, vec, vsub)
 from newtonmu.polyhedra import NewtonPolyhedron, _face_lattice, _unit
 
 
@@ -197,3 +207,154 @@ def polytope_from_constraints_scan(equalities, inequalities, ambient_dim):
     if not candidates:
         return None
     return convex_hull_scan(candidates)
+
+
+# --- fans --------------------------------------------------------------------
+
+def cone_dim(cone):
+    return mat_rank(cone.rays) if cone.rays else 0
+
+
+def cross_section(cone):
+    """Slice by the coordinate-sum-one hyperplane; None for the zero cone."""
+    if not cone.rays:
+        return None
+    return convex_hull([tuple(frac(x) / sum(r) for x in r)
+                        for r in cone.rays])
+
+
+def cone_contains(cone, point):
+    point = vec(point)
+    if all(x == 0 for x in point):
+        return True
+    if any(x < 0 for x in point):
+        return False
+    if not cone.rays:
+        return False
+    total = sum(point)
+    return cross_section(cone).contains(tuple(x / total for x in point))
+
+
+def intersect_cones_section(a, b):
+    if not a.rays or not b.rays:
+        return LatticeCone(a.ambient_dim, ())
+    meet = intersect_polytopes(cross_section(a), cross_section(b))
+    if meet is None:
+        return LatticeCone(a.ambient_dim, ())
+    return LatticeCone(a.ambient_dim,
+                       tuple(sorted(primitive_vector(v)
+                                    for v in meet.vertices)))
+
+
+def is_face_of_section(face, other):
+    """Exposed-face test through the cross-section polytopes."""
+    if not face.rays:
+        return True
+    if face == other:
+        return True
+    if not other.rays:
+        return False
+    if not all(cone_contains(other, r) for r in face.rays):
+        return False
+    x = cross_section(other)
+    pts = [tuple(frac(c) / sum(r) for c in r) for r in face.rays]
+    active = []
+    for nrm, off in x.facets:
+        if all(sum(n * c for n, c in zip(nrm, p)) == off for p in pts):
+            active.append((nrm, off))
+    if not active:
+        return False
+    hull_pts = [v for v in x.vertices
+                if all(sum(n * c for n, c in zip(nrm, v)) == off
+                       for nrm, off in active)]
+    mine = sorted(primitive_vector(p) for p in pts)
+    return sorted(primitive_vector(p) for p in hull_pts) == mine
+
+
+def fan_compatible_section(cones):
+    """Every pairwise intersection is a face of both sides."""
+    for a, b in itertools.combinations(cones, 2):
+        meet = intersect_cones_section(a, b)
+        if not (is_face_of_section(meet, a) and is_face_of_section(meet, b)):
+            return False
+    return True
+
+
+def _affine_chart(section):
+    """Origin and independent difference basis of a cross-section."""
+    verts = section.vertices
+    v0 = verts[0]
+    basis = []
+    for v in verts[1:]:
+        cand = basis + [tuple(a - b for a, b in zip(v, v0))]
+        if mat_rank(cand) == len(cand):
+            basis = cand
+        if len(basis) == section.dim:
+            break
+    return v0, basis
+
+
+def _chart_coords(point, v0, basis):
+    rhs = [a - b for a, b in zip(point, v0)]
+    rows = [[b[c] for b in basis] for c in range(len(v0))]
+    return solve_linear(rows, rhs)[0]
+
+
+def _relative_section_volume(poly, v0, basis):
+    """Volume of a cross-section in the chart coordinates of the parent."""
+    d = len(basis)
+    if poly.dim < d:
+        return F(0)
+    total = F(0)
+    for simplex in triangulate_polytope(poly):
+        pts = [_chart_coords(p, v0, basis) for p in simplex]
+        rows = [[a - b for a, b in zip(pts[i], pts[0])]
+                for i in range(1, d + 1)]
+        total += abs(determinant(rows)) / factorial(d)
+    return total
+
+
+def is_subdivision_chart(sub, base):
+    """Every maximal sub-cone sits inside a base cone, and per base cone
+    the chart volumes of its pieces' cross-sections add up to the whole."""
+    def inside(piece, parent):
+        return all(cone_contains(parent, r) for r in piece.rays)
+
+    for piece in sub.maximal:
+        if not any(inside(piece, parent) for parent in base.maximal):
+            return False
+    for parent in base.maximal:
+        if not parent.rays:
+            continue
+        x = cross_section(parent)
+        v0, basis = _affine_chart(x)
+        want = _relative_section_volume(x, v0, basis)
+        have = F(0)
+        d = cone_dim(parent)
+        for piece in sub.maximal:
+            if cone_dim(piece) == d and inside(piece, parent):
+                have += _relative_section_volume(cross_section(piece), v0,
+                                                 basis)
+        if have != want:
+            return False
+    return True
+
+
+def box_points_scan(cone):
+    """Fundamental-box points by one rational solve per lattice point of
+    the bounding box, ordered by coordinate sum then lexicographically."""
+    n = cone.ambient_dim
+    rows = [[r[j] for r in cone.rays] for j in range(n)]
+    bounds = [sum(r[j] for r in cone.rays) for j in range(n)]
+    found = []
+    for cand in itertools.product(*(range(b + 1) for b in bounds)):
+        if all(x == 0 for x in cand):
+            continue
+        sol = solve_linear(rows, cand)
+        if sol is None:
+            continue
+        lam = sol[0]
+        if all(0 <= x < 1 for x in lam):
+            found.append((sum(cand), cand, lam))
+    found.sort(key=lambda t: (t[0], t[1]))
+    return tuple((t[1], t[2]) for t in found)

@@ -2,7 +2,9 @@ import json
 
 import pytest
 
+from newtonmu import cli
 from newtonmu.cli import input_to_json, main, parse_input
+from newtonmu.geometry import InternalConsistencyError
 
 QUAD = {
     "schema_version": 1,
@@ -163,6 +165,20 @@ def test_series_cap_must_be_positive(tmp_path, capsys):
         error = json.loads(out)["results"]["error"]
         assert error["type"] == "input" and "--cap" in error["message"]
         assert err.startswith("error:")
+
+
+def test_internal_inconsistency_exits_5(tmp_path, capsys, monkeypatch):
+    def disagree(fan):
+        raise InternalConsistencyError("two computations disagreed")
+
+    monkeypatch.setattr(cli, "regularize_fan", disagree)
+    path = write(tmp_path, "q.json", QUAD)
+    code, out, err = run(capsys, ["regularize", path])
+    assert code == 5
+    error = json.loads(out)["results"]["error"]
+    assert error == {"type": "internal",
+                     "message": "two computations disagreed"}
+    assert err.startswith("error:")
 
 
 def test_input_errors(tmp_path, capsys):
