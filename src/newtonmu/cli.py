@@ -344,6 +344,10 @@ def _certificate_json(cert):
 def _cmd_mu_test(args):
     base_doc, base_digest = _load_input(args.base)
     def_doc, def_digest = _load_input(args.deformed)
+    if len(base_doc.variables) != len(def_doc.variables):
+        raise InputError(
+            f"mu-test: the base has {len(base_doc.variables)} variables, the "
+            f"deformation {len(def_doc.variables)}")
     s = _support_of(base_doc, "mu-test")
     s_prime = _support_of(def_doc, "mu-test")
     res = mu_constant_test(s, s_prime)
@@ -363,7 +367,13 @@ def _cmd_mu_test(args):
                    results, res.warnings)
 
 
+def _check_budget(args):
+    if args.budget < 0:
+        raise InputError(f"--budget must be at least 0, got {args.budget}")
+
+
 def _cmd_resolve(args):
+    _check_budget(args)
     doc, digest = _load_input(args.file)
     fam = _family_of(doc, "resolve")
     res = simultaneous_resolution(fam, skip_smoothness=args.skip_smoothness,
@@ -420,6 +430,7 @@ def _cmd_regularize(args):
 
 
 def _cmd_milnor(args):
+    _check_budget(args)
     doc, digest = _load_input(args.file)
     f = _polynomial_of(doc, "milnor")
     mu = milnor_number(f, budget=args.budget)
@@ -429,6 +440,7 @@ def _cmd_milnor(args):
 
 
 def _cmd_nondeg(args):
+    _check_budget(args)
     doc, digest = _load_input(args.file)
     f = _polynomial_of(doc, "nondeg")
     rep = nondegeneracy_check(f, budget=args.budget)

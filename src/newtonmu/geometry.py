@@ -5,11 +5,16 @@ epsilon anywhere.  A Polytope carries a vertex description, an irredundant
 facet description with primitive integer normals, and the affine hull as a
 list of equalities, so lower-dimensional polytopes are first-class values.
 
-Every conversion between points and inequalities goes through one
-double-description routine (_extreme_rays) that works on integer rows with
-fraction-free updates: convex_hull and polyhedra.newton_polyhedron read
-facets off the rays of a dual cone, polytope_from_constraints reads vertices
-off the rays of the homogenized cone.
+The kernels run on Python integers.  Rational points are scaled once by the
+lcm of their denominators, and Fractions appear again only in the results.
+Two integer routines do the work: _echelon, a fraction-free reduced row
+echelon form (rank, and the null space through _nullspace), and
+_extreme_rays, a double-description routine (Fukuda & Prodon 1996) whose
+updates are integer combinations divided by their gcd.  convex_hull reads
+the affine hull off the null space of the point differences and the facets
+off the rays of a dual cone; polyhedra.newton_polyhedron does the same for
+Newton polyhedra; polytope_from_constraints reads vertices off the rays of
+the homogenized cone.  determinant is Bareiss (1968) elimination.
 
 Determinism: vertices are kept in lexicographic order, facets are sorted by
 (normal, offset), and the pulling triangulation always cones from the
@@ -55,11 +60,6 @@ def vsub(a, b):
     return tuple(x - y for x, y in zip(a, b))
 
 
-def scale(a, t):
-    t = frac(t)
-    return tuple(x * t for x in a)
-
-
 def dot(a, b):
     s = ZERO
     for x, y in zip(a, b):
@@ -95,89 +95,86 @@ def sign_canonical(v):
     return v
 
 
-# --- exact linear algebra -------------------------------------------------
+# --- exact integer linear algebra ----------------------------------------
 
-def rref(rows):
-    """Reduced row echelon form.  Returns (nonzero rows, pivot columns)."""
-    rows = [list(map(frac, r)) for r in rows]
-    if not rows:
-        return [], []
-    width = len(rows[0])
+def _integer_row(row):
+    """Coprime integer row with the direction of a rational row; None for
+    the zero row."""
+    den = lcm(*(x.denominator for x in row))
+    ints = [x.numerator * (den // x.denominator) for x in row]
+    g = gcd(*ints)
+    if g == 0:
+        return None
+    return tuple(x // g for x in ints) if g > 1 else tuple(ints)
+
+
+def _combine(s, u, t, v):
+    """The primitive integer vector s*u - t*v."""
+    w = [s * x - t * y for x, y in zip(u, v)]
+    g = gcd(*w)
+    return tuple(x // g for x in w) if g > 1 else tuple(w)
+
+
+def _idot(a, b):
+    return sum(x * y for x, y in zip(a, b))
+
+
+def _scaled(points):
+    """The points times the lcm of their denominators, as integer tuples,
+    and that lcm."""
+    den = lcm(*(x.denominator for p in points for x in p))
+    return [tuple(x.numerator * (den // x.denominator) for x in p)
+            for p in points], den
+
+
+def _echelon(rows):
+    """Reduced row echelon form of integer rows, fraction-free.
+
+    Returns (rows, pivot columns): one primitive integer row per pivot,
+    zero at every other pivot column, so each is a multiple of the matching
+    row of the rational reduced form.  The rank is the number of pivots.
+    Every update is _combine, an integer combination divided by its gcd, so
+    no rational arithmetic runs.
+    """
+    rows = [r for r in map(_integer_row, rows) if r is not None]
     pivots = []
-    r = 0
-    for col in range(width):
-        piv = None
-        for i in range(r, len(rows)):
-            if rows[i][col] != 0:
-                piv = i
-                break
-        if piv is None:
-            continue
-        rows[r], rows[piv] = rows[piv], rows[r]
-        inv = ONE / rows[r][col]
-        rows[r] = [x * inv for x in rows[r]]
-        lead = rows[r]
-        for i in range(len(rows)):
-            if i != r and rows[i][col] != 0:
-                f = rows[i][col]
-                rows[i] = [a - f * b for a, b in zip(rows[i], lead)]
-        pivots.append(col)
-        r += 1
+    for col in range(len(rows[0]) if rows else 0):
+        r = len(pivots)
         if r == len(rows):
             break
-    return [tuple(row) for row in rows[:r]], pivots
+        piv = next((i for i in range(r, len(rows)) if rows[i][col]), None)
+        if piv is None:
+            continue
+        rows[piv], rows[r] = rows[r], rows[piv]
+        lead = rows[r]
+        for i, row in enumerate(rows):
+            if i != r and row[col]:
+                rows[i] = _combine(lead[col], row, row[col], lead)
+        pivots.append(col)
+    return rows[:len(pivots)], pivots
 
 
-def mat_rank(rows):
-    return len(rref(rows)[1])
+def _nullspace(rows, width):
+    """Primitive integer basis of the right null space of integer rows.
 
-
-def nullspace(rows, width=None):
-    """Basis of the right null space, as tuples of Fractions."""
-    rows = [list(map(frac, r)) for r in rows]
-    if width is None:
-        if not rows:
-            raise GeometryError("nullspace needs an explicit width for an empty matrix")
-        width = len(rows[0])
-    red, pivots = rref(rows)
-    free = [c for c in range(width) if c not in pivots]
+    One vector per free column f of the reduced form, positive at f and zero
+    at the other free columns: the rational reduced-form basis vector
+    scaled by the lcm of the pivots (math.lcm is nonnegative), then divided
+    by its gcd.
+    """
+    red, pivots = _echelon(rows)
+    scale = lcm(*(row[pc] for row, pc in zip(red, pivots)))
     basis = []
-    for fc in free:
-        v = [ZERO] * width
-        v[fc] = ONE
+    for f in range(width):
+        if f in pivots:
+            continue
+        v = [0] * width
+        v[f] = scale
         for row, pc in zip(red, pivots):
-            v[pc] = -row[fc]
-        basis.append(tuple(v))
+            v[pc] = -row[f] * (scale // row[pc])
+        g = gcd(*v)
+        basis.append(tuple(x // g for x in v))
     return basis
-
-
-def solve_linear(rows, rhs):
-    """Solve A x = b.  Returns (particular solution, nullspace basis) or None
-    if the system is inconsistent."""
-    rows = [list(map(frac, r)) + [frac(b)] for r, b in zip(rows, rhs)]
-    if not rows:
-        return (), []
-    width = len(rows[0]) - 1
-    red, pivots = rref(rows)
-    for row, pc in zip(red, pivots):
-        if pc == width:
-            return None
-    x = [ZERO] * width
-    for row, pc in zip(red, pivots):
-        x[pc] = row[width]
-    hom = nullspace([r[:width] for r in red] or [[ZERO] * width], width)
-    return tuple(x), hom
-
-
-def solve_unique(rows, rhs):
-    """Solve A x = b when a unique solution is expected; None otherwise."""
-    sol = solve_linear(rows, rhs)
-    if sol is None:
-        return None
-    x, hom = sol
-    if hom:
-        return None
-    return x
 
 
 def determinant(rows):
@@ -217,24 +214,6 @@ def determinant(rows):
 
 
 # --- double description ---------------------------------------------------
-
-def _integer_row(row):
-    """Coprime integer row with the direction of a rational row; None for
-    the zero row."""
-    den = lcm(*(x.denominator for x in row))
-    ints = [x.numerator * (den // x.denominator) for x in row]
-    g = gcd(*ints)
-    if g == 0:
-        return None
-    return tuple(x // g for x in ints) if g > 1 else tuple(ints)
-
-
-def _combine(s, u, t, v):
-    """The primitive integer vector s*u - t*v."""
-    w = [s * x - t * y for x, y in zip(u, v)]
-    g = gcd(*w)
-    return tuple(x // g for x in w) if g > 1 else tuple(w)
-
 
 def _extreme_rays(equalities, inequalities, dim):
     """Double description of the cone {x : <e, x> = 0, <a, x> >= 0} in Q^dim.
@@ -326,6 +305,32 @@ def _extreme_rays(equalities, inequalities, dim):
     return rays, lin
 
 
+def _dual_facets(ipts, equalities=(), directions=()):
+    """Facets of the hull of integer points P plus the cone over integer
+    directions u, inside the flat cut out by the equality normals e.
+
+    They are the rays (w, c) with w != 0 of the cone of valid inequalities
+    {(w, c) : <e, w> = 0, <w, u> >= 0, <w, P> >= c}, which is pointed when
+    the polyhedron is pointed and full-dimensional in that flat.  Returns
+    (w primitive, c = least <w, P>, bitmask of the points P attaining c)
+    triples sorted by w.
+    """
+    n = len(ipts[0])
+    rays, _ = _extreme_rays([e + (0,) for e in equalities],
+                            [u + (0,) for u in directions]
+                            + [p + (-1,) for p in ipts], n + 1)
+    facets = []
+    for ray in rays:
+        if any(ray[:n]):  # else the ray (0, -1) of the valid 0 >= -1
+            w = _integer_row(ray[:n])
+            vals = [_idot(w, p) for p in ipts]
+            c = min(vals)
+            facets.append(
+                (w, c, sum(1 << i for i, v in enumerate(vals) if v == c)))
+    facets.sort()
+    return facets
+
+
 # --- polytopes ------------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -368,62 +373,18 @@ class Polytope:
 _hull_cache = {}
 
 
-def _affine_basis(pts):
-    """Echelon basis of the difference space of a point list."""
-    base = pts[0]
-    basis = []  # rows kept in echelon form: (pivot column, row)
-    for p in pts[1:]:
-        row = list(vsub(p, base))
-        for pc, b in basis:
-            if row[pc] != 0:
-                f = row[pc]
-                row = [a - f * c for a, c in zip(row, b)]
-        for col, x in enumerate(row):
-            if x != 0:
-                inv = ONE / x
-                row = [y * inv for y in row]
-                basis.append((col, row))
-                basis.sort()
-                break
-    return [tuple(b) for _, b in basis], [pc for pc, _ in basis]
-
-
-def _coords_in_basis(p, base, basis, pivot_cols):
-    """Coefficients of p - base in the echelon basis (exact, unique)."""
-    row = list(vsub(p, base))
-    coeffs = []
-    for (b, pc) in zip(basis, pivot_cols):
-        c = row[pc]
-        coeffs.append(c)
-        if c != 0:
-            row = [a - c * x for a, x in zip(row, b)]
-    if any(x != 0 for x in row):
-        raise GeometryError("point outside affine hull")
-    return tuple(coeffs)
-
-
-def _lift_normal(nu, basis):
-    """Map a normal in basis coordinates back to an ambient normal."""
-    d = len(basis)
-    gram = [[dot(basis[i], basis[j]) for j in range(d)] for i in range(d)]
-    y = solve_unique(gram, nu)
-    w = [ZERO] * len(basis[0])
-    for yi, b in zip(y, basis):
-        for k, x in enumerate(b):
-            w[k] += yi * x
-    return primitive_vector(w)
-
-
 def convex_hull(points, dim_cap=DIMENSION_CAP):
     """Exact convex hull of rational points in dimension <= dim_cap.
 
-    The points are written in coordinates of an affine basis of their hull,
-    where they span a full-dimensional polytope of dimension d.  Its facets
-    are the extreme rays (nu, c) with nu != 0 of the cone of valid
-    inequalities {(nu, c) : <nu, x> >= c for every point x}, which is
-    pointed because the polytope is bounded and full-dimensional, so
-    coplanar and lower-dimensional inputs need no special care.  Normals
-    are lifted back to the ambient space by _lift_normal.
+    The points are scaled by the lcm of their denominators to integer
+    points P.  The affine hull's equality normals e are the integer null
+    space of the differences P - P_0.  The facets come from _dual_facets
+    with w confined to the difference space (<e, w> = 0), where the
+    polytope is bounded and full-dimensional, so the dual cone is pointed,
+    the normals already lie in the difference space, and coplanar and
+    lower-dimensional inputs need no special care.  A point is a vertex
+    when no other point lies on every facet through it.  All of this runs
+    on integers; offsets are c / lcm.
     """
     pts = tuple(sorted({vec(p) for p in points}))
     if not pts:
@@ -437,60 +398,38 @@ def convex_hull(points, dim_cap=DIMENSION_CAP):
     if cached is not None:
         return cached
 
-    base = pts[0]
-    basis, pivot_cols = _affine_basis(pts)
-    d = len(basis)
-    equalities = tuple(sorted(
-        (sign_canonical(primitive_vector(w)),) for w in nullspace(basis, n)
-    )) if d else ()
-    equalities = tuple((w[0], dot(w[0], base)) for w in equalities)
+    ipts, den = _scaled(pts)
+    base = ipts[0]
+    normals = _nullspace([tuple(x - y for x, y in zip(p, base))
+                          for p in ipts[1:]], n)
+    d = n - len(normals)
     if d == 0:
-        eqs = tuple((tuple(1 if j == i else 0 for j in range(n)), base[i])
+        eqs = tuple((tuple(1 if j == i else 0 for j in range(n)), pts[0][i])
                     for i in range(n))
-        poly = Polytope(n, 0, (base,), (), (), eqs)
+        poly = Polytope(n, 0, pts, (), (), eqs)
         _hull_cache[pts] = poly
         return poly
+    equalities = tuple((e, Fraction(_idot(e, base), den))
+                       for e in sorted(map(sign_canonical, normals)))
 
-    coords = [_coords_in_basis(p, base, basis, pivot_cols) for p in pts]
+    found = _dual_facets(ipts, equalities=normals)
 
-    inner_facets = {}
-    if d == 1:
-        vals = [c[0] for c in coords]
-        lo, hi = min(vals), max(vals)
-        inner_facets[((1,), lo)] = frozenset(i for i, v in enumerate(vals) if v == lo)
-        inner_facets[((-1,), -hi)] = frozenset(i for i, v in enumerate(vals) if v == hi)
-    else:
-        rays, _ = _extreme_rays((), [x + (-1,) for x in coords], d + 1)
-        for ray in rays:
-            if not any(ray[:d]):
-                continue  # the ray (0, -1) of the trivial inequality 0 >= -1
-            nu = _integer_row(ray[:d])
-            vals = [dot(nu, x) for x in coords]
-            c = min(vals)
-            inner_facets[(nu, c)] = frozenset(
-                i for i, v in enumerate(vals) if v == c)
-
-    # vertices: points whose active facet normals span the hull dimension
+    # a vertex is the only point on the meet of the facets through it
     vertex_idx = []
-    active_normals = {i: [] for i in range(len(pts))}
-    for (nu, _), members in inner_facets.items():
-        for i in members:
-            active_normals[i].append(nu)
     for i in range(len(pts)):
-        if len(active_normals[i]) >= d and mat_rank(active_normals[i]) == d:
+        bit = 1 << i
+        meet = -1
+        for _, _, on in found:
+            if on & bit:
+                meet &= on
+        if meet == bit:
             vertex_idx.append(i)
     vertices = tuple(pts[i] for i in vertex_idx)
-    reindex = {old: new for new, old in enumerate(vertex_idx)}
 
-    amb_facets = []
-    for (nu, c), members in inner_facets.items():
-        w = _lift_normal(nu, basis)
-        offset = min(dot(w, v) for v in vertices)
-        on = frozenset(reindex[i] for i in members if i in reindex)
-        amb_facets.append(((w, offset), on))
-    amb_facets.sort(key=lambda t: t[0])
-    facets = tuple(f for f, _ in amb_facets)
-    facet_vertices = tuple(on for _, on in amb_facets)
+    facets = tuple((w, Fraction(c, den)) for w, c, _ in found)
+    facet_vertices = tuple(
+        frozenset(k for k, i in enumerate(vertex_idx) if on >> i & 1)
+        for _, _, on in found)
 
     poly = Polytope(n, d, vertices, facets, facet_vertices, equalities)
     _hull_cache[pts] = poly

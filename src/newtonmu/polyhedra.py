@@ -7,6 +7,13 @@ polyhedron whose recession cone is the whole orthant.  We store an exact
 facet description, the full face lattice, the vertex set, and the compact
 faces (the Newton boundary).
 
+newton_polyhedron scales the support to integer points by the lcm of its
+denominators and reads the facets off the extreme rays of the dual cone
+(geometry._dual_facets).  The face lattice is the closure of the facets
+under intersection, each face a pair of bitmasks (support points on it,
+recession axes), and face dimensions are integer ranks (geometry._echelon),
+so no rational arithmetic runs; offsets and points come back as Fractions.
+
 The region under the boundary (the orthant minus the polyhedron, closed) is
 star-shaped from the origin, so it decomposes into cones over the compact
 facets; we triangulate those with the shared pulling rule from geometry so
@@ -16,10 +23,11 @@ the pieces form a simplicial complex.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 
-from .geometry import (DIMENSION_CAP, DimensionCapExceeded, ONE, ZERO,
-                       _extreme_rays, _integer_row, convex_hull, dot, frac,
-                       mat_rank, triangulate_polytope, vec, vsub)
+from .geometry import (DIMENSION_CAP, DimensionCapExceeded, ZERO,
+                       _dual_facets, _echelon, _scaled, convex_hull, dot,
+                       frac, triangulate_polytope, vec)
 
 
 class SupportError(ValueError):
@@ -27,7 +35,7 @@ class SupportError(ValueError):
 
 
 def _unit(n, i):
-    return tuple(ONE if j == i else ZERO for j in range(n))
+    return tuple(int(j == i) for j in range(n))
 
 
 @dataclass(frozen=True)
@@ -153,7 +161,10 @@ def newton_polyhedron(support):
     condition because the recession cone is the whole orthant.  The
     polyhedron is pointed and full-dimensional, so this cone is pointed and
     its extreme rays are the facets, the rays with w != 0, and the trivial
-    inequality 0 >= -1.  The H-description is the facet list alone.
+    inequality 0 >= -1 (geometry._dual_facets, with the unit vectors as
+    directions).  The H-description is the facet list alone.  The points
+    are scaled to integers by the lcm of their denominators first, so
+    facets and faces come out of integer arithmetic only.
     """
     if not isinstance(support, SupportSet):
         raise SupportError("newton_polyhedron expects a SupportSet")
@@ -162,22 +173,20 @@ def newton_polyhedron(support):
         return cached
     n = support.dim
     pts = support.points
+    ipts, den = _scaled(pts)
 
-    orthant = [_unit(n, i) + (0,) for i in range(n)]
-    rays, _ = _extreme_rays((), orthant + [p + (-1,) for p in pts], n + 1)
-    final = []
-    for ray in rays:
-        if not any(ray[:n]):
-            continue
-        w = _integer_row(ray[:n])
-        c = min(dot(w, p) for p in pts)
-        active = tuple(p for p in pts if dot(w, p) == c)
-        rec = frozenset(i for i in range(n) if w[i] == 0)
-        final.append((w, c, active, rec))
-    final.sort(key=lambda f: (f[0], f[1]))
-    facets = tuple(final)
+    recession = {}      # one frozenset per set of axes, shared by the faces
+    facets, seeds = [], []
+    for w, c, on in _dual_facets(ipts, directions=[_unit(n, i)
+                                                   for i in range(n)]):
+        rec = tuple(i for i in range(n) if w[i] == 0)
+        facets.append((w, Fraction(c, den),
+                       tuple(pts[i] for i in _members(on)),
+                       recession.setdefault(rec, frozenset(rec))))
+        seeds.append((on, sum(1 << i for i in rec)))
+    facets = tuple(facets)
 
-    faces = _face_lattice(n, facets)
+    faces = _face_lattice(pts, ipts, seeds, recession)
     vertices = tuple(sorted(f.points[0] for f in faces if f.dim == 0))
 
     np_ = NewtonPolyhedron(n, support, facets, vertices, faces)
@@ -185,42 +194,48 @@ def newton_polyhedron(support):
     return np_
 
 
-def _face_lattice(n, facets):
+def _members(mask):
+    return [i for i in range(mask.bit_length()) if mask >> i & 1]
+
+
+def _face_lattice(pts, ipts, seeds, recession):
     """All proper nonempty faces, from pairwise intersections of facets.
 
-    A face is identified by (support points on it, recession axes); the set
-    of such pairs is closed under intersection and every proper face arises
-    as an intersection of facets, so fixpoint iteration over pairwise meets
-    finds everything.
+    A face is identified by (support points on it, recession axes), kept
+    as a pair of bitmasks over the indices of pts and of the axes, one pair
+    per facet in seeds.  The set of such pairs is closed under intersection
+    and every proper face arises as an intersection of facets, so fixpoint
+    iteration over pairwise meets finds everything.  A face's dimension is
+    the rank of its point differences and recession axes, over the integer
+    points ipts.  recession maps a sorted tuple of axes to the frozenset
+    the faces share.
     """
-    seed = {(f[2], f[3]) for f in facets}
-    seed_sets = [(frozenset(pb), rb) for pb, rb in seed]
-    known = set(seed)
-    frontier = set(seed)
+    n = len(ipts[0])
+    seeds = set(seeds)
+    known = set(seeds)
+    frontier = seeds
     while frontier:
         new = set()
-        for (pa, ra) in frontier:
-            for (sb, rb) in seed_sets:
-                pc = tuple(p for p in pa if p in sb)
-                rc = ra & rb
-                if not pc:
-                    # every nonempty face of a pointed polyhedron with
-                    # vertices in the support contains a support point
-                    continue
-                key = (pc, rc)
-                if key not in known:
-                    known.add(key)
-                    new.add(key)
+        for pa, ra in frontier:
+            # every nonempty face of a pointed polyhedron with vertices in
+            # the support contains a support point
+            new |= {(pa & pb, ra & rb) for pb, rb in seeds if pa & pb} - known
+        known |= new
         frontier = new
 
-    faces = []
-    for (pc, rc) in known:
-        rows = [vsub(p, pc[0]) for p in pc[1:]]
-        rows += [_unit(n, i) for i in rc]
-        d = mat_rank(rows) if rows else 0
-        faces.append(Face(tuple(sorted(pc)), rc, d, not rc))
-    faces.sort(key=lambda f: (f.dim, f.points, tuple(sorted(f.recession))))
-    return tuple(faces)
+    # pts is sorted, so index tuples sort like the point tuples they name
+    lattice = []
+    for pc, rc in known:
+        on, rec = _members(pc), tuple(_members(rc))
+        first = ipts[on[0]]
+        rows = [tuple(x - y for x, y in zip(ipts[i], first)) for i in on[1:]]
+        rows += [_unit(n, i) for i in rec]
+        lattice.append((len(_echelon(rows)[1]), on, rec))
+    lattice.sort()
+    return tuple(Face(tuple(pts[i] for i in on),
+                      recession.setdefault(rec, frozenset(rec)), d,
+                      not rec)
+                 for d, on, rec in lattice)
 
 
 # --- convenience ----------------------------------------------------------
@@ -278,8 +293,12 @@ def check_nested(s, s_prime):
     Adding support points grows the polyhedron toward the origin, so the
     deformed set's polyhedron contains the original one.  Containment of the
     unbounded hulls reduces to containment of the first hull's vertices.
-    Raises SupportError when it fails.
+    Raises SupportError when it fails, or when the two sets live in
+    different dimensions.
     """
+    if s.dim != s_prime.dim:
+        raise SupportError(
+            f"support sets of different dimensions {s.dim} and {s_prime.dim}")
     np_outer = newton_polyhedron(s_prime)
     for v in newton_polyhedron(s).vertices:
         if not np_outer.contains(v):

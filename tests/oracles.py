@@ -3,14 +3,21 @@
 nu_2d_staircase is written from scratch against the definitions, without
 calling into the package, so an agreement is meaningful.
 
-The three exhaustive scans below are the library's former polyhedral
+The Fraction linear algebra below (rref, mat_rank, nullspace,
+solve_linear, solve_unique), the affine-chart helpers (_affine_basis,
+_coords_in_basis, _lift_normal) and the face lattice over tuples of
+Fraction points (_face_lattice) are the library's former routines, kept
+unchanged here, where the scans are their only users; the library now runs
+these steps on integers.
+
+The three exhaustive scans are the library's former polyhedral
 conversions, kept unchanged as oracles for the double-description routine
 that replaced them: the supporting-hyperplane scan over point subsets
 (convex_hull_scan), the facet scan over point and orthant-direction subsets
 (newton_polyhedron_scan) and the basic-solution scan over inequality subsets
-(polytope_from_constraints_scan).  They run on the Fraction rref/nullspace
-of newtonmu.geometry, which share no code with the fraction-free integer
-routine they check, and they keep no cache.
+(polytope_from_constraints_scan).  They run on the Fraction routines above,
+which share no code with the fraction-free integer routines they check,
+and they keep no cache.
 
 The fan oracles at the end are the library's former cone queries, which
 work on the cross-section polytope (the slice of a cone by the hyperplane
@@ -25,13 +32,188 @@ from fractions import Fraction as F
 from math import factorial
 
 from newtonmu.fans import LatticeCone
-from newtonmu.geometry import (Polytope, _affine_basis, _coords_in_basis,
-                               _lift_normal, convex_hull, determinant, dot,
-                               frac, intersect_polytopes, mat_rank, nullspace,
-                               primitive_vector, sign_canonical, solve_linear,
-                               solve_unique, triangulate_polytope, vec, vsub)
-from newtonmu.polyhedra import NewtonPolyhedron, _face_lattice, _unit
+from newtonmu.geometry import (ONE, ZERO, GeometryError, Polytope,
+                               convex_hull, determinant, dot, frac,
+                               intersect_polytopes, primitive_vector,
+                               sign_canonical, triangulate_polytope, vec,
+                               vsub)
+from newtonmu.polyhedra import Face, NewtonPolyhedron
 
+
+# --- Fraction linear algebra ------------------------------------------------
+
+def rref(rows):
+    """Reduced row echelon form.  Returns (nonzero rows, pivot columns)."""
+    rows = [list(map(frac, r)) for r in rows]
+    if not rows:
+        return [], []
+    width = len(rows[0])
+    pivots = []
+    r = 0
+    for col in range(width):
+        piv = None
+        for i in range(r, len(rows)):
+            if rows[i][col] != 0:
+                piv = i
+                break
+        if piv is None:
+            continue
+        rows[r], rows[piv] = rows[piv], rows[r]
+        inv = ONE / rows[r][col]
+        rows[r] = [x * inv for x in rows[r]]
+        lead = rows[r]
+        for i in range(len(rows)):
+            if i != r and rows[i][col] != 0:
+                f = rows[i][col]
+                rows[i] = [a - f * b for a, b in zip(rows[i], lead)]
+        pivots.append(col)
+        r += 1
+        if r == len(rows):
+            break
+    return [tuple(row) for row in rows[:r]], pivots
+
+
+def mat_rank(rows):
+    return len(rref(rows)[1])
+
+
+def nullspace(rows, width=None):
+    """Basis of the right null space, as tuples of Fractions."""
+    rows = [list(map(frac, r)) for r in rows]
+    if width is None:
+        if not rows:
+            raise GeometryError("nullspace needs an explicit width for an empty matrix")
+        width = len(rows[0])
+    red, pivots = rref(rows)
+    free = [c for c in range(width) if c not in pivots]
+    basis = []
+    for fc in free:
+        v = [ZERO] * width
+        v[fc] = ONE
+        for row, pc in zip(red, pivots):
+            v[pc] = -row[fc]
+        basis.append(tuple(v))
+    return basis
+
+
+def solve_linear(rows, rhs):
+    """Solve A x = b.  Returns (particular solution, nullspace basis) or None
+    if the system is inconsistent."""
+    rows = [list(map(frac, r)) + [frac(b)] for r, b in zip(rows, rhs)]
+    if not rows:
+        return (), []
+    width = len(rows[0]) - 1
+    red, pivots = rref(rows)
+    for row, pc in zip(red, pivots):
+        if pc == width:
+            return None
+    x = [ZERO] * width
+    for row, pc in zip(red, pivots):
+        x[pc] = row[width]
+    hom = nullspace([r[:width] for r in red] or [[ZERO] * width], width)
+    return tuple(x), hom
+
+
+def solve_unique(rows, rhs):
+    """Solve A x = b when a unique solution is expected; None otherwise."""
+    sol = solve_linear(rows, rhs)
+    if sol is None:
+        return None
+    x, hom = sol
+    if hom:
+        return None
+    return x
+
+
+def _affine_basis(pts):
+    """Echelon basis of the difference space of a point list."""
+    base = pts[0]
+    basis = []  # rows kept in echelon form: (pivot column, row)
+    for p in pts[1:]:
+        row = list(vsub(p, base))
+        for pc, b in basis:
+            if row[pc] != 0:
+                f = row[pc]
+                row = [a - f * c for a, c in zip(row, b)]
+        for col, x in enumerate(row):
+            if x != 0:
+                inv = ONE / x
+                row = [y * inv for y in row]
+                basis.append((col, row))
+                basis.sort()
+                break
+    return [tuple(b) for _, b in basis], [pc for pc, _ in basis]
+
+
+def _coords_in_basis(p, base, basis, pivot_cols):
+    """Coefficients of p - base in the echelon basis (exact, unique)."""
+    row = list(vsub(p, base))
+    coeffs = []
+    for (b, pc) in zip(basis, pivot_cols):
+        c = row[pc]
+        coeffs.append(c)
+        if c != 0:
+            row = [a - c * x for a, x in zip(row, b)]
+    if any(x != 0 for x in row):
+        raise GeometryError("point outside affine hull")
+    return tuple(coeffs)
+
+
+def _lift_normal(nu, basis):
+    """Map a normal in basis coordinates back to an ambient normal."""
+    d = len(basis)
+    gram = [[dot(basis[i], basis[j]) for j in range(d)] for i in range(d)]
+    y = solve_unique(gram, nu)
+    w = [ZERO] * len(basis[0])
+    for yi, b in zip(y, basis):
+        for k, x in enumerate(b):
+            w[k] += yi * x
+    return primitive_vector(w)
+
+
+def _unit(n, i):
+    return tuple(ONE if j == i else ZERO for j in range(n))
+
+
+def _face_lattice(n, facets):
+    """All proper nonempty faces, from pairwise intersections of facets.
+
+    A face is identified by (support points on it, recession axes); the set
+    of such pairs is closed under intersection and every proper face arises
+    as an intersection of facets, so fixpoint iteration over pairwise meets
+    finds everything.
+    """
+    seed = {(f[2], f[3]) for f in facets}
+    seed_sets = [(frozenset(pb), rb) for pb, rb in seed]
+    known = set(seed)
+    frontier = set(seed)
+    while frontier:
+        new = set()
+        for (pa, ra) in frontier:
+            for (sb, rb) in seed_sets:
+                pc = tuple(p for p in pa if p in sb)
+                rc = ra & rb
+                if not pc:
+                    # every nonempty face of a pointed polyhedron with
+                    # vertices in the support contains a support point
+                    continue
+                key = (pc, rc)
+                if key not in known:
+                    known.add(key)
+                    new.add(key)
+        frontier = new
+
+    faces = []
+    for (pc, rc) in known:
+        rows = [vsub(p, pc[0]) for p in pc[1:]]
+        rows += [_unit(n, i) for i in rc]
+        d = mat_rank(rows) if rows else 0
+        faces.append(Face(tuple(sorted(pc)), rc, d, not rc))
+    faces.sort(key=lambda f: (f.dim, f.points, tuple(sorted(f.recession))))
+    return tuple(faces)
+
+
+# --- polyhedral conversions -------------------------------------------------
 
 def nu_2d_staircase(points):
     """Newton number of a plane support covering both axes.

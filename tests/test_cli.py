@@ -167,6 +167,32 @@ def test_series_cap_must_be_positive(tmp_path, capsys):
         assert err.startswith("error:")
 
 
+def test_budget_must_be_nonnegative(tmp_path, capsys):
+    cusp = write(tmp_path, "c.json", CUSP)
+    family = write(tmp_path, "f.json", XY_FAMILY)
+    for argv in (["milnor", cusp], ["nondeg", cusp], ["resolve", family]):
+        for budget in ("-1", "-3"):
+            code, out, err = run(capsys, argv + ["--budget", budget])
+            assert code == 2
+            error = json.loads(out)["results"]["error"]
+            assert error["type"] == "input" and "--budget" in error["message"]
+            assert err.startswith("error:")
+
+
+def test_mu_test_rejects_mismatched_dimensions(tmp_path, capsys):
+    base = write(tmp_path, "b.json",
+                 dict(QUAD, support=[["1", "0"], ["0", "1"]]))
+    deformed = write(tmp_path, "d.json", dict(
+        QUAD, variables=["x", "y", "z"],
+        support=[["1", "0", "0"], ["0", "1", "0"], ["0", "0", "1"]]))
+    for argv in (["mu-test", base, deformed], ["mu-test", deformed, base]):
+        code, out, err = run(capsys, argv)
+        assert code == 2
+        error = json.loads(out)["results"]["error"]
+        assert error["type"] == "input" and "variables" in error["message"]
+        assert err.startswith("error:")
+
+
 def test_internal_inconsistency_exits_5(tmp_path, capsys, monkeypatch):
     def disagree(fan):
         raise InternalConsistencyError("two computations disagreed")

@@ -10,6 +10,7 @@ from fractions import Fraction as F
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from newtonmu import geometry, polyhedra
 from newtonmu.geometry import (GeometryError, _extreme_rays, convex_hull,
                                polytope_from_constraints)
 from newtonmu.polyhedra import newton_polyhedron, support_set
@@ -50,15 +51,14 @@ def supports(draw, dims=(2, 3, 4), convenient=False):
 
 
 @st.composite
-def flats(draw):
+def flats(draw, entry=rational, small=st.integers(-3, 3)):
     """Points spanning an affine flat of dimension d <= n: single points,
     collinear and coplanar sets, and full-dimensional sets."""
     n = draw(st.integers(1, 4))
     d = draw(st.integers(0, n))
-    small = st.integers(-3, 3)
-    base = draw(st.tuples(*[rational] * n))
+    base = draw(st.tuples(*[entry] * n))
     dirs = draw(st.lists(st.tuples(*[small] * n), min_size=d, max_size=d))
-    coeffs = draw(st.lists(st.tuples(*[rational] * d), min_size=1,
+    coeffs = draw(st.lists(st.tuples(*[entry] * d), min_size=1,
                            max_size=7))
     return [tuple(b + sum(c * u[k] for c, u in zip(cs, dirs))
                   for k, b in enumerate(base)) for cs in coeffs]
@@ -70,10 +70,54 @@ def test_newton_polyhedron_matches_scan(s):
     assert typed(newton_polyhedron(s)) == typed(newton_polyhedron_scan(s))
 
 
+@given(st.one_of(supports(dims=(5,)), supports(dims=(5,), convenient=True)))
+@settings(PROPERTY, max_examples=30)
+def test_newton_polyhedron_matches_scan_n5(s):
+    assert typed(newton_polyhedron(s)) == typed(newton_polyhedron_scan(s))
+
+
 @given(flats())
 @PROPERTY
 def test_convex_hull_matches_scan(pts):
     assert typed(convex_hull(pts)) == typed(convex_hull_scan(pts))
+
+
+mixed = st.builds(F, st.integers(-6, 6), st.sampled_from([2, 3, 6]))
+
+
+@given(flats(entry=mixed, small=mixed))
+@PROPERTY
+def test_convex_hull_mixed_denominators_match_scan(pts):
+    """Coordinates over 2, 3 and 6: the points are scaled by their lcm
+    and the offsets come back as Fractions over it."""
+    assert typed(convex_hull(pts)) == typed(convex_hull_scan(pts))
+
+
+FRACTION_OPERATORS = ("__add__", "__radd__", "__sub__", "__rsub__",
+                      "__mul__", "__rmul__", "__truediv__", "__rtruediv__")
+
+
+def test_no_fraction_arithmetic_in_the_kernel(monkeypatch):
+    """convex_hull and newton_polyhedron run on integers only: on rational
+    inputs, with cold caches, no Fraction operator is called."""
+    calls = []
+    for name in FRACTION_OPERATORS:
+        def counted(*args, _op=getattr(F, name), _name=name):
+            calls.append(_name)
+            return _op(*args)
+        monkeypatch.setattr(F, name, counted)
+    pts = [(F(1, 2), 0, 3), (0, F(2, 3), 1), (2, 1, 0), (F(5, 6), F(1, 3), 1),
+           (1, 1, F(1, 2)), (0, 0, F(7, 2))]
+    flat = [(F(1, 2), F(1, 2), 0), (0, 1, F(1, 3)), (1, 0, 2),
+            (F(1, 3), F(2, 3), F(5, 6)), (F(1, 6), F(5, 6), 1)]
+    s = support_set(3, pts)
+    monkeypatch.setattr(geometry, "_hull_cache", {})
+    monkeypatch.setattr(polyhedra, "_np_cache", {})
+    convex_hull(pts)
+    convex_hull(flat)
+    newton_polyhedron(s)
+    assert calls == []
+    assert F(1, 2) + F(1, 3) == F(5, 6) and calls == ["__add__"]
 
 
 def test_convex_hull_degenerate_inputs_match_scan():

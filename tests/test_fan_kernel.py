@@ -18,11 +18,11 @@ from newtonmu.fans import (Fan, LatticeCone, box_points, cone_from_rays,
                            newton_fan, orthant_fan, regularize_fan,
                            simplicialize, stellar_subdivide)
 from newtonmu.geometry import (GeometryError, InternalConsistencyError,
-                               mat_rank, primitive_vector)
+                               primitive_vector)
 from newtonmu.polyhedra import support_set
 from oracles import (box_points_scan, cone_contains, cone_dim,
                      fan_compatible_section, intersect_cones_section,
-                     is_face_of_section, is_subdivision_chart)
+                     is_face_of_section, is_subdivision_chart, mat_rank)
 from test_conversion import typed
 
 PROPERTY = settings(derandomize=True, deadline=None, max_examples=80)

@@ -4,10 +4,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from newtonmu.geometry import (GeometryError, convex_hull, determinant, dot,
-                               intersect_polytopes, nullspace,
-                               polytope_from_constraints, polytope_volume,
-                               primitive_vector, simplex_volume, solve_unique,
-                               triangulate_polytope)
+                               intersect_polytopes, polytope_from_constraints,
+                               polytope_volume, primitive_vector,
+                               simplex_volume, triangulate_polytope)
+from oracles import nullspace, solve_unique
 
 coord = st.integers(min_value=-6, max_value=6)
 

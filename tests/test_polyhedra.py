@@ -2,6 +2,8 @@ from fractions import Fraction as F
 
 import pytest
 
+from newtonmu.apex import mu_constant_test
+from newtonmu.newton_number import d_set_and_i_set, difference_region
 from newtonmu.polyhedra import (SupportError, added_vertices, check_nested,
                                 convenience_report, lower_region,
                                 newton_polyhedron, support_set)
@@ -85,6 +87,17 @@ def test_nested_and_added_vertices():
     assert added_vertices(s, s.augment([(1, 5, 2)])) == ()
     # (1,1,1) is strictly below the boundary
     assert added_vertices(s, s.augment([(1, 1, 1)])) == ((1, 1, 1),)
+
+
+def test_nested_rejects_mismatched_dimensions():
+    """zip would compare only the common coordinates and call these nested."""
+    plane = support_set(2, [(1, 0), (0, 1)])
+    space = support_set(3, [(1, 0, 0), (0, 1, 0), (0, 0, 1)])
+    for a, b in ((plane, space), (space, plane)):
+        for check in (check_nested, added_vertices, difference_region,
+                      d_set_and_i_set, mu_constant_test):
+            with pytest.raises(SupportError, match="dimension"):
+                check(a, b)
 
 
 def test_lower_region():
