@@ -14,6 +14,7 @@ of the same quantity disagreed, a bug to report).
 import argparse
 import hashlib
 import json
+import re
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
@@ -46,6 +47,9 @@ class InputDocument:
     family: object    # DeformationFamily, or None for support documents
 
 
+_RATIONAL = re.compile(r"-?[0-9]+(/[0-9]+)?")
+
+
 def _rational(value, where):
     if isinstance(value, bool) or isinstance(value, float):
         raise InputError(f"{where}: rationals must be integers or 'p/q' "
@@ -53,6 +57,11 @@ def _rational(value, where):
     if isinstance(value, int):
         return Fraction(value)
     if isinstance(value, str):
+        # Fraction alone would also take decimals and exponents, and
+        # "1e10000000" would build a ten-million-digit integer first
+        if not _RATIONAL.fullmatch(value):
+            raise InputError(f"{where}: cannot parse rational {value!r}: "
+                             "expected an integer or a 'p/q' string")
         try:
             return Fraction(value)
         except (ValueError, ZeroDivisionError) as e:

@@ -29,9 +29,8 @@ from functools import cached_property
 from math import gcd
 
 from .geometry import (GeometryError, InternalConsistencyError, _extreme_rays,
-                       convex_hull, determinant, frac,
-                       polytope_from_constraints, primitive_vector,
-                       triangulate_polytope, vec)
+                       _int_det, convex_hull, determinant, frac,
+                       primitive_vector, triangulate_polytope, vec)
 from .polyhedra import SupportError, newton_polyhedron
 
 _section_cache = {}
@@ -79,13 +78,13 @@ class LatticeCone:
         best = None
         for rows in itertools.combinations(range(self.ambient_dim), k):
             m = [[r[j] for r in self.rays] for j in rows]
-            det = int(determinant(m))
+            det = _int_det(m)
             if det and (best is None or abs(det) < abs(best[2])):
                 best = (rows, m, det)
         rows, m, det = best
         sign = 1 if det > 0 else -1
-        cof = [[(-1) ** (i + j) * int(determinant(
-            [row[:j] + row[j + 1:] for row in m[:i] + m[i + 1:]]))
+        cof = [[(-1) ** (i + j) * _int_det(
+            [row[:j] + row[j + 1:] for row in m[:i] + m[i + 1:]])
             for j in range(k)] for i in range(k)]
         adj = tuple(tuple(sign * cof[j][i] for j in range(k))
                     for i in range(k))
@@ -254,25 +253,23 @@ def support_function(s, alpha):
 
 def newton_fan(s):
     """Dual fan of the Newton polyhedron: one maximal cone per vertex,
-    the directions minimized at that vertex."""
+    the directions minimized at that vertex.
+
+    The cone at v is {y >= 0 : <u - v, y> >= 0 for every other vertex u},
+    pointed and full-dimensional; its primitive extreme rays come straight
+    from the double-description routine."""
     n = s.dim
     np_ = newton_polyhedron(s)
-    orthant = [(tuple(1 if j == i else 0 for j in range(n)), 0)
-               for i in range(n)]
-    ones = tuple(1 for _ in range(n))
+    orthant = [tuple(1 if j == i else 0 for j in range(n)) for i in range(n)]
     cones = []
     for v in np_.vertices:
-        ineqs = list(orthant)
-        for w in np_.vertices:
-            if w != v:
-                ineqs.append((tuple(frac(a) - frac(b)
-                                    for a, b in zip(w, v)), 0))
-        x = polytope_from_constraints([(ones, 1)], ineqs, n)
-        if x is None:
+        rays, _ = _extreme_rays(
+            (), orthant + [tuple(a - b for a, b in zip(u, v))
+                           for u in np_.vertices if u != v], n)
+        if len(rays) < n:
             raise InternalConsistencyError(
-                f"vertex {v} has an empty dual cone")
-        cones.append(cone_from_rays(
-            n, [primitive_vector(p) for p in x.vertices]))
+                f"vertex {v} has a degenerate dual cone")
+        cones.append(LatticeCone(n, tuple(sorted(rays))))
     return Fan(n, tuple(cones))
 
 
@@ -360,11 +357,10 @@ def is_regular_cone(c):
         raise GeometryError("regularity is only defined for simplicial cones")
     k = len(c.rays)
     if k == c.ambient_dim:
-        return abs(determinant(c.rays)) == 1
+        return abs(_int_det(c.rays)) == 1
     g = 0
     for cols in itertools.combinations(range(c.ambient_dim), k):
-        minor = determinant([[r[j] for j in cols] for r in c.rays])
-        g = gcd(g, abs(int(minor)))
+        g = gcd(g, _int_det([[r[j] for j in cols] for r in c.rays]))
     return g == 1
 
 
@@ -561,8 +557,8 @@ def pyramid_subdivision(sigma_alpha, i, tau_sub):
         minors = []
         for j in range(n1):
             cols = [c for c in range(n1) if c != j]
-            minors.append(abs(int(determinant(
-                [[r[c] for c in cols] for r in tau.rays]))))
+            minors.append(abs(_int_det(
+                [[r[c] for c in cols] for r in tau.rays])))
         g = 0
         for d in minors:
             g = gcd(g, d)
@@ -576,7 +572,7 @@ def pyramid_subdivision(sigma_alpha, i, tau_sub):
                 f"piece {tau.rays}: divisibility forces d_i = gcd = 1 "
                 f"but d_i = {d_i}")
         full = tau.rays + (e,)
-        if abs(determinant(full)) != 1:
+        if abs(_int_det(full)) != 1:
             raise InternalConsistencyError(
                 f"piece {tuple(sorted(full))} is not unimodular despite "
                 "the certified minors")

@@ -14,7 +14,10 @@ updates are integer combinations divided by their gcd.  convex_hull reads
 the affine hull off the null space of the point differences and the facets
 off the rays of a dual cone; polyhedra.newton_polyhedron does the same for
 Newton polyhedra; polytope_from_constraints reads vertices off the rays of
-the homogenized cone.  determinant is Bareiss (1968) elimination.
+the homogenized cone.  _int_det is the one determinant routine, Bareiss
+(1968) elimination on an integer matrix; determinant scales rational rows
+to it, and newton_number.volume_vector and the fan kernels call it on
+integer matrices directly.
 
 Determinism: vertices are kept in lexicographic order, facets are sorted by
 (normal, offset), and the pulling triangulation always cones from the
@@ -177,29 +180,20 @@ def _nullspace(rows, width):
     return basis
 
 
-def determinant(rows):
-    """Exact determinant, a Fraction.
+def _int_det(rows):
+    """Determinant of a square integer matrix, an int.
 
-    Each row is scaled to integers by the lcm of its denominators and the
-    integer matrix is eliminated fraction-free (Bareiss 1968): every update
+    Fraction-free elimination (Bareiss 1968): every update
     m_ij <- (m_ij m_kk - m_ik m_kj) / p, with p the previous pivot, is an
     exact integer division, so no rational arithmetic runs.
     """
-    m = []
-    scale = 1
-    for row in rows:
-        row = [x if isinstance(x, int) else frac(x) for x in row]
-        den = lcm(*(x.denominator for x in row))
-        scale *= den
-        m.append([x.numerator * (den // x.denominator) for x in row])
+    m = [list(r) for r in rows]
     n = len(m)
-    if any(len(r) != n for r in m):
-        raise GeometryError("determinant needs a square matrix")
     sign, prev = 1, 1
     for k in range(n - 1):
         piv = next((i for i in range(k, n) if m[i][k]), None)
         if piv is None:
-            return ZERO
+            return 0
         if piv != k:
             m[k], m[piv] = m[piv], m[k]
             sign = -sign
@@ -210,7 +204,25 @@ def determinant(rows):
             for j in range(k + 1, n):
                 row[j] = (row[j] * pk - f * lead[j]) // prev
         prev = pk
-    return Fraction(sign * m[-1][-1], scale) if n else ONE
+    return sign * m[-1][-1] if n else 1
+
+
+def determinant(rows):
+    """Exact determinant, a Fraction.
+
+    Each row is scaled to integers by the lcm of its denominators, and
+    _int_det eliminates the integer matrix.
+    """
+    m = []
+    scale = 1
+    for row in rows:
+        row = [x if isinstance(x, int) else frac(x) for x in row]
+        den = lcm(*(x.denominator for x in row))
+        scale *= den
+        m.append([x.numerator * (den // x.denominator) for x in row])
+    if any(len(r) != len(m) for r in m):
+        raise GeometryError("determinant needs a square matrix")
+    return Fraction(_int_det(m), scale)
 
 
 # --- double description ---------------------------------------------------

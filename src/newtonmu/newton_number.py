@@ -11,7 +11,10 @@ lives in the orthant, where each hyperplane {x_j = 0} is supporting, so the
 section with a coordinate subspace is a face, namely the hull of the
 vertices lying in that subspace.  For the simplicial complexes produced by
 polyhedra.lower_region and difference_region this makes the V_k sums exact
-one-line volume aggregations.
+one-line volume aggregations.  volume_vector runs them on integers: the
+region's vertices are scaled once by the lcm D of their denominators, each
+section simplex adds the |det| of an integer k x k minor (geometry._int_det)
+to a total T_k, and V_k is the one Fraction T_k / (D^k k!).
 
 Axis sets in the public interface are 1-based, matching the customary
 notation I, J subsets of {1,...,n}; internals are 0-based.
@@ -24,9 +27,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial
 
-from .geometry import (ONE, ZERO, GeometryError, convex_hull, frac,
-                       intersect_polytopes, polytope_from_constraints,
-                       polytope_volume, simplex_volume, triangulate_polytope)
+from .geometry import (ONE, ZERO, GeometryError, _int_det, _scaled,
+                       convex_hull, frac, intersect_polytopes,
+                       polytope_from_constraints, polytope_volume,
+                       simplex_volume, triangulate_polytope)
 from .polyhedra import (CompactRegion, SupportError, check_nested,
                         lower_region, newton_polyhedron, support_set)
 
@@ -67,25 +71,34 @@ def volume_vector(region):
     The region must be a simplicial complex (the constructors in polyhedra
     guarantee this); section faces shared between simplices are deduplicated
     by vertex set, which is sound exactly because intersections of complex
-    members are common faces.
+    members are common faces.  Vertices are indexed, scaled to integers and
+    given a support bitmask once; a section face is the vertices whose
+    support lies inside the axes.
     """
     n = region.ambient_dim
+    index = {}
+    simplices = [tuple(index.setdefault(v, len(index)) for v in simplex)
+                 for simplex in region.simplices]
+    ipts, den = _scaled(list(index))
+    supports = [sum(1 << i for i, x in enumerate(p) if x) for p in ipts]
     values = []
     for k in range(n + 1):
-        vk = ZERO
+        total = 0
         for axes in itertools.combinations(range(n), k):
-            coords = frozenset(axes)
+            outside = ~sum(1 << i for i in axes)
             seen = set()
-            for simplex in region.simplices:
-                w = tuple(v for v in simplex if _support(v) <= coords)
+            for simplex in simplices:
+                w = [i for i in simplex if not supports[i] & outside]
                 if len(w) != k + 1:
                     continue
                 key = frozenset(w)
                 if key in seen:
                     continue
                 seen.add(key)
-                vk += simplex_volume(w, axes)
-        values.append(vk)
+                base = ipts[w[0]]
+                total += abs(_int_det([[ipts[i][c] - base[c] for c in axes]
+                                       for i in w[1:]]))
+        values.append(Fraction(total, den ** k * factorial(k)))
     return NewtonVolumeVector(tuple(values))
 
 

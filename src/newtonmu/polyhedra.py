@@ -16,18 +16,24 @@ so no rational arithmetic runs; offsets and points come back as Fractions.
 
 The region under the boundary (the orthant minus the polyhedron, closed) is
 star-shaped from the origin, so it decomposes into cones over the compact
-facets; we triangulate those with the shared pulling rule from geometry so
-the pieces form a simplicial complex.
+facets.  lower_region triangulates those with the pulling rule of
+geometry.triangulate_polytope, read off the face lattice: the compact faces
+are point bitmasks, each face is pulled from its least vertex (the lowest
+set bit of its vertex mask) and its facets are the compact faces one
+dimension lower whose masks lie inside its own, so no hull is computed and
+the pieces form a simplicial complex.  Containment (NewtonPolyhedron.contains
+and check_nested) is one integer sign test per facet on the point scaled to
+integers.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 from .geometry import (DIMENSION_CAP, DimensionCapExceeded, ZERO,
-                       _dual_facets, _echelon, _scaled, convex_hull, dot,
-                       frac, triangulate_polytope, vec)
+                       _dual_facets, _echelon, _idot, _scaled, dot, frac, vec)
 
 
 class SupportError(ValueError):
@@ -49,6 +55,15 @@ class SupportSet:
 
     dim: int
     points: tuple
+
+    def __hash__(self):
+        return self._hash
+
+    @cached_property
+    def _hash(self):
+        """The field-wise hash, computed once: the caches keyed by support
+        sets would otherwise rehash every Fraction on each lookup."""
+        return hash((self.dim, self.points))
 
     def restrict(self, axes):
         """Sub-support on a coordinate subspace: the points supported inside
@@ -126,10 +141,29 @@ class NewtonPolyhedron:
     faces: tuple
 
     def contains(self, point):
-        point = vec(point)
-        if any(x < 0 for x in point):
-            return False
-        return all(dot(nrm, point) >= off for nrm, off, _, _ in self.facets)
+        (ipoint,), den = _scaled([vec(point)])
+        return self._contains_scaled(ipoint, den)
+
+    def _contains_scaled(self, ipoint, den):
+        """Whether the point ipoint / den lies in the polyhedron, for an
+        integer tuple ipoint and a positive int den: an integer sign test
+        <w, ipoint> * off.den >= off.num * den per facet.  The facets
+        describe the polyhedron, which lies in the orthant, so no separate
+        sign test of the coordinates is needed."""
+        return all(_idot(w, ipoint) * off.denominator >= off.numerator * den
+                   for w, off, _, _ in self.facets)
+
+    @cached_property
+    def _compact_lattice(self):
+        """(vertex mask, compact faces): bitmasks over the indices of
+        support.points, the vertices and, per dimension d < n, the point
+        masks of the compact d-faces in face order."""
+        index = {p: i for i, p in enumerate(self.support.points)}
+        by_dim = [[] for _ in range(self.dim)]
+        for f in self.faces:
+            if f.compact:
+                by_dim[f.dim].append(sum(1 << index[p] for p in f.points))
+        return sum(by_dim[0]), by_dim
 
     def compact_faces(self):
         return tuple(f for f in self.faces if f.compact)
@@ -300,8 +334,10 @@ def check_nested(s, s_prime):
         raise SupportError(
             f"support sets of different dimensions {s.dim} and {s_prime.dim}")
     np_outer = newton_polyhedron(s_prime)
-    for v in newton_polyhedron(s).vertices:
-        if not np_outer.contains(v):
+    vertices = newton_polyhedron(s).vertices
+    ivertices, den = _scaled(vertices)
+    for v, iv in zip(vertices, ivertices):
+        if not np_outer._contains_scaled(iv, den):
             raise SupportError(
                 f"polyhedra not nested: vertex {v} of the first support "
                 "set lies outside the second polyhedron")
@@ -341,7 +377,9 @@ def lower_region(support):
 
     Requires every axis to carry a support point (else the region is
     unbounded).  Star-shaped from the origin: cones over the compact facets
-    triangulate it.
+    triangulate it.  Each compact face is triangulated by pulling from its
+    least vertex, the rule of geometry.triangulate_polytope, over the point
+    bitmasks of the face lattice.
     """
     n = support.dim
     covered = support.axes_with_point()
@@ -350,15 +388,31 @@ def lower_region(support):
         raise SupportError(
             "region under the Newton boundary is unbounded: no support "
             f"point on axis {missing[0]}")
-    np_ = newton_polyhedron(support)
-    origin = tuple(ZERO for _ in range(n))
-    simplices = []
     if n == 1:
         m = min(p[0] for p in support.points)
         return CompactRegion(1, (((ZERO,), (frac(m),)),))
-    for nrm, off, active in np_.compact_facets():
-        face = convex_hull(active)
-        for s in triangulate_polytope(face):
-            simplex = tuple(sorted(s + (origin,)))
-            simplices.append(simplex)
-    return CompactRegion(n, tuple(sorted(set(simplices))))
+    vmask, compact = newton_polyhedron(support)._compact_lattice
+    memo = {}
+
+    def pulled(face, d):
+        """Simplices of the d-face with point mask face, as increasing
+        tuples of support indices."""
+        if face not in memo:
+            verts = face & vmask
+            if d <= 1:
+                memo[face] = (tuple(_members(verts)),)
+            else:
+                apex = verts & -verts
+                first = (apex.bit_length() - 1,)
+                memo[face] = tuple(first + s for g in compact[d - 1]
+                                   if g & face == g and not g & apex
+                                   for s in pulled(g, d - 1))
+        return memo[face]
+
+    # the origin sorts before every support point, and index tuples sort
+    # like the point tuples they name
+    pts = support.points
+    origin = tuple(ZERO for _ in range(n))
+    simplices = sorted({s for f in compact[n - 1] for s in pulled(f, n - 1)})
+    return CompactRegion(n, tuple((origin,) + tuple(pts[i] for i in s)
+                                  for s in simplices))

@@ -19,25 +19,37 @@ that replaced them: the supporting-hyperplane scan over point subsets
 which share no code with the fraction-free integer routines they check,
 and they keep no cache.
 
-The fan oracles at the end are the library's former cone queries, which
-work on the cross-section polytope (the slice of a cone by the hyperplane
-where the coordinates sum to one) where the library now uses integer
-H-descriptions and adjugates: membership, intersection, the face test and
-the chart-volume subdivision test, and the bounding-box scan of the
-fundamental box with one rational solve per lattice point.
+The fan oracles are the library's former cone queries, which work on the
+cross-section polytope (the slice of a cone by the hyperplane where the
+coordinates sum to one) where the library now uses integer H-descriptions,
+adjugates and direct double-description rays: membership, intersection,
+the face test, the chart-volume subdivision test, the bounding-box scan of
+the fundamental box with one rational solve per lattice point, and the
+Newton fan read off sliced dual cones.
+
+The Newton-number oracles at the end are the library's former Fraction
+stage, one convex_hull and pulling triangulation per compact facet
+(lower_region_hulls) and one Fraction simplex volume per section face
+(volume_vector_fractions), and the pyramid formula (nu_pyramid), which
+shares no triangulation code with either: it measures each coordinate
+section of the region under the Newton boundary as a sum of cones over its
+compact facets, on the scans above.
 """
 
 import itertools
 from fractions import Fraction as F
 from math import factorial
 
-from newtonmu.fans import LatticeCone
+from newtonmu.fans import Fan, LatticeCone, cone_from_rays
 from newtonmu.geometry import (ONE, ZERO, GeometryError, Polytope,
                                convex_hull, determinant, dot, frac,
-                               intersect_polytopes, primitive_vector,
-                               sign_canonical, triangulate_polytope, vec,
+                               intersect_polytopes, polytope_from_constraints,
+                               primitive_vector, sign_canonical,
+                               simplex_volume, triangulate_polytope, vec,
                                vsub)
-from newtonmu.polyhedra import Face, NewtonPolyhedron
+from newtonmu.newton_number import NewtonVolumeVector
+from newtonmu.polyhedra import (CompactRegion, Face, NewtonPolyhedron,
+                                SupportError, newton_polyhedron)
 
 
 # --- Fraction linear algebra ------------------------------------------------
@@ -540,3 +552,120 @@ def box_points_scan(cone):
             found.append((sum(cand), cand, lam))
     found.sort(key=lambda t: (t[0], t[1]))
     return tuple((t[1], t[2]) for t in found)
+
+
+def newton_fan_section(s):
+    """Newton fan from the sum-one slice of each vertex's dual cone: its
+    vertices by polytope_from_constraints, then cone_from_rays."""
+    n = s.dim
+    np_ = newton_polyhedron(s)
+    orthant = [(tuple(1 if j == i else 0 for j in range(n)), 0)
+               for i in range(n)]
+    ones = tuple(1 for _ in range(n))
+    cones = []
+    for v in np_.vertices:
+        ineqs = list(orthant)
+        for w in np_.vertices:
+            if w != v:
+                ineqs.append((tuple(frac(a) - frac(b)
+                                    for a, b in zip(w, v)), 0))
+        x = polytope_from_constraints([(ones, 1)], ineqs, n)
+        cones.append(cone_from_rays(
+            n, [primitive_vector(p) for p in x.vertices]))
+    return Fan(n, tuple(cones))
+
+
+# --- Newton numbers -----------------------------------------------------------
+
+def lower_region_hulls(support):
+    """The region under the Newton boundary, one convex_hull and
+    triangulate_polytope per compact facet."""
+    n = support.dim
+    covered = support.axes_with_point()
+    missing = [i + 1 for i in range(n) if i not in covered]
+    if missing:
+        raise SupportError(
+            "region under the Newton boundary is unbounded: no support "
+            f"point on axis {missing[0]}")
+    np_ = newton_polyhedron(support)
+    origin = tuple(ZERO for _ in range(n))
+    simplices = []
+    if n == 1:
+        m = min(p[0] for p in support.points)
+        return CompactRegion(1, (((ZERO,), (frac(m),)),))
+    for nrm, off, active in np_.compact_facets():
+        face = convex_hull(active)
+        for s in triangulate_polytope(face):
+            simplex = tuple(sorted(s + (origin,)))
+            simplices.append(simplex)
+    return CompactRegion(n, tuple(sorted(set(simplices))))
+
+
+def _support(v):
+    return frozenset(i for i, x in enumerate(v) if x != 0)
+
+
+def volume_vector_fractions(region):
+    """Volume vector as a sum of Fraction simplex volumes, one per section
+    face, the faces deduplicated by vertex set."""
+    n = region.ambient_dim
+    values = []
+    for k in range(n + 1):
+        vk = ZERO
+        for axes in itertools.combinations(range(n), k):
+            coords = frozenset(axes)
+            seen = set()
+            for simplex in region.simplices:
+                w = tuple(v for v in simplex if _support(v) <= coords)
+                if len(w) != k + 1:
+                    continue
+                key = frozenset(w)
+                if key in seen:
+                    continue
+                seen.add(key)
+                vk += simplex_volume(w, axes)
+        values.append(vk)
+    return NewtonVolumeVector(tuple(values))
+
+
+def _drop(p, i):
+    return p[:i] + p[i + 1:]
+
+
+def pyramid_volume(poly):
+    """Volume of a full-dimensional polytope in R^m by the pyramid formula
+    with apex the origin: the sum over facets <w, x> >= c of
+    -c vol_{m-1}(F) / (m |w|), with vol_{m-1}(F) = vol_{m-1}(pi_i F) |w| / |w_i|
+    for the projection pi_i dropping a coordinate i with w_i != 0."""
+    m = poly.ambient_dim
+    if m == 1:
+        return poly.vertices[-1][0] - poly.vertices[0][0]
+    total = ZERO
+    for (w, c), on in zip(poly.facets, poly.facet_vertices):
+        i = next(j for j, x in enumerate(w) if x)
+        shadow = convex_hull_scan([_drop(poly.vertices[v], i) for v in on])
+        total += -c * pyramid_volume(shadow) / (m * abs(w[i]))
+    return total
+
+
+def nu_pyramid(support):
+    """Newton number of a convenient support from the pyramid formula.
+
+    For each coordinate subspace R^J, |J| = k, the section of the region
+    under the Newton boundary is the union of the cones from the origin
+    over the compact facets <w, x> = c of the restricted support's
+    polyhedron, so vol_k = sum c vol_{k-1}(pi_i F) / (k w_i); the Newton
+    number is sum_k (-1)^(n-k) k! V_k with V_0 = 1.
+    """
+    n = support.dim
+    total = F((-1) ** n)
+    for k in range(1, n + 1):
+        vk = ZERO
+        for axes in itertools.combinations(range(n), k):
+            np_ = newton_polyhedron_scan(support.restrict(axes))
+            for w, c, active in np_.compact_facets():
+                shadow = (ONE if k == 1 else pyramid_volume(
+                    convex_hull_scan([_drop(p, 0) for p in active])))
+                vk += c * shadow / (k * w[0])
+        total += (-1) ** (n - k) * factorial(k) * vk
+    return total

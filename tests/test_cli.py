@@ -1,4 +1,5 @@
 import json
+import time
 
 import pytest
 
@@ -229,6 +230,22 @@ def test_input_errors(tmp_path, capsys):
     code, _, _ = run(capsys, ["nu", write(tmp_path, "m.json", missing_axis),
                               ])
     assert code == 3
+
+
+def test_rationals_are_integers_or_fractions(tmp_path, capsys):
+    """Only integers and 'p/q' strings parse; exponent notation is rejected
+    before any integer is built (Fraction would spend seconds on this
+    ten-million-digit one)."""
+    for bad in ("1e10000000", "1.5", " 3", "3/", "+3", "0x10", "1/2/3"):
+        doc = dict(QUAD, support=[[bad, "1"], ["2", "0"], ["0", "2"]])
+        start = time.monotonic()
+        code, out, _ = run(capsys, ["nu", write(tmp_path, "e.json", doc)])
+        assert time.monotonic() - start < 2
+        error = json.loads(out)["results"]["error"]
+        assert code == 2 and error["type"] == "input"
+        assert repr(bad) in error["message"]
+    doc = dict(QUAD, support=[["-0", "3/2"], ["2", "0"], ["0", "2"]])
+    assert run_json(capsys, ["nu", write(tmp_path, "ok.json", doc)])
 
 
 def test_mu_test(tmp_path, capsys):

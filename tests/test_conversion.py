@@ -13,7 +13,9 @@ from hypothesis import given, settings, strategies as st
 from newtonmu import geometry, polyhedra
 from newtonmu.geometry import (GeometryError, _extreme_rays, convex_hull,
                                polytope_from_constraints)
-from newtonmu.polyhedra import newton_polyhedron, support_set
+from newtonmu.newton_number import volume_vector
+from newtonmu.polyhedra import (check_nested, lower_region, newton_polyhedron,
+                                support_set)
 from oracles import (convex_hull_scan, newton_polyhedron_scan,
                      polytope_from_constraints_scan)
 
@@ -98,8 +100,9 @@ FRACTION_OPERATORS = ("__add__", "__radd__", "__sub__", "__rsub__",
 
 
 def test_no_fraction_arithmetic_in_the_kernel(monkeypatch):
-    """convex_hull and newton_polyhedron run on integers only: on rational
-    inputs, with cold caches, no Fraction operator is called."""
+    """convex_hull, newton_polyhedron, lower_region, volume_vector and
+    check_nested run on integers only: on rational inputs, with cold
+    caches, no Fraction operator is called."""
     calls = []
     for name in FRACTION_OPERATORS:
         def counted(*args, _op=getattr(F, name), _name=name):
@@ -111,12 +114,17 @@ def test_no_fraction_arithmetic_in_the_kernel(monkeypatch):
     flat = [(F(1, 2), F(1, 2), 0), (0, 1, F(1, 3)), (1, 0, 2),
             (F(1, 3), F(2, 3), F(5, 6)), (F(1, 6), F(5, 6), 1)]
     s = support_set(3, pts)
+    convenient = s.augment([(F(5, 2), 0, 0), (0, F(4, 3), 0)])
     monkeypatch.setattr(geometry, "_hull_cache", {})
+    monkeypatch.setattr(geometry, "_tri_cache", {})
     monkeypatch.setattr(polyhedra, "_np_cache", {})
     convex_hull(pts)
     convex_hull(flat)
     newton_polyhedron(s)
-    assert calls == []
+    region = lower_region(convenient)
+    volume_vector(region)
+    check_nested(convenient, convenient.augment([(F(1, 3), F(1, 2), 1)]))
+    assert region.simplices and calls == []
     assert F(1, 2) + F(1, 3) == F(5, 6) and calls == ["__add__"]
 
 
