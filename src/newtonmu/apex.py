@@ -215,20 +215,24 @@ def mu_constant_test(s, s_prime):
     """Decide Newton-number constancy of a nested convenient pair.
 
     The combinatorial criterion (good apices at every added vertex) is
-    always cross-checked against the directly computed Newton numbers;
-    disagreement raises InternalConsistencyError, since on convenient data
-    the two must coincide.
+    always cross-checked against the directly computed Newton numbers.  On
+    convenient data the two must coincide, so disagreement raises
+    InternalConsistencyError; when a support fails the vertex condition the
+    theorem does not cover the pair, and disagreement raises SupportError
+    naming the failing axes.
     """
     rep_s = _require_axis_convenient(s, "first")
     rep_sp = _require_axis_convenient(s_prime, "second")
     check_nested(s, s_prime)
-    warnings = []
+    warnings, outside = [], []
     for rep, label in ((rep_s, "first"), (rep_sp, "second")):
         if not rep.convenient:
-            bad = sorted(a for a, ok in rep.vertex_condition.items() if not ok)
+            bad = tuple(sorted(a for a, ok in rep.vertex_condition.items()
+                               if not ok))
+            outside.append(f"the {label} support on axes {bad}")
             warnings.append(
                 f"{label} support has vertex coordinates between 0 and 1 "
-                f"on axes {tuple(bad)}; the criterion is not covered by the "
+                f"on axes {bad}; the criterion is not covered by the "
                 "constancy theorem there")
     certificates = []
     verdict = True
@@ -243,6 +247,11 @@ def mu_constant_test(s, s_prime):
             verdict = False
     nu_s = newton_number_set(s)
     nu_sp = newton_number_set(s_prime)
+    if verdict != (nu_s == nu_sp) and outside:
+        raise SupportError(
+            f"apex verdict {verdict} disagrees with Newton numbers {nu_s} "
+            f"vs {nu_sp}: the vertex condition fails for "
+            f"{' and '.join(outside)}, outside the constancy theorem")
     if verdict != (nu_s == nu_sp):
         raise InternalConsistencyError(
             f"apex verdict {verdict} contradicts Newton numbers "

@@ -6,9 +6,10 @@ command, digest the inputs, and serialize every rational as an exact "p/q"
 string.  Field order is fixed so identical invocations produce identical
 bytes.
 
-Exit codes: 0 success, 2 input error, 3 mathematical precondition failure,
-4 budget exceeded, 5 internal inconsistency (two independent computations
-of the same quantity disagreed, a bug to report).
+Exit codes: 0 success, 2 input error (usage errors included), 3
+mathematical precondition failure, 4 budget exceeded, 5 internal
+inconsistency (two independent computations of the same quantity
+disagreed, a bug to report).
 """
 
 import argparse
@@ -548,8 +549,18 @@ def _cmd_b1d(args):
 
 # --- entry point ------------------------------------------------------------
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors keep argparse's usage text on stderr and raise
+    InputError, so they end in the JSON report like every other input
+    error.  The subcommand parsers share this class."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        raise InputError(message)
+
+
 def _build_parser():
-    top = argparse.ArgumentParser(
+    top = _Parser(
         prog="newtonmu",
         description="Newton polyhedra, Newton numbers, and mu-constancy "
                     "tools with exact rational arithmetic.")
@@ -633,8 +644,10 @@ _EXIT_CODES = ((InputError, 2), (SupportError, 3), (GeometryError, 3),
 
 def main(argv=None):
     parser = _build_parser()
-    args = parser.parse_args(argv)
+    # the subcommand is recorded here before its own arguments are parsed
+    args = argparse.Namespace(command=None)
     try:
+        parser.parse_args(argv, args)
         doc = args.run(args)
     except tuple(e for e, _ in _EXIT_CODES) as exc:
         code = next(c for e, c in _EXIT_CODES if isinstance(exc, e))
@@ -643,7 +656,7 @@ def main(argv=None):
         print(f"error: {exc}", file=sys.stderr)
         _emit(_report(args.command, {}, [],
                       {"error": {"type": kind, "message": str(exc)}}, []),
-              args.pretty)
+              getattr(args, "pretty", False))
         return code
     _emit(doc, args.pretty)
     return 0

@@ -61,7 +61,7 @@ class LatticeCone:
         {y : <r, y> >= 0 for every ray r}: the lineality space is the
         orthogonal complement of the span, the rays are the facet normals.
         """
-        normals, lineality = _extreme_rays((), self.rays, self.ambient_dim)
+        normals, lineality, _ = _extreme_rays((), self.rays, self.ambient_dim)
         return lineality, normals
 
     @cached_property
@@ -193,8 +193,8 @@ def intersect_cones(a, b):
         return LatticeCone(a.ambient_dim, ())
     lin_a, nrm_a = a._h_description
     lin_b, nrm_b = b._h_description
-    rays, lineality = _extreme_rays(lin_a + lin_b, nrm_a + nrm_b,
-                                    a.ambient_dim)
+    rays, lineality, _ = _extreme_rays(lin_a + lin_b, nrm_a + nrm_b,
+                                       a.ambient_dim)
     if lineality:
         raise InternalConsistencyError(
             f"cones {a.rays} and {b.rays} meet in a cone with a line")
@@ -263,7 +263,7 @@ def newton_fan(s):
     orthant = [tuple(1 if j == i else 0 for j in range(n)) for i in range(n)]
     cones = []
     for v in np_.vertices:
-        rays, _ = _extreme_rays(
+        rays, _, _ = _extreme_rays(
             (), orthant + [tuple(a - b for a, b in zip(u, v))
                            for u in np_.vertices if u != v], n)
         if len(rays) < n:

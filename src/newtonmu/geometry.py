@@ -14,10 +14,12 @@ updates are integer combinations divided by their gcd.  convex_hull reads
 the affine hull off the null space of the point differences and the facets
 off the rays of a dual cone; polyhedra.newton_polyhedron does the same for
 Newton polyhedra; polytope_from_constraints reads vertices off the rays of
-the homogenized cone.  _int_det is the one determinant routine, Bareiss
-(1968) elimination on an integer matrix; determinant scales rational rows
-to it, and newton_number.volume_vector and the fan kernels call it on
-integer matrices directly.
+the homogenized cone and facets off their zero sets, with no hull.
+_int_det is the one determinant routine, Bareiss (1968) elimination on an
+integer matrix; determinant scales rational rows to it, and
+newton_number.volume_vector and the fan kernels call it on integer
+matrices directly.  _pulling is the one pulling triangulation, over
+bitmasks of points, so no face is hulled either.
 
 Determinism: vertices are kept in lexicographic order, facets are sorted by
 (normal, offset), and the pulling triangulation always cones from the
@@ -231,10 +233,10 @@ def _extreme_rays(equalities, inequalities, dim):
     """Double description of the cone {x : <e, x> = 0, <a, x> >= 0} in Q^dim.
 
     Rows are rational sequences of length dim, scaled to coprime integer
-    rows first.  Returns (rays, lineality): an integer basis of the cone's
-    lineality space and the primitive integer extreme rays of the cone
-    modulo that space, so the cone is pointed exactly when the basis is
-    empty, and then the rays are its extreme rays.
+    rows first.  Returns (rays, lineality, zeros): an integer basis of the
+    cone's lineality space, the primitive integer extreme rays of the cone
+    modulo that space and their zero sets (below), so the cone is pointed
+    exactly when the basis is empty, and then the rays are its extreme rays.
 
     The cone starts as the whole space, all lineality.  A row that is
     nonzero on the lineality space splits one lineality vector off: an
@@ -244,8 +246,8 @@ def _extreme_rays(equalities, inequalities, dim):
     its nonnegative side stay, and each pair of rays on opposite sides that
     is adjacent, meaning no third ray is tight on every inequality both of
     them are tight on, gives the ray where their 2-face meets the
-    hyperplane.  Zero sets are bitmasks over the inequalities processed so
-    far, and every update is an integer combination divided by its gcd
+    hyperplane.  Zero sets are bitmasks over the nonzero inequality rows
+    processed so far, in order, and every update is an integer combination divided by its gcd
     (Bareiss 1968), so no rational arithmetic runs.
     """
     rows = []
@@ -314,7 +316,7 @@ def _extreme_rays(equalities, inequalities, dim):
                 new_rays.append(r)
                 new_masks.append(m | bit)
         rays, masks = new_rays, new_masks
-    return rays, lin
+    return rays, lin, masks
 
 
 def _dual_facets(ipts, equalities=(), directions=()):
@@ -328,9 +330,9 @@ def _dual_facets(ipts, equalities=(), directions=()):
     triples sorted by w.
     """
     n = len(ipts[0])
-    rays, _ = _extreme_rays([e + (0,) for e in equalities],
-                            [u + (0,) for u in directions]
-                            + [p + (-1,) for p in ipts], n + 1)
+    rays, _, _ = _extreme_rays([e + (0,) for e in equalities],
+                               [u + (0,) for u in directions]
+                               + [p + (-1,) for p in ipts], n + 1)
     facets = []
     for ray in rays:
         if any(ray[:n]):  # else the ray (0, -1) of the valid 0 >= -1
@@ -382,6 +384,44 @@ class Polytope:
                      if any(v[i] != lo[i] for v in self.vertices))
 
 
+def _members(mask):
+    return [i for i in range(mask.bit_length()) if mask >> i & 1]
+
+
+def _polytope(pts, ipts, den, normals, found):
+    """The Polytope of the sorted points pts = ipts / den, given the null
+    space normals of the point differences and the facets found as sorted
+    (w, c, mask of the points on <w, x> = c) triples.  A point is a vertex
+    when no other point lies on every facet through it."""
+    n = len(pts[0])
+    if len(normals) == n:
+        eqs = tuple((tuple(1 if j == i else 0 for j in range(n)), pts[0][i])
+                    for i in range(n))
+        return Polytope(n, 0, pts, (), (), eqs)
+    equalities = tuple((e, Fraction(_idot(e, ipts[0]), den))
+                       for e in sorted(map(sign_canonical, normals)))
+    vertex_idx = []
+    for i in range(len(pts)):
+        bit = 1 << i
+        meet = -1
+        for _, _, on in found:
+            if on & bit:
+                meet &= on
+        if meet == bit:
+            vertex_idx.append(i)
+    vertices = tuple(pts[i] for i in vertex_idx)
+    facets = tuple((w, Fraction(c, den)) for w, c, _ in found)
+    facet_vertices = tuple(
+        frozenset(k for k, i in enumerate(vertex_idx) if on >> i & 1)
+        for _, _, on in found)
+    return Polytope(n, n - len(normals), vertices, facets, facet_vertices,
+                    equalities)
+
+
+def _differences(ipts):
+    return [tuple(x - y for x, y in zip(p, ipts[0])) for p in ipts[1:]]
+
+
 _hull_cache = {}
 
 
@@ -394,9 +434,8 @@ def convex_hull(points, dim_cap=DIMENSION_CAP):
     with w confined to the difference space (<e, w> = 0), where the
     polytope is bounded and full-dimensional, so the dual cone is pointed,
     the normals already lie in the difference space, and coplanar and
-    lower-dimensional inputs need no special care.  A point is a vertex
-    when no other point lies on every facet through it.  All of this runs
-    on integers; offsets are c / lcm.
+    lower-dimensional inputs need no special care.  All of this runs on
+    integers; offsets are c / lcm.
     """
     pts = tuple(sorted({vec(p) for p in points}))
     if not pts:
@@ -411,74 +450,57 @@ def convex_hull(points, dim_cap=DIMENSION_CAP):
         return cached
 
     ipts, den = _scaled(pts)
-    base = ipts[0]
-    normals = _nullspace([tuple(x - y for x, y in zip(p, base))
-                          for p in ipts[1:]], n)
-    d = n - len(normals)
-    if d == 0:
-        eqs = tuple((tuple(1 if j == i else 0 for j in range(n)), pts[0][i])
-                    for i in range(n))
-        poly = Polytope(n, 0, pts, (), (), eqs)
-        _hull_cache[pts] = poly
-        return poly
-    equalities = tuple((e, Fraction(_idot(e, base), den))
-                       for e in sorted(map(sign_canonical, normals)))
-
-    found = _dual_facets(ipts, equalities=normals)
-
-    # a vertex is the only point on the meet of the facets through it
-    vertex_idx = []
-    for i in range(len(pts)):
-        bit = 1 << i
-        meet = -1
-        for _, _, on in found:
-            if on & bit:
-                meet &= on
-        if meet == bit:
-            vertex_idx.append(i)
-    vertices = tuple(pts[i] for i in vertex_idx)
-
-    facets = tuple((w, Fraction(c, den)) for w, c, _ in found)
-    facet_vertices = tuple(
-        frozenset(k for k, i in enumerate(vertex_idx) if on >> i & 1)
-        for _, _, on in found)
-
-    poly = Polytope(n, d, vertices, facets, facet_vertices, equalities)
+    normals = _nullspace(_differences(ipts), n)
+    found = _dual_facets(ipts, equalities=normals) if len(normals) < n else ()
+    poly = _polytope(pts, ipts, den, normals, found)
     _hull_cache[pts] = poly
     return poly
+
+
+def _pulling(face, vmask, facet_masks, memo):
+    """Pulling triangulation (De Loera, Rambau & Santos 2010) of a face, as
+    increasing tuples of point indices, memoized in memo.
+
+    Masks are over the polytope's points.  The face's facets are the
+    inclusion-maximal proper nonempty meets face & g, g in facet_masks; its
+    least vertex (lowest bit of face & vmask) is coned over the simplices
+    of those that miss it, and a lone vertex is its own simplex."""
+    if face not in memo:
+        verts = face & vmask
+        apex = verts & -verts
+        first = (apex.bit_length() - 1,)
+        if verts == apex:
+            memo[face] = (first,)
+        else:
+            meets = {face & g for g in facet_masks} - {face, 0}
+            memo[face] = tuple(
+                first + s for m in meets
+                if not m & apex and not any(m & o == m != o for o in meets)
+                for s in _pulling(m, vmask, facet_masks, memo))
+    return memo[face]
 
 
 _tri_cache = {}
 
 
 def triangulate_polytope(poly):
-    """Pulling triangulation coned from the lex-smallest vertex.
+    """Pulling triangulation coned from the lex-smallest vertex (_pulling).
 
     The rule depends only on the vertex set of each face, so shared faces of
     different polytopes are always triangulated identically; a collection of
     polytopes glued along whole common faces therefore triangulates into a
-    simplicial complex.  Returns a tuple of simplices (vertex tuples).
+    simplicial complex.  Returns the sorted tuple of simplices, each an
+    increasing tuple of vertices.
     """
     key = poly.vertices
     cached = _tri_cache.get(key)
-    if cached is not None:
-        return cached
-    if poly.dim == 0:
-        result = (poly.vertices,)
-    elif poly.dim == 1:
-        result = (poly.vertices,)
-    else:
-        apex = poly.vertices[0]
-        simplices = []
-        for fi, members in enumerate(poly.facet_vertices):
-            if 0 in members:
-                continue
-            face = convex_hull([poly.vertices[i] for i in members])
-            for s in triangulate_polytope(face):
-                simplices.append(s + (apex,))
-        result = tuple(simplices)
-    _tri_cache[key] = result
-    return result
+    if cached is None:
+        whole = (1 << len(key)) - 1
+        facets = [sum(1 << i for i in fv) for fv in poly.facet_vertices]
+        cached = tuple(tuple(key[i] for i in s)
+                       for s in sorted(_pulling(whole, whole, facets, {})))
+        _tri_cache[key] = cached
+    return cached
 
 
 def simplex_volume(verts, coords=None):
@@ -528,19 +550,36 @@ def polytope_from_constraints(equalities, inequalities, ambient_dim):
     homogenized cone {(x, t) : <n,x> = c t, <n,x> >= c t, t >= 0}; when no
     ray has t > 0 the system is infeasible.  A feasible system whose cone
     has a ray with t = 0 or a lineality space is unbounded and raises
-    GeometryError.
+    GeometryError.  The facets are the inclusion-maximal proper zero sets
+    of the rows; a facet's normal is the null space vector of the equality
+    normals and its vertex differences, nonnegative on the other vertices.
     """
     eqs = [tuple(nrm) + (-frac(off),) for nrm, off in equalities]
     ineqs = [(0,) * ambient_dim + (1,)]
     ineqs += [tuple(nrm) + (-frac(off),) for nrm, off in inequalities]
-    rays, lineality = _extreme_rays(eqs, ineqs, ambient_dim + 1)
-    vertices = [tuple(Fraction(x, r[-1]) for x in r[:-1])
-                for r in rays if r[-1] > 0]
-    if not vertices:
+    rays, lineality, zeros = _extreme_rays(eqs, ineqs, ambient_dim + 1)
+    verts = sorted((tuple(Fraction(x, r[-1]) for x in r[:-1]), z)
+                   for r, z in zip(rays, zeros) if r[-1] > 0)
+    if not verts:
         return None
-    if lineality or len(vertices) < len(rays):
+    if lineality or len(verts) < len(rays):
         raise GeometryError("constraint system is unbounded")
-    return convex_hull(vertices)
+    pts = tuple(v for v, _ in verts)
+    ipts, den = _scaled(pts)
+    normals = _nullspace(_differences(ipts), ambient_dim)
+    sets = {sum(1 << i for i, (_, z) in enumerate(verts) if z >> b & 1)
+            for b in range(len(ineqs))} - {0, (1 << len(pts)) - 1}
+    found = []
+    for m in sets:
+        if any(m & o == m != o for o in sets):
+            continue
+        on = [ipts[i] for i in _members(m)]
+        (w,) = _nullspace(normals + _differences(on), ambient_dim)
+        c = _idot(w, on[0])
+        if any(_idot(w, p) < c for p in ipts):
+            w, c = tuple(-x for x in w), -c
+        found.append((w, c, m))
+    return _polytope(pts, ipts, den, normals, sorted(found))
 
 
 def intersect_polytopes(a, b):

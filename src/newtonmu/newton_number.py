@@ -15,6 +15,8 @@ one-line volume aggregations.  volume_vector runs them on integers: the
 region's vertices are scaled once by the lcm D of their denominators, each
 section simplex adds the |det| of an integer k x k minor (geometry._int_det)
 to a total T_k, and V_k is the one Fraction T_k / (D^k k!).
+difference_region builds no hull: its pieces are one
+polytope_from_constraints call each, triangulated by triangulate_polytope.
 
 Axis sets in the public interface are 1-based, matching the customary
 notation I, J subsets of {1,...,n}; internals are 0-based.
@@ -27,8 +29,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial
 
-from .geometry import (ONE, ZERO, GeometryError, _int_det, _scaled,
-                       convex_hull, frac, intersect_polytopes,
+from .geometry import (ONE, ZERO, GeometryError, _extreme_rays, _int_det,
+                       _scaled, convex_hull, frac, intersect_polytopes,
                        polytope_from_constraints, polytope_volume,
                        simplex_volume, triangulate_polytope)
 from .polyhedra import (CompactRegion, SupportError, check_nested,
@@ -202,18 +204,16 @@ def difference_region(s, s_prime):
 
     Requires hull(s) inside hull(s_prime) and s covering every axis.  Equal
     to closure of lower(s) minus lower(s_prime), built as one piece per
-    compact facet of hull(s): the cone over the facet intersected with the
-    bigger polyhedron.  Pieces meet in whole common faces, so the shared
-    pulling triangulation yields a simplicial complex.
+    compact facet <w, x> >= c of hull(s): the cone over the facet, whose
+    inequalities are the rays of its dual cone, cut by <w, x> <= c and by
+    the facets of the bigger polyhedron.  Pieces meet in whole common
+    faces, so the shared pulling triangulation yields a simplicial complex.
     """
     check_nested(s, s_prime)
     n = s.dim
     np_small = newton_polyhedron(s)
     np_big = newton_polyhedron(s_prime)
     big_ineqs = [(nrm, off) for nrm, off, _, _ in np_big.facets]
-    orthant = [(tuple(1 if j == i else 0 for j in range(n)), 0)
-               for i in range(n)]
-    origin = tuple(ZERO for _ in range(n))
     covered = s.axes_with_point()
     missing = [i + 1 for i in range(n) if i not in covered]
     if missing:
@@ -222,14 +222,12 @@ def difference_region(s, s_prime):
             f"{missing[0]} of the smaller set")
     simplices = []
     for nrm, off, active in np_small.compact_facets():
-        cone = convex_hull(active + (origin,))
+        normals, _, _ = _extreme_rays((), active, n)
         piece = polytope_from_constraints(
-            list(cone.equalities),
-            list(cone.facets) + big_ineqs + orthant, n)
-        if piece is None or piece.dim < n:
-            continue
-        for t in triangulate_polytope(piece):
-            simplices.append(tuple(sorted(t)))
+            (), [(r, 0) for r in normals]
+            + [(tuple(-x for x in nrm), -off)] + big_ineqs, n)
+        if piece is not None and piece.dim == n:
+            simplices.extend(triangulate_polytope(piece))
     return CompactRegion(n, tuple(sorted(set(simplices))))
 
 

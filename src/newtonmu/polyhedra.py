@@ -16,13 +16,13 @@ so no rational arithmetic runs; offsets and points come back as Fractions.
 
 The region under the boundary (the orthant minus the polyhedron, closed) is
 star-shaped from the origin, so it decomposes into cones over the compact
-facets.  lower_region triangulates those with the pulling rule of
-geometry.triangulate_polytope, read off the face lattice: the compact faces
-are point bitmasks, each face is pulled from its least vertex (the lowest
-set bit of its vertex mask) and its facets are the compact faces one
-dimension lower whose masks lie inside its own, so no hull is computed and
-the pieces form a simplicial complex.  Containment (NewtonPolyhedron.contains
-and check_nested) is one integer sign test per facet on the point scaled to
+facets.  lower_region triangulates those with geometry._pulling, the
+pulling rule of geometry.triangulate_polytope, over bitmasks of support
+points: each face is pulled from its least vertex (the lowest set bit of
+its vertex mask) and its facets are the maximal proper meets of its mask
+with the facets' masks, so no hull is computed and the pieces form a
+simplicial complex.  Containment (NewtonPolyhedron.contains and
+check_nested) is one integer sign test per facet on the point scaled to
 integers.
 """
 
@@ -33,7 +33,8 @@ from fractions import Fraction
 from functools import cached_property
 
 from .geometry import (DIMENSION_CAP, DimensionCapExceeded, ZERO,
-                       _dual_facets, _echelon, _idot, _scaled, dot, frac, vec)
+                       _dual_facets, _echelon, _idot, _members, _pulling,
+                       _scaled, dot, vec)
 
 
 class SupportError(ValueError):
@@ -153,18 +154,6 @@ class NewtonPolyhedron:
         return all(_idot(w, ipoint) * off.denominator >= off.numerator * den
                    for w, off, _, _ in self.facets)
 
-    @cached_property
-    def _compact_lattice(self):
-        """(vertex mask, compact faces): bitmasks over the indices of
-        support.points, the vertices and, per dimension d < n, the point
-        masks of the compact d-faces in face order."""
-        index = {p: i for i, p in enumerate(self.support.points)}
-        by_dim = [[] for _ in range(self.dim)]
-        for f in self.faces:
-            if f.compact:
-                by_dim[f.dim].append(sum(1 << index[p] for p in f.points))
-        return sum(by_dim[0]), by_dim
-
     def compact_faces(self):
         return tuple(f for f in self.faces if f.compact)
 
@@ -226,10 +215,6 @@ def newton_polyhedron(support):
     np_ = NewtonPolyhedron(n, support, facets, vertices, faces)
     _np_cache[support] = np_
     return np_
-
-
-def _members(mask):
-    return [i for i in range(mask.bit_length()) if mask >> i & 1]
 
 
 def _face_lattice(pts, ipts, seeds, recession):
@@ -377,9 +362,9 @@ def lower_region(support):
 
     Requires every axis to carry a support point (else the region is
     unbounded).  Star-shaped from the origin: cones over the compact facets
-    triangulate it.  Each compact face is triangulated by pulling from its
-    least vertex, the rule of geometry.triangulate_polytope, over the point
-    bitmasks of the face lattice.
+    triangulate it.  Each compact facet is triangulated by
+    geometry._pulling over bitmasks of support points: the facets' points
+    and the vertices.
     """
     n = support.dim
     covered = support.axes_with_point()
@@ -388,31 +373,20 @@ def lower_region(support):
         raise SupportError(
             "region under the Newton boundary is unbounded: no support "
             f"point on axis {missing[0]}")
-    if n == 1:
-        m = min(p[0] for p in support.points)
-        return CompactRegion(1, (((ZERO,), (frac(m),)),))
-    vmask, compact = newton_polyhedron(support)._compact_lattice
+    np_ = newton_polyhedron(support)
+    pts = support.points
+    index = {p: i for i, p in enumerate(pts)}
+
+    def mask(points):
+        return sum(1 << index[p] for p in points)
+
+    vmask = mask(np_.vertices)
+    facets = [mask(active) for _, _, active, _ in np_.facets]
     memo = {}
-
-    def pulled(face, d):
-        """Simplices of the d-face with point mask face, as increasing
-        tuples of support indices."""
-        if face not in memo:
-            verts = face & vmask
-            if d <= 1:
-                memo[face] = (tuple(_members(verts)),)
-            else:
-                apex = verts & -verts
-                first = (apex.bit_length() - 1,)
-                memo[face] = tuple(first + s for g in compact[d - 1]
-                                   if g & face == g and not g & apex
-                                   for s in pulled(g, d - 1))
-        return memo[face]
-
+    simplices = sorted({s for _, _, active in np_.compact_facets()
+                        for s in _pulling(mask(active), vmask, facets, memo)})
     # the origin sorts before every support point, and index tuples sort
     # like the point tuples they name
-    pts = support.points
     origin = tuple(ZERO for _ in range(n))
-    simplices = sorted({s for f in compact[n - 1] for s in pulled(f, n - 1)})
     return CompactRegion(n, tuple((origin,) + tuple(pts[i] for i in s)
                                   for s in simplices))

@@ -28,10 +28,14 @@ the fundamental box with one rational solve per lattice point, and the
 Newton fan read off sliced dual cones.
 
 The Newton-number oracles at the end are the library's former Fraction
-stage, one convex_hull and pulling triangulation per compact facet
-(lower_region_hulls) and one Fraction simplex volume per section face
-(volume_vector_fractions), and the pyramid formula (nu_pyramid), which
-shares no triangulation code with either: it measures each coordinate
+stage: the pulling triangulation with one convex_hull per face of its
+recursion (triangulate_polytope_hulls, which the chart-volume subdivision
+test above uses too), one convex_hull and triangulation per compact facet
+(lower_region_hulls), the difference region hulled per compact facet and
+again per piece (difference_region_hulls), and one Fraction simplex volume
+per section face (volume_vector_fractions); none of them shares code with
+the library's bitmask pulling routine.  The pyramid formula (nu_pyramid)
+shares no triangulation code with any of them: it measures each coordinate
 section of the region under the Newton boundary as a sum of cones over its
 compact facets, on the scans above.
 """
@@ -45,11 +49,11 @@ from newtonmu.geometry import (ONE, ZERO, GeometryError, Polytope,
                                convex_hull, determinant, dot, frac,
                                intersect_polytopes, polytope_from_constraints,
                                primitive_vector, sign_canonical,
-                               simplex_volume, triangulate_polytope, vec,
-                               vsub)
+                               simplex_volume, vec, vsub)
 from newtonmu.newton_number import NewtonVolumeVector
 from newtonmu.polyhedra import (CompactRegion, Face, NewtonPolyhedron,
-                                SupportError, newton_polyhedron)
+                                SupportError, check_nested,
+                                newton_polyhedron)
 
 
 # --- Fraction linear algebra ------------------------------------------------
@@ -500,7 +504,7 @@ def _relative_section_volume(poly, v0, basis):
     if poly.dim < d:
         return F(0)
     total = F(0)
-    for simplex in triangulate_polytope(poly):
+    for simplex in triangulate_polytope_hulls(poly):
         pts = [_chart_coords(p, v0, basis) for p in simplex]
         rows = [[a - b for a, b in zip(pts[i], pts[0])]
                 for i in range(1, d + 1)]
@@ -577,9 +581,30 @@ def newton_fan_section(s):
 
 # --- Newton numbers -----------------------------------------------------------
 
+def triangulate_polytope_hulls(poly):
+    """Pulling triangulation coned from the lex-smallest vertex, one
+    convex_hull per face of the recursion; each simplex ends with its
+    apex.  Returns a tuple of simplices (vertex tuples)."""
+    if poly.dim == 0:
+        result = (poly.vertices,)
+    elif poly.dim == 1:
+        result = (poly.vertices,)
+    else:
+        apex = poly.vertices[0]
+        simplices = []
+        for members in poly.facet_vertices:
+            if 0 in members:
+                continue
+            face = convex_hull([poly.vertices[i] for i in members])
+            for s in triangulate_polytope_hulls(face):
+                simplices.append(s + (apex,))
+        result = tuple(simplices)
+    return result
+
+
 def lower_region_hulls(support):
     """The region under the Newton boundary, one convex_hull and
-    triangulate_polytope per compact facet."""
+    triangulate_polytope_hulls per compact facet."""
     n = support.dim
     covered = support.axes_with_point()
     missing = [i + 1 for i in range(n) if i not in covered]
@@ -595,9 +620,44 @@ def lower_region_hulls(support):
         return CompactRegion(1, (((ZERO,), (frac(m),)),))
     for nrm, off, active in np_.compact_facets():
         face = convex_hull(active)
-        for s in triangulate_polytope(face):
+        for s in triangulate_polytope_hulls(face):
             simplex = tuple(sorted(s + (origin,)))
             simplices.append(simplex)
+    return CompactRegion(n, tuple(sorted(set(simplices))))
+
+
+def difference_region_hulls(s, s_prime):
+    """The region between the two Newton boundaries, one piece per compact
+    facet of hull(s): the convex_hull of the facet and the origin, cut by
+    the bigger polyhedron and the orthant, hulled again from its vertices
+    and triangulated by triangulate_polytope_hulls."""
+    check_nested(s, s_prime)
+    n = s.dim
+    np_small = newton_polyhedron(s)
+    np_big = newton_polyhedron(s_prime)
+    big_ineqs = [(nrm, off) for nrm, off, _, _ in np_big.facets]
+    orthant = [(tuple(1 if j == i else 0 for j in range(n)), 0)
+               for i in range(n)]
+    origin = tuple(ZERO for _ in range(n))
+    covered = s.axes_with_point()
+    missing = [i + 1 for i in range(n) if i not in covered]
+    if missing:
+        raise SupportError(
+            f"difference region is unbounded: no support point on axis "
+            f"{missing[0]} of the smaller set")
+    simplices = []
+    for nrm, off, active in np_small.compact_facets():
+        cone = convex_hull(active + (origin,))
+        piece = polytope_from_constraints(
+            list(cone.equalities),
+            list(cone.facets) + big_ineqs + orthant, n)
+        if piece is None:
+            continue
+        piece = convex_hull(piece.vertices)
+        if piece.dim < n:
+            continue
+        for t in triangulate_polytope_hulls(piece):
+            simplices.append(tuple(sorted(t)))
     return CompactRegion(n, tuple(sorted(set(simplices))))
 
 

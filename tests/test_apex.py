@@ -4,8 +4,10 @@ from fractions import Fraction as F
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from newtonmu import apex
 from newtonmu.apex import (edge_convenience, edges_at_vertex, find_apex,
                            mu_constant_test, vertex_location_check)
+from newtonmu.geometry import InternalConsistencyError
 from newtonmu.newton_number import newton_number_set
 from newtonmu.polyhedra import SupportError, newton_polyhedron, support_set
 from corpus import (boundary_plane_augmentation, bs_base_support,
@@ -72,6 +74,16 @@ def test_interior_vertex_drops_nu():
     assert res.nu_s_prime < res.nu_s
     with pytest.raises(SupportError):
         vertex_location_check(s, sp)
+
+
+def test_cross_check_raises_inside_the_theorem(monkeypatch):
+    """A convenient integer pair meets every hypothesis, so an apex verdict
+    that contradicts the Newton numbers is an internal error."""
+    s = support_set(3, [(2, 0, 0), (0, 2, 0), (1, 0, 1), (0, 1, 1), (0, 0, 3)])
+    sp = s.augment([(0, 0, 2)])
+    monkeypatch.setattr(apex, "find_apex", lambda *args: None)
+    with pytest.raises(InternalConsistencyError):
+        mu_constant_test(s, sp)
 
 
 @given(st.integers(min_value=0, max_value=2 ** 30),

@@ -208,6 +208,37 @@ def test_internal_inconsistency_exits_5(tmp_path, capsys, monkeypatch):
     assert err.startswith("error:")
 
 
+def test_apex_disagreement_outside_the_theorem_exits_3(tmp_path, capsys):
+    """Both supports fail the vertex condition, and the apex verdict and
+    the Newton numbers disagree: a precondition failure, not a bug."""
+    points = [["5", "5/3"], ["2/3", "1/3"], ["2", "0"], ["0", "1"]]
+    base = write(tmp_path, "b.json", dict(QUAD, support=points))
+    deformed = write(tmp_path, "d.json", dict(
+        QUAD, support=points + [["2/3", "0"], ["1/2", "0"]]))
+    code, out, err = run(capsys, ["mu-test", base, deformed])
+    assert code == 3
+    error = json.loads(out)["results"]["error"]
+    assert error["type"] == "precondition"
+    assert "axes (1, 2)" in error["message"]
+    assert err.startswith("error:")
+
+
+def test_usage_errors_report_json(tmp_path, capsys):
+    """An unknown flag, a missing positional and a missing subcommand end
+    in the JSON report, exit 2, with argparse's usage text on stderr."""
+    path = write(tmp_path, "q.json", QUAD)
+    for argv, command in ((["nu", "--bogus", path], "nu"),
+                          (["mu-test", path], "mu-test"), ([], None)):
+        code, out, err = run(capsys, argv)
+        doc = json.loads(out)
+        assert code == 2 and doc["command"] == command
+        assert doc["results"]["error"]["type"] == "input"
+        assert err.startswith("usage: newtonmu")
+    with pytest.raises(SystemExit) as exit_:
+        main(["nu", "--help"])
+    assert exit_.value.code == 0 and "usage:" in capsys.readouterr().out
+
+
 def test_input_errors(tmp_path, capsys):
     code, out, err = run(capsys, ["nu", write(tmp_path, "bad.json", "{nope")])
     assert code == 2 and "error" in json.loads(out)["results"]

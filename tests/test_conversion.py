@@ -12,12 +12,14 @@ from hypothesis import given, settings, strategies as st
 
 from newtonmu import geometry, polyhedra
 from newtonmu.geometry import (GeometryError, _extreme_rays, convex_hull,
-                               polytope_from_constraints)
+                               polytope_from_constraints,
+                               triangulate_polytope)
 from newtonmu.newton_number import volume_vector
 from newtonmu.polyhedra import (check_nested, lower_region, newton_polyhedron,
                                 support_set)
 from oracles import (convex_hull_scan, newton_polyhedron_scan,
-                     polytope_from_constraints_scan)
+                     polytope_from_constraints_scan,
+                     triangulate_polytope_hulls)
 
 PROPERTY = settings(derandomize=True, deadline=None, max_examples=80)
 
@@ -81,7 +83,10 @@ def test_newton_polyhedron_matches_scan_n5(s):
 @given(flats())
 @PROPERTY
 def test_convex_hull_matches_scan(pts):
-    assert typed(convex_hull(pts)) == typed(convex_hull_scan(pts))
+    hull = convex_hull(pts)
+    assert typed(hull) == typed(convex_hull_scan(pts))
+    assert triangulate_polytope(hull) == tuple(sorted(
+        tuple(sorted(s)) for s in triangulate_polytope_hulls(hull)))
 
 
 mixed = st.builds(F, st.integers(-6, 6), st.sampled_from([2, 3, 6]))
@@ -150,17 +155,17 @@ def _both(eqs, ineqs, n):
 @PROPERTY
 def test_difference_region_pieces_match_scan(s, extra):
     """The systems difference_region solves: the cone over a compact facet
-    of the smaller polyhedron cut by the facets of the bigger one."""
+    <w, x> >= c of the smaller polyhedron (the rays of its dual cone), cut
+    by <w, x> <= c and by the facets of the bigger one.  Some pieces are
+    lower-dimensional, where the bigger polyhedron touches the facet."""
     n = s.dim
     extra = [p[:n] for p in extra if any(p[:n])]
     big = newton_polyhedron(s.augment(extra))
     big_ineqs = [(nrm, off) for nrm, off, _, _ in big.facets]
-    orthant = [(tuple(int(j == i) for j in range(n)), 0) for i in range(n)]
-    origin = (F(0),) * n
-    for _, _, active in newton_polyhedron(s).compact_facets():
-        cone = convex_hull(active + (origin,))
-        _both(list(cone.equalities),
-              list(cone.facets) + big_ineqs + orthant, n)
+    for nrm, off, active in newton_polyhedron(s).compact_facets():
+        normals, _, _ = _extreme_rays((), active, n)
+        _both([], [(r, 0) for r in normals]
+              + [(tuple(-x for x in nrm), -off)] + big_ineqs, n)
 
 
 @given(supports())
@@ -196,15 +201,20 @@ def test_unbounded_system_raises():
 
 def test_extreme_rays():
     # the quadrant, pointed: two rays and no lineality
-    rays, lin = _extreme_rays([], [(1, 0), (0, 1)], 2)
+    rays, lin, _ = _extreme_rays([], [(1, 0), (0, 1)], 2)
     assert sorted(rays) == [(0, 1), (1, 0)] and lin == []
     # a half-plane: one ray modulo a line
-    rays, lin = _extreme_rays([], [(1, 0)], 2)
+    rays, lin, _ = _extreme_rays([], [(1, 0)], 2)
     assert len(rays) == 1 and rays[0][0] > 0 and lin == [(0, 1)]
-    # rational rows; the cone over a square pyramid has four rays
+    # rational rows; the cone over a square pyramid has four rays, each
+    # tight on the rows its zero set names
     rows = [(F(1, 2), 0, 0), (0, F(1, 3), 0), (-1, 0, 1), (0, -1, 1)]
-    rays, lin = _extreme_rays([], rows, 3)
+    rays, lin, zeros = _extreme_rays([], rows, 3)
     assert sorted(rays) == [(0, 0, 1), (0, 1, 1), (1, 0, 1), (1, 1, 1)]
+    assert sorted(zip(rays, zeros)) == [((0, 0, 1), 0b0011),
+                                        ((0, 1, 1), 0b1001),
+                                        ((1, 0, 1), 0b0110),
+                                        ((1, 1, 1), 0b1100)]
     # an equality leaves the rays of the slice
-    rays, lin = _extreme_rays([(1, -1, 0)], [(1, 0, 0), (0, 0, 1)], 3)
+    rays, lin, _ = _extreme_rays([(1, -1, 0)], [(1, 0, 0), (0, 0, 1)], 3)
     assert sorted(rays) == [(0, 0, 1), (1, 1, 0)] and lin == []
