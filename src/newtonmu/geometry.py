@@ -8,9 +8,9 @@ list of equalities, so lower-dimensional polytopes are first-class values.
 The kernels run on Python integers.  Rational points are scaled once by the
 lcm of their denominators, and Fractions appear again only in the results.
 Two integer routines do the work: _echelon, a fraction-free reduced row
-echelon form (rank, and the null space through _nullspace), and
-_extreme_rays, a double-description routine (Fukuda & Prodon 1996) whose
-updates are integer combinations divided by their gcd.  convex_hull reads
+echelon form that serves _nullspace alone, and _extreme_rays, a
+double-description routine (Fukuda & Prodon 1996) whose updates are
+integer combinations divided by their gcd.  convex_hull reads
 the affine hull off the null space of the point differences and the facets
 off the rays of a dual cone; polyhedra.newton_polyhedron does the same for
 Newton polyhedra; polytope_from_constraints reads vertices off the rays of
@@ -19,7 +19,9 @@ _int_det is the one determinant routine, Bareiss (1968) elimination on an
 integer matrix; determinant scales rational rows to it, and
 newton_number.volume_vector and the fan kernels call it on integer
 matrices directly.  _pulling is the one pulling triangulation, over
-bitmasks of points, so no face is hulled either.
+bitmasks of points, so no face is hulled either.  _maximal_meets is the one
+step that finds a face's facets from bitmasks; _pulling and the Newton
+polyhedron's face lattice (polyhedra._face_lattice) both use it.
 
 Determinism: vertices are kept in lexicographic order, facets are sorted by
 (normal, offset), and the pulling triangulation always cones from the
@@ -457,14 +459,32 @@ def convex_hull(points, dim_cap=DIMENSION_CAP):
     return poly
 
 
+def _maximal_meets(face, masks, keep=-1):
+    """The inclusion-maximal proper meets face & g, g in masks, that share
+    a bit with keep.
+
+    When face is the bitmask of a face of a polyhedron, masks are the
+    masks of the facets of a face containing it (of the polyhedron, say)
+    and keep marks the points, these are the facets of the face: every
+    proper face is the meet of the facets containing it, and a meet with
+    no point is empty.  Meets are taken largest first, so each needs to be
+    tested only against the maximal ones already kept."""
+    out = []
+    for m in sorted({face & g for g in masks if face & g & keep} - {face},
+                    key=int.bit_count, reverse=True):
+        if not any(m & o == m for o in out):
+            out.append(m)
+    return out
+
+
 def _pulling(face, vmask, facet_masks, memo):
     """Pulling triangulation (De Loera, Rambau & Santos 2010) of a face, as
     increasing tuples of point indices, memoized in memo.
 
-    Masks are over the polytope's points.  The face's facets are the
-    inclusion-maximal proper nonempty meets face & g, g in facet_masks; its
-    least vertex (lowest bit of face & vmask) is coned over the simplices
-    of those that miss it, and a lone vertex is its own simplex."""
+    Masks are over the polytope's points.  The face's facets are its
+    _maximal_meets with facet_masks; its least vertex (lowest bit of
+    face & vmask) is coned over the simplices of those that miss it, and a
+    lone vertex is its own simplex."""
     if face not in memo:
         verts = face & vmask
         apex = verts & -verts
@@ -472,10 +492,9 @@ def _pulling(face, vmask, facet_masks, memo):
         if verts == apex:
             memo[face] = (first,)
         else:
-            meets = {face & g for g in facet_masks} - {face, 0}
             memo[face] = tuple(
-                first + s for m in meets
-                if not m & apex and not any(m & o == m != o for o in meets)
+                first + s for m in _maximal_meets(face, facet_masks)
+                if not m & apex
                 for s in _pulling(m, vmask, facet_masks, memo))
     return memo[face]
 

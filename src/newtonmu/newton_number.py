@@ -15,8 +15,14 @@ one-line volume aggregations.  volume_vector runs them on integers: the
 region's vertices are scaled once by the lcm D of their denominators, each
 section simplex adds the |det| of an integer k x k minor (geometry._int_det)
 to a total T_k, and V_k is the one Fraction T_k / (D^k k!).
-difference_region builds no hull: its pieces are one
-polytope_from_constraints call each, triangulated by triangulate_polytope.
+newton_number_set fuses the two stages: the pulling triangulation of the
+compact facets comes back as tuples of support-point indices, and _volumes
+sums it over the polyhedron's own integer points, so no Fraction point is
+built, hashed or scaled again.  difference_region builds no hull: its
+pieces are one polytope_from_constraints call each, triangulated by
+triangulate_polytope, and a compact facet that no point of the bigger
+support lies below is skipped by an integer sign test, since its piece is
+flat.
 
 Axis sets in the public interface are 1-based, matching the customary
 notation I, J subsets of {1,...,n}; internals are 0-based.
@@ -29,12 +35,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial
 
-from .geometry import (ONE, ZERO, GeometryError, _extreme_rays, _int_det,
-                       _scaled, convex_hull, frac, intersect_polytopes,
-                       polytope_from_constraints, polytope_volume,
-                       simplex_volume, triangulate_polytope)
-from .polyhedra import (CompactRegion, SupportError, check_nested,
-                        lower_region, newton_polyhedron, support_set)
+from .geometry import (ONE, ZERO, GeometryError, _extreme_rays, _idot,
+                       _int_det, _scaled, convex_hull, frac,
+                       intersect_polytopes, polytope_from_constraints,
+                       polytope_volume, simplex_volume, triangulate_polytope)
+from .polyhedra import (CompactRegion, SupportError, _lower_simplices,
+                        check_nested, newton_polyhedron, support_set)
 
 
 def _axes_to_internal(axes, n):
@@ -73,15 +79,24 @@ def volume_vector(region):
     The region must be a simplicial complex (the constructors in polyhedra
     guarantee this); section faces shared between simplices are deduplicated
     by vertex set, which is sound exactly because intersections of complex
-    members are common faces.  Vertices are indexed, scaled to integers and
-    given a support bitmask once; a section face is the vertices whose
-    support lies inside the axes.
+    members are common faces.  Vertices are indexed and scaled to integers
+    once, and _volumes sums the sections.
     """
-    n = region.ambient_dim
     index = {}
     simplices = [tuple(index.setdefault(v, len(index)) for v in simplex)
                  for simplex in region.simplices]
     ipts, den = _scaled(list(index))
+    return NewtonVolumeVector(_volumes(region.ambient_dim, ipts, den,
+                                       simplices))
+
+
+def _volumes(n, ipts, den, simplices):
+    """(V_0, ..., V_n) of a simplicial complex in R^n given as tuples of
+    indices into the integer points ipts, which are its vertices times den.
+
+    Each vertex gets a support bitmask once; a section face is the vertices
+    whose support lies inside the axes.
+    """
     supports = [sum(1 << i for i, x in enumerate(p) if x) for p in ipts]
     values = []
     for k in range(n + 1):
@@ -101,7 +116,7 @@ def volume_vector(region):
                 total += abs(_int_det([[ipts[i][c] - base[c] for c in axes]
                                        for i in w[1:]]))
         values.append(Fraction(total, den ** k * factorial(k)))
-    return NewtonVolumeVector(tuple(values))
+    return tuple(values)
 
 
 def newton_number_region(region):
@@ -112,9 +127,17 @@ def newton_number_set(support):
     """Newton number of a support set covering every axis.
 
     Raises SupportError (naming the offending axis) otherwise; use
-    newton_number_series for supports with empty axes.
+    newton_number_series for supports with empty axes.  The same as
+    newton_number_region(lower_region(support)), but the index simplices
+    of the triangulation go straight to _volumes, over the polyhedron's
+    integer points and the origin, so no Fraction point is built.
     """
-    return newton_number_region(lower_region(support))
+    ints, simplices = _lower_simplices(support)
+    n = support.dim
+    origin = len(ints.ipts)
+    return NewtonVolumeVector(_volumes(
+        n, ints.ipts + ((0,) * n,), ints.den,
+        [(origin,) + s for s in simplices])).newton_number()
 
 
 # --- sup over axis augmentations -------------------------------------------
@@ -208,12 +231,17 @@ def difference_region(s, s_prime):
     inequalities are the rays of its dual cone, cut by <w, x> <= c and by
     the facets of the bigger polyhedron.  Pieces meet in whole common
     faces, so the shared pulling triangulation yields a simplicial complex.
+    A facet with <w, p> >= c for every point p of s_prime is skipped: w is
+    nonnegative, so hull(s_prime) lies in <w, x> >= c and the piece is
+    flat.  That is one integer sign test per point, on the bigger
+    polyhedron's scaled points.
     """
     check_nested(s, s_prime)
     n = s.dim
     np_small = newton_polyhedron(s)
     np_big = newton_polyhedron(s_prime)
     big_ineqs = [(nrm, off) for nrm, off, _, _ in np_big.facets]
+    big = np_big._ints
     covered = s.axes_with_point()
     missing = [i + 1 for i in range(n) if i not in covered]
     if missing:
@@ -222,6 +250,9 @@ def difference_region(s, s_prime):
             f"{missing[0]} of the smaller set")
     simplices = []
     for nrm, off, active in np_small.compact_facets():
+        if all(_idot(nrm, p) * off.denominator >= off.numerator * big.den
+               for p in big.ipts):
+            continue
         normals, _, _ = _extreme_rays((), active, n)
         piece = polytope_from_constraints(
             (), [(r, 0) for r in normals]

@@ -9,21 +9,25 @@ faces (the Newton boundary).
 
 newton_polyhedron scales the support to integer points by the lcm of its
 denominators and reads the facets off the extreme rays of the dual cone
-(geometry._dual_facets).  The face lattice is the closure of the facets
-under intersection, each face a pair of bitmasks (support points on it,
-recession axes), and face dimensions are integer ranks (geometry._echelon),
-so no rational arithmetic runs; offsets and points come back as Fractions.
+(geometry._dual_facets).  The face lattice is walked down level by level
+from the facets, each face one bitmask of the support points on it and its
+recession axes, and each face's facets its maximal proper meets with its
+siblings (geometry._maximal_meets).  Face lattices are graded, so a face's
+dimension is its level: no rank is computed and no rational arithmetic
+runs; offsets and points come back as Fractions.  The scaled points and
+the masks of the facets, compact facets and vertices stay on the
+polyhedron (_IntegerView) for check_nested, lower_region and the
+Newton-number stage.
 
 The region under the boundary (the orthant minus the polyhedron, closed) is
 star-shaped from the origin, so it decomposes into cones over the compact
 facets.  lower_region triangulates those with geometry._pulling, the
-pulling rule of geometry.triangulate_polytope, over bitmasks of support
-points: each face is pulled from its least vertex (the lowest set bit of
-its vertex mask) and its facets are the maximal proper meets of its mask
-with the facets' masks, so no hull is computed and the pieces form a
-simplicial complex.  Containment (NewtonPolyhedron.contains and
-check_nested) is one integer sign test per facet on the point scaled to
-integers.
+pulling rule of geometry.triangulate_polytope, over the bitmasks of
+support points: each face is pulled from its least vertex (the lowest set
+bit of its vertex mask) and its facets are its maximal proper meets with
+the facets' masks, so no hull is computed and the pieces form a simplicial
+complex.  Containment (NewtonPolyhedron.contains and check_nested) is one
+integer sign test per facet on the point scaled to integers.
 """
 
 from __future__ import annotations
@@ -31,10 +35,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from typing import NamedTuple
 
 from .geometry import (DIMENSION_CAP, DimensionCapExceeded, ZERO,
-                       _dual_facets, _echelon, _idot, _members, _pulling,
-                       _scaled, dot, vec)
+                       _dual_facets, _idot, _maximal_meets, _members,
+                       _pulling, _scaled, dot, vec)
 
 
 class SupportError(ValueError):
@@ -173,6 +178,19 @@ class NewtonPolyhedron:
         return min(dot(direction, p) for p in self.support.points)
 
 
+class _IntegerView(NamedTuple):
+    """A Newton polyhedron as newton_polyhedron computed it: the support
+    points scaled to integers, ipts = points * den, and bitmasks over
+    their indices, for the facets (in the order of NewtonPolyhedron.facets),
+    the compact facets and the vertices."""
+
+    ipts: tuple
+    den: int
+    facets: tuple
+    compact: tuple
+    vmask: int
+
+
 _np_cache = {}
 
 
@@ -187,7 +205,10 @@ def newton_polyhedron(support):
     inequality 0 >= -1 (geometry._dual_facets, with the unit vectors as
     directions).  The H-description is the facet list alone.  The points
     are scaled to integers by the lcm of their denominators first, so
-    facets and faces come out of integer arithmetic only.
+    facets and faces come out of integer arithmetic only.  The scaled
+    points and the bitmasks stay on the polyhedron as its private
+    _IntegerView, which is no dataclass field, so equality, hashing and
+    astuple do not see it.
     """
     if not isinstance(support, SupportSet):
         raise SupportError("newton_polyhedron expects a SupportSet")
@@ -197,64 +218,67 @@ def newton_polyhedron(support):
     n = support.dim
     pts = support.points
     ipts, den = _scaled(pts)
+    m = len(pts)
 
     recession = {}      # one frozenset per set of axes, shared by the faces
-    facets, seeds = [], []
+    facets, masks, seeds, compact = [], [], [], []
     for w, c, on in _dual_facets(ipts, directions=[_unit(n, i)
                                                    for i in range(n)]):
         rec = tuple(i for i in range(n) if w[i] == 0)
         facets.append((w, Fraction(c, den),
                        tuple(pts[i] for i in _members(on)),
                        recession.setdefault(rec, frozenset(rec))))
-        seeds.append((on, sum(1 << i for i in rec)))
+        masks.append(on)
+        seeds.append(on | sum(1 << m + i for i in rec))
+        if not rec:
+            compact.append(on)
     facets = tuple(facets)
 
-    faces = _face_lattice(pts, ipts, seeds, recession)
-    vertices = tuple(sorted(f.points[0] for f in faces if f.dim == 0))
+    levels = _face_lattice(m, seeds)
+    vmask = sum(levels[-1])     # a vertex is one point and no axis
+    # pts is sorted, so index tuples sort like the point tuples they name
+    lattice = sorted((d, tuple(_members(f & (1 << m) - 1)),
+                      tuple(_members(f >> m)))
+                     for d, level in enumerate(reversed(levels))
+                     for f in level)
+    faces = tuple(Face(tuple(pts[i] for i in on),
+                       recession.setdefault(rec, frozenset(rec)), d, not rec)
+                  for d, on, rec in lattice)
+    vertices = tuple(pts[i] for i in _members(vmask))
 
     np_ = NewtonPolyhedron(n, support, facets, vertices, faces)
+    object.__setattr__(np_, "_ints", _IntegerView(
+        tuple(ipts), den, tuple(masks), tuple(compact), vmask))
     _np_cache[support] = np_
     return np_
 
 
-def _face_lattice(pts, ipts, seeds, recession):
-    """All proper nonempty faces, from pairwise intersections of facets.
+def _face_lattice(m, facets):
+    """The proper nonempty faces level by level, as one tuple of bitmasks
+    per dimension from the facets down to the vertices.
 
-    A face is identified by (support points on it, recession axes), kept
-    as a pair of bitmasks over the indices of pts and of the axes, one pair
-    per facet in seeds.  The set of such pairs is closed under intersection
-    and every proper face arises as an intersection of facets, so fixpoint
-    iteration over pairwise meets finds everything.  A face's dimension is
-    the rank of its point differences and recession axes, over the integer
-    points ipts.  recession maps a sorted tuple of axes to the frozenset
-    the faces share.
+    A face's bitmask has bit i for each of the m support points on it and
+    bit m + i for each recession axis e_i of it; facets holds the facets'
+    masks.  Face lattices are graded (Ziegler 1995, Thm 2.7), so a facet
+    of a face of dimension d has dimension d - 1, and a face's dimension is
+    its level, with no linear algebra.  The facets of a face are its
+    geometry._maximal_meets with the facets of any face it is a facet of,
+    its siblings there, with the points as the bits to keep: every
+    nonempty face of a pointed polyhedron whose vertices are support points
+    contains a support point.
     """
-    n = len(ipts[0])
-    seeds = set(seeds)
-    known = set(seeds)
-    frontier = seeds
-    while frontier:
-        new = set()
-        for pa, ra in frontier:
-            # every nonempty face of a pointed polyhedron with vertices in
-            # the support contains a support point
-            new |= {(pa & pb, ra & rb) for pb, rb in seeds if pa & pb} - known
-        known |= new
-        frontier = new
-
-    # pts is sorted, so index tuples sort like the point tuples they name
-    lattice = []
-    for pc, rc in known:
-        on, rec = _members(pc), tuple(_members(rc))
-        first = ipts[on[0]]
-        rows = [tuple(x - y for x, y in zip(ipts[i], first)) for i in on[1:]]
-        rows += [_unit(n, i) for i in rec]
-        lattice.append((len(_echelon(rows)[1]), on, rec))
-    lattice.sort()
-    return tuple(Face(tuple(pts[i] for i in on),
-                      recession.setdefault(rec, frozenset(rec)), d,
-                      not rec)
-                 for d, on, rec in lattice)
+    keep = (1 << m) - 1
+    levels = []
+    level = dict.fromkeys(facets, facets)   # face -> its siblings
+    while level:
+        levels.append(tuple(level))
+        below = {}
+        for face, siblings in level.items():
+            subs = _maximal_meets(face, siblings, keep)
+            for sub in subs:
+                below.setdefault(sub, subs)
+        level = below
+    return levels
 
 
 # --- convenience ----------------------------------------------------------
@@ -319,13 +343,12 @@ def check_nested(s, s_prime):
         raise SupportError(
             f"support sets of different dimensions {s.dim} and {s_prime.dim}")
     np_outer = newton_polyhedron(s_prime)
-    vertices = newton_polyhedron(s).vertices
-    ivertices, den = _scaled(vertices)
-    for v, iv in zip(vertices, ivertices):
-        if not np_outer._contains_scaled(iv, den):
+    inner = newton_polyhedron(s)._ints
+    for i in _members(inner.vmask):
+        if not np_outer._contains_scaled(inner.ipts[i], inner.den):
             raise SupportError(
-                f"polyhedra not nested: vertex {v} of the first support "
-                "set lies outside the second polyhedron")
+                f"polyhedra not nested: vertex {s.points[i]} of the first "
+                "support set lies outside the second polyhedron")
 
 
 def added_vertices(s, s_prime):
@@ -357,15 +380,10 @@ class CompactRegion:
     simplices: tuple
 
 
-def lower_region(support):
-    """The closed region between the origin and the Newton boundary.
-
-    Requires every axis to carry a support point (else the region is
-    unbounded).  Star-shaped from the origin: cones over the compact facets
-    triangulate it.  Each compact facet is triangulated by
-    geometry._pulling over bitmasks of support points: the facets' points
-    and the vertices.
-    """
+def _lower_simplices(support):
+    """The polyhedron's _IntegerView and the sorted pulling triangulation
+    of its compact facets, as increasing tuples of support-point indices:
+    with the origin added to each, the simplices of lower_region."""
     n = support.dim
     covered = support.axes_with_point()
     missing = [i + 1 for i in range(n) if i not in covered]
@@ -373,20 +391,26 @@ def lower_region(support):
         raise SupportError(
             "region under the Newton boundary is unbounded: no support "
             f"point on axis {missing[0]}")
-    np_ = newton_polyhedron(support)
-    pts = support.points
-    index = {p: i for i, p in enumerate(pts)}
-
-    def mask(points):
-        return sum(1 << index[p] for p in points)
-
-    vmask = mask(np_.vertices)
-    facets = [mask(active) for _, _, active, _ in np_.facets]
+    ints = newton_polyhedron(support)._ints
     memo = {}
-    simplices = sorted({s for _, _, active in np_.compact_facets()
-                        for s in _pulling(mask(active), vmask, facets, memo)})
+    return ints, sorted({s for face in ints.compact
+                         for s in _pulling(face, ints.vmask, ints.facets,
+                                           memo)})
+
+
+def lower_region(support):
+    """The closed region between the origin and the Newton boundary.
+
+    Requires every axis to carry a support point (else the region is
+    unbounded).  Star-shaped from the origin: cones over the compact facets
+    triangulate it.  Each compact facet is triangulated by
+    geometry._pulling over the polyhedron's bitmasks of support points
+    (_lower_simplices).
+    """
+    _, simplices = _lower_simplices(support)
+    pts = support.points
     # the origin sorts before every support point, and index tuples sort
     # like the point tuples they name
-    origin = tuple(ZERO for _ in range(n))
-    return CompactRegion(n, tuple((origin,) + tuple(pts[i] for i in s)
-                                  for s in simplices))
+    origin = tuple(ZERO for _ in range(support.dim))
+    return CompactRegion(support.dim, tuple(
+        (origin,) + tuple(pts[i] for i in s) for s in simplices))

@@ -6,9 +6,10 @@ calling into the package, so an agreement is meaningful.
 The Fraction linear algebra below (rref, mat_rank, nullspace,
 solve_linear, solve_unique), the affine-chart helpers (_affine_basis,
 _coords_in_basis, _lift_normal) and the face lattice over tuples of
-Fraction points (_face_lattice) are the library's former routines, kept
-unchanged here, where the scans are their only users; the library now runs
-these steps on integers.
+Fraction points (_face_lattice), with Fraction rank dimensions, are the
+library's former routines, kept unchanged here, where the scans and the
+face-lattice property are their only users; the library now runs these
+steps on integers, and walks the lattice level by level with no rank.
 
 The three exhaustive scans are the library's former polyhedral
 conversions, kept unchanged as oracles for the double-description routine

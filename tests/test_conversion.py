@@ -17,7 +17,7 @@ from newtonmu.geometry import (GeometryError, _extreme_rays, convex_hull,
 from newtonmu.newton_number import volume_vector
 from newtonmu.polyhedra import (check_nested, lower_region, newton_polyhedron,
                                 support_set)
-from oracles import (convex_hull_scan, newton_polyhedron_scan,
+from oracles import (_face_lattice, convex_hull_scan, newton_polyhedron_scan,
                      polytope_from_constraints_scan,
                      triangulate_polytope_hulls)
 
@@ -78,6 +78,30 @@ def test_newton_polyhedron_matches_scan(s):
 @settings(PROPERTY, max_examples=30)
 def test_newton_polyhedron_matches_scan_n5(s):
     assert typed(newton_polyhedron(s)) == typed(newton_polyhedron_scan(s))
+
+
+@st.composite
+def wide_supports(draw):
+    """Supports in dimension 5 and 6 with up to 12 rational points, half
+    of them convenient."""
+    n = draw(st.sampled_from((5, 6)))
+    point = st.tuples(*[rational] * n).filter(any)
+    pts = draw(st.lists(point, min_size=1, max_size=12))
+    if draw(st.booleans()):
+        pts = pts[:12 - n] + [tuple(draw(st.integers(1, 6)) if j == i else 0
+                                    for j in range(n)) for i in range(n)]
+    return support_set(n, pts)
+
+
+@given(wide_supports())
+@settings(PROPERTY, max_examples=25)
+def test_face_lattice_matches_ranks(s):
+    """The graded lattice walk against the pairwise-meet fixpoint with
+    Fraction rank dimensions, on supports too large for the facet scan."""
+    np_ = newton_polyhedron(s)
+    assert np_.faces == _face_lattice(s.dim, np_.facets)
+    assert np_.vertices == tuple(sorted(f.points[0] for f in np_.faces
+                                        if f.dim == 0))
 
 
 @given(flats())
