@@ -19,8 +19,8 @@ from fractions import Fraction
 
 from .geometry import InternalConsistencyError
 from .newton_number import newton_number_set
-from .polyhedra import (SupportError, added_vertices, check_nested,
-                        convenience_report, newton_polyhedron)
+from .polyhedra import (SupportError, added_vertices, convenience_report,
+                        newton_polyhedron)
 
 
 @dataclass(frozen=True)
@@ -223,7 +223,6 @@ def mu_constant_test(s, s_prime):
     """
     rep_s = _require_axis_convenient(s, "first")
     rep_sp = _require_axis_convenient(s_prime, "second")
-    check_nested(s, s_prime)
     warnings, outside = [], []
     for rep, label in ((rep_s, "first"), (rep_sp, "second")):
         if not rep.convenient:

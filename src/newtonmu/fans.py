@@ -11,13 +11,15 @@ carries one integer H-description, computed once by the double-description
 routine and cached on the instance: the equalities of its linear span and
 its facet normals.  Dimension, membership, intersections and the face test
 are integer sign tests and double-description calls on those rows.  A
-simplicial cone carries the k-row minor of its ray matrix with the least
-nonzero |det| D and that minor's adjugate; coordinates in the rays are
-adjugate products over D, and the fundamental-box points are read off the
-group that adjugate generates mod D, so no rational solve runs.  Only
-non-simplicial cones still use the cross-section polytope, the slice by the
-hyperplane where the coordinates sum to one: for their face lattice, and
-triangulated, for the volume comparison of subdivisions.
+cone's facets are the sets of its rays tight on each facet normal, kept as
+bitmasks over the rays; its faces are the levels of geometry._face_lattice
+over those masks, and the volume comparison of subdivisions measures the
+geometry._pulling triangulation of each cone over the same masks, so no
+polytope is built.  A simplicial cone carries the k-row minor of its ray
+matrix with the least nonzero |det| D and that minor's adjugate;
+coordinates in the rays are adjugate products over D, and the
+fundamental-box points are read off the group that adjugate generates mod
+D, so no rational solve runs.
 """
 
 from __future__ import annotations
@@ -29,11 +31,11 @@ from functools import cached_property
 from math import gcd
 
 from .geometry import (GeometryError, InternalConsistencyError, _extreme_rays,
-                       _int_det, convex_hull, determinant, frac,
-                       primitive_vector, triangulate_polytope, vec)
+                       _face_lattice, _int_det, _pulling, _unit,
+                       primitive_vector, vec)
 from .polyhedra import SupportError, newton_polyhedron
 
-_section_cache = {}
+_section_cache = {}  # unused; the benchmark's cache reset still names it
 _faces_cache = {}
 
 
@@ -63,6 +65,12 @@ class LatticeCone:
         """
         normals, lineality, _ = _extreme_rays((), self.rays, self.ambient_dim)
         return lineality, normals
+
+    @cached_property
+    def _facet_masks(self):
+        """Per facet normal, the bitmask of the rays tight on it."""
+        return [sum(1 << i for i, r in enumerate(self.rays) if not _pair(a, r))
+                for a in self._h_description[1]]
 
     @cached_property
     def _minor_chart(self):
@@ -98,16 +106,10 @@ class LatticeCone:
     def is_simplicial(self):
         return len(self.rays) == self.dim
 
-    def cross_section(self):
-        """Slice by the coordinate-sum-one hyperplane; None for the zero
-        cone."""
-        if not self.rays:
-            return None
-        key = (self.ambient_dim, self.rays)
-        if key not in _section_cache:
-            pts = [tuple(frac(x) / sum(r) for x in r) for r in self.rays]
-            _section_cache[key] = convex_hull(pts)
-        return _section_cache[key]
+    def _face(self, mask):
+        return LatticeCone(self.ambient_dim,
+                           tuple(r for i, r in enumerate(self.rays)
+                                 if mask >> i & 1))
 
     def contains(self, point):
         lineality, normals = self._h_description
@@ -115,38 +117,22 @@ class LatticeCone:
                 and all(_pair(a, point) >= 0 for a in normals))
 
     def faces(self):
-        """Every face, the zero cone and the cone itself included."""
+        """Every face, the zero cone and the cone itself included: the
+        levels of the face lattice over the facet masks."""
         key = (self.ambient_dim, self.rays)
         if key in _faces_cache:
             return _faces_cache[key]
         out = {LatticeCone(self.ambient_dim, ()), self}
         if self.rays:
-            if self.is_simplicial:
-                for k in range(1, len(self.rays)):
-                    for sub in itertools.combinations(self.rays, k):
-                        out.add(LatticeCone(self.ambient_dim, sub))
-            else:
-                x = self.cross_section()
-                closure = {frozenset(fv) for fv in x.facet_vertices}
-                grew = True
-                while grew:
-                    grew = False
-                    for a, b in itertools.combinations(tuple(closure), 2):
-                        c = a & b
-                        if c and c not in closure:
-                            closure.add(c)
-                            grew = True
-                for vs in closure:
-                    rays = tuple(sorted(primitive_vector(x.vertices[i])
-                                        for i in vs))
-                    out.add(LatticeCone(self.ambient_dim, rays))
+            for level in _face_lattice(len(self.rays), self._facet_masks):
+                out.update(map(self._face, level))
         result = tuple(sorted(out, key=lambda c: (len(c.rays), c.rays)))
         _faces_cache[key] = result
         return result
 
     def facets(self):
-        d = self.dim
-        return tuple(f for f in self.faces() if f.dim == d - 1)
+        return tuple(sorted(map(self._face, self._facet_masks),
+                            key=lambda c: (len(c.rays), c.rays)))
 
     def is_face_of(self, other):
         """Exact face test: the face of other cut out by its facet normals
@@ -166,7 +152,10 @@ class LatticeCone:
 
 
 def cone_from_rays(ambient_dim, rays):
-    """Canonical cone: primitive rays, redundant generators dropped."""
+    """Canonical cone: primitive rays, redundant generators dropped.
+
+    The extreme rays are those of the H-description of the generators,
+    both read by the double-description routine."""
     prims = set()
     for r in rays:
         r = vec(r)
@@ -179,11 +168,9 @@ def cone_from_rays(ambient_dim, rays):
         prims.add(primitive_vector(r))
     if not prims:
         return LatticeCone(ambient_dim, ())
-    pts = [tuple(frac(x) / sum(r) for x in r) for r in prims]
-    hull = convex_hull(pts)
-    return LatticeCone(ambient_dim,
-                       tuple(sorted(primitive_vector(v)
-                                    for v in hull.vertices)))
+    normals, lineality, _ = _extreme_rays((), sorted(prims), ambient_dim)
+    rays, _, _ = _extreme_rays(lineality, normals, ambient_dim)
+    return LatticeCone(ambient_dim, tuple(sorted(rays)))
 
 
 def intersect_cones(a, b):
@@ -260,7 +247,7 @@ def newton_fan(s):
     from the double-description routine."""
     n = s.dim
     np_ = newton_polyhedron(s)
-    orthant = [tuple(1 if j == i else 0 for j in range(n)) for i in range(n)]
+    orthant = [_unit(n, i) for i in range(n)]
     cones = []
     for v in np_.vertices:
         rays, _, _ = _extreme_rays(
@@ -275,24 +262,30 @@ def newton_fan(s):
 
 # --- subdivisions -----------------------------------------------------------
 
-def _section_simplices(cone):
-    """A triangulation of the cross-section, as point tuples."""
+def _simplices(cone):
+    """A triangulation of the cone, as ray tuples: the cone itself when it
+    is simplicial, else the pulling triangulation over its facet masks."""
     if cone.is_simplicial:
-        return (tuple(tuple(Fraction(x, sum(r)) for x in r)
-                      for r in cone.rays),)
-    return triangulate_polytope(cone.cross_section())
+        return (cone.rays,)
+    whole = (1 << len(cone.rays)) - 1
+    return tuple(tuple(cone.rays[i] for i in s)
+                 for s in _pulling(whole, whole, cone._facet_masks, {}))
 
 
-def _measure(simplex, rows):
-    """|det| of the simplex's points in the given coordinate rows: the
-    volume of the cone over it up to a factor fixed by the rows, when they
-    project the span injectively."""
-    return abs(determinant([[p[j] for j in rows] for p in simplex]))
+def _measure(rays, rows):
+    """|det| of the points r / sum(r) in the given coordinate rows: the
+    volume of the cone over the rays up to a factor fixed by the rows,
+    when they project the span injectively."""
+    den = 1
+    for r in rays:
+        den *= sum(r)
+    return Fraction(abs(_int_det([[r[j] for j in rows] for r in rays])), den)
 
 
 def is_subdivision(sub, base):
     """Every maximal sub-cone sits inside a base cone, and per base cone
-    the cross-section volumes of its pieces add up to the whole.
+    the volumes of its pieces' slices by the coordinate-sum-one hyperplane
+    add up to the whole.
 
     Volumes are measured by |det| in one fixed set of dim coordinate rows
     per base cone, rows on which the base cone's span projects
@@ -307,7 +300,7 @@ def is_subdivision(sub, base):
         if not parent.rays:
             continue
         d = parent.dim
-        whole = _section_simplices(parent)
+        whole = _simplices(parent)
         rows = next(rows for rows in itertools.combinations(
             range(parent.ambient_dim), d) if _measure(whole[0], rows))
         want = sum(_measure(s, rows) for s in whole)
@@ -317,7 +310,7 @@ def is_subdivision(sub, base):
                 continue
             if not all(parent.contains(r) for r in piece.rays):
                 continue
-            have += sum(_measure(s, rows) for s in _section_simplices(piece))
+            have += sum(_measure(s, rows) for s in _simplices(piece))
         if have != want:
             return False
     return True
@@ -335,14 +328,10 @@ def is_admissible(sub, s):
         for axes in itertools.combinations(range(n), k):
             bary = tuple(1 if j in axes else 0 for j in range(n))
             vanishing = support_function(s, bary) == 0 and all(
-                support_function(
-                    s, tuple(1 if j == a else 0 for j in range(n))) == 0
-                for a in axes)
+                support_function(s, _unit(n, a)) == 0 for a in axes)
             if not vanishing:
                 continue
-            face = LatticeCone(n, tuple(sorted(
-                tuple(1 if j == a else 0 for j in range(n))
-                for a in axes)))
+            face = LatticeCone(n, tuple(sorted(_unit(n, a) for a in axes)))
             if not sub.contains_cone(face):
                 return False
     return True
@@ -527,17 +516,17 @@ def pyramid_subdivision(sigma_alpha, i, tau_sub):
     rays q_1..q_n, the maximal minors d_j of the ray matrix satisfy
     d_j = |c_j| d_i because the i-th column is an integer combination of
     the others along the edge direction; together with gcd(d_1..d_{n+1}) = 1
-    from regularity of the facet piece this forces d_i = 1, which is the
-    determinant of the piece.  Both the divisibility pattern and the final
-    determinant are checked; failure means the apex structure was violated
-    and raises InternalConsistencyError.
+    from regularity of the facet piece this forces d_i = 1, which is |det|
+    of the piece.  Both the divisibility pattern and the final |det| are
+    checked; failure means the apex structure was violated and raises
+    InternalConsistencyError.
     """
     n1 = sigma_alpha.ambient_dim
     if not 1 <= i <= n1:
         raise GeometryError(f"axis {i} out of range 1..{n1}")
     if sigma_alpha.dim != n1:
         raise GeometryError("apex pyramid needs a full-dimensional cone")
-    e = tuple(1 if j == i - 1 else 0 for j in range(n1))
+    e = _unit(n1, i - 1)
     if e not in sigma_alpha.rays:
         raise GeometryError(f"e_{i} is not an extremal ray of the cone")
     off_facets = [f for f in sigma_alpha.facets() if e not in f.rays]
@@ -581,6 +570,5 @@ def pyramid_subdivision(sigma_alpha, i, tau_sub):
 
 
 def orthant_fan(n):
-    units = tuple(tuple(1 if j == i else 0 for j in range(n))
-                  for i in range(n))
+    units = tuple(_unit(n, i) for i in range(n))
     return Fan(n, (LatticeCone(n, tuple(sorted(units))),))

@@ -19,9 +19,12 @@ _int_det is the one determinant routine, Bareiss (1968) elimination on an
 integer matrix; determinant scales rational rows to it, and
 newton_number.volume_vector and the fan kernels call it on integer
 matrices directly.  _pulling is the one pulling triangulation, over
-bitmasks of points, so no face is hulled either.  _maximal_meets is the one
-step that finds a face's facets from bitmasks; _pulling and the Newton
-polyhedron's face lattice (polyhedra._face_lattice) both use it.
+bitmasks of points, so no face is hulled either; it triangulates
+polytopes, the compact facets of Newton polyhedra and the fans' cones
+(over ray masks).  _maximal_meets is the one step that finds a face's
+facets from bitmasks; _pulling and _face_lattice both use it.
+_face_lattice is the one face-lattice walk, level by level down from the
+facets: polyhedra runs it on Newton polyhedra and fans on cones.
 
 Determinism: vertices are kept in lexicographic order, facets are sorted by
 (normal, offset), and the pulling triangulation always cones from the
@@ -61,6 +64,11 @@ def frac(x):
 def vec(xs):
     """Normalise a sequence of numbers to a tuple of Fractions."""
     return tuple(frac(x) for x in xs)
+
+
+def _unit(n, i):
+    """The unit vector e_i of Z^n, an integer tuple."""
+    return tuple(int(j == i) for j in range(n))
 
 
 def vsub(a, b):
@@ -261,7 +269,7 @@ def _extreme_rays(equalities, inequalities, dim):
             row = _integer_row(row)
             if row is not None:
                 rows.append((is_eq, row))
-    lin = [tuple(int(i == j) for j in range(dim)) for i in range(dim)]
+    lin = [_unit(dim, i) for i in range(dim)]
     rays, masks = [], []
     bits = 0
     subspace_dim = dim
@@ -397,8 +405,7 @@ def _polytope(pts, ipts, den, normals, found):
     when no other point lies on every facet through it."""
     n = len(pts[0])
     if len(normals) == n:
-        eqs = tuple((tuple(1 if j == i else 0 for j in range(n)), pts[0][i])
-                    for i in range(n))
+        eqs = tuple((_unit(n, i), pts[0][i]) for i in range(n))
         return Polytope(n, 0, pts, (), (), eqs)
     equalities = tuple((e, Fraction(_idot(e, ipts[0]), den))
                        for e in sorted(map(sign_canonical, normals)))
@@ -477,6 +484,32 @@ def _maximal_meets(face, masks, keep=-1):
     return out
 
 
+def _face_lattice(m, facets):
+    """The faces with a point on them, level by level, as one tuple of
+    bitmasks per dimension from the facets down to the vertices (of a
+    pointed cone: the rays, its apex left out).
+
+    Bits 0..m-1 of a face's bitmask are the points on it; higher bits may
+    mark more generators, such as a Newton polyhedron's recession axes.
+    facets holds the facets' masks.  Face lattices are graded (Ziegler
+    1995, Thm 2.7), so a face's dimension is its level, with no linear
+    algebra.  The facets of a face are its _maximal_meets with its
+    siblings, the facets of a face it is a facet of, keeping the points.
+    """
+    keep = (1 << m) - 1
+    levels = []
+    level = dict.fromkeys(facets, facets)   # face -> its siblings
+    while level:
+        levels.append(tuple(level))
+        below = {}
+        for face, siblings in level.items():
+            subs = _maximal_meets(face, siblings, keep)
+            for sub in subs:
+                below.setdefault(sub, subs)
+        level = below
+    return levels
+
+
 def _pulling(face, vmask, facet_masks, memo):
     """Pulling triangulation (De Loera, Rambau & Santos 2010) of a face, as
     increasing tuples of point indices, memoized in memo.
@@ -499,6 +532,14 @@ def _pulling(face, vmask, facet_masks, memo):
     return memo[face]
 
 
+def _index_simplices(poly):
+    """The pulling triangulation of a Polytope as tuples of vertex
+    indices (_pulling over its vertex and facet masks)."""
+    whole = (1 << len(poly.vertices)) - 1
+    facets = [sum(1 << i for i in fv) for fv in poly.facet_vertices]
+    return _pulling(whole, whole, facets, {})
+
+
 _tri_cache = {}
 
 
@@ -514,10 +555,8 @@ def triangulate_polytope(poly):
     key = poly.vertices
     cached = _tri_cache.get(key)
     if cached is None:
-        whole = (1 << len(key)) - 1
-        facets = [sum(1 << i for i in fv) for fv in poly.facet_vertices]
         cached = tuple(tuple(key[i] for i in s)
-                       for s in sorted(_pulling(whole, whole, facets, {})))
+                       for s in sorted(_index_simplices(poly)))
         _tri_cache[key] = cached
     return cached
 

@@ -22,7 +22,11 @@ built, hashed or scaled again.  difference_region builds no hull: its
 pieces are one polytope_from_constraints call each, triangulated by
 triangulate_polytope, and a compact facet that no point of the bigger
 support lies below is skipped by an integer sign test, since its piece is
-flat.
+flat.  union_volume_vector hulls no section either: each intersection of
+its inclusion-exclusion is triangulated once by the pulling rule, which
+restricts to every face, and _volumes sums the sections off it.  Only
+projection_formula_check still calls convex_hull, on each simplex's
+shadow, because a projection is not a face.
 
 Axis sets in the public interface are 1-based, matching the customary
 notation I, J subsets of {1,...,n}; internals are 0-based.
@@ -36,9 +40,9 @@ from fractions import Fraction
 from math import factorial
 
 from .geometry import (ONE, ZERO, GeometryError, _extreme_rays, _idot,
-                       _int_det, _scaled, convex_hull, frac,
+                       _index_simplices, _int_det, _scaled, convex_hull, frac,
                        intersect_polytopes, polytope_from_constraints,
-                       polytope_volume, simplex_volume, triangulate_polytope)
+                       simplex_volume, triangulate_polytope)
 from .polyhedra import (CompactRegion, SupportError, _lower_simplices,
                         check_nested, newton_polyhedron, support_set)
 
@@ -269,15 +273,14 @@ def union_volume_vector(polytopes, ambient_dim):
 
     Overlaps are allowed; V_k is computed by inclusion-exclusion over the
     intersection lattice.  Exponential in the number of pieces, fine at the
-    intended scale.
+    intended scale.  Each intersection's sections are faces, and the
+    pulling triangulation restricts to every face, so _volumes sums them
+    over one pulling triangulation of the intersection; V_0
+    counts the intersections with the origin as a vertex.
     """
     n = ambient_dim
     polys = list(polytopes)
     values = [ZERO] * (n + 1)
-    if polys:
-        origin = tuple(ZERO for _ in range(n))
-        if any(p.contains(origin) for p in polys):
-            values[0] = ONE
     inters = {}
     for size in range(1, len(polys) + 1):
         for idx in itertools.combinations(range(len(polys)), size):
@@ -292,17 +295,10 @@ def union_volume_vector(polytopes, ambient_dim):
             if current is None:
                 continue
             sign = 1 if size % 2 == 1 else -1
-            for k in range(1, n + 1):
-                for axes in itertools.combinations(range(n), k):
-                    coords = frozenset(axes)
-                    verts = [v for v in current.vertices
-                             if _support(v) <= coords]
-                    if not verts:
-                        continue
-                    section = convex_hull(verts)
-                    if section.dim != k:
-                        continue
-                    values[k] += sign * polytope_volume(section)
+            ipts, den = _scaled(current.vertices)
+            for k, v in enumerate(_volumes(n, ipts, den,
+                                           _index_simplices(current))):
+                values[k] += sign * v
     return NewtonVolumeVector(tuple(values))
 
 

@@ -10,14 +10,14 @@ faces (the Newton boundary).
 newton_polyhedron scales the support to integer points by the lcm of its
 denominators and reads the facets off the extreme rays of the dual cone
 (geometry._dual_facets).  The face lattice is walked down level by level
-from the facets, each face one bitmask of the support points on it and its
-recession axes, and each face's facets its maximal proper meets with its
-siblings (geometry._maximal_meets).  Face lattices are graded, so a face's
-dimension is its level: no rank is computed and no rational arithmetic
-runs; offsets and points come back as Fractions.  The scaled points and
-the masks of the facets, compact facets and vertices stay on the
-polyhedron (_IntegerView) for check_nested, lower_region and the
-Newton-number stage.
+from the facets by geometry._face_lattice, which the fans' cones share:
+each face is one bitmask of the support points on it and its recession
+axes, and each face's facets are its maximal proper meets with its
+siblings.  Face lattices are graded, so a face's dimension is its level:
+no rank is computed and no rational arithmetic runs; offsets and points
+come back as Fractions.  The scaled points and the masks of the facets,
+compact facets and vertices stay on the polyhedron (_IntegerView) for
+check_nested, lower_region and the Newton-number stage.
 
 The region under the boundary (the orthant minus the polyhedron, closed) is
 star-shaped from the origin, so it decomposes into cones over the compact
@@ -38,16 +38,12 @@ from functools import cached_property
 from typing import NamedTuple
 
 from .geometry import (DIMENSION_CAP, DimensionCapExceeded, ZERO,
-                       _dual_facets, _idot, _maximal_meets, _members,
-                       _pulling, _scaled, dot, vec)
+                       _dual_facets, _face_lattice, _idot, _members,
+                       _pulling, _scaled, _unit, dot, vec)
 
 
 class SupportError(ValueError):
     """A support-set precondition failed."""
-
-
-def _unit(n, i):
-    return tuple(int(j == i) for j in range(n))
 
 
 @dataclass(frozen=True)
@@ -251,34 +247,6 @@ def newton_polyhedron(support):
         tuple(ipts), den, tuple(masks), tuple(compact), vmask))
     _np_cache[support] = np_
     return np_
-
-
-def _face_lattice(m, facets):
-    """The proper nonempty faces level by level, as one tuple of bitmasks
-    per dimension from the facets down to the vertices.
-
-    A face's bitmask has bit i for each of the m support points on it and
-    bit m + i for each recession axis e_i of it; facets holds the facets'
-    masks.  Face lattices are graded (Ziegler 1995, Thm 2.7), so a facet
-    of a face of dimension d has dimension d - 1, and a face's dimension is
-    its level, with no linear algebra.  The facets of a face are its
-    geometry._maximal_meets with the facets of any face it is a facet of,
-    its siblings there, with the points as the bits to keep: every
-    nonempty face of a pointed polyhedron whose vertices are support points
-    contains a support point.
-    """
-    keep = (1 << m) - 1
-    levels = []
-    level = dict.fromkeys(facets, facets)   # face -> its siblings
-    while level:
-        levels.append(tuple(level))
-        below = {}
-        for face, siblings in level.items():
-            subs = _maximal_meets(face, siblings, keep)
-            for sub in subs:
-                below.setdefault(sub, subs)
-        level = below
-    return levels
 
 
 # --- convenience ----------------------------------------------------------

@@ -12,7 +12,8 @@ hyperplanes.
 
 from dataclasses import dataclass
 
-from .geometry import (GeometryError, InternalConsistencyError, ZERO, dot)
+from .geometry import (GeometryError, InternalConsistencyError, ZERO, _unit,
+                       dot)
 from .polyhedra import SupportError, convenience_report, added_vertices
 from .newton_number import newton_number_set
 from .families import DeformationFamily, family, spoly
@@ -174,7 +175,7 @@ def _certify_added(fam, transform, alpha, cert, skip_smoothness, budget,
     chart = transform.chart
     strict = transform.strict_part
     n = fam.n_vars
-    apex_ray = tuple(1 if k + 1 == cert.i else 0 for k in range(n))
+    apex_ray = _unit(n, cert.i - 1)
     if apex_ray not in chart.generators:
         raise GeometryError(
             f"chart over added vertex {alpha} does not contain the apex ray "
@@ -189,7 +190,7 @@ def _certify_added(fam, transform, alpha, cert, skip_smoothness, budget,
         raise InternalConsistencyError(
             f"added vertex {alpha} has a coefficient surviving at s = 0")
     beta_strict = chart.pullback_exponent(cert.beta)
-    unit = tuple(1 if k == apex_pos else 0 for k in range(n))
+    unit = _unit(n, apex_pos)
     expected = tuple(b - m for b, m in zip(beta_strict,
                                            transform.monomial_exponents))
     if expected != unit:
@@ -300,7 +301,7 @@ def simultaneous_resolution(fam, skip_smoothness=False, budget=DEFAULT_BUDGET,
     apex_rays = []
     for alpha in verd:
         cert = certs_by_vertex[alpha]
-        ray = tuple(1 if k + 1 == cert.i else 0 for k in range(fam.n_vars))
+        ray = _unit(fam.n_vars, cert.i - 1)
         if ray not in apex_rays:
             apex_rays.append(ray)
 

@@ -23,19 +23,25 @@ and they keep no cache.
 The fan oracles are the library's former cone queries, which work on the
 cross-section polytope (the slice of a cone by the hyperplane where the
 coordinates sum to one) where the library now uses integer H-descriptions,
-adjugates and direct double-description rays: membership, intersection,
-the face test, the chart-volume subdivision test, the bounding-box scan of
-the fundamental box with one rational solve per lattice point, and the
-Newton fan read off sliced dual cones.
+ray bitmasks, adjugates and direct double-description rays: membership,
+intersection, the face test, the face list closed under pairwise
+intersection of the cross-section's facets (cone_faces_section), the
+canonical cone read off the hull of the generators' cross-section
+(cone_from_rays_section), the chart-volume subdivision test, the
+bounding-box scan of the fundamental box with one rational solve per
+lattice point, and the Newton fan read off sliced dual cones.
 
 The Newton-number oracles at the end are the library's former Fraction
 stage: the pulling triangulation with one convex_hull per face of its
 recursion (triangulate_polytope_hulls, which the chart-volume subdivision
 test above uses too), one convex_hull and triangulation per compact facet
 (lower_region_hulls), the difference region hulled per compact facet and
-again per piece (difference_region_hulls), and one Fraction simplex volume
-per section face (volume_vector_fractions); none of them shares code with
-the library's bitmask pulling routine.  The pyramid formula (nu_pyramid)
+again per piece (difference_region_hulls), one Fraction simplex volume
+per section face (volume_vector_fractions), and the union volume vector
+with one convex_hull and polytope_volume per coordinate section of each
+intersection and V_0 by membership of the origin
+(union_volume_vector_hulls); apart from polytope_volume, none of them
+shares code with the library's bitmask pulling routine.  The pyramid formula (nu_pyramid)
 shares no triangulation code with any of them: it measures each coordinate
 section of the region under the Newton boundary as a sum of cones over its
 compact facets, on the scans above.
@@ -49,8 +55,8 @@ from newtonmu.fans import Fan, LatticeCone, cone_from_rays
 from newtonmu.geometry import (ONE, ZERO, GeometryError, Polytope,
                                convex_hull, determinant, dot, frac,
                                intersect_polytopes, polytope_from_constraints,
-                               primitive_vector, sign_canonical,
-                               simplex_volume, vec, vsub)
+                               polytope_volume, primitive_vector,
+                               sign_canonical, simplex_volume, vec, vsub)
 from newtonmu.newton_number import NewtonVolumeVector
 from newtonmu.polyhedra import (CompactRegion, Face, NewtonPolyhedron,
                                 SupportError, check_nested,
@@ -422,6 +428,56 @@ def cross_section(cone):
                         for r in cone.rays])
 
 
+def cone_faces_section(cone):
+    """Every face, the zero cone and the cone itself included: the subsets
+    of the rays of a simplicial cone, else the closure of the
+    cross-section's facet vertex sets under pairwise intersection."""
+    out = {LatticeCone(cone.ambient_dim, ()), cone}
+    if cone.rays:
+        if len(cone.rays) == cone_dim(cone):
+            for k in range(1, len(cone.rays)):
+                for sub in itertools.combinations(cone.rays, k):
+                    out.add(LatticeCone(cone.ambient_dim, sub))
+        else:
+            x = cross_section(cone)
+            closure = {frozenset(fv) for fv in x.facet_vertices}
+            grew = True
+            while grew:
+                grew = False
+                for a, b in itertools.combinations(tuple(closure), 2):
+                    c = a & b
+                    if c and c not in closure:
+                        closure.add(c)
+                        grew = True
+            for vs in closure:
+                rays = tuple(sorted(primitive_vector(x.vertices[i])
+                                    for i in vs))
+                out.add(LatticeCone(cone.ambient_dim, rays))
+    return tuple(sorted(out, key=lambda c: (len(c.rays), c.rays)))
+
+
+def cone_from_rays_section(ambient_dim, rays):
+    """Canonical cone: the primitive vertices of the hull of the
+    generators' cross-section points."""
+    prims = set()
+    for r in rays:
+        r = vec(r)
+        if any(x < 0 for x in r):
+            raise GeometryError("cone generators must be nonnegative")
+        if len(r) != ambient_dim:
+            raise GeometryError("generator dimension mismatch")
+        if all(x == 0 for x in r):
+            continue
+        prims.add(primitive_vector(r))
+    if not prims:
+        return LatticeCone(ambient_dim, ())
+    pts = [tuple(frac(x) / sum(r) for x in r) for r in prims]
+    hull = convex_hull(pts)
+    return LatticeCone(ambient_dim,
+                       tuple(sorted(primitive_vector(v)
+                                    for v in hull.vertices)))
+
+
 def cone_contains(cone, point):
     point = vec(point)
     if all(x == 0 for x in point):
@@ -686,6 +742,45 @@ def volume_vector_fractions(region):
                 seen.add(key)
                 vk += simplex_volume(w, axes)
         values.append(vk)
+    return NewtonVolumeVector(tuple(values))
+
+
+def union_volume_vector_hulls(polytopes, ambient_dim):
+    """Volume vector of a union of orthant polytopes by inclusion-exclusion,
+    one convex_hull and polytope_volume per coordinate section of each
+    intersection, and V_0 by membership of the origin."""
+    n = ambient_dim
+    polys = list(polytopes)
+    values = [ZERO] * (n + 1)
+    if polys:
+        origin = tuple(ZERO for _ in range(n))
+        if any(p.contains(origin) for p in polys):
+            values[0] = ONE
+    inters = {}
+    for size in range(1, len(polys) + 1):
+        for idx in itertools.combinations(range(len(polys)), size):
+            if size == 1:
+                current = polys[idx[0]]
+            else:
+                parent = inters.get(idx[:-1])
+                if parent is None:
+                    continue
+                current = intersect_polytopes(parent, polys[idx[-1]])
+            inters[idx] = current
+            if current is None:
+                continue
+            sign = 1 if size % 2 == 1 else -1
+            for k in range(1, n + 1):
+                for axes in itertools.combinations(range(n), k):
+                    coords = frozenset(axes)
+                    verts = [v for v in current.vertices
+                             if _support(v) <= coords]
+                    if not verts:
+                        continue
+                    section = convex_hull(verts)
+                    if section.dim != k:
+                        continue
+                    values[k] += sign * polytope_volume(section)
     return NewtonVolumeVector(tuple(values))
 
 

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import time
 
@@ -414,3 +415,65 @@ def test_pretty_and_polytope(tmp_path, capsys):
         json.loads(out)
     doc = run_json(capsys, ["nu", path, "--emit-polytope"])
     assert doc["results"]["polytope"]["vertices"] == [["0", "2"], ["2", "0"]]
+
+
+# The Briancon-Speder documents x^5 + y^7 z + z^15 + y^8 (+ s x y^6), as
+# json.dump writes them, and the sha256 of each report on stdout.
+def _bs_terms(s_exponents):
+    monomials = [[5, 0, 0], [0, 7, 1], [0, 0, 15], [0, 8, 0], [1, 6, 0]]
+    return [{"exponent": e,
+             "coefficient": [{"s_exponent": s, "value": "1"}]}
+            for e, s in zip(monomials, s_exponents)]
+
+
+GOLDEN_DOCUMENTS = {
+    "base.json": {"schema_version": 1, "variables": ["x", "y", "z"],
+                  "parameters": [],
+                  "support": [["5", "0", "0"], ["0", "7", "1"],
+                              ["0", "0", "15"], ["0", "8", "0"]]},
+    "fam.json": {"schema_version": 1, "variables": ["x", "y", "z"],
+                 "parameters": ["s"],
+                 "terms": _bs_terms([[0]] * 4 + [[1]])},
+    "poly.json": {"schema_version": 1, "variables": ["x", "y", "z"],
+                  "parameters": [], "terms": _bs_terms([[]] * 4)},
+    "arcs.json": [{"x_orders": [1, 1, 1], "s_orders": [1]}],
+}
+
+GOLDEN_REPORTS = [
+    (["nu", "base.json"],
+     "3bd7c470ac8953d96a8e52adb550f685a089096cd72f74ddbe36eed84e335ab1"),
+    (["nu", "base.json", "--emit-polytope"],
+     "ffe4736f31eba611af9f0fb608f4625107aa2345bbab8a19ea0f02528c75c11b"),
+    (["mu-test", "base.json", "fam.json"],
+     "bd4da407f52ce477aee695f60716fe5491ea15332ab930e1133b378464787d53"),
+    (["resolve", "fam.json"],
+     "79001092e8060a9df554d9aaa51221bb8acfc78c4c70bcc697b4fb3f48dbd8de"),
+    (["fan", "base.json"],
+     "633543fcf7d8dbeb712323a54b19155803061f65ecad5e3b3191e863c96d8d0c"),
+    (["regularize", "base.json"],
+     "fa4823d1679e3055fc79f0639af0066e1b97f42b2ef0f40deeae6ff31fe4880c"),
+    (["milnor", "poly.json"],
+     "72e88c8454354416694120d2928860b155735e6df915f1bf1c3ec4a1046c7140"),
+    (["nondeg", "poly.json"],
+     "c062b5dfeb1714853f63be78991e3c6f4f915d13c3d24da6b6803619bcc1c321"),
+    (["valuative", "fam.json", "--arcs", "arcs.json"],
+     "818303edca5ede495823380f0c7ded1c8c80fc80f29c5650ea9253f06fda7f0d"),
+    (["b1d", "fam.json", "--axes", "1,2"],
+     "3205ed09bd657c3d39fcfbe2d6288985b95b84b1834fd6bf7e48623845d46916"),
+]
+
+
+@pytest.mark.parametrize("argv, digest", GOLDEN_REPORTS,
+                         ids=[" ".join(a) for a, _ in GOLDEN_REPORTS])
+def test_reports_are_byte_identical(tmp_path, capsys, monkeypatch, argv,
+                                    digest):
+    """Each report on the Briancon-Speder documents, run from the
+    documents' directory so it names them by relative path, is exactly
+    the recorded bytes."""
+    for name, doc in GOLDEN_DOCUMENTS.items():
+        with open(tmp_path / name, "w") as fh:
+            json.dump(doc, fh)
+    monkeypatch.chdir(tmp_path)
+    code, out, _ = run(capsys, argv)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest

@@ -4,7 +4,8 @@ bounding-box oracles.
 Each property compares a whole result with the type of every number in it,
 for cones in dimension 2..4: simplicial, lower-dimensional and
 non-simplicial ones, proper and improper fans, covering and non-covering
-subdivisions.
+subdivisions.  A last test runs the fan pipeline with the polytope
+routines disabled, so it shows the cone kernel builds no polytope.
 """
 
 import itertools
@@ -13,16 +14,21 @@ from fractions import Fraction as F
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from newtonmu import fans, geometry, newton_number
 from newtonmu.fans import (Fan, LatticeCone, box_points, cone_from_rays,
-                           intersect_cones, is_regular_cone, is_subdivision,
-                           newton_fan, orthant_fan, regularize_fan,
-                           simplicialize, stellar_subdivide)
+                           intersect_cones, is_admissible, is_regular_cone,
+                           is_subdivision, newton_fan, orthant_fan,
+                           regularize_fan, simplicialize, stellar_subdivide)
 from newtonmu.geometry import (GeometryError, InternalConsistencyError,
-                               primitive_vector)
+                               convex_hull, primitive_vector)
+from newtonmu.newton_number import union_volume_vector
 from newtonmu.polyhedra import support_set
+from corpus import bs_deformed_support
 from oracles import (box_points_scan, cone_contains, cone_dim,
+                     cone_faces_section, cone_from_rays_section,
                      fan_compatible_section, intersect_cones_section,
-                     is_face_of_section, is_subdivision_chart, mat_rank)
+                     is_face_of_section, is_subdivision_chart, mat_rank,
+                     union_volume_vector_hulls)
 from test_conversion import typed
 
 PROPERTY = settings(derandomize=True, deadline=None, max_examples=80)
@@ -80,8 +86,41 @@ def test_cone_queries_match_section(c):
         (cone_dim(c), len(c.rays) == cone_dim(c)))
     for p in _points(c):
         assert c.contains(p) is cone_contains(c, p), p
+    faces = cone_faces_section(c)
+    assert typed(c.faces()) == typed(faces)
+    assert typed(c.facets()) == typed(tuple(
+        f for f in faces if cone_dim(f) == cone_dim(c) - 1))
     for f in c.faces():
         assert f.is_face_of(c) and is_face_of_section(f, c)
+
+
+@st.composite
+def generator_sets(draw, n, d):
+    """Nonnegative integer combinations of d independent vectors of Z^n,
+    so the cone is lower-dimensional when d < n: half the time d + 1 or
+    d + 2 points of the moment curve (1, t, t^2, ...) in that basis, all
+    extreme, so the cone is non-simplicial for d >= 3; else up to d + 3
+    combinations with small coefficients, with zero vectors, repeated
+    directions and redundant generators among them."""
+    basis = draw(generators(n, d, entry=3).filter(lambda g: mat_rank(g) == d))
+    if draw(st.booleans()):
+        coeffs = [tuple(t ** i for i in range(d))
+                  for t in range(d + draw(st.integers(1, 2)))]
+    else:
+        coeffs = draw(st.lists(st.tuples(*[st.integers(0, 2)] * d),
+                               min_size=1, max_size=d + 3))
+    return [tuple(sum(c * b[j] for c, b in zip(cs, basis)) for j in range(n))
+            for cs in coeffs]
+
+
+@pytest.mark.parametrize("n, d", [(2, 1), (2, 2), (3, 2), (3, 3), (4, 2),
+                                  (4, 3), (4, 4)])
+@settings(PROPERTY, max_examples=20)
+@given(data=st.data())
+def test_cone_from_rays_matches_section(n, d, data):
+    gens = data.draw(generator_sets(n, d))
+    assert typed(cone_from_rays(n, gens)) == typed(
+        cone_from_rays_section(n, gens))
 
 
 @given(cone_pairs())
@@ -201,3 +240,38 @@ def test_regularize_brieskorn_7_11_13():
     assert len(reg.maximal) == 75
     assert all(is_regular_cone(c) for c in reg.maximal)
     assert is_subdivision(reg, nf)
+
+
+def test_cone_kernel_builds_no_polytope(monkeypatch):
+    """With convex_hull, triangulate_polytope and determinant raising, the
+    fan pipeline of the resolution runs on the Briancon-Speder generic
+    support, a non-simplicial 3-D cone lists its faces and is measured
+    against its simplicial subdivision, and a union of polytopes built
+    beforehand gets its volume vector."""
+    names = ("convex_hull", "triangulate_polytope", "determinant")
+    assert not any(hasattr(fans, name) for name in names)
+    gens = [(1, 0, 0), (0, 1, 0), (1, 0, 1), (0, 1, 1), (1, 1, 2)]
+    want_faces = cone_faces_section(cone_from_rays_section(3, gens))
+    polys = [convex_hull([(0, 0, 0), (2, 0, 0), (0, 2, 0), (0, 0, 2)]),
+             convex_hull([(1, 0, 0), (3, 0, 0), (1, 2, 0), (1, 1, 1)]),
+             convex_hull([(0, 0, 0), (1, 1, 0)])]
+    want_union = union_volume_vector_hulls(polys, 3)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a polytope routine was called")
+
+    for name in names:
+        monkeypatch.setattr(geometry, name, refuse)
+        if hasattr(newton_number, name):
+            monkeypatch.setattr(newton_number, name, refuse)
+    monkeypatch.setattr(fans, "_faces_cache", {})
+    s = bs_deformed_support()
+    nf = newton_fan(s)
+    reg = regularize_fan(simplicialize(nf))
+    assert is_subdivision(reg, nf) and is_admissible(reg, s)
+    cone = cone_from_rays(3, gens)
+    assert len(cone.rays) == 4 and not cone.is_simplicial
+    assert typed(cone.faces()) == typed(want_faces)
+    whole = Fan(3, (cone,))
+    assert is_subdivision(simplicialize(whole), whole)
+    assert typed(union_volume_vector(polys, 3)) == typed(want_union)

@@ -79,8 +79,9 @@ def test_nested_and_added_vertices():
     check_nested(s, sp)
     assert added_vertices(s, sp) == ((1, 6, 0),)
     assert added_vertices(s, s) == ()
-    with pytest.raises(SupportError):
-        check_nested(sp, s)
+    for check in (check_nested, added_vertices, mu_constant_test):
+        with pytest.raises(SupportError, match="not nested"):
+            check(sp, s)
     # (3,4,1) already lies inside the polyhedron: nothing added
     assert added_vertices(s, s.augment([(3, 4, 1)])) == ()
     # (1,5,2) sits on a compact facet but is no vertex

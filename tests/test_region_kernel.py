@@ -1,26 +1,29 @@
 """The integer Newton-number stage against the Fraction oracles.
 
 lower_region and difference_region (bitmask pulling), volume_vector
-(integer minors) and newton_fan (direct dual-cone rays) are compared
-whole, with the type of every number, against the library's former
-routines kept in oracles.py; newton_number_set is compared with the
-pyramid formula, which shares no triangulation code with either, and
-with the public path through lower_region, whose Fraction points the fused
-newton_number_set never builds.
+(integer minors), union_volume_vector (one pulling triangulation per
+intersection) and newton_fan (direct dual-cone rays) are compared whole,
+with the type of every number, against the library's former routines kept
+in oracles.py; newton_number_set is compared with the pyramid formula,
+which shares no triangulation code with either, and with the public path
+through lower_region, whose Fraction points the fused newton_number_set
+never builds.
 """
 
 from fractions import Fraction as F
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from newtonmu import geometry, newton_number
 from newtonmu.fans import newton_fan
+from newtonmu.geometry import convex_hull
 from newtonmu.newton_number import (difference_region, newton_number_region,
-                                    newton_number_set, volume_vector)
+                                    newton_number_set, union_volume_vector,
+                                    volume_vector)
 from newtonmu.polyhedra import lower_region, newton_polyhedron, support_set
 from oracles import (difference_region_hulls, lower_region_hulls,
                      newton_fan_section, nu_2d_staircase, nu_pyramid,
-                     volume_vector_fractions)
+                     union_volume_vector_hulls, volume_vector_fractions)
 from test_conversion import rational, supports, typed
 
 PROPERTY = settings(derandomize=True, deadline=None, max_examples=80)
@@ -122,6 +125,43 @@ def test_difference_region_skips_flat_pieces(monkeypatch):
         sp = s.augment(extra)
         assert difference_region(s, sp).simplices == ()
         assert newton_number_set(s) == newton_number_set(sp)
+
+
+grid = st.sampled_from((F(0), F(1, 2), F(1), F(3, 2), F(2), F(7, 3)))
+
+
+@st.composite
+def orthant_unions(draw):
+    """(n, polytopes) for n = 1..3: up to three hulls of one to five points
+    of a small rational grid, a third of them flattened into a coordinate
+    subspace, so intersections are often empty, a point or
+    lower-dimensional, and the origin is a vertex of some of them."""
+    n = draw(st.integers(1, 3))
+    polys = []
+    for _ in range(draw(st.integers(0, 3))):
+        pts = draw(st.lists(st.tuples(*[grid] * n), min_size=1, max_size=5))
+        flat = set()
+        if draw(st.integers(0, 2)) == 0:
+            flat = draw(st.sets(st.integers(0, n - 1), max_size=n - 1))
+        polys.append(convex_hull([tuple(0 if i in flat else x
+                                        for i, x in enumerate(p))
+                                  for p in pts]))
+    return n, polys
+
+
+def _square(x, y):
+    return convex_hull([(x, y), (x + 1, y), (x, y + 1), (x + 1, y + 1)])
+
+
+@given(orthant_unions())
+@example((2, [_square(0, 0), _square(1, 0), _square(1, 1), _square(3, 3)]))
+@PROPERTY
+def test_union_volume_vector_matches_hulls(case):
+    """Squares meeting the first in an edge, in a corner and not at all
+    are the explicit example."""
+    n, polys = case
+    assert typed(union_volume_vector(polys, n)) == typed(
+        union_volume_vector_hulls(polys, n))
 
 
 @given(supports(dims=(1, 2, 3, 4), convenient=True))
