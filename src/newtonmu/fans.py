@@ -20,6 +20,10 @@ matrix with the least nonzero |det| D and that minor's adjugate;
 coordinates in the rays are adjugate products over D, and the
 fundamental-box points are read off the group that adjugate generates mod
 D, so no rational solve runs.
+
+Nothing is memoized at module level: each cone caches its own
+H-description, facet masks and minor chart, and faces() is computed on
+every call.
 """
 
 from __future__ import annotations
@@ -36,7 +40,7 @@ from .geometry import (GeometryError, InternalConsistencyError, _extreme_rays,
 from .polyhedra import SupportError, newton_polyhedron
 
 _section_cache = {}  # unused; the benchmark's cache reset still names it
-_faces_cache = {}
+_faces_cache = {}  # unused; the benchmark's cache reset still names it
 
 
 def _pair(a, x):
@@ -119,16 +123,11 @@ class LatticeCone:
     def faces(self):
         """Every face, the zero cone and the cone itself included: the
         levels of the face lattice over the facet masks."""
-        key = (self.ambient_dim, self.rays)
-        if key in _faces_cache:
-            return _faces_cache[key]
         out = {LatticeCone(self.ambient_dim, ()), self}
         if self.rays:
             for level in _face_lattice(len(self.rays), self._facet_masks):
                 out.update(map(self._face, level))
-        result = tuple(sorted(out, key=lambda c: (len(c.rays), c.rays)))
-        _faces_cache[key] = result
-        return result
+        return tuple(sorted(out, key=lambda c: (len(c.rays), c.rays)))
 
     def facets(self):
         return tuple(sorted(map(self._face, self._facet_masks),

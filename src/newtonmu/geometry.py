@@ -26,6 +26,10 @@ facets from bitmasks; _pulling and _face_lattice both use it.
 _face_lattice is the one face-lattice walk, level by level down from the
 facets: polyhedra runs it on Newton polyhedra and fans on cones.
 
+Nothing is memoized at module level: convex_hull and triangulate_polytope
+compute their results on every call, and the one memo of the package, the
+Newton polyhedron of a support, lives on its polyhedra.SupportSet.
+
 Determinism: vertices are kept in lexicographic order, facets are sorted by
 (normal, offset), and the pulling triangulation always cones from the
 lexicographically smallest vertex, so identical inputs give byte-identical
@@ -431,7 +435,7 @@ def _differences(ipts):
     return [tuple(x - y for x, y in zip(p, ipts[0])) for p in ipts[1:]]
 
 
-_hull_cache = {}
+_hull_cache = {}  # unused; the benchmark's cache reset still names it
 
 
 def convex_hull(points, dim_cap=DIMENSION_CAP):
@@ -454,16 +458,10 @@ def convex_hull(points, dim_cap=DIMENSION_CAP):
         raise GeometryError("points of mixed dimension")
     if n > dim_cap:
         raise DimensionCapExceeded(f"ambient dimension {n} exceeds cap {dim_cap}")
-    cached = _hull_cache.get(pts)
-    if cached is not None:
-        return cached
-
     ipts, den = _scaled(pts)
     normals = _nullspace(_differences(ipts), n)
     found = _dual_facets(ipts, equalities=normals) if len(normals) < n else ()
-    poly = _polytope(pts, ipts, den, normals, found)
-    _hull_cache[pts] = poly
-    return poly
+    return _polytope(pts, ipts, den, normals, found)
 
 
 def _maximal_meets(face, masks, keep=-1):
@@ -540,7 +538,7 @@ def _index_simplices(poly):
     return _pulling(whole, whole, facets, {})
 
 
-_tri_cache = {}
+_tri_cache = {}  # unused; the benchmark's cache reset still names it
 
 
 def triangulate_polytope(poly):
@@ -552,13 +550,9 @@ def triangulate_polytope(poly):
     simplicial complex.  Returns the sorted tuple of simplices, each an
     increasing tuple of vertices.
     """
-    key = poly.vertices
-    cached = _tri_cache.get(key)
-    if cached is None:
-        cached = tuple(tuple(key[i] for i in s)
-                       for s in sorted(_index_simplices(poly)))
-        _tri_cache[key] = cached
-    return cached
+    verts = poly.vertices
+    return tuple(tuple(verts[i] for i in s)
+                 for s in sorted(_index_simplices(poly)))
 
 
 def simplex_volume(verts, coords=None):

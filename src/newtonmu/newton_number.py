@@ -164,8 +164,9 @@ class SeriesNewtonNumber:
     augmented_axes: tuple
 
 
-def _augmentation_signature(support, missing, m):
-    """Structure of the compact facets relative to the augmented vertices.
+def _augmentation_signature(np_, aug_points):
+    """Structure of the compact facets of the augmented polyhedron np_
+    relative to the augmented vertices aug_points (point -> axis).
 
     Two consecutive m values with equal Newton number and equal signature
     mean every compact facet either never touches the augmented points
@@ -173,9 +174,6 @@ def _augmentation_signature(support, missing, m):
     changing which support points and axes participate; further growth of m
     then changes nothing.
     """
-    aug_points = {tuple(m if j == i else 0 for j in range(support.dim)): i
-                  for i in missing}
-    np_ = newton_polyhedron(support.augment(aug_points))
     fixed = set()
     sliding = set()
     for nrm, off, active, rec in np_.facets:
@@ -210,10 +208,11 @@ def newton_number_series(support, missing_axis_cap=64):
     tried = []
     m = 1
     while m <= missing_axis_cap:
-        augmented = support.augment(
-            [tuple(m if j == i else 0 for j in range(n)) for i in missing])
+        aug_points = {tuple(m if j == i else 0 for j in range(n)): i
+                      for i in missing}
+        augmented = support.augment(aug_points)
         value = newton_number_set(augmented)
-        sig = _augmentation_signature(support, missing, m)
+        sig = _augmentation_signature(newton_polyhedron(augmented), aug_points)
         tried.append(m)
         if prev is not None and prev == (value, sig):
             return SeriesNewtonNumber(value, True, tuple(tried),
@@ -532,14 +531,11 @@ def d_set_and_i_set(s, s_prime):
         for axes in itertools.combinations(range(n), k):
             ra = s.restrict(axes)
             rb = s_prime.restrict(axes)
-            if not ra.points and not rb.points:
+            if ra == rb:    # equal restrictions, empty ones included
                 continue
-            if bool(ra.points) != bool(rb.points):
-                d_set.append(tuple(a + 1 for a in axes))
-                continue
-            va = newton_polyhedron(support_set(k, ra.points)).vertices
-            vb = newton_polyhedron(support_set(k, rb.points)).vertices
-            if va != vb:
+            if (not ra.points or not rb.points
+                    or newton_polyhedron(ra).vertices
+                    != newton_polyhedron(rb).vertices):
                 d_set.append(tuple(a + 1 for a in axes))
     if not d_set:
         return ChangedSubspaces((), tuple(range(1, n + 1)), True)

@@ -15,7 +15,6 @@ from dataclasses import dataclass
 from .geometry import (GeometryError, InternalConsistencyError, ZERO, _unit,
                        dot)
 from .polyhedra import SupportError, convenience_report, added_vertices
-from .newton_number import newton_number_set
 from .families import DeformationFamily, family, spoly
 from .apex import mu_constant_test
 from .fans import (LatticeCone, newton_fan, simplicialize, regularize_fan,
@@ -339,7 +338,7 @@ def simultaneous_resolution(fam, skip_smoothness=False, budget=DEFAULT_BUDGET,
     for cert in certificates:
         counts[cert.status] = counts.get(cert.status, 0) + 1
     report = ResolutionReport(
-        nu=newton_number_set(s_base),
+        nu=mu_res.nu_s,
         verd=verd,
         status_counts=tuple(sorted(counts.items())),
         nondegeneracy=nondegeneracy_report.verdict,

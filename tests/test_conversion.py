@@ -10,7 +10,6 @@ from fractions import Fraction as F
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from newtonmu import geometry, polyhedra
 from newtonmu.geometry import (GeometryError, _extreme_rays, convex_hull,
                                polytope_from_constraints,
                                triangulate_polytope)
@@ -130,8 +129,8 @@ FRACTION_OPERATORS = ("__add__", "__radd__", "__sub__", "__rsub__",
 
 def test_no_fraction_arithmetic_in_the_kernel(monkeypatch):
     """convex_hull, newton_polyhedron, lower_region, volume_vector and
-    check_nested run on integers only: on rational inputs, with cold
-    caches, no Fraction operator is called."""
+    check_nested run on integers only: on rational inputs, built fresh,
+    no Fraction operator is called."""
     calls = []
     for name in FRACTION_OPERATORS:
         def counted(*args, _op=getattr(F, name), _name=name):
@@ -144,9 +143,6 @@ def test_no_fraction_arithmetic_in_the_kernel(monkeypatch):
             (F(1, 3), F(2, 3), F(5, 6)), (F(1, 6), F(5, 6), 1)]
     s = support_set(3, pts)
     convenient = s.augment([(F(5, 2), 0, 0), (0, F(4, 3), 0)])
-    monkeypatch.setattr(geometry, "_hull_cache", {})
-    monkeypatch.setattr(geometry, "_tri_cache", {})
-    monkeypatch.setattr(polyhedra, "_np_cache", {})
     convex_hull(pts)
     convex_hull(flat)
     newton_polyhedron(s)

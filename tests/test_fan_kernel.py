@@ -264,7 +264,6 @@ def test_cone_kernel_builds_no_polytope(monkeypatch):
         monkeypatch.setattr(geometry, name, refuse)
         if hasattr(newton_number, name):
             monkeypatch.setattr(newton_number, name, refuse)
-    monkeypatch.setattr(fans, "_faces_cache", {})
     s = bs_deformed_support()
     nf = newton_fan(s)
     reg = regularize_fan(simplicialize(nf))

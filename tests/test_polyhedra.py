@@ -3,6 +3,7 @@ from fractions import Fraction as F
 import pytest
 
 from newtonmu.apex import mu_constant_test
+from newtonmu.fans import support_function
 from newtonmu.newton_number import d_set_and_i_set, difference_region
 from newtonmu.polyhedra import (SupportError, added_vertices, check_nested,
                                 convenience_report, lower_region,
@@ -41,7 +42,7 @@ def test_brieskorn_polyhedron():
     dims = sorted(f.dim for f in faces)
     assert dims == [0, 0, 0, 1, 1, 1, 2]
     assert np_.contains((1, 1, 1)) and not np_.contains((0, 0, 4))
-    assert np_.support_value((1, 1, 1)) == 2
+    assert support_function(np_.support, (1, 1, 1)) == 2
 
 
 def test_bs_base_compact_faces():

@@ -62,7 +62,6 @@ def test_difference_region_builds_no_hull(monkeypatch):
     drop = newton_number_set(s) - newton_number_set(sp)
     monkeypatch.setattr(geometry, "convex_hull", no_hull)
     monkeypatch.setattr(newton_number, "convex_hull", no_hull)
-    monkeypatch.setattr(geometry, "_tri_cache", {})
     region = difference_region(s, sp)
     assert region.simplices and newton_number_region(region) == drop
 
