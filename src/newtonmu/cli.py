@@ -464,6 +464,22 @@ def _cmd_nondeg(args):
     return _report("nondeg", arguments, [digest], results, warnings)
 
 
+def _arc_orders(value, length, where):
+    if not isinstance(value, list) or len(value) != length or any(
+            isinstance(v, bool) or not isinstance(v, int) or v < 1
+            for v in value):
+        raise InputError(f"{where}: expected a list of {length} integers >= 1")
+    return value
+
+
+def _arc_coeffs(value, length, where):
+    if value is None:
+        return None
+    if not isinstance(value, list) or len(value) != length:
+        raise InputError(f"{where}: expected a list of {length} rationals")
+    return [_rational(c, where) for c in value]
+
+
 def _parse_arcs(obj, n, m):
     if not isinstance(obj, list):
         raise InputError("arcs file must be a JSON list of arc records")
@@ -471,21 +487,14 @@ def _parse_arcs(obj, n, m):
     for k, rec in enumerate(obj):
         if not isinstance(rec, dict):
             raise InputError(f"arcs[{k}]: expected an object")
-        xo = rec.get("x_orders")
-        so = rec.get("s_orders", [])
-        if not isinstance(xo, list) or not isinstance(so, list):
-            raise InputError(f"arcs[{k}]: x_orders/s_orders must be lists")
         where = f"arcs[{k}]"
-        if len(xo) != n or len(so) != m:
-            raise InputError(f"{where}: expected {n} x-orders and {m} s-orders")
-        xc = rec.get("x_coeffs")
-        sc = rec.get("s_coeffs")
         try:
             arcs.append(monomial_arc(
-                xo, so,
-                None if xc is None else [_rational(c, where) for c in xc],
-                None if sc is None else [_rational(c, where) for c in sc]))
-        except (SupportError, TypeError, ValueError) as e:
+                _arc_orders(rec.get("x_orders"), n, f"{where}.x_orders"),
+                _arc_orders(rec.get("s_orders", []), m, f"{where}.s_orders"),
+                _arc_coeffs(rec.get("x_coeffs"), n, f"{where}.x_coeffs"),
+                _arc_coeffs(rec.get("s_coeffs"), m, f"{where}.s_coeffs")))
+        except SupportError as e:
             raise InputError(f"{where}: {e}")
     return arcs
 

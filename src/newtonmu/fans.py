@@ -35,16 +35,12 @@ from functools import cached_property
 from math import gcd
 
 from .geometry import (GeometryError, InternalConsistencyError, _extreme_rays,
-                       _face_lattice, _int_det, _pulling, _unit,
+                       _face_lattice, _idot, _int_det, _pulling, _unit,
                        primitive_vector, vec)
 from .polyhedra import SupportError, newton_polyhedron
 
 _section_cache = {}  # unused; the benchmark's cache reset still names it
 _faces_cache = {}  # unused; the benchmark's cache reset still names it
-
-
-def _pair(a, x):
-    return sum(p * q for p, q in zip(a, x))
 
 
 @dataclass(frozen=True)
@@ -73,7 +69,7 @@ class LatticeCone:
     @cached_property
     def _facet_masks(self):
         """Per facet normal, the bitmask of the rays tight on it."""
-        return [sum(1 << i for i, r in enumerate(self.rays) if not _pair(a, r))
+        return [sum(1 << i for i, r in enumerate(self.rays) if not _idot(a, r))
                 for a in self._h_description[1]]
 
     @cached_property
@@ -117,8 +113,8 @@ class LatticeCone:
 
     def contains(self, point):
         lineality, normals = self._h_description
-        return (all(_pair(e, point) == 0 for e in lineality)
-                and all(_pair(a, point) >= 0 for a in normals))
+        return (all(_idot(e, point) == 0 for e in lineality)
+                and all(_idot(a, point) >= 0 for a in normals))
 
     def faces(self):
         """Every face, the zero cone and the cone itself included: the
@@ -145,8 +141,8 @@ class LatticeCone:
         if not all(other.contains(r) for r in self.rays):
             return False
         tight = [a for a in other._h_description[1]
-                 if all(_pair(a, r) == 0 for r in self.rays)]
-        face = {r for r in other.rays if all(_pair(a, r) == 0 for a in tight)}
+                 if all(_idot(a, r) == 0 for r in self.rays)]
+        face = {r for r in other.rays if all(_idot(a, r) == 0 for a in tight)}
         return face == set(self.rays)
 
 

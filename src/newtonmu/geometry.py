@@ -7,10 +7,11 @@ list of equalities, so lower-dimensional polytopes are first-class values.
 
 The kernels run on Python integers.  Rational points are scaled once by the
 lcm of their denominators, and Fractions appear again only in the results.
-Two integer routines do the work: _echelon, a fraction-free reduced row
-echelon form that serves _nullspace alone, and _extreme_rays, a
-double-description routine (Fukuda & Prodon 1996) whose updates are
-integer combinations divided by their gcd.  convex_hull reads
+Two integer eliminations do the work: _extreme_rays, the one
+double-description routine (Fukuda & Prodon 1996), whose updates are
+integer combinations divided by their gcd, and _int_det (below).  Given
+rows as equalities only, the cone _extreme_rays returns is their null
+space, all lineality, so null spaces are read off it too.  convex_hull reads
 the affine hull off the null space of the point differences and the facets
 off the rays of a dual cone; polyhedra.newton_polyhedron does the same for
 Newton polyhedra; polytope_from_constraints reads vertices off the rays of
@@ -86,24 +87,13 @@ def dot(a, b):
     return s
 
 
-def is_zero_vector(v):
-    return all(x == 0 for x in v)
-
-
 def primitive_vector(v):
     """Scale a nonzero rational vector to the primitive integer vector with
     the same direction (gcd of entries 1, orientation preserved)."""
-    v = vec(v)
-    if is_zero_vector(v):
+    w = _integer_row(vec(v))
+    if w is None:
         raise GeometryError("zero vector has no primitive form")
-    den = 1
-    for x in v:
-        den = den * x.denominator // gcd(den, x.denominator)
-    ints = [int(x * den) for x in v]
-    g = 0
-    for x in ints:
-        g = gcd(g, abs(x))
-    return tuple(x // g for x in ints)
+    return w
 
 
 def sign_canonical(v):
@@ -146,56 +136,6 @@ def _scaled(points):
             for p in points], den
 
 
-def _echelon(rows):
-    """Reduced row echelon form of integer rows, fraction-free.
-
-    Returns (rows, pivot columns): one primitive integer row per pivot,
-    zero at every other pivot column, so each is a multiple of the matching
-    row of the rational reduced form.  The rank is the number of pivots.
-    Every update is _combine, an integer combination divided by its gcd, so
-    no rational arithmetic runs.
-    """
-    rows = [r for r in map(_integer_row, rows) if r is not None]
-    pivots = []
-    for col in range(len(rows[0]) if rows else 0):
-        r = len(pivots)
-        if r == len(rows):
-            break
-        piv = next((i for i in range(r, len(rows)) if rows[i][col]), None)
-        if piv is None:
-            continue
-        rows[piv], rows[r] = rows[r], rows[piv]
-        lead = rows[r]
-        for i, row in enumerate(rows):
-            if i != r and row[col]:
-                rows[i] = _combine(lead[col], row, row[col], lead)
-        pivots.append(col)
-    return rows[:len(pivots)], pivots
-
-
-def _nullspace(rows, width):
-    """Primitive integer basis of the right null space of integer rows.
-
-    One vector per free column f of the reduced form, positive at f and zero
-    at the other free columns: the rational reduced-form basis vector
-    scaled by the lcm of the pivots (math.lcm is nonnegative), then divided
-    by its gcd.
-    """
-    red, pivots = _echelon(rows)
-    scale = lcm(*(row[pc] for row, pc in zip(red, pivots)))
-    basis = []
-    for f in range(width):
-        if f in pivots:
-            continue
-        v = [0] * width
-        v[f] = scale
-        for row, pc in zip(red, pivots):
-            v[pc] = -row[f] * (scale // row[pc])
-        g = gcd(*v)
-        basis.append(tuple(x // g for x in v))
-    return basis
-
-
 def _int_det(rows):
     """Determinant of a square integer matrix, an int.
 
@@ -226,19 +166,14 @@ def _int_det(rows):
 def determinant(rows):
     """Exact determinant, a Fraction.
 
-    Each row is scaled to integers by the lcm of its denominators, and
-    _int_det eliminates the integer matrix.
+    The k rows are scaled to integers by one common denominator D
+    (_scaled), and _int_det eliminates the integer matrix: the determinant
+    is _int_det(D M) / D^k.
     """
-    m = []
-    scale = 1
-    for row in rows:
-        row = [x if isinstance(x, int) else frac(x) for x in row]
-        den = lcm(*(x.denominator for x in row))
-        scale *= den
-        m.append([x.numerator * (den // x.denominator) for x in row])
+    m, den = _scaled(rows)
     if any(len(r) != len(m) for r in m):
         raise GeometryError("determinant needs a square matrix")
-    return Fraction(_int_det(m), scale)
+    return Fraction(_int_det(m), den ** len(m))
 
 
 # --- double description ---------------------------------------------------
@@ -247,10 +182,22 @@ def _extreme_rays(equalities, inequalities, dim):
     """Double description of the cone {x : <e, x> = 0, <a, x> >= 0} in Q^dim.
 
     Rows are rational sequences of length dim, scaled to coprime integer
-    rows first.  Returns (rays, lineality, zeros): an integer basis of the
-    cone's lineality space, the primitive integer extreme rays of the cone
-    modulo that space and their zero sets (below), so the cone is pointed
+    rows first.  Returns (rays, lineality, zeros): the primitive integer
+    extreme rays of the cone modulo its lineality space, an integer basis
+    of that space and the rays' zero sets (below), so the cone is pointed
     exactly when the basis is empty, and then the rays are its extreme rays.
+    With no inequalities there are no rays and the lineality basis is the
+    null space of the equality rows.
+
+    The lineality basis has one primitive vector per free column, in column
+    order, positive at that column and zero at the other free columns.  A
+    column is free when the lineality vector that starts as its unit vector
+    is never split off.  A row splits off the first vector it is nonzero
+    on, so every vector stays zero past its own column; the free columns
+    are those of the rational reduced row echelon form, and the basis is
+    that form's null space basis scaled to primitive integers.
+    Polytope.equalities and the facet normals of polytope_from_constraints
+    are read off it.
 
     The cone starts as the whole space, all lineality.  A row that is
     nonzero on the lineality space splits one lineality vector off: an
@@ -261,8 +208,8 @@ def _extreme_rays(equalities, inequalities, dim):
     is adjacent, meaning no third ray is tight on every inequality both of
     them are tight on, gives the ray where their 2-face meets the
     hyperplane.  Zero sets are bitmasks over the nonzero inequality rows
-    processed so far, in order, and every update is an integer combination divided by its gcd
-    (Bareiss 1968), so no rational arithmetic runs.
+    processed so far, in order, and every update is an integer combination
+    divided by its gcd (Bareiss 1968), so no rational arithmetic runs.
     """
     rows = []
     for is_eq, group in ((True, equalities), (False, inequalities)):
@@ -438,8 +385,8 @@ def _differences(ipts):
 _hull_cache = {}  # unused; the benchmark's cache reset still names it
 
 
-def convex_hull(points, dim_cap=DIMENSION_CAP):
-    """Exact convex hull of rational points in dimension <= dim_cap.
+def convex_hull(points):
+    """Exact convex hull of rational points in dimension <= DIMENSION_CAP.
 
     The points are scaled by the lcm of their denominators to integer
     points P.  The affine hull's equality normals e are the integer null
@@ -456,10 +403,11 @@ def convex_hull(points, dim_cap=DIMENSION_CAP):
     n = len(pts[0])
     if any(len(p) != n for p in pts):
         raise GeometryError("points of mixed dimension")
-    if n > dim_cap:
-        raise DimensionCapExceeded(f"ambient dimension {n} exceeds cap {dim_cap}")
+    if n > DIMENSION_CAP:
+        raise DimensionCapExceeded(
+            f"ambient dimension {n} exceeds cap {DIMENSION_CAP}")
     ipts, den = _scaled(pts)
-    normals = _nullspace(_differences(ipts), n)
+    _, normals, _ = _extreme_rays(_differences(ipts), (), n)
     found = _dual_facets(ipts, equalities=normals) if len(normals) < n else ()
     return _polytope(pts, ipts, den, normals, found)
 
@@ -618,7 +566,7 @@ def polytope_from_constraints(equalities, inequalities, ambient_dim):
         raise GeometryError("constraint system is unbounded")
     pts = tuple(v for v, _ in verts)
     ipts, den = _scaled(pts)
-    normals = _nullspace(_differences(ipts), ambient_dim)
+    _, normals, _ = _extreme_rays(_differences(ipts), (), ambient_dim)
     sets = {sum(1 << i for i, (_, z) in enumerate(verts) if z >> b & 1)
             for b in range(len(ineqs))} - {0, (1 << len(pts)) - 1}
     found = []
@@ -626,7 +574,8 @@ def polytope_from_constraints(equalities, inequalities, ambient_dim):
         if any(m & o == m != o for o in sets):
             continue
         on = [ipts[i] for i in _members(m)]
-        (w,) = _nullspace(normals + _differences(on), ambient_dim)
+        _, (w,), _ = _extreme_rays(normals + _differences(on), (),
+                                   ambient_dim)
         c = _idot(w, on[0])
         if any(_idot(w, p) < c for p in ipts):
             w, c = tuple(-x for x in w), -c

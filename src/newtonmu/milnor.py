@@ -1,10 +1,13 @@
 """Milnor numbers via ideal quotients, and per-face nondegeneracy verdicts.
 
 The Milnor number is computed as the vector space dimension of
-Q[x]/(J(f) + (x^N)) for a doubling sequence of truncation exponents N; for
+Q[x]/(J(f) + (x^N)) for the truncation exponents N = 4, 8, ..., 512; for
 an isolated singularity the truncation eventually localizes the quotient at
 the origin and the dimension stabilizes at mu.  None of this shares code
 with the Newton number path, so agreement between the two is evidence.
+Nondegeneracy is decided face by face: vertices pass, edges by a
+squarefreeness test, higher faces by a torus emptiness test on the
+Groebner engine.
 """
 
 from dataclasses import dataclass
@@ -16,7 +19,8 @@ from .newton_number import newton_number_series
 from .groebner import (DEFAULT_BUDGET, BudgetExceeded, groebner_basis,
                        ideal_contains_one, quotient_dimension)
 
-NONDEG_MODES = ("exact-low-dim", "groebner", "skip-high-faces")
+TRUNCATION_START = 4
+MAX_TRUNCATION = 512
 
 
 def _pure_power(n_vars, axis0, n):
@@ -25,8 +29,7 @@ def _pure_power(n_vars, axis0, n):
     return spoly(n_vars, [(tuple(e), 1)])
 
 
-def milnor_number(f, truncation_start=4, budget=DEFAULT_BUDGET,
-                  max_truncation=512):
+def milnor_number(f, budget=DEFAULT_BUDGET):
     """dim Q[x]/(J(f) + (x_1^N, ..., x_n^N)) for doubling N until two
     consecutive values agree.  Raises BudgetExceeded when no stabilization
     happens in budget; that can mean a non-isolated singularity."""
@@ -39,11 +42,9 @@ def milnor_number(f, truncation_start=4, budget=DEFAULT_BUDGET,
     for p in partials:
         if p.coefficient((0,) * n) != 0:
             raise SupportError("origin is not a critical point")
-    if truncation_start < 1:
-        raise SupportError("truncation must be positive")
     previous = None
-    trunc = truncation_start
-    while trunc <= max_truncation:
+    trunc = TRUNCATION_START
+    while trunc <= MAX_TRUNCATION:
         gens = partials + [_pure_power(n, i, trunc) for i in range(n)]
         basis = groebner_basis(gens, budget)
         dim = quotient_dimension(basis)
@@ -55,7 +56,7 @@ def milnor_number(f, truncation_start=4, budget=DEFAULT_BUDGET,
         previous = dim
         trunc *= 2
     raise BudgetExceeded(
-        f"Milnor number did not stabilize up to truncation {max_truncation}; "
+        f"Milnor number did not stabilize up to truncation {MAX_TRUNCATION}; "
         "the singularity may not be isolated")
 
 
@@ -132,16 +133,13 @@ def _torus_ideal(face_poly):
     return gens
 
 
-def nondegeneracy_check(g, mode="groebner", budget=DEFAULT_BUDGET):
+def nondegeneracy_check(g, budget=DEFAULT_BUDGET):
     """Verdict per compact face of the Newton polyhedron of g.
 
     Vertices pass automatically; edges reduce to a squarefreeness test of a
     one-variable polynomial; higher faces run a torus emptiness test on the
-    Groebner engine (mode groebner), are reported unchecked (mode
-    skip-high-faces), or are refused (mode exact-low-dim).
+    Groebner engine, and are reported unchecked when it exceeds budget.
     """
-    if mode not in NONDEG_MODES:
-        raise ValueError(f"unknown mode {mode!r}; expected one of {NONDEG_MODES}")
     if g.is_zero:
         raise SupportError("zero polynomial")
     coeffs = g.as_dict()
@@ -163,14 +161,6 @@ def nondegeneracy_check(g, mode="groebner", budget=DEFAULT_BUDGET):
                     face.points, 1, "degenerate",
                     f"edge polynomial has a repeated factor of degree {common}"))
         else:
-            if mode == "skip-high-faces":
-                verdicts.append(FaceVerdict(face.points, face.dim, "unchecked",
-                                            "skipped by mode"))
-                continue
-            if mode == "exact-low-dim":
-                raise GeometryError(
-                    f"compact face of dimension {face.dim} present; "
-                    "use mode groebner or skip-high-faces")
             gens = _torus_ideal(g.face_part(face.points))
             try:
                 empty = ideal_contains_one(gens, budget)
@@ -203,8 +193,7 @@ class CrosscheckReport:
     notes: tuple
 
 
-def kouchnirenko_crosscheck(f, truncation_start=4, budget=DEFAULT_BUDGET,
-                            mode="groebner"):
+def kouchnirenko_crosscheck(f, budget=DEFAULT_BUDGET):
     """Compare the Milnor oracle with the Newton number and enforce the
     inequality mu >= nu, with equality on nondegenerate input."""
     notes = []
@@ -212,11 +201,11 @@ def kouchnirenko_crosscheck(f, truncation_start=4, budget=DEFAULT_BUDGET,
     nu = series.value if series.stabilized else None
     if not series.stabilized:
         notes.append("Newton number series did not stabilize; nu may be infinite")
-    report = nondegeneracy_check(f, mode=mode, budget=budget)
+    report = nondegeneracy_check(f, budget=budget)
     if report.verdict == "unknown":
         notes.append("nondegeneracy undecided on some faces")
     try:
-        mu = milnor_number(f, truncation_start, budget)
+        mu = milnor_number(f, budget)
     except BudgetExceeded as exc:
         mu = None
         notes.append(f"Milnor oracle gave up: {exc}")

@@ -7,7 +7,9 @@ transform has a constant term that survives at s = 0).  Charts over added
 vertices verify the pyramid normal form (constant term vanishing at s = 0,
 the good apex pulling back to a linear term with unit coefficient) and a
 Jacobian smoothness test of the strict transform on the exceptional
-hyperplanes.
+hyperplanes; a strict transform with more than SMOOTH_MONOMIAL_CAP terms
+or more than SMOOTH_VARIABLE_CAP variables is left unchecked.  The base
+polynomial's nondegeneracy report is computed on every run.
 """
 
 from dataclasses import dataclass
@@ -170,7 +172,7 @@ def _certify_unit(fam, transform, alpha):
 
 
 def _certify_added(fam, transform, alpha, cert, skip_smoothness, budget,
-                   monomial_cap, variable_cap, warnings):
+                   warnings):
     chart = transform.chart
     strict = transform.strict_part
     n = fam.n_vars
@@ -217,7 +219,8 @@ def _certify_added(fam, transform, alpha, cert, skip_smoothness, budget,
         status = "unchecked"
         results = [(k + 1, "skipped") for k in exceptional]
         warnings.append(f"chart {chart.generators}: smoothness check skipped")
-    elif (len(strict_base.terms) > monomial_cap or n > variable_cap):
+    elif (len(strict_base.terms) > SMOOTH_MONOMIAL_CAP
+          or n > SMOOTH_VARIABLE_CAP):
         status = "unchecked"
         results = [(k + 1, "beyond cap") for k in exceptional]
         warnings.append(
@@ -248,16 +251,15 @@ def _certify_added(fam, transform, alpha, cert, skip_smoothness, budget,
 
 
 def simultaneous_resolution(fam, skip_smoothness=False, budget=DEFAULT_BUDGET,
-                            monomial_cap=SMOOTH_MONOMIAL_CAP,
-                            variable_cap=SMOOTH_VARIABLE_CAP,
-                            waive_degenerate_faces=(),
-                            nondegeneracy_report=None):
+                            waive_degenerate_faces=()):
     """Resolve a deformation family: Newton fan of the generic support,
     simplicialized with the apex rays pulled first, regularized, then one
     certified monomial chart per maximal cone.
 
-    nondegeneracy_report lets a caller pass a precomputed report for the
-    base polynomial; by default it is computed here.
+    The base polynomial must be nondegenerate (nondegeneracy_check) except
+    on the faces listed in waive_degenerate_faces.  The smoothness tests of
+    the charts over added vertices run within budget, or not at all under
+    skip_smoothness.
     """
     fam.check_deformation()
     base = fam.base()
@@ -281,8 +283,7 @@ def simultaneous_resolution(fam, skip_smoothness=False, budget=DEFAULT_BUDGET,
             f"family is not mu-constant; added vertices without a good "
             f"apex: {rendered}")
 
-    if nondegeneracy_report is None:
-        nondegeneracy_report = nondegeneracy_check(base)
+    nondegeneracy_report = nondegeneracy_check(base)
     waived = {tuple(sorted(map(tuple, f))) for f in waive_degenerate_faces}
     for fv in nondegeneracy_report.faces:
         if fv.status == "degenerate":
@@ -327,7 +328,7 @@ def simultaneous_resolution(fam, skip_smoothness=False, budget=DEFAULT_BUDGET,
         if alpha in certs_by_vertex:
             cert = _certify_added(fam, transform, alpha,
                                   certs_by_vertex[alpha], skip_smoothness,
-                                  budget, monomial_cap, variable_cap, warnings)
+                                  budget, warnings)
         else:
             cert = _certify_unit(fam, transform, alpha)
         charts.append(chart)

@@ -369,6 +369,26 @@ def test_valuative(tmp_path, capsys):
     assert all(a["verdict"] == "consistent" for a in r["arcs"])
 
 
+@pytest.mark.parametrize("bad", [
+    {"x_orders": [1.5, 1], "s_orders": [1]},
+    {"x_orders": ["2", 1], "s_orders": [1]},
+    {"x_orders": [True, 1], "s_orders": [1]},
+    {"x_orders": [1, 1], "s_orders": [True]},
+    {"x_orders": [1, 1], "s_orders": [1], "x_coeffs": "12"},
+    {"x_orders": [1, 1], "s_orders": [1], "x_coeffs": {"1": 0, "2": 0}},
+    {"x_orders": [1, 1], "s_orders": [1], "s_coeffs": "3"},
+], ids=["float-order", "string-order", "bool-order", "bool-s-order",
+        "string-coeffs", "dict-coeffs", "string-s-coeffs"])
+def test_valuative_rejects_malformed_arcs(tmp_path, capsys, bad):
+    """Orders are JSON integers >= 1 and coefficients are lists of the
+    right length; nothing is truncated, parsed by character or by key."""
+    fam = write(tmp_path, "f.json", XY_FAMILY)
+    arcs = write(tmp_path, "arcs.json", [bad])
+    doc = run_json(capsys, ["valuative", fam, "--arcs", arcs], want_code=2)
+    error = doc["results"]["error"]
+    assert error["type"] == "input" and "arcs[0]" in error["message"]
+
+
 def test_b1d(tmp_path, capsys):
     doc = run_json(capsys, ["b1d", write(tmp_path, "q.json", QUINTIC),
                             "--axes", "1,2"])

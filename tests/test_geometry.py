@@ -1,10 +1,14 @@
+import itertools
+import random
 from fractions import Fraction as F
+from math import prod
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from newtonmu.geometry import (GeometryError, convex_hull, determinant, dot,
-                               intersect_polytopes, polytope_from_constraints,
+from newtonmu.geometry import (GeometryError, _extreme_rays, convex_hull,
+                               determinant, dot, intersect_polytopes,
+                               polytope_from_constraints,
                                polytope_volume, primitive_vector,
                                simplex_volume, triangulate_polytope)
 from oracles import nullspace, solve_unique
@@ -72,7 +76,7 @@ def test_intersection():
 
 
 @given(st.lists(st.tuples(coord, coord), min_size=1, max_size=8))
-@settings(deadline=None)
+@settings(derandomize=True, deadline=None)
 def test_hull_idempotent(pts):
     hull = convex_hull(pts)
     again = convex_hull(hull.vertices)
@@ -81,10 +85,74 @@ def test_hull_idempotent(pts):
 
 
 @given(st.lists(st.tuples(coord, coord, coord), min_size=4, max_size=4))
-@settings(deadline=None)
+@settings(derandomize=True, deadline=None)
 def test_simplex_volume_permutation_invariant(pts):
     base = simplex_volume(tuple(pts))
     rotated = simplex_volume(tuple(pts[1:] + pts[:1]))
     assert base == rotated
     mirrored = simplex_volume(tuple(tuple(reversed(p)) for p in pts))
     assert base == mirrored
+
+
+def _integer_matrices(rng, count):
+    """Integer matrices of widths 1-9 with zero, repeated and dependent
+    rows mixed in, and some with no rows at all."""
+    for _ in range(count):
+        width = rng.randint(1, 9)
+        rows = []
+        for _ in range(rng.randint(0, width + 2)):
+            kind = rng.random()
+            if kind < 0.1:
+                rows.append((0,) * width)
+            elif kind < 0.25 and rows:
+                rows.append(rng.choice(rows))
+            elif kind < 0.45 and len(rows) >= 2:
+                a, b = rng.sample(rows, 2)
+                s, t = rng.randint(-3, 3), rng.randint(-3, 3)
+                rows.append(tuple(s * x + t * y for x, y in zip(a, b)))
+            else:
+                rows.append(tuple(rng.choice((0, 0, 0, 1, -1, 2, -3, 5))
+                                  for _ in range(width)))
+        yield rows, width
+
+
+def test_lineality_is_the_reduced_form_null_space():
+    """With equalities only, the lineality basis of _extreme_rays is the
+    reduced row echelon basis of the null space, scaled to primitive
+    integers, vector for vector and in order."""
+    cases = list(_integer_matrices(random.Random(20200128), 3000))
+    cases += [([], w) for w in range(1, 10)]
+    cases += [([(0,) * w], w) for w in range(1, 10)]
+    cases += [([(1, 2, 3), (1, 2, 3), (2, 4, 6)], 3),
+              ([(1, 1, 0, 0), (0, 0, 1, 1), (1, 1, 1, 1)], 4),
+              ([(0, 2, -4)], 3)]
+    for rows, width in cases:
+        rays, lineality, _ = _extreme_rays(rows, (), width)
+        assert rays == []
+        assert lineality == [primitive_vector(v)
+                             for v in nullspace(rows, width)], (rows, width)
+
+
+def _leibniz(m):
+    k = len(m)
+    total = F(0)
+    for perm in itertools.permutations(range(k)):
+        inversions = sum(perm[i] > perm[j]
+                         for i in range(k) for j in range(i + 1, k))
+        total += (-1) ** inversions * prod(m[i][perm[i]] for i in range(k))
+    return total
+
+
+def test_determinant_matches_leibniz():
+    rng = random.Random(1968)
+    for _ in range(400):
+        k = rng.randint(1, 4)
+        m = [[F(rng.randint(-7, 7), rng.choice((1, 1, 2, 3, 4, 6, 9)))
+              for _ in range(k)] for _ in range(k)]
+        if rng.random() < 0.2:
+            m[-1] = list(m[0])  # singular
+        assert determinant(m) == _leibniz(m)
+    assert determinant([(F(1, 2), 3), (F(2, 3), F(-5, 4))]) == F(-5, 8) - 2
+    assert determinant([]) == 1
+    with pytest.raises(GeometryError):
+        determinant([(1, 2, 3), (4, 5, 6)])
