@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .geometry import InternalConsistencyError
+from .geometry import InternalConsistencyError, _members
 from .newton_number import newton_number_set
 from .polyhedra import (SupportError, added_vertices, convenience_report,
                         newton_polyhedron)
@@ -61,18 +61,29 @@ def _on_segment(p, a, b):
 
 
 def edges_at_vertex(np_, alpha):
-    """Compact boundary edges through a vertex, in deterministic order."""
+    """Compact boundary edges through a vertex, in deterministic order.
+
+    The meet of the facets through two vertices a and b is the least face
+    containing both; it is a compact edge exactly when its vertices are a
+    and b and it has no recession axis.  The meets are taken on the
+    polyhedron's facet bitmasks, so no face lattice is walked.
+    """
     alpha = tuple(Fraction(x) for x in alpha)
     if alpha not in np_.vertices:
         raise SupportError(f"{alpha} is not a vertex of the Newton boundary")
+    pts = np_.support.points
+    ints = np_._ints
+    a = 1 << pts.index(alpha)
+    through = [g for g in ints.facets if g & a]
     out = []
-    for face in np_.faces:
-        if face.dim != 1 or not face.compact:
-            continue
-        if alpha not in face.points:
-            continue
-        ends = tuple(sorted(p for p in face.points if p in np_.vertices))
-        out.append(BoundaryEdge(ends, face.points))
+    for j in _members(ints.vmask & ~a):
+        meet = -1
+        for g in through:
+            if g >> j & 1:
+                meet &= g
+        if meet & ints.vmask == a | 1 << j and not meet >> len(pts):
+            out.append(BoundaryEdge(tuple(sorted((alpha, pts[j]))),
+                                    tuple(pts[i] for i in _members(meet))))
     return sorted(out, key=lambda e: e.endpoints)
 
 

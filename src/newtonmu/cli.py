@@ -26,7 +26,7 @@ from .families import family
 from .fans import is_regular_cone, newton_fan, regularize_fan, simplicialize
 from .geometry import GeometryError, InternalConsistencyError
 from .groebner import DEFAULT_BUDGET, BudgetExceeded
-from .milnor import milnor_number, nondegeneracy_check
+from .milnor import milnor_number, nondegeneracy_check, render_face
 from .newton_number import newton_number_series, volume_vector
 from .polyhedra import (SupportError, added_vertices, convenience_report,
                         lower_region, newton_polyhedron, support_set)
@@ -458,7 +458,7 @@ def _cmd_nondeg(args):
               "status": fc.status, "detail": fc.detail}
              for fc in rep.faces]
     results = {"verdict": rep.verdict, "faces": faces}
-    warnings = [f"face {list(fc.points)} unchecked: {fc.detail}"
+    warnings = [f"face {render_face(fc.points)} unchecked: {fc.detail}"
                 for fc in rep.faces if fc.status == "unchecked"]
     arguments = {"file": args.file, "budget": args.budget}
     return _report("nondeg", arguments, [digest], results, warnings)

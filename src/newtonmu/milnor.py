@@ -68,6 +68,14 @@ class FaceVerdict:
     detail: str
 
 
+def render_face(points):
+    """A face's points as warning text, each rational written as str
+    writes it ('15', '3/2'), as the reports write rationals:
+    [(0, 0, 15), (0, 7, 1)]."""
+    return "[" + ", ".join("(" + ", ".join(map(str, p)) + ")"
+                           for p in points) + "]"
+
+
 @dataclass(frozen=True)
 class NondegeneracyReport:
     verdict: str  # nondegenerate | degenerate | unknown

@@ -18,13 +18,15 @@ to a total T_k, and V_k is the one Fraction T_k / (D^k k!).
 newton_number_set fuses the two stages: the pulling triangulation of the
 compact facets comes back as tuples of support-point indices, and _volumes
 sums it over the polyhedron's own integer points, so no Fraction point is
-built, hashed or scaled again.  difference_region builds no hull: its
-pieces are one polytope_from_constraints call each, triangulated by
-triangulate_polytope, and a compact facet that no point of the bigger
-support lies below is skipped by an integer sign test, since its piece is
-flat.  union_volume_vector hulls no section either: each intersection of
-its inclusion-exclusion is triangulated once by the pulling rule, which
-restricts to every face, and _volumes sums the sections off it.  Only
+built, hashed or scaled again.  difference_region builds no hull and no
+Polytope: each piece is one double description (geometry._extreme_rays) of
+its homogenized rows, whose rays with t > 0 are the piece's vertices and
+whose zero sets give its facets, triangulated by geometry._pulling; a
+compact facet that no point of the bigger support lies below is skipped by
+an integer sign test, since its piece is flat.  union_volume_vector hulls
+no section either: each intersection of its inclusion-exclusion is
+triangulated once by the pulling rule, which restricts to every face, and
+_volumes sums the sections off it.  Only
 projection_formula_check still calls convex_hull, on each simplex's
 shadow, because a projection is not a face.
 
@@ -40,9 +42,9 @@ from fractions import Fraction
 from math import factorial
 
 from .geometry import (ONE, ZERO, GeometryError, _extreme_rays, _idot,
-                       _index_simplices, _int_det, _scaled, convex_hull, frac,
-                       intersect_polytopes, polytope_from_constraints,
-                       simplex_volume, triangulate_polytope)
+                       _index_simplices, _int_det, _pulling, _scaled,
+                       convex_hull, frac, intersect_polytopes,
+                       simplex_volume)
 from .polyhedra import (CompactRegion, SupportError, _lower_simplices,
                         check_nested, newton_polyhedron, support_set)
 
@@ -237,14 +239,17 @@ def difference_region(s, s_prime):
     A facet with <w, p> >= c for every point p of s_prime is skipped: w is
     nonnegative, so hull(s_prime) lies in <w, x> >= c and the piece is
     flat.  That is one integer sign test per point, on the bigger
-    polyhedron's scaled points.
+    polyhedron's scaled points.  Every other piece is one double
+    description of its homogenized rows (_piece_simplices).
     """
     check_nested(s, s_prime)
     n = s.dim
     np_small = newton_polyhedron(s)
     np_big = newton_polyhedron(s_prime)
-    big_ineqs = [(nrm, off) for nrm, off, _, _ in np_big.facets]
     big = np_big._ints
+    # <w, x> >= p/q on (x, t) is the integer row (q w, -p)
+    big_rows = [tuple(off.denominator * x for x in nrm) + (-off.numerator,)
+                for nrm, off, _, _ in np_big.facets]
     covered = s.axes_with_point()
     missing = [i + 1 for i in range(n) if i not in covered]
     if missing:
@@ -257,12 +262,37 @@ def difference_region(s, s_prime):
                for p in big.ipts):
             continue
         normals, _, _ = _extreme_rays((), active, n)
-        piece = polytope_from_constraints(
-            (), [(r, 0) for r in normals]
-            + [(tuple(-x for x in nrm), -off)] + big_ineqs, n)
-        if piece is not None and piece.dim == n:
-            simplices.extend(triangulate_polytope(piece))
+        rows = ([(0,) * n + (1,)] + [r + (0,) for r in normals]
+                + [tuple(-off.denominator * x for x in nrm)
+                   + (off.numerator,)] + big_rows)
+        rays, _, zeros = _extreme_rays((), rows, n + 1)
+        simplices.extend(_piece_simplices(rays, zeros))
     return CompactRegion(n, tuple(sorted(set(simplices))))
+
+
+def _piece_simplices(rays, zeros):
+    """The pulling triangulation of a bounded piece, as increasing tuples
+    of its vertices, from the extreme rays of its homogenized cone
+    {(x, t) : t >= 0, <a, x> >= b t} and their zero sets over the rows.
+
+    The vertices are x / t over the rays with t > 0, in lexicographic
+    order.  The piece is flat, and gives no simplex, when some row is tight
+    on every vertex; otherwise it is full-dimensional and its facets are the
+    inclusion-maximal proper sets of vertices on which one row is tight.
+    """
+    verts = sorted((tuple(Fraction(x, r[-1]) for x in r[:-1]), z)
+                   for r, z in zip(rays, zeros) if r[-1] > 0)
+    tight = -1
+    for _, z in verts:
+        tight &= z
+    if tight:
+        return []
+    sets = {sum(1 << i for i, (_, z) in enumerate(verts) if z >> b & 1)
+            for b in range(max(z for _, z in verts).bit_length())} - {0}
+    facets = [f for f in sets if not any(f & g == f != g for g in sets)]
+    whole = (1 << len(verts)) - 1
+    return [tuple(verts[i][0] for i in simplex)
+            for simplex in _pulling(whole, whole, facets, {})]
 
 
 # --- unions of polytopes ----------------------------------------------------

@@ -4,22 +4,29 @@ A support set is a finite set of points with nonnegative rational
 coordinates, none of them the origin.  Its Newton polyhedron is the convex
 hull of the union of translated orthants point + R^n_{>=0}: an unbounded
 polyhedron whose recession cone is the whole orthant.  We store an exact
-facet description, the full face lattice, the vertex set, and the compact
-faces (the Newton boundary).
+facet description and the vertex set; the face lattice (including the
+compact faces, the Newton boundary) is walked on first access.
 
-newton_polyhedron scales the support to integer points by the lcm of its
-denominators and reads the facets off the extreme rays of the dual cone
-(geometry._dual_facets).  The face lattice is walked down level by level
-from the facets by geometry._face_lattice, which the fans' cones share:
-each face is one bitmask of the support points on it and its recession
-axes, and each face's facets are its maximal proper meets with its
-siblings.  Face lattices are graded, so a face's dimension is its level:
-no rank is computed and no rational arithmetic runs; offsets and points
-come back as Fractions.  The scaled points and the masks of the facets,
-compact facets and vertices stay on the polyhedron (_IntegerView) for
-check_nested, lower_region and the Newton-number stage.  The polyhedron
-is memoized on its SupportSet, so it is freed with the support; nothing is
-memoized at module level.
+support_set keeps all-int input as the support's scaled points, and
+newton_polyhedron scales other supports to integer points by the lcm of
+their denominators.  Since the polyhedron is conv(S) + R^n_{>=0}, only the
+componentwise-minimal points can be vertices: the facets are read off the
+extreme rays of the dual cone of those points alone
+(geometry._dual_facets), and each dominated point is put back into the
+facets it lies on by one integer dot product.  Each facet is one bitmask
+of the support points on it and its recession axes (its seed), and a point
+is a vertex exactly when the meet of the seeds through it is that point
+alone, so no face lattice is needed for the vertices.  NewtonPolyhedron.faces
+is a cached property: on first access geometry._face_lattice, which the
+fans' cones share, walks the lattice down level by level from the seeds,
+each face's facets being its maximal proper meets with its siblings.  Face
+lattices are graded, so a face's dimension is its level: no rank is
+computed and no rational arithmetic runs; offsets and points come back as
+Fractions.  The scaled points and the masks of the facets, compact facets
+and vertices stay on the polyhedron (_IntegerView) for check_nested,
+lower_region, apex.edges_at_vertex and the Newton-number stage.  The
+polyhedron is memoized on its SupportSet, so it is freed with the support;
+nothing is memoized at module level.
 
 The region under the boundary (the orthant minus the polyhedron, closed) is
 star-shaped from the origin, so it decomposes into cones over the compact
@@ -84,11 +91,19 @@ class SupportSet:
     def axes_with_point(self):
         """Axes i such that some support point is a positive multiple of e_i."""
         out = set()
-        for p in self.points:
-            nz = [i for i, x in enumerate(p) if x != 0]
+        for p in self._scaled_points[0]:
+            nz = [i for i, x in enumerate(p) if x]
             if len(nz) == 1:
                 out.add(nz[0])
         return frozenset(out)
+
+    @cached_property
+    def _scaled_points(self):
+        """The points times the lcm of their denominators, as a tuple of
+        integer tuples, and that lcm (support_set sets it directly for
+        integer input)."""
+        ipts, den = _scaled(self.points)
+        return tuple(ipts), den
 
     @cached_property
     def _newton_polyhedron(self):
@@ -97,43 +112,70 @@ class SupportSet:
         do not see it."""
         n = self.dim
         pts = self.points
-        ipts, den = _scaled(pts)
+        ipts, den = self._scaled_points
         m = len(pts)
+        # a point above another one is no vertex; pts is sorted, so such a
+        # point comes after a minimal one below it
+        minimal = []
+        for i, p in enumerate(ipts):
+            if not any(all(x <= y for x, y in zip(ipts[j], p))
+                       for j in minimal):
+                minimal.append(i)
 
-        recession = {}  # one frozenset per set of axes, shared by the faces
-        facets, masks, seeds, compact = [], [], [], []
+        recession = {}  # one frozenset per set of axes, shared by the facets
+        facets, seeds, compact = [], [], []
         axes = [_unit(n, i) for i in range(n)]
-        for w, c, on in _dual_facets(ipts, directions=axes):
+        for w, c, on in _dual_facets([ipts[i] for i in minimal],
+                                     directions=axes):
+            if len(minimal) < m:    # put the dominated points back
+                on = sum(1 << i for i, p in enumerate(ipts)
+                         if _idot(w, p) == c)
             rec = tuple(i for i in range(n) if w[i] == 0)
             facets.append((w, Fraction(c, den),
                            tuple(pts[i] for i in _members(on)),
                            recession.setdefault(rec, frozenset(rec))))
-            masks.append(on)
             seeds.append(on | sum(1 << m + i for i in rec))
             if not rec:
                 compact.append(on)
-        facets = tuple(facets)
 
-        levels = _face_lattice(m, seeds)
-        vmask = sum(levels[-1])     # a vertex is one point and no axis
-        # pts is sorted, so index tuples sort like the point tuples they name
-        lattice = sorted((d, tuple(_members(f & (1 << m) - 1)),
-                          tuple(_members(f >> m)))
-                         for d, level in enumerate(reversed(levels))
-                         for f in level)
-        faces = tuple(Face(tuple(pts[i] for i in on),
-                           recession.setdefault(rec, frozenset(rec)), d,
-                           not rec)
-                      for d, on, rec in lattice)
-        vertices = tuple(pts[i] for i in _members(vmask))
+        # a point is a vertex when the meet of the facets through it is
+        # that point alone
+        vmask = 0
+        for i in minimal:
+            meet = -1
+            for g in seeds:
+                if g >> i & 1:
+                    meet &= g
+            if meet == 1 << i:
+                vmask |= meet
 
-        np_ = NewtonPolyhedron(n, self, facets, vertices, faces)
+        np_ = NewtonPolyhedron(n, self, tuple(facets),
+                               tuple(pts[i] for i in _members(vmask)))
         object.__setattr__(np_, "_ints", _IntegerView(
-            tuple(ipts), den, tuple(masks), tuple(compact), vmask))
+            ipts, den, tuple(seeds), tuple(compact), vmask))
         return np_
 
 
 def support_set(dim, points):
+    """The SupportSet of the given points: deduplicated, checked and sorted.
+
+    Points whose coordinates are all Python ints are deduplicated, checked
+    and sorted as integer tuples, which sort like the Fraction tuples they
+    become, and kept as the support's scaled points (denominator 1) for the
+    polyhedron build.  Other input, and integer input that fails a check,
+    goes through Fractions, which also words the error.
+    """
+    points = list(points)
+    if points and all(type(x) is int for p in points for x in p):
+        ipts = sorted(set(map(tuple, points)))
+        if dim <= DIMENSION_CAP and all(
+                len(p) == dim and any(p) and all(x >= 0 for x in p)
+                for p in ipts):
+            value = {x: Fraction(x) for p in ipts for x in p}
+            s = SupportSet(dim, tuple(tuple(value[x] for x in p)
+                                      for p in ipts))
+            object.__setattr__(s, "_scaled_points", (tuple(ipts), 1))
+            return s
     pts = sorted({vec(p) for p in points})
     if not pts:
         raise SupportError("support set is empty")
@@ -168,14 +210,32 @@ class NewtonPolyhedron:
              (normal, offset); <normal, x> >= offset, normal a primitive
              nonnegative integer vector
     vertices sorted tuple of the 0-dimensional faces (always support points)
-    faces    all proper nonempty faces, including the facets and vertices
+    faces    all proper nonempty faces, including the facets and vertices,
+             sorted by (dim, points, recession); a cached property, walked
+             on first access and no dataclass field
+
+    Equality and hashing see dim, support, facets and vertices, which the
+    support determines.
     """
 
     dim: int
     support: SupportSet
     facets: tuple
     vertices: tuple
-    faces: tuple
+
+    @cached_property
+    def faces(self):
+        pts = self.support.points
+        m = len(pts)
+        # pts is sorted, so index tuples sort like the point tuples they name
+        lattice = sorted((d, tuple(_members(f & (1 << m) - 1)),
+                          tuple(_members(f >> m)))
+                         for d, level in enumerate(reversed(
+                             _face_lattice(m, self._ints.facets)))
+                         for f in level)
+        return tuple(Face(tuple(pts[i] for i in on), frozenset(rec), d,
+                          not rec)
+                     for d, on, rec in lattice)
 
     def contains(self, point):
         (ipoint,), den = _scaled([vec(point)])
@@ -204,8 +264,9 @@ class NewtonPolyhedron:
 class _IntegerView(NamedTuple):
     """A Newton polyhedron as newton_polyhedron computed it: the support
     points scaled to integers, ipts = points * den, and bitmasks over
-    their indices, for the facets (in the order of NewtonPolyhedron.facets),
-    the compact facets and the vertices."""
+    their indices, for the facets (in the order of NewtonPolyhedron.facets,
+    with bit m + i set for each recession axis e_i of the facet, m the
+    number of points), the compact facets and the vertices."""
 
     ipts: tuple
     den: int
@@ -222,16 +283,21 @@ def newton_polyhedron(support):
 
     The valid inequalities <w, x> >= c of the polyhedron form the cone
     {(w, c) : <w, p> >= c for every support point p, w >= 0}, the second
-    condition because the recession cone is the whole orthant.  The
-    polyhedron is pointed and full-dimensional, so this cone is pointed and
-    its extreme rays are the facets, the rays with w != 0, and the trivial
-    inequality 0 >= -1 (geometry._dual_facets, with the unit vectors as
-    directions).  The H-description is the facet list alone.  The points
-    are scaled to integers by the lcm of their denominators first, so
-    facets and faces come out of integer arithmetic only.  The scaled
-    points and the bitmasks stay on the polyhedron as its private
-    _IntegerView, which is no dataclass field, so equality, hashing and
-    astuple do not see it.
+    condition because the recession cone is the whole orthant.  As w >= 0,
+    a point above another one adds no condition, so p runs over the
+    componentwise-minimal points only.  The polyhedron is pointed and
+    full-dimensional, so this cone is pointed and its extreme rays are the
+    facets, the rays with w != 0, and the trivial inequality 0 >= -1
+    (geometry._dual_facets, with the unit vectors as directions).  The
+    H-description is the facet list alone; the dominated points join the
+    facets' active points by one integer dot product each, and the
+    vertices are the points that are the meet of the facets through them.
+    The points are scaled to integers by the lcm of their denominators
+    first, so facets, vertices and faces come out of integer arithmetic
+    only.  The scaled points and the bitmasks stay on the polyhedron as its
+    private _IntegerView, which is no dataclass field, so equality, hashing
+    and astuple do not see it; nor do they see faces, which is walked from
+    the bitmasks on first access.
 
     The polyhedron is memoized on its SupportSet instance (a cached
     property, no dataclass field), so repeated calls with one support

@@ -22,7 +22,7 @@ from .apex import mu_constant_test
 from .fans import (LatticeCone, newton_fan, simplicialize, regularize_fan,
                    is_regular_cone, is_admissible, support_function)
 from .groebner import DEFAULT_BUDGET, BudgetExceeded, ideal_contains_one
-from .milnor import nondegeneracy_check
+from .milnor import nondegeneracy_check, render_face
 
 SMOOTH_MONOMIAL_CAP = 30
 SMOOTH_VARIABLE_CAP = 4
@@ -283,18 +283,22 @@ def simultaneous_resolution(fam, skip_smoothness=False, budget=DEFAULT_BUDGET,
             f"family is not mu-constant; added vertices without a good "
             f"apex: {rendered}")
 
-    nondegeneracy_report = nondegeneracy_check(base)
+    nondegeneracy_report = nondegeneracy_check(base, budget)
     waived = {tuple(sorted(map(tuple, f))) for f in waive_degenerate_faces}
     for fv in nondegeneracy_report.faces:
         if fv.status == "degenerate":
             if tuple(sorted(fv.points)) in waived:
-                warnings.append(f"degenerate face {fv.points} waived")
+                warnings.append(
+                    f"degenerate face {render_face(fv.points)} waived")
             else:
                 raise GeometryError(
-                    f"base polynomial is degenerate on face {fv.points}; "
+                    "base polynomial is degenerate on face "
+                    f"{render_face(fv.points)}; "
                     "waive it explicitly to proceed")
         elif fv.status == "unchecked":
-            warnings.append(f"nondegeneracy unchecked on face {fv.points}")
+            warnings.append(
+                "nondegeneracy unchecked on face "
+                f"{render_face(fv.points)}")
 
     verd = added_vertices(s_base, s_gen)
     certs_by_vertex = {c.alpha: c for c in mu_res.certificates}

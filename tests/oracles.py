@@ -31,12 +31,19 @@ canonical cone read off the hull of the generators' cross-section
 bounding-box scan of the fundamental box with one rational solve per
 lattice point, and the Newton fan read off sliced dual cones.
 
+edges_at_vertex_lattice is the library's former apex.edges_at_vertex,
+which read the compact edges at a vertex off the whole face lattice; the
+library now reads them off meets of the facet bitmasks.
+
 The Newton-number oracles at the end are the library's former Fraction
 stage: the pulling triangulation with one convex_hull per face of its
 recursion (triangulate_polytope_hulls, which the chart-volume subdivision
 test above uses too), one convex_hull and triangulation per compact facet
 (lower_region_hulls), the difference region hulled per compact facet and
-again per piece (difference_region_hulls), one Fraction simplex volume
+again per piece (difference_region_hulls), the difference region with one
+polytope_from_constraints and triangulate_polytope call per piece
+(difference_region_constraints, the library's routine before each piece
+became one double description), one Fraction simplex volume
 per section face (volume_vector_fractions), and the union volume vector
 with one convex_hull and polytope_volume per coordinate section of each
 intersection and V_0 by membership of the origin
@@ -51,12 +58,15 @@ import itertools
 from fractions import Fraction as F
 from math import factorial
 
+from newtonmu.apex import BoundaryEdge
 from newtonmu.fans import Fan, LatticeCone, cone_from_rays
 from newtonmu.geometry import (ONE, ZERO, GeometryError, Polytope,
-                               convex_hull, determinant, dot, frac,
-                               intersect_polytopes, polytope_from_constraints,
-                               polytope_volume, primitive_vector,
-                               sign_canonical, simplex_volume, vec, vsub)
+                               _extreme_rays, convex_hull, determinant, dot,
+                               frac, intersect_polytopes,
+                               polytope_from_constraints, polytope_volume,
+                               primitive_vector, sign_canonical,
+                               simplex_volume, triangulate_polytope, vec,
+                               vsub)
 from newtonmu.newton_number import NewtonVolumeVector
 from newtonmu.polyhedra import (CompactRegion, Face, NewtonPolyhedron,
                                 SupportError, check_nested,
@@ -386,7 +396,10 @@ def newton_polyhedron_scan(support):
 
     faces = _face_lattice(n, facets)
     vertices = tuple(sorted(f.points[0] for f in faces if f.dim == 0))
-    return NewtonPolyhedron(n, support, facets, vertices, faces)
+    np_ = NewtonPolyhedron(n, support, facets, vertices)
+    # faces is a cached property: set its value, no lattice walk runs
+    object.__setattr__(np_, "faces", faces)
+    return np_
 
 
 def polytope_from_constraints_scan(equalities, inequalities, ambient_dim):
@@ -412,6 +425,23 @@ def polytope_from_constraints_scan(equalities, inequalities, ambient_dim):
     if not candidates:
         return None
     return convex_hull_scan(candidates)
+
+
+def edges_at_vertex_lattice(np_, alpha):
+    """Compact boundary edges through a vertex, read off the face lattice:
+    the compact 1-faces among np_.faces that contain alpha."""
+    alpha = vec(alpha)
+    if alpha not in np_.vertices:
+        raise SupportError(f"{alpha} is not a vertex of the Newton boundary")
+    out = []
+    for face in np_.faces:
+        if face.dim != 1 or not face.compact:
+            continue
+        if alpha not in face.points:
+            continue
+        ends = tuple(sorted(p for p in face.points if p in np_.vertices))
+        out.append(BoundaryEdge(ends, face.points))
+    return sorted(out, key=lambda e: e.endpoints)
 
 
 # --- fans --------------------------------------------------------------------
@@ -715,6 +745,36 @@ def difference_region_hulls(s, s_prime):
             continue
         for t in triangulate_polytope_hulls(piece):
             simplices.append(tuple(sorted(t)))
+    return CompactRegion(n, tuple(sorted(set(simplices))))
+
+
+def difference_region_constraints(s, s_prime):
+    """The region between the two Newton boundaries, one
+    polytope_from_constraints and triangulate_polytope call per compact
+    facet of hull(s) that some point of s_prime lies below: the cone over
+    the facet (the rays of its dual cone), cut by <w, x> <= c and by the
+    facets of the bigger polyhedron, kept when full-dimensional."""
+    check_nested(s, s_prime)
+    n = s.dim
+    np_small = newton_polyhedron(s)
+    np_big = newton_polyhedron(s_prime)
+    big_ineqs = [(nrm, off) for nrm, off, _, _ in np_big.facets]
+    covered = s.axes_with_point()
+    missing = [i + 1 for i in range(n) if i not in covered]
+    if missing:
+        raise SupportError(
+            f"difference region is unbounded: no support point on axis "
+            f"{missing[0]} of the smaller set")
+    simplices = []
+    for nrm, off, active in np_small.compact_facets():
+        if all(dot(nrm, p) >= off for p in s_prime.points):
+            continue
+        normals, _, _ = _extreme_rays((), active, n)
+        piece = polytope_from_constraints(
+            (), [(r, 0) for r in normals]
+            + [(tuple(-x for x in nrm), -off)] + big_ineqs, n)
+        if piece is not None and piece.dim == n:
+            simplices.extend(triangulate_polytope(piece))
     return CompactRegion(n, tuple(sorted(set(simplices))))
 
 

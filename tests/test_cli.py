@@ -497,3 +497,28 @@ def test_reports_are_byte_identical(tmp_path, capsys, monkeypatch, argv,
     code, out, _ = run(capsys, argv)
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def test_budget_warnings_write_rationals_as_strings(tmp_path, capsys,
+                                                    monkeypatch):
+    """At --budget 1 the torus tests of both 2-D faces of the
+    Briancon-Speder base run out: nondeg and resolve report the faces
+    unchecked, and their warnings write the points as the report writes
+    rationals, with no Fraction repr on stdout or stderr."""
+    for name, doc in GOLDEN_DOCUMENTS.items():
+        with open(tmp_path / name, "w") as fh:
+            json.dump(doc, fh)
+    monkeypatch.chdir(tmp_path)
+    faces = ["[(0, 0, 15), (0, 7, 1), (5, 0, 0)]",
+             "[(0, 7, 1), (0, 8, 0), (5, 0, 0)]"]
+    for argv, key, want in (
+            (["nondeg", "poly.json"], "verdict",
+             [f"face {f} unchecked: budget exceeded" for f in faces]),
+            (["resolve", "fam.json"], "nondegeneracy",
+             [f"nondegeneracy unchecked on face {f}" for f in faces])):
+        code, out, err = run(capsys, argv + ["--budget", "1"])
+        assert code == 0
+        assert "Fraction(" not in out and "Fraction(" not in err
+        doc = json.loads(out)
+        assert doc["results"][key] == "unknown"
+        assert doc["warnings"][:2] == want

@@ -13,7 +13,7 @@ from hypothesis import given, settings, strategies as st
 from newtonmu.geometry import (GeometryError, _extreme_rays, convex_hull,
                                polytope_from_constraints,
                                triangulate_polytope)
-from newtonmu.newton_number import volume_vector
+from newtonmu.newton_number import difference_region, volume_vector
 from newtonmu.polyhedra import (check_nested, lower_region, newton_polyhedron,
                                 support_set)
 from oracles import (_face_lattice, convex_hull_scan, newton_polyhedron_scan,
@@ -67,16 +67,24 @@ def flats(draw, entry=rational, small=st.integers(-3, 3)):
                   for k, b in enumerate(base)) for cs in coeffs]
 
 
+def _matches_scan(s):
+    """The polyhedron equals the scan's, and so do its faces, which are a
+    cached property that astuple does not see."""
+    np_, scan = newton_polyhedron(s), newton_polyhedron_scan(s)
+    assert typed(np_) == typed(scan)
+    assert typed(np_.faces) == typed(scan.faces)
+
+
 @given(supports())
 @PROPERTY
 def test_newton_polyhedron_matches_scan(s):
-    assert typed(newton_polyhedron(s)) == typed(newton_polyhedron_scan(s))
+    _matches_scan(s)
 
 
 @given(st.one_of(supports(dims=(5,)), supports(dims=(5,), convenient=True)))
 @settings(PROPERTY, max_examples=30)
 def test_newton_polyhedron_matches_scan_n5(s):
-    assert typed(newton_polyhedron(s)) == typed(newton_polyhedron_scan(s))
+    _matches_scan(s)
 
 
 @st.composite
@@ -128,9 +136,10 @@ FRACTION_OPERATORS = ("__add__", "__radd__", "__sub__", "__rsub__",
 
 
 def test_no_fraction_arithmetic_in_the_kernel(monkeypatch):
-    """convex_hull, newton_polyhedron, lower_region, volume_vector and
-    check_nested run on integers only: on rational inputs, built fresh,
-    no Fraction operator is called."""
+    """convex_hull, newton_polyhedron (also on a support with dominated
+    points), lower_region, volume_vector, check_nested and
+    difference_region run on integers only: on rational inputs, built
+    fresh, no Fraction operator is called."""
     calls = []
     for name in FRACTION_OPERATORS:
         def counted(*args, _op=getattr(F, name), _name=name):
@@ -142,14 +151,19 @@ def test_no_fraction_arithmetic_in_the_kernel(monkeypatch):
     flat = [(F(1, 2), F(1, 2), 0), (0, 1, F(1, 3)), (1, 0, 2),
             (F(1, 3), F(2, 3), F(5, 6)), (F(1, 6), F(5, 6), 1)]
     s = support_set(3, pts)
+    # (2, 1, 1/2) lies above (2, 1, 0) and (1, 3/2, 1) above (5/6, 1/3, 1)
+    dominated = support_set(3, pts + [(2, 1, F(1, 2)), (1, F(3, 2), 1)])
     convenient = s.augment([(F(5, 2), 0, 0), (0, F(4, 3), 0)])
     convex_hull(pts)
     convex_hull(flat)
     newton_polyhedron(s)
+    newton_polyhedron(dominated)
     region = lower_region(convenient)
     volume_vector(region)
-    check_nested(convenient, convenient.augment([(F(1, 3), F(1, 2), 1)]))
-    assert region.simplices and calls == []
+    below = convenient.augment([(F(1, 3), F(1, 2), 1)])
+    check_nested(convenient, below)
+    difference = difference_region(convenient, below)
+    assert region.simplices and difference.simplices and calls == []
     assert F(1, 2) + F(1, 3) == F(5, 6) and calls == ["__add__"]
 
 

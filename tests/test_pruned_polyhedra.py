@@ -1,0 +1,135 @@
+"""Pruned, lazily-faced Newton polyhedra and one-call difference pieces.
+
+newton_polyhedron runs the double description on the componentwise-minimal
+support points only, reads the vertices off the facet masks and walks the
+face lattice only when faces is first read.  edges_at_vertex reads the
+edges at a vertex off meets of the facet masks, and difference_region
+reads each piece off one double description of its homogenized rows.  The
+former routines, kept in oracles.py, walk the face lattice
+(edges_at_vertex_lattice) and call polytope_from_constraints and
+triangulate_polytope (difference_region_constraints).
+"""
+
+from dataclasses import fields
+from fractions import Fraction as F
+
+from hypothesis import given, settings, strategies as st
+
+from newtonmu import geometry
+from newtonmu.apex import edges_at_vertex, mu_constant_test
+from newtonmu.geometry import _extreme_rays, vec
+from newtonmu.newton_number import _piece_simplices, difference_region
+from newtonmu.polyhedra import NewtonPolyhedron, newton_polyhedron, support_set
+from corpus import bs_base_support, bs_deformed_support
+from oracles import difference_region_constraints, edges_at_vertex_lattice
+from test_conversion import rational, typed
+
+PROPERTY = settings(derandomize=True, deadline=None, max_examples=80)
+
+
+@st.composite
+def crowded_points(draw):
+    """(n, points) for n = 2..4: a convenient point list, all ints half
+    the time, with one to three points given twice and one to three
+    points above another point of the list."""
+    n = draw(st.sampled_from((2, 3, 4)))
+    coord = draw(st.sampled_from((rational, st.integers(0, 6))))
+    pts = draw(st.lists(st.tuples(*[coord] * n).filter(any), min_size=1,
+                        max_size=7 - n))
+    pts += [tuple(draw(st.integers(1, 6)) if j == i else 0 for j in range(n))
+            for i in range(n)]
+    for _ in range(draw(st.integers(1, 3))):
+        p = draw(st.sampled_from(pts))
+        i = draw(st.integers(0, n - 1))
+        pts += [p, p[:i] + (p[i] + draw(st.integers(1, 3)),) + p[i + 1:]]
+    return n, pts
+
+
+@st.composite
+def nested_pairs(draw):
+    """A crowded convenient support and the support with up to two more
+    points, half of them shrunk toward the origin, so that most pairs add
+    vertices below the boundary."""
+    n, pts = draw(crowded_points())
+    s = support_set(n, pts)
+    extra = []
+    for _ in range(draw(st.integers(1, 2))):
+        p = draw(st.tuples(*[rational] * n).filter(any))
+        shrink = draw(st.sampled_from((F(1), F(1, 2), F(1, 3))))
+        extra.append(tuple(x * shrink for x in p))
+    return s, s.augment(extra)
+
+
+@given(crowded_points())
+@PROPERTY
+def test_integer_input_matches_fraction_input(case):
+    """All-int input is deduplicated, checked and sorted as ints: the same
+    support, with Fraction points, and the same scaled points as input
+    given as Fractions."""
+    n, pts = case
+    s = support_set(n, pts)
+    t = support_set(n, [vec(p) for p in pts])
+    assert typed(s) == typed(t)
+    assert s._scaled_points == t._scaled_points
+
+
+@given(nested_pairs())
+@PROPERTY
+def test_edges_at_vertex_match_lattice(pair):
+    for s in pair:
+        np_ = newton_polyhedron(s)
+        for v in np_.vertices:
+            assert typed(edges_at_vertex(np_, v)) == typed(
+                edges_at_vertex_lattice(np_, v))
+
+
+@given(nested_pairs())
+@PROPERTY
+def test_difference_region_matches_constraints(pair):
+    s, sp = pair
+    assert typed(difference_region(s, sp)) == typed(
+        difference_region_constraints(s, sp))
+
+
+def test_flat_piece_gives_no_simplex():
+    """A piece read off its homogenized rows: the corner simplex
+    x, y, z >= 0, x + y + z <= 1 is one simplex, and the triangle left when
+    z <= 0 is added is flat, with z >= 0 tight on every vertex."""
+    rows = [(0, 0, 0, 1), (1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0),
+            (-1, -1, -1, 1)]
+    rays, _, zeros = _extreme_rays((), rows, 4)
+    assert _piece_simplices(rays, zeros) == [
+        ((0, 0, 0), (0, 0, 1), (0, 1, 0), (1, 0, 0))]
+    rays, _, zeros = _extreme_rays((), rows + [(0, 0, -1, 0)], 4)
+    assert len(rays) == 3 and _piece_simplices(rays, zeros) == []
+
+
+def test_mu_sweep_path_walks_no_face_lattice(monkeypatch):
+    """The apex test with its Newton-number cross-check and the difference
+    region, on the Briancon-Speder pair whose added vertex (1, 6, 0) lies
+    off the positive orthant, read no faces of either polyhedron and
+    build no Polytope."""
+    def refuse(*args):
+        raise AssertionError("a Polytope routine was called")
+
+    for name in ("polytope_from_constraints", "triangulate_polytope"):
+        monkeypatch.setattr(geometry, name, refuse)
+    s, sp = bs_base_support(), bs_deformed_support()
+    res = mu_constant_test(s, sp)
+    assert res.verdict and res.certificates[0].alpha == (1, 6, 0)
+    assert difference_region(s, sp).simplices
+    for np_ in (newton_polyhedron(s), newton_polyhedron(sp)):
+        assert "faces" not in np_.__dict__
+
+
+def test_faces_are_no_field():
+    """Equality and hashing see dim, support, facets and vertices, which
+    the support determines, whether or not faces was walked."""
+    assert [f.name for f in fields(NewtonPolyhedron)] == [
+        "dim", "support", "facets", "vertices"]
+    a, b = newton_polyhedron(bs_base_support()), \
+        newton_polyhedron(bs_base_support())
+    assert a is not b and len(a.faces) == 17
+    assert "faces" in a.__dict__ and "faces" not in b.__dict__
+    assert a == b and hash(a) == hash(b)
+    assert a.faces == b.faces
