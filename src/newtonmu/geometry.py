@@ -1,4 +1,4 @@
-"""Exact rational convex geometry: hulls, triangulations, volumes.
+"""Exact rational convex geometry: hulls, bounded pieces, triangulations.
 
 Results are fractions.Fraction or int; there is no floating point and no
 epsilon anywhere.  A Polytope carries a vertex description, an irredundant
@@ -14,22 +14,24 @@ rows as equalities only, the cone _extreme_rays returns is their null
 space, all lineality, so null spaces are read off it too.  convex_hull reads
 the affine hull off the null space of the point differences and the facets
 off the rays of a dual cone; polyhedra.newton_polyhedron does the same for
-Newton polyhedra; polytope_from_constraints reads vertices off the rays of
-the homogenized cone and facets off their zero sets, with no hull.
+Newton polyhedra.  _bounded_piece is the one reader of a bounded polytope
+given by constraints: one _extreme_rays call on its homogenized rows, whose
+rays with t > 0 are the vertices and whose zero sets give the relative
+facets as vertex masks, with no hull and no normal solved for.
 _int_det is the one determinant routine, Bareiss (1968) elimination on an
 integer matrix; determinant scales rational rows to it, and
 newton_number.volume_vector and the fan kernels call it on integer
 matrices directly.  _pulling is the one pulling triangulation, over
-bitmasks of points, so no face is hulled either; it triangulates
-polytopes, the compact facets of Newton polyhedra and the fans' cones
+bitmasks of points, so no face is hulled either; it triangulates the
+bounded pieces, the compact facets of Newton polyhedra and the fans' cones
 (over ray masks).  _maximal_meets is the one step that finds a face's
 facets from bitmasks; _pulling and _face_lattice both use it.
 _face_lattice is the one face-lattice walk, level by level down from the
 facets: polyhedra runs it on Newton polyhedra and fans on cones.
 
-Nothing is memoized at module level: convex_hull and triangulate_polytope
-compute their results on every call, and the one memo of the package, the
-Newton polyhedron of a support, lives on its polyhedra.SupportSet.
+Nothing is memoized at module level: convex_hull computes its result on
+every call, and the one memo of the package, the Newton polyhedron of a
+support, lives on its polyhedra.SupportSet.
 
 Determinism: vertices are kept in lexicographic order, facets are sorted by
 (normal, offset), and the pulling triangulation always cones from the
@@ -74,10 +76,6 @@ def vec(xs):
 def _unit(n, i):
     """The unit vector e_i of Z^n, an integer tuple."""
     return tuple(int(j == i) for j in range(n))
-
-
-def vsub(a, b):
-    return tuple(x - y for x, y in zip(a, b))
 
 
 def dot(a, b):
@@ -196,8 +194,7 @@ def _extreme_rays(equalities, inequalities, dim):
     on, so every vector stays zero past its own column; the free columns
     are those of the rational reduced row echelon form, and the basis is
     that form's null space basis scaled to primitive integers.
-    Polytope.equalities and the facet normals of polytope_from_constraints
-    are read off it.
+    Polytope.equalities are read off it.
 
     The cone starts as the whole space, all lineality.  A row that is
     nonzero on the lineality space splits one lineality vector off: an
@@ -338,12 +335,6 @@ class Polytope:
                 return False
         return True
 
-    def coordinate_support(self):
-        """Indices of coordinates that vary over the polytope."""
-        lo = self.vertices[0]
-        return tuple(i for i in range(self.ambient_dim)
-                     if any(v[i] != lo[i] for v in self.vertices))
-
 
 def _members(mask):
     return [i for i in range(mask.bit_length()) if mask >> i & 1]
@@ -378,10 +369,6 @@ def _polytope(pts, ipts, den, normals, found):
                     equalities)
 
 
-def _differences(ipts):
-    return [tuple(x - y for x, y in zip(p, ipts[0])) for p in ipts[1:]]
-
-
 _hull_cache = {}  # unused; the benchmark's cache reset still names it
 
 
@@ -407,9 +394,46 @@ def convex_hull(points):
         raise DimensionCapExceeded(
             f"ambient dimension {n} exceeds cap {DIMENSION_CAP}")
     ipts, den = _scaled(pts)
-    _, normals, _ = _extreme_rays(_differences(ipts), (), n)
+    diffs = [tuple(x - y for x, y in zip(p, ipts[0])) for p in ipts[1:]]
+    _, normals, _ = _extreme_rays(diffs, (), n)
     found = _dual_facets(ipts, equalities=normals) if len(normals) < n else ()
     return _polytope(pts, ipts, den, normals, found)
+
+
+def _bounded_piece(equalities, inequalities, dim):
+    """The bounded polytope {x in Q^dim : <a, x> = b on the equality rows,
+    <a, x> >= b on the inequality rows}, each row given homogenized as
+    (a, -b); None when it is empty.
+
+    One _extreme_rays call on the cone {(x, t) : <a, x> = b t,
+    <a, x> >= b t, t >= 0}: the vertices are x / t over its rays with
+    t > 0, and when no ray has t > 0 the system is infeasible.  A feasible
+    system whose cone has a ray with t = 0 or a lineality space is
+    unbounded and raises GeometryError.  Returns (vertices, facets, flat):
+    the vertices in lexicographic order; the relative facets as sorted
+    bitmasks over them, which are the inclusion-maximal proper sets of
+    vertices on which one row is tight (a facet is the face cut out by any
+    row tight on it but not on the whole polytope); and flat, true when
+    some inequality is tight on every vertex.  When no inequality is
+    tight on the whole flat of the equalities, flat means the polytope is
+    lower-dimensional inside that flat.
+    """
+    rays, lineality, zeros = _extreme_rays(
+        equalities, [(0,) * dim + (1,)] + list(inequalities), dim + 1)
+    verts = sorted((tuple(Fraction(x, r[-1]) for x in r[:-1]), z)
+                   for r, z in zip(rays, zeros) if r[-1] > 0)
+    if not verts:
+        return None
+    if lineality or len(verts) < len(rays):
+        raise GeometryError("constraint system is unbounded")
+    whole = (1 << len(verts)) - 1
+    sets = {sum(1 << i for i, (_, z) in enumerate(verts) if z >> b & 1)
+            for b in range(len(inequalities) + 1)}
+    flat = whole in sets
+    sets -= {0, whole}
+    facets = sorted(m for m in sets
+                    if not any(m & o == m != o for o in sets))
+    return tuple(v for v, _ in verts), facets, flat
 
 
 def _maximal_meets(face, masks, keep=-1):
@@ -463,7 +487,13 @@ def _pulling(face, vmask, facet_masks, memo):
     Masks are over the polytope's points.  The face's facets are its
     _maximal_meets with facet_masks; its least vertex (lowest bit of
     face & vmask) is coned over the simplices of those that miss it, and a
-    lone vertex is its own simplex."""
+    lone vertex is its own simplex.
+
+    The rule depends only on the vertex set of each face, so a face shared
+    by two polytopes is triangulated the same way in both, and polytopes
+    glued along whole common faces triangulate into a simplicial complex.
+    newton_number.difference_region relies on this across its pieces, and
+    union_volume_vector on the triangulation restricting to every face."""
     if face not in memo:
         verts = face & vmask
         apex = verts & -verts
@@ -478,29 +508,7 @@ def _pulling(face, vmask, facet_masks, memo):
     return memo[face]
 
 
-def _index_simplices(poly):
-    """The pulling triangulation of a Polytope as tuples of vertex
-    indices (_pulling over its vertex and facet masks)."""
-    whole = (1 << len(poly.vertices)) - 1
-    facets = [sum(1 << i for i in fv) for fv in poly.facet_vertices]
-    return _pulling(whole, whole, facets, {})
-
-
 _tri_cache = {}  # unused; the benchmark's cache reset still names it
-
-
-def triangulate_polytope(poly):
-    """Pulling triangulation coned from the lex-smallest vertex (_pulling).
-
-    The rule depends only on the vertex set of each face, so shared faces of
-    different polytopes are always triangulated identically; a collection of
-    polytopes glued along whole common faces therefore triangulates into a
-    simplicial complex.  Returns the sorted tuple of simplices, each an
-    increasing tuple of vertices.
-    """
-    verts = poly.vertices
-    return tuple(tuple(verts[i] for i in s)
-                 for s in sorted(_index_simplices(poly)))
 
 
 def simplex_volume(verts, coords=None):
@@ -516,75 +524,3 @@ def simplex_volume(verts, coords=None):
         raise GeometryError("simplex dimension does not match coordinate count")
     rows = [[verts[i][c] - verts[0][c] for c in coords] for i in range(1, k + 1)]
     return abs(determinant(rows)) / factorial(k)
-
-
-def polytope_volume(poly):
-    """Exact intrinsic-dimensional volume.
-
-    Full-dimensional polytopes always work; lower-dimensional ones must have
-    their affine hull parallel to a coordinate subspace (the only case where
-    the volume is rational), which covers every use in Newton-number work.
-    Points have 0-dimensional volume 1 by the counting convention.
-    """
-    if poly.dim == 0:
-        return ONE
-    support = poly.coordinate_support()
-    if len(support) != poly.dim:
-        raise GeometryError(
-            "volume of a lower-dimensional polytope not aligned with a "
-            "coordinate subspace is irrational in general")
-    total = ZERO
-    for s in triangulate_polytope(poly):
-        total += simplex_volume(s, support)
-    return total
-
-
-def polytope_from_constraints(equalities, inequalities, ambient_dim):
-    """Vertex enumeration for a *bounded* constraint system.
-
-    equalities:   iterable of (normal, offset) with <n,x> == c
-    inequalities: iterable of (normal, offset) with <n,x> >= c
-    Returns a Polytope, or None when the system is infeasible.
-
-    The vertices are x/t over the extreme rays (x, t) with t > 0 of the
-    homogenized cone {(x, t) : <n,x> = c t, <n,x> >= c t, t >= 0}; when no
-    ray has t > 0 the system is infeasible.  A feasible system whose cone
-    has a ray with t = 0 or a lineality space is unbounded and raises
-    GeometryError.  The facets are the inclusion-maximal proper zero sets
-    of the rows; a facet's normal is the null space vector of the equality
-    normals and its vertex differences, nonnegative on the other vertices.
-    """
-    eqs = [tuple(nrm) + (-frac(off),) for nrm, off in equalities]
-    ineqs = [(0,) * ambient_dim + (1,)]
-    ineqs += [tuple(nrm) + (-frac(off),) for nrm, off in inequalities]
-    rays, lineality, zeros = _extreme_rays(eqs, ineqs, ambient_dim + 1)
-    verts = sorted((tuple(Fraction(x, r[-1]) for x in r[:-1]), z)
-                   for r, z in zip(rays, zeros) if r[-1] > 0)
-    if not verts:
-        return None
-    if lineality or len(verts) < len(rays):
-        raise GeometryError("constraint system is unbounded")
-    pts = tuple(v for v, _ in verts)
-    ipts, den = _scaled(pts)
-    _, normals, _ = _extreme_rays(_differences(ipts), (), ambient_dim)
-    sets = {sum(1 << i for i, (_, z) in enumerate(verts) if z >> b & 1)
-            for b in range(len(ineqs))} - {0, (1 << len(pts)) - 1}
-    found = []
-    for m in sets:
-        if any(m & o == m != o for o in sets):
-            continue
-        on = [ipts[i] for i in _members(m)]
-        _, (w,), _ = _extreme_rays(normals + _differences(on), (),
-                                   ambient_dim)
-        c = _idot(w, on[0])
-        if any(_idot(w, p) < c for p in ipts):
-            w, c = tuple(-x for x in w), -c
-        found.append((w, c, m))
-    return _polytope(pts, ipts, den, normals, sorted(found))
-
-
-def intersect_polytopes(a, b):
-    """Intersection of two bounded polytopes; None when empty."""
-    eqs = list(a.equalities) + list(b.equalities)
-    ineqs = list(a.facets) + list(b.facets)
-    return polytope_from_constraints(eqs, ineqs, a.ambient_dim)

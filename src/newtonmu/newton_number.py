@@ -18,17 +18,16 @@ to a total T_k, and V_k is the one Fraction T_k / (D^k k!).
 newton_number_set fuses the two stages: the pulling triangulation of the
 compact facets comes back as tuples of support-point indices, and _volumes
 sums it over the polyhedron's own integer points, so no Fraction point is
-built, hashed or scaled again.  difference_region builds no hull and no
-Polytope: each piece is one double description (geometry._extreme_rays) of
-its homogenized rows, whose rays with t > 0 are the piece's vertices and
-whose zero sets give its facets, triangulated by geometry._pulling; a
-compact facet that no point of the bigger support lies below is skipped by
-an integer sign test, since its piece is flat.  union_volume_vector hulls
-no section either: each intersection of its inclusion-exclusion is
-triangulated once by the pulling rule, which restricts to every face, and
-_volumes sums the sections off it.  Only
-projection_formula_check still calls convex_hull, on each simplex's
-shadow, because a projection is not a face.
+built, hashed or scaled again.  difference_region and union_volume_vector
+build no hull: each difference piece, and each intersection of the union's
+inclusion-exclusion, is read off its homogenized rows by
+geometry._bounded_piece (one double description) and triangulated by
+geometry._pulling over the vertex masks it returns.  A compact facet that
+no point of the bigger support lies below is skipped by an integer sign
+test, since its piece is flat.  The pulling rule restricts to every face,
+so _volumes sums an intersection's sections off its one triangulation.
+projection_formula_check calls convex_hull, on each simplex's shadow,
+because a projection is not a face.
 
 Axis sets in the public interface are 1-based, matching the customary
 notation I, J subsets of {1,...,n}; internals are 0-based.
@@ -41,10 +40,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial
 
-from .geometry import (ONE, ZERO, GeometryError, _extreme_rays, _idot,
-                       _index_simplices, _int_det, _pulling, _scaled,
-                       convex_hull, frac, intersect_polytopes,
-                       simplex_volume)
+from .geometry import (ONE, ZERO, GeometryError, _bounded_piece,
+                       _extreme_rays, _idot, _int_det, _pulling, _scaled,
+                       convex_hull, frac, simplex_volume)
 from .polyhedra import (CompactRegion, SupportError, _lower_simplices,
                         check_nested, newton_polyhedron, support_set)
 
@@ -239,8 +237,9 @@ def difference_region(s, s_prime):
     A facet with <w, p> >= c for every point p of s_prime is skipped: w is
     nonnegative, so hull(s_prime) lies in <w, x> >= c and the piece is
     flat.  That is one integer sign test per point, on the bigger
-    polyhedron's scaled points.  Every other piece is one double
-    description of its homogenized rows (_piece_simplices).
+    polyhedron's scaled points.  Every other piece is read off its
+    homogenized rows by _bounded_piece and, unless flat, triangulated by
+    _pulling.
     """
     check_nested(s, s_prime)
     n = s.dim
@@ -262,37 +261,15 @@ def difference_region(s, s_prime):
                for p in big.ipts):
             continue
         normals, _, _ = _extreme_rays((), active, n)
-        rows = ([(0,) * n + (1,)] + [r + (0,) for r in normals]
+        rows = ([r + (0,) for r in normals]
                 + [tuple(-off.denominator * x for x in nrm)
                    + (off.numerator,)] + big_rows)
-        rays, _, zeros = _extreme_rays((), rows, n + 1)
-        simplices.extend(_piece_simplices(rays, zeros))
+        verts, facets, flat = _bounded_piece((), rows, n)
+        if not flat:
+            whole = (1 << len(verts)) - 1
+            simplices.extend(tuple(verts[i] for i in simplex) for simplex
+                             in _pulling(whole, whole, facets, {}))
     return CompactRegion(n, tuple(sorted(set(simplices))))
-
-
-def _piece_simplices(rays, zeros):
-    """The pulling triangulation of a bounded piece, as increasing tuples
-    of its vertices, from the extreme rays of its homogenized cone
-    {(x, t) : t >= 0, <a, x> >= b t} and their zero sets over the rows.
-
-    The vertices are x / t over the rays with t > 0, in lexicographic
-    order.  The piece is flat, and gives no simplex, when some row is tight
-    on every vertex; otherwise it is full-dimensional and its facets are the
-    inclusion-maximal proper sets of vertices on which one row is tight.
-    """
-    verts = sorted((tuple(Fraction(x, r[-1]) for x in r[:-1]), z)
-                   for r, z in zip(rays, zeros) if r[-1] > 0)
-    tight = -1
-    for _, z in verts:
-        tight &= z
-    if tight:
-        return []
-    sets = {sum(1 << i for i, (_, z) in enumerate(verts) if z >> b & 1)
-            for b in range(max(z for _, z in verts).bit_length())} - {0}
-    facets = [f for f in sets if not any(f & g == f != g for g in sets)]
-    whole = (1 << len(verts)) - 1
-    return [tuple(verts[i][0] for i in simplex)
-            for simplex in _pulling(whole, whole, facets, {})]
 
 
 # --- unions of polytopes ----------------------------------------------------
@@ -302,31 +279,37 @@ def union_volume_vector(polytopes, ambient_dim):
 
     Overlaps are allowed; V_k is computed by inclusion-exclusion over the
     intersection lattice.  Exponential in the number of pieces, fine at the
-    intended scale.  Each intersection's sections are faces, and the
-    pulling triangulation restricts to every face, so _volumes sums them
-    over one pulling triangulation of the intersection; V_0
-    counts the intersections with the origin as a vertex.
+    intended scale.  Each polytope becomes its homogenized equality and
+    facet rows once, an intersection is the rows of its parent and of the
+    polytope it adds, and _bounded_piece reads its vertices and facets off
+    them.  Each intersection's sections are faces, and the pulling
+    triangulation restricts to every face, so _volumes sums them over one
+    pulling triangulation of the intersection; V_0 counts the
+    intersections with the origin as a vertex.
     """
     n = ambient_dim
-    polys = list(polytopes)
+    rows = [([tuple(e) + (-c,) for e, c in p.equalities],
+             [tuple(w) + (-c,) for w, c in p.facets]) for p in polytopes]
     values = [ZERO] * (n + 1)
     inters = {}
-    for size in range(1, len(polys) + 1):
-        for idx in itertools.combinations(range(len(polys)), size):
-            if size == 1:
-                current = polys[idx[0]]
-            else:
+    for size in range(1, len(rows) + 1):
+        for idx in itertools.combinations(range(len(rows)), size):
+            eqs, ineqs = rows[idx[-1]]
+            if size > 1:
                 parent = inters.get(idx[:-1])
                 if parent is None:
                     continue
-                current = intersect_polytopes(parent, polys[idx[-1]])
-            inters[idx] = current
-            if current is None:
+                eqs, ineqs = parent[0] + eqs, parent[1] + ineqs
+            piece = _bounded_piece(eqs, ineqs, n)
+            if piece is None:
                 continue
+            inters[idx] = eqs, ineqs
+            verts, facets, _ = piece
+            whole = (1 << len(verts)) - 1
+            ipts, den = _scaled(verts)
             sign = 1 if size % 2 == 1 else -1
-            ipts, den = _scaled(current.vertices)
-            for k, v in enumerate(_volumes(n, ipts, den,
-                                           _index_simplices(current))):
+            for k, v in enumerate(_volumes(n, ipts, den, _pulling(
+                    whole, whole, facets, {}))):
                 values[k] += sign * v
     return NewtonVolumeVector(tuple(values))
 

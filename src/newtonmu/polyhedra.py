@@ -30,12 +30,11 @@ nothing is memoized at module level.
 
 The region under the boundary (the orthant minus the polyhedron, closed) is
 star-shaped from the origin, so it decomposes into cones over the compact
-facets.  lower_region triangulates those with geometry._pulling, the
-pulling rule of geometry.triangulate_polytope, over the bitmasks of
-support points: each face is pulled from its least vertex (the lowest set
-bit of its vertex mask) and its facets are its maximal proper meets with
-the facets' masks, so no hull is computed and the pieces form a simplicial
-complex.  Containment (NewtonPolyhedron.contains and check_nested) is one
+facets.  lower_region triangulates those with geometry._pulling over the
+bitmasks of support points: each face is pulled from its least vertex (the
+lowest set bit of its vertex mask) and its facets are its maximal proper
+meets with the facets' masks, so no hull is computed and the pieces form a
+simplicial complex.  Containment (NewtonPolyhedron.contains and check_nested) is one
 integer sign test per facet on the point scaled to integers.
 """
 

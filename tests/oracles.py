@@ -3,7 +3,7 @@
 nu_2d_staircase is written from scratch against the definitions, without
 calling into the package, so an agreement is meaningful.
 
-The Fraction linear algebra below (rref, mat_rank, nullspace,
+The Fraction linear algebra below (vsub, rref, mat_rank, nullspace,
 solve_linear, solve_unique), the affine-chart helpers (_affine_basis,
 _coords_in_basis, _lift_normal) and the face lattice over tuples of
 Fraction points (_face_lattice), with Fraction rank dimensions, are the
@@ -35,22 +35,29 @@ edges_at_vertex_lattice is the library's former apex.edges_at_vertex,
 which read the compact edges at a vertex off the whole face lattice; the
 library now reads them off meets of the facet bitmasks.
 
+polytope_from_constraints reads a bounded system through the library's
+geometry._bounded_piece and hulls the vertices with convex_hull; the fan
+and Newton-number oracles below use it for their intersections and
+pieces.  It is not independent of _bounded_piece, which the scan above
+checks directly (tests/test_conversion.py); the scan itself is too slow
+for every oracle call.
+
 The Newton-number oracles at the end are the library's former Fraction
 stage: the pulling triangulation with one convex_hull per face of its
 recursion (triangulate_polytope_hulls, which the chart-volume subdivision
 test above uses too), one convex_hull and triangulation per compact facet
 (lower_region_hulls), the difference region hulled per compact facet and
 again per piece (difference_region_hulls), the difference region with one
-polytope_from_constraints and triangulate_polytope call per piece
+polytope_from_constraints and triangulate_polytope_hulls call per piece
 (difference_region_constraints, the library's routine before each piece
-became one double description), one Fraction simplex volume
-per section face (volume_vector_fractions), and the union volume vector
-with one convex_hull and polytope_volume per coordinate section of each
-intersection and V_0 by membership of the origin
-(union_volume_vector_hulls); apart from polytope_volume, none of them
-shares code with the library's bitmask pulling routine.  The pyramid formula (nu_pyramid)
-shares no triangulation code with any of them: it measures each coordinate
-section of the region under the Newton boundary as a sum of cones over its
+was triangulated off its vertex masks), one Fraction simplex volume per
+section face (volume_vector_fractions), and the union volume vector with
+one convex_hull and triangulate_polytope_hulls per coordinate section of
+each intersection and V_0 by membership of the origin
+(union_volume_vector_hulls); none of them shares code with the library's
+bitmask pulling routine.  The pyramid formula (nu_pyramid) shares no
+triangulation code with any of them: it measures each coordinate section
+of the region under the Newton boundary as a sum of cones over its
 compact facets, on the scans above.
 """
 
@@ -61,12 +68,9 @@ from math import factorial
 from newtonmu.apex import BoundaryEdge
 from newtonmu.fans import Fan, LatticeCone, cone_from_rays
 from newtonmu.geometry import (ONE, ZERO, GeometryError, Polytope,
-                               _extreme_rays, convex_hull, determinant, dot,
-                               frac, intersect_polytopes,
-                               polytope_from_constraints, polytope_volume,
-                               primitive_vector, sign_canonical,
-                               simplex_volume, triangulate_polytope, vec,
-                               vsub)
+                               _bounded_piece, _extreme_rays, convex_hull,
+                               determinant, dot, frac, primitive_vector,
+                               sign_canonical, simplex_volume, vec)
 from newtonmu.newton_number import NewtonVolumeVector
 from newtonmu.polyhedra import (CompactRegion, Face, NewtonPolyhedron,
                                 SupportError, check_nested,
@@ -74,6 +78,10 @@ from newtonmu.polyhedra import (CompactRegion, Face, NewtonPolyhedron,
 
 
 # --- Fraction linear algebra ------------------------------------------------
+
+def vsub(a, b):
+    return tuple(x - y for x, y in zip(a, b))
+
 
 def rref(rows):
     """Reduced row echelon form.  Returns (nonzero rows, pivot columns)."""
@@ -427,6 +435,17 @@ def polytope_from_constraints_scan(equalities, inequalities, ambient_dim):
     return convex_hull_scan(candidates)
 
 
+def polytope_from_constraints(equalities, inequalities, ambient_dim):
+    """The Polytope of a bounded system of (normal, offset) rows, meaning
+    <n, x> = c and <n, x> >= c; None if infeasible.  The vertices come
+    from the library's _bounded_piece, the rest from convex_hull."""
+    piece = _bounded_piece(
+        [tuple(nrm) + (-frac(off),) for nrm, off in equalities],
+        [tuple(nrm) + (-frac(off),) for nrm, off in inequalities],
+        ambient_dim)
+    return None if piece is None else convex_hull(piece[0])
+
+
 def edges_at_vertex_lattice(np_, alpha):
     """Compact boundary edges through a vertex, read off the face lattice:
     the compact 1-faces among np_.faces that contain alpha."""
@@ -523,7 +542,9 @@ def cone_contains(cone, point):
 def intersect_cones_section(a, b):
     if not a.rays or not b.rays:
         return LatticeCone(a.ambient_dim, ())
-    meet = intersect_polytopes(cross_section(a), cross_section(b))
+    x, y = cross_section(a), cross_section(b)
+    meet = polytope_from_constraints(x.equalities + y.equalities,
+                                     x.facets + y.facets, a.ambient_dim)
     if meet is None:
         return LatticeCone(a.ambient_dim, ())
     return LatticeCone(a.ambient_dim,
@@ -750,10 +771,11 @@ def difference_region_hulls(s, s_prime):
 
 def difference_region_constraints(s, s_prime):
     """The region between the two Newton boundaries, one
-    polytope_from_constraints and triangulate_polytope call per compact
-    facet of hull(s) that some point of s_prime lies below: the cone over
-    the facet (the rays of its dual cone), cut by <w, x> <= c and by the
-    facets of the bigger polyhedron, kept when full-dimensional."""
+    polytope_from_constraints and triangulate_polytope_hulls call per
+    compact facet of hull(s) that some point of s_prime lies below: the
+    cone over the facet (the rays of its dual cone), cut by <w, x> <= c
+    and by the facets of the bigger polyhedron, kept when
+    full-dimensional."""
     check_nested(s, s_prime)
     n = s.dim
     np_small = newton_polyhedron(s)
@@ -774,7 +796,8 @@ def difference_region_constraints(s, s_prime):
             (), [(r, 0) for r in normals]
             + [(tuple(-x for x in nrm), -off)] + big_ineqs, n)
         if piece is not None and piece.dim == n:
-            simplices.extend(triangulate_polytope(piece))
+            simplices.extend(tuple(sorted(t))
+                             for t in triangulate_polytope_hulls(piece))
     return CompactRegion(n, tuple(sorted(set(simplices))))
 
 
@@ -807,8 +830,9 @@ def volume_vector_fractions(region):
 
 def union_volume_vector_hulls(polytopes, ambient_dim):
     """Volume vector of a union of orthant polytopes by inclusion-exclusion,
-    one convex_hull and polytope_volume per coordinate section of each
-    intersection, and V_0 by membership of the origin."""
+    one convex_hull per coordinate section of each intersection, measured
+    as Fraction simplex volumes over triangulate_polytope_hulls, and V_0 by
+    membership of the origin."""
     n = ambient_dim
     polys = list(polytopes)
     values = [ZERO] * (n + 1)
@@ -825,7 +849,10 @@ def union_volume_vector_hulls(polytopes, ambient_dim):
                 parent = inters.get(idx[:-1])
                 if parent is None:
                     continue
-                current = intersect_polytopes(parent, polys[idx[-1]])
+                other = polys[idx[-1]]
+                current = polytope_from_constraints(
+                    parent.equalities + other.equalities,
+                    parent.facets + other.facets, n)
             inters[idx] = current
             if current is None:
                 continue
@@ -840,7 +867,9 @@ def union_volume_vector_hulls(polytopes, ambient_dim):
                     section = convex_hull(verts)
                     if section.dim != k:
                         continue
-                    values[k] += sign * polytope_volume(section)
+                    values[k] += sign * sum(
+                        simplex_volume(t, axes)
+                        for t in triangulate_polytope_hulls(section))
     return NewtonVolumeVector(tuple(values))
 
 

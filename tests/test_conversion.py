@@ -2,6 +2,9 @@
 
 Each property compares a whole result, with the type of every number in
 it, so a canonical form that differs only by int versus Fraction fails too.
+The bounded-piece reader returns vertices and vertex masks, not a
+Polytope; those are compared with the scan's vertices and facet vertex
+sets, and its flat flag with the scan's dimension.
 """
 
 import dataclasses
@@ -10,14 +13,13 @@ from fractions import Fraction as F
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from newtonmu.geometry import (GeometryError, _extreme_rays, convex_hull,
-                               polytope_from_constraints,
-                               triangulate_polytope)
+from newtonmu.geometry import (GeometryError, _bounded_piece, _extreme_rays,
+                               _pulling, convex_hull)
 from newtonmu.newton_number import difference_region, volume_vector
 from newtonmu.polyhedra import (check_nested, lower_region, newton_polyhedron,
                                 support_set)
-from oracles import (_face_lattice, convex_hull_scan, newton_polyhedron_scan,
-                     polytope_from_constraints_scan,
+from oracles import (_face_lattice, convex_hull_scan, mat_rank,
+                     newton_polyhedron_scan, polytope_from_constraints_scan,
                      triangulate_polytope_hulls)
 
 PROPERTY = settings(derandomize=True, deadline=None, max_examples=80)
@@ -116,8 +118,11 @@ def test_face_lattice_matches_ranks(s):
 def test_convex_hull_matches_scan(pts):
     hull = convex_hull(pts)
     assert typed(hull) == typed(convex_hull_scan(pts))
-    assert triangulate_polytope(hull) == tuple(sorted(
-        tuple(sorted(s)) for s in triangulate_polytope_hulls(hull)))
+    whole = (1 << len(hull.vertices)) - 1
+    masks = [_mask(fv) for fv in hull.facet_vertices]
+    assert sorted(tuple(hull.vertices[i] for i in s)
+                  for s in _pulling(whole, whole, masks, {})) == sorted(
+        tuple(sorted(s)) for s in triangulate_polytope_hulls(hull))
 
 
 mixed = st.builds(F, st.integers(-6, 6), st.sampled_from([2, 3, 6]))
@@ -177,10 +182,29 @@ def test_convex_hull_degenerate_inputs_match_scan():
         assert typed(convex_hull(pts)) == typed(convex_hull_scan(pts))
 
 
+def _mask(indices):
+    return sum(1 << i for i in indices)
+
+
+def _rows(pairs):
+    """Homogenized rows (a, -b) of (normal, offset) pairs."""
+    return [tuple(nrm) + (-F(off),) for nrm, off in pairs]
+
+
 def _both(eqs, ineqs, n):
-    new = polytope_from_constraints(eqs, ineqs, n)
+    """_bounded_piece against the scan: the same vertices, the facets as
+    the scan's facet vertex sets, and flat exactly when the scan's polytope
+    is lower-dimensional in the flat of the equalities."""
+    new = _bounded_piece(_rows(eqs), _rows(ineqs), n)
     old = polytope_from_constraints_scan(eqs, ineqs, n)
-    assert typed(new) == typed(old)
+    if old is None:
+        assert new is None
+        return None
+    verts, facets, flat = new
+    assert typed(verts) == typed(old.vertices)
+    assert facets == sorted(map(_mask, old.facet_vertices))
+    rank = mat_rank([nrm for nrm, _ in eqs]) if eqs else 0
+    assert flat == (old.dim < n - rank)
     return new
 
 
@@ -226,11 +250,11 @@ def test_infeasible_systems_return_none():
 
 def test_unbounded_system_raises():
     with pytest.raises(GeometryError):
-        polytope_from_constraints([], [((1, 0), 0), ((0, 1), 0)], 2)
+        _bounded_piece([], [(1, 0, 0), (0, 1, 0)], 2)
     with pytest.raises(GeometryError):
-        polytope_from_constraints([], [((1, 0), 0), ((-1, 0), -1)], 2)
-    with pytest.raises(GeometryError):
-        polytope_from_constraints([], [((1, 0, 0), 0)], 2)
+        _bounded_piece([], [(1, 0, 0), (-1, 0, 1)], 2)
+    with pytest.raises(GeometryError):   # a row of the wrong length
+        _bounded_piece([], [(1, 0, 0, 0)], 2)
 
 
 def test_extreme_rays():

@@ -30,6 +30,7 @@ from oracles import (box_points_scan, cone_contains, cone_dim,
                      is_face_of_section, is_subdivision_chart, mat_rank,
                      union_volume_vector_hulls)
 from test_conversion import typed
+from test_pruned_polyhedra import assert_deleted
 
 PROPERTY = settings(derandomize=True, deadline=None, max_examples=80)
 
@@ -243,13 +244,14 @@ def test_regularize_brieskorn_7_11_13():
 
 
 def test_cone_kernel_builds_no_polytope(monkeypatch):
-    """With convex_hull, triangulate_polytope and determinant raising, the
-    fan pipeline of the resolution runs on the Briancon-Speder generic
+    """With convex_hull, _polytope and determinant raising, the fan
+    pipeline of the resolution runs on the Briancon-Speder generic
     support, a non-simplicial 3-D cone lists its faces and is measured
     against its simplicial subdivision, and a union of polytopes built
     beforehand gets its volume vector."""
-    names = ("convex_hull", "triangulate_polytope", "determinant")
+    names = ("convex_hull", "_polytope", "determinant")
     assert not any(hasattr(fans, name) for name in names)
+    assert_deleted()
     gens = [(1, 0, 0), (0, 1, 0), (1, 0, 1), (0, 1, 1), (1, 1, 2)]
     want_faces = cone_faces_section(cone_from_rays_section(3, gens))
     polys = [convex_hull([(0, 0, 0), (2, 0, 0), (0, 2, 0), (0, 0, 2)]),

@@ -6,11 +6,10 @@ from math import prod
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from newtonmu.geometry import (GeometryError, _extreme_rays, convex_hull,
-                               determinant, dot, intersect_polytopes,
-                               polytope_from_constraints,
-                               polytope_volume, primitive_vector,
-                               simplex_volume, triangulate_polytope)
+from newtonmu.geometry import (GeometryError, _bounded_piece, _extreme_rays,
+                               _pulling, convex_hull, determinant, dot,
+                               primitive_vector, simplex_volume)
+from newtonmu.newton_number import union_volume_vector
 from oracles import nullspace, solve_unique
 
 coord = st.integers(min_value=-6, max_value=6)
@@ -37,8 +36,9 @@ def test_hull_square():
     assert sq.dim == 2
     assert sq.vertices == ((0, 0), (0, 2), (2, 0), (2, 2))
     assert sq.contains((1, 1)) and not sq.contains((3, 0))
-    assert polytope_volume(sq) == 4
-    assert len(triangulate_polytope(sq)) == 2
+    assert union_volume_vector([sq], 2).V == (1, 4, 4)
+    masks = [sum(1 << i for i in fv) for fv in sq.facet_vertices]
+    assert len(_pulling(0b1111, 0b1111, masks, {})) == 2
 
 
 def test_hull_lower_dimensional():
@@ -46,9 +46,7 @@ def test_hull_lower_dimensional():
     assert seg.dim == 1
     assert seg.vertices == ((0, 0, 0), (2, 2, 2))
     axis_seg = convex_hull([(0, 0, 0), (3, 0, 0), (1, 0, 0)])
-    assert polytope_volume(axis_seg) == 3
-    with pytest.raises(GeometryError):
-        polytope_volume(seg)  # 1-volume of a diagonal segment is irrational
+    assert union_volume_vector([axis_seg], 3).V == (1, 3, 0, 0)
 
 
 def test_simplex_volume_subspace():
@@ -60,19 +58,20 @@ def test_simplex_volume_subspace():
 
 def test_constraints_roundtrip():
     sq = convex_hull([(0, 0), (2, 0), (0, 2), (2, 2)])
-    back = polytope_from_constraints(list(sq.equalities), list(sq.facets), 2)
-    assert back.vertices == sq.vertices
-    empty = polytope_from_constraints([], [((1, 0), 1), ((-1, 0), 0)], 2)
-    assert empty is None
+    verts, facets, flat = _bounded_piece(
+        [e + (-c,) for e, c in sq.equalities],
+        [w + (-c,) for w, c in sq.facets], 2)
+    assert verts == sq.vertices and len(facets) == 4 and not flat
+    assert _bounded_piece([], [(1, 0, -1), (-1, 0, 0)], 2) is None
 
 
 def test_intersection():
     a = convex_hull([(0, 0), (2, 0), (0, 2), (2, 2)])
     b = convex_hull([(1, 1), (3, 1), (1, 3), (3, 3)])
-    c = intersect_polytopes(a, b)
-    assert c.vertices == ((1, 1), (1, 2), (2, 1), (2, 2))
+    assert union_volume_vector([a, b], 2).V[2] == 7
     far = convex_hull([(5, 5), (6, 5), (5, 6)])
-    assert intersect_polytopes(a, far) is None
+    assert union_volume_vector([a, far], 2).V[2] == 4 + F(1, 2)
+    assert union_volume_vector([a, b, far], 2).V[2] == 7 + F(1, 2)
 
 
 @given(st.lists(st.tuples(coord, coord), min_size=1, max_size=8))

@@ -4,10 +4,10 @@ newton_polyhedron runs the double description on the componentwise-minimal
 support points only, reads the vertices off the facet masks and walks the
 face lattice only when faces is first read.  edges_at_vertex reads the
 edges at a vertex off meets of the facet masks, and difference_region
-reads each piece off one double description of its homogenized rows.  The
-former routines, kept in oracles.py, walk the face lattice
-(edges_at_vertex_lattice) and call polytope_from_constraints and
-triangulate_polytope (difference_region_constraints).
+reads each piece off one double description of its homogenized rows
+(geometry._bounded_piece).  The former routines, kept in oracles.py, walk
+the face lattice (edges_at_vertex_lattice) and hull and triangulate each
+piece (difference_region_constraints).
 """
 
 from dataclasses import fields
@@ -15,16 +15,28 @@ from fractions import Fraction as F
 
 from hypothesis import given, settings, strategies as st
 
-from newtonmu import geometry
+from newtonmu import geometry, newton_number
 from newtonmu.apex import edges_at_vertex, mu_constant_test
-from newtonmu.geometry import _extreme_rays, vec
-from newtonmu.newton_number import _piece_simplices, difference_region
+from newtonmu.geometry import _bounded_piece, _pulling, vec
+from newtonmu.newton_number import difference_region
 from newtonmu.polyhedra import NewtonPolyhedron, newton_polyhedron, support_set
 from corpus import bs_base_support, bs_deformed_support
 from oracles import difference_region_constraints, edges_at_vertex_lattice
 from test_conversion import rational, typed
 
 PROPERTY = settings(derandomize=True, deadline=None, max_examples=80)
+
+# The constraint and triangulation half of the Polytope stack, replaced by
+# geometry._bounded_piece and geometry._pulling.
+DELETED = ("polytope_from_constraints", "intersect_polytopes",
+           "triangulate_polytope", "_index_simplices", "polytope_volume",
+           "_piece_simplices")
+
+
+def assert_deleted():
+    assert not any(hasattr(mod, name) for mod in (geometry, newton_number)
+                   for name in DELETED)
+    assert not hasattr(geometry.Polytope, "coordinate_support")
 
 
 @st.composite
@@ -95,25 +107,29 @@ def test_flat_piece_gives_no_simplex():
     """A piece read off its homogenized rows: the corner simplex
     x, y, z >= 0, x + y + z <= 1 is one simplex, and the triangle left when
     z <= 0 is added is flat, with z >= 0 tight on every vertex."""
-    rows = [(0, 0, 0, 1), (1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0),
-            (-1, -1, -1, 1)]
-    rays, _, zeros = _extreme_rays((), rows, 4)
-    assert _piece_simplices(rays, zeros) == [
-        ((0, 0, 0), (0, 0, 1), (0, 1, 0), (1, 0, 0))]
-    rays, _, zeros = _extreme_rays((), rows + [(0, 0, -1, 0)], 4)
-    assert len(rays) == 3 and _piece_simplices(rays, zeros) == []
+    rows = [(1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (-1, -1, -1, 1)]
+    verts, facets, flat = _bounded_piece((), rows, 3)
+    assert verts == ((0, 0, 0), (0, 0, 1), (0, 1, 0), (1, 0, 0))
+    assert not flat and _pulling(0b1111, 0b1111, facets, {}) == (
+        (0, 1, 2, 3),)
+    verts, facets, flat = _bounded_piece((), rows + [(0, 0, -1, 0)], 3)
+    assert len(verts) == 3 and len(facets) == 3 and flat
 
 
 def test_mu_sweep_path_walks_no_face_lattice(monkeypatch):
     """The apex test with its Newton-number cross-check and the difference
     region, on the Briancon-Speder pair whose added vertex (1, 6, 0) lies
     off the positive orthant, read no faces of either polyhedron and
-    build no Polytope."""
-    def refuse(*args):
+    build no Polytope: convex_hull and _polytope, the constructors left,
+    refuse to run."""
+    def refuse(*args, **kwargs):
         raise AssertionError("a Polytope routine was called")
 
-    for name in ("polytope_from_constraints", "triangulate_polytope"):
+    assert_deleted()
+    for name in ("convex_hull", "_polytope"):
         monkeypatch.setattr(geometry, name, refuse)
+        if hasattr(newton_number, name):
+            monkeypatch.setattr(newton_number, name, refuse)
     s, sp = bs_base_support(), bs_deformed_support()
     res = mu_constant_test(s, sp)
     assert res.verdict and res.certificates[0].alpha == (1, 6, 0)

@@ -111,7 +111,8 @@ def test_difference_region_skips_flat_pieces(monkeypatch):
     def no_piece(*args):
         raise AssertionError("a piece was solved")
 
-    monkeypatch.setattr(newton_number, "_extreme_rays", no_piece)
+    for name in ("_extreme_rays", "_bounded_piece"):
+        monkeypatch.setattr(newton_number, name, no_piece)
     pairs = [
         # on the facets x + 4y = 6 and 3x + 2y = 8, and above both
         (support_set(2, [(6, 0), (2, 1), (0, 4)]),
