@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .geometry import InternalConsistencyError, _members
+from .geometry import InternalConsistencyError, _members, render_point
 from .newton_number import newton_number_set
 from .polyhedra import (SupportError, added_vertices, convenience_report,
                         newton_polyhedron)
@@ -70,18 +70,18 @@ def edges_at_vertex(np_, alpha):
     """
     alpha = tuple(Fraction(x) for x in alpha)
     if alpha not in np_.vertices:
-        raise SupportError(f"{alpha} is not a vertex of the Newton boundary")
-    pts = np_.support.points
-    ints = np_._ints
+        raise SupportError(
+            f"{render_point(alpha)} is not a vertex of the Newton boundary")
+    pts = np_.points
     a = 1 << pts.index(alpha)
-    through = [g for g in ints.facets if g & a]
+    through = [g for _, _, g in np_.ifacets if g & a]
     out = []
-    for j in _members(ints.vmask & ~a):
+    for j in _members(np_.vmask & ~a):
         meet = -1
         for g in through:
             if g >> j & 1:
                 meet &= g
-        if meet & ints.vmask == a | 1 << j and not meet >> len(pts):
+        if meet & np_.vmask == a | 1 << j and not meet >> len(pts):
             out.append(BoundaryEdge(tuple(sorted((alpha, pts[j]))),
                                     tuple(pts[i] for i in _members(meet))))
     return sorted(out, key=lambda e: e.endpoints)
@@ -250,7 +250,8 @@ def mu_constant_test(s, s_prime):
         cert = find_apex(s, s_prime, alpha)
         if cert is None:
             verdict = False
-            warnings.append(f"added vertex {alpha} admits no apex")
+            warnings.append(
+                f"added vertex {render_point(alpha)} admits no apex")
             continue
         certificates.append(cert)
         if not cert.good:

@@ -240,7 +240,3 @@ def family(n_vars, n_params, terms):
             acc[mono] = pairs
     cleaned = tuple(sorted((m, c) for m, c in acc.items() if c))
     return DeformationFamily(n_vars, n_params, cleaned)
-
-
-def family_from_spoly(p, n_params=0):
-    return family(p.n_vars, n_params, [(m, c) for m, c in p.terms])

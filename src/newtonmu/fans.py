@@ -35,8 +35,8 @@ from functools import cached_property
 from math import gcd
 
 from .geometry import (GeometryError, InternalConsistencyError, _extreme_rays,
-                       _face_lattice, _idot, _int_det, _pulling, _unit,
-                       primitive_vector, vec)
+                       _face_lattice, _idot, _int_det, _members, _pulling,
+                       _scaled, _unit, primitive_vector, render_point, vec)
 from .polyhedra import SupportError, newton_polyhedron
 
 _section_cache = {}  # unused; the benchmark's cache reset still names it
@@ -224,13 +224,17 @@ class Fan:
 
 
 def support_function(s, alpha):
-    """Minimum of the pairing with the support; finite on the orthant."""
+    """Minimum of the pairing with the support; finite on the orthant.
+    One integer dot product per point, on the scaled direction and
+    support."""
     alpha = vec(alpha)
     if len(alpha) != s.dim:
         raise SupportError("direction dimension mismatch")
     if any(x < 0 for x in alpha):
         raise SupportError("support function needs a nonnegative direction")
-    return min(sum(a * p for a, p in zip(alpha, pt)) for pt in s.points)
+    (ialpha,), aden = _scaled([alpha])
+    ipts, den = s._scaled_points
+    return Fraction(min(_idot(ialpha, p) for p in ipts), aden * den)
 
 
 def newton_fan(s):
@@ -238,20 +242,20 @@ def newton_fan(s):
     the directions minimized at that vertex.
 
     The cone at v is {y >= 0 : <u - v, y> >= 0 for every other vertex u},
-    pointed and full-dimensional; its primitive extreme rays come straight
-    from the double-description routine."""
+    the normal cone of the polyhedron at v.  The polyhedron is pointed and
+    full-dimensional, so the primitive normals of the facets through v are
+    that cone's extreme rays: they are read off the integer facets, with
+    no double description."""
     n = s.dim
     np_ = newton_polyhedron(s)
-    orthant = [_unit(n, i) for i in range(n)]
     cones = []
-    for v in np_.vertices:
-        rays, _, _ = _extreme_rays(
-            (), orthant + [tuple(a - b for a, b in zip(u, v))
-                           for u in np_.vertices if u != v], n)
+    for i in _members(np_.vmask):
+        rays = tuple(w for w, _, g in np_.ifacets if g >> i & 1)
         if len(rays) < n:
             raise InternalConsistencyError(
-                f"vertex {v} has a degenerate dual cone")
-        cones.append(LatticeCone(n, tuple(sorted(rays))))
+                f"vertex {render_point(s.points[i])} has a degenerate dual "
+                "cone")
+        cones.append(LatticeCone(n, rays))
     return Fan(n, tuple(cones))
 
 

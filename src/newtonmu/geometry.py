@@ -26,6 +26,7 @@ bitmasks of points, so no face is hulled either; it triangulates the
 bounded pieces, the compact facets of Newton polyhedra and the fans' cones
 (over ray masks).  _maximal_meets is the one step that finds a face's
 facets from bitmasks; _pulling and _face_lattice both use it.
+_vertex_mask is the one vertex rule, for hulls and Newton polyhedra.
 _face_lattice is the one face-lattice walk, level by level down from the
 facets: polyhedra runs it on Newton polyhedra and fans on cones.
 
@@ -71,6 +72,12 @@ def frac(x):
 def vec(xs):
     """Normalise a sequence of numbers to a tuple of Fractions."""
     return tuple(frac(x) for x in xs)
+
+
+def render_point(p):
+    """A point as message text, each rational written as str writes it,
+    as the reports write rationals: (0, 3/2)."""
+    return "(" + ", ".join(map(str, p)) + ")"
 
 
 def _unit(n, i):
@@ -340,26 +347,33 @@ def _members(mask):
     return [i for i in range(mask.bit_length()) if mask >> i & 1]
 
 
+def _vertex_mask(candidates, facet_masks):
+    """The bitmask of the candidate point indices i that are vertices:
+    those where the meet of the masks of the facets through i is i alone."""
+    vmask = 0
+    for i in candidates:
+        meet = -1
+        for g in facet_masks:
+            if g >> i & 1:
+                meet &= g
+        if meet == 1 << i:
+            vmask |= meet
+    return vmask
+
+
 def _polytope(pts, ipts, den, normals, found):
     """The Polytope of the sorted points pts = ipts / den, given the null
     space normals of the point differences and the facets found as sorted
-    (w, c, mask of the points on <w, x> = c) triples.  A point is a vertex
-    when no other point lies on every facet through it."""
+    (w, c, mask of the points on <w, x> = c) triples; the vertices are
+    read off the facet masks by _vertex_mask."""
     n = len(pts[0])
     if len(normals) == n:
         eqs = tuple((_unit(n, i), pts[0][i]) for i in range(n))
         return Polytope(n, 0, pts, (), (), eqs)
     equalities = tuple((e, Fraction(_idot(e, ipts[0]), den))
                        for e in sorted(map(sign_canonical, normals)))
-    vertex_idx = []
-    for i in range(len(pts)):
-        bit = 1 << i
-        meet = -1
-        for _, _, on in found:
-            if on & bit:
-                meet &= on
-        if meet == bit:
-            vertex_idx.append(i)
+    vertex_idx = _members(_vertex_mask(range(len(pts)),
+                                       [on for _, _, on in found]))
     vertices = tuple(pts[i] for i in vertex_idx)
     facets = tuple((w, Fraction(c, den)) for w, c, _ in found)
     facet_vertices = tuple(

@@ -224,15 +224,6 @@ def spoly_from_engine(n_vars, d):
     return spoly(n_vars, list(d.items()))
 
 
-def normal_form(p, basis, budget=DEFAULT_BUDGET):
-    """Remainder of p on full reduction by the given basis polynomials."""
-    dicts, n_vars = _to_dicts([p] + list(basis))
-    meter = _Meter(budget)
-    rows = [_make_row(d) for d in dicts[1:] if d]
-    remainder, _ = _reduce_full(dicts[0], rows, meter, 0)
-    return spoly_from_engine(n_vars, remainder)
-
-
 def ideal_contains_one(polys, budget=DEFAULT_BUDGET):
     basis = groebner_basis(polys, budget)
     return len(basis) == 1 and basis[0].support_points() == ((0,) * basis[0].n_vars,)

@@ -12,7 +12,8 @@ Groebner engine.
 
 from dataclasses import dataclass
 
-from .geometry import ZERO, InternalConsistencyError, GeometryError, primitive_vector
+from .geometry import (ZERO, InternalConsistencyError, GeometryError,
+                       primitive_vector, render_point)
 from .families import spoly
 from .polyhedra import SupportError, newton_polyhedron
 from .newton_number import newton_number_series
@@ -72,8 +73,7 @@ def render_face(points):
     """A face's points as warning text, each rational written as str
     writes it ('15', '3/2'), as the reports write rationals:
     [(0, 0, 15), (0, 7, 1)]."""
-    return "[" + ", ".join("(" + ", ".join(map(str, p)) + ")"
-                           for p in points) + "]"
+    return "[" + ", ".join(map(render_point, points)) + "]"
 
 
 @dataclass(frozen=True)

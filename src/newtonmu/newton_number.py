@@ -41,8 +41,8 @@ from fractions import Fraction
 from math import factorial
 
 from .geometry import (ONE, ZERO, GeometryError, _bounded_piece,
-                       _extreme_rays, _idot, _int_det, _pulling, _scaled,
-                       convex_hull, frac, simplex_volume)
+                       _extreme_rays, _idot, _int_det, _members, _pulling,
+                       _scaled, convex_hull, frac, simplex_volume)
 from .polyhedra import (CompactRegion, SupportError, _lower_simplices,
                         check_nested, newton_polyhedron, support_set)
 
@@ -136,11 +136,11 @@ def newton_number_set(support):
     of the triangulation go straight to _volumes, over the polyhedron's
     integer points and the origin, so no Fraction point is built.
     """
-    ints, simplices = _lower_simplices(support)
+    np_, simplices = _lower_simplices(support)
     n = support.dim
-    origin = len(ints.ipts)
+    origin = len(np_.ipts)
     return NewtonVolumeVector(_volumes(
-        n, ints.ipts + ((0,) * n,), ints.den,
+        n, np_.ipts + ((0,) * n,), np_.den,
         [(origin,) + s for s in simplices])).newton_number()
 
 
@@ -243,12 +243,11 @@ def difference_region(s, s_prime):
     """
     check_nested(s, s_prime)
     n = s.dim
-    np_small = newton_polyhedron(s)
-    np_big = newton_polyhedron(s_prime)
-    big = np_big._ints
-    # <w, x> >= p/q on (x, t) is the integer row (q w, -p)
-    big_rows = [tuple(off.denominator * x for x in nrm) + (-off.numerator,)
-                for nrm, off, _, _ in np_big.facets]
+    small = newton_polyhedron(s)
+    big = newton_polyhedron(s_prime)
+    # <w, x> >= c / den on (x, t) is the integer row (den w, -c)
+    big_rows = [tuple(big.den * x for x in w) + (-c,)
+                for w, c, _ in big.ifacets]
     covered = s.axes_with_point()
     missing = [i + 1 for i in range(n) if i not in covered]
     if missing:
@@ -256,14 +255,13 @@ def difference_region(s, s_prime):
             f"difference region is unbounded: no support point on axis "
             f"{missing[0]} of the smaller set")
     simplices = []
-    for nrm, off, active in np_small.compact_facets():
-        if all(_idot(nrm, p) * off.denominator >= off.numerator * big.den
-               for p in big.ipts):
+    for w, c, g in small._compact_ifacets():
+        if all(_idot(w, p) * small.den >= c * big.den for p in big.ipts):
             continue
-        normals, _, _ = _extreme_rays((), active, n)
+        normals, _, _ = _extreme_rays(
+            (), [small.ipts[i] for i in _members(g)], n)
         rows = ([r + (0,) for r in normals]
-                + [tuple(-off.denominator * x for x in nrm)
-                   + (off.numerator,)] + big_rows)
+                + [tuple(-small.den * x for x in w) + (c,)] + big_rows)
         verts, facets, flat = _bounded_piece((), rows, n)
         if not flat:
             whole = (1 << len(verts)) - 1

@@ -3,30 +3,26 @@
 A support set is a finite set of points with nonnegative rational
 coordinates, none of them the origin.  Its Newton polyhedron is the convex
 hull of the union of translated orthants point + R^n_{>=0}: an unbounded
-polyhedron whose recession cone is the whole orthant.  We store an exact
-facet description and the vertex set; the face lattice (including the
-compact faces, the Newton boundary) is walked on first access.
+polyhedron whose recession cone is the whole orthant.
 
-support_set keeps all-int input as the support's scaled points, and
-newton_polyhedron scales other supports to integer points by the lcm of
-their denominators.  Since the polyhedron is conv(S) + R^n_{>=0}, only the
-componentwise-minimal points can be vertices: the facets are read off the
-extreme rays of the dual cone of those points alone
+The polyhedron is an integer record: the support's sorted points, the
+same points scaled to integers by the lcm den of their denominators, the
+facets as triples (w, c, seed), meaning <w, x> >= c / den, and the vertex
+bitmask.  A seed is the bitmask of the points on the facet plus bit m + i
+for each recession axis e_i.  Since the polyhedron is conv(S) + R^n_{>=0},
+only the componentwise-minimal points can be vertices: the facets are read
+off the extreme rays of the dual cone of those points alone
 (geometry._dual_facets), and each dominated point is put back into the
-facets it lies on by one integer dot product.  Each facet is one bitmask
-of the support points on it and its recession axes (its seed), and a point
-is a vertex exactly when the meet of the seeds through it is that point
-alone, so no face lattice is needed for the vertices.  NewtonPolyhedron.faces
-is a cached property: on first access geometry._face_lattice, which the
-fans' cones share, walks the lattice down level by level from the seeds,
-each face's facets being its maximal proper meets with its siblings.  Face
-lattices are graded, so a face's dimension is its level: no rank is
-computed and no rational arithmetic runs; offsets and points come back as
-Fractions.  The scaled points and the masks of the facets, compact facets
-and vertices stay on the polyhedron (_IntegerView) for check_nested,
-lower_region, apex.edges_at_vertex and the Newton-number stage.  The
-polyhedron is memoized on its SupportSet, so it is freed with the support;
-nothing is memoized at module level.
+facets it lies on by one integer dot product.  A point is a vertex exactly
+when the meet of the seeds through it is that point alone
+(geometry._vertex_mask).  The Fraction facets, the vertices and the faces
+are cached properties, built on first access; faces walks
+geometry._face_lattice, which the fans' cones share, down level by level
+from the seeds.  Face lattices are graded, so a face's dimension is its
+level: no rank is computed and no rational arithmetic runs.  The
+polyhedron is memoized on its SupportSet and holds the support's points,
+not the support, so reference counting frees it with the support; nothing
+is memoized at module level.
 
 The region under the boundary (the orthant minus the polyhedron, closed) is
 star-shaped from the origin, so it decomposes into cones over the compact
@@ -43,11 +39,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import NamedTuple
 
 from .geometry import (DIMENSION_CAP, DimensionCapExceeded, ZERO,
                        _dual_facets, _face_lattice, _idot, _members,
-                       _pulling, _scaled, _unit, vec)
+                       _pulling, _scaled, _unit, _vertex_mask, frac,
+                       render_point, vec)
 
 
 class SupportError(ValueError):
@@ -84,8 +80,7 @@ class SupportSet:
         return SupportSet(self.dim, tuple(sorted(set(kept))))
 
     def augment(self, extra):
-        pts = set(self.points) | {vec(p) for p in extra}
-        return support_set(self.dim, pts)
+        return support_set(self.dim, [*self.points, *extra])
 
     def axes_with_point(self):
         """Axes i such that some support point is a positive multiple of e_i."""
@@ -99,8 +94,7 @@ class SupportSet:
     @cached_property
     def _scaled_points(self):
         """The points times the lcm of their denominators, as a tuple of
-        integer tuples, and that lcm (support_set sets it directly for
-        integer input)."""
+        integer tuples, and that lcm."""
         ipts, den = _scaled(self.points)
         return tuple(ipts), den
 
@@ -110,10 +104,9 @@ class SupportSet:
         instance; not a dataclass field, so equality, hashing and astuple
         do not see it."""
         n = self.dim
-        pts = self.points
         ipts, den = self._scaled_points
-        m = len(pts)
-        # a point above another one is no vertex; pts is sorted, so such a
+        m = len(ipts)
+        # a point above another one is no vertex; ipts is sorted, so such a
         # point comes after a minimal one below it
         minimal = []
         for i, p in enumerate(ipts):
@@ -121,73 +114,48 @@ class SupportSet:
                        for j in minimal):
                 minimal.append(i)
 
-        recession = {}  # one frozenset per set of axes, shared by the facets
-        facets, seeds, compact = [], [], []
-        axes = [_unit(n, i) for i in range(n)]
+        facets = []
         for w, c, on in _dual_facets([ipts[i] for i in minimal],
-                                     directions=axes):
+                                     directions=[_unit(n, i)
+                                                 for i in range(n)]):
             if len(minimal) < m:    # put the dominated points back
                 on = sum(1 << i for i, p in enumerate(ipts)
                          if _idot(w, p) == c)
-            rec = tuple(i for i in range(n) if w[i] == 0)
-            facets.append((w, Fraction(c, den),
-                           tuple(pts[i] for i in _members(on)),
-                           recession.setdefault(rec, frozenset(rec))))
-            seeds.append(on | sum(1 << m + i for i in rec))
-            if not rec:
-                compact.append(on)
-
-        # a point is a vertex when the meet of the facets through it is
-        # that point alone
-        vmask = 0
-        for i in minimal:
-            meet = -1
-            for g in seeds:
-                if g >> i & 1:
-                    meet &= g
-            if meet == 1 << i:
-                vmask |= meet
-
-        np_ = NewtonPolyhedron(n, self, tuple(facets),
-                               tuple(pts[i] for i in _members(vmask)))
-        object.__setattr__(np_, "_ints", _IntegerView(
-            ipts, den, tuple(seeds), tuple(compact), vmask))
-        return np_
+            facets.append((w, c, on | sum(1 << m + i for i in range(n)
+                                          if not w[i])))
+        return NewtonPolyhedron(n, self.points, ipts, den, tuple(facets),
+                                _vertex_mask(minimal,
+                                             [g for _, _, g in facets]))
 
 
 def support_set(dim, points):
     """The SupportSet of the given points: deduplicated, checked and sorted.
 
-    Points whose coordinates are all Python ints are deduplicated, checked
-    and sorted as integer tuples, which sort like the Fraction tuples they
-    become, and kept as the support's scaled points (denominator 1) for the
-    polyhedron build.  Other input, and integer input that fails a check,
-    goes through Fractions, which also words the error.
+    The points are scaled once to integer tuples over one denominator
+    (_scaled), which sort like the points they stand for; those are
+    deduplicated, checked and sorted, and each distinct coordinate value
+    becomes one Fraction.
     """
-    points = list(points)
-    if points and all(type(x) is int for p in points for x in p):
-        ipts = sorted(set(map(tuple, points)))
-        if dim <= DIMENSION_CAP and all(
-                len(p) == dim and any(p) and all(x >= 0 for x in p)
-                for p in ipts):
-            value = {x: Fraction(x) for p in ipts for x in p}
-            s = SupportSet(dim, tuple(tuple(value[x] for x in p)
-                                      for p in ipts))
-            object.__setattr__(s, "_scaled_points", (tuple(ipts), 1))
-            return s
-    pts = sorted({vec(p) for p in points})
-    if not pts:
+    ipts, den = _scaled([tuple(x if type(x) is int else frac(x) for x in p)
+                         for p in points])
+    if not ipts:
         raise SupportError("support set is empty")
     if dim > DIMENSION_CAP:
         raise DimensionCapExceeded(f"dimension {dim} exceeds cap {DIMENSION_CAP}")
-    for p in pts:
+    ipts = sorted(set(ipts))
+    value = {x: Fraction(x, den) for x in set().union(*ipts)}
+    for p in ipts:
         if len(p) != dim:
-            raise SupportError(f"point {p} does not have dimension {dim}")
-        if any(x < 0 for x in p):
-            raise SupportError(f"point {p} has a negative coordinate")
-        if all(x == 0 for x in p):
+            problem = f"does not have dimension {dim}"
+        elif any(x < 0 for x in p):
+            problem = "has a negative coordinate"
+        elif not any(p):
             raise SupportError("support set contains the origin")
-    return SupportSet(dim, tuple(pts))
+        else:
+            continue
+        raise SupportError(
+            f"point {render_point(value[x] for x in p)} {problem}")
+    return SupportSet(dim, tuple(tuple(value[x] for x in p) for p in ipts))
 
 
 @dataclass(frozen=True)
@@ -203,34 +171,52 @@ class Face:
 
 @dataclass(frozen=True)
 class NewtonPolyhedron:
-    """Unbounded hull of support points translated along the orthant.
+    """Unbounded hull of support points translated along the orthant, as
+    the integer record newton_polyhedron computes.
 
-    facets   ((normal, offset, active_points, recession), ...) sorted by
-             (normal, offset); <normal, x> >= offset, normal a primitive
-             nonnegative integer vector
+    points   the support's sorted points; ipts = points * den, integers
+    ifacets  ((w, c, seed), ...) sorted by w: <w, x> >= c / den, w
+             primitive and nonnegative, seed the bitmask of the points on
+             the facet plus bit len(points) + i per recession axis e_i
+    vmask    the bitmask of the points that are vertices
+
+    Equality and hashing see these fields, which the points determine.
+    The Fraction views are cached properties, no dataclass fields:
+    facets   ((normal, c / den, active_points, recession), ...)
     vertices sorted tuple of the 0-dimensional faces (always support points)
     faces    all proper nonempty faces, including the facets and vertices,
-             sorted by (dim, points, recession); a cached property, walked
-             on first access and no dataclass field
-
-    Equality and hashing see dim, support, facets and vertices, which the
-    support determines.
+             sorted by (dim, points, recession)
     """
 
     dim: int
-    support: SupportSet
-    facets: tuple
-    vertices: tuple
+    points: tuple
+    ipts: tuple
+    den: int
+    ifacets: tuple
+    vmask: int
+
+    @cached_property
+    def facets(self):
+        pts = self.points
+        m = len(pts)
+        return tuple((w, Fraction(c, self.den),
+                      tuple(pts[i] for i in _members(g & (1 << m) - 1)),
+                      frozenset(_members(g >> m)))
+                     for w, c, g in self.ifacets)
+
+    @cached_property
+    def vertices(self):
+        return tuple(self.points[i] for i in _members(self.vmask))
 
     @cached_property
     def faces(self):
-        pts = self.support.points
+        pts = self.points
         m = len(pts)
         # pts is sorted, so index tuples sort like the point tuples they name
         lattice = sorted((d, tuple(_members(f & (1 << m) - 1)),
                           tuple(_members(f >> m)))
-                         for d, level in enumerate(reversed(
-                             _face_lattice(m, self._ints.facets)))
+                         for d, level in enumerate(reversed(_face_lattice(
+                             m, [g for _, _, g in self.ifacets])))
                          for f in level)
         return tuple(Face(tuple(pts[i] for i in on), frozenset(rec), d,
                           not rec)
@@ -242,36 +228,24 @@ class NewtonPolyhedron:
 
     def _contains_scaled(self, ipoint, den):
         """Whether the point ipoint / den lies in the polyhedron, for an
-        integer tuple ipoint and a positive int den: an integer sign test
-        <w, ipoint> * off.den >= off.num * den per facet.  The facets
-        describe the polyhedron, which lies in the orthant, so no separate
-        sign test of the coordinates is needed."""
-        return all(_idot(w, ipoint) * off.denominator >= off.numerator * den
-                   for w, off, _, _ in self.facets)
+        integer tuple ipoint and a positive int den: the integer sign test
+        <w, ipoint> * self.den >= c * den per facet.  The facets describe
+        the polyhedron, which lies in the orthant, so no separate sign
+        test of the coordinates is needed."""
+        return all(_idot(w, ipoint) * self.den >= c * den
+                   for w, c, _ in self.ifacets)
+
+    def _compact_ifacets(self):
+        """The compact facets, those with no recession axis, as ifacets."""
+        m = len(self.points)
+        return [f for f in self.ifacets if not f[2] >> m]
 
     def compact_faces(self):
         return tuple(f for f in self.faces if f.compact)
 
     def compact_facets(self):
-        out = []
-        for nrm, off, active, rec in self.facets:
-            if not rec and all(x > 0 for x in nrm):
-                out.append((nrm, off, active))
-        return tuple(out)
-
-
-class _IntegerView(NamedTuple):
-    """A Newton polyhedron as newton_polyhedron computed it: the support
-    points scaled to integers, ipts = points * den, and bitmasks over
-    their indices, for the facets (in the order of NewtonPolyhedron.facets,
-    with bit m + i set for each recession axis e_i of the facet, m the
-    number of points), the compact facets and the vertices."""
-
-    ipts: tuple
-    den: int
-    facets: tuple
-    compact: tuple
-    vmask: int
+        return tuple((nrm, off, active)
+                     for nrm, off, active, rec in self.facets if not rec)
 
 
 _np_cache = {}  # unused; the benchmark's cache reset still names it
@@ -288,15 +262,12 @@ def newton_polyhedron(support):
     full-dimensional, so this cone is pointed and its extreme rays are the
     facets, the rays with w != 0, and the trivial inequality 0 >= -1
     (geometry._dual_facets, with the unit vectors as directions).  The
-    H-description is the facet list alone; the dominated points join the
-    facets' active points by one integer dot product each, and the
-    vertices are the points that are the meet of the facets through them.
-    The points are scaled to integers by the lcm of their denominators
-    first, so facets, vertices and faces come out of integer arithmetic
-    only.  The scaled points and the bitmasks stay on the polyhedron as its
-    private _IntegerView, which is no dataclass field, so equality, hashing
-    and astuple do not see it; nor do they see faces, which is walked from
-    the bitmasks on first access.
+    points are scaled to integers by the lcm of their denominators first,
+    so the whole build is integer arithmetic.  The H-description is the
+    facet list alone; the dominated points join the facets' seeds by one
+    integer dot product each, and the vertices are the points that are the
+    meet of the seeds through them.  The result is the integer record
+    NewtonPolyhedron; its Fraction views are built only when read.
 
     The polyhedron is memoized on its SupportSet instance (a cached
     property, no dataclass field), so repeated calls with one support
@@ -369,13 +340,13 @@ def check_nested(s, s_prime):
     if s.dim != s_prime.dim:
         raise SupportError(
             f"support sets of different dimensions {s.dim} and {s_prime.dim}")
-    np_outer = newton_polyhedron(s_prime)
-    inner = newton_polyhedron(s)._ints
+    outer = newton_polyhedron(s_prime)
+    inner = newton_polyhedron(s)
     for i in _members(inner.vmask):
-        if not np_outer._contains_scaled(inner.ipts[i], inner.den):
+        if not outer._contains_scaled(inner.ipts[i], inner.den):
             raise SupportError(
-                f"polyhedra not nested: vertex {s.points[i]} of the first "
-                "support set lies outside the second polyhedron")
+                f"polyhedra not nested: vertex {render_point(s.points[i])} "
+                "of the first support set lies outside the second polyhedron")
 
 
 def added_vertices(s, s_prime):
@@ -408,9 +379,9 @@ class CompactRegion:
 
 
 def _lower_simplices(support):
-    """The polyhedron's _IntegerView and the sorted pulling triangulation
-    of its compact facets, as increasing tuples of support-point indices:
-    with the origin added to each, the simplices of lower_region."""
+    """The Newton polyhedron and the sorted pulling triangulation of its
+    compact facets, as increasing tuples of support-point indices: with
+    the origin added to each, the simplices of lower_region."""
     n = support.dim
     covered = support.axes_with_point()
     missing = [i + 1 for i in range(n) if i not in covered]
@@ -418,11 +389,11 @@ def _lower_simplices(support):
         raise SupportError(
             "region under the Newton boundary is unbounded: no support "
             f"point on axis {missing[0]}")
-    ints = newton_polyhedron(support)._ints
+    np_ = newton_polyhedron(support)
+    seeds = [g for _, _, g in np_.ifacets]
     memo = {}
-    return ints, sorted({s for face in ints.compact
-                         for s in _pulling(face, ints.vmask, ints.facets,
-                                           memo)})
+    return np_, sorted({s for _, _, face in np_._compact_ifacets()
+                        for s in _pulling(face, np_.vmask, seeds, memo)})
 
 
 def lower_region(support):

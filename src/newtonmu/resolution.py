@@ -15,7 +15,7 @@ polynomial's nondegeneracy report is computed on every run.
 from dataclasses import dataclass
 
 from .geometry import (GeometryError, InternalConsistencyError, ZERO, _unit,
-                       dot)
+                       dot, render_point)
 from .polyhedra import SupportError, convenience_report, added_vertices
 from .families import DeformationFamily, family, spoly
 from .apex import mu_constant_test
@@ -166,7 +166,8 @@ def _certify_unit(fam, transform, alpha):
     c0 = _coefficient_at_zero(fam, alpha)
     if c0 == 0:
         raise InternalConsistencyError(
-            f"unit chart over {alpha} has vanishing constant term at s = 0")
+            f"unit chart over {render_point(alpha)} has vanishing constant "
+            "term at s = 0")
     witness = (("constant_at_zero", c0),)
     return ChartCertificate(transform.chart, alpha, "unit", witness)
 
@@ -179,9 +180,9 @@ def _certify_added(fam, transform, alpha, cert, skip_smoothness, budget,
     apex_ray = _unit(n, cert.i - 1)
     if apex_ray not in chart.generators:
         raise GeometryError(
-            f"chart over added vertex {alpha} does not contain the apex ray "
-            f"e_{cert.i}; conflicting apex axes between added vertices are "
-            "not supported")
+            f"chart over added vertex {render_point(alpha)} does not contain "
+            f"the apex ray e_{cert.i}; conflicting apex axes between added "
+            "vertices are not supported")
     apex_pos = chart.generators.index(apex_ray)
     if transform.monomial_exponents[apex_pos] != 0:
         raise InternalConsistencyError(
@@ -189,19 +190,21 @@ def _certify_added(fam, transform, alpha, cert, skip_smoothness, budget,
     c0 = _coefficient_at_zero(fam, alpha)
     if c0 != 0:
         raise InternalConsistencyError(
-            f"added vertex {alpha} has a coefficient surviving at s = 0")
+            f"added vertex {render_point(alpha)} has a coefficient surviving "
+            "at s = 0")
     beta_strict = chart.pullback_exponent(cert.beta)
     unit = _unit(n, apex_pos)
     expected = tuple(b - m for b, m in zip(beta_strict,
                                            transform.monomial_exponents))
     if expected != unit:
         raise InternalConsistencyError(
-            f"good apex {cert.beta} pulls back to {expected}, not the unit "
-            f"vector at the apex position")
+            f"good apex {render_point(cert.beta)} pulls back to "
+            f"{render_point(expected)}, not the unit vector at the apex "
+            "position")
     linear = _coefficient_at_zero(fam, cert.beta)
     if linear == 0:
         raise InternalConsistencyError(
-            f"apex term {cert.beta} vanishes at s = 0")
+            f"apex term {render_point(cert.beta)} vanishes at s = 0")
     witness = [
         ("apex_axis", cert.i),
         ("apex_position", apex_pos + 1),
@@ -276,9 +279,8 @@ def simultaneous_resolution(fam, skip_smoothness=False, budget=DEFAULT_BUDGET,
     warnings.extend(mu_res.warnings)
     if not mu_res.verdict:
         offenders = sorted(c.alpha for c in mu_res.certificates if not c.good)
-        rendered = ", ".join(
-            "(" + ", ".join(str(c) for c in a) + ")"
-            for a in (offenders or sorted(added_vertices(s_base, s_gen))))
+        rendered = ", ".join(map(
+            render_point, offenders or sorted(added_vertices(s_base, s_gen))))
         raise GeometryError(
             f"family is not mu-constant; added vertices without a good "
             f"apex: {rendered}")

@@ -7,6 +7,11 @@ from newtonmu.geometry import dot
 from newtonmu.polyhedra import newton_polyhedron, support_set
 
 
+def family_from_spoly(p, n_params=0):
+    """The family whose terms are p's, constant in the parameters."""
+    return family(p.n_vars, n_params, [(m, c) for m, c in p.terms])
+
+
 def bs_base_support():
     return support_set(3, [(5, 0, 0), (0, 7, 1), (0, 0, 15), (0, 8, 0)])
 

@@ -64,6 +64,7 @@ compact facets, on the scans above.
 import itertools
 from fractions import Fraction as F
 from math import factorial
+from typing import NamedTuple
 
 from newtonmu.apex import BoundaryEdge
 from newtonmu.fans import Fan, LatticeCone, cone_from_rays
@@ -72,9 +73,8 @@ from newtonmu.geometry import (ONE, ZERO, GeometryError, Polytope,
                                determinant, dot, frac, primitive_vector,
                                sign_canonical, simplex_volume, vec)
 from newtonmu.newton_number import NewtonVolumeVector
-from newtonmu.polyhedra import (CompactRegion, Face, NewtonPolyhedron,
-                                SupportError, check_nested,
-                                newton_polyhedron)
+from newtonmu.polyhedra import (CompactRegion, Face, SupportError,
+                                check_nested, newton_polyhedron)
 
 
 # --- Fraction linear algebra ------------------------------------------------
@@ -404,10 +404,21 @@ def newton_polyhedron_scan(support):
 
     faces = _face_lattice(n, facets)
     vertices = tuple(sorted(f.points[0] for f in faces if f.dim == 0))
-    np_ = NewtonPolyhedron(n, support, facets, vertices)
-    # faces is a cached property: set its value, no lattice walk runs
-    object.__setattr__(np_, "faces", faces)
-    return np_
+    return ScannedPolyhedron(n, facets, vertices, faces)
+
+
+class ScannedPolyhedron(NamedTuple):
+    """The scan's Newton polyhedron: the library's Fraction views of a
+    NewtonPolyhedron, as plain fields."""
+
+    dim: int
+    facets: tuple
+    vertices: tuple
+    faces: tuple
+
+    def compact_facets(self):
+        return tuple((nrm, off, active)
+                     for nrm, off, active, rec in self.facets if not rec)
 
 
 def polytope_from_constraints_scan(equalities, inequalities, ambient_dim):

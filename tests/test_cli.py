@@ -522,3 +522,34 @@ def test_budget_warnings_write_rationals_as_strings(tmp_path, capsys,
         doc = json.loads(out)
         assert doc["results"][key] == "unknown"
         assert doc["warnings"][:2] == want
+
+
+def test_messages_write_points_as_rationals(tmp_path, capsys):
+    """Warnings and errors that name a point write it as the reports write
+    rationals, with no Fraction repr on stdout or stderr: an added vertex
+    with no apex, a vertex outside the second polyhedron and a point with
+    a negative coordinate."""
+    cubic = write(tmp_path, "c.json",
+                  dict(QUAD, support=[["3", "0"], ["0", "3"]]))
+    quad = write(tmp_path, "q.json", QUAD)
+    neg = write(tmp_path, "n.json",
+                dict(QUAD, support=[["-3", "0"], ["0", "3"]]))
+    no_apex = [f"added vertex {v} admits no apex" for v in ("(0, 2)",
+                                                           "(2, 0)")]
+    outside = ("polyhedra not nested: vertex (0, 2) of the first support "
+               "set lies outside the second polyhedron")
+    negative = "point (-3, 0) has a negative coordinate"
+    for argv, want_code, warnings, message in (
+            (["mu-test", cubic, quad], 0, no_apex, None),
+            (["mu-test", quad, cubic], 3, [], outside),
+            (["nu", neg], 2, [], negative)):
+        code, out, err = run(capsys, argv)
+        assert code == want_code
+        assert "Fraction(" not in out and "Fraction(" not in err
+        doc = json.loads(out)
+        assert doc["warnings"] == warnings
+        if message is None:
+            assert err == "".join(f"warning: {w}\n" for w in warnings)
+        else:
+            assert doc["results"]["error"]["message"] == message
+            assert err == f"error: {message}\n"

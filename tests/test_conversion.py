@@ -13,6 +13,7 @@ from fractions import Fraction as F
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from newtonmu.fans import newton_fan, support_function
 from newtonmu.geometry import (GeometryError, _bounded_piece, _extreme_rays,
                                _pulling, convex_hull)
 from newtonmu.newton_number import difference_region, volume_vector
@@ -70,11 +71,11 @@ def flats(draw, entry=rational, small=st.integers(-3, 3)):
 
 
 def _matches_scan(s):
-    """The polyhedron equals the scan's, and so do its faces, which are a
-    cached property that astuple does not see."""
+    """The polyhedron's Fraction views, which are cached properties that
+    astuple does not see, equal the scan's record."""
     np_, scan = newton_polyhedron(s), newton_polyhedron_scan(s)
-    assert typed(np_) == typed(scan)
-    assert typed(np_.faces) == typed(scan.faces)
+    assert typed((np_.dim, np_.facets, np_.vertices, np_.faces)) == typed(
+        tuple(scan))
 
 
 @given(supports())
@@ -141,9 +142,10 @@ FRACTION_OPERATORS = ("__add__", "__radd__", "__sub__", "__rsub__",
 
 
 def test_no_fraction_arithmetic_in_the_kernel(monkeypatch):
-    """convex_hull, newton_polyhedron (also on a support with dominated
-    points), lower_region, volume_vector, check_nested and
-    difference_region run on integers only: on rational inputs, built
+    """support_set, convex_hull, newton_polyhedron (also on a support with
+    dominated points), lower_region, volume_vector, check_nested,
+    difference_region, NewtonPolyhedron.contains, newton_fan and
+    support_function run on integers only: on rational inputs, built
     fresh, no Fraction operator is called."""
     calls = []
     for name in FRACTION_OPERATORS:
@@ -168,6 +170,11 @@ def test_no_fraction_arithmetic_in_the_kernel(monkeypatch):
     below = convenient.augment([(F(1, 3), F(1, 2), 1)])
     check_nested(convenient, below)
     difference = difference_region(convenient, below)
+    np_ = newton_polyhedron(convenient)
+    assert np_.contains((F(5, 2), 0, 0)) and not np_.contains(
+        (F(1, 3), F(1, 2), 1))
+    assert len(newton_fan(convenient).maximal) == len(np_.vertices)
+    assert support_function(convenient, (1, F(1, 2), 2)) == F(2, 3)
     assert region.simplices and difference.simplices and calls == []
     assert F(1, 2) + F(1, 3) == F(5, 6) and calls == ["__add__"]
 

@@ -5,9 +5,9 @@ import pytest
 from newtonmu.degenerate import (arc_grid, arc_order, b1d_detector,
                                  monomial_arc, relative_jacobian,
                                  valuative_falsifier)
-from newtonmu.families import family, family_from_spoly, spoly
+from newtonmu.families import family, spoly
 from newtonmu.polyhedra import SupportError
-from corpus import bs_family, quintic_family
+from corpus import bs_family, family_from_spoly, quintic_family
 
 
 def test_arc_validation():

@@ -2,9 +2,8 @@ from fractions import Fraction as F
 
 import pytest
 
-from newtonmu.families import (SupportError, family, family_from_spoly,
-                               spoly)
-from corpus import bs_family, quintic_family
+from newtonmu.families import SupportError, family, spoly
+from corpus import bs_family, family_from_spoly, quintic_family
 
 
 def test_bs_family_supports_and_partials():

@@ -4,9 +4,20 @@ import pytest
 import sympy
 
 from newtonmu.families import spoly
-from newtonmu.groebner import (BudgetExceeded, groebner_basis, grevlex_key,
+from newtonmu.groebner import (DEFAULT_BUDGET, BudgetExceeded, _make_row,
+                               _Meter, _reduce_full, _to_dicts,
+                               groebner_basis, grevlex_key,
                                ideal_contains_one, leading_monomials,
-                               normal_form, quotient_dimension)
+                               quotient_dimension, spoly_from_engine)
+
+
+def normal_form(p, basis, budget=DEFAULT_BUDGET):
+    """Remainder of p on full reduction by the given basis polynomials."""
+    dicts, n_vars = _to_dicts([p] + list(basis))
+    meter = _Meter(budget)
+    rows = [_make_row(d) for d in dicts[1:] if d]
+    remainder, _ = _reduce_full(dicts[0], rows, meter, 0)
+    return spoly_from_engine(n_vars, remainder)
 
 
 def _sympy_leads(polys, n):

@@ -36,13 +36,14 @@ def test_support_set_operations():
 
 
 def test_brieskorn_polyhedron():
-    np_ = newton_polyhedron(support_set(3, [(2, 0, 0), (0, 3, 0), (0, 0, 5)]))
+    s = support_set(3, [(2, 0, 0), (0, 3, 0), (0, 0, 5)])
+    np_ = newton_polyhedron(s)
     assert np_.vertices == ((0, 0, 5), (0, 3, 0), (2, 0, 0))
     faces = np_.compact_faces()
     dims = sorted(f.dim for f in faces)
     assert dims == [0, 0, 0, 1, 1, 1, 2]
     assert np_.contains((1, 1, 1)) and not np_.contains((0, 0, 4))
-    assert support_function(np_.support, (1, 1, 1)) == 2
+    assert support_function(s, (1, 1, 1)) == 2
 
 
 def test_bs_base_compact_faces():

@@ -15,7 +15,7 @@ from fractions import Fraction as F
 
 from hypothesis import given, settings, strategies as st
 
-from newtonmu import geometry, newton_number
+from newtonmu import geometry, newton_number, polyhedra
 from newtonmu.apex import edges_at_vertex, mu_constant_test
 from newtonmu.geometry import _bounded_piece, _pulling, vec
 from newtonmu.newton_number import difference_region
@@ -75,9 +75,9 @@ def nested_pairs(draw):
 @given(crowded_points())
 @PROPERTY
 def test_integer_input_matches_fraction_input(case):
-    """All-int input is deduplicated, checked and sorted as ints: the same
-    support, with Fraction points, and the same scaled points as input
-    given as Fractions."""
+    """Input given as ints and the same input given as Fractions take one
+    path, scaled to integers, and give the same support, with Fraction
+    points, and the same scaled points."""
     n, pts = case
     s = support_set(n, pts)
     t = support_set(n, [vec(p) for p in pts])
@@ -119,9 +119,11 @@ def test_flat_piece_gives_no_simplex():
 def test_mu_sweep_path_walks_no_face_lattice(monkeypatch):
     """The apex test with its Newton-number cross-check and the difference
     region, on the Briancon-Speder pair whose added vertex (1, 6, 0) lies
-    off the positive orthant, read no faces of either polyhedron and
-    build no Polytope: convex_hull and _polytope, the constructors left,
-    refuse to run."""
+    off the positive orthant, read neither the faces nor the Fraction
+    facets of either polyhedron and build no Polytope: convex_hull and
+    _polytope, the constructors left, refuse to run.  The polyhedron's
+    integer record is all there is: polyhedra keeps no second, private
+    integer view."""
     def refuse(*args, **kwargs):
         raise AssertionError("a Polytope routine was called")
 
@@ -136,16 +138,25 @@ def test_mu_sweep_path_walks_no_face_lattice(monkeypatch):
     assert difference_region(s, sp).simplices
     for np_ in (newton_polyhedron(s), newton_polyhedron(sp)):
         assert "faces" not in np_.__dict__
+        assert "facets" not in np_.__dict__
+    assert not hasattr(polyhedra, "_IntegerView")
+
+
+VIEWS = {"facets", "vertices", "faces"}
 
 
 def test_faces_are_no_field():
-    """Equality and hashing see dim, support, facets and vertices, which
-    the support determines, whether or not faces was walked."""
+    """The fields are the integer record, which the support's points
+    determine; the Fraction views are cached properties, so equality and
+    hashing are the same whether or not they were built."""
     assert [f.name for f in fields(NewtonPolyhedron)] == [
-        "dim", "support", "facets", "vertices"]
+        "dim", "points", "ipts", "den", "ifacets", "vmask"]
     a, b = newton_polyhedron(bs_base_support()), \
         newton_polyhedron(bs_base_support())
-    assert a is not b and len(a.faces) == 17
-    assert "faces" in a.__dict__ and "faces" not in b.__dict__
+    assert a is not b
+    assert not VIEWS & (a.__dict__.keys() | b.__dict__.keys())
     assert a == b and hash(a) == hash(b)
-    assert a.faces == b.faces
+    assert len(a.faces) == 17 and len(a.facets) == 5 and len(a.vertices) == 4
+    assert VIEWS <= a.__dict__.keys() and not VIEWS & b.__dict__.keys()
+    assert a == b and hash(a) == hash(b)
+    assert (a.faces, a.facets, a.vertices) == (b.faces, b.facets, b.vertices)
