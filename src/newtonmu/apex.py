@@ -14,17 +14,16 @@ Axis sets are 1-based in this interface.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
-from .geometry import InternalConsistencyError, _members, render_point
+from .geometry import (InternalConsistencyError, Record, _members,
+                       render_point)
 from .newton_number import newton_number_set
 from .polyhedra import (SupportError, added_vertices, convenience_report,
                         newton_polyhedron)
 
 
-@dataclass(frozen=True)
-class BoundaryEdge:
+class BoundaryEdge(Record):
     """A compact 1-face of a Newton boundary.
 
     endpoints are the two polyhedron vertices; points lists every support
@@ -87,8 +86,7 @@ def edges_at_vertex(np_, alpha):
     return sorted(out, key=lambda e: e.endpoints)
 
 
-@dataclass(frozen=True)
-class EdgeConvenience:
+class EdgeConvenience(Record):
     """Classification of an edge against an axis pair I inside J.
 
     classification is "not", "convenient" or "strict" (strict implies
@@ -131,8 +129,7 @@ def edge_convenience(edge, s, i_axes, j_axes):
                            tuple(witnesses))
 
 
-@dataclass(frozen=True)
-class ApexCertificate:
+class ApexCertificate(Record):
     """Outcome of the apex search at one added vertex.
 
     alpha      the added vertex
@@ -200,8 +197,7 @@ def find_apex(s, s_prime, alpha):
                            i0 + 1, edge, beta, good, good_pairs)
 
 
-@dataclass(frozen=True)
-class MuConstancyResult:
+class MuConstancyResult(Record):
     """verdict: every added vertex has a good apex (equivalently, the Newton
     numbers agree); certificates come in added-vertex order; warnings note
     vertices with no apex at all and any weakened hypotheses."""

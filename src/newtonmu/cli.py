@@ -17,14 +17,13 @@ import hashlib
 import json
 import re
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .apex import mu_constant_test
 from .degenerate import b1d_detector, monomial_arc, valuative_falsifier
 from .families import family
 from .fans import is_regular_cone, newton_fan, regularize_fan, simplicialize
-from .geometry import GeometryError, InternalConsistencyError
+from .geometry import GeometryError, InternalConsistencyError, Record
 from .groebner import DEFAULT_BUDGET, BudgetExceeded
 from .milnor import milnor_number, nondegeneracy_check, render_face
 from .newton_number import newton_number_series, volume_vector
@@ -39,8 +38,7 @@ class InputError(ValueError):
     """Malformed document or flags; maps to exit code 2."""
 
 
-@dataclass(frozen=True)
-class InputDocument:
+class InputDocument(Record):
     schema_version: int
     variables: tuple
     parameters: tuple

@@ -8,10 +8,9 @@ mu-constant, while absence of violations over any finite arc family proves
 nothing.
 """
 
-from dataclasses import dataclass
 from itertools import product
 
-from .geometry import frac
+from .geometry import Record, frac
 from .polyhedra import SupportError
 
 FALSIFIER_DISCLAIMER = (
@@ -19,8 +18,7 @@ FALSIFIER_DISCLAIMER = (
     "proves nothing")
 
 
-@dataclass(frozen=True)
-class MonomialArc:
+class MonomialArc(Record):
     """Leading behavior of an arc through the origin: coordinate j travels
     like coeff * t^order, with every order at least one."""
 
@@ -58,8 +56,7 @@ def relative_jacobian(fam):
     return tuple(fam.partial_x(i) for i in range(1, fam.n_vars + 1))
 
 
-@dataclass(frozen=True)
-class ArcOrder:
+class ArcOrder(Record):
     order: object
     initial_form_vanishes: bool
     initial_value: object
@@ -95,8 +92,7 @@ def arc_order(g, arc):
     return ArcOrder(best, value == 0, value)
 
 
-@dataclass(frozen=True)
-class ParameterComparison:
+class ParameterComparison(Record):
     parameter: int
     lhs_order: object
     lhs_vanishes: object
@@ -105,15 +101,13 @@ class ParameterComparison:
     verdict: str   # violation | consistent | indeterminate
 
 
-@dataclass(frozen=True)
-class ArcVerdict:
+class ArcVerdict(Record):
     arc: MonomialArc
     verdict: str
     rows: tuple
 
 
-@dataclass(frozen=True)
-class FalsifierReport:
+class FalsifierReport(Record):
     falsified: bool
     arcs: tuple
     disclaimer: str
@@ -173,8 +167,7 @@ def valuative_falsifier(fam, arcs):
     return FalsifierReport(falsified, tuple(verdicts), FALSIFIER_DISCLAIMER)
 
 
-@dataclass(frozen=True)
-class B1DResult:
+class B1DResult(Record):
     found: bool
     i: object          # axis of the Kronecker pattern, when found
     beta: object

@@ -7,10 +7,9 @@ coefficients are themselves polynomials in deformation parameters; setting
 the parameters to zero recovers the base polynomial.
 """
 
-from dataclasses import dataclass
 from fractions import Fraction
 
-from .geometry import ZERO, frac
+from .geometry import ZERO, Record, frac
 from .polyhedra import SupportError, support_set
 
 
@@ -25,8 +24,7 @@ def _exponent(e, length, what):
     return t
 
 
-@dataclass(frozen=True)
-class SPoly:
+class SPoly(Record):
     """Polynomial in n_vars variables with rational coefficients.
 
     terms is sorted by exponent, free of zero coefficients and duplicate
@@ -130,8 +128,7 @@ def _coefficient_poly(coeff, n_params):
     return tuple(sorted((se, v) for se, v in acc.items() if v != 0))
 
 
-@dataclass(frozen=True)
-class DeformationFamily:
+class DeformationFamily(Record):
     """F(x, s): terms are (x-exponent, coefficient) with each coefficient a
     sorted tuple of (s-exponent, rational).  Terms with identically zero
     coefficients are dropped."""

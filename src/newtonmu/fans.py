@@ -29,22 +29,21 @@ every call.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from math import gcd
 
 from .geometry import (GeometryError, InternalConsistencyError, _extreme_rays,
                        _face_lattice, _idot, _int_det, _members, _pulling,
-                       _scaled, _unit, primitive_vector, render_point, vec)
+                       _scaled, _unit, Record, primitive_vector, render_point,
+                       vec)
 from .polyhedra import SupportError, newton_polyhedron
 
 _section_cache = {}  # unused; the benchmark's cache reset still names it
 _faces_cache = {}  # unused; the benchmark's cache reset still names it
 
 
-@dataclass(frozen=True)
-class LatticeCone:
+class LatticeCone(Record):
     """Pointed cone in the orthant, by sorted primitive integer rays.
 
     The zero cone has an empty ray tuple.  Build through cone_from_rays
@@ -183,8 +182,7 @@ def intersect_cones(a, b):
     return LatticeCone(a.ambient_dim, tuple(sorted(rays)))
 
 
-@dataclass(frozen=True)
-class Fan:
+class Fan(Record):
     """A fan given by its maximal cones; compatibility (every pairwise
     intersection is a face of both sides) is verified on construction."""
 

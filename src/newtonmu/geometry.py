@@ -30,6 +30,9 @@ _vertex_mask is the one vertex rule, for hulls and Newton polyhedra.
 _face_lattice is the one face-lattice walk, level by level down from the
 facets: polyhedra runs it on Newton polyhedra and fans on cones.
 
+Record is the base of the package's immutable value types: the fields are
+the class annotations, and no code is generated per class.
+
 Nothing is memoized at module level: convex_hull computes its result on
 every call, and the one memo of the package, the Newton polyhedron of a
 support, lives on its polyhedra.SupportSet.
@@ -42,9 +45,9 @@ structures in every run.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial, gcd, lcm
+from operator import attrgetter
 
 DIMENSION_CAP = 8
 
@@ -59,6 +62,63 @@ class DimensionCapExceeded(GeometryError):
 
 class InternalConsistencyError(RuntimeError):
     """Two independent computations of the same quantity disagreed."""
+
+
+_set = object.__setattr__
+
+
+class Record:
+    """Base of the package's immutable value types.
+
+    A subclass's annotated fields, in order, are its _fields; instances are
+    built from exactly that many positional arguments, then __post_init__
+    runs when the class defines one.  Equality, hashing and repr read the
+    field tuple as a frozen dataclass's do, so hash(x) == hash(field tuple),
+    but no method is generated per class.  Fields cannot be set or deleted;
+    cached properties still store their values in the instance dict.
+    """
+
+    def __init_subclass__(cls):
+        cls._fields = fields = tuple(cls.__dict__.get("__annotations__", ()))
+        get = attrgetter(*fields)
+        cls._astuple = staticmethod(
+            get if len(fields) > 1 else lambda x: (get(x),))
+        # whether to call __post_init__ is decided once per class; the call
+        # itself goes through the class, so a wrapper set on it later (a
+        # tracer's) runs
+        cls._post_init = hasattr(cls, "__post_init__")
+
+    def __init__(self, *args):
+        fields = self._fields
+        if len(args) != len(fields):
+            raise TypeError(f"{type(self).__name__}() takes {len(fields)} "
+                            f"positional arguments {fields}, got {len(args)}")
+        for name, value in zip(fields, args):
+            _set(self, name, value)
+        if self._post_init:
+            self.__post_init__()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable: "
+                             f"cannot set {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"{type(self).__name__} is immutable: "
+                             f"cannot delete {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            get = self._astuple
+            return get(self) == get(other)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._astuple(self))
+
+    def __repr__(self):
+        return (type(self).__qualname__ + "(" + ", ".join(
+            f"{name}={value!r}"
+            for name, value in zip(self._fields, self._astuple(self))) + ")")
 
 
 ZERO = Fraction(0)
@@ -113,9 +173,12 @@ def sign_canonical(v):
 
 def _integer_row(row):
     """Coprime integer row with the direction of a rational row; None for
-    the zero row."""
-    den = lcm(*(x.denominator for x in row))
-    ints = [x.numerator * (den // x.denominator) for x in row]
+    the zero row.  A row of ints needs no common denominator."""
+    if all(type(x) is int for x in row):
+        ints = row
+    else:
+        den = lcm(*(x.denominator for x in row))
+        ints = [x.numerator * (den // x.denominator) for x in row]
     g = gcd(*ints)
     if g == 0:
         return None
@@ -312,8 +375,7 @@ def _dual_facets(ipts, equalities=(), directions=()):
 
 # --- polytopes ------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Polytope:
+class Polytope(Record):
     """Bounded convex polytope with exact V- and H-descriptions.
 
     vertices        lexicographically sorted tuple of points

@@ -6,7 +6,6 @@ depend only on the input.  All loops charge against a step budget and raise
 BudgetExceeded rather than returning partial answers.
 """
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .geometry import ZERO, ONE
@@ -40,12 +39,14 @@ def _mul(a, b):
     return tuple(x + y for x, y in zip(a, b))
 
 
-@dataclass
 class _Row:
-    lead: tuple
-    lead_coeff: Fraction
-    tail: dict
-    sugar: int
+    __slots__ = ("lead", "lead_coeff", "tail", "sugar")
+
+    def __init__(self, lead, lead_coeff, tail, sugar):
+        self.lead = lead
+        self.lead_coeff = lead_coeff
+        self.tail = tail
+        self.sugar = sugar
 
 
 class _Meter:

@@ -10,9 +10,8 @@ squarefreeness test, higher faces by a torus emptiness test on the
 Groebner engine.
 """
 
-from dataclasses import dataclass
 
-from .geometry import (ZERO, InternalConsistencyError, GeometryError,
+from .geometry import (ZERO, InternalConsistencyError, GeometryError, Record,
                        primitive_vector, render_point)
 from .families import spoly
 from .polyhedra import SupportError, newton_polyhedron
@@ -61,8 +60,7 @@ def milnor_number(f, budget=DEFAULT_BUDGET):
         "the singularity may not be isolated")
 
 
-@dataclass(frozen=True)
-class FaceVerdict:
+class FaceVerdict(Record):
     points: tuple
     dim: int
     status: str   # nondegenerate | degenerate | unchecked
@@ -76,8 +74,7 @@ def render_face(points):
     return "[" + ", ".join(map(render_point, points)) + "]"
 
 
-@dataclass(frozen=True)
-class NondegeneracyReport:
+class NondegeneracyReport(Record):
     verdict: str  # nondegenerate | degenerate | unknown
     faces: tuple
 
@@ -191,8 +188,7 @@ def nondegeneracy_check(g, budget=DEFAULT_BUDGET):
     return NondegeneracyReport(overall, tuple(verdicts))
 
 
-@dataclass(frozen=True)
-class CrosscheckReport:
+class CrosscheckReport(Record):
     mu: object            # int, or None when the oracle gave up
     nu: object            # Fraction, or None when the series did not settle
     nu_stabilized: bool

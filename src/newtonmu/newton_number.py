@@ -36,11 +36,10 @@ notation I, J subsets of {1,...,n}; internals are 0-based.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial
 
-from .geometry import (ONE, ZERO, GeometryError, _bounded_piece,
+from .geometry import (ONE, ZERO, GeometryError, Record, _bounded_piece,
                        _extreme_rays, _idot, _int_det, _members, _pulling,
                        _scaled, convex_hull, frac, simplex_volume)
 from .polyhedra import (CompactRegion, SupportError, _lower_simplices,
@@ -62,8 +61,7 @@ def _support(v):
     return frozenset(i for i, x in enumerate(v) if x != 0)
 
 
-@dataclass(frozen=True)
-class NewtonVolumeVector:
+class NewtonVolumeVector(Record):
     """Coordinate-subspace volume sums (V_0, V_1, ..., V_n)."""
 
     V: tuple
@@ -146,8 +144,7 @@ def newton_number_set(support):
 
 # --- sup over axis augmentations -------------------------------------------
 
-@dataclass(frozen=True)
-class SeriesNewtonNumber:
+class SeriesNewtonNumber(Record):
     """Outcome of the sup-based Newton number for non-convenient supports.
 
     value       the last (largest) Newton number reached
@@ -197,7 +194,7 @@ def newton_number_series(support, missing_axis_cap=64):
     is only a lower bound for the sup (which may be infinite).
     """
     n = support.dim
-    covered = support.axes_with_point()
+    covered = support.axes_with_point
     missing = tuple(i for i in range(n) if i not in covered)
     if not missing:
         return SeriesNewtonNumber(newton_number_set(support), True, (), ())
@@ -248,7 +245,7 @@ def difference_region(s, s_prime):
     # <w, x> >= c / den on (x, t) is the integer row (den w, -c)
     big_rows = [tuple(big.den * x for x in w) + (-c,)
                 for w, c, _ in big.ifacets]
-    covered = s.axes_with_point()
+    covered = s.axes_with_point
     missing = [i + 1 for i in range(n) if i not in covered]
     if missing:
         raise SupportError(
@@ -512,8 +509,7 @@ def partial_homothety(support, axes, lam):
     return support_set(support.dim, pts)
 
 
-@dataclass(frozen=True)
-class ChangedSubspaces:
+class ChangedSubspaces(Record):
     """The subsets on which the two lower regions differ.
 
     d_set       sorted tuple of 1-based axis tuples where the regions differ

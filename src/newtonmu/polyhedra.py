@@ -36,11 +36,10 @@ integer sign test per facet on the point scaled to integers.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 
-from .geometry import (DIMENSION_CAP, DimensionCapExceeded, ZERO,
+from .geometry import (DIMENSION_CAP, DimensionCapExceeded, ZERO, Record,
                        _dual_facets, _face_lattice, _idot, _members,
                        _pulling, _scaled, _unit, _vertex_mask, frac,
                        render_point, vec)
@@ -50,8 +49,7 @@ class SupportError(ValueError):
     """A support-set precondition failed."""
 
 
-@dataclass(frozen=True)
-class SupportSet:
+class SupportSet(Record):
     """Finite set of exponent points in the open orthant hull sense.
 
     Points are sorted lexicographically; coordinates are Fractions >= 0 and
@@ -82,8 +80,10 @@ class SupportSet:
     def augment(self, extra):
         return support_set(self.dim, [*self.points, *extra])
 
+    @cached_property
     def axes_with_point(self):
-        """Axes i such that some support point is a positive multiple of e_i."""
+        """Axes i such that some support point is a positive multiple of
+        e_i, found once per support."""
         out = set()
         for p in self._scaled_points[0]:
             nz = [i for i, x in enumerate(p) if x]
@@ -101,8 +101,8 @@ class SupportSet:
     @cached_property
     def _newton_polyhedron(self):
         """The Newton polyhedron (see newton_polyhedron), built once per
-        instance; not a dataclass field, so equality, hashing and astuple
-        do not see it."""
+        instance; not a record field, so equality, hashing and the field
+        tuple do not see it."""
         n = self.dim
         ipts, den = self._scaled_points
         m = len(ipts)
@@ -158,8 +158,7 @@ def support_set(dim, points):
     return SupportSet(dim, tuple(tuple(value[x] for x in p) for p in ipts))
 
 
-@dataclass(frozen=True)
-class Face:
+class Face(Record):
     """Face of a Newton polyhedron: convex hull of its support points plus
     the cone spanned by its recession axes."""
 
@@ -169,8 +168,7 @@ class Face:
     compact: bool
 
 
-@dataclass(frozen=True)
-class NewtonPolyhedron:
+class NewtonPolyhedron(Record):
     """Unbounded hull of support points translated along the orthant, as
     the integer record newton_polyhedron computes.
 
@@ -181,7 +179,7 @@ class NewtonPolyhedron:
     vmask    the bitmask of the points that are vertices
 
     Equality and hashing see these fields, which the points determine.
-    The Fraction views are cached properties, no dataclass fields:
+    The Fraction views are cached properties, no record fields:
     facets   ((normal, c / den, active_points, recession), ...)
     vertices sorted tuple of the 0-dimensional faces (always support points)
     faces    all proper nonempty faces, including the facets and vertices,
@@ -270,7 +268,7 @@ def newton_polyhedron(support):
     NewtonPolyhedron; its Fraction views are built only when read.
 
     The polyhedron is memoized on its SupportSet instance (a cached
-    property, no dataclass field), so repeated calls with one support
+    property, no record field), so repeated calls with one support
     return one object, and it lives exactly as long as the support.
     Nothing is memoized at module level.
     """
@@ -281,8 +279,7 @@ def newton_polyhedron(support):
 
 # --- convenience ----------------------------------------------------------
 
-@dataclass(frozen=True)
-class ConvenienceReport:
+class ConvenienceReport(Record):
     """Outcome of the convenience checks on a support set.
 
     axis_convenient      every coordinate axis carries a support point
@@ -313,7 +310,7 @@ def convenience_report(support):
     vertex set covers every restricted support too.
     """
     n = support.dim
-    covered = support.axes_with_point()
+    covered = support.axes_with_point
     missing = tuple(i + 1 for i in range(n) if i not in covered)
     axis_ok = not missing
     cond = {}
@@ -365,8 +362,7 @@ def added_vertices(s, s_prime):
 
 # --- the region under the boundary ----------------------------------------
 
-@dataclass(frozen=True)
-class CompactRegion:
+class CompactRegion(Record):
     """Pure n-dimensional simplicial complex inside the orthant.
 
     simplices: tuple of simplices, each a sorted tuple of n+1 points.  The
@@ -383,7 +379,7 @@ def _lower_simplices(support):
     compact facets, as increasing tuples of support-point indices: with
     the origin added to each, the simplices of lower_region."""
     n = support.dim
-    covered = support.axes_with_point()
+    covered = support.axes_with_point
     missing = [i + 1 for i in range(n) if i not in covered]
     if missing:
         raise SupportError(

@@ -12,10 +12,9 @@ or more than SMOOTH_VARIABLE_CAP variables is left unchecked.  The base
 polynomial's nondegeneracy report is computed on every run.
 """
 
-from dataclasses import dataclass
 
 from .geometry import (GeometryError, InternalConsistencyError, ZERO, _unit,
-                       dot, render_point)
+                       Record, dot, render_point)
 from .polyhedra import SupportError, convenience_report, added_vertices
 from .families import DeformationFamily, family, spoly
 from .apex import mu_constant_test
@@ -28,8 +27,7 @@ SMOOTH_MONOMIAL_CAP = 30
 SMOOTH_VARIABLE_CAP = 4
 
 
-@dataclass(frozen=True)
-class Chart:
+class Chart(Record):
     """Monomial chart of a full-dimensional regular cone: with generators
     q_1..q_n in row order, x_j = prod_k y_k^(q_k)_j."""
 
@@ -51,8 +49,7 @@ def make_chart(cone):
     return Chart(cone)
 
 
-@dataclass(frozen=True)
-class TotalTransform:
+class TotalTransform(Record):
     chart: Chart
     monomial_exponents: tuple
     strict_part: DeformationFamily
@@ -77,16 +74,14 @@ def chart_pullback(fam, chart):
     return TotalTransform(chart, m, strict)
 
 
-@dataclass(frozen=True)
-class ChartCertificate:
+class ChartCertificate(Record):
     chart: Chart
     dual_vertex: tuple
     status: str    # unit | smooth-verified | unchecked
     witness: tuple # sorted (key, value) pairs
 
 
-@dataclass(frozen=True)
-class ResolutionReport:
+class ResolutionReport(Record):
     nu: object
     verd: tuple
     status_counts: tuple
@@ -94,8 +89,7 @@ class ResolutionReport:
     warnings: tuple
 
 
-@dataclass(frozen=True)
-class ResolutionResult:
+class ResolutionResult(Record):
     fan: object
     charts: tuple
     transforms: tuple
@@ -344,12 +338,7 @@ def simultaneous_resolution(fam, skip_smoothness=False, budget=DEFAULT_BUDGET,
     counts = {}
     for cert in certificates:
         counts[cert.status] = counts.get(cert.status, 0) + 1
-    report = ResolutionReport(
-        nu=mu_res.nu_s,
-        verd=verd,
-        status_counts=tuple(sorted(counts.items())),
-        nondegeneracy=nondegeneracy_report.verdict,
-        warnings=tuple(warnings),
-    )
+    report = ResolutionReport(mu_res.nu_s, verd, tuple(sorted(counts.items())),
+                              nondegeneracy_report.verdict, tuple(warnings))
     return ResolutionResult(fan, tuple(charts), tuple(transforms),
                             tuple(certificates), report)

@@ -725,7 +725,7 @@ def lower_region_hulls(support):
     """The region under the Newton boundary, one convex_hull and
     triangulate_polytope_hulls per compact facet."""
     n = support.dim
-    covered = support.axes_with_point()
+    covered = support.axes_with_point
     missing = [i + 1 for i in range(n) if i not in covered]
     if missing:
         raise SupportError(
@@ -758,7 +758,7 @@ def difference_region_hulls(s, s_prime):
     orthant = [(tuple(1 if j == i else 0 for j in range(n)), 0)
                for i in range(n)]
     origin = tuple(ZERO for _ in range(n))
-    covered = s.axes_with_point()
+    covered = s.axes_with_point
     missing = [i + 1 for i in range(n) if i not in covered]
     if missing:
         raise SupportError(
@@ -792,7 +792,7 @@ def difference_region_constraints(s, s_prime):
     np_small = newton_polyhedron(s)
     np_big = newton_polyhedron(s_prime)
     big_ineqs = [(nrm, off) for nrm, off, _, _ in np_big.facets]
-    covered = s.axes_with_point()
+    covered = s.axes_with_point
     missing = [i + 1 for i in range(n) if i not in covered]
     if missing:
         raise SupportError(

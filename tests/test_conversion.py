@@ -7,15 +7,14 @@ Polytope; those are compared with the scan's vertices and facet vertex
 sets, and its flat flag with the scan's dimension.
 """
 
-import dataclasses
 from fractions import Fraction as F
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from newtonmu.fans import newton_fan, support_function
-from newtonmu.geometry import (GeometryError, _bounded_piece, _extreme_rays,
-                               _pulling, convex_hull)
+from newtonmu.geometry import (GeometryError, Record, _bounded_piece,
+                               _extreme_rays, _pulling, convex_hull)
 from newtonmu.newton_number import difference_region, volume_vector
 from newtonmu.polyhedra import (check_nested, lower_region, newton_polyhedron,
                                 support_set)
@@ -29,9 +28,10 @@ rational = st.builds(F, st.integers(0, 6), st.sampled_from([1, 1, 2, 3]))
 
 
 def typed(x):
-    """Structure with every number tagged by its type."""
-    if dataclasses.is_dataclass(x):
-        return typed(dataclasses.astuple(x))
+    """Structure with every number tagged by its type; a record is read
+    through its fields, so the numbers inside it are tagged too."""
+    if isinstance(x, Record):
+        return typed(x._astuple(x))
     if isinstance(x, (tuple, list)):
         return tuple(typed(y) for y in x)
     if isinstance(x, frozenset):
@@ -283,3 +283,9 @@ def test_extreme_rays():
     # an equality leaves the rays of the slice
     rays, lin, _ = _extreme_rays([(1, -1, 0)], [(1, 0, 0), (0, 0, 1)], 3)
     assert sorted(rays) == [(0, 0, 1), (1, 1, 0)] and lin == []
+    # integer rows need no common denominator: they give the rays, zero
+    # sets and lineality of the same rows as Fractions, all ints
+    eqs, rows = [(2, -2, 0, 4)], [(2, 0, 0, 0), (0, 3, 0, 0), (0, 0, 2, -2),
+                                  (-1, -1, 2, 0)]
+    assert typed(_extreme_rays(eqs, rows, 4)) == typed(_extreme_rays(
+        [tuple(map(F, r)) for r in eqs], [tuple(map(F, r)) for r in rows], 4))

@@ -25,7 +25,9 @@ def test_support_set_validation():
 
 def test_support_set_operations():
     s = bs_deformed_support()
-    assert s.axes_with_point() == frozenset({0, 1, 2})
+    assert "axes_with_point" not in s.__dict__
+    axes = s.axes_with_point    # found once, then read off the support
+    assert axes == frozenset({0, 1, 2}) and s.axes_with_point is axes
     r = s.restrict((1, 2))  # 0-based internal axes: keep y and z
     assert r.dim == 2 and (7, 1) in r.points
     rk = s.restrict_keep_ambient((1, 2))

@@ -10,7 +10,6 @@ the face lattice (edges_at_vertex_lattice) and hull and triangulate each
 piece (difference_region_constraints).
 """
 
-from dataclasses import fields
 from fractions import Fraction as F
 
 from hypothesis import given, settings, strategies as st
@@ -149,8 +148,8 @@ def test_faces_are_no_field():
     """The fields are the integer record, which the support's points
     determine; the Fraction views are cached properties, so equality and
     hashing are the same whether or not they were built."""
-    assert [f.name for f in fields(NewtonPolyhedron)] == [
-        "dim", "points", "ipts", "den", "ifacets", "vmask"]
+    assert NewtonPolyhedron._fields == (
+        "dim", "points", "ipts", "den", "ifacets", "vmask")
     a, b = newton_polyhedron(bs_base_support()), \
         newton_polyhedron(bs_base_support())
     assert a is not b
