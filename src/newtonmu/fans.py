@@ -13,13 +13,17 @@ its facet normals.  Dimension, membership, intersections and the face test
 are integer sign tests and double-description calls on those rows.  A
 cone's facets are the sets of its rays tight on each facet normal, kept as
 bitmasks over the rays; its faces are the levels of geometry._face_lattice
-over those masks, and the volume comparison of subdivisions measures the
-geometry._pulling triangulation of each cone over the same masks, so no
-polytope is built.  A simplicial cone carries the k-row minor of its ray
-matrix with the least nonzero |det| D and that minor's adjugate;
-coordinates in the rays are adjugate products over D, and the
-fundamental-box points are read off the group that adjugate generates mod
-D, so no rational solve runs.
+over those masks.  simplicialize and the volume comparison of
+subdivisions both take the geometry._pulling triangulation of each cone
+over its facet masks, with the rays in one global order, so no polytope
+is built and no face gets a double description of its own.  A simplicial
+cone carries the k-row minor of its ray matrix with the least nonzero
+|det| D and that minor's adjugate; the chart exists exactly when the cone
+is simplicial, so it is the simpliciality test of the regularization
+loop.  Coordinates in the rays are adjugate products over D: the stellar
+step reads membership and the pieces off them, and the fundamental-box
+points are read off the group that adjugate generates mod D, so no
+rational solve runs.  Regularity is the gcd of the k x k minors.
 
 Nothing is memoized at module level: each cone caches its own
 H-description, facet masks and minor chart, and faces() is computed on
@@ -73,13 +77,15 @@ class LatticeCone(Record):
 
     @cached_property
     def _minor_chart(self):
-        """(rows, adjugate, D) for a simplicial cone with k rays.
+        """(rows, adjugate, D) for a simplicial cone with k rays; raises
+        GeometryError for any other cone.
 
         M is the k-row minor of the ray matrix (coordinates as rows, rays
         as columns) with the least nonzero |det| = D, the first such rows
         in lexicographic order.  The adjugate is adj(M) sign(det M), so a
         point p of the span has coordinates lambda = adjugate p_rows / D in
-        the rays.
+        the rays.  Every k-row minor vanishes exactly when the rays are
+        linearly dependent, that is when the cone is not simplicial.
         """
         k = len(self.rays)
         best = None
@@ -88,6 +94,8 @@ class LatticeCone(Record):
             det = _int_det(m)
             if det and (best is None or abs(det) < abs(best[2])):
                 best = (rows, m, det)
+        if best is None:
+            raise GeometryError(f"cone {self.rays} is not simplicial")
         rows, m, det = best
         sign = 1 if det > 0 else -1
         cof = [[(-1) ** (i + j) * _int_det(
@@ -204,19 +212,6 @@ class Fan(Record):
                     f"cones {a.rays} and {b.rays} intersect in "
                     f"{meet.rays}, not a common face")
 
-    def cones(self):
-        """Face closure, ordered by dimension then rays."""
-        out = set()
-        for c in self.maximal:
-            out.update(c.faces())
-        return tuple(sorted(out, key=lambda c: (len(c.rays), c.rays)))
-
-    def rays(self):
-        out = set()
-        for c in self.maximal:
-            out.update(c.rays)
-        return tuple(sorted(out))
-
     def contains_cone(self, cone):
         return any(cone.is_face_of(c) for c in self.maximal)
 
@@ -259,14 +254,22 @@ def newton_fan(s):
 
 # --- subdivisions -----------------------------------------------------------
 
-def _simplices(cone):
-    """A triangulation of the cone, as ray tuples: the cone itself when it
-    is simplicial, else the pulling triangulation over its facet masks."""
-    if cone.is_simplicial:
-        return (cone.rays,)
-    whole = (1 << len(cone.rays)) - 1
-    return tuple(tuple(cone.rays[i] for i in s)
-                 for s in _pulling(whole, whole, cone._facet_masks, {}))
+def _simplices(cone, key=None):
+    """The pulling triangulation of the cone, as sorted ray tuples.
+
+    The rays, sorted by key (lexicographically by default), are the bits
+    of geometry._pulling over the facet masks, so every face is coned from
+    its first ray in that order.  The rule depends only on a face's rays,
+    so a face shared by two cones is triangulated the same way in both,
+    and a simplicial cone is its own piece."""
+    rays = sorted(cone.rays, key=key)
+    if not rays:
+        return ((),)
+    masks = [sum(1 << i for i, r in enumerate(rays) if not _idot(a, r))
+             for a in cone._h_description[1]]
+    whole = (1 << len(rays)) - 1
+    return tuple(tuple(sorted(rays[i] for i in s))
+                 for s in _pulling(whole, whole, masks, {}))
 
 
 def _measure(rays, rows):
@@ -317,16 +320,20 @@ def is_admissible(sub, s):
     """Strict orthant faces on which the support function vanishes must
     appear unsubdivided.  Raises when sub is not a subdivision of the
     Newton fan at all."""
-    base = newton_fan(s)
+    return is_admissible_subdivision(sub, newton_fan(s), s)
+
+
+def is_admissible_subdivision(sub, base, s):
+    """is_admissible against base, the Newton fan of s already built."""
     if not is_subdivision(sub, base):
         raise GeometryError("not a subdivision of the Newton fan")
     n = s.dim
     for k in range(1, n):
         for axes in itertools.combinations(range(n), k):
             bary = tuple(1 if j in axes else 0 for j in range(n))
-            vanishing = support_function(s, bary) == 0 and all(
-                support_function(s, _unit(n, a)) == 0 for a in axes)
-            if not vanishing:
+            # supports are nonnegative, so the barycentre vanishes only
+            # when every axis of the face does
+            if support_function(s, bary) != 0:
                 continue
             face = LatticeCone(n, tuple(sorted(_unit(n, a) for a in axes)))
             if not sub.contains_cone(face):
@@ -335,18 +342,16 @@ def is_admissible(sub, s):
 
 
 def is_regular_cone(c):
-    """Unimodularity: |det| = 1 in full dimension, gcd of maximal minors 1
-    below it."""
-    if not c.rays:
-        return True
-    if not c.is_simplicial:
-        raise GeometryError("regularity is only defined for simplicial cones")
+    """Unimodularity: the gcd of the k x k minors of the k rays is 1 (for
+    k = n, the one minor is the determinant).  Every minor vanishes
+    exactly when the rays are dependent, that is when the cone is not
+    simplicial."""
     k = len(c.rays)
-    if k == c.ambient_dim:
-        return abs(_int_det(c.rays)) == 1
     g = 0
     for cols in itertools.combinations(range(c.ambient_dim), k):
         g = gcd(g, _int_det([[r[j] for j in cols] for r in c.rays]))
+    if not g:
+        raise GeometryError("regularity is only defined for simplicial cones")
     return g == 1
 
 
@@ -358,12 +363,9 @@ def box_points(c):
     With M, adjugate A and D from the minor chart, a lattice point R lambda
     has lambda = A p_rows / D, so D lambda runs over the subgroup of
     (Z/D)^k that A's columns generate, at most D residues u; the box
-    points are the R u / D that are integral.
+    points are the R u / D that are integral.  The chart raises on a
+    cone that is not simplicial.
     """
-    if not c.is_simplicial:
-        raise GeometryError("fundamental box needs a simplicial cone")
-    if not c.rays:
-        return ()
     _, adj, d = c._minor_chart
     k = len(c.rays)
     gens = [tuple(row[j] % d for row in adj) for j in range(k)]
@@ -398,16 +400,22 @@ def stellar_subdivide(fan, xi):
 
 
 def _stellar_raw(cones, xi):
+    """The maximal cones after starring at xi, read off each cone's minor
+    chart (which raises on a cone that is not simplicial): with
+    lambda = adjugate xi_rows, xi lies in the cone iff every lambda_r >= 0
+    and sum lambda_r r = D xi (the span test, for lower-dimensional
+    cones), and the pieces swap xi for each ray r with lambda_r > 0."""
     out = []
     for c in cones:
-        if not c.is_simplicial:
-            raise GeometryError("stellar subdivision needs simplicial cones")
-        if not c.contains(xi):
+        rows, adj, d = c._minor_chart
+        lam = [sum(x * xi[j] for x, j in zip(a, rows)) for a in adj]
+        if any(l < 0 for l in lam) or any(
+                sum(l * r[j] for l, r in zip(lam, c.rays)) != d * xi[j]
+                for j in range(c.ambient_dim)):
             out.append(c)
             continue
-        rows, adj, _ = c._minor_chart
-        for r, a in zip(c.rays, adj):
-            if sum(x * xi[j] for x, j in zip(a, rows)) > 0:
+        for r, l in zip(c.rays, lam):
+            if l > 0:
                 kept = tuple(sorted([q for q in c.rays if q != r] + [xi]))
                 out.append(LatticeCone(c.ambient_dim, kept))
     return tuple(sorted(set(out), key=lambda c: (len(c.rays), c.rays)))
@@ -416,9 +424,9 @@ def _stellar_raw(cones, xi):
 def simplicialize(fan, priority=()):
     """Pulling subdivision making every cone simplicial without new rays.
 
-    Each non-simplicial cone is pulled at its first ray, priority rays
-    first (in the given order), then lexicographically; the recursion is
-    memoized per cone so shared faces subdivide identically.
+    Each face is pulled at its first ray, priority rays first (in the
+    given order), then lexicographically: _simplices over that one order,
+    so shared faces subdivide identically.  A simplicial cone is kept.
     """
     priority = [tuple(int(x) for x in r) for r in priority]
 
@@ -427,30 +435,9 @@ def simplicialize(fan, priority=()):
             return (0, priority.index(ray), ray)
         return (1, 0, ray)
 
-    memo = {}
-
-    def pieces(cone):
-        if cone in memo:
-            return memo[cone]
-        if cone.is_simplicial:
-            memo[cone] = (cone,)
-            return memo[cone]
-        r0 = min(cone.rays, key=order)
-        out = []
-        for facet in cone.facets():
-            if r0 in facet.rays:
-                continue
-            for tau in pieces(facet):
-                out.append(LatticeCone(
-                    cone.ambient_dim, tuple(sorted(tau.rays + (r0,)))))
-        memo[cone] = tuple(sorted(set(out),
-                                  key=lambda c: (len(c.rays), c.rays)))
-        return memo[cone]
-
-    new_max = []
-    for c in fan.maximal:
-        new_max.extend(pieces(c))
-    return Fan(fan.ambient_dim, tuple(new_max))
+    return Fan(fan.ambient_dim, tuple(
+        c if rays == c.rays else LatticeCone(fan.ambient_dim, rays)
+        for c in fan.maximal for rays in _simplices(c, order)))
 
 
 def _all_faces_simplicial(cones):

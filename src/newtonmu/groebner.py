@@ -6,10 +6,8 @@ depend only on the input.  All loops charge against a step budget and raise
 BudgetExceeded rather than returning partial answers.
 """
 
-from fractions import Fraction
-
 from .geometry import ZERO, ONE
-from .families import SPoly, spoly
+from .families import spoly
 
 
 DEFAULT_BUDGET = 200_000
@@ -195,16 +193,10 @@ def _to_dicts(polys):
     dicts = []
     n_vars = None
     for p in polys:
-        if isinstance(p, SPoly):
-            n_vars = p.n_vars if n_vars is None else n_vars
-            if p.n_vars != n_vars:
-                raise ValueError("mixed variable counts")
-            dicts.append(p.as_dict())
-        else:
-            d = {tuple(m): Fraction(c) for m, c in dict(p).items() if c}
-            if d:
-                n_vars = len(next(iter(d))) if n_vars is None else n_vars
-            dicts.append(d)
+        n_vars = p.n_vars if n_vars is None else n_vars
+        if p.n_vars != n_vars:
+            raise ValueError("mixed variable counts")
+        dicts.append(p.as_dict())
     if n_vars is None:
         raise ValueError("cannot infer variable count from zero generators")
     return dicts, n_vars
@@ -237,7 +229,7 @@ def leading_monomials(basis):
     return tuple(sorted(out))
 
 
-def quotient_dimension(basis, cap=None):
+def quotient_dimension(basis):
     """Number of monomials outside the leading-term staircase of a reduced
     basis, or None when that count is infinite."""
     if not basis:
@@ -261,8 +253,6 @@ def quotient_dimension(basis, cap=None):
             continue
         if i == n:
             count += 1
-            if cap is not None and count > cap:
-                raise BudgetExceeded(f"quotient dimension exceeds cap {cap}")
             continue
         for e in range(bound[i]):
             stack.append((i + 1, mono[:i] + (e,) + mono[i + 1:]))

@@ -19,7 +19,8 @@ from .polyhedra import SupportError, convenience_report, added_vertices
 from .families import DeformationFamily, family, spoly
 from .apex import mu_constant_test
 from .fans import (LatticeCone, newton_fan, simplicialize, regularize_fan,
-                   is_regular_cone, is_admissible, support_function)
+                   is_regular_cone, is_admissible_subdivision,
+                   support_function)
 from .groebner import DEFAULT_BUDGET, BudgetExceeded, ideal_contains_one
 from .milnor import nondegeneracy_check, render_face
 
@@ -247,14 +248,14 @@ def _certify_added(fam, transform, alpha, cert, skip_smoothness, budget,
     return ChartCertificate(chart, alpha, status, tuple(sorted(witness)))
 
 
-def simultaneous_resolution(fam, skip_smoothness=False, budget=DEFAULT_BUDGET,
-                            waive_degenerate_faces=()):
+def simultaneous_resolution(fam, skip_smoothness=False, budget=DEFAULT_BUDGET):
     """Resolve a deformation family: Newton fan of the generic support,
     simplicialized with the apex rays pulled first, regularized, then one
     certified monomial chart per maximal cone.
 
-    The base polynomial must be nondegenerate (nondegeneracy_check) except
-    on the faces listed in waive_degenerate_faces.  The smoothness tests of
+    The base polynomial must be nondegenerate (nondegeneracy_check).  The
+    Newton fan is built once and the emitted fan checked admissible against
+    it.  The smoothness tests of
     the charts over added vertices run within budget, or not at all under
     skip_smoothness.
     """
@@ -280,17 +281,11 @@ def simultaneous_resolution(fam, skip_smoothness=False, budget=DEFAULT_BUDGET,
             f"apex: {rendered}")
 
     nondegeneracy_report = nondegeneracy_check(base, budget)
-    waived = {tuple(sorted(map(tuple, f))) for f in waive_degenerate_faces}
     for fv in nondegeneracy_report.faces:
         if fv.status == "degenerate":
-            if tuple(sorted(fv.points)) in waived:
-                warnings.append(
-                    f"degenerate face {render_face(fv.points)} waived")
-            else:
-                raise GeometryError(
-                    "base polynomial is degenerate on face "
-                    f"{render_face(fv.points)}; "
-                    "waive it explicitly to proceed")
+            raise GeometryError(
+                "base polynomial is degenerate on face "
+                f"{render_face(fv.points)}")
         elif fv.status == "unchecked":
             warnings.append(
                 "nondegeneracy unchecked on face "
@@ -305,12 +300,13 @@ def simultaneous_resolution(fam, skip_smoothness=False, budget=DEFAULT_BUDGET,
         if ray not in apex_rays:
             apex_rays.append(ray)
 
-    fan = regularize_fan(simplicialize(newton_fan(s_gen), priority=apex_rays))
+    nfan = newton_fan(s_gen)
+    fan = regularize_fan(simplicialize(nfan, priority=apex_rays))
     for cone in fan.maximal:
         if not is_regular_cone(cone):
             raise InternalConsistencyError(
                 f"regularization left a non-regular cone {cone.rays}")
-    if is_admissible(fan, s_gen) is not True:
+    if is_admissible_subdivision(fan, nfan, s_gen) is not True:
         raise InternalConsistencyError("emitted fan is not admissible")
 
     charts = []

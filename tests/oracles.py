@@ -29,7 +29,13 @@ intersection of the cross-section's facets (cone_faces_section), the
 canonical cone read off the hull of the generators' cross-section
 (cone_from_rays_section), the chart-volume subdivision test, the
 bounding-box scan of the fundamental box with one rational solve per
-lattice point, and the Newton fan read off sliced dual cones.
+lattice point, and the Newton fan read off sliced dual cones.  Three more
+are the library's former subdivision steps, kept verbatim: simplicialize
+as a memoized recursion over each cone's facets() (simplicialize_recursive),
+regularity with a full-dimensional |det| branch behind an is_simplicial
+double description (is_regular_cone_two_branch), and the stellar step
+that tests membership with contains (stellar_raw_contains); the library
+now reads all three off geometry._pulling and the minor chart.
 
 edges_at_vertex_lattice is the library's former apex.edges_at_vertex,
 which read the compact edges at a vertex off the whole face lattice; the
@@ -63,13 +69,14 @@ compact facets, on the scans above.
 
 import itertools
 from fractions import Fraction as F
-from math import factorial
+from math import factorial, gcd
 from typing import NamedTuple
 
 from newtonmu.apex import BoundaryEdge
 from newtonmu.fans import Fan, LatticeCone, cone_from_rays
 from newtonmu.geometry import (ONE, ZERO, GeometryError, Polytope,
-                               _bounded_piece, _extreme_rays, convex_hull,
+                               _bounded_piece, _extreme_rays, _int_det,
+                               convex_hull,
                                determinant, dot, frac, primitive_vector,
                                sign_canonical, simplex_volume, vec)
 from newtonmu.newton_number import NewtonVolumeVector
@@ -696,6 +703,78 @@ def newton_fan_section(s):
         cones.append(cone_from_rays(
             n, [primitive_vector(p) for p in x.vertices]))
     return Fan(n, tuple(cones))
+
+
+def simplicialize_recursive(fan, priority=()):
+    """Pulling subdivision making every cone simplicial without new rays.
+
+    Each non-simplicial cone is pulled at its first ray, priority rays
+    first (in the given order), then lexicographically; the recursion is
+    memoized per cone so shared faces subdivide identically.
+    """
+    priority = [tuple(int(x) for x in r) for r in priority]
+
+    def order(ray):
+        if ray in priority:
+            return (0, priority.index(ray), ray)
+        return (1, 0, ray)
+
+    memo = {}
+
+    def pieces(cone):
+        if cone in memo:
+            return memo[cone]
+        if cone.is_simplicial:
+            memo[cone] = (cone,)
+            return memo[cone]
+        r0 = min(cone.rays, key=order)
+        out = []
+        for facet in cone.facets():
+            if r0 in facet.rays:
+                continue
+            for tau in pieces(facet):
+                out.append(LatticeCone(
+                    cone.ambient_dim, tuple(sorted(tau.rays + (r0,)))))
+        memo[cone] = tuple(sorted(set(out),
+                                  key=lambda c: (len(c.rays), c.rays)))
+        return memo[cone]
+
+    new_max = []
+    for c in fan.maximal:
+        new_max.extend(pieces(c))
+    return Fan(fan.ambient_dim, tuple(new_max))
+
+
+def is_regular_cone_two_branch(c):
+    """Unimodularity: |det| = 1 in full dimension, gcd of maximal minors 1
+    below it."""
+    if not c.rays:
+        return True
+    if not c.is_simplicial:
+        raise GeometryError("regularity is only defined for simplicial cones")
+    k = len(c.rays)
+    if k == c.ambient_dim:
+        return abs(_int_det(c.rays)) == 1
+    g = 0
+    for cols in itertools.combinations(range(c.ambient_dim), k):
+        g = gcd(g, _int_det([[r[j] for j in cols] for r in c.rays]))
+    return g == 1
+
+
+def stellar_raw_contains(cones, xi):
+    out = []
+    for c in cones:
+        if not c.is_simplicial:
+            raise GeometryError("stellar subdivision needs simplicial cones")
+        if not c.contains(xi):
+            out.append(c)
+            continue
+        rows, adj, _ = c._minor_chart
+        for r, a in zip(c.rays, adj):
+            if sum(x * xi[j] for x, j in zip(a, rows)) > 0:
+                kept = tuple(sorted([q for q in c.rays if q != r] + [xi]))
+                out.append(LatticeCone(c.ambient_dim, kept))
+    return tuple(sorted(set(out), key=lambda c: (len(c.rays), c.rays)))
 
 
 # --- Newton numbers -----------------------------------------------------------

@@ -4,31 +4,38 @@ bounding-box oracles.
 Each property compares a whole result with the type of every number in it,
 for cones in dimension 2..4: simplicial, lower-dimensional and
 non-simplicial ones, proper and improper fans, covering and non-covering
-subdivisions.  A last test runs the fan pipeline with the polytope
-routines disabled, so it shows the cone kernel builds no polytope.
+subdivisions.  The subdivision steps are compared with their former
+code on the cones of random Newton fans.  The last tests run the fan
+pipeline with the polytope routines disabled, so they show the cone
+kernel builds no polytope, and the subdivision steps with the double
+description disabled, so they show those steps read cached
+H-descriptions and minor charts only.
 """
 
 import itertools
+import random
 from fractions import Fraction as F
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from newtonmu import fans, geometry, newton_number
-from newtonmu.fans import (Fan, LatticeCone, box_points, cone_from_rays,
-                           intersect_cones, is_admissible, is_regular_cone,
-                           is_subdivision, newton_fan, orthant_fan,
-                           regularize_fan, simplicialize, stellar_subdivide)
+from newtonmu.fans import (Fan, LatticeCone, _simplices, _stellar_raw,
+                           box_points, cone_from_rays, intersect_cones,
+                           is_admissible, is_regular_cone, is_subdivision,
+                           newton_fan, orthant_fan, regularize_fan,
+                           simplicialize, stellar_subdivide)
 from newtonmu.geometry import (GeometryError, InternalConsistencyError,
                                convex_hull, primitive_vector)
 from newtonmu.newton_number import union_volume_vector
 from newtonmu.polyhedra import support_set
-from corpus import bs_deformed_support
+from corpus import bs_deformed_support, random_convenient_support
 from oracles import (box_points_scan, cone_contains, cone_dim,
                      cone_faces_section, cone_from_rays_section,
                      fan_compatible_section, intersect_cones_section,
-                     is_face_of_section, is_subdivision_chart, mat_rank,
-                     union_volume_vector_hulls)
+                     is_face_of_section, is_regular_cone_two_branch,
+                     is_subdivision_chart, mat_rank, simplicialize_recursive,
+                     stellar_raw_contains, union_volume_vector_hulls)
 from test_conversion import typed
 from test_pruned_polyhedra import assert_deleted
 
@@ -219,6 +226,51 @@ def test_newton_fan_subdivides_the_orthant(s):
     assert is_subdivision(simp, nf) and is_subdivision_chart(simp, nf)
 
 
+def _outcome(fn, *args):
+    """fn's typed result, or the GeometryError it raised."""
+    try:
+        return typed(fn(*args))
+    except GeometryError:
+        return GeometryError
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+@settings(PROPERTY, max_examples=25)
+@given(seed=st.integers(0, 2 ** 30), data=st.data())
+def test_subdivision_steps_match_former_code(n, seed, data):
+    """simplicialize, is_regular_cone and the stellar step against their
+    former code: on a random Newton fan, on one random cone (often
+    non-simplicial) and on one random cone of dimension n - 1 (for n = 4
+    often non-simplicial), with priority rays drawn from them, on their
+    facets and on the zero cone, at rays drawn as primitive sums of those
+    rays, inside and outside each cone."""
+    nf = newton_fan(random_convenient_support(random.Random(seed), n,
+                                              extra=4))
+    extra = data.draw(cones(n))
+    flat = cone_from_rays(n, data.draw(generator_sets(n, n - 1)))
+    zero = LatticeCone(n, ())
+    rays = sorted({r for c in nf.maximal + (extra, flat) for r in c.rays})
+    priority = data.draw(st.lists(st.sampled_from(rays), max_size=3))
+    for fan in (nf, Fan(n, nf.maximal[0].facets()), Fan(n, (extra,)),
+                Fan(n, extra.facets()), Fan(n, (flat,)), Fan(n, (zero,))):
+        assert typed(simplicialize(fan, priority)) == typed(
+            simplicialize_recursive(fan, priority))
+    simp = simplicialize(nf, priority)
+    xis = [primitive_vector(tuple(map(sum, zip(*data.draw(st.lists(
+        st.sampled_from(rays), min_size=1, max_size=3))))))
+        for _ in range(3)]
+    for c in {*simp.maximal, *nf.maximal, *extra.faces(), *flat.faces()} | {
+            f for c in nf.maximal for f in c.facets()}:
+        assert _outcome(is_regular_cone, c) == _outcome(
+            is_regular_cone_two_branch, c)
+        for xi in xis:
+            assert _outcome(_stellar_raw, (c,), xi) == _outcome(
+                stellar_raw_contains, (c,), xi)
+    for xi in xis:
+        assert typed(_stellar_raw(simp.maximal, xi)) == typed(
+            stellar_raw_contains(simp.maximal, xi))
+
+
 def test_box_points_of_a_deep_cone():
     """Determinant 143: the bounding box has about a million lattice
     points, the group 143 residues."""
@@ -276,3 +328,36 @@ def test_cone_kernel_builds_no_polytope(monkeypatch):
     whole = Fan(3, (cone,))
     assert is_subdivision(simplicialize(whole), whole)
     assert typed(union_volume_vector(polys, 3)) == typed(want_union)
+
+
+def test_subdivision_steps_run_without_double_description(monkeypatch):
+    """With _extreme_rays raising, is_regular_cone, box_points, the
+    stellar step and _simplices run on cones whose H-description is
+    cached: full-dimensional, lower-dimensional, non-simplicial and zero
+    cones."""
+    gens = [(1, 0, 0), (0, 1, 0), (1, 0, 1), (0, 1, 1), (1, 1, 2)]
+    square = cone_from_rays(3, gens)
+    simplicial = [cone_from_rays(3, [(1, 2, 0), (2, 1, 0), (0, 1, 3)]),
+                  cone_from_rays(3, [(1, 2, 0), (2, 1, 0)]),
+                  LatticeCone(3, ())]
+    cones = simplicial + [square]
+    for c in cones:
+        c._h_description
+    want = [(c, is_regular_cone_two_branch(c), box_points_scan(c))
+            for c in simplicial]
+    want_pieces = [(c, _simplices(c)) for c in cones]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a double description was run")
+
+    monkeypatch.setattr(fans, "_extreme_rays", refuse)
+    for c, regular, box in want:
+        assert is_regular_cone(c) is regular
+        assert typed(box_points(c)) == typed(box)
+        assert _stellar_raw((c,), (1, 1, 1)) == stellar_raw_contains(
+            (c,), (1, 1, 1))
+    for c, pieces in want_pieces:
+        assert _simplices(c) == pieces
+    assert len(square.rays) == 4 and len(_simplices(square)) == 2
+    with pytest.raises(GeometryError):
+        is_regular_cone(square)

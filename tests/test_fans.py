@@ -63,6 +63,20 @@ def test_regularity():
     assert not is_regular_cone(cone_from_rays(3, [(1, 2, 0), (3, 1, 0)]))
 
 
+def test_non_simplicial_cones_are_refused():
+    """Regularity, the fundamental box and the stellar step, at a ray
+    inside the cone or outside it, refuse a cone that is not simplicial."""
+    square = cone_from_rays(3, [(1, 0, 0), (0, 1, 0), (1, 0, 1), (0, 1, 1)])
+    fan = Fan(3, (square,))
+    with pytest.raises(GeometryError):
+        is_regular_cone(square)
+    with pytest.raises(GeometryError):
+        box_points(square)
+    for xi in ((1, 1, 1), (0, 0, 1)):
+        with pytest.raises(GeometryError):
+            stellar_subdivide(fan, xi)
+
+
 def test_box_points():
     bp = box_points(cone_from_rays(2, [(1, 2), (2, 1)]))
     assert [p for p, _ in bp] == [(1, 1), (2, 2)]

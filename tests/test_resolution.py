@@ -1,12 +1,20 @@
+import random
+from fractions import Fraction as F
+
 import pytest
 
+from newtonmu import fans, resolution
+from newtonmu.apex import mu_constant_test
 from newtonmu.families import family
 from newtonmu.fans import cone_from_rays, is_regular_cone, support_function
 from newtonmu.geometry import GeometryError
+from newtonmu.milnor import milnor_number, nondegeneracy_check
+from newtonmu.newton_number import newton_number_set
 from newtonmu.polyhedra import SupportError
 from newtonmu.resolution import (chart_pullback, make_chart,
                                  simultaneous_resolution)
-from corpus import bs_family
+from corpus import (boundary_plane_augmentation, bs_family,
+                    interior_point_below, random_convenient_support)
 
 
 def test_chart_pullback():
@@ -72,3 +80,72 @@ def test_rejects_non_convenient_base():
     bad = family(2, 1, [((3, 0), 1), ((1, 1), [((1,), 1)])])
     with pytest.raises(SupportError):
         simultaneous_resolution(bad)
+
+
+def test_resolution_builds_the_newton_fan_once(monkeypatch):
+    """The emitted fan is checked admissible against the Newton fan the
+    resolution built, not a second one."""
+    built = []
+
+    def counting(s):
+        built.append(s)
+        return newton_fan(s)
+
+    newton_fan = fans.newton_fan
+    monkeypatch.setattr(fans, "newton_fan", counting)
+    monkeypatch.setattr(resolution, "newton_fan", counting)
+    simultaneous_resolution(bs_family())
+    assert len(built) == 1
+
+
+def _coefficient(rng):
+    return F(rng.choice([-3, -2, -1, 1, 2, 3]), rng.randint(1, 3))
+
+
+def test_main_theorem_on_random_families():
+    """The main theorem as a property: on random nondegenerate convenient
+    bases with random rational coefficients, deformed by s times one
+    monomial on a compact facet's hyperplane or strictly under the Newton
+    boundary, the apex verdict is the equality of Newton numbers, and
+    simultaneous_resolution succeeds exactly when it says mu-constant and
+    otherwise refuses the family; in the plane the base's Milnor number is
+    its Newton number (Kouchnirenko).  Draws whose base is not certified
+    nondegenerate are skipped and counted."""
+    rng = random.Random(15)
+    budget = 20_000
+    draws = skipped = 0
+    verdicts = set()
+    for k in range(28):
+        n = 2 + k % 2
+        s = random_convenient_support(rng, n, max_intercept=5, extra=2)
+        if k % 4 < 2:
+            sp = boundary_plane_augmentation(rng, s)
+            if sp is None:
+                continue
+            (alpha,) = set(sp.points) - set(s.points)
+        else:
+            alpha = interior_point_below(rng, s)
+            if alpha is None:
+                continue
+            sp = s.augment([alpha])
+        draws += 1
+        terms = [(tuple(map(int, p)), _coefficient(rng)) for p in s.points]
+        fam = family(n, 1, terms + [(tuple(map(int, alpha)),
+                                     [((1,), _coefficient(rng))])])
+        if nondegeneracy_check(fam.base(), budget).verdict != "nondegenerate":
+            skipped += 1
+            continue
+        test = mu_constant_test(s, sp)
+        verdict = test.verdict
+        assert verdict == (test.nu_s == test.nu_s_prime)
+        verdicts.add(verdict)
+        if verdict:
+            res = simultaneous_resolution(fam, budget=budget)
+            assert res.report.nu == newton_number_set(s)
+        else:
+            with pytest.raises(GeometryError, match="not mu-constant"):
+                simultaneous_resolution(fam, budget=budget)
+        if n == 2:
+            assert milnor_number(fam.base(), budget) == newton_number_set(s)
+    assert verdicts == {True, False}
+    assert draws >= 10 and 2 * skipped < draws, (draws, skipped)
