@@ -1,9 +1,9 @@
-"""Exact rational convex geometry: hulls, bounded pieces, triangulations.
+"""Exact rational convex geometry: hull rows, bounded pieces, triangulations.
 
 Results are fractions.Fraction or int; there is no floating point and no
-epsilon anywhere.  A Polytope carries a vertex description, an irredundant
-facet description with primitive integer normals, and the affine hull as a
-list of equalities, so lower-dimensional polytopes are first-class values.
+epsilon anywhere.  Polytopes are not a value type here: a hull is handed on
+as its homogenized integer rows, and a bounded piece is read off such rows
+as its vertices and facet vertex masks.
 
 The kernels run on Python integers.  Rational points are scaled once by the
 lcm of their denominators, and Fractions appear again only in the results.
@@ -11,13 +11,14 @@ Two integer eliminations do the work: _extreme_rays, the one
 double-description routine (Fukuda & Prodon 1996), whose updates are
 integer combinations divided by their gcd, and _int_det (below).  Given
 rows as equalities only, the cone _extreme_rays returns is their null
-space, all lineality, so null spaces are read off it too.  convex_hull reads
-the affine hull off the null space of the point differences and the facets
-off the rays of a dual cone; polyhedra.newton_polyhedron does the same for
-Newton polyhedra.  _bounded_piece is the one reader of a bounded polytope
-given by constraints: one _extreme_rays call on its homogenized rows, whose
-rays with t > 0 are the vertices and whose zero sets give the relative
-facets as vertex masks, with no hull and no normal solved for.
+space, all lineality, so null spaces are read off it too.  _hull_rows reads
+the affine hull of finite points off the null space of the point
+differences and the facets off the rays of a dual cone;
+polyhedra.newton_polyhedron does the same for Newton polyhedra.
+_bounded_piece is the one reader of a bounded polytope given by
+constraints: one _extreme_rays call on its homogenized rows, whose rays
+with t > 0 are the vertices and whose zero sets give the relative facets
+as vertex masks, with no hull and no normal solved for.
 _int_det is the one determinant routine, Bareiss (1968) elimination on an
 integer matrix; determinant scales rational rows to it, and
 newton_number.volume_vector and the fan kernels call it on integer
@@ -26,16 +27,17 @@ bitmasks of points, so no face is hulled either; it triangulates the
 bounded pieces, the compact facets of Newton polyhedra and the fans' cones
 (over ray masks).  _maximal_meets is the one step that finds a face's
 facets from bitmasks; _pulling and _face_lattice both use it.
-_vertex_mask is the one vertex rule, for hulls and Newton polyhedra.
+_vertex_mask is the one vertex rule, for Newton polyhedra.
 _face_lattice is the one face-lattice walk, level by level down from the
 facets: polyhedra runs it on Newton polyhedra and fans on cones.
 
 Record is the base of the package's immutable value types: the fields are
 the class annotations, and no code is generated per class.
 
-Nothing is memoized at module level: convex_hull computes its result on
-every call, and the one memo of the package, the Newton polyhedron of a
-support, lives on its polyhedra.SupportSet.
+Nothing is memoized at module level: hull rows, bounded pieces and
+triangulations are computed on every call, and the one memo of the
+package, the Newton polyhedron of a support, lives on its
+polyhedra.SupportSet.
 
 Determinism: vertices are kept in lexicographic order, facets are sorted by
 (normal, offset), and the pulling triangulation always cones from the
@@ -161,14 +163,6 @@ def primitive_vector(v):
     return w
 
 
-def sign_canonical(v):
-    """Flip a vector so its first nonzero entry is positive."""
-    for x in v:
-        if x != 0:
-            return v if x > 0 else tuple(-y for y in v)
-    return v
-
-
 # --- exact integer linear algebra ----------------------------------------
 
 def _integer_row(row):
@@ -264,7 +258,7 @@ def _extreme_rays(equalities, inequalities, dim):
     on, so every vector stays zero past its own column; the free columns
     are those of the rational reduced row echelon form, and the basis is
     that form's null space basis scaled to primitive integers.
-    Polytope.equalities are read off it.
+    _hull_rows reads the equalities of an affine hull off it.
 
     The cone starts as the whole space, all lineality.  A row that is
     nonzero on the lineality space splits one lineality vector off: an
@@ -373,37 +367,7 @@ def _dual_facets(ipts, equalities=(), directions=()):
     return facets
 
 
-# --- polytopes ------------------------------------------------------------
-
-class Polytope(Record):
-    """Bounded convex polytope with exact V- and H-descriptions.
-
-    vertices        lexicographically sorted tuple of points
-    dim             intrinsic (affine hull) dimension
-    facets          ((normal, offset), ...) meaning <normal, x> >= offset,
-                    normals primitive integer vectors, irredundant, valid
-                    inside the affine hull
-    facet_vertices  per facet, the frozenset of vertex indices lying on it
-    equalities      affine hull as ((normal, offset), ...) with <n, x> == c
-    """
-
-    ambient_dim: int
-    dim: int
-    vertices: tuple
-    facets: tuple
-    facet_vertices: tuple
-    equalities: tuple
-
-    def contains(self, point):
-        point = vec(point)
-        for normal, offset in self.equalities:
-            if dot(normal, point) != offset:
-                return False
-        for normal, offset in self.facets:
-            if dot(normal, point) < offset:
-                return False
-        return True
-
+# --- hulls and bounded pieces --------------------------------------------
 
 def _members(mask):
     return [i for i in range(mask.bit_length()) if mask >> i & 1]
@@ -423,57 +387,34 @@ def _vertex_mask(candidates, facet_masks):
     return vmask
 
 
-def _polytope(pts, ipts, den, normals, found):
-    """The Polytope of the sorted points pts = ipts / den, given the null
-    space normals of the point differences and the facets found as sorted
-    (w, c, mask of the points on <w, x> = c) triples; the vertices are
-    read off the facet masks by _vertex_mask."""
-    n = len(pts[0])
-    if len(normals) == n:
-        eqs = tuple((_unit(n, i), pts[0][i]) for i in range(n))
-        return Polytope(n, 0, pts, (), (), eqs)
-    equalities = tuple((e, Fraction(_idot(e, ipts[0]), den))
-                       for e in sorted(map(sign_canonical, normals)))
-    vertex_idx = _members(_vertex_mask(range(len(pts)),
-                                       [on for _, _, on in found]))
-    vertices = tuple(pts[i] for i in vertex_idx)
-    facets = tuple((w, Fraction(c, den)) for w, c, _ in found)
-    facet_vertices = tuple(
-        frozenset(k for k, i in enumerate(vertex_idx) if on >> i & 1)
-        for _, _, on in found)
-    return Polytope(n, n - len(normals), vertices, facets, facet_vertices,
-                    equalities)
-
-
 _hull_cache = {}  # unused; the benchmark's cache reset still names it
 
 
-def convex_hull(points):
-    """Exact convex hull of rational points in dimension <= DIMENSION_CAP.
+def _hull_rows(points):
+    """The hull of a list of rational points as the homogenized integer rows
+    (a, -b) that _bounded_piece reads: (equalities, facets), meaning
+    <a, x> = b on the affine hull and <a, x> >= b on each facet.
 
-    The points are scaled by the lcm of their denominators to integer
-    points P.  The affine hull's equality normals e are the integer null
-    space of the differences P - P_0.  The facets come from _dual_facets
-    with w confined to the difference space (<e, w> = 0), where the
-    polytope is bounded and full-dimensional, so the dual cone is pointed,
-    the normals already lie in the difference space, and coplanar and
-    lower-dimensional inputs need no special care.  All of this runs on
-    integers; offsets are c / lcm.
+    The points are scaled by the lcm D of their denominators to integer
+    points P.  The equality normals e are the integer null space of the
+    differences P - P_0.  The facets (w, c) come from _dual_facets with w
+    confined to the difference space (<e, w> = 0), where the hull is
+    bounded and full-dimensional, so the dual cone is pointed and
+    lower-dimensional inputs need no special care.  The rows are
+    (D e, -<e, P_0>) and (D w, -c); all of this runs on integers.
     """
-    pts = tuple(sorted({vec(p) for p in points}))
-    if not pts:
+    if not points:
         raise GeometryError("empty point set has no hull")
-    n = len(pts[0])
-    if any(len(p) != n for p in pts):
+    n = len(points[0])
+    if any(len(p) != n for p in points):
         raise GeometryError("points of mixed dimension")
-    if n > DIMENSION_CAP:
-        raise DimensionCapExceeded(
-            f"ambient dimension {n} exceeds cap {DIMENSION_CAP}")
-    ipts, den = _scaled(pts)
+    ipts, den = _scaled(points)
     diffs = [tuple(x - y for x, y in zip(p, ipts[0])) for p in ipts[1:]]
     _, normals, _ = _extreme_rays(diffs, (), n)
     found = _dual_facets(ipts, equalities=normals) if len(normals) < n else ()
-    return _polytope(pts, ipts, den, normals, found)
+    return ([tuple(den * x for x in e) + (-_idot(e, ipts[0]),)
+             for e in normals],
+            [tuple(den * x for x in w) + (-c,) for w, c, _ in found])
 
 
 def _bounded_piece(equalities, inequalities, dim):

@@ -26,7 +26,8 @@ geometry._pulling over the vertex masks it returns.  A compact facet that
 no point of the bigger support lies below is skipped by an integer sign
 test, since its piece is flat.  The pulling rule restricts to every face,
 so _volumes sums an intersection's sections off its one triangulation.
-projection_formula_check calls convex_hull, on each simplex's shadow,
+projection_formula_check hands union_volume_vector each simplex's shadow
+as its projected points, which geometry._hull_rows turns into rows,
 because a projection is not a face.
 
 Axis sets in the public interface are 1-based, matching the customary
@@ -40,8 +41,8 @@ from fractions import Fraction
 from math import factorial
 
 from .geometry import (ONE, ZERO, GeometryError, Record, _bounded_piece,
-                       _extreme_rays, _idot, _int_det, _members, _pulling,
-                       _scaled, convex_hull, frac, simplex_volume)
+                       _extreme_rays, _hull_rows, _idot, _int_det, _members,
+                       _pulling, _scaled, frac, simplex_volume)
 from .polyhedra import (CompactRegion, SupportError, _lower_simplices,
                         check_nested, newton_polyhedron, support_set)
 
@@ -269,22 +270,23 @@ def difference_region(s, s_prime):
 
 # --- unions of polytopes ----------------------------------------------------
 
-def union_volume_vector(polytopes, ambient_dim):
-    """Volume vector of a finite union of orthant polytopes.
+def union_volume_vector(pieces, ambient_dim):
+    """Volume vector of a finite union of orthant polytopes, each piece
+    given as a list of points in dimension ambient_dim (the piece is their
+    hull).
 
     Overlaps are allowed; V_k is computed by inclusion-exclusion over the
     intersection lattice.  Exponential in the number of pieces, fine at the
-    intended scale.  Each polytope becomes its homogenized equality and
-    facet rows once, an intersection is the rows of its parent and of the
-    polytope it adds, and _bounded_piece reads its vertices and facets off
-    them.  Each intersection's sections are faces, and the pulling
+    intended scale.  Each piece becomes its homogenized equality and facet
+    rows once (_hull_rows), an intersection is the rows of its parent and
+    of the piece it adds, and _bounded_piece reads its vertices and facets
+    off them.  Each intersection's sections are faces, and the pulling
     triangulation restricts to every face, so _volumes sums them over one
     pulling triangulation of the intersection; V_0 counts the
     intersections with the origin as a vertex.
     """
     n = ambient_dim
-    rows = [([tuple(e) + (-c,) for e, c in p.equalities],
-             [tuple(w) + (-c,) for w, c in p.facets]) for p in polytopes]
+    rows = [_hull_rows(p) for p in pieces]
     values = [ZERO] * (n + 1)
     inters = {}
     for size in range(1, len(rows) + 1):
@@ -309,10 +311,10 @@ def union_volume_vector(polytopes, ambient_dim):
     return NewtonVolumeVector(tuple(values))
 
 
-def newton_number_union(polytopes, ambient_dim):
+def newton_number_union(pieces, ambient_dim):
     if ambient_dim == 0:
-        return ONE if polytopes else ZERO
-    return union_volume_vector(polytopes, ambient_dim).newton_number()
+        return ONE if pieces else ZERO
+    return union_volume_vector(pieces, ambient_dim).newton_number()
 
 
 # --- projection formula and positivity --------------------------------------
@@ -374,10 +376,8 @@ def projection_formula_check(region, axes):
     if k == n:
         proj_nu = ONE
     else:
-        shadows = []
-        for simplex in region.simplices:
-            pts = _project_out(list(simplex), coords)
-            shadows.append(convex_hull(pts))
+        shadows = [_project_out(list(simplex), coords)
+                   for simplex in region.simplices]
         proj_nu = newton_number_union(shadows, n - k)
     rhs = factorial(k) * base_vol * proj_nu
     return lhs, rhs

@@ -20,6 +20,16 @@ that replaced them: the supporting-hyperplane scan over point subsets
 which share no code with the fraction-free integer routines they check,
 and they keep no cache.
 
+convex_hull is the library's former hull, kept verbatim with its Polytope
+record (vertices, facets with their vertex sets, and the affine hull as
+sign_canonical equalities) and its builder _polytope.  It runs on the
+library's _extreme_rays, _dual_facets and _vertex_mask, so it is not
+independent of them; test_conversion checks it, and the library's hull
+rows (geometry._hull_rows), against convex_hull_scan, which returns the
+same Polytope record.  The library hands a hull on as its integer rows
+only; convex_hull stays here as the fast hull of the cross-section,
+section and Newton-number oracles below.
+
 The fan oracles are the library's former cone queries, which work on the
 cross-section polytope (the slice of a cone by the hyperplane where the
 coordinates sum to one) where the library now uses integer H-descriptions,
@@ -68,17 +78,18 @@ compact facets, on the scans above.
 """
 
 import itertools
-from fractions import Fraction as F
+from fractions import Fraction, Fraction as F
 from math import factorial, gcd
 from typing import NamedTuple
 
 from newtonmu.apex import BoundaryEdge
 from newtonmu.fans import Fan, LatticeCone, cone_from_rays
-from newtonmu.geometry import (ONE, ZERO, GeometryError, Polytope,
-                               _bounded_piece, _extreme_rays, _int_det,
-                               convex_hull,
+from newtonmu.geometry import (DIMENSION_CAP, ONE, ZERO, DimensionCapExceeded,
+                               GeometryError, Record, _bounded_piece,
+                               _dual_facets, _extreme_rays, _idot, _int_det,
+                               _members, _scaled, _unit, _vertex_mask,
                                determinant, dot, frac, primitive_vector,
-                               sign_canonical, simplex_volume, vec)
+                               simplex_volume, vec)
 from newtonmu.newton_number import NewtonVolumeVector
 from newtonmu.polyhedra import (CompactRegion, Face, SupportError,
                                 check_nested, newton_polyhedron)
@@ -219,7 +230,7 @@ def _lift_normal(nu, basis):
     return primitive_vector(w)
 
 
-def _unit(n, i):
+def _unit_frac(n, i):
     return tuple(ONE if j == i else ZERO for j in range(n))
 
 
@@ -254,11 +265,101 @@ def _face_lattice(n, facets):
     faces = []
     for (pc, rc) in known:
         rows = [vsub(p, pc[0]) for p in pc[1:]]
-        rows += [_unit(n, i) for i in rc]
+        rows += [_unit_frac(n, i) for i in rc]
         d = mat_rank(rows) if rows else 0
         faces.append(Face(tuple(sorted(pc)), rc, d, not rc))
     faces.sort(key=lambda f: (f.dim, f.points, tuple(sorted(f.recession))))
     return tuple(faces)
+
+
+# --- the former library hull ---------------------------------------------
+
+def sign_canonical(v):
+    """Flip a vector so its first nonzero entry is positive."""
+    for x in v:
+        if x != 0:
+            return v if x > 0 else tuple(-y for y in v)
+    return v
+
+
+class Polytope(Record):
+    """Bounded convex polytope with exact V- and H-descriptions.
+
+    vertices        lexicographically sorted tuple of points
+    dim             intrinsic (affine hull) dimension
+    facets          ((normal, offset), ...) meaning <normal, x> >= offset,
+                    normals primitive integer vectors, irredundant, valid
+                    inside the affine hull
+    facet_vertices  per facet, the frozenset of vertex indices lying on it
+    equalities      affine hull as ((normal, offset), ...) with <n, x> == c
+    """
+
+    ambient_dim: int
+    dim: int
+    vertices: tuple
+    facets: tuple
+    facet_vertices: tuple
+    equalities: tuple
+
+    def contains(self, point):
+        point = vec(point)
+        for normal, offset in self.equalities:
+            if dot(normal, point) != offset:
+                return False
+        for normal, offset in self.facets:
+            if dot(normal, point) < offset:
+                return False
+        return True
+
+
+def _polytope(pts, ipts, den, normals, found):
+    """The Polytope of the sorted points pts = ipts / den, given the null
+    space normals of the point differences and the facets found as sorted
+    (w, c, mask of the points on <w, x> = c) triples; the vertices are
+    read off the facet masks by _vertex_mask."""
+    n = len(pts[0])
+    if len(normals) == n:
+        eqs = tuple((_unit(n, i), pts[0][i]) for i in range(n))
+        return Polytope(n, 0, pts, (), (), eqs)
+    equalities = tuple((e, Fraction(_idot(e, ipts[0]), den))
+                       for e in sorted(map(sign_canonical, normals)))
+    vertex_idx = _members(_vertex_mask(range(len(pts)),
+                                       [on for _, _, on in found]))
+    vertices = tuple(pts[i] for i in vertex_idx)
+    facets = tuple((w, Fraction(c, den)) for w, c, _ in found)
+    facet_vertices = tuple(
+        frozenset(k for k, i in enumerate(vertex_idx) if on >> i & 1)
+        for _, _, on in found)
+    return Polytope(n, n - len(normals), vertices, facets, facet_vertices,
+                    equalities)
+
+
+def convex_hull(points):
+    """Exact convex hull of rational points in dimension <= DIMENSION_CAP.
+
+    The points are scaled by the lcm of their denominators to integer
+    points P.  The affine hull's equality normals e are the integer null
+    space of the differences P - P_0.  The facets come from _dual_facets
+    with w confined to the difference space (<e, w> = 0), where the
+    polytope is bounded and full-dimensional, so the dual cone is pointed,
+    the normals already lie in the difference space, and coplanar and
+    lower-dimensional inputs need no special care.  All of this runs on
+    integers; offsets are c / lcm.
+    """
+    pts = tuple(sorted({vec(p) for p in points}))
+    if not pts:
+        raise GeometryError("empty point set has no hull")
+    n = len(pts[0])
+    if any(len(p) != n for p in pts):
+        raise GeometryError("points of mixed dimension")
+    if n > DIMENSION_CAP:
+        raise DimensionCapExceeded(
+            f"ambient dimension {n} exceeds cap {DIMENSION_CAP}")
+    ipts, den = _scaled(pts)
+    diffs = [tuple(x - y for x, y in zip(p, ipts[0])) for p in ipts[1:]]
+    _, normals, _ = _extreme_rays(diffs, (), n)
+    found = _dual_facets(ipts, equalities=normals) if len(normals) < n else ()
+    return _polytope(pts, ipts, den, normals, found)
 
 
 # --- polyhedral conversions -------------------------------------------------
@@ -374,7 +475,7 @@ def newton_polyhedron_scan(support):
         m = min(p[0] for p in pts)
         facets[((1,), m)] = None
     else:
-        units = [_unit(n, i) for i in range(n)]
+        units = [_unit_frac(n, i) for i in range(n)]
         for k in range(1, n + 1):
             for ptsub in itertools.combinations(range(len(pts)), k):
                 span_pts = [pts[i] for i in ptsub]
@@ -402,7 +503,7 @@ def newton_polyhedron_scan(support):
         active = tuple(p for p in pts if dot(w, p) == c)
         rec = frozenset(i for i in range(n) if w[i] == 0)
         rows = [vsub(p, active[0]) for p in active[1:]]
-        rows += [_unit(n, i) for i in rec]
+        rows += [_unit_frac(n, i) for i in rec]
         r = mat_rank(rows) if rows else 0
         if r == n - 1:
             final.append((w, frac(c), active, rec))
@@ -918,13 +1019,14 @@ def volume_vector_fractions(region):
     return NewtonVolumeVector(tuple(values))
 
 
-def union_volume_vector_hulls(polytopes, ambient_dim):
-    """Volume vector of a union of orthant polytopes by inclusion-exclusion,
+def union_volume_vector_hulls(pieces, ambient_dim):
+    """Volume vector of a union of orthant polytopes, each piece given as a
+    finite point set and hulled by convex_hull, by inclusion-exclusion,
     one convex_hull per coordinate section of each intersection, measured
     as Fraction simplex volumes over triangulate_polytope_hulls, and V_0 by
     membership of the origin."""
     n = ambient_dim
-    polys = list(polytopes)
+    polys = [convex_hull(p) for p in pieces]
     values = [ZERO] * (n + 1)
     if polys:
         origin = tuple(ZERO for _ in range(n))

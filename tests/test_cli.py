@@ -224,6 +224,22 @@ def test_apex_disagreement_outside_the_theorem_exits_3(tmp_path, capsys):
     assert err.startswith("error:")
 
 
+@pytest.mark.parametrize("command", ["nu", "fan", "regularize", "nondeg"])
+def test_dimension_above_the_cap_exits_3(tmp_path, capsys, command):
+    """A 9-variable document is refused by support_set's dimension cap."""
+    nine = {"schema_version": 1,
+            "variables": [f"x{i}" for i in range(1, 10)],
+            "parameters": [],
+            "terms": [{"exponent": [2 * int(j == i) for j in range(9)],
+                       "coefficient": [{"s_exponent": [], "value": "1"}]}
+                      for i in range(9)]}
+    code, out, err = run(capsys, [command, write(tmp_path, "d9.json", nine)])
+    assert code == 3
+    assert json.loads(out)["results"]["error"] == {
+        "type": "precondition", "message": "dimension 9 exceeds cap 8"}
+    assert err.startswith("error:")
+
+
 def test_usage_errors_report_json(tmp_path, capsys):
     """An unknown flag, a missing positional and a missing subcommand end
     in the JSON report, exit 2, with argparse's usage text on stderr."""

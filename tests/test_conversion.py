@@ -4,7 +4,11 @@ Each property compares a whole result, with the type of every number in
 it, so a canonical form that differs only by int versus Fraction fails too.
 The bounded-piece reader returns vertices and vertex masks, not a
 Polytope; those are compared with the scan's vertices and facet vertex
-sets, and its flat flag with the scan's dimension.
+sets, and its flat flag with the scan's dimension.  The hull reader
+returns integer rows; their affine hull and facets are compared with the
+scan's as primitive integer rows, and the vertices and facet masks that
+the bounded-piece reader reads off them with the scan's vertices and
+triangulation.
 """
 
 from fractions import Fraction as F
@@ -14,13 +18,14 @@ from hypothesis import given, settings, strategies as st
 
 from newtonmu.fans import newton_fan, support_function
 from newtonmu.geometry import (GeometryError, Record, _bounded_piece,
-                               _extreme_rays, _pulling, convex_hull)
+                               _extreme_rays, _hull_rows, _pulling,
+                               primitive_vector)
 from newtonmu.newton_number import difference_region, volume_vector
 from newtonmu.polyhedra import (check_nested, lower_region, newton_polyhedron,
                                 support_set)
-from oracles import (_face_lattice, convex_hull_scan, mat_rank,
+from oracles import (_face_lattice, convex_hull, convex_hull_scan, mat_rank,
                      newton_polyhedron_scan, polytope_from_constraints_scan,
-                     triangulate_polytope_hulls)
+                     sign_canonical, triangulate_polytope_hulls)
 
 PROPERTY = settings(derandomize=True, deadline=None, max_examples=80)
 
@@ -114,16 +119,33 @@ def test_face_lattice_matches_ranks(s):
                                         if f.dim == 0))
 
 
+def _hull_matches_scan(pts):
+    """The oracle convex_hull equals the scan, typed, and _hull_rows cuts
+    out the scan's affine hull (the same reduced null-space basis) and has
+    its facets, as primitive integer rows with equalities up to sign.  The
+    rows give _bounded_piece the scan's vertices, and _pulling over the
+    facet masks it returns triangulates them as triangulate_polytope_hulls
+    triangulates the hull."""
+    hull, scan = convex_hull(pts), convex_hull_scan(pts)
+    assert typed(hull) == typed(scan)
+    eqs, facets = _hull_rows(pts)
+    assert sorted(sign_canonical(primitive_vector(r)) for r in eqs) == sorted(
+        sign_canonical(primitive_vector(e + (-c,)))
+        for e, c in scan.equalities)
+    assert sorted(map(primitive_vector, facets)) == sorted(
+        primitive_vector(w + (-c,)) for w, c in scan.facets)
+    verts, masks, _ = _bounded_piece(eqs, facets, len(pts[0]))
+    assert verts == scan.vertices
+    whole = (1 << len(verts)) - 1
+    assert sorted(tuple(verts[i] for i in s)
+                  for s in _pulling(whole, whole, masks, {})) == sorted(
+        tuple(sorted(s)) for s in triangulate_polytope_hulls(hull))
+
+
 @given(flats())
 @PROPERTY
 def test_convex_hull_matches_scan(pts):
-    hull = convex_hull(pts)
-    assert typed(hull) == typed(convex_hull_scan(pts))
-    whole = (1 << len(hull.vertices)) - 1
-    masks = [_mask(fv) for fv in hull.facet_vertices]
-    assert sorted(tuple(hull.vertices[i] for i in s)
-                  for s in _pulling(whole, whole, masks, {})) == sorted(
-        tuple(sorted(s)) for s in triangulate_polytope_hulls(hull))
+    _hull_matches_scan(pts)
 
 
 mixed = st.builds(F, st.integers(-6, 6), st.sampled_from([2, 3, 6]))
@@ -134,7 +156,7 @@ mixed = st.builds(F, st.integers(-6, 6), st.sampled_from([2, 3, 6]))
 def test_convex_hull_mixed_denominators_match_scan(pts):
     """Coordinates over 2, 3 and 6: the points are scaled by their lcm
     and the offsets come back as Fractions over it."""
-    assert typed(convex_hull(pts)) == typed(convex_hull_scan(pts))
+    _hull_matches_scan(pts)
 
 
 FRACTION_OPERATORS = ("__add__", "__radd__", "__sub__", "__rsub__",
@@ -142,7 +164,7 @@ FRACTION_OPERATORS = ("__add__", "__radd__", "__sub__", "__rsub__",
 
 
 def test_no_fraction_arithmetic_in_the_kernel(monkeypatch):
-    """support_set, convex_hull, newton_polyhedron (also on a support with
+    """support_set, _hull_rows, newton_polyhedron (also on a support with
     dominated points), lower_region, volume_vector, check_nested,
     difference_region, NewtonPolyhedron.contains, newton_fan and
     support_function run on integers only: on rational inputs, built
@@ -161,8 +183,8 @@ def test_no_fraction_arithmetic_in_the_kernel(monkeypatch):
     # (2, 1, 1/2) lies above (2, 1, 0) and (1, 3/2, 1) above (5/6, 1/3, 1)
     dominated = support_set(3, pts + [(2, 1, F(1, 2)), (1, F(3, 2), 1)])
     convenient = s.augment([(F(5, 2), 0, 0), (0, F(4, 3), 0)])
-    convex_hull(pts)
-    convex_hull(flat)
+    _hull_rows(pts)
+    _hull_rows(flat)
     newton_polyhedron(s)
     newton_polyhedron(dominated)
     region = lower_region(convenient)
@@ -186,7 +208,7 @@ def test_convex_hull_degenerate_inputs_match_scan():
                  (2, 2, 1)],
                 [(0, 0, 0, 0), (1, 0, 1, 0), (0, 1, 0, 1),      # d=2 in R^4
                  (1, 1, 1, 1), (F(1, 2), F(1, 2), F(1, 2), F(1, 2))]):
-        assert typed(convex_hull(pts)) == typed(convex_hull_scan(pts))
+        _hull_matches_scan(pts)
 
 
 def _mask(indices):

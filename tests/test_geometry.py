@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from newtonmu.geometry import (GeometryError, _bounded_piece, _extreme_rays,
-                               _pulling, convex_hull, determinant, dot,
+                               _hull_rows, _idot, _pulling, determinant, dot,
                                primitive_vector, simplex_volume)
 from newtonmu.newton_number import union_volume_vector
 from oracles import nullspace, solve_unique
@@ -31,21 +31,31 @@ def test_determinant_and_solve():
     assert len(ns) == 2 and all(dot((1, 1, 1), v) == 0 for v in ns)
 
 
+def _contains(rows, point):
+    """Whether a point satisfies hull rows (equalities, facets)."""
+    eqs, facets = rows
+    x = tuple(point) + (1,)
+    return (all(_idot(r, x) == 0 for r in eqs)
+            and all(_idot(r, x) >= 0 for r in facets))
+
+
 def test_hull_square():
-    sq = convex_hull([(0, 0), (2, 0), (0, 2), (2, 2), (1, 1)])
-    assert sq.dim == 2
-    assert sq.vertices == ((0, 0), (0, 2), (2, 0), (2, 2))
-    assert sq.contains((1, 1)) and not sq.contains((3, 0))
+    sq = [(0, 0), (2, 0), (0, 2), (2, 2), (1, 1)]
+    rows = _hull_rows(sq)
+    assert rows[0] == [] and len(rows[1]) == 4   # full-dimensional
+    verts, masks, _ = _bounded_piece(*rows, 2)
+    assert verts == ((0, 0), (0, 2), (2, 0), (2, 2))
+    assert _contains(rows, (1, 1)) and not _contains(rows, (3, 0))
     assert union_volume_vector([sq], 2).V == (1, 4, 4)
-    masks = [sum(1 << i for i in fv) for fv in sq.facet_vertices]
     assert len(_pulling(0b1111, 0b1111, masks, {})) == 2
 
 
 def test_hull_lower_dimensional():
-    seg = convex_hull([(0, 0, 0), (1, 1, 1), (2, 2, 2)])
-    assert seg.dim == 1
-    assert seg.vertices == ((0, 0, 0), (2, 2, 2))
-    axis_seg = convex_hull([(0, 0, 0), (3, 0, 0), (1, 0, 0)])
+    seg = [(0, 0, 0), (1, 1, 1), (2, 2, 2)]
+    eqs, facets = _hull_rows(seg)
+    assert len(eqs) == 2                           # a line in R^3
+    assert _bounded_piece(eqs, facets, 3)[0] == ((0, 0, 0), (2, 2, 2))
+    axis_seg = [(0, 0, 0), (3, 0, 0), (1, 0, 0)]
     assert union_volume_vector([axis_seg], 3).V == (1, 3, 0, 0)
 
 
@@ -57,19 +67,17 @@ def test_simplex_volume_subspace():
 
 
 def test_constraints_roundtrip():
-    sq = convex_hull([(0, 0), (2, 0), (0, 2), (2, 2)])
-    verts, facets, flat = _bounded_piece(
-        [e + (-c,) for e, c in sq.equalities],
-        [w + (-c,) for w, c in sq.facets], 2)
-    assert verts == sq.vertices and len(facets) == 4 and not flat
+    sq = [(0, 0), (2, 0), (0, 2), (2, 2)]
+    verts, facets, flat = _bounded_piece(*_hull_rows(sq), 2)
+    assert verts == tuple(sorted(sq)) and len(facets) == 4 and not flat
     assert _bounded_piece([], [(1, 0, -1), (-1, 0, 0)], 2) is None
 
 
 def test_intersection():
-    a = convex_hull([(0, 0), (2, 0), (0, 2), (2, 2)])
-    b = convex_hull([(1, 1), (3, 1), (1, 3), (3, 3)])
+    a = [(0, 0), (2, 0), (0, 2), (2, 2)]
+    b = [(1, 1), (3, 1), (1, 3), (3, 3)]
     assert union_volume_vector([a, b], 2).V[2] == 7
-    far = convex_hull([(5, 5), (6, 5), (5, 6)])
+    far = [(5, 5), (6, 5), (5, 6)]
     assert union_volume_vector([a, far], 2).V[2] == 4 + F(1, 2)
     assert union_volume_vector([a, b, far], 2).V[2] == 7 + F(1, 2)
 
@@ -77,10 +85,12 @@ def test_intersection():
 @given(st.lists(st.tuples(coord, coord), min_size=1, max_size=8))
 @settings(derandomize=True, deadline=None)
 def test_hull_idempotent(pts):
-    hull = convex_hull(pts)
-    again = convex_hull(hull.vertices)
-    assert again.vertices == hull.vertices
-    assert all(hull.contains(p) for p in pts)
+    """The hull of the vertices that _bounded_piece reads off a hull's
+    rows has the same rows, and every point satisfies them."""
+    rows = _hull_rows(pts)
+    verts = _bounded_piece(*rows, 2)[0]
+    assert _hull_rows(verts) == rows
+    assert all(_contains(rows, p) for p in pts)
 
 
 @given(st.lists(st.tuples(coord, coord, coord), min_size=4, max_size=4))

@@ -18,7 +18,6 @@ from newtonmu import fans, geometry, polyhedra
 from newtonmu.apex import mu_constant_test
 from newtonmu.fans import (cone_from_rays, is_admissible, newton_fan,
                            regularize_fan, simplicialize)
-from newtonmu.geometry import convex_hull
 from newtonmu.newton_number import (difference_region, newton_number_series,
                                     union_volume_vector)
 from newtonmu.polyhedra import SupportSet, newton_polyhedron, support_set
@@ -82,8 +81,8 @@ def test_no_module_dict_grows():
     assert mu_constant_test(s, sp).verdict
     assert difference_region(s, sp).simplices
     assert newton_number_series(support_set(3, MISSING_AXIS)).stabilized
-    polys = [convex_hull([(0, 0, 0), (2, 0, 0), (0, 2, 0), (0, 0, 2)]),
-             convex_hull([(1, 0, 0), (3, 0, 0), (1, 2, 0), (1, 1, 1)])]
+    polys = [[(0, 0, 0), (2, 0, 0), (0, 2, 0), (0, 0, 2)],
+             [(1, 0, 0), (3, 0, 0), (1, 2, 0), (1, 1, 1)]]
     assert union_volume_vector(polys, 3)
     fan = regularize_fan(simplicialize(newton_fan(sp)))
     assert is_admissible(fan, sp)

@@ -4,13 +4,14 @@ from fractions import Fraction as F
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from newtonmu.geometry import convex_hull
+from newtonmu.geometry import GeometryError
 from newtonmu.newton_number import (d_set_and_i_set, difference_region,
                                     newton_number_region, newton_number_series,
                                     newton_number_set, newton_number_union,
                                     partial_homothety,
                                     positivity_decomposition,
-                                    projection_formula_check, volume_vector)
+                                    projection_formula_check,
+                                    union_volume_vector, volume_vector)
 from newtonmu.polyhedra import (CompactRegion, SupportError, lower_region,
                                 support_set)
 from corpus import (bs_base_support, bs_deformed_support, exe2d_augmented,
@@ -111,10 +112,26 @@ def test_d_and_i_sets():
 
 
 def test_union():
-    a = convex_hull([(F(0),), (F(1),)])
-    b = convex_hull([(F(1, 2),), (F(2),)])
+    a = [(F(0),), (F(1),)]
+    b = [(F(1, 2),), (F(2),)]
     assert newton_number_union([a, b], 1) == 1
     assert newton_number_union([], 1) == 0
+
+
+@pytest.mark.parametrize("pieces, message", [
+    ([[]], "empty point set has no hull"),
+    ([[(0, 0), (1, 0, 0)]], "points of mixed dimension"),
+    ([[(0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1)]],
+     "constraint row of length 4 in dimension 3"),
+    ([[(0, 0), (1, 1)], [(0, 0, 0), (1, 0, 0)]],
+     "constraint row of length 4 in dimension 3"),
+    ([[(0,), (1,)]], "constraint row of length 2 in dimension 3"),
+])
+def test_union_pieces_error_contract(pieces, message):
+    """A piece with no points, with points of mixed dimension, or of a
+    dimension other than the ambient one raises GeometryError."""
+    with pytest.raises(GeometryError, match=f"^{message}$"):
+        union_volume_vector(pieces, 2)
 
 
 # --- oracle cross-checks ------------------------------------------------------

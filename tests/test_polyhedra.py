@@ -3,6 +3,7 @@ from fractions import Fraction as F
 import pytest
 
 from newtonmu.apex import mu_constant_test
+from newtonmu.geometry import DIMENSION_CAP, DimensionCapExceeded
 from newtonmu.fans import support_function
 from newtonmu.newton_number import d_set_and_i_set, difference_region
 from newtonmu.polyhedra import (SupportError, added_vertices, check_nested,
@@ -21,6 +22,17 @@ def test_support_set_validation():
         support_set(2, [(-1, 2)])
     s = support_set(2, [(2, 0), (0, 2), (2, 0)])
     assert s.points == ((0, 2), (2, 0))
+
+
+def test_support_dimension_cap():
+    """support_set, the one entry point for supports, refuses dimensions
+    above DIMENSION_CAP and accepts the cap itself."""
+    units = [tuple(2 * int(j == i) for j in range(9)) for i in range(9)]
+    assert DIMENSION_CAP == 8
+    with pytest.raises(DimensionCapExceeded,
+                       match="^dimension 9 exceeds cap 8$"):
+        support_set(9, units)
+    assert support_set(8, [u[:8] for u in units[:8]]).dim == 8
 
 
 def test_support_set_operations():

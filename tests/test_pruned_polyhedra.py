@@ -25,17 +25,17 @@ from test_conversion import rational, typed
 
 PROPERTY = settings(derandomize=True, deadline=None, max_examples=80)
 
-# The constraint and triangulation half of the Polytope stack, replaced by
-# geometry._bounded_piece and geometry._pulling.
+# The Polytope stack, replaced by geometry._hull_rows, geometry._bounded_piece
+# and geometry._pulling; the hull half lives on in oracles.py.
 DELETED = ("polytope_from_constraints", "intersect_polytopes",
            "triangulate_polytope", "_index_simplices", "polytope_volume",
-           "_piece_simplices")
+           "_piece_simplices", "Polytope", "convex_hull", "_polytope",
+           "sign_canonical")
 
 
 def assert_deleted():
     assert not any(hasattr(mod, name) for mod in (geometry, newton_number)
                    for name in DELETED)
-    assert not hasattr(geometry.Polytope, "coordinate_support")
 
 
 @st.composite
@@ -119,18 +119,16 @@ def test_mu_sweep_path_walks_no_face_lattice(monkeypatch):
     """The apex test with its Newton-number cross-check and the difference
     region, on the Briancon-Speder pair whose added vertex (1, 6, 0) lies
     off the positive orthant, read neither the faces nor the Fraction
-    facets of either polyhedron and build no Polytope: convex_hull and
-    _polytope, the constructors left, refuse to run.  The polyhedron's
-    integer record is all there is: polyhedra keeps no second, private
-    integer view."""
+    facets of either polyhedron and hull no point set: the Polytope stack
+    is gone, and _hull_rows, the hull reader left, refuses to run.  The
+    polyhedron's integer record is all there is: polyhedra keeps no
+    second, private integer view."""
     def refuse(*args, **kwargs):
-        raise AssertionError("a Polytope routine was called")
+        raise AssertionError("a hull routine was called")
 
     assert_deleted()
-    for name in ("convex_hull", "_polytope"):
-        monkeypatch.setattr(geometry, name, refuse)
-        if hasattr(newton_number, name):
-            monkeypatch.setattr(newton_number, name, refuse)
+    monkeypatch.setattr(geometry, "_hull_rows", refuse)
+    monkeypatch.setattr(newton_number, "_hull_rows", refuse)
     s, sp = bs_base_support(), bs_deformed_support()
     res = mu_constant_test(s, sp)
     assert res.verdict and res.certificates[0].alpha == (1, 6, 0)

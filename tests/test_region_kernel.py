@@ -16,7 +16,6 @@ from hypothesis import example, given, settings, strategies as st
 
 from newtonmu import geometry, newton_number
 from newtonmu.fans import newton_fan
-from newtonmu.geometry import convex_hull
 from newtonmu.newton_number import (difference_region, newton_number_region,
                                     newton_number_set, union_volume_vector,
                                     volume_vector)
@@ -25,6 +24,7 @@ from oracles import (difference_region_hulls, lower_region_hulls,
                      newton_fan_section, nu_2d_staircase, nu_pyramid,
                      union_volume_vector_hulls, volume_vector_fractions)
 from test_conversion import rational, supports, typed
+from test_pruned_polyhedra import assert_deleted
 
 PROPERTY = settings(derandomize=True, deadline=None, max_examples=80)
 
@@ -51,17 +51,19 @@ def test_difference_region_volumes_match_fractions(s, extra):
 
 def test_difference_region_builds_no_hull(monkeypatch):
     """difference_region reads every piece off one double-description
-    call: with convex_hull raising, a rational 3-D pair still gives the
-    region whose Newton number is the drop nu(S) - nu(S')."""
-    def no_hull(points, dim_cap=None):
-        raise AssertionError("convex_hull called")
+    call: the Polytope stack is gone, and with _hull_rows raising, a
+    rational 3-D pair still gives the region whose Newton number is the
+    drop nu(S) - nu(S')."""
+    def no_hull(points):
+        raise AssertionError("_hull_rows called")
 
     s = support_set(3, [(F(5, 2), 0, 0), (0, F(7, 3), 0), (0, 0, 3),
                         (1, F(1, 2), 1), (F(1, 2), 1, F(3, 2))])
     sp = s.augment([(F(1, 2), F(1, 2), F(1, 2)), (F(3, 2), 0, F(1, 3))])
     drop = newton_number_set(s) - newton_number_set(sp)
-    monkeypatch.setattr(geometry, "convex_hull", no_hull)
-    monkeypatch.setattr(newton_number, "convex_hull", no_hull)
+    assert_deleted()
+    monkeypatch.setattr(geometry, "_hull_rows", no_hull)
+    monkeypatch.setattr(newton_number, "_hull_rows", no_hull)
     region = difference_region(s, sp)
     assert region.simplices and newton_number_region(region) == drop
 
@@ -132,10 +134,10 @@ grid = st.sampled_from((F(0), F(1, 2), F(1), F(3, 2), F(2), F(7, 3)))
 
 @st.composite
 def orthant_unions(draw):
-    """(n, polytopes) for n = 1..3: up to three hulls of one to five points
-    of a small rational grid, a third of them flattened into a coordinate
-    subspace, so intersections are often empty, a point or
-    lower-dimensional, and the origin is a vertex of some of them."""
+    """(n, pieces) for n = 1..3: up to three sets of one to five points of
+    a small rational grid, a third of them flattened into a coordinate
+    subspace, so the intersections of their hulls are often empty, a point
+    or lower-dimensional, and the origin is a vertex of some of them."""
     n = draw(st.integers(1, 3))
     polys = []
     for _ in range(draw(st.integers(0, 3))):
@@ -143,14 +145,13 @@ def orthant_unions(draw):
         flat = set()
         if draw(st.integers(0, 2)) == 0:
             flat = draw(st.sets(st.integers(0, n - 1), max_size=n - 1))
-        polys.append(convex_hull([tuple(0 if i in flat else x
-                                        for i, x in enumerate(p))
-                                  for p in pts]))
+        polys.append([tuple(0 if i in flat else x for i, x in enumerate(p))
+                      for p in pts])
     return n, polys
 
 
 def _square(x, y):
-    return convex_hull([(x, y), (x + 1, y), (x, y + 1), (x + 1, y + 1)])
+    return [(x, y), (x + 1, y), (x, y + 1), (x + 1, y + 1)]
 
 
 @given(orthant_unions())
