@@ -15,12 +15,13 @@ Axis sets are 1-based in this interface.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 
 from .geometry import (InternalConsistencyError, Record, _members,
-                       render_point)
+                       render_point, vec)
 from .newton_number import newton_number_set
-from .polyhedra import (SupportError, added_vertices, convenience_report,
-                        newton_polyhedron)
+from .polyhedra import (SupportError, _placement, added_vertices,
+                        convenience_report, newton_polyhedron)
 
 
 class BoundaryEdge(Record):
@@ -32,10 +33,6 @@ class BoundaryEdge(Record):
 
     endpoints: tuple
     points: tuple
-
-    def escapes_hyperplane(self, axis0):
-        """True when the edge is not contained in {x_axis = 0} (0-based)."""
-        return any(q[axis0] != 0 for q in self.endpoints)
 
 
 def _on_segment(p, a, b):
@@ -59,20 +56,16 @@ def _on_segment(p, a, b):
     return t
 
 
-def edges_at_vertex(np_, alpha):
-    """Compact boundary edges through a vertex, in deterministic order.
+def _edges_at(np_, k):
+    """The compact boundary edges at vertex k, as (j, meet) pairs by
+    increasing j: the other vertex and the mask of the points on the edge.
 
-    The meet of the facets through two vertices a and b is the least face
-    containing both; it is a compact edge exactly when its vertices are a
-    and b and it has no recession axis.  The meets are taken on the
+    The meet of the facets through two vertices k and j is the least face
+    containing both; it is a compact edge exactly when its vertices are k
+    and j and it has no recession axis.  The meets are taken on the
     polyhedron's facet bitmasks, so no face lattice is walked.
     """
-    alpha = tuple(Fraction(x) for x in alpha)
-    if alpha not in np_.vertices:
-        raise SupportError(
-            f"{render_point(alpha)} is not a vertex of the Newton boundary")
-    pts = np_.points
-    a = 1 << pts.index(alpha)
+    a = 1 << k
     through = [g for _, _, g in np_.ifacets if g & a]
     out = []
     for j in _members(np_.vmask & ~a):
@@ -80,10 +73,23 @@ def edges_at_vertex(np_, alpha):
         for g in through:
             if g >> j & 1:
                 meet &= g
-        if meet & np_.vmask == a | 1 << j and not meet >> len(pts):
-            out.append(BoundaryEdge(tuple(sorted((alpha, pts[j]))),
-                                    tuple(pts[i] for i in _members(meet))))
-    return sorted(out, key=lambda e: e.endpoints)
+        if meet & np_.vmask == a | 1 << j and not meet >> len(np_.points):
+            out.append((j, meet))
+    return out
+
+
+def _edge(pts, k, j, meet):
+    """The BoundaryEdge between the points k and j, with the points of the
+    mask meet on it; pts is sorted, so the lower index is the lower end."""
+    return BoundaryEdge((pts[min(j, k)], pts[max(j, k)]),
+                        tuple(pts[i] for i in _members(meet)))
+
+
+def edges_at_vertex(np_, alpha):
+    """Compact boundary edges through a vertex, sorted by endpoints
+    (_edges_at)."""
+    k = np_._vertex_index(alpha)
+    return [_edge(np_.points, k, j, meet) for j, meet in _edges_at(np_, k)]
 
 
 class EdgeConvenience(Record):
@@ -155,39 +161,46 @@ def find_apex(s, s_prime, alpha):
     """Search every axis outside the support of alpha for a good apex.
 
     Returns None when no axis has both a unique escaping edge and an old
-    vertex on it (in particular when alpha has full support).
+    vertex on it (in particular when alpha has full support).  The points
+    are compared as integers over one common denominator: an old vertex v
+    lies on the edge from alpha to its other end o at t in (0, 1] when
+    v - alpha is t (o - alpha), and the least t is the least |v_k - alpha_k|
+    on the first axis k where o and alpha differ.
     """
-    alpha = tuple(Fraction(x) for x in alpha)
-    np_prime = newton_polyhedron(s_prime)
+    alpha = vec(alpha)
     n = s.dim
     support = frozenset(k for k, x in enumerate(alpha) if x != 0)
     if len(support) == n:
         return None
-    edges = edges_at_vertex(np_prime, alpha)
-    old_vertices = newton_polyhedron(s).vertices
+    outer, inner = newton_polyhedron(s_prime), newton_polyhedron(s)
+    a = outer._vertex_index(alpha)
+    den = lcm(outer.den, inner.den)
+    up = den // outer.den
+    ia = tuple(up * x for x in outer.ipts[a])
+    old = [(i, tuple(den // inner.den * x for x in inner.ipts[i]))
+           for i in _members(inner.vmask)]
+    edges = _edges_at(outer, a)
     candidates = []
     for i0 in sorted(set(range(n)) - support):
-        escaping = [e for e in edges if e.escapes_hyperplane(i0)]
+        escaping = [(j, meet) for j, meet in edges if outer.ipts[j][i0]]
         if len(escaping) != 1:
             continue
-        edge = escaping[0]
-        if alpha not in edge.endpoints:
+        j, meet = escaping[0]
+        d = tuple(up * x - y for x, y in zip(outer.ipts[j], ia))
+        k = next(k for k, x in enumerate(d) if x)
+        on_edge = []
+        for i, v in old:
+            r = tuple(x - y for x, y in zip(v, ia))
+            if (0 < r[k] * d[k] and abs(r[k]) <= abs(d[k])
+                    and all(x * d[k] == y * r[k] for x, y in zip(r, d))):
+                on_edge.append((abs(r[k]), i))
+        if not on_edge:
             continue
-        other = next(p for p in edge.endpoints if p != alpha)
-        best = None
-        for v in old_vertices:
-            # parametrized from alpha: adjacency means smallest t > 0
-            t = _on_segment(v, alpha, other)
-            if t is None or t == 0:
-                continue
-            if best is None or t < best[0]:
-                best = (t, v)
-        if best is None:
-            continue
-        beta = best[1]
-        good = all(beta[j] == (1 if j == i0 else 0)
-                   for j in range(n) if j not in support)
-        candidates.append((i0, edge, beta, good))
+        _, i = min(on_edge)
+        good = all(inner.ipts[i][q] == (inner.den if q == i0 else 0)
+                   for q in range(n) if q not in support)
+        candidates.append((i0, _edge(outer.points, a, j, meet), s.points[i],
+                           good))
     if not candidates:
         return None
     good_pairs = tuple((i0 + 1, beta) for i0, _, beta, g in candidates if g)
@@ -229,6 +242,9 @@ def mu_constant_test(s, s_prime):
     naming the failing axes.
     """
     rep_s = _require_axis_convenient(s, "first")
+    # hull(s') placed on hull(s) when s' holds the points of s, before the
+    # convenience report would build it directly
+    _placement(s, s_prime)
     rep_sp = _require_axis_convenient(s_prime, "second")
     warnings, outside = [], []
     for rep, label in ((rep_s, "first"), (rep_sp, "second")):

@@ -18,13 +18,16 @@ polyhedra.newton_polyhedron does the same for Newton polyhedra.
 _bounded_piece is the one reader of a bounded polytope given by
 constraints: one _extreme_rays call on its homogenized rows, whose rays
 with t > 0 are the vertices and whose zero sets give the relative facets
-as vertex masks, with no hull and no normal solved for.
+as vertex masks, with no hull and no normal solved for;
+newton_number.union_volume_vector reads its intersections with it.
 _int_det is the one determinant routine, Bareiss (1968) elimination on an
 integer matrix; determinant scales rational rows to it, and
-newton_number.volume_vector and the fan kernels call it on integer
-matrices directly.  _pulling is the one pulling triangulation, over
-bitmasks of points, so no face is hulled either; it triangulates the
-bounded pieces, the compact facets of Newton polyhedra and the fans' cones
+newton_number.volume_vector, the fan kernels and the facet normals of
+polyhedra._place call it on integer matrices directly.  _pulling is the
+one pulling triangulation, over bitmasks of points, so no face is hulled
+either; it triangulates the bounded pieces of unions, the compact facets
+of Newton polyhedra (those under the boundary, and those that
+polyhedra._place cones the placed points over) and the fans' cones
 (over ray masks).  _maximal_meets is the one step that finds a face's
 facets from bitmasks; _pulling and _face_lattice both use it.
 _vertex_mask is the one vertex rule, for Newton polyhedra.
@@ -509,8 +512,9 @@ def _pulling(face, vmask, facet_masks, memo):
     The rule depends only on the vertex set of each face, so a face shared
     by two polytopes is triangulated the same way in both, and polytopes
     glued along whole common faces triangulate into a simplicial complex.
-    newton_number.difference_region relies on this across its pieces, and
-    union_volume_vector on the triangulation restricting to every face."""
+    polyhedra._place relies on this across the facets of a Newton
+    polyhedron, and newton_number.union_volume_vector on the triangulation
+    restricting to every face."""
     if face not in memo:
         verts = face & vmask
         apex = verts & -verts

@@ -18,14 +18,17 @@ to a total T_k, and V_k is the one Fraction T_k / (D^k k!).
 newton_number_set fuses the two stages: the pulling triangulation of the
 compact facets comes back as tuples of support-point indices, and _volumes
 sums it over the polyhedron's own integer points, so no Fraction point is
-built, hashed or scaled again.  difference_region and union_volume_vector
-build no hull: each difference piece, and each intersection of the union's
-inclusion-exclusion, is read off its homogenized rows by
+built, hashed or scaled again.  difference_region builds no hull and
+runs no double description: its simplices are the pyramids of the points
+of the bigger support placed on the smaller polyhedron
+(polyhedra._place), each placed point coned over the simplices of the
+facets it sees, so a facet that no point sees adds nothing.
+union_volume_vector builds no hull either: each intersection of its
+inclusion-exclusion is read off its homogenized rows by
 geometry._bounded_piece (one double description) and triangulated by
-geometry._pulling over the vertex masks it returns.  A compact facet that
-no point of the bigger support lies below is skipped by an integer sign
-test, since its piece is flat.  The pulling rule restricts to every face,
-so _volumes sums an intersection's sections off its one triangulation.
+geometry._pulling over the vertex masks it returns.  The pulling rule
+restricts to every face, so _volumes sums an intersection's sections off
+its one triangulation.
 projection_formula_check hands union_volume_vector each simplex's shadow
 as its projected points, which geometry._hull_rows turns into rows,
 because a projection is not a face.
@@ -41,10 +44,11 @@ from fractions import Fraction
 from math import factorial
 
 from .geometry import (ONE, ZERO, GeometryError, Record, _bounded_piece,
-                       _extreme_rays, _hull_rows, _idot, _int_det, _members,
-                       _pulling, _scaled, frac, simplex_volume)
+                       _hull_rows, _int_det, _pulling, _scaled, frac,
+                       simplex_volume)
 from .polyhedra import (CompactRegion, SupportError, _lower_simplices,
-                        check_nested, newton_polyhedron, support_set)
+                        _placement, check_nested, newton_polyhedron,
+                        support_set)
 
 
 def _axes_to_internal(axes, n):
@@ -227,45 +231,33 @@ def difference_region(s, s_prime):
     """Closure of the region between the two Newton boundaries.
 
     Requires hull(s) inside hull(s_prime) and s covering every axis.  Equal
-    to closure of lower(s) minus lower(s_prime), built as one piece per
-    compact facet <w, x> >= c of hull(s): the cone over the facet, whose
-    inequalities are the rays of its dual cone, cut by <w, x> <= c and by
-    the facets of the bigger polyhedron.  Pieces meet in whole common
-    faces, so the shared pulling triangulation yields a simplicial complex.
-    A facet with <w, p> >= c for every point p of s_prime is skipped: w is
-    nonnegative, so hull(s_prime) lies in <w, x> >= c and the piece is
-    flat.  That is one integer sign test per point, on the bigger
-    polyhedron's scaled points.  Every other piece is read off its
-    homogenized rows by _bounded_piece and, unless flat, triangulated by
-    _pulling.
+    to the closure of lower(s) minus lower(s_prime), which is hull(s u s')
+    minus hull(s): placing the points of s' on hull(s) one at a time
+    (polyhedra._place) cuts it into the pyramids conv(F u {alpha}) over
+    the facets F that each placed point alpha sees, each alpha coned over
+    the simplices of its facet.  A point that sees no facet adds nothing,
+    so facets with no point below them add nothing either.  The simplices
+    form one simplicial complex; no hull is built and no double
+    description runs.  When each point of s is a point of s', they are the
+    simplices that mu_constant_test memoized on s'; otherwise the points
+    are placed on hull(s) afresh, over the union of the two supports.
     """
+    simplices = _placement(s, s_prime)
     check_nested(s, s_prime)
     n = s.dim
-    small = newton_polyhedron(s)
-    big = newton_polyhedron(s_prime)
-    # <w, x> >= c / den on (x, t) is the integer row (den w, -c)
-    big_rows = [tuple(big.den * x for x in w) + (-c,)
-                for w, c, _ in big.ifacets]
     covered = s.axes_with_point
     missing = [i + 1 for i in range(n) if i not in covered]
     if missing:
         raise SupportError(
             f"difference region is unbounded: no support point on axis "
             f"{missing[0]} of the smaller set")
-    simplices = []
-    for w, c, g in small._compact_ifacets():
-        if all(_idot(w, p) * small.den >= c * big.den for p in big.ipts):
-            continue
-        normals, _, _ = _extreme_rays(
-            (), [small.ipts[i] for i in _members(g)], n)
-        rows = ([r + (0,) for r in normals]
-                + [tuple(-small.den * x for x in w) + (c,)] + big_rows)
-        verts, facets, flat = _bounded_piece((), rows, n)
-        if not flat:
-            whole = (1 << len(verts)) - 1
-            simplices.extend(tuple(verts[i] for i in simplex) for simplex
-                             in _pulling(whole, whole, facets, {}))
-    return CompactRegion(n, tuple(sorted(set(simplices))))
+    pts = s_prime.points
+    if simplices is None:
+        union = s.augment(pts)
+        simplices, pts = _placement(s, union), union.points
+    # index tuples sort like the point tuples they name
+    return CompactRegion(n, tuple(tuple(pts[i] for i in simplex)
+                                  for simplex in sorted(simplices)))
 
 
 # --- unions of polytopes ----------------------------------------------------
@@ -286,7 +278,12 @@ def union_volume_vector(pieces, ambient_dim):
     intersections with the origin as a vertex.
     """
     n = ambient_dim
-    rows = [_hull_rows(p) for p in pieces]
+    rows = []
+    for i, piece in enumerate(pieces):
+        if piece and len(piece[0]) != n:
+            raise GeometryError(f"piece {i} has dimension {len(piece[0])} "
+                                f"in ambient dimension {n}")
+        rows.append(_hull_rows(piece))
     values = [ZERO] * (n + 1)
     inters = {}
     for size in range(1, len(rows) + 1):

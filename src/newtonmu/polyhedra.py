@@ -32,17 +32,37 @@ lowest set bit of its vertex mask) and its facets are its maximal proper
 meets with the facets' masks, so no hull is computed and the pieces form a
 simplicial complex.  Containment (NewtonPolyhedron.contains and check_nested) is one
 integer sign test per facet on the point scaled to integers.
+
+A support S' that holds every point of an axis-convenient S of its
+dimension has a nested parent, and its polyhedron is built by placing
+the points of S' not in S on hull(S) one at a time (_place,
+beneath-beyond).  A point alpha sees the compact facets with
+<w, alpha> < c; they go, the others stay, and each horizon ridge between
+a seen and an unseen facet spans a new compact facet with alpha, whose
+primitive normal comes from the integer minors of the ridge's vertices
+minus alpha (unless alpha lies on the unseen facet's plane, which then
+grows).  The record is typed-equal to the direct build.  The same pass
+cuts hull(S') minus hull(S), the difference region, into the pyramids
+over the seen facets: alpha coned over each seen facet's triangulation,
+the pulling one for facets of hull(S) and the inherited cones for the
+facets placement made or grew, so the pyramids of all steps form one
+simplicial complex.  _placement memoizes both on S' for that S; the apex
+test places before anything builds hull(S') directly, and
+difference_region reads its simplices off the memo.  A support with no
+nested parent is built directly, by the double description.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import cached_property
+from itertools import combinations
+from math import gcd, lcm
 
 from .geometry import (DIMENSION_CAP, DimensionCapExceeded, ZERO, Record,
-                       _dual_facets, _face_lattice, _idot, _members,
-                       _pulling, _scaled, _unit, _vertex_mask, frac,
-                       render_point, vec)
+                       _dual_facets, _face_lattice, _idot, _int_det,
+                       _members, _pulling, _scaled, _unit, _vertex_mask,
+                       frac, render_point, vec)
 
 
 class SupportError(ValueError):
@@ -155,7 +175,10 @@ def support_set(dim, points):
             continue
         raise SupportError(
             f"point {render_point(value[x] for x in p)} {problem}")
-    return SupportSet(dim, tuple(tuple(value[x] for x in p) for p in ipts))
+    support = SupportSet(dim, tuple(tuple(value[x] for x in p) for p in ipts))
+    # the cached property, not a field: what rescaling the points would give
+    support.__dict__["_scaled_points"] = tuple(ipts), den
+    return support
 
 
 class Face(Record):
@@ -233,6 +256,20 @@ class NewtonPolyhedron(Record):
         return all(_idot(w, ipoint) * self.den >= c * den
                    for w, c, _ in self.ifacets)
 
+    def _vertex_index(self, point):
+        """The index of the vertex at a rational point, found by comparing
+        the point scaled to integers with the vertices' integer points;
+        SupportError when the point is no vertex."""
+        point = vec(point)
+        (ipoint,), den = _scaled([point])
+        if not self.den % den:
+            ipoint = tuple(self.den // den * x for x in ipoint)
+            for i in _members(self.vmask):
+                if self.ipts[i] == ipoint:
+                    return i
+        raise SupportError(
+            f"{render_point(point)} is not a vertex of the Newton boundary")
+
     def _compact_ifacets(self):
         """The compact facets, those with no recession axis, as ifacets."""
         m = len(self.points)
@@ -275,6 +312,151 @@ def newton_polyhedron(support):
     if not isinstance(support, SupportSet):
         raise SupportError("newton_polyhedron expects a SupportSet")
     return support._newton_polyhedron
+
+
+# --- placing points on a Newton polyhedron ---------------------------------
+
+def _ridge_normal(points, apex):
+    """The primitive positive normal of the hyperplane through apex and
+    the integer points, which span a flat of dimension n - 2 missing apex:
+    the signed maximal minors of the first n - 1 independent differences
+    p - apex, one _int_det each.  The hyperplane carries a compact facet,
+    so the normal has no zero entry."""
+    n = len(apex)
+    diffs = [tuple(x - y for x, y in zip(p, apex)) for p in points]
+    for rows in combinations(diffs, n - 1):
+        w = [(-1) ** i * _int_det([r[:i] + r[i + 1:] for r in rows])
+             for i in range(n)]
+        if w[0]:
+            break
+    g = gcd(*w) if w[0] > 0 else -gcd(*w)
+    return tuple(x // g for x in w)
+
+
+def _place(small, ipts, den, pos):
+    """Place the points of a support S' on the Newton polyhedron small of
+    an axis-convenient S, one at a time (beneath-beyond: Edelsbrunner,
+    Algorithms in Combinatorial Geometry, 1987, ch. 8; the placing
+    triangulation: De Loera, Rambau & Santos, Triangulations, 2010, ch. 4).
+
+    ipts are the points of S' times den, sorted, and pos[i] is the index
+    there of small's point i.  Returns the ifacets and vmask of S' over
+    those indices and the simplices, as increasing index tuples, of the
+    pyramids conv(F u {alpha}) over every facet F that a placed point
+    alpha sees.
+
+    S is axis-convenient, so every facet with a zero normal entry is a
+    coordinate facet x_i >= 0, which no point sees: alpha sees exactly
+    the compact facets with <w, alpha> < c.  The facets that alpha does not
+    see stay, joined by alpha when it lies on their plane.  A horizon
+    ridge is the meet of a seen and an unseen seed that no third seed
+    contains; unless alpha lies on the unseen facet's plane, the ridge and
+    alpha span a new compact facet, whose seed is the ridge's and alpha's,
+    since the plane meets the old polyhedron in the ridge alone.  In
+    dimension 1 the horizon is the empty face and the new facet is alpha
+    alone.  The seeds stay exact over the points placed so far, and the
+    vertices are the old ones and alpha that _vertex_mask keeps.
+
+    The compact facets carry a triangulation: the _pulling triangulation
+    over the indices while a facet is one of hull(S), unchanged.  Each
+    pyramid is alpha coned over its facet's simplices.  A new facet is
+    alpha coned over the simplices its seen facet has on the ridge, and
+    an unseen compact facet with alpha on its plane grows by the same
+    cones.  So the boundary stays a simplicial complex, and the pyramids
+    of any number of steps form one.  Pulling each grown facet afresh
+    would not: it need not refine the cones an earlier pyramid has on it.
+    """
+    n = small.dim
+    m0, m = len(small.ipts), len(ipts)
+    scale = den // small.den
+
+    def remap(g):
+        out = g >> m0 << m
+        for i in _members(g & (1 << m0) - 1):
+            out |= 1 << pos[i]
+        return out
+
+    facets = [(w, c * scale, remap(g)) for w, c, g in small.ifacets]
+    vmask = remap(small.vmask)
+    tri = {}            # normal -> simplices of a facet new or grown here
+    memo = {}
+    simplices = []
+    for j in sorted(set(range(m)).difference(pos)):
+        a, bit = ipts[j], 1 << j
+        seeds = [g for _, _, g in facets]
+        vals = [_idot(w, a) - c for w, c, _ in facets]
+        if all(v >= 0 for v in vals):
+            facets = [(w, c, g if v else g | bit)
+                      for (w, c, g), v in zip(facets, vals)]
+            continue
+
+        def cells(w, g):
+            return tri.pop(w) if w in tri else _pulling(g, vmask, seeds, memo)
+
+        seen = [(g, cells(w, g))
+                for (w, _, g), v in zip(facets, vals) if v < 0]
+        for _, cs in seen:
+            simplices.extend(tuple(sorted(t + (j,))) for t in cs)
+        kept, new = [], {}
+        for (w, c, g), v in zip(facets, vals):
+            if v < 0:
+                continue
+            for f, cs in seen:
+                ridge = f & g
+                if not ridge or any(ridge & h == ridge for h in seeds
+                                    if h != f and h != g):
+                    continue
+                cone = [tuple(sorted(r + (j,))) for r in (
+                    tuple(i for i in t if ridge >> i & 1) for t in cs)
+                    if len(r) == n - 1]
+                if v:
+                    normal = _ridge_normal(
+                        [ipts[i] for i in _members(ridge & vmask)], a)
+                    new[normal] = _idot(normal, a), ridge | bit, cone
+                elif not g >> m:
+                    tri[w] = [*cells(w, g), *cone]
+            kept.append((w, c, g if v else g | bit))
+        if n == 1:
+            new[(1,)] = a[0], bit, [(j,)]
+        for w, (c, g, cone) in new.items():
+            kept.append((w, c, g))
+            tri[w] = cone
+        facets = sorted(kept)
+        vmask = _vertex_mask(_members(vmask) + [j],
+                             [g for _, _, g in facets])
+    return tuple(facets), vmask, simplices
+
+
+def _placement(s, s_prime):
+    """The simplices, as index tuples over the points of s_prime, of the
+    pyramids of placing the points of s_prime on hull(s) (_place); None
+    unless s is axis-convenient, of the same dimension, and each of its
+    points is a point of s_prime.
+
+    The placed polyhedron becomes the Newton polyhedron of s_prime unless
+    that was built already: it is typed-equal to the direct build.  The
+    simplices are memoized on s_prime for the last s, so the apex test
+    and the difference region of one pair place once.
+    """
+    memo = s_prime.__dict__.get("_placed")
+    if memo is not None and (memo[0] is s or memo[0] == s):
+        return memo[1]
+    if s.dim != s_prime.dim or len(s.axes_with_point) < s.dim:
+        return None
+    ipts, den = s_prime._scaled_points
+    small_ipts, small_den = s._scaled_points
+    if den % small_den:
+        return None
+    scale = den // small_den
+    index = {p: i for i, p in enumerate(ipts)}
+    pos = [index.get(tuple(scale * x for x in p)) for p in small_ipts]
+    if None in pos:
+        return None
+    facets, vmask, simplices = _place(newton_polyhedron(s), ipts, den, pos)
+    s_prime.__dict__.setdefault("_newton_polyhedron", NewtonPolyhedron(
+        s.dim, s_prime.points, ipts, den, facets, vmask))
+    s_prime.__dict__["_placed"] = s, simplices
+    return simplices
 
 
 # --- convenience ----------------------------------------------------------
@@ -352,12 +534,19 @@ def added_vertices(s, s_prime):
     Requires hull(s) contained in hull(s_prime).  A vertex of the bigger
     polyhedron lying inside the smaller one is automatically a vertex of the
     smaller one, so the set difference equals the set of vertices strictly
-    below the original boundary.
+    below the original boundary.  The vertices are compared as integer
+    points over the lcm of the two denominators; when s' holds the points
+    of s, these are the vertex bits of s' whose points are no vertices of
+    s.  They come in the order of the points of s', which is sorted.
     """
     check_nested(s, s_prime)
-    old = set(newton_polyhedron(s).vertices)
-    new = [v for v in newton_polyhedron(s_prime).vertices if v not in old]
-    return tuple(sorted(new))
+    inner, outer = newton_polyhedron(s), newton_polyhedron(s_prime)
+    den = lcm(inner.den, outer.den)
+    old = {tuple(den // inner.den * x for x in inner.ipts[i])
+           for i in _members(inner.vmask)}
+    return tuple(s_prime.points[i] for i in _members(outer.vmask)
+                 if tuple(den // outer.den * x for x in outer.ipts[i])
+                 not in old)
 
 
 # --- the region under the boundary ----------------------------------------

@@ -71,7 +71,10 @@ section face (volume_vector_fractions), and the union volume vector with
 one convex_hull and triangulate_polytope_hulls per coordinate section of
 each intersection and V_0 by membership of the origin
 (union_volume_vector_hulls); none of them shares code with the library's
-bitmask pulling routine.  The pyramid formula (nu_pyramid) shares no
+bitmask pulling routine.  difference_region_bounded, kept verbatim, is the
+library's routine before the added points were placed on the smaller
+polyhedron: one _bounded_piece call per piece, triangulated by _pulling
+over the vertex masks it returns.  The pyramid formula (nu_pyramid) shares no
 triangulation code with any of them: it measures each coordinate section
 of the region under the Newton boundary as a sum of cones over its
 compact facets, on the scans above.
@@ -87,9 +90,9 @@ from newtonmu.fans import Fan, LatticeCone, cone_from_rays
 from newtonmu.geometry import (DIMENSION_CAP, ONE, ZERO, DimensionCapExceeded,
                                GeometryError, Record, _bounded_piece,
                                _dual_facets, _extreme_rays, _idot, _int_det,
-                               _members, _scaled, _unit, _vertex_mask,
-                               determinant, dot, frac, primitive_vector,
-                               simplex_volume, vec)
+                               _members, _pulling, _scaled, _unit,
+                               _vertex_mask, determinant, dot, frac,
+                               primitive_vector, simplex_volume, vec)
 from newtonmu.newton_number import NewtonVolumeVector
 from newtonmu.polyhedra import (CompactRegion, Face, SupportError,
                                 check_nested, newton_polyhedron)
@@ -989,6 +992,51 @@ def difference_region_constraints(s, s_prime):
         if piece is not None and piece.dim == n:
             simplices.extend(tuple(sorted(t))
                              for t in triangulate_polytope_hulls(piece))
+    return CompactRegion(n, tuple(sorted(set(simplices))))
+
+
+def difference_region_bounded(s, s_prime):
+    """Closure of the region between the two Newton boundaries.
+
+    Requires hull(s) inside hull(s_prime) and s covering every axis.  Equal
+    to closure of lower(s) minus lower(s_prime), built as one piece per
+    compact facet <w, x> >= c of hull(s): the cone over the facet, whose
+    inequalities are the rays of its dual cone, cut by <w, x> <= c and by
+    the facets of the bigger polyhedron.  Pieces meet in whole common
+    faces, so the shared pulling triangulation yields a simplicial complex.
+    A facet with <w, p> >= c for every point p of s_prime is skipped: w is
+    nonnegative, so hull(s_prime) lies in <w, x> >= c and the piece is
+    flat.  That is one integer sign test per point, on the bigger
+    polyhedron's scaled points.  Every other piece is read off its
+    homogenized rows by _bounded_piece and, unless flat, triangulated by
+    _pulling.
+    """
+    check_nested(s, s_prime)
+    n = s.dim
+    small = newton_polyhedron(s)
+    big = newton_polyhedron(s_prime)
+    # <w, x> >= c / den on (x, t) is the integer row (den w, -c)
+    big_rows = [tuple(big.den * x for x in w) + (-c,)
+                for w, c, _ in big.ifacets]
+    covered = s.axes_with_point
+    missing = [i + 1 for i in range(n) if i not in covered]
+    if missing:
+        raise SupportError(
+            f"difference region is unbounded: no support point on axis "
+            f"{missing[0]} of the smaller set")
+    simplices = []
+    for w, c, g in small._compact_ifacets():
+        if all(_idot(w, p) * small.den >= c * big.den for p in big.ipts):
+            continue
+        normals, _, _ = _extreme_rays(
+            (), [small.ipts[i] for i in _members(g)], n)
+        rows = ([r + (0,) for r in normals]
+                + [tuple(-small.den * x for x in w) + (c,)] + big_rows)
+        verts, facets, flat = _bounded_piece((), rows, n)
+        if not flat:
+            whole = (1 << len(verts)) - 1
+            simplices.extend(tuple(verts[i] for i in simplex) for simplex
+                             in _pulling(whole, whole, facets, {}))
     return CompactRegion(n, tuple(sorted(set(simplices))))
 
 

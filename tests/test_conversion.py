@@ -241,10 +241,11 @@ def _both(eqs, ineqs, n):
     st.tuples(rational, rational, rational), min_size=1, max_size=2))
 @PROPERTY
 def test_difference_region_pieces_match_scan(s, extra):
-    """The systems difference_region solves: the cone over a compact facet
-    <w, x> >= c of the smaller polyhedron (the rays of its dual cone), cut
-    by <w, x> <= c and by the facets of the bigger one.  Some pieces are
-    lower-dimensional, where the bigger polyhedron touches the facet."""
+    """The systems oracles.difference_region_bounded solves: the cone
+    over a compact facet <w, x> >= c of the smaller polyhedron (the rays of
+    its dual cone), cut by <w, x> <= c and by the facets of the bigger one.
+    Some pieces are lower-dimensional, where the bigger polyhedron touches
+    the facet."""
     n = s.dim
     extra = [p[:n] for p in extra if any(p[:n])]
     big = newton_polyhedron(s.augment(extra))

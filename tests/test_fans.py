@@ -1,7 +1,6 @@
 import random
 
 import pytest
-from hypothesis import given, settings, strategies as st
 
 from newtonmu.fans import (Fan, box_points, cone_from_rays, intersect_cones,
                            is_admissible, is_regular_cone, is_subdivision,
@@ -149,14 +148,15 @@ def test_pyramid_rejects_nonunimodular_result():
         pyramid_subdivision(sigma, 3, Fan(3, (base,)))
 
 
-@given(st.integers(min_value=0, max_value=2 ** 30),
-       st.integers(min_value=2, max_value=4))
-@settings(derandomize=True, deadline=None, max_examples=40)
-def test_regularize_fan_property(seed, n):
-    rng = random.Random(seed)
-    s = random_convenient_support(rng, n, max_intercept=5, extra=2)
-    nf = newton_fan(s)
-    reg = regularize_fan(simplicialize(nf))
-    assert all(is_regular_cone(c) for c in reg.maximal)
-    assert is_subdivision(reg, nf)
-    assert is_subdivision(reg, orthant_fan(n))
+def test_regularize_fan_property():
+    """Forty seeded supports, n = 2, 3, 4 in turn: the same fans in every
+    run and every order of the suite."""
+    for k in range(40):
+        n = 2 + k % 3
+        s = random_convenient_support(random.Random(k), n, max_intercept=5,
+                                      extra=2)
+        nf = newton_fan(s)
+        reg = regularize_fan(simplicialize(nf))
+        assert all(is_regular_cone(c) for c in reg.maximal)
+        assert is_subdivision(reg, nf)
+        assert is_subdivision(reg, orthant_fan(n))

@@ -122,10 +122,10 @@ def test_union():
     ([[]], "empty point set has no hull"),
     ([[(0, 0), (1, 0, 0)]], "points of mixed dimension"),
     ([[(0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1)]],
-     "constraint row of length 4 in dimension 3"),
+     "piece 0 has dimension 3 in ambient dimension 2"),
     ([[(0, 0), (1, 1)], [(0, 0, 0), (1, 0, 0)]],
-     "constraint row of length 4 in dimension 3"),
-    ([[(0,), (1,)]], "constraint row of length 2 in dimension 3"),
+     "piece 1 has dimension 3 in ambient dimension 2"),
+    ([[(0,), (1,)]], "piece 0 has dimension 1 in ambient dimension 2"),
 ])
 def test_union_pieces_error_contract(pieces, message):
     """A piece with no points, with points of mixed dimension, or of a

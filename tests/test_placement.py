@@ -1,0 +1,196 @@
+"""Nested supports in one build: points placed on a Newton polyhedron.
+
+polyhedra._placement places the points of S' on the Newton polyhedron of
+an axis-convenient S whose points S' holds, one at a time.  The polyhedron
+it gives must be the direct double-description build of S', with the
+type of every number, and the difference region read off its pyramids
+must have the volume vector of the former per-facet pieces
+(oracles.difference_region_bounded) and the Newton number
+nu(S) - nu(S').  Both are checked on every pair of the mu_sweep benchmark
+pool and on seeded random pairs for n = 2..5, with one and with several
+added points of every kind below.
+"""
+
+import json
+import random
+from fractions import Fraction as F
+from pathlib import Path
+
+from newtonmu import geometry
+from newtonmu.apex import mu_constant_test
+from newtonmu.newton_number import (difference_region, newton_number_region,
+                                    newton_number_set, volume_vector)
+from newtonmu.polyhedra import _placement, newton_polyhedron, support_set
+from corpus import bs_base_support, bs_deformed_support
+from oracles import difference_region_bounded
+from test_conversion import typed
+from test_region_kernel import assert_common_faces
+
+POOL = Path(__file__).resolve().parents[1] / "perfbench" / "pool" / "mu_sweep.json"
+
+
+def direct_build(support):
+    """The double-description build, on a fresh copy of the support."""
+    return support_set(support.dim, support.points)._newton_polyhedron
+
+
+def assert_placed(s, sp):
+    """sp, fresh, gets the placed polyhedron, typed-equal to the direct
+    build; the region read off the pyramids has the former routine's
+    typed volume vector and the Newton number nu(S) - nu(S')."""
+    assert "_newton_polyhedron" not in sp.__dict__
+    assert _placement(s, sp) is not None
+    assert typed(newton_polyhedron(sp)) == typed(direct_build(sp))
+    region = difference_region(s, sp)
+    assert typed(volume_vector(region)) == typed(
+        volume_vector(difference_region_bounded(s, sp)))
+    assert newton_number_region(region) == (newton_number_set(s)
+                                            - newton_number_set(sp))
+    return region
+
+
+def test_placement_matches_the_direct_build_on_the_pool():
+    cases = json.loads(POOL.read_text())["cases"]
+    assert len(cases) == 540
+    for case in cases:
+        n = case["n"]
+        s = support_set(n, [tuple(p) for p in case["s"]])
+        assert_placed(s, support_set(n, [tuple(p) for p in case["sp"]]))
+
+
+KINDS = ("rational", "facet", "plane", "below", "above", "dominated")
+
+
+def random_pair(rng, n, kinds):
+    """A convenient rational support s, with a dominated point half the
+    time, and s plus one point of each of the given kinds (KINDS): a
+    rational point shrunk toward the origin; a point inside a compact
+    facet of hull(s), anywhere on its plane in the orthant, or on the
+    facet shrunk below the plane (as oracles' touching_pairs draws them);
+    an old vertex plus a nonnegative step, which dominates that vertex;
+    or a point drawn before (a point of s if none) plus a positive step,
+    which it dominates."""
+    def rational():
+        return F(rng.randint(0, 8), rng.choice((1, 1, 2, 3)))
+
+    pts = [tuple(rng.randint(2, 8) if j == i else 0 for j in range(n))
+           for i in range(n)]
+    for _ in range(rng.randint(1, 7 - n)):
+        p = tuple(rational() for _ in range(n))
+        if any(p):
+            pts.append(p)
+    if rng.random() < 0.5:
+        p, i = rng.choice(pts), rng.randrange(n)
+        pts.append(p[:i] + (p[i] + rng.randint(1, 3),) + p[i + 1:])
+    s = support_set(n, pts)
+    np_ = newton_polyhedron(s)
+    facets = np_.compact_facets()
+    extra = []
+    for kind in kinds:
+        w, c, active = rng.choice(facets)
+        if kind == "rational":
+            shrink = rng.choice((F(2, 3), F(1, 2), F(1, 3)))
+            p = tuple(rational() * shrink for _ in range(n))
+        elif kind in ("facet", "plane", "below"):
+            corners = active if kind != "plane" else [
+                tuple(c / w[i] if j == i else 0 for j in range(n))
+                for i in range(n)]
+            weights = [rng.randint(0, 3) for _ in corners]
+            if not any(weights):
+                weights[0] = 1
+            p = tuple(sum(t * q[k] for t, q in zip(weights, corners))
+                      / sum(weights) for k in range(n))
+            if kind == "below":
+                p = tuple(x * rng.choice((F(2, 3), F(3, 4), F(7, 8)))
+                          for x in p)
+        elif kind == "above":
+            v = rng.choice(np_.vertices)
+            p = tuple(x + rng.randint(0, 2) for x in v)
+        else:
+            q, i = rng.choice(extra or pts), rng.randrange(n)
+            p = q[:i] + (q[i] + rng.choice((F(1, 2), 1, 2)),) + q[i + 1:]
+        if any(p):
+            extra.append(p)
+    return s, s.augment(extra or [s.points[0]])
+
+
+def test_placement_matches_the_direct_build_seeded():
+    """Ninety seeds, n = 2..5 in turn, each with one added point, of each
+    kind in turn, and with two to four of random kinds placed one at a
+    time.  Regions of up to 16 simplices form a simplicial complex, and
+    over a third of the pairs cut a region off."""
+    cut = 0
+    for k in range(90):
+        rng = random.Random(k)
+        n = 2 + k % 4
+        several = [rng.choice(KINDS) for _ in range(rng.randint(2, 4))]
+        for kinds in ([KINDS[k % len(KINDS)]], several):
+            region = assert_placed(*random_pair(rng, n, kinds))
+            if len(region.simplices) <= 16:
+                assert_common_faces(region)
+            cut += bool(region.simplices)
+    assert cut > 60
+
+
+def test_placement_in_dimension_one():
+    """The horizon of a point is the empty face: the new facet is the
+    placed point alone, and the pyramid the segment down to it."""
+    s = support_set(1, [(F(5, 2),), (4,)])
+    sp = s.augment([(3,), (F(1, 3),), (1,)])
+    region = assert_placed(s, sp)
+    assert region.simplices == (((F(1, 3),), (F(5, 2),)),)
+
+
+def test_placement_needs_a_nested_parent():
+    """No placement without each point of s in s', an axis point of s
+    on every axis, and one dimension; the direct build is then the only
+    one."""
+    s = support_set(2, [(3, 0), (0, 3)])
+    assert _placement(s, support_set(2, [(2, 0), (0, 3)])) is None
+    assert _placement(support_set(2, [(3, 0), (1, 1)]),
+                      support_set(2, [(3, 0), (1, 1), (0, 1)])) is None
+    assert _placement(s, support_set(3, [(3, 0, 0), (0, 3, 0)])) is None
+    sp = support_set(2, [(3, 0), (0, 3), (1, 1)])
+    assert _placement(s, sp) is not None
+    assert "_newton_polyhedron" in sp.__dict__
+
+
+def test_difference_region_of_a_pair_that_drops_points():
+    """hull(s) inside hull(s') although s' lacks points of s: the points
+    are placed over the union of the two supports, and the region has the
+    former routine's volumes and the drop of the Newton numbers."""
+    for s, sp in [
+            (support_set(2, [(4, 0), (0, 4), (2, 2), (3, 3)]),
+             support_set(2, [(4, 0), (0, 4), (1, 1)])),
+            (support_set(3, [(3, 0, 0), (0, 3, 0), (0, 0, 3), (1, 1, 2),
+                             (2, 2, 2)]),
+             support_set(3, [(3, 0, 0), (0, 3, 0), (0, 0, F(5, 2)),
+                             (1, 1, 1)]))]:
+        assert _placement(s, sp) is None
+        region = difference_region(s, sp)
+        assert typed(volume_vector(region)) == typed(
+            volume_vector(difference_region_bounded(s, sp)))
+        assert newton_number_region(region) == (newton_number_set(s)
+                                                - newton_number_set(sp))
+        assert_common_faces(region)
+
+
+def test_mu_constant_test_places_the_bigger_polyhedron(monkeypatch):
+    """Once hull(S) is built, the apex test with its Newton-number
+    cross-check and the difference region of the Briancon-Speder pair run
+    no double description: hull(S') is placed once, and the region is
+    read off the memoized pyramids."""
+    def refuse(*args):
+        raise AssertionError("a double description ran")
+
+    s, sp = bs_base_support(), bs_deformed_support()
+    direct = direct_build(sp)
+    newton_polyhedron(s)
+    for name in ("_extreme_rays", "_bounded_piece"):
+        monkeypatch.setattr(geometry, name, refuse)
+    res = mu_constant_test(s, sp)
+    pyramids = sp.__dict__["_placed"][1]
+    region = difference_region(s, sp)
+    assert sp.__dict__["_placed"][1] is pyramids
+    assert res.verdict and typed(newton_polyhedron(sp)) == typed(direct)
+    assert newton_number_region(region) == res.nu_s - res.nu_s_prime == 0

@@ -1,15 +1,21 @@
 """The integer Newton-number stage against the Fraction oracles.
 
-lower_region and difference_region (bitmask pulling), volume_vector
-(integer minors), union_volume_vector (one pulling triangulation per
-intersection) and newton_fan (direct dual-cone rays) are compared whole,
-with the type of every number, against the library's former routines kept
-in oracles.py; newton_number_set is compared with the pyramid formula,
-which shares no triangulation code with either, and with the public path
-through lower_region, whose Fraction points the fused newton_number_set
-never builds.
+lower_region (bitmask pulling), volume_vector (integer minors),
+union_volume_vector (one pulling triangulation per intersection) and
+newton_fan (direct dual-cone rays) are compared whole, with the type of
+every number, against the library's former routines kept in oracles.py.
+difference_region reads its simplices off the pyramids of the placed
+points, which triangulate the region differently from the former
+per-facet pieces, so its typed volume vector is compared with theirs,
+its Newton number with the drop nu(S) - nu(S'), and on small regions
+every two simplices are checked to meet in a common face.
+newton_number_set is compared with the pyramid formula, which shares no
+triangulation code with either, and with the public path through
+lower_region, whose Fraction points the fused newton_number_set never
+builds.
 """
 
+import itertools
 from fractions import Fraction as F
 
 from hypothesis import example, given, settings, strategies as st
@@ -20,9 +26,11 @@ from newtonmu.newton_number import (difference_region, newton_number_region,
                                     newton_number_set, union_volume_vector,
                                     volume_vector)
 from newtonmu.polyhedra import lower_region, newton_polyhedron, support_set
-from oracles import (difference_region_hulls, lower_region_hulls,
+from oracles import (convex_hull, difference_region_bounded,
+                     difference_region_hulls, lower_region_hulls,
                      newton_fan_section, nu_2d_staircase, nu_pyramid,
-                     union_volume_vector_hulls, volume_vector_fractions)
+                     polytope_from_constraints, union_volume_vector_hulls,
+                     volume_vector_fractions)
 from test_conversion import rational, supports, typed
 from test_pruned_polyhedra import assert_deleted
 
@@ -38,20 +46,53 @@ def test_lower_region_matches_hulls(s):
         volume_vector_fractions(region))
 
 
+SMALL = 8    # regions of at most this many simplices are checked pairwise
+
+
+def assert_common_faces(region):
+    """Every two simplices of the region meet in the hull of their common
+    vertices, which is empty when they share none: their intersection is
+    read off both simplices' facets by oracles.polytope_from_constraints."""
+    hulls = [convex_hull(t) for t in region.simplices]
+    for (a, ha), (b, hb) in itertools.combinations(
+            zip(region.simplices, hulls), 2):
+        meet = polytope_from_constraints(
+            (), ha.facets + hb.facets, region.ambient_dim)
+        common = tuple(sorted(set(a) & set(b)))
+        assert (meet.vertices if meet else ()) == common
+
+
+def assert_region(s, sp):
+    """The region's typed volume vector is both former routines', and the
+    Fraction sum's; its Newton number is the drop nu(S) - nu(S'); on small
+    regions the simplices form a simplicial complex."""
+    region = difference_region(s, sp)
+    vv = typed(volume_vector(region))
+    assert vv == typed(volume_vector(difference_region_hulls(s, sp)))
+    assert vv == typed(volume_vector(difference_region_bounded(s, sp)))
+    assert vv == typed(volume_vector_fractions(region))
+    assert newton_number_region(region) == (newton_number_set(s)
+                                            - newton_number_set(sp))
+    if len(region.simplices) <= SMALL:
+        assert_common_faces(region)
+
+
 @given(supports(dims=(1, 2, 3, 4), convenient=True),
        st.lists(st.tuples(*[rational] * 4), min_size=1, max_size=2))
 @PROPERTY
 def test_difference_region_volumes_match_fractions(s, extra):
     extra = [p[:s.dim] for p in extra if any(p[:s.dim])]
-    region = difference_region(s, s.augment(extra))
-    assert typed(region) == typed(difference_region_hulls(s, s.augment(extra)))
-    assert typed(volume_vector(region)) == typed(
-        volume_vector_fractions(region))
+    assert_region(s, s.augment(extra))
+
+
+def refuse(*args):
+    raise AssertionError("a double description ran")
 
 
 def test_difference_region_builds_no_hull(monkeypatch):
-    """difference_region reads every piece off one double-description
-    call: the Polytope stack is gone, and with _hull_rows raising, a
+    """difference_region reads every piece off the pyramids of the placed
+    points: the Polytope stack is gone, and with _hull_rows,
+    _extreme_rays and _bounded_piece raising once hull(s) is built, a
     rational 3-D pair still gives the region whose Newton number is the
     drop nu(S) - nu(S')."""
     def no_hull(points):
@@ -59,11 +100,14 @@ def test_difference_region_builds_no_hull(monkeypatch):
 
     s = support_set(3, [(F(5, 2), 0, 0), (0, F(7, 3), 0), (0, 0, 3),
                         (1, F(1, 2), 1), (F(1, 2), 1, F(3, 2))])
-    sp = s.augment([(F(1, 2), F(1, 2), F(1, 2)), (F(3, 2), 0, F(1, 3))])
-    drop = newton_number_set(s) - newton_number_set(sp)
+    extra = [(F(1, 2), F(1, 2), F(1, 2)), (F(3, 2), 0, F(1, 3))]
+    drop = newton_number_set(s) - newton_number_set(s.augment(extra))
+    sp = s.augment(extra)
     assert_deleted()
     monkeypatch.setattr(geometry, "_hull_rows", no_hull)
     monkeypatch.setattr(newton_number, "_hull_rows", no_hull)
+    for name in ("_extreme_rays", "_bounded_piece"):
+        monkeypatch.setattr(geometry, name, refuse)
     region = difference_region(s, sp)
     assert region.simplices and newton_number_region(region) == drop
 
@@ -100,21 +144,17 @@ def touching_pairs(draw):
 @given(touching_pairs())
 @PROPERTY
 def test_difference_region_skip_is_exact(pair):
-    """Pieces over facets that no point of s' lies below are skipped; the
-    region, with every type, is still the hulled oracle's."""
-    s, sp = pair
-    assert typed(difference_region(s, sp)) == typed(
-        difference_region_hulls(s, sp))
+    """Points on a facet, on its plane or below it: a point that sees no
+    facet adds no pyramid, and one on the plane of an unseen facet next
+    to a seen one adds no facet at that ridge; the region still has the
+    former routines' volumes."""
+    assert_region(*pair)
 
 
 def test_difference_region_skips_flat_pieces(monkeypatch):
     """Added points on or above every compact-facet hyperplane of hull(s)
-    leave only flat pieces: the region is empty and no piece is solved."""
-    def no_piece(*args):
-        raise AssertionError("a piece was solved")
-
-    for name in ("_extreme_rays", "_bounded_piece"):
-        monkeypatch.setattr(newton_number, name, no_piece)
+    see no facet: the region is empty, and once hull(s) is built no
+    double description runs."""
     pairs = [
         # on the facets x + 4y = 6 and 3x + 2y = 8, and above both
         (support_set(2, [(6, 0), (2, 1), (0, 4)]),
@@ -125,7 +165,11 @@ def test_difference_region_skips_flat_pieces(monkeypatch):
     ]
     for s, extra in pairs:
         sp = s.augment(extra)
-        assert difference_region(s, sp).simplices == ()
+        newton_polyhedron(s)
+        with monkeypatch.context() as patch:
+            for name in ("_extreme_rays", "_bounded_piece"):
+                patch.setattr(geometry, name, refuse)
+            assert difference_region(s, sp).simplices == ()
         assert newton_number_set(s) == newton_number_set(sp)
 
 
