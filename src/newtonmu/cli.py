@@ -186,7 +186,9 @@ def _jsonable(x):
     raise TypeError(f"cannot serialize {type(x).__name__}")
 
 
-def _load_json(path):
+def _load_json(path, inputs):
+    """The JSON value in the file at path; its path and sha256 go on
+    inputs, in the order the files are read."""
     try:
         with open(path, "rb") as fh:
             data = fh.read()
@@ -196,13 +198,12 @@ def _load_json(path):
         obj = json.loads(data)
     except json.JSONDecodeError as e:
         raise InputError(f"{path}: line {e.lineno} column {e.colno}: {e.msg}")
-    return obj, hashlib.sha256(data).hexdigest()
-
-
-def _load_input(path):
-    obj, digest = _load_json(path)
-    doc = parse_input(obj)
-    return doc, {"path": path, "sha256": digest}
+    except (ValueError, RecursionError) as e:
+        # bytes that are not UTF-8, an integer past the digit limit of
+        # int(), or nesting past the recursion limit
+        raise InputError(f"{path}: {e}")
+    inputs.append({"path": path, "sha256": hashlib.sha256(data).hexdigest()})
+    return obj
 
 
 def _support_of(doc, command):
@@ -231,16 +232,7 @@ def _family_of(doc, command):
     return doc.family
 
 
-# --- report assembly --------------------------------------------------------
-
-def _report(command, arguments, inputs, results, warnings):
-    return {"schema_version": SCHEMA_VERSION,
-            "command": command,
-            "arguments": arguments,
-            "inputs": inputs,
-            "results": results,
-            "warnings": list(warnings)}
-
+# --- report rendering -------------------------------------------------------
 
 def _render(doc, indent=0, out=None):
     """Plain-text rendering of a report tree for --pretty."""
@@ -305,10 +297,13 @@ def _cone_matrices(fan):
 
 
 # --- commands ---------------------------------------------------------------
+#
+# Each command reads its files through load, which returns the JSON value
+# of a file and records its digest, and returns (results, warnings);
+# main writes the report.
 
-def _cmd_nu(args):
-    doc, digest = _load_input(args.file)
-    s = _support_of(doc, "nu")
+def _cmd_nu(args, load):
+    s = _support_of(parse_input(load(args.file)), "nu")
     conv = convenience_report(s)
     warnings = []
     results = {"convenience": _convenience_json(conv)}
@@ -335,8 +330,7 @@ def _cmd_nu(args):
             "Newton numbers need every axis covered (use --series)")
     if args.emit_polytope:
         results["polytope"] = _polytope_json(s)
-    arguments = {"file": args.file, "series": args.series, "cap": args.cap}
-    return _report("nu", arguments, [digest], results, warnings)
+    return results, warnings
 
 
 def _certificate_json(cert):
@@ -349,9 +343,9 @@ def _certificate_json(cert):
                            for i, b in cert.good_pairs]}
 
 
-def _cmd_mu_test(args):
-    base_doc, base_digest = _load_input(args.base)
-    def_doc, def_digest = _load_input(args.deformed)
+def _cmd_mu_test(args, load):
+    base_doc = parse_input(load(args.base))
+    def_doc = parse_input(load(args.deformed))
     if len(base_doc.variables) != len(def_doc.variables):
         raise InputError(
             f"mu-test: the base has {len(base_doc.variables)} variables, the "
@@ -370,20 +364,11 @@ def _cmd_mu_test(args):
     if args.emit_polytope:
         results["polytope"] = {"base": _polytope_json(s),
                                "deformed": _polytope_json(s_prime)}
-    arguments = {"base": args.base, "deformed": args.deformed}
-    return _report("mu-test", arguments, [base_digest, def_digest],
-                   results, res.warnings)
+    return results, res.warnings
 
 
-def _check_budget(args):
-    if args.budget < 0:
-        raise InputError(f"--budget must be at least 0, got {args.budget}")
-
-
-def _cmd_resolve(args):
-    _check_budget(args)
-    doc, digest = _load_input(args.file)
-    fam = _family_of(doc, "resolve")
+def _cmd_resolve(args, load):
+    fam = _family_of(parse_input(load(args.file)), "resolve")
     res = simultaneous_resolution(fam, skip_smoothness=args.skip_smoothness,
                                   budget=args.budget)
     charts = []
@@ -405,14 +390,11 @@ def _cmd_resolve(args):
     }
     if args.emit_polytope:
         results["polytope"] = _polytope_json(fam.base().support())
-    arguments = {"file": args.file, "skip_smoothness": args.skip_smoothness,
-                 "budget": args.budget}
-    return _report("resolve", arguments, [digest], results, res.report.warnings)
+    return results, res.report.warnings
 
 
-def _cmd_fan(args):
-    doc, digest = _load_input(args.file)
-    s = _support_of(doc, "fan")
+def _cmd_fan(args, load):
+    s = _support_of(parse_input(load(args.file)), "fan")
     fan = newton_fan(s)
     results = {"ambient_dim": fan.ambient_dim,
                "maximal_cones": _cone_matrices(fan),
@@ -421,12 +403,11 @@ def _cmd_fan(args):
                            for c in fan.maximal]}
     if args.emit_polytope:
         results["polytope"] = _polytope_json(s)
-    return _report("fan", {"file": args.file}, [digest], results, [])
+    return results, []
 
 
-def _cmd_regularize(args):
-    doc, digest = _load_input(args.file)
-    s = _support_of(doc, "regularize")
+def _cmd_regularize(args, load):
+    s = _support_of(parse_input(load(args.file)), "regularize")
     fan = regularize_fan(simplicialize(newton_fan(s)))
     results = {"ambient_dim": fan.ambient_dim,
                "maximal_cones": _cone_matrices(fan),
@@ -434,32 +415,23 @@ def _cmd_regularize(args):
                "all_unimodular": all(is_regular_cone(c) for c in fan.maximal)}
     if args.emit_polytope:
         results["polytope"] = _polytope_json(s)
-    return _report("regularize", {"file": args.file}, [digest], results, [])
+    return results, []
 
 
-def _cmd_milnor(args):
-    _check_budget(args)
-    doc, digest = _load_input(args.file)
-    f = _polynomial_of(doc, "milnor")
-    mu = milnor_number(f, budget=args.budget)
-    results = {"mu": str(mu)}
-    arguments = {"file": args.file, "budget": args.budget}
-    return _report("milnor", arguments, [digest], results, [])
+def _cmd_milnor(args, load):
+    f = _polynomial_of(parse_input(load(args.file)), "milnor")
+    return {"mu": str(milnor_number(f, budget=args.budget))}, []
 
 
-def _cmd_nondeg(args):
-    _check_budget(args)
-    doc, digest = _load_input(args.file)
-    f = _polynomial_of(doc, "nondeg")
+def _cmd_nondeg(args, load):
+    f = _polynomial_of(parse_input(load(args.file)), "nondeg")
     rep = nondegeneracy_check(f, budget=args.budget)
     faces = [{"points": _jsonable(fc.points), "dim": fc.dim,
               "status": fc.status, "detail": fc.detail}
              for fc in rep.faces]
-    results = {"verdict": rep.verdict, "faces": faces}
     warnings = [f"face {render_face(fc.points)} unchecked: {fc.detail}"
                 for fc in rep.faces if fc.status == "unchecked"]
-    arguments = {"file": args.file, "budget": args.budget}
-    return _report("nondeg", arguments, [digest], results, warnings)
+    return {"verdict": rep.verdict, "faces": faces}, warnings
 
 
 def _arc_orders(value, length, where):
@@ -503,11 +475,9 @@ def _arc_json(arc):
             "s_coeffs": _jsonable(arc.s_coeffs)}
 
 
-def _cmd_valuative(args):
-    doc, digest = _load_input(args.file)
-    fam = _family_of(doc, "valuative")
-    arcs_obj, arcs_digest = _load_json(args.arcs)
-    arcs = _parse_arcs(arcs_obj, fam.n_vars, fam.n_params)
+def _cmd_valuative(args, load):
+    fam = _family_of(parse_input(load(args.file)), "valuative")
+    arcs = _parse_arcs(load(args.arcs), fam.n_vars, fam.n_params)
     rep = valuative_falsifier(fam, arcs)
     out_arcs, warnings = [], []
     for k, v in enumerate(rep.arcs):
@@ -523,14 +493,11 @@ def _cmd_valuative(args):
             warnings.append(f"arc {k} is indeterminate: leading forms cancel")
     results = {"falsified": rep.falsified, "disclaimer": rep.disclaimer,
                "arcs": out_arcs}
-    arguments = {"file": args.file, "arcs": args.arcs}
-    return _report("valuative", arguments,
-                   [digest, {"path": args.arcs, "sha256": arcs_digest}],
-                   results, warnings)
+    return results, warnings
 
 
-def _cmd_b1d(args):
-    doc, digest = _load_input(args.file)
+def _cmd_b1d(args, load):
+    doc = parse_input(load(args.file))
     fam = _family_of(doc, "b1d")
     try:
         j_axes = tuple(int(a) for a in args.axes.split(","))
@@ -550,8 +517,7 @@ def _cmd_b1d(args):
         warnings.append("no pattern point: deciding the restricted family "
                         "is as hard as the original problem; rerun the "
                         "testers on the emitted restriction")
-    arguments = {"file": args.file, "axes": args.axes}
-    return _report("b1d", arguments, [digest], results, warnings)
+    return results, warnings
 
 
 # --- entry point ------------------------------------------------------------
@@ -566,107 +532,99 @@ class _Parser(argparse.ArgumentParser):
         raise InputError(message)
 
 
+_BUDGET = {"--budget": {"type": int, "default": DEFAULT_BUDGET}}
+
+# name, command, help, positional arguments, options, and whether
+# --emit-polytope applies.  A report's arguments are the positional
+# arguments and options in this order (argparse fills the namespace in
+# definition order).
+_COMMANDS = (
+    ("nu", _cmd_nu, "Newton number of a support set", ("file",), {
+        "--series": {"action": "store_true", "help": "allow supports with "
+                     "empty axes via the sup procedure"},
+        "--cap": {"type": int, "default": 64, "help": "largest axis "
+                  "multiple the sup procedure tries"}}, True),
+    ("mu-test", _cmd_mu_test, "decide Newton number equality for a nested "
+     "pair by the apex criterion", ("base", "deformed"), {}, True),
+    ("resolve", _cmd_resolve, "simultaneous monomial resolution charts for "
+     "a deformation family", ("file",),
+     {"--skip-smoothness": {"action": "store_true"}, **_BUDGET}, True),
+    ("fan", _cmd_fan, "dual Newton fan of a support set", ("file",), {},
+     True),
+    ("regularize", _cmd_regularize, "unimodular subdivision of the Newton "
+     "fan", ("file",), {}, True),
+    ("milnor", _cmd_milnor, "Milnor number at the origin", ("file",),
+     _BUDGET, False),
+    ("nondeg", _cmd_nondeg, "face-by-face nondegeneracy check", ("file",),
+     _BUDGET, False),
+    ("valuative", _cmd_valuative, "arc-based falsifier for the "
+     "mu-constancy order inequality", ("file",),
+     {"--arcs": {"required": True,
+                 "help": "JSON list of monomial arc records"}}, False),
+    ("b1d", _cmd_b1d, "scan for a Kronecker-pattern support point outside "
+     "the J-axes", ("file",),
+     {"--axes": {"required": True,
+                 "help": "comma-separated 1-based axes of J"}}, False),
+)
+
+# namespace entries that are not a report's arguments
+_NOT_ARGUMENTS = ("command", "run", "pretty", "emit_polytope")
+
+
 def _build_parser():
     top = _Parser(
         prog="newtonmu",
         description="Newton polyhedra, Newton numbers, and mu-constancy "
                     "tools with exact rational arithmetic.")
     sub = top.add_subparsers(dest="command", required=True)
-
-    def common(p, polytope=True):
+    for name, run, help_, positionals, options, polytope in _COMMANDS:
+        p = sub.add_parser(name, help=help_)
+        for dest in positionals:
+            p.add_argument(dest)
+        for flag, keywords in options.items():
+            p.add_argument(flag, **keywords)
         p.add_argument("--pretty", action="store_true",
                        help="human-readable rendering instead of JSON")
         if polytope:
             p.add_argument("--emit-polytope", action="store_true",
                            help="include Newton polyhedron vertex lists")
-
-    p = sub.add_parser("nu", help="Newton number of a support set")
-    p.add_argument("file")
-    p.add_argument("--series", action="store_true",
-                   help="allow supports with empty axes via the sup procedure")
-    p.add_argument("--cap", type=int, default=64,
-                   help="largest axis multiple the sup procedure tries")
-    common(p)
-    p.set_defaults(run=_cmd_nu)
-
-    p = sub.add_parser("mu-test", help="decide Newton number equality for a "
-                                       "nested pair by the apex criterion")
-    p.add_argument("base")
-    p.add_argument("deformed")
-    common(p)
-    p.set_defaults(run=_cmd_mu_test)
-
-    p = sub.add_parser("resolve", help="simultaneous monomial resolution "
-                                       "charts for a deformation family")
-    p.add_argument("file")
-    p.add_argument("--skip-smoothness", action="store_true")
-    p.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
-    common(p)
-    p.set_defaults(run=_cmd_resolve)
-
-    p = sub.add_parser("fan", help="dual Newton fan of a support set")
-    p.add_argument("file")
-    common(p)
-    p.set_defaults(run=_cmd_fan)
-
-    p = sub.add_parser("regularize", help="unimodular subdivision of the "
-                                          "Newton fan")
-    p.add_argument("file")
-    common(p)
-    p.set_defaults(run=_cmd_regularize)
-
-    p = sub.add_parser("milnor", help="Milnor number at the origin")
-    p.add_argument("file")
-    p.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
-    common(p, polytope=False)
-    p.set_defaults(run=_cmd_milnor)
-
-    p = sub.add_parser("nondeg", help="face-by-face nondegeneracy check")
-    p.add_argument("file")
-    p.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
-    common(p, polytope=False)
-    p.set_defaults(run=_cmd_nondeg)
-
-    p = sub.add_parser("valuative", help="arc-based falsifier for the "
-                                         "mu-constancy order inequality")
-    p.add_argument("file")
-    p.add_argument("--arcs", required=True,
-                   help="JSON list of monomial arc records")
-    common(p, polytope=False)
-    p.set_defaults(run=_cmd_valuative)
-
-    p = sub.add_parser("b1d", help="scan for a Kronecker-pattern support "
-                                   "point outside the J-axes")
-    p.add_argument("file")
-    p.add_argument("--axes", required=True,
-                   help="comma-separated 1-based axes of J")
-    common(p, polytope=False)
-    p.set_defaults(run=_cmd_b1d)
+        p.set_defaults(run=run)
     return top
 
 
-_EXIT_CODES = ((InputError, 2), (SupportError, 3), (GeometryError, 3),
-               (BudgetExceeded, 4), (InternalConsistencyError, 5))
+_EXIT_CODES = ((InputError, 2, "input"), (SupportError, 3, "precondition"),
+               (GeometryError, 3, "precondition"),
+               (BudgetExceeded, 4, "budget"),
+               (InternalConsistencyError, 5, "internal"))
 
 
 def main(argv=None):
     parser = _build_parser()
     # the subcommand is recorded here before its own arguments are parsed
     args = argparse.Namespace(command=None)
+    inputs = []
     try:
         parser.parse_args(argv, args)
-        doc = args.run(args)
-    except tuple(e for e, _ in _EXIT_CODES) as exc:
-        code = next(c for e, c in _EXIT_CODES if isinstance(exc, e))
-        kind = {2: "input", 3: "precondition", 4: "budget",
-                5: "internal"}[code]
+        if getattr(args, "budget", 0) < 0:
+            raise InputError(f"--budget must be at least 0, got {args.budget}")
+        results, warnings = args.run(
+            args, lambda path: _load_json(path, inputs))
+        arguments = {k: v for k, v in vars(args).items()
+                     if k not in _NOT_ARGUMENTS}
+        code = 0
+    except tuple(e for e, _, _ in _EXIT_CODES) as exc:
+        code, kind = next((c, k) for e, c, k in _EXIT_CODES
+                          if isinstance(exc, e))
         print(f"error: {exc}", file=sys.stderr)
-        _emit(_report(args.command, {}, [],
-                      {"error": {"type": kind, "message": str(exc)}}, []),
-              getattr(args, "pretty", False))
-        return code
-    _emit(doc, args.pretty)
-    return 0
+        arguments, inputs, warnings = {}, [], []
+        results = {"error": {"type": kind, "message": str(exc)}}
+    _emit({"schema_version": SCHEMA_VERSION,
+           "command": args.command,
+           "arguments": arguments,
+           "inputs": inputs,
+           "results": results,
+           "warnings": list(warnings)}, getattr(args, "pretty", False))
+    return code
 
 
 if __name__ == "__main__":

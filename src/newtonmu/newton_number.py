@@ -240,10 +240,12 @@ def difference_region(s, s_prime):
     form one simplicial complex; no hull is built and no double
     description runs.  When each point of s is a point of s', they are the
     simplices that mu_constant_test memoized on s'; otherwise the points
-    are placed on hull(s) afresh, over the union of the two supports.
+    are placed on hull(s) afresh, over the union of the two supports,
+    once check_nested has passed; a placed pair is nested by construction.
     """
     simplices = _placement(s, s_prime)
-    check_nested(s, s_prime)
+    if simplices is None:
+        check_nested(s, s_prime)
     n = s.dim
     covered = s.axes_with_point
     missing = [i + 1 for i in range(n) if i not in covered]

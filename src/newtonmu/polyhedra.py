@@ -538,8 +538,11 @@ def added_vertices(s, s_prime):
     points over the lcm of the two denominators; when s' holds the points
     of s, these are the vertex bits of s' whose points are no vertices of
     s.  They come in the order of the points of s', which is sorted.
+    A pair that _placement places is nested by construction, so
+    check_nested runs only on the others.
     """
-    check_nested(s, s_prime)
+    if _placement(s, s_prime) is None:
+        check_nested(s, s_prime)
     inner, outer = newton_polyhedron(s), newton_polyhedron(s_prime)
     den = lcm(inner.den, outer.den)
     old = {tuple(den // inner.den * x for x in inner.ipts[i])

@@ -261,6 +261,20 @@ def test_input_errors(tmp_path, capsys):
     assert code == 2 and "error" in json.loads(out)["results"]
     assert err.strip()
 
+    # not UTF-8, an integer past int()'s digit limit, nesting past the
+    # recursion limit: in a document and in an arcs file
+    fam = write(tmp_path, "f.json", XY_FAMILY)
+    undecodable = tmp_path / "u.json"
+    for data in (b"\xff", b"[" + b"7" * 5000 + b"]", b"[" * 200000):
+        undecodable.write_bytes(data)
+        for argv in (["nu", str(undecodable)],
+                     ["valuative", fam, "--arcs", str(undecodable)]):
+            code, out, err = run(capsys, argv)
+            error = json.loads(out)["results"]["error"]
+            assert code == 2 and error["type"] == "input"
+            assert "u.json: " in error["message"]
+            assert "Traceback" not in err
+
     dup = dict(QUAD, support=[["1", "0"], ["1", "0"]])
     code, _, _ = run(capsys, ["nu", write(tmp_path, "d.json", dup)])
     assert code == 2

@@ -16,11 +16,14 @@ import random
 from fractions import Fraction as F
 from pathlib import Path
 
-from newtonmu import geometry
+import pytest
+
+from newtonmu import geometry, newton_number, polyhedra
 from newtonmu.apex import mu_constant_test
 from newtonmu.newton_number import (difference_region, newton_number_region,
                                     newton_number_set, volume_vector)
-from newtonmu.polyhedra import _placement, newton_polyhedron, support_set
+from newtonmu.polyhedra import (SupportError, _placement, added_vertices,
+                                newton_polyhedron, support_set)
 from corpus import bs_base_support, bs_deformed_support
 from oracles import difference_region_bounded
 from test_conversion import typed
@@ -194,3 +197,25 @@ def test_mu_constant_test_places_the_bigger_polyhedron(monkeypatch):
     assert sp.__dict__["_placed"][1] is pyramids
     assert res.verdict and typed(newton_polyhedron(sp)) == typed(direct)
     assert newton_number_region(region) == res.nu_s - res.nu_s_prime == 0
+
+
+def test_placed_pairs_skip_the_nesting_check(monkeypatch):
+    """A pair that _placement places is nested by construction: the apex
+    test and the difference region run with check_nested refusing.  An
+    unplaced pair keeps the check and its error text."""
+    def refuse(*args):
+        raise AssertionError("check_nested ran")
+
+    s, sp = bs_base_support(), bs_deformed_support()
+    with monkeypatch.context() as patch:
+        for module in (polyhedra, newton_number):
+            patch.setattr(module, "check_nested", refuse)
+        assert mu_constant_test(s, sp).verdict
+        assert added_vertices(s, sp) == ((1, 6, 0),)
+        assert newton_number_region(difference_region(s, sp)) == 0
+    small, big = support_set(2, [(2, 0), (0, 2)]), support_set(2, [(3, 0),
+                                                                   (0, 3)])
+    assert _placement(small, big) is None
+    for check in (added_vertices, difference_region):
+        with pytest.raises(SupportError, match="^polyhedra not nested"):
+            check(small, big)
