@@ -504,6 +504,9 @@ def _cmd_b1d(args, load):
     except ValueError:
         raise InputError(f"--axes: expected comma-separated integers, got "
                          f"{args.axes!r}")
+    bad = next((a for a in j_axes if not 1 <= a <= fam.n_vars), None)
+    if bad is not None:
+        raise InputError(f"--axes: axis {bad} is not in 1..{fam.n_vars}")
     res = b1d_detector(fam, j_axes)
     results = {"j_axes": sorted(set(j_axes)), "found": res.found,
                "i": res.i, "beta": _jsonable(res.beta)}

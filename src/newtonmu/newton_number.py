@@ -3,22 +3,35 @@
 The Newton number of a compact region P in the nonnegative orthant is the
 alternating sum n!V_n - (n-1)!V_{n-1} + ... +- V_0 where V_k adds the
 k-volumes of the sections of P with the k-dimensional coordinate subspaces
-(V_0 is 1 or 0 by membership of the origin).  For a support set S it is the
-Newton number of the region under the Newton boundary.
+(V_0 is 1 or 0 by membership of the origin; Kouchnirenko, Polyedres de
+Newton et nombres de Milnor, Invent. Math. 32, 1976).  For a support set S
+it is the Newton number of the region under the Newton boundary.
 
 Sections are computed without any projection tricks: every polytope here
 lives in the orthant, where each hyperplane {x_j = 0} is supporting, so the
 section with a coordinate subspace is a face, namely the hull of the
-vertices lying in that subspace.  For the simplicial complexes produced by
-polyhedra.lower_region and difference_region this makes the V_k sums exact
-one-line volume aggregations.  volume_vector runs them on integers: the
-region's vertices are scaled once by the lcm D of their denominators, each
-section simplex adds the |det| of an integer k x k minor (geometry._int_det)
-to a total T_k, and V_k is the one Fraction T_k / (D^k k!).
-newton_number_set fuses the two stages: the pulling triangulation of the
-compact facets comes back as tuples of support-point indices, and _volumes
-sums it over the polyhedron's own integer points, so no Fraction point is
-built, hashed or scaled again.  difference_region builds no hull and
+vertices lying in that subspace.  For a simplicial complex each section
+is a union of faces of its simplices, deduplicated by vertex set.
+
+The whole stage runs on integers.  A region's vertices are scaled once by
+the lcm den of their denominators, and _totals reads each simplex once
+and returns the integer totals T_k = k! V_k den^k: a simplex adds the
+|det| of its n x n minor to T_n, and each section face, found among the
+simplex's vertices off the open orthant and counted once, adds the |det|
+of its k x k minor to T_k (orders 1 and 2 written out, geometry._int_det
+for the rest).  A Newton number is then the one Fraction
+(sum_k (-1)^(n-k) T_k den^(n-k)) / den^n, and V_k, for volume_vector and
+union_volume_vector, the Fraction T_k / (den^k k!).
+
+The integer points come with the region.  newton_number_set takes the
+pulling triangulation of the compact facets, coned from the origin, as
+tuples of indices into the polyhedron's own integer points and the origin
+(polyhedra._lower_form), so no Fraction point is built.  A
+CompactRegion carries a cached integer form (points times den, den, index
+simplices); lower_region and difference_region seed it from the support's
+integer points, so newton_number_region and volume_vector never hash or
+scale the region's Fraction points, and only a region built by hand is
+indexed and scaled on first use.  difference_region builds no hull and
 runs no double description: its simplices are the pyramids of the points
 of the bigger support placed on the smaller polyhedron
 (polyhedra._place), each placed point coned over the simplices of the
@@ -27,8 +40,8 @@ union_volume_vector builds no hull either: each intersection of its
 inclusion-exclusion is read off its homogenized rows by
 geometry._bounded_piece (one double description) and triangulated by
 geometry._pulling over the vertex masks it returns.  The pulling rule
-restricts to every face, so _volumes sums an intersection's sections off
-its one triangulation.
+restricts to every face, so _totals sums an intersection's sections off
+its one triangulation, flat intersections included.
 projection_formula_check hands union_volume_vector each simplex's shadow
 as its projected points, which geometry._hull_rows turns into rows,
 because a projection is not a face.
@@ -46,8 +59,8 @@ from math import factorial
 from .geometry import (ONE, ZERO, GeometryError, Record, _bounded_piece,
                        _hull_rows, _int_det, _pulling, _scaled, frac,
                        simplex_volume)
-from .polyhedra import (CompactRegion, SupportError, _lower_simplices,
-                        _placement, check_nested, newton_polyhedron,
+from .polyhedra import (CompactRegion, SupportError, _lower_form, _placement,
+                        _region, check_nested, newton_polyhedron,
                         support_set)
 
 
@@ -86,48 +99,112 @@ def volume_vector(region):
     The region must be a simplicial complex (the constructors in polyhedra
     guarantee this); section faces shared between simplices are deduplicated
     by vertex set, which is sound exactly because intersections of complex
-    members are common faces.  Vertices are indexed and scaled to integers
-    once, and _volumes sums the sections.
+    members are common faces.  _totals sums the sections over the region's
+    integer form, and V_k is the one Fraction T_k / (den^k k!).
     """
-    index = {}
-    simplices = [tuple(index.setdefault(v, len(index)) for v in simplex)
-                 for simplex in region.simplices]
-    ipts, den = _scaled(list(index))
-    return NewtonVolumeVector(_volumes(region.ambient_dim, ipts, den,
-                                       simplices))
+    ipts, den, simplices = region._integer_form
+    return NewtonVolumeVector(_fractions(_totals(region.ambient_dim, ipts,
+                                                 simplices), den))
 
 
-def _volumes(n, ipts, den, simplices):
-    """(V_0, ..., V_n) of a simplicial complex in R^n given as tuples of
-    indices into the integer points ipts, which are its vertices times den.
+def _fractions(totals, den):
+    """(V_0, ..., V_n) from the totals T_k = k! V_k den^k."""
+    return tuple(Fraction(t, den ** k * factorial(k))
+                 for k, t in enumerate(totals))
 
-    Each vertex gets a support bitmask once; a section face is the vertices
-    whose support lies inside the axes.
+
+def _newton_fraction(totals, den):
+    """The Newton number sum_k (-1)^(n-k) k! V_k from the totals
+    T_k = k! V_k den^k: the integer sum_k (-1)^(n-k) T_k den^(n-k), by
+    Horner's rule, over den^n, the one Fraction built."""
+    acc = 0
+    for t in totals:
+        acc = t - acc * den
+    return Fraction(acc, den ** (len(totals) - 1))
+
+
+def _minor(ipts, w, axes):
+    """|det| of the k x k minor, on the k axes, of the differences of the
+    points ipts[i] for i in w[1:] from ipts[w[0]]: k! times the k-volume
+    of their simplex, times den^k.  Orders 1 and 2 are written out."""
+    p = ipts[w[0]]
+    rows = [[ipts[i][c] - p[c] for c in axes] for i in w[1:]]
+    k = len(axes)
+    if k == 1:
+        return abs(rows[0][0])
+    if k == 2:
+        (a1, b1), (a2, b2) = rows
+        return abs(a1 * b2 - b1 * a2)
+    return abs(_int_det(rows))
+
+
+def _totals(n, ipts, simplices):
+    """The integer totals T_k = k! V_k den^k, k = 0..n, of a simplicial
+    complex in R^n given as index tuples into the integer points ipts, its
+    vertices times den; the simplices list their vertices in one global
+    order (sorted points or increasing indices), so equal faces are equal
+    tuples.
+
+    Each simplex is read once.  One with n + 1 vertices adds its n x n
+    _minor to T_n; a flat one (union_volume_vector passes flat pieces)
+    adds nothing there.  The section with R^A, for a proper axis set A of
+    size k, is the face W_A of the vertices supported inside A, a
+    k-simplex when it has k + 1 of them; those vertices are off the open
+    orthant, so simplices with the same vertices off it have the same
+    sections.  For each such vertex set, A runs over the subsets of the
+    union of their supports, and each section face adds its k x k minor
+    to T_k once, keyed by its index tuple: 1 for the origin, a
+    coordinate difference on an axis, a _minor above.
     """
-    supports = [sum(1 << i for i, x in enumerate(p) if x) for p in ipts]
-    values = []
-    for k in range(n + 1):
-        total = 0
-        for axes in itertools.combinations(range(n), k):
-            outside = ~sum(1 << i for i in axes)
-            seen = set()
-            for simplex in simplices:
-                w = [i for i in simplex if not supports[i] & outside]
-                if len(w) != k + 1:
-                    continue
-                key = frozenset(w)
-                if key in seen:
-                    continue
-                seen.add(key)
-                base = ipts[w[0]]
-                total += abs(_int_det([[ipts[i][c] - base[c] for c in axes]
-                                       for i in w[1:]]))
-        values.append(Fraction(total, den ** k * factorial(k)))
-    return tuple(values)
+    full = (1 << n) - 1
+    simplices = set(simplices)
+    supports = {}
+    for i in {i for simplex in simplices for i in simplex}:
+        mask = 0
+        for c, x in enumerate(ipts[i]):
+            if x:
+                mask |= 1 << c
+        supports[i] = mask
+    totals = [0] * (n + 1)
+    every = range(n)
+    offs = set()
+    for simplex in simplices:
+        if len(simplex) == n + 1:
+            totals[n] += _minor(ipts, simplex, every)
+        offs.add(tuple([(i, supports[i]) for i in simplex
+                        if supports[i] != full]))
+    faces = set()
+    for off in offs:
+        union = 0
+        for _, mask in off:
+            union |= mask
+        a = union
+        while True:
+            k = a.bit_count()
+            if k < len(off) and a != full:
+                w = tuple([i for i, mask in off if mask | a == a])
+                if len(w) == k + 1 and w not in faces:
+                    faces.add(w)
+                    if k == 0:
+                        totals[0] += 1
+                    elif k == 1:
+                        c = a.bit_length() - 1
+                        totals[1] += abs(ipts[w[1]][c] - ipts[w[0]][c])
+                    else:
+                        totals[k] += _minor(ipts, w, [c for c in every
+                                                      if a >> c & 1])
+            if not a:
+                break
+            a = (a - 1) & union
+    return totals
 
 
 def newton_number_region(region):
-    return volume_vector(region).newton_number()
+    """Newton number of a compact region: its totals (_totals) over its
+    integer form, and one Fraction."""
+    ipts, den, simplices = region._integer_form
+    return _newton_fraction(_totals(region.ambient_dim, ipts, simplices),
+                            den)
 
 
 def newton_number_set(support):
@@ -135,16 +212,12 @@ def newton_number_set(support):
 
     Raises SupportError (naming the offending axis) otherwise; use
     newton_number_series for supports with empty axes.  The same as
-    newton_number_region(lower_region(support)), but the index simplices
-    of the triangulation go straight to _volumes, over the polyhedron's
-    integer points and the origin, so no Fraction point is built.
+    newton_number_region(lower_region(support)), but the region's integer
+    form (polyhedra._lower_form) goes straight to _totals, so no Fraction
+    point is built.
     """
-    np_, simplices = _lower_simplices(support)
-    n = support.dim
-    origin = len(np_.ipts)
-    return NewtonVolumeVector(_volumes(
-        n, np_.ipts + ((0,) * n,), np_.den,
-        [(origin,) + s for s in simplices])).newton_number()
+    ipts, den, simplices = _lower_form(support)
+    return _newton_fraction(_totals(support.dim, ipts, simplices), den)
 
 
 # --- sup over axis augmentations -------------------------------------------
@@ -253,13 +326,13 @@ def difference_region(s, s_prime):
         raise SupportError(
             f"difference region is unbounded: no support point on axis "
             f"{missing[0]} of the smaller set")
-    pts = s_prime.points
+    outer = s_prime
     if simplices is None:
-        union = s.augment(pts)
-        simplices, pts = _placement(s, union), union.points
+        outer = s.augment(s_prime.points)
+        simplices = _placement(s, outer)
+    ipts, den = outer._scaled_points
     # index tuples sort like the point tuples they name
-    return CompactRegion(n, tuple(tuple(pts[i] for i in simplex)
-                                  for simplex in sorted(simplices)))
+    return _region(n, outer.points, ipts, den, sorted(simplices))
 
 
 # --- unions of polytopes ----------------------------------------------------
@@ -275,7 +348,7 @@ def union_volume_vector(pieces, ambient_dim):
     rows once (_hull_rows), an intersection is the rows of its parent and
     of the piece it adds, and _bounded_piece reads its vertices and facets
     off them.  Each intersection's sections are faces, and the pulling
-    triangulation restricts to every face, so _volumes sums them over one
+    triangulation restricts to every face, so _totals sums them over one
     pulling triangulation of the intersection; V_0 counts the
     intersections with the origin as a vertex.
     """
@@ -304,8 +377,8 @@ def union_volume_vector(pieces, ambient_dim):
             whole = (1 << len(verts)) - 1
             ipts, den = _scaled(verts)
             sign = 1 if size % 2 == 1 else -1
-            for k, v in enumerate(_volumes(n, ipts, den, _pulling(
-                    whole, whole, facets, {}))):
+            for k, v in enumerate(_fractions(_totals(n, ipts, _pulling(
+                    whole, whole, facets, {})), den)):
                 values[k] += sign * v
     return NewtonVolumeVector(tuple(values))
 

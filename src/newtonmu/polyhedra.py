@@ -489,7 +489,8 @@ def convenience_report(support):
     The vertex condition for axis i asks that every vertex of the Newton
     polyhedron has i-th coordinate zero or at least 1.  Restrictions to
     coordinate subspaces are faces of the polyhedron, so checking the global
-    vertex set covers every restricted support too.
+    vertex set covers every restricted support too.  The test runs on the
+    vertices' integer points ipts = points * den: x == 0 or x >= den.
     """
     n = support.dim
     covered = support.axes_with_point
@@ -498,8 +499,10 @@ def convenience_report(support):
     cond = {}
     if axis_ok:
         np_ = newton_polyhedron(support)
+        den = np_.den
+        verts = [np_.ipts[i] for i in _members(np_.vmask)]
         for i in range(n):
-            cond[i + 1] = all(v[i] == 0 or v[i] >= 1 for v in np_.vertices)
+            cond[i + 1] = all(v[i] == 0 or v[i] >= den for v in verts)
     else:
         for i in range(n):
             cond[i + 1] = False
@@ -560,16 +563,43 @@ class CompactRegion(Record):
     simplices: tuple of simplices, each a sorted tuple of n+1 points.  The
     pieces come from the shared pulling rule, so faces match up exactly and
     volume computations can deduplicate by vertex set.
+
+    _integer_form, a cached property and no record field (equality, hashing
+    and repr do not see it), is (ipts, den, index simplices): the vertices
+    times the lcm den of their denominators as integer tuples, and each
+    simplex as the tuple of its vertices' indices there, in its own vertex
+    order.  lower_region and difference_region seed it from the support's
+    integer points, so their Fraction points are never hashed or scaled;
+    a region built by hand indexes and scales its points on first use.
     """
 
     ambient_dim: int
     simplices: tuple
 
+    @cached_property
+    def _integer_form(self):
+        index = {}
+        simplices = [tuple(index.setdefault(v, len(index)) for v in simplex)
+                     for simplex in self.simplices]
+        ipts, den = _scaled(list(index))
+        return ipts, den, simplices
 
-def _lower_simplices(support):
-    """The Newton polyhedron and the sorted pulling triangulation of its
-    compact facets, as increasing tuples of support-point indices: with
-    the origin added to each, the simplices of lower_region."""
+
+def _region(n, pts, ipts, den, simplices):
+    """The CompactRegion whose simplices are the index tuples simplices
+    into the points pts, which are ipts / den, with its integer form
+    seeded."""
+    region = CompactRegion(n, tuple(tuple(pts[i] for i in simplex)
+                                    for simplex in simplices))
+    region.__dict__["_integer_form"] = ipts, den, simplices
+    return region
+
+
+def _lower_form(support):
+    """The integer form (see CompactRegion) of lower_region: the support's
+    integer points and the origin after them, their den, and the sorted
+    pulling triangulation of the compact facets as increasing tuples of
+    support-point indices, each with the origin's index put first."""
     n = support.dim
     covered = support.axes_with_point
     missing = [i + 1 for i in range(n) if i not in covered]
@@ -580,8 +610,17 @@ def _lower_simplices(support):
     np_ = newton_polyhedron(support)
     seeds = [g for _, _, g in np_.ifacets]
     memo = {}
-    return np_, sorted({s for _, _, face in np_._compact_ifacets()
-                        for s in _pulling(face, np_.vmask, seeds, memo)})
+    simplices = set()
+    for _, _, face in np_._compact_ifacets():
+        verts = face & np_.vmask
+        # a facet with n vertices is a simplex, its own pulling triangulation
+        if verts.bit_count() == n:
+            simplices.add(tuple(_members(verts)))
+        else:
+            simplices.update(_pulling(face, np_.vmask, seeds, memo))
+    origin = len(np_.ipts)
+    return np_.ipts + ((0,) * n,), np_.den, [(origin,) + s
+                                             for s in sorted(simplices)]
 
 
 def lower_region(support):
@@ -591,12 +630,9 @@ def lower_region(support):
     unbounded).  Star-shaped from the origin: cones over the compact facets
     triangulate it.  Each compact facet is triangulated by
     geometry._pulling over the polyhedron's bitmasks of support points
-    (_lower_simplices).
+    (_lower_form).
     """
-    _, simplices = _lower_simplices(support)
-    pts = support.points
+    n = support.dim
     # the origin sorts before every support point, and index tuples sort
     # like the point tuples they name
-    origin = tuple(ZERO for _ in range(support.dim))
-    return CompactRegion(support.dim, tuple(
-        (origin,) + tuple(pts[i] for i in s) for s in simplices))
+    return _region(n, support.points + ((ZERO,) * n,), *_lower_form(support))

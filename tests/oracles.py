@@ -74,10 +74,15 @@ each intersection and V_0 by membership of the origin
 bitmask pulling routine.  difference_region_bounded, kept verbatim, is the
 library's routine before the added points were placed on the smaller
 polyhedron: one _bounded_piece call per piece, triangulated by _pulling
-over the vertex masks it returns.  The pyramid formula (nu_pyramid) shares no
-triangulation code with any of them: it measures each coordinate section
-of the region under the Newton boundary as a sum of cones over its
-compact facets, on the scans above.
+over the vertex masks it returns.  _volumes, kept verbatim, is the
+library's section scan before the integer totals (newton_number._totals):
+one pass over the simplices per coordinate subspace, faces keyed by
+frozensets, every minor through _int_det and one Fraction per V_k;
+volume_vector_scan runs it, as the former volume_vector did, over the
+region's points indexed and scaled afresh.  The pyramid formula
+(nu_pyramid) shares no triangulation code with any of them: it measures
+each coordinate section of the region under the Newton boundary as a sum
+of cones over its compact facets, on the scans above.
 """
 
 import itertools
@@ -1042,6 +1047,46 @@ def difference_region_bounded(s, s_prime):
 
 def _support(v):
     return frozenset(i for i, x in enumerate(v) if x != 0)
+
+
+def _volumes(n, ipts, den, simplices):
+    """(V_0, ..., V_n) of a simplicial complex in R^n given as tuples of
+    indices into the integer points ipts, which are its vertices times den.
+
+    Each vertex gets a support bitmask once; a section face is the vertices
+    whose support lies inside the axes.
+    """
+    supports = [sum(1 << i for i, x in enumerate(p) if x) for p in ipts]
+    values = []
+    for k in range(n + 1):
+        total = 0
+        for axes in itertools.combinations(range(n), k):
+            outside = ~sum(1 << i for i in axes)
+            seen = set()
+            for simplex in simplices:
+                w = [i for i in simplex if not supports[i] & outside]
+                if len(w) != k + 1:
+                    continue
+                key = frozenset(w)
+                if key in seen:
+                    continue
+                seen.add(key)
+                base = ipts[w[0]]
+                total += abs(_int_det([[ipts[i][c] - base[c] for c in axes]
+                                       for i in w[1:]]))
+        values.append(Fraction(total, den ** k * factorial(k)))
+    return tuple(values)
+
+
+def volume_vector_scan(region):
+    """The former volume_vector: the region's Fraction points indexed and
+    scaled to integers here, and _volumes over them."""
+    index = {}
+    simplices = [tuple(index.setdefault(v, len(index)) for v in simplex)
+                 for simplex in region.simplices]
+    ipts, den = _scaled(list(index))
+    return NewtonVolumeVector(_volumes(region.ambient_dim, ipts, den,
+                                       simplices))
 
 
 def volume_vector_fractions(region):

@@ -2,7 +2,6 @@ import random
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given, settings, strategies as st
 
 from newtonmu import apex
 from newtonmu.apex import (edge_convenience, edges_at_vertex, find_apex,
@@ -86,16 +85,24 @@ def test_cross_check_raises_inside_the_theorem(monkeypatch):
         mu_constant_test(s, sp)
 
 
-@given(st.integers(min_value=0, max_value=2 ** 30),
-       st.integers(min_value=2, max_value=3))
-@settings(derandomize=True, deadline=None, max_examples=60)
-def test_verdict_tracks_nu_equality(seed, n):
-    rng = random.Random(seed)
-    s = random_convenient_support(rng, n, max_intercept=5, extra=2)
-    sp = boundary_plane_augmentation(rng, s)
-    if sp is None:
-        return
-    res = mu_constant_test(s, sp)
-    assert res.verdict == (res.nu_s == res.nu_s_prime)
-    assert res.nu_s == newton_number_set(s)
-    assert res.nu_s_prime == newton_number_set(sp)
+def test_verdict_tracks_nu_equality():
+    """Sixty pairs from the first seeds, n = 2 and 3 in turn, whose small
+    box holds a lattice point on a compact facet plane of the support:
+    the support augmented by one of them."""
+    checked, verdicts = 0, set()
+    for k in range(200):
+        rng = random.Random(k)
+        s = random_convenient_support(rng, 2 + k % 2, max_intercept=5,
+                                      extra=2)
+        sp = boundary_plane_augmentation(rng, s)
+        if sp is None:
+            continue
+        res = mu_constant_test(s, sp)
+        assert res.verdict == (res.nu_s == res.nu_s_prime), k
+        assert res.nu_s == newton_number_set(s)
+        assert res.nu_s_prime == newton_number_set(sp)
+        verdicts.add(res.verdict)
+        checked += 1
+        if checked == 60:
+            break
+    assert checked == 60 and verdicts == {False, True}

@@ -293,6 +293,20 @@ def test_input_errors(tmp_path, capsys):
                               ])
     assert code == 3
 
+    # an axis outside 1..n is a malformed flag value; J the full axis set
+    # is a precondition of the detector
+    quintic = write(tmp_path, "q.json", QUINTIC)
+    for axes in ("0", "4", "-1", "1,2,3"):
+        code, out, err = run(capsys, ["b1d", quintic, "--axes", axes])
+        error = json.loads(out)["results"]["error"]
+        if axes == "1,2,3":
+            assert code == 3 and error["type"] == "precondition"
+        else:
+            assert code == 2 and error["type"] == "input"
+            assert error["message"] == (f"--axes: axis {axes} is not in "
+                                        "1..3")
+        assert "Traceback" not in err
+
 
 def test_rationals_are_integers_or_fractions(tmp_path, capsys):
     """Only integers and 'p/q' strings parse; exponent notation is rejected

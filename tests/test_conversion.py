@@ -16,13 +16,15 @@ from fractions import Fraction as F
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from newtonmu.apex import mu_constant_test
 from newtonmu.fans import newton_fan, support_function
 from newtonmu.geometry import (GeometryError, Record, _bounded_piece,
                                _extreme_rays, _hull_rows, _pulling,
                                primitive_vector)
-from newtonmu.newton_number import difference_region, volume_vector
-from newtonmu.polyhedra import (check_nested, lower_region, newton_polyhedron,
-                                support_set)
+from newtonmu.newton_number import (difference_region, newton_number_region,
+                                    newton_number_set, volume_vector)
+from newtonmu.polyhedra import (check_nested, convenience_report,
+                                lower_region, newton_polyhedron, support_set)
 from oracles import (_face_lattice, convex_hull, convex_hull_scan, mat_rank,
                      newton_polyhedron_scan, polytope_from_constraints_scan,
                      sign_canonical, triangulate_polytope_hulls)
@@ -161,6 +163,23 @@ def test_convex_hull_mixed_denominators_match_scan(pts):
 
 FRACTION_OPERATORS = ("__add__", "__radd__", "__sub__", "__rsub__",
                       "__mul__", "__rmul__", "__truediv__", "__rtruediv__")
+FRACTION_ORDER = ("__lt__", "__le__", "__gt__", "__ge__")
+
+
+def count_fraction_calls(monkeypatch, names):
+    """The list that each call of the named Fraction methods appends its
+    name to, from now on."""
+    calls = []
+    for name in names:
+        def counted(*args, _op=getattr(F, name), _name=name):
+            calls.append(_name)
+            return _op(*args)
+        monkeypatch.setattr(F, name, counted)
+    return calls
+
+
+RATIONAL_POINTS = [(F(1, 2), 0, 3), (0, F(2, 3), 1), (2, 1, 0),
+                   (F(5, 6), F(1, 3), 1), (1, 1, F(1, 2)), (0, 0, F(7, 2))]
 
 
 def test_no_fraction_arithmetic_in_the_kernel(monkeypatch):
@@ -169,14 +188,8 @@ def test_no_fraction_arithmetic_in_the_kernel(monkeypatch):
     difference_region, NewtonPolyhedron.contains, newton_fan and
     support_function run on integers only: on rational inputs, built
     fresh, no Fraction operator is called."""
-    calls = []
-    for name in FRACTION_OPERATORS:
-        def counted(*args, _op=getattr(F, name), _name=name):
-            calls.append(_name)
-            return _op(*args)
-        monkeypatch.setattr(F, name, counted)
-    pts = [(F(1, 2), 0, 3), (0, F(2, 3), 1), (2, 1, 0), (F(5, 6), F(1, 3), 1),
-           (1, 1, F(1, 2)), (0, 0, F(7, 2))]
+    calls = count_fraction_calls(monkeypatch, FRACTION_OPERATORS)
+    pts = RATIONAL_POINTS
     flat = [(F(1, 2), F(1, 2), 0), (0, 1, F(1, 3)), (1, 0, 2),
             (F(1, 3), F(2, 3), F(5, 6)), (F(1, 6), F(5, 6), 1)]
     s = support_set(3, pts)
@@ -199,6 +212,35 @@ def test_no_fraction_arithmetic_in_the_kernel(monkeypatch):
     assert support_function(convenient, (1, F(1, 2), 2)) == F(2, 3)
     assert region.simplices and difference.simplices and calls == []
     assert F(1, 2) + F(1, 3) == F(5, 6) and calls == ["__add__"]
+
+
+def test_no_fraction_arithmetic_in_the_newton_numbers(monkeypatch):
+    """convenience_report, newton_number_set, newton_number_region (on a
+    lower and on a difference region) and mu_constant_test call no Fraction
+    operator and no ordering comparison on rational inputs, built fresh
+    for each call: each Newton number is one Fraction built from two ints.
+    Equality stays allowed, for the verdict's comparison of the two
+    Newton numbers.  The pair fails the vertex condition on both sides,
+    so the warnings are rendered too."""
+    calls = count_fraction_calls(monkeypatch,
+                                 FRACTION_OPERATORS + FRACTION_ORDER)
+
+    def pair():
+        s = support_set(3, RATIONAL_POINTS).augment([(F(5, 2), 0, 0),
+                                                     (0, F(4, 3), 0)])
+        return s, s.augment([(F(1, 3), F(1, 2), 1), (0, F(1, 2), F(1, 2))])
+
+    report = convenience_report(pair()[1])
+    assert report.axis_convenient and report.vertex_condition == {
+        1: True, 2: False, 3: False}
+    assert newton_number_set(pair()[1]) == F(-17, 8)
+    assert newton_number_region(lower_region(pair()[0])) == F(-7, 18)
+    assert newton_number_region(difference_region(*pair())) == F(125, 72)
+    res = mu_constant_test(*pair())
+    assert not res.verdict and len(res.warnings) == 2
+    assert (res.nu_s, res.nu_s_prime) == (F(-7, 18), F(-17, 8))
+    assert calls == []
+    assert F(1, 2) < F(2, 3) and calls == ["__lt__"]
 
 
 def test_convex_hull_degenerate_inputs_match_scan():

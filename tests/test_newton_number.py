@@ -1,11 +1,14 @@
+import itertools
 import random
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given, settings, strategies as st
 
-from newtonmu.geometry import GeometryError
-from newtonmu.newton_number import (d_set_and_i_set, difference_region,
+from newtonmu import newton_number
+from newtonmu.geometry import (GeometryError, _bounded_piece, _hull_rows,
+                               _pulling, _scaled)
+from newtonmu.newton_number import (NewtonVolumeVector, d_set_and_i_set,
+                                    difference_region,
                                     newton_number_region, newton_number_series,
                                     newton_number_set, newton_number_union,
                                     partial_homothety,
@@ -17,7 +20,10 @@ from newtonmu.polyhedra import (CompactRegion, SupportError, lower_region,
 from corpus import (bs_base_support, bs_deformed_support, exe2d_augmented,
                     exe2d_support, exe3d_augmented, exe3d_support, brieskorn,
                     random_convenient_support)
-from oracles import nu_2d_staircase
+from oracles import (_volumes, nu_2d_staircase, volume_vector_fractions,
+                     volume_vector_scan)
+from test_conversion import typed
+from test_placement import KINDS, random_pair
 
 
 def test_one_dimensional():
@@ -156,36 +162,111 @@ def test_staircase_oracle_randomized():
         assert newton_number_set(s) == nu_2d_staircase(s.points), s.points
 
 
-coord2 = st.tuples(st.integers(min_value=0, max_value=6),
-                   st.integers(min_value=0, max_value=6))
+def test_staircase_oracle_property():
+    """Sixty seeds: intercepts a, b in 1..6 and up to five more points of
+    the grid 0..6 x 0..6, the origin dropped."""
+    for k in range(60):
+        rng = random.Random(k)
+        extra = [(rng.randint(0, 6), rng.randint(0, 6))
+                 for _ in range(rng.randint(0, 5))]
+        pts = [(rng.randint(1, 6), 0), (0, rng.randint(1, 6))] + [
+            p for p in extra if any(p)]
+        s = support_set(2, pts)
+        assert newton_number_set(s) == nu_2d_staircase(pts), pts
 
 
-@given(st.lists(coord2, min_size=0, max_size=5),
-       st.integers(min_value=1, max_value=6),
-       st.integers(min_value=1, max_value=6))
-@settings(derandomize=True, deadline=None, max_examples=60)
-def test_staircase_oracle_property(extra, a, b):
-    pts = [(a, 0), (0, b)] + [p for p in extra if any(p)]
-    s = support_set(2, pts)
-    assert newton_number_set(s) == nu_2d_staircase(pts)
+def test_permutation_invariance():
+    """Forty seeds, the six axis permutations in turn."""
+    perms = list(itertools.permutations(range(3)))
+    for k in range(40):
+        rng = random.Random(k)
+        perm = perms[k % len(perms)]
+        s = random_convenient_support(rng, 3, max_intercept=4, extra=2)
+        permuted = support_set(3, [tuple(p[i] for i in perm)
+                                   for p in s.points])
+        assert newton_number_set(s) == newton_number_set(permuted), k
 
 
-@given(st.permutations((0, 1, 2)), st.integers(min_value=0, max_value=2 ** 30))
-@settings(derandomize=True, deadline=None, max_examples=40)
-def test_permutation_invariance(perm, seed):
-    rng = random.Random(seed)
-    s = random_convenient_support(rng, 3, max_intercept=4, extra=2)
-    permuted = support_set(3, [tuple(p[i] for i in perm) for p in s.points])
-    assert newton_number_set(s) == newton_number_set(permuted)
+def test_semicontinuity_under_augmentation():
+    for k in range(40):
+        rng = random.Random(k)
+        s = random_convenient_support(rng, 2, max_intercept=5, extra=2)
+        extra = tuple(rng.randint(0, 4) for _ in range(2))
+        if not any(extra):
+            extra = (1, 1)
+        sp = s.augment([extra])
+        assert newton_number_set(sp) <= newton_number_set(s), k
 
 
-@given(st.integers(min_value=0, max_value=2 ** 30))
-@settings(derandomize=True, deadline=None, max_examples=40)
-def test_semicontinuity_under_augmentation(seed):
-    rng = random.Random(seed)
-    s = random_convenient_support(rng, 2, max_intercept=5, extra=2)
-    extra = tuple(rng.randint(0, 4) for _ in range(2))
-    if not any(extra):
-        extra = (1, 1)
-    sp = s.augment([extra])
-    assert newton_number_set(sp) <= newton_number_set(s)
+# --- the integer totals against the former section scan ----------------------
+
+def assert_region_totals(region):
+    """volume_vector and newton_number_region, from the region's integer
+    form, against the section scan and the Fraction simplex volumes, with
+    the type of every number."""
+    vv = typed(volume_vector(region))
+    assert vv == typed(volume_vector_scan(region))
+    assert vv == typed(volume_vector_fractions(region))
+    assert typed(newton_number_region(region)) == typed(
+        volume_vector_scan(region).newton_number())
+
+
+def random_piece(rng, n):
+    """One to six points of a small rational grid in R^n, often flattened
+    into a coordinate subspace or onto a line through two of them, so
+    the hull is a lower-dimensional polytope as often as not."""
+    def coord():
+        return F(rng.randint(0, 6), rng.choice((1, 1, 2, 3)))
+
+    pts = [tuple(coord() for _ in range(n))
+           for _ in range(rng.randint(1, 6))]
+    if rng.random() < 0.4:
+        flat = rng.sample(range(n), rng.randint(1, n))
+        pts = [tuple(0 if i in flat else x for i, x in enumerate(p))
+               for p in pts]
+    if rng.random() < 0.3 and len(pts) > 1:
+        a, b = pts[0], pts[1]
+        pts = [a, b] + [tuple(x + t * (y - x) for x, y in zip(a, b))
+                        for t in (F(1, 3), F(1, 2), 2)]
+    return pts
+
+
+def test_totals_match_the_section_scan():
+    """A hundred seeds, n = 1..5 in turn.  The integer totals
+    (newton_number._totals) give typed-equal volume vectors and Newton
+    numbers to the former per-subspace scan (oracles._volumes) and to one
+    Fraction simplex volume per section face
+    (oracles.volume_vector_fractions): on the lower region of a rational
+    convenient support, on the difference region of that support and one
+    with added points of random kinds (test_placement.random_pair), and
+    on the pulling triangulation that union_volume_vector sums for a
+    piece, flat ones included."""
+    flat = 0
+    for k in range(100):
+        rng = random.Random(k)
+        n = 1 + k % 5
+        kinds = [rng.choice(KINDS) for _ in range(rng.randint(1, 3))]
+        s, sp = random_pair(rng, n, kinds)
+        for support in (s, sp):
+            region = lower_region(support)
+            assert_region_totals(region)
+            assert newton_number_set(support) == newton_number_region(region)
+        assert_region_totals(difference_region(s, sp))
+        for _ in range(3):
+            eqs, ineqs = _hull_rows(random_piece(rng, n))
+            verts, facets, _ = _bounded_piece(eqs, ineqs, n)
+            whole = (1 << len(verts)) - 1
+            simplices = _pulling(whole, whole, facets, {})
+            ipts, den = _scaled(verts)
+            totals = newton_number._totals(n, ipts, simplices)
+            want = NewtonVolumeVector(_volumes(n, ipts, den, simplices))
+            assert typed(NewtonVolumeVector(newton_number._fractions(
+                totals, den))) == typed(want)
+            assert typed(newton_number._newton_fraction(totals, den)) == (
+                typed(want.newton_number()))
+            region = CompactRegion(n, tuple(tuple(verts[i] for i in t)
+                                            for t in simplices))
+            assert typed(volume_vector_fractions(region)) == typed(want)
+            flat += len(simplices[0]) <= n
+    assert flat > 60
+

@@ -8,7 +8,8 @@ must have the volume vector of the former per-facet pieces
 (oracles.difference_region_bounded) and the Newton number
 nu(S) - nu(S').  Both are checked on every pair of the mu_sweep benchmark
 pool and on seeded random pairs for n = 2..5, with one and with several
-added points of every kind below.
+added points of every kind below.  On the pool, the recorded answers and
+the section scan's volume vectors are checked too.
 """
 
 import json
@@ -23,9 +24,10 @@ from newtonmu.apex import mu_constant_test
 from newtonmu.newton_number import (difference_region, newton_number_region,
                                     newton_number_set, volume_vector)
 from newtonmu.polyhedra import (SupportError, _placement, added_vertices,
-                                newton_polyhedron, support_set)
+                                lower_region, newton_polyhedron,
+                                support_set)
 from corpus import bs_base_support, bs_deformed_support
-from oracles import difference_region_bounded
+from oracles import difference_region_bounded, volume_vector_scan
 from test_conversion import typed
 from test_region_kernel import assert_common_faces
 
@@ -53,12 +55,23 @@ def assert_placed(s, sp):
 
 
 def test_placement_matches_the_direct_build_on_the_pool():
+    """Every pair of the pool is placed as assert_placed checks, and gives
+    the recorded verdict and Newton numbers; the volume vectors of the
+    difference region and both lower regions, from the integer totals,
+    are typed-equal to the former section scan's."""
     cases = json.loads(POOL.read_text())["cases"]
     assert len(cases) == 540
     for case in cases:
         n = case["n"]
         s = support_set(n, [tuple(p) for p in case["s"]])
-        assert_placed(s, support_set(n, [tuple(p) for p in case["sp"]]))
+        sp = support_set(n, [tuple(p) for p in case["sp"]])
+        region = assert_placed(s, sp)
+        res = mu_constant_test(s, sp)
+        assert {"verdict": res.verdict, "nu_s": str(res.nu_s),
+                "nu_sp": str(res.nu_s_prime),
+                "diff": str(newton_number_region(region))} == case["expect"]
+        for r in (region, lower_region(s), lower_region(sp)):
+            assert typed(volume_vector(r)) == typed(volume_vector_scan(r))
 
 
 KINDS = ("rational", "facet", "plane", "below", "above", "dominated")
