@@ -2,9 +2,17 @@
 
 Polynomials are dicts mapping exponent tuples to nonzero Fractions.  Every
 run is deterministic: pair selection, reducer choice and output ordering
-depend only on the input.  All loops charge against a step budget and raise
-BudgetExceeded rather than returning partial answers.
+depend only on the input.  Each public call runs on its own step meter and
+raises BudgetExceeded once its budget is spent, never a partial answer.
+The charges, which every budget report depends on:
+
+- pairs pop in (sugar, grevlex(lcm), i, j) order, a unique key, and every
+  popped pair costs one step, coprime and chain-criterion pairs included;
+- every reduction step costs one, in the S-pair loop and in _interreduce;
+- every monomial that quotient_dimension counts costs one.
 """
+
+import heapq
 
 from .geometry import ZERO, ONE
 from .families import spoly
@@ -68,6 +76,17 @@ def _make_row(poly, sugar=None):
     return _Row(lead, lead_coeff, tail, sugar)
 
 
+def _subtract(work, factor, q, tail):
+    """work -= factor * x^q * tail, in place, dropping zero terms."""
+    for m, c in tail.items():
+        key = _mul(m, q)
+        val = work.get(key, ZERO) - factor * c
+        if val:
+            work[key] = val
+        elif key in work:
+            del work[key]
+
+
 def _reduce_full(poly, rows, meter, sugar):
     """Fully reduce poly against rows.  Returns (remainder, sugar)."""
     work = dict(poly)
@@ -75,104 +94,64 @@ def _reduce_full(poly, rows, meter, sugar):
     while work:
         mono = max(work, key=grevlex_key)
         coeff = work.pop(mono)
-        reducer = None
-        for row in rows:
-            if _divides(row.lead, mono):
-                reducer = row
-                break
+        reducer = next((row for row in rows if _divides(row.lead, mono)), None)
         if reducer is None:
             remainder[mono] = coeff
             continue
         meter.charge()
         q = _quot(mono, reducer.lead)
-        factor = coeff / reducer.lead_coeff
         sugar = max(sugar, reducer.sugar + sum(q))
-        for m, c in reducer.tail.items():
-            key = _mul(m, q)
-            val = work.get(key, ZERO) - factor * c
-            if val:
-                work[key] = val
-            elif key in work:
-                del work[key]
+        _subtract(work, coeff / reducer.lead_coeff, q, reducer.tail)
     return remainder, sugar
 
 
-def _s_poly(a, b):
-    lcm = _lcm(a.lead, b.lead)
+def _s_poly(a, b, lcm):
     out = {}
-    for row, sign in ((a, ONE), (b, -ONE)):
-        q = _quot(lcm, row.lead)
-        factor = sign / row.lead_coeff
-        for m, c in row.tail.items():
-            key = _mul(m, q)
-            val = out.get(key, ZERO) + factor * c
-            if val:
-                out[key] = val
-            elif key in out:
-                del out[key]
+    _subtract(out, -ONE / a.lead_coeff, _quot(lcm, a.lead), a.tail)
+    _subtract(out, ONE / b.lead_coeff, _quot(lcm, b.lead), b.tail)
     return out
 
 
-def _pair_data(rows, i, j):
+def _pair(rows, i, j):
+    """The heap entry (sugar, grevlex(lcm), i, j, lcm) of rows i < j."""
     lcm = _lcm(rows[i].lead, rows[j].lead)
     deg = sum(lcm)
     sugar = max(rows[i].sugar + deg - sum(rows[i].lead),
                 rows[j].sugar + deg - sum(rows[j].lead))
-    return (sugar, grevlex_key(lcm), i, j), lcm
+    return sugar, grevlex_key(lcm), i, j, lcm
 
 
 def _buchberger(polys, meter):
-    rows = []
-    for p in polys:
-        if p:
-            rows.append(_make_row(dict(p)))
-    pairs = {}
-    for j in range(len(rows)):
-        for i in range(j):
-            key, lcm = _pair_data(rows, i, j)
-            pairs[(i, j)] = (key, lcm)
+    rows = [_make_row(dict(p)) for p in polys if p]
+    pairs = [_pair(rows, i, j) for j in range(len(rows)) for i in range(j)]
+    heapq.heapify(pairs)
     treated = set()
     while pairs:
-        (i, j), (key, lcm) = min(pairs.items(), key=lambda kv: kv[1][0])
-        del pairs[(i, j)]
+        sugar, _, i, j, lcm = heapq.heappop(pairs)
         treated.add((i, j))
         meter.charge()
         if _mul(rows[i].lead, rows[j].lead) == lcm:
             continue  # coprime leading monomials
-        chained = False
-        for k in range(len(rows)):
-            if k in (i, j):
-                continue
-            if (_divides(rows[k].lead, lcm)
-                    and (min(i, k), max(i, k)) in treated
-                    and (min(j, k), max(j, k)) in treated):
-                chained = True
-                break
-        if chained:
-            continue
-        s = _s_poly(rows[i], rows[j])
-        sugar = max(rows[i].sugar + sum(lcm) - sum(rows[i].lead),
-                    rows[j].sugar + sum(lcm) - sum(rows[j].lead))
-        remainder, sugar = _reduce_full(s, rows, meter, sugar)
-        if not remainder:
-            continue
-        rows.append(_make_row(remainder, sugar))
-        new = len(rows) - 1
-        for k in range(new):
-            pkey, plcm = _pair_data(rows, k, new)
-            pairs[(k, new)] = (pkey, plcm)
+        if any(k not in (i, j) and _divides(rows[k].lead, lcm)
+               and (min(i, k), max(i, k)) in treated
+               and (min(j, k), max(j, k)) in treated
+               for k in range(len(rows))):
+            continue  # chain criterion
+        remainder, sugar = _reduce_full(_s_poly(rows[i], rows[j], lcm), rows,
+                                        meter, sugar)
+        if remainder:
+            rows.append(_make_row(remainder, sugar))
+            new = len(rows) - 1
+            for k in range(new):
+                heapq.heappush(pairs, _pair(rows, k, new))
     return rows
 
 
 def _interreduce(rows, meter):
-    rows = sorted(rows, key=lambda r: grevlex_key(r.lead))
     keep = []
-    for idx, row in enumerate(rows):
-        if any(k != idx and _divides(rows[k].lead, row.lead)
-               and not (rows[k].lead == row.lead and k > idx)
-               for k in range(len(rows))):
-            continue
-        keep.append(row)
+    for row in sorted(rows, key=lambda r: grevlex_key(r.lead)):
+        if not any(_divides(k.lead, row.lead) for k in keep):
+            keep.append(row)
     reduced = []
     for idx, row in enumerate(keep):
         others = keep[:idx] + keep[idx + 1:]
@@ -229,9 +208,10 @@ def leading_monomials(basis):
     return tuple(sorted(out))
 
 
-def quotient_dimension(basis):
+def quotient_dimension(basis, budget=DEFAULT_BUDGET):
     """Number of monomials outside the leading-term staircase of a reduced
-    basis, or None when that count is infinite."""
+    basis, or None when that count is infinite.  Raises BudgetExceeded
+    when the count passes the budget."""
     if not basis:
         return None
     lts = leading_monomials(basis)
@@ -245,15 +225,15 @@ def quotient_dimension(basis):
             return None
         bound.append(min(pure))
 
-    count = 0
+    meter = _Meter(budget)  # counts the monomials
     stack = [(0, (0,) * n)]
     while stack:
         i, mono = stack.pop()
         if any(_divides(l, mono) for l in lts):
             continue
         if i == n:
-            count += 1
+            meter.charge()
             continue
         for e in range(bound[i]):
             stack.append((i + 1, mono[:i] + (e,) + mono[i + 1:]))
-    return count
+    return meter.used

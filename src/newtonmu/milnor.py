@@ -47,7 +47,7 @@ def milnor_number(f, budget=DEFAULT_BUDGET):
     while trunc <= MAX_TRUNCATION:
         gens = partials + [_pure_power(n, i, trunc) for i in range(n)]
         basis = groebner_basis(gens, budget)
-        dim = quotient_dimension(basis)
+        dim = quotient_dimension(basis, budget)
         if dim is None:
             raise InternalConsistencyError(
                 "truncated Jacobian quotient came out infinite-dimensional")

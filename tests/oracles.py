@@ -83,6 +83,14 @@ region's points indexed and scaled afresh.  The pyramid formula
 (nu_pyramid) shares no triangulation code with any of them: it measures
 each coordinate section of the region under the Newton boundary as a sum
 of cones over its compact facets, on the scans above.
+
+The Buchberger engine at the very end (_buchberger, _pair_data, _s_poly,
+_reduce_full, _interreduce) is the library's former one, kept verbatim on
+the library's _Meter and _make_row: it picks the next pair by a min scan
+over a dict of pairs, computes each S-polynomial and each reduction with
+its own loop, and filters minimal leads pairwise.  The library pops the
+same pairs off a heap and shares one row update; test_groebner checks
+that the two return the same rows, bases, step counts and budget texts.
 """
 
 import itertools
@@ -98,6 +106,8 @@ from newtonmu.geometry import (DIMENSION_CAP, ONE, ZERO, DimensionCapExceeded,
                                _members, _pulling, _scaled, _unit,
                                _vertex_mask, determinant, dot, frac,
                                primitive_vector, simplex_volume, vec)
+from newtonmu.groebner import (_divides, _lcm, _make_row, _mul, _quot,
+                               grevlex_key)
 from newtonmu.newton_number import NewtonVolumeVector
 from newtonmu.polyhedra import (CompactRegion, Face, SupportError,
                                 check_nested, newton_polyhedron)
@@ -1199,3 +1209,126 @@ def nu_pyramid(support):
                 vk += c * shadow / (k * w[0])
         total += (-1) ** (n - k) * factorial(k) * vk
     return total
+
+
+# --- Buchberger engine -----------------------------------------------------
+
+def _reduce_full(poly, rows, meter, sugar):
+    """Fully reduce poly against rows.  Returns (remainder, sugar)."""
+    work = dict(poly)
+    remainder = {}
+    while work:
+        mono = max(work, key=grevlex_key)
+        coeff = work.pop(mono)
+        reducer = None
+        for row in rows:
+            if _divides(row.lead, mono):
+                reducer = row
+                break
+        if reducer is None:
+            remainder[mono] = coeff
+            continue
+        meter.charge()
+        q = _quot(mono, reducer.lead)
+        factor = coeff / reducer.lead_coeff
+        sugar = max(sugar, reducer.sugar + sum(q))
+        for m, c in reducer.tail.items():
+            key = _mul(m, q)
+            val = work.get(key, ZERO) - factor * c
+            if val:
+                work[key] = val
+            elif key in work:
+                del work[key]
+    return remainder, sugar
+
+
+def _s_poly(a, b):
+    lcm = _lcm(a.lead, b.lead)
+    out = {}
+    for row, sign in ((a, ONE), (b, -ONE)):
+        q = _quot(lcm, row.lead)
+        factor = sign / row.lead_coeff
+        for m, c in row.tail.items():
+            key = _mul(m, q)
+            val = out.get(key, ZERO) + factor * c
+            if val:
+                out[key] = val
+            elif key in out:
+                del out[key]
+    return out
+
+
+def _pair_data(rows, i, j):
+    lcm = _lcm(rows[i].lead, rows[j].lead)
+    deg = sum(lcm)
+    sugar = max(rows[i].sugar + deg - sum(rows[i].lead),
+                rows[j].sugar + deg - sum(rows[j].lead))
+    return (sugar, grevlex_key(lcm), i, j), lcm
+
+
+def _buchberger(polys, meter):
+    rows = []
+    for p in polys:
+        if p:
+            rows.append(_make_row(dict(p)))
+    pairs = {}
+    for j in range(len(rows)):
+        for i in range(j):
+            key, lcm = _pair_data(rows, i, j)
+            pairs[(i, j)] = (key, lcm)
+    treated = set()
+    while pairs:
+        (i, j), (key, lcm) = min(pairs.items(), key=lambda kv: kv[1][0])
+        del pairs[(i, j)]
+        treated.add((i, j))
+        meter.charge()
+        if _mul(rows[i].lead, rows[j].lead) == lcm:
+            continue  # coprime leading monomials
+        chained = False
+        for k in range(len(rows)):
+            if k in (i, j):
+                continue
+            if (_divides(rows[k].lead, lcm)
+                    and (min(i, k), max(i, k)) in treated
+                    and (min(j, k), max(j, k)) in treated):
+                chained = True
+                break
+        if chained:
+            continue
+        s = _s_poly(rows[i], rows[j])
+        sugar = max(rows[i].sugar + sum(lcm) - sum(rows[i].lead),
+                    rows[j].sugar + sum(lcm) - sum(rows[j].lead))
+        remainder, sugar = _reduce_full(s, rows, meter, sugar)
+        if not remainder:
+            continue
+        rows.append(_make_row(remainder, sugar))
+        new = len(rows) - 1
+        for k in range(new):
+            pkey, plcm = _pair_data(rows, k, new)
+            pairs[(k, new)] = (pkey, plcm)
+    return rows
+
+
+def _interreduce(rows, meter):
+    rows = sorted(rows, key=lambda r: grevlex_key(r.lead))
+    keep = []
+    for idx, row in enumerate(rows):
+        if any(k != idx and _divides(rows[k].lead, row.lead)
+               and not (rows[k].lead == row.lead and k > idx)
+               for k in range(len(rows))):
+            continue
+        keep.append(row)
+    reduced = []
+    for idx, row in enumerate(keep):
+        others = keep[:idx] + keep[idx + 1:]
+        poly = dict(row.tail)
+        poly[row.lead] = row.lead_coeff
+        remainder, _ = _reduce_full(poly, others, meter, row.sugar)
+        if remainder:
+            reduced.append(_make_row(remainder, row.sugar))
+    out = []
+    for row in sorted(reduced, key=lambda r: grevlex_key(r.lead)):
+        monic = {m: c / row.lead_coeff for m, c in row.tail.items()}
+        monic[row.lead] = ONE
+        out.append(monic)
+    return out

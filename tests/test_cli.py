@@ -378,6 +378,19 @@ def test_milnor(tmp_path, capsys):
     assert json.loads(out)["results"]["error"]["type"] == "budget"
 
 
+def test_milnor_of_a_non_isolated_germ_is_bounded(tmp_path, capsys):
+    """a^2 in four variables has no isolated singularity: its truncated
+    quotients grow as N^3, and counting them is charged to the budget."""
+    germ = write(tmp_path, "a2.json", {
+        "schema_version": 1, "variables": ["a", "b", "c", "d"],
+        "parameters": [], "terms": [{"exponent": [2, 0, 0, 0], "coefficient":
+                                     [{"s_exponent": [], "value": "1"}]}]})
+    start = time.perf_counter()
+    code, out, _ = run(capsys, ["milnor", germ, "--budget", "100"])
+    assert code == 4 and time.perf_counter() - start < 5
+    assert json.loads(out)["results"]["error"]["type"] == "budget"
+
+
 def test_nondeg(tmp_path, capsys):
     doc = run_json(capsys, ["nondeg", write(tmp_path, "s.json", SQUARE)])
     r = doc["results"]

@@ -1,8 +1,11 @@
 import random
+from fractions import Fraction as F
 
 import pytest
 import sympy
 
+import oracles
+from newtonmu import groebner
 from newtonmu.families import spoly
 from newtonmu.groebner import (DEFAULT_BUDGET, BudgetExceeded, _make_row,
                                _Meter, _reduce_full, _to_dicts,
@@ -83,9 +86,14 @@ def test_contains_one():
 
 def test_quotient_dimension():
     x = spoly(2, [((1, 0), 1)])
-    assert quotient_dimension(groebner_basis([x, spoly(2, [((0, 2), 1)])])) == 2
+    basis = groebner_basis([x, spoly(2, [((0, 2), 1)])])
+    assert quotient_dimension(basis) == 2
     assert quotient_dimension(groebner_basis([x])) is None
     assert quotient_dimension(groebner_basis([spoly(1, [((0,), 1)])])) == 0
+    # one step per counted monomial
+    assert quotient_dimension(basis, budget=2) == 2
+    with pytest.raises(BudgetExceeded, match="after 2 steps"):
+        quotient_dimension(basis, budget=1)
 
 
 def test_budget():
@@ -111,3 +119,52 @@ def test_random_ideals_against_sympy():
             continue
         gb = groebner_basis(polys)
         assert leading_monomials(gb) == _sympy_leads(polys, n)
+
+
+def _random_ideal(rng):
+    """One to three generators in n = 1..3 variables, up to four terms
+    with exponents up to 3 and small integer and fractional coefficients,
+    now and then a zero one."""
+    n = rng.randint(1, 3)
+    polys = []
+    for _ in range(rng.randint(1, 3)):
+        terms = [(tuple(rng.randint(0, 3) for _ in range(n)),
+                  rng.choice([-3, -2, -1, 1, 2, 3, F(1, 2), F(-2, 3)]))
+                 for _ in range(rng.randint(0, 4))]
+        polys.append(spoly(n, terms))
+    return polys
+
+
+def _engine_run(engine, dicts, budget):
+    """Rows, reduced basis and steps used of one engine, every number
+    tagged by its type and every dict read in order; or the text of its
+    BudgetExceeded."""
+    meter = _Meter(budget)
+    try:
+        rows = engine._buchberger(dicts, meter)
+        got = [(r.lead, type(r.lead_coeff), r.lead_coeff,
+                [(m, type(c), c) for m, c in r.tail.items()], r.sugar)
+               for r in rows]
+        basis = engine._interreduce(rows, meter)
+    except BudgetExceeded as exc:
+        return str(exc)
+    basis = [[(m, type(c), c) for m, c in d.items()] for d in basis]
+    return got, basis, meter.used
+
+
+def test_heap_engine_matches_min_scan_engine():
+    """The heap engine returns the former engine's rows in order, its
+    reduced basis, its step count at a budget the ideal fits in, and its
+    BudgetExceeded text at a random budget in 0..60."""
+    exhausted = 0
+    for k in range(400):
+        rng = random.Random(k)
+        dicts, _ = _to_dicts(_random_ideal(rng))
+        fits = _engine_run(groebner, dicts, 20_000)
+        assert isinstance(fits, tuple), k
+        assert fits == _engine_run(oracles, dicts, 20_000), k
+        budget = rng.randint(0, 60)
+        tight = _engine_run(groebner, dicts, budget)
+        assert tight == _engine_run(oracles, dicts, budget), k
+        exhausted += isinstance(tight, str)
+    assert exhausted > 40

@@ -1,6 +1,10 @@
 import random
+import time
+
+import pytest
 
 from newtonmu.families import spoly
+from newtonmu.groebner import BudgetExceeded
 from newtonmu.milnor import (kouchnirenko_crosscheck, milnor_number,
                              nondegeneracy_check)
 from newtonmu.newton_number import newton_number_set
@@ -28,6 +32,22 @@ def test_bs_base():
     bs = P(3, ((5, 0, 0), 1), ((0, 7, 1), 1), ((0, 0, 15), 1), ((0, 8, 0), 1))
     assert milnor_number(bs) == 364
     assert nondegeneracy_check(bs).verdict == "nondegenerate"
+
+
+def test_milnor_number_is_bounded():
+    """Counting a truncated quotient is charged to the budget: a germ
+    whose singularity is not isolated runs out of budget fast, and an
+    isolated one keeps its mu at a budget of at least mu."""
+    start = time.perf_counter()
+    with pytest.raises(BudgetExceeded):
+        milnor_number(P(4, ((2, 0, 0, 0), 1)))  # a^2: quotients grow as N^3
+    assert time.perf_counter() - start < 5
+    # mu = 64; each truncation takes 15 Groebner steps and counts 64
+    # monomials
+    f = P(3, ((5, 0, 0), 1), ((0, 5, 0), 1), ((0, 0, 5), 1))
+    assert milnor_number(f, budget=64) == 64
+    with pytest.raises(BudgetExceeded):
+        milnor_number(f, budget=63)
 
 
 def test_nondegeneracy_verdicts():

@@ -11,9 +11,8 @@ lattice (edges_at_vertex_lattice) and hull and triangulate each piece
 volume vectors, since the two triangulate the region differently.
 """
 
+import random
 from fractions import Fraction as F
-
-from hypothesis import given, settings, strategies as st
 
 from newtonmu import geometry, newton_number, polyhedra
 from newtonmu.apex import edges_at_vertex, mu_constant_test
@@ -22,9 +21,9 @@ from newtonmu.newton_number import difference_region, volume_vector
 from newtonmu.polyhedra import NewtonPolyhedron, newton_polyhedron, support_set
 from corpus import bs_base_support, bs_deformed_support
 from oracles import difference_region_constraints, edges_at_vertex_lattice
-from test_conversion import rational, typed
+from test_conversion import typed
 
-PROPERTY = settings(derandomize=True, deadline=None, max_examples=80)
+CASES = 80
 
 # The Polytope stack, replaced by geometry._hull_rows, geometry._bounded_piece
 # and geometry._pulling; the hull half lives on in oracles.py.
@@ -39,68 +38,73 @@ def assert_deleted():
                    for name in DELETED)
 
 
-@st.composite
-def crowded_points(draw):
+def _rational(rng):
+    return F(rng.randint(0, 6), rng.choice((1, 1, 2, 3)))
+
+
+def _point(rng, n, coord):
+    """A point other than the origin."""
+    while True:
+        p = tuple(coord(rng) for _ in range(n))
+        if any(p):
+            return p
+
+
+def crowded_points(rng):
     """(n, points) for n = 2..4: a convenient point list, all ints half
     the time, with one to three points given twice and one to three
     points above another point of the list."""
-    n = draw(st.sampled_from((2, 3, 4)))
-    coord = draw(st.sampled_from((rational, st.integers(0, 6))))
-    pts = draw(st.lists(st.tuples(*[coord] * n).filter(any), min_size=1,
-                        max_size=7 - n))
-    pts += [tuple(draw(st.integers(1, 6)) if j == i else 0 for j in range(n))
+    n = rng.choice((2, 3, 4))
+    coord = rng.choice((_rational, lambda r: r.randint(0, 6)))
+    pts = [_point(rng, n, coord) for _ in range(rng.randint(1, 7 - n))]
+    pts += [tuple(rng.randint(1, 6) if j == i else 0 for j in range(n))
             for i in range(n)]
-    for _ in range(draw(st.integers(1, 3))):
-        p = draw(st.sampled_from(pts))
-        i = draw(st.integers(0, n - 1))
-        pts += [p, p[:i] + (p[i] + draw(st.integers(1, 3)),) + p[i + 1:]]
+    for _ in range(rng.randint(1, 3)):
+        p = rng.choice(pts)
+        i = rng.randrange(n)
+        pts += [p, p[:i] + (p[i] + rng.randint(1, 3),) + p[i + 1:]]
     return n, pts
 
 
-@st.composite
-def nested_pairs(draw):
+def nested_pairs(rng):
     """A crowded convenient support and the support with up to two more
     points, half of them shrunk toward the origin, so that most pairs add
     vertices below the boundary."""
-    n, pts = draw(crowded_points())
+    n, pts = crowded_points(rng)
     s = support_set(n, pts)
     extra = []
-    for _ in range(draw(st.integers(1, 2))):
-        p = draw(st.tuples(*[rational] * n).filter(any))
-        shrink = draw(st.sampled_from((F(1), F(1, 2), F(1, 3))))
-        extra.append(tuple(x * shrink for x in p))
+    for _ in range(rng.randint(1, 2)):
+        shrink = rng.choice((F(1), F(1, 2), F(1, 3)))
+        extra.append(tuple(x * shrink for x in _point(rng, n, _rational)))
     return s, s.augment(extra)
 
 
-@given(crowded_points())
-@PROPERTY
-def test_integer_input_matches_fraction_input(case):
+def test_integer_input_matches_fraction_input():
     """Input given as ints and the same input given as Fractions take one
     path, scaled to integers, and give the same support, with Fraction
     points, and the same scaled points."""
-    n, pts = case
-    s = support_set(n, pts)
-    t = support_set(n, [vec(p) for p in pts])
-    assert typed(s) == typed(t)
-    assert s._scaled_points == t._scaled_points
+    for k in range(CASES):
+        n, pts = crowded_points(random.Random(k))
+        s = support_set(n, pts)
+        t = support_set(n, [vec(p) for p in pts])
+        assert typed(s) == typed(t), k
+        assert s._scaled_points == t._scaled_points, k
 
 
-@given(nested_pairs())
-@PROPERTY
-def test_edges_at_vertex_match_lattice(pair):
-    for s in pair:
-        np_ = newton_polyhedron(s)
-        for v in np_.vertices:
-            assert typed(edges_at_vertex(np_, v)) == typed(
-                edges_at_vertex_lattice(np_, v))
+def test_edges_at_vertex_match_lattice():
+    for k in range(CASES):
+        for s in nested_pairs(random.Random(k)):
+            np_ = newton_polyhedron(s)
+            for v in np_.vertices:
+                assert typed(edges_at_vertex(np_, v)) == typed(
+                    edges_at_vertex_lattice(np_, v)), k
 
 
-@given(nested_pairs())
-@PROPERTY
-def test_difference_region_matches_constraints(pair):
-    s, sp = pair
-    assert typed(volume_vector(difference_region(s, sp))) == typed(
-        volume_vector(difference_region_constraints(s, sp)))
+def test_difference_region_matches_constraints():
+    for k in range(CASES):
+        s, sp = nested_pairs(random.Random(k))
+        assert typed(volume_vector(difference_region(s, sp))) == typed(
+            volume_vector(difference_region_constraints(s, sp))), k
 
 
 def test_flat_piece_gives_no_simplex():
