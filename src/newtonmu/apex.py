@@ -17,7 +17,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import lcm
 
-from .geometry import (InternalConsistencyError, Record, _members,
+from .geometry import (InternalConsistencyError, Record, _members, _scaled,
                        render_point, vec)
 from .newton_number import newton_number_set
 from .polyhedra import (SupportError, _placement, added_vertices,
@@ -35,25 +35,18 @@ class BoundaryEdge(Record):
     points: tuple
 
 
-def _on_segment(p, a, b):
-    """Parameter t with p = a + t(b - a), 0 <= t <= 1, or None."""
-    d = tuple(x - y for x, y in zip(b, a))
-    r = tuple(x - y for x, y in zip(p, a))
-    t = None
-    for di, ri in zip(d, r):
-        if di != 0:
-            t = Fraction(ri) / di
-            break
-        if ri != 0:
-            return None
-    if t is None:
-        return Fraction(0) if p == a else None
-    if not 0 <= t <= 1:
-        return None
-    for di, ri in zip(d, r):
-        if ri != t * di:
-            return None
-    return t
+def _on_edge(v, a, d):
+    """|r_k| for r = v - a when r = t d with 0 <= t <= 1, k the first axis
+    where d_k != 0, else None; integer vectors.  |r_k| orders the points
+    of an edge as t does.  A degenerate edge, d = 0, holds a only (0)."""
+    r = tuple(x - y for x, y in zip(v, a))
+    k = next((k for k, x in enumerate(d) if x), None)
+    if k is None:
+        return None if any(r) else 0
+    if (0 <= r[k] * d[k] and abs(r[k]) <= abs(d[k])
+            and all(x * d[k] == y * r[k] for x, y in zip(r, d))):
+        return abs(r[k])
+    return None
 
 
 def _edges_at(np_, k):
@@ -110,17 +103,19 @@ def edge_convenience(edge, s, i_axes, j_axes):
 
     For every old vertex beta on the edge: beta >= 1 on J minus I and
     beta = 0 outside J; strict additionally needs some coordinate > 1 in
-    J minus I for each beta.  1-based axes, I strictly inside J.
+    J minus I for each beta.  1-based axes, I strictly inside J.  The
+    vertices on the edge are found by _on_edge, scaled to integers.
     """
     n = s.dim
     i_set = frozenset(a - 1 for a in i_axes)
     j_set = frozenset(a - 1 for a in j_axes)
     if not (i_set < j_set and all(0 <= a < n for a in j_set)):
         raise ValueError("need I strictly inside J inside the axis range")
-    witnesses = []
-    for v in newton_polyhedron(s).vertices:
-        if _on_segment(v, *edge.endpoints) is not None:
-            witnesses.append(v)
+    vertices = newton_polyhedron(s).vertices
+    (a, b, *ivs), _ = _scaled([*edge.endpoints, *vertices])
+    d = tuple(x - y for x, y in zip(b, a))
+    witnesses = [v for v, iv in zip(vertices, ivs)
+                 if _on_edge(iv, a, d) is not None]
     if not witnesses:
         return EdgeConvenience("strict", True, ())
     mid = sorted(j_set - i_set)
@@ -162,10 +157,10 @@ def find_apex(s, s_prime, alpha):
 
     Returns None when no axis has both a unique escaping edge and an old
     vertex on it (in particular when alpha has full support).  The points
-    are compared as integers over one common denominator: an old vertex v
-    lies on the edge from alpha to its other end o at t in (0, 1] when
-    v - alpha is t (o - alpha), and the least t is the least |v_k - alpha_k|
-    on the first axis k where o and alpha differ.
+    are compared as integers over one common denominator by _on_edge: an
+    old vertex v lies on the edge from alpha to its other end o at t in
+    (0, 1] when v - alpha is t (o - alpha), and the least t is the least
+    |v_k - alpha_k| on the first axis k where o and alpha differ.
     """
     alpha = vec(alpha)
     n = s.dim
@@ -187,13 +182,11 @@ def find_apex(s, s_prime, alpha):
             continue
         j, meet = escaping[0]
         d = tuple(up * x - y for x, y in zip(outer.ipts[j], ia))
-        k = next(k for k, x in enumerate(d) if x)
         on_edge = []
         for i, v in old:
-            r = tuple(x - y for x, y in zip(v, ia))
-            if (0 < r[k] * d[k] and abs(r[k]) <= abs(d[k])
-                    and all(x * d[k] == y * r[k] for x, y in zip(r, d))):
-                on_edge.append((abs(r[k]), i))
+            t = _on_edge(v, ia, d)
+            if t:
+                on_edge.append((t, i))
         if not on_edge:
             continue
         _, i = min(on_edge)

@@ -71,21 +71,6 @@ class SPoly(Record):
         keep = {tuple(p) for p in points}
         return spoly(self.n_vars, [t for t in self.terms if t[0] in keep])
 
-    def evaluate(self, values):
-        vals = [frac(v) for v in values]
-        if len(vals) != self.n_vars:
-            raise SupportError("value vector has the wrong length")
-        total = ZERO
-        for mono, c in self.terms:
-            term = c
-            for v, e in zip(vals, mono):
-                term *= v ** e
-            total += term
-        return total
-
-    def scale(self, factor):
-        return spoly(self.n_vars, [(m, c * frac(factor)) for m, c in self.terms])
-
     def as_dict(self):
         return {mono: c for mono, c in self.terms}
 

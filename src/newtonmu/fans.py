@@ -393,9 +393,16 @@ def box_points(c):
 
 
 def stellar_subdivide(fan, xi):
-    """Star subdivision of a simplicial fan at a primitive ray."""
-    xi = tuple(int(x) for x in xi)
-    new_max = _stellar_raw(fan.maximal, xi)
+    """Star subdivision of a simplicial fan at a primitive ray: xi has the
+    ambient length, integer entries, none negative, and gcd 1."""
+    ray = tuple(int(x) for x in xi)
+    if (ray != tuple(xi) or len(ray) != fan.ambient_dim
+            or any(x < 0 for x in ray)):
+        raise GeometryError(f"ray {render_point(xi)} is not a nonnegative "
+                            f"integer vector of length {fan.ambient_dim}")
+    if gcd(*ray) != 1:
+        raise GeometryError(f"ray {ray} is not primitive: gcd {gcd(*ray)}")
+    new_max = _stellar_raw(fan.maximal, ray)
     return Fan(fan.ambient_dim, new_max)
 
 
@@ -440,15 +447,6 @@ def simplicialize(fan, priority=()):
         for c in fan.maximal for rays in _simplices(c, order)))
 
 
-def _all_faces_simplicial(cones):
-    out = set()
-    for c in cones:
-        for k in range(1, len(c.rays) + 1):
-            for sub in itertools.combinations(c.rays, k):
-                out.add(LatticeCone(c.ambient_dim, sub))
-    return out
-
-
 def regularize_fan(fan):
     """Stellar refinement until every cone is regular.
 
@@ -456,22 +454,26 @@ def regularize_fan(fan):
     fundamental-box point of smallest coordinate sum; its proper faces are
     regular by minimality, so the point is interior and regular cones are
     never touched.  Terminates because piece multiplicities strictly drop.
-    Regularity verdicts are kept for the call, so each step tests only the
-    faces it created.
+    Faces are held as their sorted ray tuples, and regularity verdicts are
+    kept for the call, so each step tests only the faces it created; a
+    LatticeCone record is built only for that test, for the target's box
+    points and for the output fan.
     """
-    work = list(fan.maximal)
+    n = fan.ambient_dim
+    work = fan.maximal
     for c in work:
         if not c.is_simplicial:
             raise GeometryError("regularize_fan needs a simplicial fan")
     verdicts = {}
     while True:
-        faces = _all_faces_simplicial(work)
-        for c in faces - verdicts.keys():
-            verdicts[c] = is_regular_cone(c)
-        bad = [c for c in faces if not verdicts[c]]
+        faces = {sub for c in work for k in range(1, len(c.rays) + 1)
+                 for sub in itertools.combinations(c.rays, k)}
+        for rays in faces - verdicts.keys():
+            verdicts[rays] = is_regular_cone(LatticeCone(n, rays))
+        bad = [rays for rays in faces if not verdicts[rays]]
         if not bad:
             break
-        target = min(bad, key=lambda c: (len(c.rays), c.rays))
+        target = LatticeCone(n, min(bad, key=lambda r: (len(r), r)))
         boxed = box_points(target)
         if not boxed:
             raise InternalConsistencyError(
@@ -481,8 +483,8 @@ def regularize_fan(fan):
             raise InternalConsistencyError(
                 "minimal non-regular cone has a boundary box point; "
                 "a smaller face should have been non-regular")
-        work = list(_stellar_raw(tuple(work), xi))
-    return Fan(fan.ambient_dim, tuple(work))
+        work = _stellar_raw(work, xi)
+    return Fan(n, work)
 
 
 def regularize(c):

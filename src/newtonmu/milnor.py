@@ -78,10 +78,6 @@ class NondegeneracyReport(Record):
     verdict: str  # nondegenerate | degenerate | unknown
     faces: tuple
 
-    @property
-    def nondegenerate(self):
-        return self.verdict == "nondegenerate"
-
 
 def _poly_deg(coeffs):
     for d in range(len(coeffs) - 1, -1, -1):

@@ -90,13 +90,6 @@ class SupportSet(Record):
                 kept.append(tuple(p[i] for i in axes))
         return SupportSet(len(axes), tuple(sorted(set(kept))))
 
-    def restrict_keep_ambient(self, axes):
-        """Like restrict but keeps the ambient dimension (zeros outside)."""
-        axes = set(axes)
-        kept = [p for p in self.points
-                if all(p[i] == 0 for i in range(self.dim) if i not in axes)]
-        return SupportSet(self.dim, tuple(sorted(set(kept))))
-
     def augment(self, extra):
         return support_set(self.dim, [*self.points, *extra])
 
@@ -477,10 +470,6 @@ class ConvenienceReport(Record):
     missing_axes: tuple
     vertex_condition: dict
     convenient: bool
-
-    def convenient_for(self, axes):
-        """Convenience relative to a set of axes (1-based)."""
-        return self.axis_convenient and all(self.vertex_condition[i] for i in axes)
 
 
 def convenience_report(support):

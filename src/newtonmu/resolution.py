@@ -60,8 +60,6 @@ def chart_pullback(fam, chart):
     """Total transform of the family through the chart: every exponent maps
     to its generator pairing vector, the common monomial factor is divided
     out, coefficients ride along unchanged."""
-    if isinstance(chart, LatticeCone):
-        chart = make_chart(chart)
     n = fam.n_vars
     if chart.cone.ambient_dim != n:
         raise SupportError("chart dimension does not match the family")

@@ -49,7 +49,17 @@ now reads all three off geometry._pulling and the minor chart.
 
 edges_at_vertex_lattice is the library's former apex.edges_at_vertex,
 which read the compact edges at a vertex off the whole face lattice; the
-library now reads them off meets of the facet bitmasks.
+library now reads them off meets of the facet bitmasks.  _on_segment is
+the library's former Fraction test of a point on a segment, kept
+verbatim; the library now tests points on an edge as integers
+(apex._on_edge).
+
+regularize_fan_records is the library's former regularization loop, kept
+verbatim with _all_faces_simplicial: it builds one LatticeCone record per
+face per step and keys the regularity verdicts by them, where the library
+keys them by the faces' sorted ray tuples.  Its last line returns the
+maximal cones, in the order a Fan sorts them, without the pairwise Fan
+check that the library's result already runs.
 
 polytope_from_constraints reads a bounded system through the library's
 geometry._bounded_piece and hulls the vertices with convex_hull; the fan
@@ -99,13 +109,15 @@ from math import factorial, gcd
 from typing import NamedTuple
 
 from newtonmu.apex import BoundaryEdge
-from newtonmu.fans import Fan, LatticeCone, cone_from_rays
+from newtonmu.fans import (Fan, LatticeCone, _stellar_raw, box_points,
+                           cone_from_rays, is_regular_cone)
 from newtonmu.geometry import (DIMENSION_CAP, ONE, ZERO, DimensionCapExceeded,
-                               GeometryError, Record, _bounded_piece,
-                               _dual_facets, _extreme_rays, _idot, _int_det,
-                               _members, _pulling, _scaled, _unit,
-                               _vertex_mask, determinant, dot, frac,
-                               primitive_vector, simplex_volume, vec)
+                               GeometryError, InternalConsistencyError,
+                               Record, _bounded_piece, _dual_facets,
+                               _extreme_rays, _idot, _int_det, _members,
+                               _pulling, _scaled, _unit, _vertex_mask,
+                               determinant, dot, frac, primitive_vector,
+                               simplex_volume, vec)
 from newtonmu.groebner import (_divides, _lcm, _make_row, _mul, _quot,
                                grevlex_key)
 from newtonmu.newton_number import NewtonVolumeVector
@@ -600,6 +612,27 @@ def edges_at_vertex_lattice(np_, alpha):
     return sorted(out, key=lambda e: e.endpoints)
 
 
+def _on_segment(p, a, b):
+    """Parameter t with p = a + t(b - a), 0 <= t <= 1, or None."""
+    d = tuple(x - y for x, y in zip(b, a))
+    r = tuple(x - y for x, y in zip(p, a))
+    t = None
+    for di, ri in zip(d, r):
+        if di != 0:
+            t = Fraction(ri) / di
+            break
+        if ri != 0:
+            return None
+    if t is None:
+        return Fraction(0) if p == a else None
+    if not 0 <= t <= 1:
+        return None
+    for di, ri in zip(d, r):
+        if ri != t * di:
+            return None
+    return t
+
+
 # --- fans --------------------------------------------------------------------
 
 def cone_dim(cone):
@@ -894,6 +927,51 @@ def stellar_raw_contains(cones, xi):
                 kept = tuple(sorted([q for q in c.rays if q != r] + [xi]))
                 out.append(LatticeCone(c.ambient_dim, kept))
     return tuple(sorted(set(out), key=lambda c: (len(c.rays), c.rays)))
+
+
+def _all_faces_simplicial(cones):
+    out = set()
+    for c in cones:
+        for k in range(1, len(c.rays) + 1):
+            for sub in itertools.combinations(c.rays, k):
+                out.add(LatticeCone(c.ambient_dim, sub))
+    return out
+
+
+def regularize_fan_records(fan):
+    """Stellar refinement until every cone is regular.
+
+    Always subdivides a non-regular cone of smallest dimension at the
+    fundamental-box point of smallest coordinate sum; its proper faces are
+    regular by minimality, so the point is interior and regular cones are
+    never touched.  Terminates because piece multiplicities strictly drop.
+    Regularity verdicts are kept for the call, so each step tests only the
+    faces it created.
+    """
+    work = list(fan.maximal)
+    for c in work:
+        if not c.is_simplicial:
+            raise GeometryError("regularize_fan needs a simplicial fan")
+    verdicts = {}
+    while True:
+        faces = _all_faces_simplicial(work)
+        for c in faces - verdicts.keys():
+            verdicts[c] = is_regular_cone(c)
+        bad = [c for c in faces if not verdicts[c]]
+        if not bad:
+            break
+        target = min(bad, key=lambda c: (len(c.rays), c.rays))
+        boxed = box_points(target)
+        if not boxed:
+            raise InternalConsistencyError(
+                f"non-regular cone {target.rays} has an empty box")
+        xi, lam = boxed[0]
+        if any(l == 0 for l in lam):
+            raise InternalConsistencyError(
+                "minimal non-regular cone has a boundary box point; "
+                "a smaller face should have been non-regular")
+        work = list(_stellar_raw(tuple(work), xi))
+    return tuple(work)
 
 
 # --- Newton numbers -----------------------------------------------------------

@@ -6,12 +6,13 @@ import pytest
 from newtonmu import apex
 from newtonmu.apex import (edge_convenience, edges_at_vertex, find_apex,
                            mu_constant_test, vertex_location_check)
-from newtonmu.geometry import InternalConsistencyError
+from newtonmu.geometry import InternalConsistencyError, _scaled
 from newtonmu.newton_number import newton_number_set
 from newtonmu.polyhedra import SupportError, newton_polyhedron, support_set
 from corpus import (boundary_plane_augmentation, bs_base_support,
                     bs_deformed_support, exe2d_augmented, exe2d_support,
                     exe3d_augmented, exe3d_support, random_convenient_support)
+from oracles import _on_segment
 
 
 def test_bs_vertex_edges_and_apex():
@@ -106,3 +107,36 @@ def test_verdict_tracks_nu_equality():
         if checked == 60:
             break
     assert checked == 60 and verdicts == {False, True}
+
+
+def test_integer_edge_test_matches_fraction_segment_test():
+    """apex._on_edge against the former Fraction test, on rational points
+    with small denominators in n = 2..4 scaled to one denominator: on
+    degenerate and proper segments, at the ends, between them, on the line
+    beyond either end and off the line.  It returns t |d_k| as an int,
+    with d_k the first nonzero entry of d = b - a."""
+    for k in range(300):
+        rng = random.Random(k)
+        n = 2 + k % 3
+
+        def point():
+            return tuple(F(rng.randint(0, 6), rng.choice((1, 2, 3)))
+                         for _ in range(n))
+
+        a = point()
+        b = a if k % 5 == 0 else point()
+        t = rng.choice((0, 1, F(rng.randint(1, 5), 6),
+                        F(-rng.randint(1, 4), 3), 1 + F(rng.randint(1, 4), 3)))
+        p = tuple(x + t * (y - x) for x, y in zip(a, b))
+        if k % 4 == 3:
+            i = rng.randrange(n)
+            p = p[:i] + (p[i] + F(1, rng.choice((1, 2, 5))),) + p[i + 1:]
+        (ia, ib, ip), _ = _scaled([a, b, p])
+        d = tuple(x - y for x, y in zip(ib, ia))
+        want = _on_segment(p, a, b)
+        got = apex._on_edge(ip, ia, d)
+        if want is None:
+            assert got is None, k
+        else:
+            assert type(got) is int, k
+            assert got == want * next((abs(x) for x in d if x), 0), k

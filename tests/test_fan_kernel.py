@@ -4,7 +4,9 @@ bounding-box oracles.
 Each property compares a whole result with the type of every number in it,
 for cones in dimension 2..4: simplicial, lower-dimensional and
 non-simplicial ones, proper and improper fans, covering and non-covering
-subdivisions.  The subdivision steps are compared with their former
+subdivisions.  Each draws its examples from random.Random(k) for the
+first CASES seeds k, fewer where it says so, the same in every run and
+every order of the suite.  The subdivision steps are compared with their former
 code on the cones of random Newton fans.  The last tests run the fan
 pipeline with the polytope routines disabled, so they show the cone
 kernel builds no polytope, and the subdivision steps with the double
@@ -17,7 +19,6 @@ import random
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given, settings, strategies as st
 
 from newtonmu import fans, geometry, newton_number
 from newtonmu.fans import (Fan, LatticeCone, _simplices, _stellar_raw,
@@ -39,39 +40,41 @@ from oracles import (box_points_scan, cone_contains, cone_dim,
 from test_conversion import typed
 from test_pruned_polyhedra import assert_deleted
 
-PROPERTY = settings(derandomize=True, deadline=None, max_examples=80)
+CASES = 80
 
 
-def generators(n, size, entry=4):
-    vector = st.tuples(*[st.integers(0, entry)] * n).filter(any)
-    return st.lists(vector, min_size=size, max_size=size)
+def generators(rng, n, size, entry=4):
+    """size nonzero vectors of Z^n with entries in 0..entry."""
+    out = []
+    while len(out) < size:
+        v = tuple(rng.randint(0, entry) for _ in range(n))
+        if any(v):
+            out.append(v)
+    return out
 
 
-@st.composite
-def cones(draw, n=None):
+def independent(rng, n, k, entry):
+    """k linearly independent generators."""
+    while True:
+        gens = generators(rng, n, k, entry)
+        if mat_rank(gens) == k:
+            return gens
+
+
+def cones(rng, n=None):
     """Cones from 1 to n + 2 generators: simplicial, lower-dimensional
     and non-simplicial ones."""
-    n = n or draw(st.integers(2, 4))
-    size = draw(st.integers(1, n + 2))
-    return cone_from_rays(n, draw(generators(n, size)))
+    n = n or rng.randint(2, 4)
+    return cone_from_rays(n, generators(rng, n, rng.randint(1, n + 2)))
 
 
-@st.composite
-def simplicial_cones(draw, full=False):
+def simplicial_cones(rng, full=False):
     """Cones on k <= n independent generators, k = n when full.  Entries
     stay below 3 for n = 4, where the bounding box the scan oracle solves
     on would have up to 13^4 points."""
-    n = draw(st.integers(2, 4))
-    k = n if full else draw(st.integers(1, n))
-    entry = 3 if n < 4 else 2
-    gens = draw(generators(n, k, entry).filter(lambda g: mat_rank(g) == k))
-    return cone_from_rays(n, gens)
-
-
-@st.composite
-def cone_pairs(draw):
-    n = draw(st.integers(2, 4))
-    return draw(cones(n)), draw(cones(n))
+    n = rng.randint(2, 4)
+    k = n if full else rng.randint(1, n)
+    return cone_from_rays(n, independent(rng, n, k, 3 if n < 4 else 2))
 
 
 def _points(cone):
@@ -87,60 +90,59 @@ def _points(cone):
     return pts + [(0,) * n]
 
 
-@given(cones())
-@PROPERTY
-def test_cone_queries_match_section(c):
-    assert typed((c.dim, c.is_simplicial)) == typed(
-        (cone_dim(c), len(c.rays) == cone_dim(c)))
-    for p in _points(c):
-        assert c.contains(p) is cone_contains(c, p), p
-    faces = cone_faces_section(c)
-    assert typed(c.faces()) == typed(faces)
-    assert typed(c.facets()) == typed(tuple(
-        f for f in faces if cone_dim(f) == cone_dim(c) - 1))
-    for f in c.faces():
-        assert f.is_face_of(c) and is_face_of_section(f, c)
+def test_cone_queries_match_section():
+    for k in range(CASES):
+        c = cones(random.Random(k))
+        assert typed((c.dim, c.is_simplicial)) == typed(
+            (cone_dim(c), len(c.rays) == cone_dim(c))), k
+        for p in _points(c):
+            assert c.contains(p) is cone_contains(c, p), (k, p)
+        faces = cone_faces_section(c)
+        assert typed(c.faces()) == typed(faces), k
+        assert typed(c.facets()) == typed(tuple(
+            f for f in faces if cone_dim(f) == cone_dim(c) - 1)), k
+        for f in c.faces():
+            assert f.is_face_of(c) and is_face_of_section(f, c), k
 
 
-@st.composite
-def generator_sets(draw, n, d):
+def generator_sets(rng, n, d):
     """Nonnegative integer combinations of d independent vectors of Z^n,
     so the cone is lower-dimensional when d < n: half the time d + 1 or
     d + 2 points of the moment curve (1, t, t^2, ...) in that basis, all
     extreme, so the cone is non-simplicial for d >= 3; else up to d + 3
     combinations with small coefficients, with zero vectors, repeated
     directions and redundant generators among them."""
-    basis = draw(generators(n, d, entry=3).filter(lambda g: mat_rank(g) == d))
-    if draw(st.booleans()):
+    basis = independent(rng, n, d, 3)
+    if rng.random() < 0.5:
         coeffs = [tuple(t ** i for i in range(d))
-                  for t in range(d + draw(st.integers(1, 2)))]
+                  for t in range(d + rng.randint(1, 2))]
     else:
-        coeffs = draw(st.lists(st.tuples(*[st.integers(0, 2)] * d),
-                               min_size=1, max_size=d + 3))
+        coeffs = [tuple(rng.randint(0, 2) for _ in range(d))
+                  for _ in range(rng.randint(1, d + 3))]
     return [tuple(sum(c * b[j] for c, b in zip(cs, basis)) for j in range(n))
             for cs in coeffs]
 
 
 @pytest.mark.parametrize("n, d", [(2, 1), (2, 2), (3, 2), (3, 3), (4, 2),
                                   (4, 3), (4, 4)])
-@settings(PROPERTY, max_examples=20)
-@given(data=st.data())
-def test_cone_from_rays_matches_section(n, d, data):
-    gens = data.draw(generator_sets(n, d))
-    assert typed(cone_from_rays(n, gens)) == typed(
-        cone_from_rays_section(n, gens))
+def test_cone_from_rays_matches_section(n, d):
+    for k in range(20):
+        gens = generator_sets(random.Random(k), n, d)
+        assert typed(cone_from_rays(n, gens)) == typed(
+            cone_from_rays_section(n, gens)), k
 
 
-@given(cone_pairs())
-@PROPERTY
-def test_intersect_cones_matches_section(pair):
-    a, b = pair
-    meet = intersect_cones(a, b)
-    assert typed(meet) == typed(intersect_cones_section(a, b))
-    for x, y in ((meet, a), (meet, b), (a, b), (b, a)):
-        assert x.is_face_of(y) is is_face_of_section(x, y)
-    for f in a.faces():
-        assert f.is_face_of(b) is is_face_of_section(f, b)
+def test_intersect_cones_matches_section():
+    for k in range(CASES):
+        rng = random.Random(k)
+        n = rng.randint(2, 4)
+        a, b = cones(rng, n), cones(rng, n)
+        meet = intersect_cones(a, b)
+        assert typed(meet) == typed(intersect_cones_section(a, b)), k
+        for x, y in ((meet, a), (meet, b), (a, b), (b, a)):
+            assert x.is_face_of(y) is is_face_of_section(x, y), k
+        for f in a.faces():
+            assert f.is_face_of(b) is is_face_of_section(f, b), k
 
 
 def test_intersect_cones_rejects_a_line():
@@ -150,80 +152,82 @@ def test_intersect_cones_rejects_a_line():
         intersect_cones(line, line)
 
 
-@given(simplicial_cones())
-@PROPERTY
-def test_box_points_match_scan(c):
-    assert typed(box_points(c)) == typed(box_points_scan(c))
+def test_box_points_match_scan():
+    for k in range(CASES):
+        c = simplicial_cones(random.Random(k))
+        assert typed(box_points(c)) == typed(box_points_scan(c)), k
 
 
-@given(st.integers(2, 4).flatmap(
-    lambda n: st.lists(cones(n), min_size=2, max_size=3)))
-@PROPERTY
-def test_fan_check_matches_section(cs):
+def test_fan_check_matches_section():
     """Random cones overlap improperly more often than not."""
-    n = cs[0].ambient_dim
-    try:
-        Fan(n, tuple(cs))
-        built = True
-    except GeometryError:
-        built = False
-    assert built is fan_compatible_section(tuple(set(cs)))
+    for k in range(CASES):
+        rng = random.Random(k)
+        n = rng.randint(2, 4)
+        cs = [cones(rng, n) for _ in range(rng.randint(2, 3))]
+        try:
+            Fan(n, tuple(cs))
+            built = True
+        except GeometryError:
+            built = False
+        assert built is fan_compatible_section(tuple(set(cs))), k
 
 
-@given(simplicial_cones(full=True), st.integers(0, 3))
-@PROPERTY
-def test_stellar_pieces_with_their_parent_are_improper(c, pick):
+def test_stellar_pieces_with_their_parent_are_improper():
     """A stellar piece overlaps its parent cone in a cone that is not a
     face of the parent."""
-    box = [p for p, _ in box_points(c)] or [tuple(map(sum, zip(*c.rays)))]
-    xi = primitive_vector(box[pick % len(box)])
-    pieces = stellar_subdivide(Fan(c.ambient_dim, (c,)), xi).maximal
-    assert fan_compatible_section(pieces)
-    if len(pieces) > 1:
-        with pytest.raises(GeometryError):
-            Fan(c.ambient_dim, pieces + (c,))
-        assert not fan_compatible_section(pieces + (c,))
+    for k in range(CASES):
+        rng = random.Random(k)
+        c = simplicial_cones(rng, full=True)
+        box = [p for p, _ in box_points(c)] or [tuple(map(sum, zip(*c.rays)))]
+        xi = primitive_vector(box[rng.randint(0, 3) % len(box)])
+        pieces = stellar_subdivide(Fan(c.ambient_dim, (c,)), xi).maximal
+        assert fan_compatible_section(pieces), k
+        if len(pieces) > 1:
+            with pytest.raises(GeometryError):
+                Fan(c.ambient_dim, pieces + (c,))
+            assert not fan_compatible_section(pieces + (c,)), k
 
 
-@given(cones(), st.integers(0, 7))
-@PROPERTY
-def test_is_subdivision_matches_chart(c, drop):
-    n = c.ambient_dim
-    base = Fan(n, (c,))
-    sub = simplicialize(base)
-    interior = primitive_vector(tuple(map(sum, zip(*c.rays))))
-    sub = stellar_subdivide(sub, interior)
-    assert is_subdivision(sub, base) and is_subdivision_chart(sub, base)
-    if len(sub.maximal) > 1:
-        # not covering: one piece left out
-        i = drop % len(sub.maximal)
-        short = Fan(n, sub.maximal[:i] + sub.maximal[i + 1:])
-        assert not is_subdivision(short, base)
-        assert not is_subdivision_chart(short, base)
-    other = orthant_fan(n)
-    assert is_subdivision(base, other) is is_subdivision_chart(base, other)
-    assert is_subdivision(other, base) is is_subdivision_chart(other, base)
+def test_is_subdivision_matches_chart():
+    for k in range(CASES):
+        rng = random.Random(k)
+        c = cones(rng)
+        n = c.ambient_dim
+        base = Fan(n, (c,))
+        sub = simplicialize(base)
+        interior = primitive_vector(tuple(map(sum, zip(*c.rays))))
+        sub = stellar_subdivide(sub, interior)
+        assert is_subdivision(sub, base) and is_subdivision_chart(sub, base)
+        if len(sub.maximal) > 1:
+            # not covering: one piece left out
+            i = rng.randint(0, 7) % len(sub.maximal)
+            short = Fan(n, sub.maximal[:i] + sub.maximal[i + 1:])
+            assert not is_subdivision(short, base), k
+            assert not is_subdivision_chart(short, base), k
+        other = orthant_fan(n)
+        assert is_subdivision(base, other) is is_subdivision_chart(
+            base, other), k
+        assert is_subdivision(other, base) is is_subdivision_chart(
+            other, base), k
 
 
-@st.composite
-def convenient_supports(draw):
-    n = draw(st.integers(2, 4))
-    pts = draw(st.lists(st.tuples(*[st.integers(0, 5)] * n).filter(any),
-                        max_size=3))
-    pts += [tuple(draw(st.integers(1, 5)) if j == i else 0 for j in range(n))
+def convenient_supports(rng):
+    n = rng.randint(2, 4)
+    pts = generators(rng, n, rng.randint(0, 3), entry=5)
+    pts += [tuple(rng.randint(1, 5) if j == i else 0 for j in range(n))
             for i in range(n)]
     return support_set(n, pts)
 
 
-@given(convenient_supports())
-@PROPERTY
-def test_newton_fan_subdivides_the_orthant(s):
-    n = s.dim
-    nf = newton_fan(s)
-    assert is_subdivision(nf, orthant_fan(n))
-    assert is_subdivision_chart(nf, orthant_fan(n))
-    simp = simplicialize(nf)
-    assert is_subdivision(simp, nf) and is_subdivision_chart(simp, nf)
+def test_newton_fan_subdivides_the_orthant():
+    for k in range(CASES):
+        s = convenient_supports(random.Random(k))
+        n = s.dim
+        nf = newton_fan(s)
+        assert is_subdivision(nf, orthant_fan(n)), k
+        assert is_subdivision_chart(nf, orthant_fan(n)), k
+        simp = simplicialize(nf)
+        assert is_subdivision(simp, nf) and is_subdivision_chart(simp, nf), k
 
 
 def _outcome(fn, *args):
@@ -235,40 +239,39 @@ def _outcome(fn, *args):
 
 
 @pytest.mark.parametrize("n", [2, 3, 4])
-@settings(PROPERTY, max_examples=25)
-@given(seed=st.integers(0, 2 ** 30), data=st.data())
-def test_subdivision_steps_match_former_code(n, seed, data):
+def test_subdivision_steps_match_former_code(n):
     """simplicialize, is_regular_cone and the stellar step against their
     former code: on a random Newton fan, on one random cone (often
     non-simplicial) and on one random cone of dimension n - 1 (for n = 4
     often non-simplicial), with priority rays drawn from them, on their
     facets and on the zero cone, at rays drawn as primitive sums of those
     rays, inside and outside each cone."""
-    nf = newton_fan(random_convenient_support(random.Random(seed), n,
-                                              extra=4))
-    extra = data.draw(cones(n))
-    flat = cone_from_rays(n, data.draw(generator_sets(n, n - 1)))
-    zero = LatticeCone(n, ())
-    rays = sorted({r for c in nf.maximal + (extra, flat) for r in c.rays})
-    priority = data.draw(st.lists(st.sampled_from(rays), max_size=3))
-    for fan in (nf, Fan(n, nf.maximal[0].facets()), Fan(n, (extra,)),
-                Fan(n, extra.facets()), Fan(n, (flat,)), Fan(n, (zero,))):
-        assert typed(simplicialize(fan, priority)) == typed(
-            simplicialize_recursive(fan, priority))
-    simp = simplicialize(nf, priority)
-    xis = [primitive_vector(tuple(map(sum, zip(*data.draw(st.lists(
-        st.sampled_from(rays), min_size=1, max_size=3))))))
-        for _ in range(3)]
-    for c in {*simp.maximal, *nf.maximal, *extra.faces(), *flat.faces()} | {
-            f for c in nf.maximal for f in c.facets()}:
-        assert _outcome(is_regular_cone, c) == _outcome(
-            is_regular_cone_two_branch, c)
+    for k in range(25):
+        rng = random.Random(k)
+        nf = newton_fan(random_convenient_support(rng, n, extra=4))
+        extra = cones(rng, n)
+        flat = cone_from_rays(n, generator_sets(rng, n, n - 1))
+        zero = LatticeCone(n, ())
+        rays = sorted({r for c in nf.maximal + (extra, flat) for r in c.rays})
+        priority = [rng.choice(rays) for _ in range(rng.randint(0, 3))]
+        for fan in (nf, Fan(n, nf.maximal[0].facets()), Fan(n, (extra,)),
+                    Fan(n, extra.facets()), Fan(n, (flat,)), Fan(n, (zero,))):
+            assert typed(simplicialize(fan, priority)) == typed(
+                simplicialize_recursive(fan, priority)), k
+        simp = simplicialize(nf, priority)
+        xis = [primitive_vector(tuple(map(sum, zip(*(
+            rng.choice(rays) for _ in range(rng.randint(1, 3)))))))
+            for _ in range(3)]
+        for c in {*simp.maximal, *nf.maximal, *extra.faces(),
+                  *flat.faces()} | {f for c in nf.maximal for f in c.facets()}:
+            assert _outcome(is_regular_cone, c) == _outcome(
+                is_regular_cone_two_branch, c), k
+            for xi in xis:
+                assert _outcome(_stellar_raw, (c,), xi) == _outcome(
+                    stellar_raw_contains, (c,), xi), k
         for xi in xis:
-            assert _outcome(_stellar_raw, (c,), xi) == _outcome(
-                stellar_raw_contains, (c,), xi)
-    for xi in xis:
-        assert typed(_stellar_raw(simp.maximal, xi)) == typed(
-            stellar_raw_contains(simp.maximal, xi))
+            assert typed(_stellar_raw(simp.maximal, xi)) == typed(
+                stellar_raw_contains(simp.maximal, xi)), k
 
 
 def test_box_points_of_a_deep_cone():

@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction as F
 
 import pytest
 
@@ -11,6 +12,7 @@ from newtonmu.geometry import GeometryError, InternalConsistencyError
 from newtonmu.polyhedra import support_set
 from corpus import (bs_base_support, bs_deformed_support,
                     random_convenient_support)
+from oracles import regularize_fan_records
 
 
 def test_support_function():
@@ -53,6 +55,25 @@ def test_admissibility_boundary_faces():
     # splitting a cone that meets a vanishing coordinate face is refused
     split = stellar_subdivide(b3fan, (1, 1, 0))
     assert is_admissible(split, b3) is False
+
+
+def test_stellar_subdivide_needs_a_primitive_ray():
+    """The zero vector, a short vector, a multiple of a ray, a vector
+    with a negative entry and one with a fractional entry are refused by
+    name; a primitive ray gives the star subdivision."""
+    fan = orthant_fan(3)
+    for xi, text in (((0, 0, 0), "not primitive: gcd 0"),
+                     ((1, 1), r"\(1, 1\) is not a nonnegative integer"),
+                     ((2, 2, 0), "not primitive: gcd 2"),
+                     ((1, -1, 0), "nonnegative integer vector of length 3"),
+                     ((F(3, 2), 1, 0), r"\(3/2, 1, 0\) is not a nonneg")):
+        with pytest.raises(GeometryError, match=text):
+            stellar_subdivide(fan, xi)
+    assert [c.rays for c in stellar_subdivide(fan, (1, 1, 1)).maximal] == [
+        ((0, 0, 1), (0, 1, 0), (1, 1, 1)), ((0, 0, 1), (1, 0, 0), (1, 1, 1)),
+        ((0, 1, 0), (1, 0, 0), (1, 1, 1))]
+    assert [c.rays for c in stellar_subdivide(fan, (1, 1, 0)).maximal] == [
+        ((0, 0, 1), (0, 1, 0), (1, 1, 0)), ((0, 0, 1), (1, 0, 0), (1, 1, 0))]
 
 
 def test_regularity():
@@ -150,13 +171,17 @@ def test_pyramid_rejects_nonunimodular_result():
 
 def test_regularize_fan_property():
     """Forty seeded supports, n = 2, 3, 4 in turn: the same fans in every
-    run and every order of the suite."""
+    run and every order of the suite, with the maximal cones of the former
+    loop, which held every face as a LatticeCone record."""
     for k in range(40):
         n = 2 + k % 3
         s = random_convenient_support(random.Random(k), n, max_intercept=5,
                                       extra=2)
         nf = newton_fan(s)
-        reg = regularize_fan(simplicialize(nf))
+        simp = simplicialize(nf)
+        reg = regularize_fan(simp)
+        assert [c.rays for c in reg.maximal] == [
+            c.rays for c in regularize_fan_records(simp)], k
         assert all(is_regular_cone(c) for c in reg.maximal)
         assert is_subdivision(reg, nf)
         assert is_subdivision(reg, orthant_fan(n))

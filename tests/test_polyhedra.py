@@ -42,9 +42,6 @@ def test_support_set_operations():
     assert axes == frozenset({0, 1, 2}) and s.axes_with_point is axes
     r = s.restrict((1, 2))  # 0-based internal axes: keep y and z
     assert r.dim == 2 and (7, 1) in r.points
-    rk = s.restrict_keep_ambient((1, 2))
-    assert rk.dim == 3 and (0, 7, 1) in rk.points
-    assert (5, 0, 0) not in rk.points
     aug = s.augment([(9, 9, 9)])
     assert (9, 9, 9) in aug.points and len(aug.points) == 6
 
@@ -87,7 +84,6 @@ def test_convenience_report():
     assert conv.convenient
     conv = convenience_report(support_set(2, [(2, 0), (0, 2), (F(1, 2), 1)]))
     assert conv.vertex_condition == {1: False, 2: True}
-    assert conv.convenient_for((2,)) and not conv.convenient_for((1, 2))
 
 
 def test_nested_and_added_vertices():

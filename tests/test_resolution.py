@@ -20,10 +20,10 @@ from corpus import (boundary_plane_augmentation, bs_family,
 def test_chart_pullback():
     # x1 = y1, x2 = y1 y2: x1^2 + x2^2 -> y1^2 (1 + y2^2)
     fam2 = family(2, 0, [((2, 0), 1), ((0, 2), 1)])
-    tt = chart_pullback(fam2, cone_from_rays(2, [(1, 1), (0, 1)]))
+    tt = chart_pullback(fam2, make_chart(cone_from_rays(2, [(1, 1), (0, 1)])))
     assert tt.monomial_exponents == (0, 2)
     assert [m for m, _ in tt.strict_part.terms] == [(0, 0), (2, 0)]
-    tt = chart_pullback(fam2, cone_from_rays(2, [(1, 0), (0, 1)]))
+    tt = chart_pullback(fam2, make_chart(cone_from_rays(2, [(1, 0), (0, 1)])))
     assert tt.monomial_exponents == (0, 0)
     assert tt.strict_part.terms == fam2.terms
 
