@@ -272,8 +272,7 @@ def newton_number_series(support, missing_axis_cap=64):
     is only a lower bound for the sup (which may be infinite).
     """
     n = support.dim
-    covered = support.axes_with_point
-    missing = tuple(i for i in range(n) if i not in covered)
+    missing = tuple(i - 1 for i in support.missing_axes)
     if not missing:
         return SeriesNewtonNumber(newton_number_set(support), True, (), ())
     if missing_axis_cap < 1:
@@ -291,11 +290,11 @@ def newton_number_series(support, missing_axis_cap=64):
         tried.append(m)
         if prev is not None and prev == (value, sig):
             return SeriesNewtonNumber(value, True, tuple(tried),
-                                      tuple(i + 1 for i in missing))
+                                      support.missing_axes)
         prev = (value, sig)
         m *= 2
     return SeriesNewtonNumber(value, False, tuple(tried),
-                              tuple(i + 1 for i in missing))
+                              support.missing_axes)
 
 
 # --- difference regions -----------------------------------------------------
@@ -320,12 +319,10 @@ def difference_region(s, s_prime):
     if simplices is None:
         check_nested(s, s_prime)
     n = s.dim
-    covered = s.axes_with_point
-    missing = [i + 1 for i in range(n) if i not in covered]
-    if missing:
+    if s.missing_axes:
         raise SupportError(
             f"difference region is unbounded: no support point on axis "
-            f"{missing[0]} of the smaller set")
+            f"{s.missing_axes[0]} of the smaller set")
     outer = s_prime
     if simplices is None:
         outer = s.augment(s_prime.points)

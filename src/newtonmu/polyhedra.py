@@ -94,15 +94,15 @@ class SupportSet(Record):
         return support_set(self.dim, [*self.points, *extra])
 
     @cached_property
-    def axes_with_point(self):
-        """Axes i such that some support point is a positive multiple of
-        e_i, found once per support."""
-        out = set()
+    def missing_axes(self):
+        """The 1-based axes i on which no support point lies (no point is a
+        positive multiple of e_i), found once per support."""
+        covered = set()
         for p in self._scaled_points[0]:
             nz = [i for i, x in enumerate(p) if x]
             if len(nz) == 1:
-                out.add(nz[0])
-        return frozenset(out)
+                covered.add(nz[0])
+        return tuple(i + 1 for i in range(self.dim) if i not in covered)
 
     @cached_property
     def _scaled_points(self):
@@ -434,7 +434,7 @@ def _placement(s, s_prime):
     memo = s_prime.__dict__.get("_placed")
     if memo is not None and (memo[0] is s or memo[0] == s):
         return memo[1]
-    if s.dim != s_prime.dim or len(s.axes_with_point) < s.dim:
+    if s.dim != s_prime.dim or s.missing_axes:
         return None
     ipts, den = s_prime._scaled_points
     small_ipts, small_den = s._scaled_points
@@ -482,8 +482,7 @@ def convenience_report(support):
     vertices' integer points ipts = points * den: x == 0 or x >= den.
     """
     n = support.dim
-    covered = support.axes_with_point
-    missing = tuple(i + 1 for i in range(n) if i not in covered)
+    missing = support.missing_axes
     axis_ok = not missing
     cond = {}
     if axis_ok:
@@ -590,12 +589,10 @@ def _lower_form(support):
     pulling triangulation of the compact facets as increasing tuples of
     support-point indices, each with the origin's index put first."""
     n = support.dim
-    covered = support.axes_with_point
-    missing = [i + 1 for i in range(n) if i not in covered]
-    if missing:
+    if support.missing_axes:
         raise SupportError(
             "region under the Newton boundary is unbounded: no support "
-            f"point on axis {missing[0]}")
+            f"point on axis {support.missing_axes[0]}")
     np_ = newton_polyhedron(support)
     seeds = [g for _, _, g in np_.ifacets]
     memo = {}

@@ -125,3 +125,131 @@ def interior_point_below(rng, s, tries=200):
         if not np_.contains(p):
             return p
     return None
+
+
+def rational(rng):
+    """A nonnegative rational with numerator 0..6 over 1, 2 or 3, whole
+    half the time."""
+    return F(rng.randint(0, 6), rng.choice((1, 1, 2, 3)))
+
+
+def mixed(rng):
+    """A rational with numerator -6..6 over 2, 3 or 6."""
+    return F(rng.randint(-6, 6), rng.choice((2, 3, 6)))
+
+
+def grid(rng):
+    """A point of a small rational grid on one axis."""
+    return rng.choice((F(0), F(1, 2), F(1), F(3, 2), F(2), F(7, 3)))
+
+
+def _small_int(rng):
+    return rng.randint(-3, 3)
+
+
+def _point(rng, n):
+    """A nonzero point of n rationals."""
+    while True:
+        p = tuple(rational(rng) for _ in range(n))
+        if any(p):
+            return p
+
+
+def _axis_points(rng, n):
+    return [tuple(rng.randint(1, 6) if j == i else 0 for j in range(n))
+            for i in range(n)]
+
+
+def supports(rng, dims=(2, 3, 4), convenient=False):
+    """Supports of 1..8 - n rational points, with axis points 1..6 when
+    convenient, and half the time one point dominated by another support
+    point."""
+    n = rng.choice(dims)
+    pts = [_point(rng, n) for _ in range(rng.randint(1, 8 - n))]
+    if convenient:
+        pts += _axis_points(rng, n)
+    if rng.random() < 0.5:
+        p = rng.choice(pts)
+        i = rng.randrange(n)
+        step = rational(rng)
+        while not step:
+            step = rational(rng)
+        pts.append(p[:i] + (p[i] + step,) + p[i + 1:])
+    return support_set(n, pts)
+
+
+def extra_points(rng, n):
+    """One or two rational points of R^n, the zero ones dropped."""
+    extra = [tuple(rational(rng) for _ in range(n))
+             for _ in range(rng.randint(1, 2))]
+    return [p for p in extra if any(p)]
+
+
+def wide_supports(rng):
+    """Supports in dimension 5 and 6 with up to 12 rational points, half
+    of them convenient."""
+    n = rng.choice((5, 6))
+    pts = [_point(rng, n) for _ in range(rng.randint(1, 12))]
+    if rng.random() < 0.5:
+        pts = pts[:12 - n] + _axis_points(rng, n)
+    return support_set(n, pts)
+
+
+def flats(rng, entry=rational, small=_small_int):
+    """Points spanning an affine flat of dimension d <= n: single points,
+    collinear and coplanar sets, and full-dimensional sets."""
+    n = rng.randint(1, 4)
+    d = rng.randint(0, n)
+    base = tuple(entry(rng) for _ in range(n))
+    dirs = [tuple(small(rng) for _ in range(n)) for _ in range(d)]
+    coeffs = [tuple(entry(rng) for _ in range(d))
+              for _ in range(rng.randint(1, 7))]
+    return [tuple(b + sum(c * u[k] for c, u in zip(cs, dirs))
+                  for k, b in enumerate(base)) for cs in coeffs]
+
+
+def touching_pairs(rng):
+    """A convenient support s and s plus up to three points, each on the
+    hyperplane <w, x> = c of a compact facet of hull(s): inside the facet
+    (a convex combination of its points), anywhere on the hyperplane in
+    the orthant (of its axis intercepts), or strictly below it (a point of
+    the facet shrunk toward the origin, often still above the other
+    facets' hyperplanes)."""
+    s = supports(rng, convenient=True)
+    n = s.dim
+    facets = newton_polyhedron(s).compact_facets()
+    extra = []
+    for _ in range(rng.randint(1, 3)):
+        w, c, active = rng.choice(facets)
+        kind = rng.choice(("facet", "plane", "below"))
+        corners = active if kind != "plane" else [
+            tuple(c / w[i] if j == i else 0 for j in range(n))
+            for i in range(n)]
+        weights = [0]
+        while not any(weights):
+            weights = [rng.randint(0, 3) for _ in corners]
+        p = tuple(sum(t * q[k] for t, q in zip(weights, corners))
+                  / sum(weights) for k in range(n))
+        if kind == "below":
+            shrink = rng.choice((F(2, 3), F(3, 4), F(7, 8)))
+            p = tuple(x * shrink for x in p)
+        extra.append(p)
+    return s, s.augment(extra)
+
+
+def orthant_unions(rng):
+    """(n, pieces) for n = 1..3: up to three sets of one to five points of
+    a small rational grid, a third of them flattened into a coordinate
+    subspace, so the intersections of their hulls are often empty, a point
+    or lower-dimensional, and the origin is a vertex of some of them."""
+    n = rng.randint(1, 3)
+    polys = []
+    for _ in range(rng.randint(0, 3)):
+        pts = [tuple(grid(rng) for _ in range(n))
+               for _ in range(rng.randint(1, 5))]
+        flat = set()
+        if rng.randint(0, 2) == 0:
+            flat = set(rng.sample(range(n), rng.randint(0, n - 1)))
+        polys.append([tuple(0 if i in flat else x for i, x in enumerate(p))
+                      for p in pts])
+    return n, polys

@@ -997,12 +997,19 @@ def triangulate_polytope_hulls(poly):
     return result
 
 
+def _uncovered_axes(support):
+    """The 1-based axes i with no support point a positive multiple of
+    e_i, read off the points."""
+    return [i + 1 for i in range(support.dim)
+            if not any(p[i] and not any(p[:i] + p[i + 1:])
+                       for p in support.points)]
+
+
 def lower_region_hulls(support):
     """The region under the Newton boundary, one convex_hull and
     triangulate_polytope_hulls per compact facet."""
     n = support.dim
-    covered = support.axes_with_point
-    missing = [i + 1 for i in range(n) if i not in covered]
+    missing = _uncovered_axes(support)
     if missing:
         raise SupportError(
             "region under the Newton boundary is unbounded: no support "
@@ -1034,8 +1041,7 @@ def difference_region_hulls(s, s_prime):
     orthant = [(tuple(1 if j == i else 0 for j in range(n)), 0)
                for i in range(n)]
     origin = tuple(ZERO for _ in range(n))
-    covered = s.axes_with_point
-    missing = [i + 1 for i in range(n) if i not in covered]
+    missing = _uncovered_axes(s)
     if missing:
         raise SupportError(
             f"difference region is unbounded: no support point on axis "
@@ -1068,8 +1074,7 @@ def difference_region_constraints(s, s_prime):
     np_small = newton_polyhedron(s)
     np_big = newton_polyhedron(s_prime)
     big_ineqs = [(nrm, off) for nrm, off, _, _ in np_big.facets]
-    covered = s.axes_with_point
-    missing = [i + 1 for i in range(n) if i not in covered]
+    missing = _uncovered_axes(s)
     if missing:
         raise SupportError(
             f"difference region is unbounded: no support point on axis "
@@ -1111,8 +1116,7 @@ def difference_region_bounded(s, s_prime):
     # <w, x> >= c / den on (x, t) is the integer row (den w, -c)
     big_rows = [tuple(big.den * x for x in w) + (-c,)
                 for w, c, _ in big.ifacets]
-    covered = s.axes_with_point
-    missing = [i + 1 for i in range(n) if i not in covered]
+    missing = _uncovered_axes(s)
     if missing:
         raise SupportError(
             f"difference region is unbounded: no support point on axis "

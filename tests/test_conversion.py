@@ -8,13 +8,15 @@ sets, and its flat flag with the scan's dimension.  The hull reader
 returns integer rows; their affine hull and facets are compared with the
 scan's as primitive integer rows, and the vertices and facet masks that
 the bounded-piece reader reads off them with the scan's vertices and
-triangulation.
+triangulation.  Each property draws its cases from random.Random(k) for
+the first CASES seeds k, fewer where it says so, the same in every run
+and every order of the suite.
 """
 
+import random
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given, settings, strategies as st
 
 from newtonmu.apex import mu_constant_test
 from newtonmu.fans import newton_fan, support_function
@@ -25,13 +27,12 @@ from newtonmu.newton_number import (difference_region, newton_number_region,
                                     newton_number_set, volume_vector)
 from newtonmu.polyhedra import (check_nested, convenience_report,
                                 lower_region, newton_polyhedron, support_set)
+from corpus import extra_points, flats, mixed, supports, wide_supports
 from oracles import (_face_lattice, convex_hull, convex_hull_scan, mat_rank,
                      newton_polyhedron_scan, polytope_from_constraints_scan,
                      sign_canonical, triangulate_polytope_hulls)
 
-PROPERTY = settings(derandomize=True, deadline=None, max_examples=80)
-
-rational = st.builds(F, st.integers(0, 6), st.sampled_from([1, 1, 2, 3]))
+CASES = 80
 
 
 def typed(x):
@@ -46,82 +47,38 @@ def typed(x):
     return (type(x).__name__, x)
 
 
-@st.composite
-def supports(draw, dims=(2, 3, 4), convenient=False):
-    """Supports with rational points and, half the time, points dominated
-    by another support point."""
-    n = draw(st.sampled_from(dims))
-    point = st.tuples(*[rational] * n).filter(any)
-    pts = draw(st.lists(point, min_size=1, max_size=8 - n))
-    if convenient:
-        pts += [tuple(draw(st.integers(1, 6)) if j == i else 0
-                      for j in range(n)) for i in range(n)]
-    if draw(st.booleans()):
-        p = draw(st.sampled_from(pts))
-        i = draw(st.integers(0, n - 1))
-        pts.append(p[:i] + (p[i] + draw(rational.filter(bool)),) + p[i + 1:])
-    return support_set(n, pts)
-
-
-@st.composite
-def flats(draw, entry=rational, small=st.integers(-3, 3)):
-    """Points spanning an affine flat of dimension d <= n: single points,
-    collinear and coplanar sets, and full-dimensional sets."""
-    n = draw(st.integers(1, 4))
-    d = draw(st.integers(0, n))
-    base = draw(st.tuples(*[entry] * n))
-    dirs = draw(st.lists(st.tuples(*[small] * n), min_size=d, max_size=d))
-    coeffs = draw(st.lists(st.tuples(*[entry] * d), min_size=1,
-                           max_size=7))
-    return [tuple(b + sum(c * u[k] for c, u in zip(cs, dirs))
-                  for k, b in enumerate(base)) for cs in coeffs]
-
-
-def _matches_scan(s):
+def _matches_scan(s, k):
     """The polyhedron's Fraction views, which are cached properties that
     astuple does not see, equal the scan's record."""
     np_, scan = newton_polyhedron(s), newton_polyhedron_scan(s)
     assert typed((np_.dim, np_.facets, np_.vertices, np_.faces)) == typed(
-        tuple(scan))
+        tuple(scan)), k
 
 
-@given(supports())
-@PROPERTY
-def test_newton_polyhedron_matches_scan(s):
-    _matches_scan(s)
+def test_newton_polyhedron_matches_scan():
+    for k in range(CASES):
+        _matches_scan(supports(random.Random(k)), k)
 
 
-@given(st.one_of(supports(dims=(5,)), supports(dims=(5,), convenient=True)))
-@settings(PROPERTY, max_examples=30)
-def test_newton_polyhedron_matches_scan_n5(s):
-    _matches_scan(s)
+def test_newton_polyhedron_matches_scan_n5():
+    """Plain and convenient supports in turn."""
+    for k in range(30):
+        _matches_scan(supports(random.Random(k), dims=(5,),
+                               convenient=k % 2 == 1), k)
 
 
-@st.composite
-def wide_supports(draw):
-    """Supports in dimension 5 and 6 with up to 12 rational points, half
-    of them convenient."""
-    n = draw(st.sampled_from((5, 6)))
-    point = st.tuples(*[rational] * n).filter(any)
-    pts = draw(st.lists(point, min_size=1, max_size=12))
-    if draw(st.booleans()):
-        pts = pts[:12 - n] + [tuple(draw(st.integers(1, 6)) if j == i else 0
-                                    for j in range(n)) for i in range(n)]
-    return support_set(n, pts)
-
-
-@given(wide_supports())
-@settings(PROPERTY, max_examples=25)
-def test_face_lattice_matches_ranks(s):
+def test_face_lattice_matches_ranks():
     """The graded lattice walk against the pairwise-meet fixpoint with
     Fraction rank dimensions, on supports too large for the facet scan."""
-    np_ = newton_polyhedron(s)
-    assert np_.faces == _face_lattice(s.dim, np_.facets)
-    assert np_.vertices == tuple(sorted(f.points[0] for f in np_.faces
-                                        if f.dim == 0))
+    for k in range(25):
+        s = wide_supports(random.Random(k))
+        np_ = newton_polyhedron(s)
+        assert np_.faces == _face_lattice(s.dim, np_.facets), k
+        assert np_.vertices == tuple(sorted(f.points[0] for f in np_.faces
+                                            if f.dim == 0)), k
 
 
-def _hull_matches_scan(pts):
+def _hull_matches_scan(pts, k=None):
     """The oracle convex_hull equals the scan, typed, and _hull_rows cuts
     out the scan's affine hull (the same reduced null-space basis) and has
     its facets, as primitive integer rows with equalities up to sign.  The
@@ -129,36 +86,32 @@ def _hull_matches_scan(pts):
     facet masks it returns triangulates them as triangulate_polytope_hulls
     triangulates the hull."""
     hull, scan = convex_hull(pts), convex_hull_scan(pts)
-    assert typed(hull) == typed(scan)
+    assert typed(hull) == typed(scan), k
     eqs, facets = _hull_rows(pts)
     assert sorted(sign_canonical(primitive_vector(r)) for r in eqs) == sorted(
         sign_canonical(primitive_vector(e + (-c,)))
-        for e, c in scan.equalities)
+        for e, c in scan.equalities), k
     assert sorted(map(primitive_vector, facets)) == sorted(
-        primitive_vector(w + (-c,)) for w, c in scan.facets)
+        primitive_vector(w + (-c,)) for w, c in scan.facets), k
     verts, masks, _ = _bounded_piece(eqs, facets, len(pts[0]))
-    assert verts == scan.vertices
+    assert verts == scan.vertices, k
     whole = (1 << len(verts)) - 1
     assert sorted(tuple(verts[i] for i in s)
                   for s in _pulling(whole, whole, masks, {})) == sorted(
-        tuple(sorted(s)) for s in triangulate_polytope_hulls(hull))
+        tuple(sorted(s)) for s in triangulate_polytope_hulls(hull)), k
 
 
-@given(flats())
-@PROPERTY
-def test_convex_hull_matches_scan(pts):
-    _hull_matches_scan(pts)
+def test_convex_hull_matches_scan():
+    for k in range(CASES):
+        _hull_matches_scan(flats(random.Random(k)), k)
 
 
-mixed = st.builds(F, st.integers(-6, 6), st.sampled_from([2, 3, 6]))
-
-
-@given(flats(entry=mixed, small=mixed))
-@PROPERTY
-def test_convex_hull_mixed_denominators_match_scan(pts):
+def test_convex_hull_mixed_denominators_match_scan():
     """Coordinates over 2, 3 and 6: the points are scaled by their lcm
     and the offsets come back as Fractions over it."""
-    _hull_matches_scan(pts)
+    for k in range(CASES):
+        _hull_matches_scan(flats(random.Random(k), entry=mixed, small=mixed),
+                           k)
 
 
 FRACTION_OPERATORS = ("__add__", "__radd__", "__sub__", "__rsub__",
@@ -262,54 +215,54 @@ def _rows(pairs):
     return [tuple(nrm) + (-F(off),) for nrm, off in pairs]
 
 
-def _both(eqs, ineqs, n):
+def _both(eqs, ineqs, n, k=None):
     """_bounded_piece against the scan: the same vertices, the facets as
     the scan's facet vertex sets, and flat exactly when the scan's polytope
     is lower-dimensional in the flat of the equalities."""
     new = _bounded_piece(_rows(eqs), _rows(ineqs), n)
     old = polytope_from_constraints_scan(eqs, ineqs, n)
     if old is None:
-        assert new is None
+        assert new is None, k
         return None
     verts, facets, flat = new
-    assert typed(verts) == typed(old.vertices)
-    assert facets == sorted(map(_mask, old.facet_vertices))
+    assert typed(verts) == typed(old.vertices), k
+    assert facets == sorted(map(_mask, old.facet_vertices)), k
     rank = mat_rank([nrm for nrm, _ in eqs]) if eqs else 0
-    assert flat == (old.dim < n - rank)
+    assert flat == (old.dim < n - rank), k
     return new
 
 
-@given(supports(dims=(2, 3), convenient=True), st.lists(
-    st.tuples(rational, rational, rational), min_size=1, max_size=2))
-@PROPERTY
-def test_difference_region_pieces_match_scan(s, extra):
+def test_difference_region_pieces_match_scan():
     """The systems oracles.difference_region_bounded solves: the cone
     over a compact facet <w, x> >= c of the smaller polyhedron (the rays of
     its dual cone), cut by <w, x> <= c and by the facets of the bigger one.
     Some pieces are lower-dimensional, where the bigger polyhedron touches
     the facet."""
-    n = s.dim
-    extra = [p[:n] for p in extra if any(p[:n])]
-    big = newton_polyhedron(s.augment(extra))
-    big_ineqs = [(nrm, off) for nrm, off, _, _ in big.facets]
-    for nrm, off, active in newton_polyhedron(s).compact_facets():
-        normals, _, _ = _extreme_rays((), active, n)
-        _both([], [(r, 0) for r in normals]
-              + [(tuple(-x for x in nrm), -off)] + big_ineqs, n)
+    for k in range(CASES):
+        rng = random.Random(k)
+        s = supports(rng, dims=(2, 3), convenient=True)
+        n = s.dim
+        big = newton_polyhedron(s.augment(extra_points(rng, n)))
+        big_ineqs = [(nrm, off) for nrm, off, _, _ in big.facets]
+        for nrm, off, active in newton_polyhedron(s).compact_facets():
+            normals, _, _ = _extreme_rays((), active, n)
+            _both([], [(r, 0) for r in normals]
+                  + [(tuple(-x for x in nrm), -off)] + big_ineqs, n, k)
 
 
-@given(supports())
-@PROPERTY
-def test_newton_fan_dual_cones_match_scan(s):
+def test_newton_fan_dual_cones_match_scan():
     """The systems newton_fan solves: the directions minimized at a vertex,
     sliced by the coordinate-sum-one hyperplane."""
-    n = s.dim
-    np_ = newton_polyhedron(s)
-    orthant = [(tuple(int(j == i) for j in range(n)), 0) for i in range(n)]
-    for v in np_.vertices:
-        ineqs = orthant + [(tuple(a - b for a, b in zip(w, v)), 0)
-                           for w in np_.vertices if w != v]
-        assert _both([((1,) * n, 1)], ineqs, n) is not None
+    for k in range(CASES):
+        s = supports(random.Random(k))
+        n = s.dim
+        np_ = newton_polyhedron(s)
+        orthant = [(tuple(int(j == i) for j in range(n)), 0)
+                   for i in range(n)]
+        for v in np_.vertices:
+            ineqs = orthant + [(tuple(a - b for a, b in zip(w, v)), 0)
+                               for w in np_.vertices if w != v]
+            assert _both([((1,) * n, 1)], ineqs, n, k) is not None, k
 
 
 def test_infeasible_systems_return_none():

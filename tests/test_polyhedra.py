@@ -37,9 +37,10 @@ def test_support_dimension_cap():
 
 def test_support_set_operations():
     s = bs_deformed_support()
-    assert "axes_with_point" not in s.__dict__
-    axes = s.axes_with_point    # found once, then read off the support
-    assert axes == frozenset({0, 1, 2}) and s.axes_with_point is axes
+    assert "missing_axes" not in s.__dict__
+    assert s.missing_axes == ()    # found once, then read off the support
+    assert "missing_axes" in s.__dict__
+    assert support_set(3, [(0, 1, 1), (2, 0, 0)]).missing_axes == (2, 3)
     r = s.restrict((1, 2))  # 0-based internal axes: keep y and z
     assert r.dim == 2 and (7, 1) in r.points
     aug = s.augment([(9, 9, 9)])

@@ -12,13 +12,14 @@ every two simplices are checked to meet in a common face.
 newton_number_set is compared with the pyramid formula, which shares no
 triangulation code with either, and with the public path through
 lower_region, whose Fraction points the fused newton_number_set never
-builds.
+builds.  Each property draws its cases from random.Random(k) for the
+first CASES seeds k, fewer where it says so, the same in every run and
+every order of the suite.
 """
 
 import itertools
+import random
 from fractions import Fraction as F
-
-from hypothesis import example, given, settings, strategies as st
 
 from newtonmu import geometry, newton_number
 from newtonmu.fans import newton_fan
@@ -26,24 +27,25 @@ from newtonmu.newton_number import (difference_region, newton_number_region,
                                     newton_number_set, union_volume_vector,
                                     volume_vector)
 from newtonmu.polyhedra import lower_region, newton_polyhedron, support_set
+from corpus import extra_points, orthant_unions, supports, touching_pairs
 from oracles import (convex_hull, difference_region_bounded,
                      difference_region_hulls, lower_region_hulls,
                      newton_fan_section, nu_2d_staircase, nu_pyramid,
                      polytope_from_constraints, union_volume_vector_hulls,
                      volume_vector_fractions)
-from test_conversion import rational, supports, typed
+from test_conversion import typed
 from test_pruned_polyhedra import assert_deleted
 
-PROPERTY = settings(derandomize=True, deadline=None, max_examples=80)
+CASES = 80
 
 
-@given(supports(dims=(1, 2, 3, 4), convenient=True))
-@PROPERTY
-def test_lower_region_matches_hulls(s):
-    region = lower_region(s)
-    assert typed(region) == typed(lower_region_hulls(s))
-    assert typed(volume_vector(region)) == typed(
-        volume_vector_fractions(region))
+def test_lower_region_matches_hulls():
+    for k in range(CASES):
+        s = supports(random.Random(k), dims=(1, 2, 3, 4), convenient=True)
+        region = lower_region(s)
+        assert typed(region) == typed(lower_region_hulls(s)), k
+        assert typed(volume_vector(region)) == typed(
+            volume_vector_fractions(region)), k
 
 
 SMALL = 8    # regions of at most this many simplices are checked pairwise
@@ -62,27 +64,26 @@ def assert_common_faces(region):
         assert (meet.vertices if meet else ()) == common
 
 
-def assert_region(s, sp):
+def assert_region(s, sp, k):
     """The region's typed volume vector is both former routines', and the
     Fraction sum's; its Newton number is the drop nu(S) - nu(S'); on small
     regions the simplices form a simplicial complex."""
     region = difference_region(s, sp)
     vv = typed(volume_vector(region))
-    assert vv == typed(volume_vector(difference_region_hulls(s, sp)))
-    assert vv == typed(volume_vector(difference_region_bounded(s, sp)))
-    assert vv == typed(volume_vector_fractions(region))
+    assert vv == typed(volume_vector(difference_region_hulls(s, sp))), k
+    assert vv == typed(volume_vector(difference_region_bounded(s, sp))), k
+    assert vv == typed(volume_vector_fractions(region)), k
     assert newton_number_region(region) == (newton_number_set(s)
-                                            - newton_number_set(sp))
+                                            - newton_number_set(sp)), k
     if len(region.simplices) <= SMALL:
         assert_common_faces(region)
 
 
-@given(supports(dims=(1, 2, 3, 4), convenient=True),
-       st.lists(st.tuples(*[rational] * 4), min_size=1, max_size=2))
-@PROPERTY
-def test_difference_region_volumes_match_fractions(s, extra):
-    extra = [p[:s.dim] for p in extra if any(p[:s.dim])]
-    assert_region(s, s.augment(extra))
+def test_difference_region_volumes_match_fractions():
+    for k in range(CASES):
+        rng = random.Random(k)
+        s = supports(rng, dims=(1, 2, 3, 4), convenient=True)
+        assert_region(s, s.augment(extra_points(rng, s.dim)), k)
 
 
 def refuse(*args):
@@ -112,43 +113,13 @@ def test_difference_region_builds_no_hull(monkeypatch):
     assert region.simplices and newton_number_region(region) == drop
 
 
-@st.composite
-def touching_pairs(draw):
-    """A convenient support s and s plus up to three points, each on the
-    hyperplane <w, x> = c of a compact facet of hull(s): inside the facet
-    (a convex combination of its points), anywhere on the hyperplane in
-    the orthant (of its axis intercepts), or strictly below it (a point of
-    the facet shrunk toward the origin, often still above the other
-    facets' hyperplanes)."""
-    s = draw(supports(dims=(2, 3, 4), convenient=True))
-    n = s.dim
-    facets = newton_polyhedron(s).compact_facets()
-    extra = []
-    for _ in range(draw(st.integers(1, 3))):
-        w, c, active = draw(st.sampled_from(facets))
-        kind = draw(st.sampled_from(("facet", "plane", "below")))
-        corners = active if kind != "plane" else [
-            tuple(c / w[i] if j == i else 0 for j in range(n))
-            for i in range(n)]
-        weights = draw(st.lists(st.integers(0, 3), min_size=len(corners),
-                                max_size=len(corners)).filter(any))
-        p = tuple(sum(t * q[k] for t, q in zip(weights, corners))
-                  / sum(weights) for k in range(n))
-        if kind == "below":
-            shrink = draw(st.sampled_from((F(2, 3), F(3, 4), F(7, 8))))
-            p = tuple(x * shrink for x in p)
-        extra.append(p)
-    return s, s.augment(extra)
-
-
-@given(touching_pairs())
-@PROPERTY
-def test_difference_region_skip_is_exact(pair):
+def test_difference_region_skip_is_exact():
     """Points on a facet, on its plane or below it: a point that sees no
     facet adds no pyramid, and one on the plane of an unseen facet next
     to a seen one adds no facet at that ridge; the region still has the
     former routines' volumes."""
-    assert_region(*pair)
+    for k in range(CASES):
+        assert_region(*touching_pairs(random.Random(k)), k)
 
 
 def test_difference_region_skips_flat_pieces(monkeypatch):
@@ -173,61 +144,40 @@ def test_difference_region_skips_flat_pieces(monkeypatch):
         assert newton_number_set(s) == newton_number_set(sp)
 
 
-grid = st.sampled_from((F(0), F(1, 2), F(1), F(3, 2), F(2), F(7, 3)))
-
-
-@st.composite
-def orthant_unions(draw):
-    """(n, pieces) for n = 1..3: up to three sets of one to five points of
-    a small rational grid, a third of them flattened into a coordinate
-    subspace, so the intersections of their hulls are often empty, a point
-    or lower-dimensional, and the origin is a vertex of some of them."""
-    n = draw(st.integers(1, 3))
-    polys = []
-    for _ in range(draw(st.integers(0, 3))):
-        pts = draw(st.lists(st.tuples(*[grid] * n), min_size=1, max_size=5))
-        flat = set()
-        if draw(st.integers(0, 2)) == 0:
-            flat = draw(st.sets(st.integers(0, n - 1), max_size=n - 1))
-        polys.append([tuple(0 if i in flat else x for i, x in enumerate(p))
-                      for p in pts])
-    return n, polys
-
-
 def _square(x, y):
     return [(x, y), (x + 1, y), (x, y + 1), (x + 1, y + 1)]
 
 
-@given(orthant_unions())
-@example((2, [_square(0, 0), _square(1, 0), _square(1, 1), _square(3, 3)]))
-@PROPERTY
-def test_union_volume_vector_matches_hulls(case):
+def test_union_volume_vector_matches_hulls():
     """Squares meeting the first in an edge, in a corner and not at all
-    are the explicit example."""
-    n, polys = case
-    assert typed(union_volume_vector(polys, n)) == typed(
-        union_volume_vector_hulls(polys, n))
+    are the explicit case."""
+    cases = {"squares": (2, [_square(0, 0), _square(1, 0), _square(1, 1),
+                             _square(3, 3)])}
+    cases.update((k, orthant_unions(random.Random(k))) for k in range(CASES))
+    for k, (n, polys) in cases.items():
+        assert typed(union_volume_vector(polys, n)) == typed(
+            union_volume_vector_hulls(polys, n)), k
 
 
-@given(supports(dims=(1, 2, 3, 4), convenient=True))
-@PROPERTY
-def test_fused_newton_number_matches_region(s):
+def test_fused_newton_number_matches_region():
     """newton_number_set, from index simplices and integer points, equals
     the Newton number of the public lower_region, and for n = 2 the
     staircase formula, on rational supports with dominated points."""
-    nu = newton_number_set(s)
-    assert typed(nu) == typed(newton_number_region(lower_region(s)))
-    if s.dim == 2:
-        assert nu == nu_2d_staircase(s.points)
+    for k in range(CASES):
+        s = supports(random.Random(k), dims=(1, 2, 3, 4), convenient=True)
+        nu = newton_number_set(s)
+        assert typed(nu) == typed(newton_number_region(lower_region(s))), k
+        if s.dim == 2:
+            assert nu == nu_2d_staircase(s.points), k
 
 
-@given(supports())
-@PROPERTY
-def test_newton_fan_matches_sections(s):
-    assert typed(newton_fan(s)) == typed(newton_fan_section(s))
+def test_newton_fan_matches_sections():
+    for k in range(CASES):
+        s = supports(random.Random(k))
+        assert typed(newton_fan(s)) == typed(newton_fan_section(s)), k
 
 
-@given(supports(dims=(3, 4), convenient=True))
-@settings(PROPERTY, max_examples=40)
-def test_newton_number_matches_pyramids(s):
-    assert newton_number_set(s) == nu_pyramid(s)
+def test_newton_number_matches_pyramids():
+    for k in range(40):
+        s = supports(random.Random(k), dims=(3, 4), convenient=True)
+        assert newton_number_set(s) == nu_pyramid(s), k
