@@ -13,21 +13,27 @@ integer combinations divided by their gcd, and _int_det (below).  Given
 rows as equalities only, the cone _extreme_rays returns is their null
 space, all lineality, so null spaces are read off it too.  _hull_rows reads
 the affine hull of finite points off the null space of the point
-differences and the facets off the rays of a dual cone;
-polyhedra.newton_polyhedron does the same for Newton polyhedra.
+differences and the facets off the rays of a dual cone (_dual_facets);
+polyhedra._double_description reads a Newton polyhedron off _dual_facets
+too, but only for a support that misses an axis or has dimension 1, as
+every other Newton polyhedron is placed on its axis simplex.
 _bounded_piece is the one reader of a bounded polytope given by
 constraints: one _extreme_rays call on its homogenized rows, whose rays
 with t > 0 are the vertices and whose zero sets give the relative facets
 as vertex masks, with no hull and no normal solved for;
-newton_number.union_volume_vector reads its intersections with it.
-_int_det is the one determinant routine, Bareiss (1968) elimination on an
-integer matrix; determinant scales rational rows to it, and
-newton_number.volume_vector, the fan kernels and the facet normals of
-polyhedra._place call it on integer matrices directly.  _pulling is the
-one pulling triangulation, over bitmasks of points, so no face is hulled
-either; it triangulates the bounded pieces of unions, the compact facets
-of Newton polyhedra (those under the boundary, and those that
-polyhedra._place cones the placed points over) and the fans' cones
+newton_number.union_volume_vector reads its intersections with it.  The
+fans call _extreme_rays directly, for a cone's facet normals, a cone from
+its generators and the meet of two cones.  Those are all its callers, and
+none of them runs in the apex test and the difference region of a pair
+S in S' with a point of S on every axis.  _int_det is the one
+determinant routine: orders 2 and 3 written out, and Bareiss (1968)
+elimination on an integer matrix above; determinant scales rational rows
+to it, and the minors of newton_number._totals, the fan kernels and the
+facet normals of polyhedra._place call it on integer matrices directly.
+_pulling is the one pulling triangulation, over bitmasks of points, so no
+face is hulled either; it triangulates the bounded pieces of unions, the
+compact facets of Newton polyhedra (those under the boundary, and those
+that polyhedra._place cones the placed points over) and the fans' cones
 (over ray masks).  _maximal_meets is the one step that finds a face's
 facets from bitmasks; _pulling and _face_lattice both use it.
 _vertex_mask is the one vertex rule, for Newton polyhedra.
@@ -204,12 +210,19 @@ def _scaled(points):
 def _int_det(rows):
     """Determinant of a square integer matrix, an int.
 
-    Fraction-free elimination (Bareiss 1968): every update
-    m_ij <- (m_ij m_kk - m_ik m_kj) / p, with p the previous pivot, is an
-    exact integer division, so no rational arithmetic runs.
+    Orders 2 and 3 are written out.  Above, fraction-free elimination
+    (Bareiss 1968): every update m_ij <- (m_ij m_kk - m_ik m_kj) / p, with
+    p the previous pivot, is an exact integer division, so no rational
+    arithmetic runs.
     """
+    n = len(rows)
+    if n == 2:
+        (a, b), (c, d) = rows
+        return a * d - b * c
+    if n == 3:
+        (a, b, c), (d, e, f), (g, h, i) = rows
+        return a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
     m = [list(r) for r in rows]
-    n = len(m)
     sign, prev = 1, 1
     for k in range(n - 1):
         piv = next((i for i in range(k, n) if m[i][k]), None)

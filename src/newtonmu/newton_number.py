@@ -18,10 +18,10 @@ the lcm den of their denominators, and _totals reads each simplex once
 and returns the integer totals T_k = k! V_k den^k: a simplex adds the
 |det| of its n x n minor to T_n, and each section face, found among the
 simplex's vertices off the open orthant and counted once, adds the |det|
-of its k x k minor to T_k (orders 1 and 2 written out, geometry._int_det
-for the rest).  A Newton number is then the one Fraction
-(sum_k (-1)^(n-k) T_k den^(n-k)) / den^n, and V_k, for volume_vector and
-union_volume_vector, the Fraction T_k / (den^k k!).
+of its k x k minor to T_k (geometry._int_det from order 2).  A Newton
+number is then the one Fraction (sum_k (-1)^(n-k) T_k den^(n-k)) / den^n,
+and V_k, for volume_vector and union_volume_vector, the Fraction
+T_k / (den^k k!).
 
 The integer points come with the region.  newton_number_set takes the
 pulling triangulation of the compact facets, coned from the origin, as
@@ -126,16 +126,9 @@ def _newton_fraction(totals, den):
 def _minor(ipts, w, axes):
     """|det| of the k x k minor, on the k axes, of the differences of the
     points ipts[i] for i in w[1:] from ipts[w[0]]: k! times the k-volume
-    of their simplex, times den^k.  Orders 1 and 2 are written out."""
+    of their simplex, times den^k."""
     p = ipts[w[0]]
-    rows = [[ipts[i][c] - p[c] for c in axes] for i in w[1:]]
-    k = len(axes)
-    if k == 1:
-        return abs(rows[0][0])
-    if k == 2:
-        (a1, b1), (a2, b2) = rows
-        return abs(a1 * b2 - b1 * a2)
-    return abs(_int_det(rows))
+    return abs(_int_det([[ipts[i][c] - p[c] for c in axes] for i in w[1:]]))
 
 
 def _totals(n, ipts, simplices):

@@ -9,11 +9,9 @@ The polyhedron is an integer record: the support's sorted points, the
 same points scaled to integers by the lcm den of their denominators, the
 facets as triples (w, c, seed), meaning <w, x> >= c / den, and the vertex
 bitmask.  A seed is the bitmask of the points on the facet plus bit m + i
-for each recession axis e_i.  Since the polyhedron is conv(S) + R^n_{>=0},
-only the componentwise-minimal points can be vertices: the facets are read
-off the extreme rays of the dual cone of those points alone
-(geometry._dual_facets), and each dominated point is put back into the
-facets it lies on by one integer dot product.  A point is a vertex exactly
+for each recession axis e_i.  How the facets are found is set out at the
+end: by placement (_place) when the support has a point on every axis
+and n > 1, else by the double description.  A point is a vertex exactly
 when the meet of the seeds through it is that point alone
 (geometry._vertex_mask).  The Fraction facets, the vertices and the faces
 are cached properties, built on first access; faces walks
@@ -41,15 +39,25 @@ beneath-beyond).  A point alpha sees the compact facets with
 a seen and an unseen facet spans a new compact facet with alpha, whose
 primitive normal comes from the integer minors of the ridge's vertices
 minus alpha (unless alpha lies on the unseen facet's plane, which then
-grows).  The record is typed-equal to the direct build.  The same pass
-cuts hull(S') minus hull(S), the difference region, into the pyramids
-over the seen facets: alpha coned over each seen facet's triangulation,
-the pulling one for facets of hull(S) and the inherited cones for the
-facets placement made or grew, so the pyramids of all steps form one
-simplicial complex.  _placement memoizes both on S' for that S; the apex
-test places before anything builds hull(S') directly, and
-difference_region reads its simplices off the memo.  A support with no
-nested parent is built directly, by the double description.
+grows).  The record is typed-equal to the double description's.  The
+same pass cuts hull(S') minus hull(S), the difference region, into the
+pyramids over the seen facets: alpha coned over each seen facet's
+triangulation, the pulling one for facets of hull(S) and the inherited
+cones for the facets placement made or grew, so the pyramids of all
+steps form one simplicial complex.  _placement memoizes both on S' for
+that S; the apex test places before anything builds hull(S') on its
+own, and difference_region reads its simplices off the memo.
+
+Any other support with a point on every axis and n > 1 is placed as well
+(_placed_on_axes), on the polyhedron of its least axis points a_k e_k,
+which is written down: the compact facet through those n points and the
+n coordinate facets x_k >= 0.  Only where placement cannot start, for a
+support that misses an axis and in dimension 1, is the polyhedron built
+by the double description (_double_description): since it is
+conv(S) + R^n_{>=0}, only the componentwise-minimal points can be
+vertices, the facets are read off the extreme rays of the dual cone of
+those points alone (geometry._dual_facets), and each dominated point is
+put back into the facets it lies on by one integer dot product.
 """
 
 from __future__ import annotations
@@ -97,12 +105,19 @@ class SupportSet(Record):
     def missing_axes(self):
         """The 1-based axes i on which no support point lies (no point is a
         positive multiple of e_i), found once per support."""
-        covered = set()
-        for p in self._scaled_points[0]:
-            nz = [i for i, x in enumerate(p) if x]
-            if len(nz) == 1:
-                covered.add(nz[0])
-        return tuple(i + 1 for i in range(self.dim) if i not in covered)
+        return tuple(k + 1 for k, i in enumerate(self._least_axis_points)
+                     if i is None)
+
+    @cached_property
+    def _least_axis_points(self):
+        """Per axis k, the index of the least point a_k e_k on it, or None
+        when there is none.  The points are sorted, so it is the first."""
+        least = [None] * self.dim
+        for i, p in enumerate(self._scaled_points[0]):
+            nz = [k for k, x in enumerate(p) if x]
+            if len(nz) == 1 and least[nz[0]] is None:
+                least[nz[0]] = i
+        return tuple(least)
 
     @cached_property
     def _scaled_points(self):
@@ -116,29 +131,64 @@ class SupportSet(Record):
         """The Newton polyhedron (see newton_polyhedron), built once per
         instance; not a record field, so equality, hashing and the field
         tuple do not see it."""
-        n = self.dim
-        ipts, den = self._scaled_points
-        m = len(ipts)
-        # a point above another one is no vertex; ipts is sorted, so such a
-        # point comes after a minimal one below it
-        minimal = []
-        for i, p in enumerate(ipts):
-            if not any(all(x <= y for x, y in zip(ipts[j], p))
-                       for j in minimal):
-                minimal.append(i)
+        if self.dim > 1 and not self.missing_axes:
+            return _placed_on_axes(self)
+        return _double_description(self)
 
-        facets = []
-        for w, c, on in _dual_facets([ipts[i] for i in minimal],
-                                     directions=[_unit(n, i)
-                                                 for i in range(n)]):
-            if len(minimal) < m:    # put the dominated points back
-                on = sum(1 << i for i, p in enumerate(ipts)
-                         if _idot(w, p) == c)
-            facets.append((w, c, on | sum(1 << m + i for i in range(n)
-                                          if not w[i])))
-        return NewtonPolyhedron(n, self.points, ipts, den, tuple(facets),
-                                _vertex_mask(minimal,
-                                             [g for _, _, g in facets]))
+
+def _double_description(support):
+    """The Newton polyhedron of a support that misses an axis or has
+    dimension 1, from the extreme rays of the dual cone of its minimal
+    points (see newton_polyhedron)."""
+    n = support.dim
+    ipts, den = support._scaled_points
+    m = len(ipts)
+    # a point above another one is no vertex; ipts is sorted, so such a
+    # point comes after a minimal one below it
+    minimal = []
+    for i, p in enumerate(ipts):
+        if not any(all(x <= y for x, y in zip(ipts[j], p))
+                   for j in minimal):
+            minimal.append(i)
+
+    facets = []
+    for w, c, on in _dual_facets([ipts[i] for i in minimal],
+                                 directions=[_unit(n, i) for i in range(n)]):
+        if len(minimal) < m:    # put the dominated points back
+            on = sum(1 << i for i, p in enumerate(ipts) if _idot(w, p) == c)
+        facets.append((w, c, on | sum(1 << m + i for i in range(n)
+                                      if not w[i])))
+    return NewtonPolyhedron(n, support.points, ipts, den, tuple(facets),
+                            _vertex_mask(minimal, [g for _, _, g in facets]))
+
+
+def _placed_on_axes(support):
+    """The Newton polyhedron of an axis-convenient support of dimension
+    n > 1: the support's other points placed (_place) on the polyhedron
+    of its least axis points a_k e_k, which is written down.  With
+    L = lcm(a_1, ..., a_n) and g = gcd(L / a_1, ..., L / a_n), its
+    facets are the compact <w, x> >= L / g, w_k = L / (a_k g), through
+    the n axis points, and for each k the coordinate facet x_k >= 0
+    through the other axis points and the recession axes e_j, j != k.
+    All of it is in the support's integer coordinates; the pyramids of
+    the placement are not needed."""
+    n = support.dim
+    ipts, den = support._scaled_points
+    pos = support._least_axis_points
+    a = [ipts[i][k] for k, i in enumerate(pos)]
+    big = lcm(*a)
+    g = gcd(*(big // x for x in a))
+    every = (1 << n) - 1
+    facets = [(tuple(big // x // g for x in a), big // g, every)]
+    for k in range(n):
+        rest = every ^ 1 << k
+        facets.append((_unit(n, k), 0, rest | rest << n))
+    # the simplex's point k is a_k e_k, and pos maps it into the support
+    simplex = NewtonPolyhedron(n, tuple(support.points[i] for i in pos),
+                               tuple(ipts[i] for i in pos), den,
+                               tuple(sorted(facets)), every)
+    facets, vmask, _ = _place(simplex, ipts, den, pos)
+    return NewtonPolyhedron(n, support.points, ipts, den, facets, vmask)
 
 
 def support_set(dim, points):
@@ -282,19 +332,28 @@ _np_cache = {}  # unused; the benchmark's cache reset still names it
 def newton_polyhedron(support):
     """Build the Newton polyhedron of a support set.
 
-    The valid inequalities <w, x> >= c of the polyhedron form the cone
-    {(w, c) : <w, p> >= c for every support point p, w >= 0}, the second
-    condition because the recession cone is the whole orthant.  As w >= 0,
-    a point above another one adds no condition, so p runs over the
-    componentwise-minimal points only.  The polyhedron is pointed and
-    full-dimensional, so this cone is pointed and its extreme rays are the
-    facets, the rays with w != 0, and the trivial inequality 0 >= -1
-    (geometry._dual_facets, with the unit vectors as directions).  The
-    points are scaled to integers by the lcm of their denominators first,
-    so the whole build is integer arithmetic.  The H-description is the
-    facet list alone; the dominated points join the facets' seeds by one
-    integer dot product each, and the vertices are the points that are the
-    meet of the seeds through them.  The result is the integer record
+    The points are scaled to integers by the lcm of their denominators
+    first, so the whole build is integer arithmetic.  A support of
+    dimension n > 1 with a point on every axis starts from the polyhedron
+    of its least axis points a_k e_k, {x >= 0 : sum_k x_k / a_k >= 1},
+    whose facets are written down, and places its other points on it one
+    at a time (_placed_on_axes, _place).
+
+    Any other support is built by the double description
+    (_double_description).  The valid inequalities <w, x> >= c of the
+    polyhedron form the cone {(w, c) : <w, p> >= c for every support
+    point p, w >= 0}, the second condition because the recession cone is
+    the whole orthant.  As w >= 0, a point above another one adds no
+    condition, so p runs over the componentwise-minimal points only.  The
+    polyhedron is pointed and full-dimensional, so this cone is pointed
+    and its extreme rays are the facets, the rays with w != 0, and the
+    trivial inequality 0 >= -1 (geometry._dual_facets, with the unit
+    vectors as directions).  The dominated points join the facets' seeds
+    by one integer dot product each.
+
+    Both builds give the same record: the facet list alone is the
+    H-description, and the vertices are the points that are the meet of
+    the seeds through them.  The result is the integer record
     NewtonPolyhedron; its Fraction views are built only when read.
 
     The polyhedron is memoized on its SupportSet instance (a cached
@@ -427,7 +486,8 @@ def _placement(s, s_prime):
     points is a point of s_prime.
 
     The placed polyhedron becomes the Newton polyhedron of s_prime unless
-    that was built already: it is typed-equal to the direct build.  The
+    that was built already: it is typed-equal to the one newton_polyhedron
+    builds.  The
     simplices are memoized on s_prime for the last s, so the apex test
     and the difference region of one pair place once.
     """

@@ -3,6 +3,9 @@
 nu_2d_staircase is written from scratch against the definitions, without
 calling into the package, so an agreement is meaningful.
 
+leibniz_det, the determinant as a sum over permutations, checks the
+Bareiss elimination geometry._int_det and the rational determinant.
+
 The Fraction linear algebra below (vsub, rref, mat_rank, nullspace,
 solve_linear, solve_unique), the affine-chart helpers (_affine_basis,
 _coords_in_basis, _lift_normal) and the face lattice over tuples of
@@ -105,7 +108,7 @@ that the two return the same rows, bases, step counts and budget texts.
 
 import itertools
 from fractions import Fraction, Fraction as F
-from math import factorial, gcd
+from math import factorial, gcd, prod
 from typing import NamedTuple
 
 from newtonmu.apex import BoundaryEdge
@@ -126,6 +129,19 @@ from newtonmu.polyhedra import (CompactRegion, Face, SupportError,
 
 
 # --- Fraction linear algebra ------------------------------------------------
+
+def leibniz_det(rows):
+    """Determinant by the Leibniz formula: the sum over the permutations
+    p of sign(p) prod_i rows[i][p(i)], an int for integer rows and 1 for
+    no rows."""
+    k = len(rows)
+    total = 0
+    for perm in itertools.permutations(range(k)):
+        inversions = sum(perm[i] > perm[j]
+                         for i in range(k) for j in range(i + 1, k))
+        total += (-1) ** inversions * prod(rows[i][perm[i]] for i in range(k))
+    return total
+
 
 def vsub(a, b):
     return tuple(x - y for x, y in zip(a, b))

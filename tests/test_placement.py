@@ -10,6 +10,12 @@ nu(S) - nu(S').  Both are checked on every pair of the mu_sweep benchmark
 pool and on seeded random pairs for n = 2..5, with one and with several
 added points of every kind below.  On the pool, the recorded answers and
 the section scan's volume vectors are checked too.
+
+Every other support of dimension n > 1 with a point on each axis is
+placed on the polyhedron of its least axis points (_placed_on_axes),
+which must be typed-equal to the double description too, and the apex
+test with the difference region of a pair then runs no double
+description at all.
 """
 
 import json
@@ -19,11 +25,12 @@ from pathlib import Path
 
 import pytest
 
-from newtonmu import geometry, newton_number, polyhedra
+from newtonmu import fans, geometry, newton_number, polyhedra
 from newtonmu.apex import mu_constant_test
 from newtonmu.newton_number import (difference_region, newton_number_region,
                                     newton_number_set, volume_vector)
-from newtonmu.polyhedra import (SupportError, _placement, added_vertices,
+from newtonmu.polyhedra import (SupportError, _double_description,
+                                _placed_on_axes, _placement, added_vertices,
                                 lower_region, newton_polyhedron,
                                 support_set)
 from corpus import bs_base_support, bs_deformed_support
@@ -35,8 +42,9 @@ POOL = Path(__file__).resolve().parents[1] / "perfbench" / "pool" / "mu_sweep.js
 
 
 def direct_build(support):
-    """The double-description build, on a fresh copy of the support."""
-    return support_set(support.dim, support.points)._newton_polyhedron
+    """The double-description build, which newton_polyhedron runs only
+    for supports that miss an axis and in dimension 1."""
+    return _double_description(support)
 
 
 def assert_placed(s, sp):
@@ -159,8 +167,8 @@ def test_placement_in_dimension_one():
 
 def test_placement_needs_a_nested_parent():
     """No placement without each point of s in s', an axis point of s
-    on every axis, and one dimension; the direct build is then the only
-    one."""
+    on every axis, and one dimension; hull(s') is then built on its
+    own."""
     s = support_set(2, [(3, 0), (0, 3)])
     assert _placement(s, support_set(2, [(2, 0), (0, 3)])) is None
     assert _placement(support_set(2, [(3, 0), (1, 1)]),
@@ -232,3 +240,103 @@ def test_placed_pairs_skip_the_nesting_check(monkeypatch):
     for check in (added_vertices, difference_region):
         with pytest.raises(SupportError, match="^polyhedra not nested"):
             check(small, big)
+
+
+def random_axis_support(rng, n):
+    """An axis-convenient rational support: one to three points on each
+    axis, then up to six points, each with every coordinate positive, on
+    a coordinate hyperplane (one to n - 1 coordinates zero), or a point
+    drawn before plus a nonnegative step, which it dominates."""
+    def rational():
+        return F(rng.randint(1, 8), rng.choice((1, 1, 2, 3)))
+
+    pts = [tuple(rational() if j == i else 0 for j in range(n))
+           for i in range(n) for _ in range(rng.randint(1, 3))]
+    for _ in range(rng.randint(0, 6)):
+        kind = rng.randrange(3)
+        if kind == 0:
+            p = tuple(rational() for _ in range(n))
+        elif kind == 1:
+            zeros = rng.sample(range(n), rng.randint(1, n - 1))
+            p = tuple(0 if i in zeros else rational() for i in range(n))
+        else:
+            p = tuple(x + rng.choice((0, F(1, 2), 1))
+                      for x in rng.choice(pts))
+        pts.append(p)
+    return support_set(n, pts)
+
+
+def test_axis_simplex_placement_matches_the_double_description():
+    """On 240 seeds, n = 2..5 in turn, the polyhedron of an
+    axis-convenient support placed on its axis simplex is typed-equal to
+    the double description, and newton_polyhedron builds it.  Every
+    fifth support is an axis simplex alone; the others have several
+    points on an axis, dominated points and points on coordinate
+    hyperplanes often."""
+    seen = {"several": 0, "dominated": 0, "hyperplane": 0}
+    for k in range(240):
+        rng = random.Random(k)
+        n = 2 + k % 4
+        if k % 5 == 4:
+            s = support_set(n, [tuple(F(rng.randint(1, 9), rng.randint(1, 3))
+                                      if j == i else 0 for j in range(n))
+                                for i in range(n)])
+        else:
+            s = random_axis_support(rng, n)
+        placed = _placed_on_axes(s)
+        assert typed(placed) == typed(_double_description(s)), k
+        assert typed(newton_polyhedron(s)) == typed(placed), k
+        support = [sum(1 << i for i, x in enumerate(p) if x)
+                   for p in s.points]
+        seen["several"] += len(support) - len(set(support)) > 0
+        seen["dominated"] += any(p != q and all(x <= y for x, y in zip(p, q))
+                                 for p in s.points for q in s.points)
+        seen["hyperplane"] += any(1 < mask.bit_count() < n
+                                  for mask in support)
+    assert min(seen.values()) > 60, seen
+
+
+def test_supports_without_an_axis_simplex_keep_the_double_description(
+        monkeypatch):
+    """In dimension 1, and for a support that misses an axis, placement
+    cannot start: newton_polyhedron runs the double description with
+    _place refusing."""
+    def refuse(*args):
+        raise AssertionError("placement ran")
+
+    monkeypatch.setattr(polyhedra, "_place", refuse)
+    line = support_set(1, [(F(5, 2),), (4,)])
+    assert newton_polyhedron(line).ifacets == (((1,), 5, 1),)
+    for s in (line, support_set(3, [(4, 0, 0), (0, 5, 0), (1, 0, 2),
+                                    (0, 1, 3)])):
+        assert typed(newton_polyhedron(s)) == typed(_double_description(s))
+
+
+def test_mu_sweep_path_runs_no_double_description(monkeypatch):
+    """mu_constant_test and then the Newton number of the difference
+    region, on fresh supports, make no _extreme_rays call: hull(S) is
+    placed on its axis simplex and hull(S') on hull(S).  Checked on the
+    Briancon-Speder pair and on the first pool pair of each n."""
+    calls = []
+    extreme_rays = geometry._extreme_rays
+
+    def counted(*args):
+        calls.append(args)
+        return extreme_rays(*args)
+
+    for module in (geometry, fans):
+        monkeypatch.setattr(module, "_extreme_rays", counted)
+    cases = json.loads(POOL.read_text())["cases"]
+    pairs = [(bs_base_support(), bs_deformed_support(), None)]
+    for n in (2, 3, 4):
+        case = next(c for c in cases if c["n"] == n)
+        pairs.append((support_set(n, case["s"]), support_set(n, case["sp"]),
+                      case["expect"]))
+    for s, sp, expect in pairs:
+        res = mu_constant_test(s, sp)
+        diff = newton_number_region(difference_region(s, sp))
+        assert expect in (None, {"verdict": res.verdict,
+                                 "nu_s": str(res.nu_s),
+                                 "nu_sp": str(res.nu_s_prime),
+                                 "diff": str(diff)})
+    assert len(pairs) == 4 and calls == []
