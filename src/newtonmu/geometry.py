@@ -28,8 +28,10 @@ none of them runs in the apex test and the difference region of a pair
 S in S' with a point of S on every axis.  _int_det is the one
 determinant routine: orders 2 and 3 written out, and Bareiss (1968)
 elimination on an integer matrix above; determinant scales rational rows
-to it, and the minors of newton_number._totals, the fan kernels and the
-facet normals of polyhedra._place call it on integer matrices directly.
+to it, and the minors of newton_number._totals and the fan kernels call
+it on integer matrices directly.  _combine, the update of _extreme_rays,
+also gives polyhedra._place the normal of each facet it makes, from the
+pencil of the two facet planes through the facet's horizon ridge.
 _pulling is the one pulling triangulation, over bitmasks of points, so no
 face is hulled either; it triangulates the bounded pieces of unions, the
 compact facets of Newton polyhedra (those under the boundary, and those
@@ -58,7 +60,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import factorial, gcd, lcm
-from operator import attrgetter
+from operator import attrgetter, mul
 
 DIMENSION_CAP = 8
 
@@ -73,9 +75,6 @@ class DimensionCapExceeded(GeometryError):
 
 class InternalConsistencyError(RuntimeError):
     """Two independent computations of the same quantity disagreed."""
-
-
-_set = object.__setattr__
 
 
 class Record:
@@ -104,8 +103,7 @@ class Record:
         if len(args) != len(fields):
             raise TypeError(f"{type(self).__name__}() takes {len(fields)} "
                             f"positional arguments {fields}, got {len(args)}")
-        for name, value in zip(fields, args):
-            _set(self, name, value)
+        self.__dict__.update(zip(fields, args))
         if self._post_init:
             self.__post_init__()
 
@@ -153,7 +151,7 @@ def render_point(p):
 
 def _unit(n, i):
     """The unit vector e_i of Z^n, an integer tuple."""
-    return tuple(int(j == i) for j in range(n))
+    return (0,) * i + (1,) + (0,) * (n - 1 - i)
 
 
 def dot(a, b):
@@ -196,7 +194,7 @@ def _combine(s, u, t, v):
 
 
 def _idot(a, b):
-    return sum(x * y for x, y in zip(a, b))
+    return sum(map(mul, a, b))
 
 
 def _scaled(points):
@@ -386,7 +384,11 @@ def _dual_facets(ipts, equalities=(), directions=()):
 # --- hulls and bounded pieces --------------------------------------------
 
 def _members(mask):
-    return [i for i in range(mask.bit_length()) if mask >> i & 1]
+    out = []
+    while mask:
+        out.append((mask & -mask).bit_length() - 1)
+        mask &= mask - 1
+    return out
 
 
 def _vertex_mask(candidates, facet_masks):

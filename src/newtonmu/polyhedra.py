@@ -36,10 +36,11 @@ dimension has a nested parent, and its polyhedron is built by placing
 the points of S' not in S on hull(S) one at a time (_place,
 beneath-beyond).  A point alpha sees the compact facets with
 <w, alpha> < c; they go, the others stay, and each horizon ridge between
-a seen and an unseen facet spans a new compact facet with alpha, whose
-primitive normal comes from the integer minors of the ridge's vertices
-minus alpha (unless alpha lies on the unseen facet's plane, which then
-grows).  The record is typed-equal to the double description's.  The
+a seen and an unseen facet spans a new compact facet with alpha (unless
+alpha lies on the unseen facet's plane, which then grows).  Its plane is
+in the pencil of the two facet planes through the ridge, so its normal
+is one integer combination of theirs (geometry._combine), no minor.
+The record is typed-equal to the double description's.  The
 same pass cuts hull(S') minus hull(S), the difference region, into the
 pyramids over the seen facets: alpha coned over each seen facet's
 triangulation, the pulling one for facets of hull(S) and the inherited
@@ -64,11 +65,10 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import cached_property
-from itertools import combinations
 from math import gcd, lcm
 
 from .geometry import (DIMENSION_CAP, DimensionCapExceeded, ZERO, Record,
-                       _dual_facets, _face_lattice, _idot, _int_det,
+                       _combine, _dual_facets, _face_lattice, _idot,
                        _members, _pulling, _scaled, _unit, _vertex_mask,
                        frac, render_point, vec)
 
@@ -112,12 +112,12 @@ class SupportSet(Record):
     def _least_axis_points(self):
         """Per axis k, the index of the least point a_k e_k on it, or None
         when there is none.  The points are sorted, so it is the first."""
-        least = [None] * self.dim
+        n = self.dim
+        least = {}
         for i, p in enumerate(self._scaled_points[0]):
-            nz = [k for k, x in enumerate(p) if x]
-            if len(nz) == 1 and least[nz[0]] is None:
-                least[nz[0]] = i
-        return tuple(least)
+            if p.count(0) == n - 1:     # its one nonzero entry is its max
+                least.setdefault(p.index(max(p)), i)
+        return tuple(map(least.get, range(n)))
 
     @cached_property
     def _scaled_points(self):
@@ -194,31 +194,40 @@ def _placed_on_axes(support):
 def support_set(dim, points):
     """The SupportSet of the given points: deduplicated, checked and sorted.
 
-    The points are scaled once to integer tuples over one denominator
-    (_scaled), which sort like the points they stand for; those are
-    deduplicated, checked and sorted, and each distinct coordinate value
-    becomes one Fraction.
+    Integer input, every coordinate of exact type int, is its own scaling
+    (den = 1).  Any other input is scaled once to integer tuples over one
+    denominator (_scaled), which sort like the points they stand for.
+    Those are deduplicated, checked and sorted, and each distinct
+    coordinate value becomes one Fraction.
     """
-    ipts, den = _scaled([tuple(x if type(x) is int else frac(x) for x in p)
-                         for p in points])
+    pts = [tuple(p) for p in points]
+    if all(type(x) is int for p in pts for x in p):
+        ipts, den = pts, 1
+    else:
+        ipts, den = _scaled([tuple(map(frac, p)) for p in pts])
     if not ipts:
         raise SupportError("support set is empty")
     if dim > DIMENSION_CAP:
         raise DimensionCapExceeded(f"dimension {dim} exceeds cap {DIMENSION_CAP}")
-    ipts = sorted(set(ipts))
-    value = {x: Fraction(x, den) for x in set().union(*ipts)}
-    for p in ipts:
-        if len(p) != dim:
-            problem = f"does not have dimension {dim}"
-        elif any(x < 0 for x in p):
-            problem = "has a negative coordinate"
-        elif not any(p):
-            raise SupportError("support set contains the origin")
-        else:
-            continue
-        raise SupportError(
-            f"point {render_point(value[x] for x in p)} {problem}")
-    support = SupportSet(dim, tuple(tuple(value[x] for x in p) for p in ipts))
+    unique = set(ipts)
+    ipts = sorted(unique)
+    values = set().union(*ipts)
+    value = {x: Fraction(x, den) if den > 1 else Fraction(x) for x in values}
+    # one test of the whole set; the loop only words the first bad point
+    if (set(map(len, ipts)) != {dim} or min(values, default=0) < 0
+            or (0,) * dim in unique):
+        for p in ipts:
+            if len(p) != dim:
+                problem = f"does not have dimension {dim}"
+            elif any(x < 0 for x in p):
+                problem = "has a negative coordinate"
+            elif not any(p):
+                raise SupportError("support set contains the origin")
+            else:
+                continue
+            raise SupportError(
+                f"point {render_point(value[x] for x in p)} {problem}")
+    support = SupportSet(dim, tuple(tuple(map(value.get, p)) for p in ipts))
     # the cached property, not a field: what rescaling the points would give
     support.__dict__["_scaled_points"] = tuple(ipts), den
     return support
@@ -368,23 +377,6 @@ def newton_polyhedron(support):
 
 # --- placing points on a Newton polyhedron ---------------------------------
 
-def _ridge_normal(points, apex):
-    """The primitive positive normal of the hyperplane through apex and
-    the integer points, which span a flat of dimension n - 2 missing apex:
-    the signed maximal minors of the first n - 1 independent differences
-    p - apex, one _int_det each.  The hyperplane carries a compact facet,
-    so the normal has no zero entry."""
-    n = len(apex)
-    diffs = [tuple(x - y for x, y in zip(p, apex)) for p in points]
-    for rows in combinations(diffs, n - 1):
-        w = [(-1) ** i * _int_det([r[:i] + r[i + 1:] for r in rows])
-             for i in range(n)]
-        if w[0]:
-            break
-    g = gcd(*w) if w[0] > 0 else -gcd(*w)
-    return tuple(x // g for x in w)
-
-
 def _place(small, ipts, den, pos):
     """Place the points of a support S' on the Newton polyhedron small of
     an axis-convenient S, one at a time (beneath-beyond: Edelsbrunner,
@@ -404,7 +396,10 @@ def _place(small, ipts, den, pos):
     ridge is the meet of a seen and an unseen seed that no third seed
     contains; unless alpha lies on the unseen facet's plane, the ridge and
     alpha span a new compact facet, whose seed is the ridge's and alpha's,
-    since the plane meets the old polyhedron in the ridge alone.  In
+    since the plane meets the old polyhedron in the ridge alone.  Its
+    normal is the primitive v_g w_f - v_f w_g, v = <w, alpha> - c, of the
+    seen f (v_f < 0) and unseen g (v_g > 0): that plane holds the ridge
+    and alpha, and both coefficients are positive, so it points inward.  In
     dimension 1 the horizon is the empty face and the new facet is alpha
     alone.  The seeds stay exact over the points placed so far, and the
     vertices are the old ones and alpha that _vertex_mask keeps.
@@ -422,10 +417,14 @@ def _place(small, ipts, den, pos):
     m0, m = len(small.ipts), len(ipts)
     scale = den // small.den
 
+    bits = [1 << i for i in pos]
+
     def remap(g):
         out = g >> m0 << m
-        for i in _members(g & (1 << m0) - 1):
-            out |= 1 << pos[i]
+        for b in bits:
+            if g & 1:
+                out |= b
+            g >>= 1
         return out
 
     facets = [(w, c * scale, remap(g)) for w, c, g in small.ifacets]
@@ -437,7 +436,7 @@ def _place(small, ipts, den, pos):
         a, bit = ipts[j], 1 << j
         seeds = [g for _, _, g in facets]
         vals = [_idot(w, a) - c for w, c, _ in facets]
-        if all(v >= 0 for v in vals):
+        if min(vals) >= 0:
             facets = [(w, c, g if v else g | bit)
                       for (w, c, g), v in zip(facets, vals)]
             continue
@@ -445,15 +444,15 @@ def _place(small, ipts, den, pos):
         def cells(w, g):
             return tri.pop(w) if w in tri else _pulling(g, vmask, seeds, memo)
 
-        seen = [(g, cells(w, g))
+        seen = [(w, v, g, cells(w, g))
                 for (w, _, g), v in zip(facets, vals) if v < 0]
-        for _, cs in seen:
+        for *_, cs in seen:
             simplices.extend(tuple(sorted(t + (j,))) for t in cs)
         kept, new = [], {}
         for (w, c, g), v in zip(facets, vals):
             if v < 0:
                 continue
-            for f, cs in seen:
+            for wf, vf, f, cs in seen:
                 ridge = f & g
                 if not ridge or any(ridge & h == ridge for h in seeds
                                     if h != f and h != g):
@@ -462,8 +461,7 @@ def _place(small, ipts, den, pos):
                     tuple(i for i in t if ridge >> i & 1) for t in cs)
                     if len(r) == n - 1]
                 if v:
-                    normal = _ridge_normal(
-                        [ipts[i] for i in _members(ridge & vmask)], a)
+                    normal = _combine(v, wf, vf, w)
                     new[normal] = _idot(normal, a), ridge | bit, cone
                 elif not g >> m:
                     tri[w] = [*cells(w, g), *cone]
@@ -502,7 +500,8 @@ def _placement(s, s_prime):
         return None
     scale = den // small_den
     index = {p: i for i, p in enumerate(ipts)}
-    pos = [index.get(tuple(scale * x for x in p)) for p in small_ipts]
+    pos = [index.get(tuple(scale * x for x in p) if scale > 1 else p)
+           for p in small_ipts]
     if None in pos:
         return None
     facets, vmask, simplices = _place(newton_polyhedron(s), ipts, den, pos)
@@ -539,23 +538,21 @@ def convenience_report(support):
     polyhedron has i-th coordinate zero or at least 1.  Restrictions to
     coordinate subspaces are faces of the polyhedron, so checking the global
     vertex set covers every restricted support too.  The test runs on the
-    vertices' integer points ipts = points * den: x == 0 or x >= den.
+    vertices' integer points ipts = points * den: x == 0 or x >= den,
+    which every integer support (den = 1) meets.
     """
     n = support.dim
     missing = support.missing_axes
-    axis_ok = not missing
-    cond = {}
-    if axis_ok:
+    cond = dict.fromkeys(range(1, n + 1), not missing)
+    if not missing:
         np_ = newton_polyhedron(support)
         den = np_.den
-        verts = [np_.ipts[i] for i in _members(np_.vmask)]
-        for i in range(n):
-            cond[i + 1] = all(v[i] == 0 or v[i] >= den for v in verts)
-    else:
-        for i in range(n):
-            cond[i + 1] = False
-    return ConvenienceReport(axis_ok, missing, cond,
-                             axis_ok and all(cond.values()))
+        if den > 1:     # an integer coordinate is 0 or at least 1
+            verts = [np_.ipts[i] for i in _members(np_.vmask)]
+            for i in range(n):
+                cond[i + 1] = all(v[i] == 0 or v[i] >= den for v in verts)
+    return ConvenienceReport(not missing, missing, cond,
+                             not missing and all(cond.values()))
 
 
 def check_nested(s, s_prime):

@@ -57,6 +57,13 @@ the library's former Fraction test of a point on a segment, kept
 verbatim; the library now tests points on an edge as integers
 (apex._on_edge).
 
+_ridge_normal is the library's former normal of a facet that placement
+makes (polyhedra._place), kept verbatim: the signed maximal minors of the
+differences from the placed point to the vertices of the horizon ridge,
+one _int_det each.  The library now takes the normal from the pencil of
+the two facet planes that meet in the ridge (geometry._combine), and
+test_placement checks every such normal against the minors.
+
 regularize_fan_records is the library's former regularization loop, kept
 verbatim with _all_faces_simplicial: it builds one LatticeCone record per
 face per step and keys the regularity verdicts by them, where the library
@@ -107,6 +114,7 @@ that the two return the same rows, bases, step counts and budget texts.
 """
 
 import itertools
+from itertools import combinations
 from fractions import Fraction, Fraction as F
 from math import factorial, gcd, prod
 from typing import NamedTuple
@@ -647,6 +655,23 @@ def _on_segment(p, a, b):
         if ri != t * di:
             return None
     return t
+
+
+def _ridge_normal(points, apex):
+    """The primitive positive normal of the hyperplane through apex and
+    the integer points, which span a flat of dimension n - 2 missing apex:
+    the signed maximal minors of the first n - 1 independent differences
+    p - apex, one _int_det each.  The hyperplane carries a compact facet,
+    so the normal has no zero entry."""
+    n = len(apex)
+    diffs = [tuple(x - y for x, y in zip(p, apex)) for p in points]
+    for rows in combinations(diffs, n - 1):
+        w = [(-1) ** i * _int_det([r[:i] + r[i + 1:] for r in rows])
+             for i in range(n)]
+        if w[0]:
+            break
+    g = gcd(*w) if w[0] > 0 else -gcd(*w)
+    return tuple(x // g for x in w)
 
 
 # --- fans --------------------------------------------------------------------

@@ -15,7 +15,10 @@ Every other support of dimension n > 1 with a point on each axis is
 placed on the polyhedron of its least axis points (_placed_on_axes),
 which must be typed-equal to the double description too, and the apex
 test with the difference region of a pair then runs no double
-description at all.
+description at all.  Each facet normal that placement takes from the
+pencil of a horizon ridge's two facet planes is the former normal from
+the minors (oracles._ridge_normal), and placement computes no
+determinant.
 """
 
 import json
@@ -33,8 +36,11 @@ from newtonmu.polyhedra import (SupportError, _double_description,
                                 _placed_on_axes, _placement, added_vertices,
                                 lower_region, newton_polyhedron,
                                 support_set)
-from corpus import bs_base_support, bs_deformed_support
-from oracles import difference_region_bounded, volume_vector_scan
+from newtonmu.geometry import _members
+from corpus import (bs_base_support, bs_deformed_support,
+                    interior_point_below, random_convenient_support)
+from oracles import (_ridge_normal, difference_region_bounded,
+                     volume_vector_scan)
 from test_conversion import typed
 from test_region_kernel import assert_common_faces
 
@@ -340,3 +346,103 @@ def test_mu_sweep_path_runs_no_double_description(monkeypatch):
                                  "nu_sp": str(res.nu_s_prime),
                                  "diff": str(diff)})
     assert len(pairs) == 4 and calls == []
+
+
+def next_point(rng, s, interior):
+    """A point of the orthant on the hyperplane <w, x> = c of a random
+    compact facet of hull(s): each coordinate 0 or drawn up to the
+    intercept c / w_k, then one solved for; a lattice point when s is an
+    integer support.  When interior, a point strictly under the Newton
+    boundary: such a point shrunk, or for an integer support a lattice
+    point (corpus' interior_point_below).  None when the draws miss."""
+    integer = s._scaled_points[1] == 1
+    if interior and integer:
+        return interior_point_below(rng, s)
+    w, c, _ = rng.choice(newton_polyhedron(s).compact_facets())
+
+    def coordinate(x):
+        if rng.random() < 0.4:
+            return F(0)
+        if integer:
+            return F(rng.randint(0, c // x))
+        return c / x * F(rng.randint(0, 6), 6)
+
+    for _ in range(40):
+        p, i = [coordinate(x) for x in w], rng.randrange(len(w))
+        p[i] = 0
+        p[i] = (c - sum(x * y for x, y in zip(w, p))) / w[i]
+        if p[i] >= 0 and any(p) and not (integer and p[i].denominator > 1):
+            return tuple(x * rng.choice((F(1, 2), F(2, 3), F(7, 8)))
+                         for x in p) if interior else tuple(p)
+    return None
+
+
+def test_pencil_normals_match_the_ridge_minors(monkeypatch):
+    """Every normal _place forms from the pencil of a horizon ridge's two
+    facet planes (geometry._combine) is the former normal from the minors
+    of the ridge's vertices and the placed point (oracles._ridge_normal).
+    On 200 seeds, n = 2..5 in turn, integer and rational axis-convenient
+    supports take boundary-plane and interior points one at a time, so
+    the facets that are new after a step are the ones that step formed."""
+    formed = []
+    combine = polyhedra._combine
+
+    def recorded(*args):
+        formed.append(combine(*args))
+        return formed[-1]
+
+    monkeypatch.setattr(polyhedra, "_combine", recorded)
+    checked = {False: 0, True: 0}
+    for k in range(200):
+        rng = random.Random(k)
+        n = 2 + k % 4
+        integer = k % 8 < 4
+        s = (random_convenient_support(rng, n, max_intercept=8, extra=4)
+             if integer else random_axis_support(rng, n))
+        for interior in (True, False, False, True, False):
+            alpha = next_point(rng, s, interior)
+            sp = s if alpha is None else s.augment([alpha])
+            if len(sp.points) == len(s.points):
+                continue
+            small = newton_polyhedron(s)
+            formed.clear()
+            assert _placement(s, sp) is not None
+            ipts = sp._scaled_points[0]
+            (j,) = [i for i, p in enumerate(sp.points) if p not in s.points]
+            old = {w for w, _, _ in small.ifacets}
+            new = [(w, g) for w, _, g in newton_polyhedron(sp).ifacets
+                   if w not in old]
+            assert sorted(formed) == sorted(w for w, _ in new), k
+            verts = set(small.vertices)
+            for w, g in new:
+                ridge = [ipts[i] for i in _members(g & ~(1 << j))
+                         if sp.points[i] in verts]
+                assert w == _ridge_normal(ridge, ipts[j]), k
+            checked[interior] += len(new)
+            s = sp
+    assert min(checked.values()) > 100, checked
+
+
+def test_placement_computes_no_determinant(monkeypatch):
+    """_placement forms every new facet normal by the pencil update, with
+    no call to geometry._int_det, on the Briancon-Speder pair and the
+    first pool pair of each n, with hull(S) built first."""
+    calls = []
+    int_det = geometry._int_det
+
+    def counted(*args):
+        calls.append(args)
+        return int_det(*args)
+
+    for module in (geometry, polyhedra, newton_number, fans):
+        monkeypatch.setattr(module, "_int_det", counted, raising=False)
+    cases = json.loads(POOL.read_text())["cases"]
+    pairs = [(bs_base_support(), bs_deformed_support())]
+    for n in (2, 3, 4):
+        case = next(c for c in cases if c["n"] == n)
+        pairs.append((support_set(n, case["s"]), support_set(n, case["sp"])))
+    for s, sp in pairs:
+        newton_polyhedron(s)
+        calls.clear()
+        assert _placement(s, sp) is not None
+        assert calls == []

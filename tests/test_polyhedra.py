@@ -1,9 +1,12 @@
+import random
+from collections import Counter
 from fractions import Fraction as F
 
 import pytest
 
+from newtonmu import polyhedra
 from newtonmu.apex import mu_constant_test
-from newtonmu.geometry import DIMENSION_CAP, DimensionCapExceeded
+from newtonmu.geometry import DIMENSION_CAP, DimensionCapExceeded, _scaled
 from newtonmu.fans import support_function
 from newtonmu.newton_number import d_set_and_i_set, difference_region
 from newtonmu.polyhedra import (SupportError, added_vertices, check_nested,
@@ -11,6 +14,7 @@ from newtonmu.polyhedra import (SupportError, added_vertices, check_nested,
                                 newton_polyhedron, support_set)
 from corpus import (bs_base_support, bs_deformed_support, exe2d_support,
                     exe2d_augmented)
+from test_conversion import typed
 
 
 def test_support_set_validation():
@@ -122,3 +126,69 @@ def test_lower_region():
     assert (0, 0) in verts and (2, 0) in verts and (0, 2) in verts
     with pytest.raises(SupportError):
         lower_region(support_set(2, [(2, 0)]))
+
+
+def test_integer_points_skip_the_scaling_with_the_same_result(monkeypatch):
+    """support_set takes points whose coordinates are all of type int as
+    their own integer scaling, and every other input through frac and
+    _scaled.  On 200 seeds, n = 1..5, the same duplicated, unsorted points
+    given as ints (in lists and tuples), Fractions, strings and a mix give
+    typed-equal supports, equal _scaled_points and Fraction coordinates
+    only.  An empty, origin, negative, wrong-length or over-cap input
+    raises the same exception with the same text on both paths, and bool
+    coordinates go through frac."""
+    scaled = []
+
+    def counted(points):
+        scaled.append(points)
+        return _scaled(points)
+
+    monkeypatch.setattr(polyhedra, "_scaled", counted)
+
+    def outcome(dim, points):
+        scaled.clear()
+        try:
+            s = support_set(dim, points)
+        except (SupportError, DimensionCapExceeded) as e:
+            return bool(scaled), (type(e), str(e))
+        assert {type(x) for p in s.points for x in p} == {F}
+        return bool(scaled), (typed(s), typed(s._scaled_points))
+
+    errors = Counter()
+    for k in range(200):
+        rng = random.Random(k)
+        n = 1 + k % 5
+        pts = [tuple(rng.randint(0, 6) for _ in range(n))
+               for _ in range(rng.randint(1, 6))]
+        pts += rng.sample(pts, rng.randint(0, len(pts)))
+        rng.shuffle(pts)
+        dim = n
+        flaw = rng.randrange(6) if k % 2 else None
+        if flaw == 0:
+            pts = []
+        elif flaw == 1:
+            pts.insert(rng.randrange(len(pts) + 1), (0,) * n)
+        elif flaw == 2:
+            p = list(rng.choice(pts))
+            p[rng.randrange(n)] = -rng.randint(1, 3)
+            pts.append(tuple(p))
+        elif flaw == 3:
+            pts.append(rng.choice(pts) + (1,))
+        elif flaw == 4:
+            dim = DIMENSION_CAP + 1
+        as_int = [list(p) if rng.random() < 0.5 else p for p in pts]
+        as_fraction = [tuple(map(F, p)) for p in pts]
+        as_str = [tuple(map(str, p)) for p in pts]
+        mixed = [tuple(rng.choice((int, F, str))(x) for x in p) for p in pts]
+        path, expected = outcome(dim, as_int)
+        assert not path, k
+        for points in (as_fraction, as_str):
+            assert outcome(dim, points) == (bool(pts), expected), k
+        assert outcome(dim, mixed)[1] == expected, k
+        if isinstance(expected[0], type):
+            errors[next(word for word in ("empty", "origin", "negative",
+                                          "cap", "does not have")
+                        if word in expected[1])] += 1
+    assert len(errors) == 5 and min(errors.values()) > 10, errors
+    flags = [(True, False), (0, 2)]
+    assert outcome(2, flags) == (True, outcome(2, [(1, 0), (0, 2)])[1])

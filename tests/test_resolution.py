@@ -10,7 +10,8 @@ from newtonmu.fans import cone_from_rays, is_regular_cone, support_function
 from newtonmu.geometry import GeometryError
 from newtonmu.milnor import milnor_number, nondegeneracy_check
 from newtonmu.newton_number import newton_number_set
-from newtonmu.polyhedra import SupportError
+from newtonmu.polyhedra import (SupportError, _double_description,
+                                support_set)
 from newtonmu.resolution import (chart_pullback, make_chart,
                                  simultaneous_resolution)
 from corpus import (boundary_plane_augmentation, bs_family,
@@ -106,7 +107,8 @@ def test_main_theorem_on_random_families():
     """The main theorem as a property: on random nondegenerate convenient
     bases with random rational coefficients, deformed by s times one
     monomial on a compact facet's hyperplane or strictly under the Newton
-    boundary, the apex verdict is the equality of Newton numbers, and
+    boundary, the apex verdict is the equality of Newton numbers, nu(S')
+    agrees with a second build of S' by the double description, and
     simultaneous_resolution succeeds exactly when it says mu-constant and
     otherwise refuses the family; in the plane the base's Milnor number is
     its Newton number (Kouchnirenko).  Draws whose base is not certified
@@ -138,6 +140,12 @@ def test_main_theorem_on_random_families():
         test = mu_constant_test(s, sp)
         verdict = test.verdict
         assert verdict == (test.nu_s == test.nu_s_prime)
+        # nu(S') again on a second build of S': a fresh copy whose
+        # polyhedron is the double description's, with no placement
+        copy = support_set(n, sp.points)
+        copy.__dict__["_newton_polyhedron"] = _double_description(copy)
+        assert test.nu_s_prime == newton_number_set(copy)
+        assert "_placed" not in copy.__dict__
         verdicts.add(verdict)
         if verdict:
             res = simultaneous_resolution(fam, budget=budget)
