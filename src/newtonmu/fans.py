@@ -19,11 +19,11 @@ over its facet masks, with the rays in one global order, so no polytope
 is built and no face gets a double description of its own.  A simplicial
 cone carries the k-row minor of its ray matrix with the least nonzero
 |det| D and that minor's adjugate; the chart exists exactly when the cone
-is simplicial, so it is the simpliciality test of the regularization
-loop.  Coordinates in the rays are adjugate products over D: the stellar
-step reads membership and the pieces off them, and the fundamental-box
-points are read off the group that adjugate generates mod D, so no
-rational solve runs.  Regularity is the gcd of the k x k minors.
+is simplicial.  Coordinates in the rays are adjugate products over D:
+stellar_subdivide reads membership and the pieces off them, and the
+fundamental-box points are read off the group that adjugate generates
+mod D, so no rational solve runs.  Regularity is the gcd of the k x k
+minors.  A regularization step swaps ray tuples on its target's star.
 
 Nothing is memoized at module level: each cone caches its own
 H-description, facet masks and minor chart, and faces() is computed on
@@ -394,7 +394,13 @@ def box_points(c):
 
 def stellar_subdivide(fan, xi):
     """Star subdivision of a simplicial fan at a primitive ray: xi has the
-    ambient length, integer entries, none negative, and gcd 1."""
+    ambient length, integer entries, none negative, and gcd 1.
+
+    Membership and the pieces are read off each cone's minor chart (which
+    raises on a cone that is not simplicial): with lambda = adjugate
+    xi_rows, xi lies in the cone iff every lambda_r >= 0 and
+    sum lambda_r r = D xi (the span test, for lower-dimensional cones), and
+    the pieces swap xi for each ray r with lambda_r > 0."""
     ray = tuple(int(x) for x in xi)
     if (ray != tuple(xi) or len(ray) != fan.ambient_dim
             or any(x < 0 for x in ray)):
@@ -402,30 +408,19 @@ def stellar_subdivide(fan, xi):
                             f"integer vector of length {fan.ambient_dim}")
     if gcd(*ray) != 1:
         raise GeometryError(f"ray {ray} is not primitive: gcd {gcd(*ray)}")
-    new_max = _stellar_raw(fan.maximal, ray)
-    return Fan(fan.ambient_dim, new_max)
-
-
-def _stellar_raw(cones, xi):
-    """The maximal cones after starring at xi, read off each cone's minor
-    chart (which raises on a cone that is not simplicial): with
-    lambda = adjugate xi_rows, xi lies in the cone iff every lambda_r >= 0
-    and sum lambda_r r = D xi (the span test, for lower-dimensional
-    cones), and the pieces swap xi for each ray r with lambda_r > 0."""
     out = []
-    for c in cones:
+    for c in fan.maximal:
         rows, adj, d = c._minor_chart
-        lam = [sum(x * xi[j] for x, j in zip(a, rows)) for a in adj]
+        lam = [sum(x * ray[j] for x, j in zip(a, rows)) for a in adj]
         if any(l < 0 for l in lam) or any(
-                sum(l * r[j] for l, r in zip(lam, c.rays)) != d * xi[j]
+                sum(l * r[j] for l, r in zip(lam, c.rays)) != d * ray[j]
                 for j in range(c.ambient_dim)):
             out.append(c)
             continue
-        for r, l in zip(c.rays, lam):
-            if l > 0:
-                kept = tuple(sorted([q for q in c.rays if q != r] + [xi]))
-                out.append(LatticeCone(c.ambient_dim, kept))
-    return tuple(sorted(set(out), key=lambda c: (len(c.rays), c.rays)))
+        out.extend(LatticeCone(c.ambient_dim, tuple(sorted(
+            ray if q == r else q for q in c.rays)))
+            for r, l in zip(c.rays, lam) if l > 0)
+    return Fan(fan.ambient_dim, tuple(out))
 
 
 def simplicialize(fan, priority=()):
@@ -451,40 +446,43 @@ def regularize_fan(fan):
     """Stellar refinement until every cone is regular.
 
     Always subdivides a non-regular cone of smallest dimension at the
-    fundamental-box point of smallest coordinate sum; its proper faces are
-    regular by minimality, so the point is interior and regular cones are
+    fundamental-box point xi of smallest coordinate sum; its proper faces
+    are regular by minimality, so xi is interior and regular cones are
     never touched.  Terminates because piece multiplicities strictly drop.
-    Faces are held as their sorted ray tuples, and regularity verdicts are
-    kept for the call, so each step tests only the faces it created; a
-    LatticeCone record is built only for that test, for the target's box
-    points and for the output fan.
+    Cones are sorted ray tuples.  The cones through xi are the target's
+    star, the cones that hold it; each becomes one piece per target ray,
+    xi in that ray's place.  So the faces that go are those that contain
+    the target, and the new faces are those through xi: each is judged once.
     """
     n = fan.ambient_dim
-    work = fan.maximal
-    for c in work:
+    for c in fan.maximal:
         if not c.is_simplicial:
             raise GeometryError("regularize_fan needs a simplicial fan")
-    verdicts = {}
+    cones = {c.rays for c in fan.maximal}
+    faces = {f for c in cones for k in range(1, len(c) + 1)
+             for f in itertools.combinations(c, k)}
+    bad = set()
     while True:
-        faces = {sub for c in work for k in range(1, len(c.rays) + 1)
-                 for sub in itertools.combinations(c.rays, k)}
-        for rays in faces - verdicts.keys():
-            verdicts[rays] = is_regular_cone(LatticeCone(n, rays))
-        bad = [rays for rays in faces if not verdicts[rays]]
+        bad.update(f for f in faces if not is_regular_cone(LatticeCone(n, f)))
         if not bad:
-            break
-        target = LatticeCone(n, min(bad, key=lambda r: (len(r), r)))
-        boxed = box_points(target)
+            return Fan(n, tuple(LatticeCone(n, c) for c in cones))
+        target = min(bad, key=lambda r: (len(r), r))
+        boxed = box_points(LatticeCone(n, target))
         if not boxed:
             raise InternalConsistencyError(
-                f"non-regular cone {target.rays} has an empty box")
+                f"non-regular cone {target} has an empty box")
         xi, lam = boxed[0]
         if any(l == 0 for l in lam):
             raise InternalConsistencyError(
                 "minimal non-regular cone has a boundary box point; "
                 "a smaller face should have been non-regular")
-        work = _stellar_raw(work, xi)
-    return Fan(n, work)
+        star = {c for c in cones if set(target).issubset(c)}
+        pieces = {tuple(sorted(xi if q == r else q for q in c))
+                  for c in star for r in target}
+        cones = cones - star | pieces
+        bad = {f for f in bad if not set(target).issubset(f)}
+        faces = {f for p in pieces for k in range(1, len(p) + 1)
+                 for f in itertools.combinations(p, k) if xi in f}
 
 
 def regularize(c):

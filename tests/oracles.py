@@ -65,11 +65,16 @@ the two facet planes that meet in the ridge (geometry._combine), and
 test_placement checks every such normal against the minors.
 
 regularize_fan_records is the library's former regularization loop, kept
-verbatim with _all_faces_simplicial: it builds one LatticeCone record per
-face per step and keys the regularity verdicts by them, where the library
-keys them by the faces' sorted ray tuples.  Its last line returns the
-maximal cones, in the order a Fan sorts them, without the pairwise Fan
-check that the library's result already runs.
+verbatim with _all_faces_simplicial and its stellar step _stellar_raw: it
+rebuilds the face set of every cone at every step, holding each face as a
+LatticeCone record that keys the regularity verdicts, and _stellar_raw
+reads membership and the pieces off the minor chart of every cone.  The
+library holds sorted ray tuples, judges only the faces through each new
+ray, and rewrites only the target's star, with no membership test; the
+chart step lives on in stellar_subdivide, which test_fan_kernel checks
+against stellar_raw_contains.  The loop's last line returns the maximal
+cones, in the order a Fan sorts them, without the pairwise Fan check that
+the library's result already runs.
 
 polytope_from_constraints reads a bounded system through the library's
 geometry._bounded_piece and hulls the vertices with convex_hull; the fan
@@ -120,8 +125,8 @@ from math import factorial, gcd, prod
 from typing import NamedTuple
 
 from newtonmu.apex import BoundaryEdge
-from newtonmu.fans import (Fan, LatticeCone, _stellar_raw, box_points,
-                           cone_from_rays, is_regular_cone)
+from newtonmu.fans import (Fan, LatticeCone, box_points, cone_from_rays,
+                           is_regular_cone)
 from newtonmu.geometry import (DIMENSION_CAP, ONE, ZERO, DimensionCapExceeded,
                                GeometryError, InternalConsistencyError,
                                Record, _bounded_piece, _dual_facets,
@@ -965,6 +970,28 @@ def stellar_raw_contains(cones, xi):
         rows, adj, _ = c._minor_chart
         for r, a in zip(c.rays, adj):
             if sum(x * xi[j] for x, j in zip(a, rows)) > 0:
+                kept = tuple(sorted([q for q in c.rays if q != r] + [xi]))
+                out.append(LatticeCone(c.ambient_dim, kept))
+    return tuple(sorted(set(out), key=lambda c: (len(c.rays), c.rays)))
+
+
+def _stellar_raw(cones, xi):
+    """The maximal cones after starring at xi, read off each cone's minor
+    chart (which raises on a cone that is not simplicial): with
+    lambda = adjugate xi_rows, xi lies in the cone iff every lambda_r >= 0
+    and sum lambda_r r = D xi (the span test, for lower-dimensional
+    cones), and the pieces swap xi for each ray r with lambda_r > 0."""
+    out = []
+    for c in cones:
+        rows, adj, d = c._minor_chart
+        lam = [sum(x * xi[j] for x, j in zip(a, rows)) for a in adj]
+        if any(l < 0 for l in lam) or any(
+                sum(l * r[j] for l, r in zip(lam, c.rays)) != d * xi[j]
+                for j in range(c.ambient_dim)):
+            out.append(c)
+            continue
+        for r, l in zip(c.rays, lam):
+            if l > 0:
                 kept = tuple(sorted([q for q in c.rays if q != r] + [xi]))
                 out.append(LatticeCone(c.ambient_dim, kept))
     return tuple(sorted(set(out), key=lambda c: (len(c.rays), c.rays)))

@@ -21,11 +21,11 @@ from fractions import Fraction as F
 import pytest
 
 from newtonmu import fans, geometry, newton_number
-from newtonmu.fans import (Fan, LatticeCone, _simplices, _stellar_raw,
-                           box_points, cone_from_rays, intersect_cones,
-                           is_admissible, is_regular_cone, is_subdivision,
-                           newton_fan, orthant_fan, regularize_fan,
-                           simplicialize, stellar_subdivide)
+from newtonmu.fans import (Fan, LatticeCone, _simplices, box_points,
+                           cone_from_rays, intersect_cones, is_admissible,
+                           is_regular_cone, is_subdivision, newton_fan,
+                           orthant_fan, regularize_fan, simplicialize,
+                           stellar_subdivide)
 from newtonmu.geometry import (GeometryError, InternalConsistencyError,
                                primitive_vector)
 from newtonmu.newton_number import union_volume_vector
@@ -230,6 +230,12 @@ def test_newton_fan_subdivides_the_orthant():
         assert is_subdivision(simp, nf) and is_subdivision_chart(simp, nf), k
 
 
+def _stellar_maximal(cones, xi):
+    """The maximal cones of the library's stellar step on the fan of the
+    given cones."""
+    return stellar_subdivide(Fan(cones[0].ambient_dim, cones), xi).maximal
+
+
 def _outcome(fn, *args):
     """fn's typed result, or the GeometryError it raised."""
     try:
@@ -267,10 +273,10 @@ def test_subdivision_steps_match_former_code(n):
             assert _outcome(is_regular_cone, c) == _outcome(
                 is_regular_cone_two_branch, c), k
             for xi in xis:
-                assert _outcome(_stellar_raw, (c,), xi) == _outcome(
+                assert _outcome(_stellar_maximal, (c,), xi) == _outcome(
                     stellar_raw_contains, (c,), xi), k
         for xi in xis:
-            assert typed(_stellar_raw(simp.maximal, xi)) == typed(
+            assert typed(_stellar_maximal(simp.maximal, xi)) == typed(
                 stellar_raw_contains(simp.maximal, xi)), k
 
 
@@ -336,7 +342,8 @@ def test_subdivision_steps_run_without_double_description(monkeypatch):
     """With _extreme_rays raising, is_regular_cone, box_points, the
     stellar step and _simplices run on cones whose H-description is
     cached: full-dimensional, lower-dimensional, non-simplicial and zero
-    cones."""
+    cones.  The stellar step's output Fan is left unbuilt: its pairwise
+    check intersects the new pieces by double description."""
     gens = [(1, 0, 0), (0, 1, 0), (1, 0, 1), (0, 1, 1), (1, 1, 2)]
     square = cone_from_rays(3, gens)
     simplicial = [cone_from_rays(3, [(1, 2, 0), (2, 1, 0), (0, 1, 3)]),
@@ -353,11 +360,13 @@ def test_subdivision_steps_run_without_double_description(monkeypatch):
         raise AssertionError("a double description was run")
 
     monkeypatch.setattr(fans, "_extreme_rays", refuse)
+    monkeypatch.setattr(fans, "Fan", lambda n, maximal: maximal)
     for c, regular, box in want:
         assert is_regular_cone(c) is regular
         assert typed(box_points(c)) == typed(box)
-        assert _stellar_raw((c,), (1, 1, 1)) == stellar_raw_contains(
-            (c,), (1, 1, 1))
+        starred = stellar_subdivide(Fan(3, (c,)), (1, 1, 1))
+        assert tuple(sorted(starred, key=lambda p: (len(p.rays), p.rays))) \
+            == stellar_raw_contains((c,), (1, 1, 1))
     for c, pieces in want_pieces:
         assert _simplices(c) == pieces
     assert len(square.rays) == 4 and len(_simplices(square)) == 2

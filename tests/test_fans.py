@@ -1,14 +1,17 @@
+import collections
 import random
 from fractions import Fraction as F
 
 import pytest
 
-from newtonmu.fans import (Fan, box_points, cone_from_rays, intersect_cones,
-                           is_admissible, is_regular_cone, is_subdivision,
-                           newton_fan, orthant_fan, pyramid_subdivision,
-                           regularize, regularize_fan, simplicialize,
-                           stellar_subdivide, support_function)
-from newtonmu.geometry import GeometryError, InternalConsistencyError
+from newtonmu import fans
+from newtonmu.fans import (Fan, LatticeCone, box_points, cone_from_rays,
+                           intersect_cones, is_admissible, is_regular_cone,
+                           is_subdivision, newton_fan, orthant_fan,
+                           pyramid_subdivision, regularize, regularize_fan,
+                           simplicialize, stellar_subdivide, support_function)
+from newtonmu.geometry import (GeometryError, InternalConsistencyError,
+                               primitive_vector)
 from newtonmu.polyhedra import support_set
 from corpus import (bs_base_support, bs_deformed_support,
                     random_convenient_support)
@@ -185,3 +188,69 @@ def test_regularize_fan_property():
         assert all(is_regular_cone(c) for c in reg.maximal)
         assert is_subdivision(reg, nf)
         assert is_subdivision(reg, orthant_fan(n))
+
+
+@pytest.mark.parametrize("e", [60, 120])
+def test_regularize_fan_deep_planar(e):
+    """x + y^e takes e - 1 stellar steps, each adding one cone; the
+    property supports above take a few at most."""
+    simp = simplicialize(newton_fan(support_set(2, [(1, 0), (0, e)])))
+    reg = regularize_fan(simp)
+    assert [c.rays for c in reg.maximal] == [
+        c.rays for c in regularize_fan_records(simp)]
+    assert len(reg.maximal) == e + 1
+    assert all(is_regular_cone(c) for c in reg.maximal)
+
+
+GUARDED = {
+    "x+y^60": (lambda: support_set(2, [(1, 0), (0, 60)]), 59),
+    "bs_base": (bs_base_support, 4),
+    "seed4": (lambda: random_convenient_support(random.Random(4), 3), 5),
+}
+
+
+@pytest.mark.parametrize("name", GUARDED)
+def test_regularize_fan_reads_one_minor_chart_per_step(monkeypatch, name):
+    """Each step reads the minor chart of its target, for its box points,
+    and of no other cone: the loop tests no cone for membership."""
+    build, steps = GUARDED[name]
+    simp = simplicialize(newton_fan(build()))
+    counts = collections.Counter()
+    chart = LatticeCone.__dict__["_minor_chart"]
+    minor_chart = chart.func
+
+    def counted_chart(cone):
+        counts["charts"] += 1
+        return minor_chart(cone)
+
+    def counted_box_points(cone):
+        counts["box_points"] += 1
+        return box_points(cone)
+
+    monkeypatch.setattr(chart, "func", counted_chart)
+    monkeypatch.setattr(fans, "box_points", counted_box_points)
+    regularize_fan(simp)
+    assert counts == {"charts": steps, "box_points": steps}
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_stellar_step_on_a_star(n):
+    """The fact the regularization loop rests on, against the chart-based
+    stellar step: starring a simplicial fan at the primitive sum xi of
+    the rays of a face tau (a ray, an edge or a whole cone) replaces each
+    cone that holds tau by one piece per ray of tau, with xi in that ray's
+    place, and keeps every other cone."""
+    for k in range(10):
+        rng = random.Random(k)
+        fan = simplicialize(newton_fan(random_convenient_support(rng, n)))
+        for c in rng.sample(fan.maximal, 2):
+            for tau in (rng.sample(c.rays, 1), rng.sample(c.rays, 2), c.rays):
+                xi = primitive_vector(tuple(map(sum, zip(*tau))))
+                star = {d.rays for d in fan.maximal
+                        if set(tau).issubset(d.rays)}
+                want = {d.rays for d in fan.maximal} - star | {
+                    tuple(sorted(xi if q == r else q for q in d))
+                    for d in star for r in tau}
+                got = stellar_subdivide(fan, xi).maximal
+                assert [d.rays for d in got] == sorted(
+                    want, key=lambda rays: (len(rays), rays)), (k, tau)
