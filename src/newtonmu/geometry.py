@@ -13,25 +13,25 @@ integer combinations divided by their gcd, and _int_det (below).  Given
 rows as equalities only, the cone _extreme_rays returns is their null
 space, all lineality, so null spaces are read off it too.  _hull_rows reads
 the affine hull of finite points off the null space of the point
-differences and the facets off the rays of a dual cone (_dual_facets);
-polyhedra._double_description reads a Newton polyhedron off _dual_facets
-too, but only for a support that misses an axis or has dimension 1, as
-every other Newton polyhedron is placed on its axis simplex.
+differences and the facets off the rays of a dual cone (_dual_facets,
+which has no other caller).  No Newton polyhedron is read off either:
+polyhedra places every one, from its axis simplex or its first point.
 _bounded_piece is the one reader of a bounded polytope given by
 constraints: one _extreme_rays call on its homogenized rows, whose rays
 with t > 0 are the vertices and whose zero sets give the relative facets
 as vertex masks, with no hull and no normal solved for;
 newton_number.union_volume_vector reads its intersections with it.  The
 fans call _extreme_rays directly, for a cone's facet normals, a cone from
-its generators and the meet of two cones.  Those are all its callers, and
-none of them runs in the apex test and the difference region of a pair
-S in S' with a point of S on every axis.  _int_det is the one
-determinant routine: orders 2 and 3 written out, and Bareiss (1968)
-elimination on an integer matrix above; determinant scales rational rows
-to it, and the minors of newton_number._totals and the fan kernels call
-it on integer matrices directly.  _combine, the update of _extreme_rays,
-also gives polyhedra._place the normal of each facet it makes, from the
-pencil of the two facet planes through the facet's horizon ridge.
+its generators and the meet of two cones.  Those are all its callers:
+none of them runs in a Newton polyhedron build, nor in the apex test and
+the difference region of a pair S in S' with a point of S on every
+axis.  _int_det is the one determinant routine: orders 2 and 3 written
+out, and Bareiss (1968) elimination on an integer matrix above;
+determinant scales rational rows to it, and the minors of
+newton_number._totals and the fan kernels call it on integer matrices
+directly.  _combine, the update of _extreme_rays, also gives
+polyhedra._place the normal of each facet it makes, from the pencil of
+the two facet planes through the facet's horizon ridge.
 _pulling is the one pulling triangulation, over bitmasks of points, so no
 face is hulled either; it triangulates the bounded pieces of unions, the
 compact facets of Newton polyhedra (those under the boundary, and those
@@ -355,20 +355,18 @@ def _extreme_rays(equalities, inequalities, dim):
     return rays, lin, masks
 
 
-def _dual_facets(ipts, equalities=(), directions=()):
-    """Facets of the hull of integer points P plus the cone over integer
-    directions u, inside the flat cut out by the equality normals e.
+def _dual_facets(ipts, equalities):
+    """Facets of the hull of integer points P inside the flat cut out by
+    the equality normals e.
 
     They are the rays (w, c) with w != 0 of the cone of valid inequalities
-    {(w, c) : <e, w> = 0, <w, u> >= 0, <w, P> >= c}, which is pointed when
-    the polyhedron is pointed and full-dimensional in that flat.  Returns
-    (w primitive, c = least <w, P>, bitmask of the points P attaining c)
-    triples sorted by w.
+    {(w, c) : <e, w> = 0, <w, P> >= c}, which is pointed when the hull is
+    full-dimensional in that flat.  Returns (w primitive, c = least
+    <w, P>, bitmask of the points P attaining c) triples sorted by w.
     """
     n = len(ipts[0])
     rays, _, _ = _extreme_rays([e + (0,) for e in equalities],
-                               [u + (0,) for u in directions]
-                               + [p + (-1,) for p in ipts], n + 1)
+                               [p + (-1,) for p in ipts], n + 1)
     facets = []
     for ray in rays:
         if any(ray[:n]):  # else the ray (0, -1) of the valid 0 >= -1
@@ -429,7 +427,7 @@ def _hull_rows(points):
     ipts, den = _scaled(points)
     diffs = [tuple(x - y for x, y in zip(p, ipts[0])) for p in ipts[1:]]
     _, normals, _ = _extreme_rays(diffs, (), n)
-    found = _dual_facets(ipts, equalities=normals) if len(normals) < n else ()
+    found = _dual_facets(ipts, normals) if len(normals) < n else ()
     return ([tuple(den * x for x in e) + (-_idot(e, ipts[0]),)
              for e in normals],
             [tuple(den * x for x in w) + (-c,) for w, c, _ in found])

@@ -9,18 +9,17 @@ The polyhedron is an integer record: the support's sorted points, the
 same points scaled to integers by the lcm den of their denominators, the
 facets as triples (w, c, seed), meaning <w, x> >= c / den, and the vertex
 bitmask.  A seed is the bitmask of the points on the facet plus bit m + i
-for each recession axis e_i.  How the facets are found is set out at the
-end: by placement (_place) when the support has a point on every axis
-and n > 1, else by the double description.  A point is a vertex exactly
-when the meet of the seeds through it is that point alone
-(geometry._vertex_mask).  The Fraction facets, the vertices and the faces
-are cached properties, built on first access; faces walks
-geometry._face_lattice, which the fans' cones share, down level by level
-from the seeds.  Face lattices are graded, so a face's dimension is its
-level: no rank is computed and no rational arithmetic runs.  The
-polyhedron is memoized on its SupportSet and holds the support's points,
-not the support, so reference counting frees it with the support; nothing
-is memoized at module level.
+for each recession axis e_i.  How the facets are found, by placement
+(_place), is set out at the end.  A point is a vertex exactly when the
+meet of the seeds through it is that point alone (geometry._vertex_mask).
+The Fraction facets, the vertices and the faces are cached properties,
+built on first access; faces walks geometry._face_lattice, which the
+fans' cones share, down level by level from the seeds.  Face lattices
+are graded, so a face's dimension is its level: no rank is computed and
+no rational arithmetic runs.  The polyhedron is memoized on its
+SupportSet and holds the support's points, not the support, so
+reference counting frees it with the support; nothing is memoized at
+module level.
 
 The region under the boundary (the orthant minus the polyhedron, closed) is
 star-shaped from the origin, so it decomposes into cones over the compact
@@ -31,6 +30,18 @@ meets with the facets' masks, so no hull is computed and the pieces form a
 simplicial complex.  Containment (NewtonPolyhedron.contains and check_nested) is one
 integer sign test per facet on the point scaled to integers.
 
+Every support is built by placement (_placed): its points go one at a
+time (_place, below) onto a start that is written down.  One with a
+point on every axis and n > 1 starts from the polyhedron of its least
+axis points a_k e_k: the compact facet through those n points and the n
+coordinate facets x_k >= 0.  Any other support, which misses an axis or
+has dimension 1, starts from its first point p, which is minimal:
+p + R^n_{>=0}, with the facets x_k >= p_k and, read as the homogenized
+cone {(x, t) : <w, x> >= c t}, the facet at infinity t >= 0 (Ziegler,
+Lectures on Polytopes, 1995, Lecture 1).  A seen facet that meets the
+facet at infinity in a horizon ridge gives a new unbounded facet, and
+the facet at infinity leaves the result.
+
 A support S' that holds every point of an axis-convenient S of its
 dimension has a nested parent, and its polyhedron is built by placing
 the points of S' not in S on hull(S) one at a time (_place,
@@ -40,25 +51,14 @@ a seen and an unseen facet spans a new compact facet with alpha (unless
 alpha lies on the unseen facet's plane, which then grows).  Its plane is
 in the pencil of the two facet planes through the ridge, so its normal
 is one integer combination of theirs (geometry._combine), no minor.
-The record is typed-equal to the double description's.  The
-same pass cuts hull(S') minus hull(S), the difference region, into the
+The record is typed-equal to the one _placed builds.  The same
+pass cuts hull(S') minus hull(S), the difference region, into the
 pyramids over the seen facets: alpha coned over each seen facet's
 triangulation, the pulling one for facets of hull(S) and the inherited
 cones for the facets placement made or grew, so the pyramids of all
 steps form one simplicial complex.  _placement memoizes both on S' for
 that S; the apex test places before anything builds hull(S') on its
 own, and difference_region reads its simplices off the memo.
-
-Any other support with a point on every axis and n > 1 is placed as well
-(_placed_on_axes), on the polyhedron of its least axis points a_k e_k,
-which is written down: the compact facet through those n points and the
-n coordinate facets x_k >= 0.  Only where placement cannot start, for a
-support that misses an axis and in dimension 1, is the polyhedron built
-by the double description (_double_description): since it is
-conv(S) + R^n_{>=0}, only the componentwise-minimal points can be
-vertices, the facets are read off the extreme rays of the dual cone of
-those points alone (geometry._dual_facets), and each dominated point is
-put back into the facets it lies on by one integer dot product.
 """
 
 from __future__ import annotations
@@ -68,9 +68,8 @@ from functools import cached_property
 from math import gcd, lcm
 
 from .geometry import (DIMENSION_CAP, DimensionCapExceeded, ZERO, Record,
-                       _combine, _dual_facets, _face_lattice, _idot,
-                       _members, _pulling, _scaled, _unit, _vertex_mask,
-                       frac, render_point, vec)
+                       _combine, _face_lattice, _idot, _members, _pulling,
+                       _scaled, _unit, _vertex_mask, frac, render_point, vec)
 
 
 class SupportError(ValueError):
@@ -131,63 +130,47 @@ class SupportSet(Record):
         """The Newton polyhedron (see newton_polyhedron), built once per
         instance; not a record field, so equality, hashing and the field
         tuple do not see it."""
-        if self.dim > 1 and not self.missing_axes:
-            return _placed_on_axes(self)
-        return _double_description(self)
+        return _placed(self)
 
 
-def _double_description(support):
-    """The Newton polyhedron of a support that misses an axis or has
-    dimension 1, from the extreme rays of the dual cone of its minimal
-    points (see newton_polyhedron)."""
-    n = support.dim
-    ipts, den = support._scaled_points
-    m = len(ipts)
-    # a point above another one is no vertex; ipts is sorted, so such a
-    # point comes after a minimal one below it
-    minimal = []
-    for i, p in enumerate(ipts):
-        if not any(all(x <= y for x, y in zip(ipts[j], p))
-                   for j in minimal):
-            minimal.append(i)
+def _placed(support):
+    """The Newton polyhedron of a support: its points placed (_place) on
+    a start that is written down, in the support's integer coordinates.
 
-    facets = []
-    for w, c, on in _dual_facets([ipts[i] for i in minimal],
-                                 directions=[_unit(n, i) for i in range(n)]):
-        if len(minimal) < m:    # put the dominated points back
-            on = sum(1 << i for i, p in enumerate(ipts) if _idot(w, p) == c)
-        facets.append((w, c, on | sum(1 << m + i for i in range(n)
-                                      if not w[i])))
-    return NewtonPolyhedron(n, support.points, ipts, den, tuple(facets),
-                            _vertex_mask(minimal, [g for _, _, g in facets]))
+    With a point on every axis and n > 1, the start is the polyhedron of
+    the least axis points a_k e_k.  With L = lcm(a_1, ..., a_n) and
+    g = gcd(L / a_1, ..., L / a_n), its facets are the compact
+    <w, x> >= L / g, w_k = L / (a_k g), through the n axis points, and
+    for each k the coordinate facet x_k >= 0 through the other axis
+    points and the recession axes e_j, j != k.
 
-
-def _placed_on_axes(support):
-    """The Newton polyhedron of an axis-convenient support of dimension
-    n > 1: the support's other points placed (_place) on the polyhedron
-    of its least axis points a_k e_k, which is written down.  With
-    L = lcm(a_1, ..., a_n) and g = gcd(L / a_1, ..., L / a_n), its
-    facets are the compact <w, x> >= L / g, w_k = L / (a_k g), through
-    the n axis points, and for each k the coordinate facet x_k >= 0
-    through the other axis points and the recession axes e_j, j != k.
-    All of it is in the support's integer coordinates; the pyramids of
-    the placement are not needed."""
+    Otherwise the start is the first point p, which is minimal, as the
+    points are sorted: p + R^n_{>=0}, with the facets x_k >= p_k through
+    p and the recession axes e_j, j != k, and the facet at infinity
+    (w = 0, c = -1, every recession axis), which _place drops again.
+    The pyramids of the placement are not needed."""
     n = support.dim
     ipts, den = support._scaled_points
     pos = support._least_axis_points
-    a = [ipts[i][k] for k, i in enumerate(pos)]
-    big = lcm(*a)
-    g = gcd(*(big // x for x in a))
     every = (1 << n) - 1
-    facets = [(tuple(big // x // g for x in a), big // g, every)]
-    for k in range(n):
-        rest = every ^ 1 << k
-        facets.append((_unit(n, k), 0, rest | rest << n))
-    # the simplex's point k is a_k e_k, and pos maps it into the support
-    simplex = NewtonPolyhedron(n, tuple(support.points[i] for i in pos),
-                               tuple(ipts[i] for i in pos), den,
-                               tuple(sorted(facets)), every)
-    facets, vmask, _ = _place(simplex, ipts, den, pos)
+    if n > 1 and None not in pos:
+        a = [ipts[i][k] for k, i in enumerate(pos)]
+        big = lcm(*a)
+        g = gcd(*(big // x for x in a))
+        facets = [(tuple(big // x // g for x in a), big // g, every)]
+        for k in range(n):
+            rest = every ^ 1 << k
+            facets.append((_unit(n, k), 0, rest | rest << n))
+    else:
+        pos = (0,)
+        facets = [((0,) * n, -1, every << 1)]
+        for k in range(n):
+            facets.append((_unit(n, k), ipts[0][k], 1 | (every ^ 1 << k) << 1))
+    # the start's point k is the support's point pos[k]
+    start = NewtonPolyhedron(n, tuple(support.points[i] for i in pos),
+                             tuple(ipts[i] for i in pos), den,
+                             tuple(sorted(facets)), (1 << len(pos)) - 1)
+    facets, vmask, _ = _place(start, ipts, den, pos)
     return NewtonPolyhedron(n, support.points, ipts, den, facets, vmask)
 
 
@@ -342,27 +325,15 @@ def newton_polyhedron(support):
     """Build the Newton polyhedron of a support set.
 
     The points are scaled to integers by the lcm of their denominators
-    first, so the whole build is integer arithmetic.  A support of
-    dimension n > 1 with a point on every axis starts from the polyhedron
-    of its least axis points a_k e_k, {x >= 0 : sum_k x_k / a_k >= 1},
-    whose facets are written down, and places its other points on it one
-    at a time (_placed_on_axes, _place).
-
-    Any other support is built by the double description
-    (_double_description).  The valid inequalities <w, x> >= c of the
-    polyhedron form the cone {(w, c) : <w, p> >= c for every support
-    point p, w >= 0}, the second condition because the recession cone is
-    the whole orthant.  As w >= 0, a point above another one adds no
-    condition, so p runs over the componentwise-minimal points only.  The
-    polyhedron is pointed and full-dimensional, so this cone is pointed
-    and its extreme rays are the facets, the rays with w != 0, and the
-    trivial inequality 0 >= -1 (geometry._dual_facets, with the unit
-    vectors as directions).  The dominated points join the facets' seeds
-    by one integer dot product each.
-
-    Both builds give the same record: the facet list alone is the
-    H-description, and the vertices are the points that are the meet of
-    the seeds through them.  The result is the integer record
+    first, so the whole build is integer arithmetic.  They are placed one
+    at a time (_placed, _place) on a start whose facets are written down:
+    for a support of dimension n > 1 with a point on every axis, the
+    polyhedron of its least axis points a_k e_k,
+    {x >= 0 : sum_k x_k / a_k >= 1}; for any other support, the orthant
+    p + R^n_{>=0} of its first point p with the facet at infinity of its
+    homogenized cone, which leaves the result.  The facet list alone is
+    the H-description, and the vertices are the points that are the meet
+    of the seeds through them.  The result is the integer record
     NewtonPolyhedron; its Fraction views are built only when read.
 
     The polyhedron is memoized on its SupportSet instance (a cached
@@ -379,30 +350,39 @@ def newton_polyhedron(support):
 
 def _place(small, ipts, den, pos):
     """Place the points of a support S' on the Newton polyhedron small of
-    an axis-convenient S, one at a time (beneath-beyond: Edelsbrunner,
-    Algorithms in Combinatorial Geometry, 1987, ch. 8; the placing
-    triangulation: De Loera, Rambau & Santos, Triangulations, 2010, ch. 4).
+    a support S, one at a time (beneath-beyond: Edelsbrunner, Algorithms
+    in Combinatorial Geometry, 1987, ch. 8; the placing triangulation:
+    De Loera, Rambau & Santos, Triangulations, 2010, ch. 4).
 
     ipts are the points of S' times den, sorted, and pos[i] is the index
     there of small's point i.  Returns the ifacets and vmask of S' over
     those indices and the simplices, as increasing index tuples, of the
-    pyramids conv(F u {alpha}) over every facet F that a placed point
-    alpha sees.
+    pyramids conv(F u {alpha}) over every compact facet F that a placed
+    point alpha sees.
 
-    S is axis-convenient, so every facet with a zero normal entry is a
-    coordinate facet x_i >= 0, which no point sees: alpha sees exactly
-    the compact facets with <w, alpha> < c.  The facets that alpha does not
-    see stay, joined by alpha when it lies on their plane.  A horizon
-    ridge is the meet of a seen and an unseen seed that no third seed
-    contains; unless alpha lies on the unseen facet's plane, the ridge and
-    alpha span a new compact facet, whose seed is the ridge's and alpha's,
-    since the plane meets the old polyhedron in the ridge alone.  Its
-    normal is the primitive v_g w_f - v_f w_g, v = <w, alpha> - c, of the
-    seen f (v_f < 0) and unseen g (v_g > 0): that plane holds the ridge
-    and alpha, and both coefficients are positive, so it points inward.  In
-    dimension 1 the horizon is the empty face and the new facet is alpha
-    alone.  The seeds stay exact over the points placed so far, and the
-    vertices are the old ones and alpha that _vertex_mask keeps.
+    The polyhedron is read as its homogenized cone {(x, t) : <w, x> >= c t},
+    where a point is (x, 1) and a recession axis (e_i, 0).  small may
+    carry that cone's facet at infinity t >= 0, the triple (0, -1, every
+    recession axis), which no point sees and which leaves the result
+    (_placed starts from it).  alpha sees the facets with <w, alpha> < c;
+    the facets that alpha does not see stay, joined by alpha when it
+    lies on their plane.  A horizon ridge is the meet of a seen and an
+    unseen seed that no third seed contains; unless alpha lies on the
+    unseen facet's plane, the ridge and alpha span a new facet, whose
+    seed is the ridge's and alpha's, since the plane meets the old cone
+    in the ridge alone.  Its normal is the primitive v_g w_f - v_f w_g,
+    v = <w, alpha> - c, of the seen f (v_f < 0) and unseen g (v_g > 0):
+    that plane holds the ridge and alpha, and both coefficients are
+    positive, so it points inward.  Where g is the facet at infinity it
+    is w_f, unbounded like f.  In dimension 1 the horizon is the empty
+    face and the new facet is alpha alone.  The seeds stay exact over the
+    points placed so far, and the vertices are the old ones and alpha
+    that _vertex_mask keeps.
+
+    The pyramids are exact when no seen facet is unbounded.  That holds
+    when S is axis-convenient, as in _placement: every facet with a zero
+    normal entry is then a coordinate facet x_i >= 0, which no point
+    sees.  An unbounded seen facet gives no pyramid.
 
     The compact facets carry a triangulation: the _pulling triangulation
     over the indices while a facet is one of hull(S), unchanged.  Each
@@ -442,6 +422,8 @@ def _place(small, ipts, den, pos):
             continue
 
         def cells(w, g):
+            if g >> m:      # an unbounded facet: no pyramid
+                return []
             return tri.pop(w) if w in tri else _pulling(g, vmask, seeds, memo)
 
         seen = [(w, v, g, cells(w, g))
@@ -474,7 +456,7 @@ def _place(small, ipts, den, pos):
         facets = sorted(kept)
         vmask = _vertex_mask(_members(vmask) + [j],
                              [g for _, _, g in facets])
-    return tuple(facets), vmask, simplices
+    return tuple(f for f in facets if any(f[0])), vmask, simplices
 
 
 def _placement(s, s_prime):

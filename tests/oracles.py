@@ -26,12 +26,22 @@ and they keep no cache.
 convex_hull is the library's former hull, kept verbatim with its Polytope
 record (vertices, facets with their vertex sets, and the affine hull as
 sign_canonical equalities) and its builder _polytope.  It runs on the
-library's _extreme_rays, _dual_facets and _vertex_mask, so it is not
-independent of them; test_conversion checks it, and the library's hull
-rows (geometry._hull_rows), against convex_hull_scan, which returns the
-same Polytope record.  The library hands a hull on as its integer rows
+library's _extreme_rays and _vertex_mask, and on _dual_facets below, so
+it is not independent of them; test_conversion checks it, and the
+library's hull rows (geometry._hull_rows), against convex_hull_scan,
+which returns the same Polytope record.  The library hands a hull on as its integer rows
 only; convex_hull stays here as the fast hull of the cross-section,
 section and Newton-number oracles below.
+
+_double_description is the library's former Newton polyhedron build for
+a support that misses an axis or has dimension 1, kept verbatim with
+the former geometry._dual_facets, which also read facets off the
+orthant directions: the facets are the extreme rays of the dual cone of
+the componentwise-minimal points, and each dominated point is put back
+into the facets it lies on by one integer dot product.  The library now
+places every support (polyhedra._placed), from its axis simplex or from
+its first point and the facet at infinity; test_placement checks every
+placed build against this one, which stays the reference.
 
 The fan oracles are the library's former cone queries, which work on the
 cross-section polytope (the slice of a cone by the hyperplane where the
@@ -129,16 +139,17 @@ from newtonmu.fans import (Fan, LatticeCone, box_points, cone_from_rays,
                            is_regular_cone)
 from newtonmu.geometry import (DIMENSION_CAP, ONE, ZERO, DimensionCapExceeded,
                                GeometryError, InternalConsistencyError,
-                               Record, _bounded_piece, _dual_facets,
-                               _extreme_rays, _idot, _int_det, _members,
-                               _pulling, _scaled, _unit, _vertex_mask,
+                               Record, _bounded_piece, _extreme_rays, _idot,
+                               _int_det, _integer_row, _members, _pulling,
+                               _scaled, _unit, _vertex_mask,
                                determinant, dot, frac, primitive_vector,
                                simplex_volume, vec)
 from newtonmu.groebner import (_divides, _lcm, _make_row, _mul, _quot,
                                grevlex_key)
 from newtonmu.newton_number import NewtonVolumeVector
-from newtonmu.polyhedra import (CompactRegion, Face, SupportError,
-                                check_nested, newton_polyhedron)
+from newtonmu.polyhedra import (CompactRegion, Face, NewtonPolyhedron,
+                                SupportError, check_nested,
+                                newton_polyhedron)
 
 
 # --- Fraction linear algebra ------------------------------------------------
@@ -419,6 +430,60 @@ def convex_hull(points):
     _, normals, _ = _extreme_rays(diffs, (), n)
     found = _dual_facets(ipts, equalities=normals) if len(normals) < n else ()
     return _polytope(pts, ipts, den, normals, found)
+
+
+# --- the former library double description ---------------------------------
+
+def _dual_facets(ipts, equalities=(), directions=()):
+    """Facets of the hull of integer points P plus the cone over integer
+    directions u, inside the flat cut out by the equality normals e.
+
+    They are the rays (w, c) with w != 0 of the cone of valid inequalities
+    {(w, c) : <e, w> = 0, <w, u> >= 0, <w, P> >= c}, which is pointed when
+    the polyhedron is pointed and full-dimensional in that flat.  Returns
+    (w primitive, c = least <w, P>, bitmask of the points P attaining c)
+    triples sorted by w.
+    """
+    n = len(ipts[0])
+    rays, _, _ = _extreme_rays([e + (0,) for e in equalities],
+                               [u + (0,) for u in directions]
+                               + [p + (-1,) for p in ipts], n + 1)
+    facets = []
+    for ray in rays:
+        if any(ray[:n]):  # else the ray (0, -1) of the valid 0 >= -1
+            w = _integer_row(ray[:n])
+            vals = [_idot(w, p) for p in ipts]
+            c = min(vals)
+            facets.append(
+                (w, c, sum(1 << i for i, v in enumerate(vals) if v == c)))
+    facets.sort()
+    return facets
+
+
+def _double_description(support):
+    """The Newton polyhedron of a support that misses an axis or has
+    dimension 1, from the extreme rays of the dual cone of its minimal
+    points (see newton_polyhedron)."""
+    n = support.dim
+    ipts, den = support._scaled_points
+    m = len(ipts)
+    # a point above another one is no vertex; ipts is sorted, so such a
+    # point comes after a minimal one below it
+    minimal = []
+    for i, p in enumerate(ipts):
+        if not any(all(x <= y for x, y in zip(ipts[j], p))
+                   for j in minimal):
+            minimal.append(i)
+
+    facets = []
+    for w, c, on in _dual_facets([ipts[i] for i in minimal],
+                                 directions=[_unit(n, i) for i in range(n)]):
+        if len(minimal) < m:    # put the dominated points back
+            on = sum(1 << i for i, p in enumerate(ipts) if _idot(w, p) == c)
+        facets.append((w, c, on | sum(1 << m + i for i in range(n)
+                                      if not w[i])))
+    return NewtonPolyhedron(n, support.points, ipts, den, tuple(facets),
+                            _vertex_mask(minimal, [g for _, _, g in facets]))
 
 
 # --- polyhedral conversions -------------------------------------------------

@@ -39,6 +39,17 @@ def test_cancelling_coefficient_dropped():
     assert f2.generic_support().points == ((0, 2), (2, 0))
 
 
+def test_repeated_exponent_merges_its_coefficients():
+    """family() adds the coefficients of a repeated exponent, and a term
+    whose merged coefficient cancels goes."""
+    f = family(2, 1, [((2, 0), [((0,), 1)]),
+                      ((2, 0), [((0,), -1), ((1,), 3)]), ((0, 3), 5)])
+    assert f.terms == (((0, 3), (((0,), 5),)), ((2, 0), (((1,), 3),)))
+    g = family(2, 1, [((2, 0), [((1,), 2)]), ((2, 0), [((1,), -2)]),
+                      ((0, 3), 5)])
+    assert g.terms == (((0, 3), (((0,), 5),)),)
+
+
 def test_spoly_arithmetic():
     p = spoly(2, [((2, 0), 1), ((0, 2), "1/2"), ((0, 2), "1/2")])
     assert p.coefficient((0, 2)) == 1

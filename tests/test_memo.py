@@ -95,15 +95,16 @@ def test_no_module_dict_grows():
 
 
 def test_series_builds_one_polyhedron_per_multiple(monkeypatch):
-    """A build of either kind, placed on the axis simplex or by the
-    double description, runs once per augmented support of the series."""
+    """The build (_placed) runs once per augmented support of the
+    series."""
     calls = []
-    for name in ("_placed_on_axes", "_double_description"):
-        def counted(support, build=getattr(polyhedra, name)):
-            calls.append(support)
-            return build(support)
+    placed = polyhedra._placed
 
-        monkeypatch.setattr(polyhedra, name, counted)
+    def counted(support):
+        calls.append(support)
+        return placed(support)
+
+    monkeypatch.setattr(polyhedra, "_placed", counted)
     res = newton_number_series(support_set(3, MISSING_AXIS))
     assert res.stabilized and res.value == 20
     assert len(calls) == len(res.tried_m) == 4

@@ -99,6 +99,16 @@ def test_positivity_decomposition():
     assert sum(newton_number_region(z) for z, _ in pieces) == 0
 
 
+def test_positivity_decomposition_rejects_a_disconnected_section():
+    """Two triangles on the x-axis that share no edge: the section on the
+    x-axis is disconnected through codimension-one faces."""
+    region = CompactRegion(2, (((1, 0), (1, 1), (2, 0)),
+                               ((3, 0), (3, 1), (4, 0))))
+    with pytest.raises(GeometryError, match="a coordinate section is "
+                       "disconnected through codimension-one faces"):
+        positivity_decomposition(region, (1,))
+
+
 def test_partial_homothety_identity():
     f_sup, F_sup = bs_base_support(), bs_deformed_support()
     nf, nF = newton_number_set(f_sup), newton_number_set(F_sup)

@@ -2,19 +2,21 @@
 
 polyhedra._placement places the points of S' on the Newton polyhedron of
 an axis-convenient S whose points S' holds, one at a time.  The polyhedron
-it gives must be the direct double-description build of S', with the
-type of every number, and the difference region read off its pyramids
-must have the volume vector of the former per-facet pieces
-(oracles.difference_region_bounded) and the Newton number
-nu(S) - nu(S').  Both are checked on every pair of the mu_sweep benchmark
-pool and on seeded random pairs for n = 2..5, with one and with several
-added points of every kind below.  On the pool, the recorded answers and
-the section scan's volume vectors are checked too.
+it gives must be the former double-description build of S'
+(oracles._double_description), with the type of every number, and the
+difference region read off its pyramids must have the volume vector of
+the former per-facet pieces (oracles.difference_region_bounded) and the
+Newton number nu(S) - nu(S').  Both are checked on every pair of the
+mu_sweep benchmark pool and on seeded random pairs for n = 2..5, with
+one and with several added points of every kind below.  On the pool,
+the recorded answers and the section scan's volume vectors are checked
+too.
 
-Every other support of dimension n > 1 with a point on each axis is
-placed on the polyhedron of its least axis points (_placed_on_axes),
-which must be typed-equal to the double description too, and the apex
-test with the difference region of a pair then runs no double
+Every support is placed (_placed): one of dimension n > 1 with a point
+on each axis on the polyhedron of its least axis points, any other on
+its first point and the facet at infinity.  Both must be typed-equal to
+the former double description too, and no build runs _extreme_rays, so
+the apex test with the difference region of a pair runs no double
 description at all.  Each facet normal that placement takes from the
 pencil of a horizon ridge's two facet planes is the former normal from
 the minors (oracles._ridge_normal), and placement computes no
@@ -32,15 +34,14 @@ from newtonmu import fans, geometry, newton_number, polyhedra
 from newtonmu.apex import mu_constant_test
 from newtonmu.newton_number import (difference_region, newton_number_region,
                                     newton_number_set, volume_vector)
-from newtonmu.polyhedra import (SupportError, _double_description,
-                                _placed_on_axes, _placement, added_vertices,
-                                lower_region, newton_polyhedron,
-                                support_set)
+from newtonmu.polyhedra import (SupportError, _placed, _placement,
+                                added_vertices, lower_region,
+                                newton_polyhedron, support_set)
 from newtonmu.geometry import _members
 from corpus import (bs_base_support, bs_deformed_support,
                     interior_point_below, random_convenient_support)
-from oracles import (_ridge_normal, difference_region_bounded,
-                     volume_vector_scan)
+from oracles import (_double_description, _ridge_normal,
+                     difference_region_bounded, volume_vector_scan)
 from test_conversion import typed
 from test_region_kernel import assert_common_faces
 
@@ -48,8 +49,8 @@ POOL = Path(__file__).resolve().parents[1] / "perfbench" / "pool" / "mu_sweep.js
 
 
 def direct_build(support):
-    """The double-description build, which newton_polyhedron runs only
-    for supports that miss an axis and in dimension 1."""
+    """The former double-description build, kept as the reference of
+    every placed build."""
     return _double_description(support)
 
 
@@ -248,6 +249,19 @@ def test_placed_pairs_skip_the_nesting_check(monkeypatch):
             check(small, big)
 
 
+def test_placement_refuses_a_finer_denominator_of_s():
+    """_placement places only when the denominator of S divides that of
+    S': here S' = {(1/3, 0), (0, 1/3), (1/3, 1/3)} holds no point of
+    S = {(1/2, 0), (0, 1/2)}, though its integer points (1, 0) and (0, 1)
+    over 3 equal those of S over 2.  The difference region then has the
+    Newton number nu(S) - nu(S') = -7/36."""
+    s = support_set(2, [(F(1, 2), 0), (0, F(1, 2))])
+    sp = support_set(2, [(F(1, 3), 0), (0, F(1, 3)), (F(1, 3), F(1, 3))])
+    assert newton_number_region(difference_region(s, sp)) == F(-7, 36) == (
+        newton_number_set(s) - newton_number_set(sp))
+    assert _placement(s, sp) is None
+
+
 def random_axis_support(rng, n):
     """An axis-convenient rational support: one to three points on each
     axis, then up to six points, each with every coordinate positive, on
@@ -289,7 +303,7 @@ def test_axis_simplex_placement_matches_the_double_description():
                                 for i in range(n)])
         else:
             s = random_axis_support(rng, n)
-        placed = _placed_on_axes(s)
+        placed = _placed(s)
         assert typed(placed) == typed(_double_description(s)), k
         assert typed(newton_polyhedron(s)) == typed(placed), k
         support = [sum(1 << i for i, x in enumerate(p) if x)
@@ -302,20 +316,75 @@ def test_axis_simplex_placement_matches_the_double_description():
     assert min(seen.values()) > 60, seen
 
 
-def test_supports_without_an_axis_simplex_keep_the_double_description(
-        monkeypatch):
-    """In dimension 1, and for a support that misses an axis, placement
-    cannot start: newton_polyhedron runs the double description with
-    _place refusing."""
-    def refuse(*args):
-        raise AssertionError("placement ran")
+def random_off_axis_support(rng, n, kind):
+    """A support of dimension n: a single point (kind 0), or two to eight
+    points with none on one random axis and a point on each other axis
+    (kind 1), or with no point on any axis (kind 2).
+    The coordinates are rational half the time, and half of the supports
+    of kinds 1 and 2 gain a point above one of theirs, which it
+    dominates.  In dimension 1 every point is on the axis, so every kind
+    keeps it."""
+    rational = rng.random() < 0.5
 
-    monkeypatch.setattr(polyhedra, "_place", refuse)
+    def coordinate():
+        x = rng.randint(0, 6)
+        return F(x, rng.choice((1, 2, 3))) if rational else x
+
+    axis = rng.randrange(n)
+
+    def allowed(p):
+        on = [i for i, x in enumerate(p) if x]
+        return on and (n == 1 or kind == 0 or len(on) > 1
+                       or kind == 1 and on != [axis])
+
+    pts = []
+    while len(pts) < (1 if kind == 0 else rng.randint(2, 8)):
+        p = tuple(coordinate() for _ in range(n))
+        if allowed(p):
+            pts.append(p)
+    if kind == 1:
+        pts += [tuple(rng.randint(1, 6) if j == i else 0 for j in range(n))
+                for i in range(n) if i != axis]
+    if kind and rng.random() < 0.5:
+        p, i = rng.choice(pts), rng.randrange(n)
+        pts.append(p[:i] + (p[i] + rng.randint(1, 3),) + p[i + 1:])
+    return support_set(n, pts)
+
+
+def test_every_support_is_placed_as_the_double_description(monkeypatch):
+    """On 300 seeds, n = 1..6 in turn, a support that misses one axis or
+    every axis, or is a single point, with rational and dominated points
+    often, is placed on its first point and the facet at infinity:
+    newton_polyhedron is typed-equal to the former double description,
+    computed beforehand, while _extreme_rays refuses.  So are a line and
+    a 3-space support that misses the z-axis."""
     line = support_set(1, [(F(5, 2),), (4,)])
+    cases = [line, support_set(3, [(4, 0, 0), (0, 5, 0), (1, 0, 2),
+                                   (0, 1, 3)])]
+    seen = dict.fromkeys(("single", "one axis", "every axis", "rational",
+                          "dominated"), 0)
+    for k in range(300):
+        rng = random.Random(k)
+        n = 1 + k % 6
+        s = random_off_axis_support(rng, n, k // 6 % 3)
+        cases.append(s)
+        missing = len(s.missing_axes)
+        seen["single"] += len(s.points) == 1
+        seen["one axis"] += missing == 1
+        seen["every axis"] += missing == n > 1
+        seen["rational"] += s._scaled_points[1] > 1
+        seen["dominated"] += any(p != q and all(x <= y for x, y in zip(p, q))
+                                 for p in s.points for q in s.points)
+    expected = [typed(_double_description(s)) for s in cases]
+
+    def refuse(*args):
+        raise AssertionError("_extreme_rays ran")
+
+    monkeypatch.setattr(geometry, "_extreme_rays", refuse)
+    for k, (s, expect) in enumerate(zip(cases, expected)):
+        assert typed(newton_polyhedron(s)) == expect, k
     assert newton_polyhedron(line).ifacets == (((1,), 5, 1),)
-    for s in (line, support_set(3, [(4, 0, 0), (0, 5, 0), (1, 0, 2),
-                                    (0, 1, 3)])):
-        assert typed(newton_polyhedron(s)) == typed(_double_description(s))
+    assert min(seen.values()) > 30, seen
 
 
 def test_mu_sweep_path_runs_no_double_description(monkeypatch):

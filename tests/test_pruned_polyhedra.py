@@ -1,11 +1,10 @@
 """Pruned, lazily-faced Newton polyhedra and difference regions.
 
-newton_polyhedron runs the double description on the componentwise-minimal
-support points only, reads the vertices off the facet masks and walks the
-face lattice only when faces is first read.  edges_at_vertex reads the
-edges at a vertex off meets of the facet masks, and difference_region
-reads its simplices off the pyramids of the points placed on the smaller
-polyhedron.  The former routines, kept in oracles.py, walk the face
+newton_polyhedron places the support points, reads the vertices off the
+facet masks and walks the face lattice only when faces is first read.
+edges_at_vertex reads the edges at a vertex off meets of the facet
+masks, and difference_region reads its simplices off the pyramids of the
+points placed on the smaller polyhedron.  The former routines, kept in oracles.py, walk the face
 lattice (edges_at_vertex_lattice) and hull and triangulate each piece
 (difference_region_constraints); the regions are compared by their typed
 volume vectors, since the two triangulate the region differently.
