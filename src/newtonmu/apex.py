@@ -7,7 +7,10 @@ the old vertex set on that edge.  The apex is good when its coordinates
 outside I follow the Kronecker pattern of i.  Newton numbers of nested
 convenient supports agree exactly when every added vertex has a good apex,
 and mu_constant_test decides this combinatorially while re-deriving both
-Newton numbers as a permanent cross-check of the entire stack.
+Newton numbers as a permanent cross-check of the entire stack: nu(S) from
+the lower region of S, and nu(S') = nu(S) - nu(D) from the difference
+region D that the placement of S' on hull(S) cuts
+(newton_number._pair_numbers), which vertex_location_check reads too.
 
 Axis sets are 1-based in this interface.
 """
@@ -19,7 +22,7 @@ from math import lcm
 
 from .geometry import (InternalConsistencyError, Record, _members, _scaled,
                        render_point, vec)
-from .newton_number import newton_number_set
+from .newton_number import _pair_numbers
 from .polyhedra import (SupportError, _placement, added_vertices,
                         convenience_report, newton_polyhedron)
 
@@ -206,7 +209,10 @@ def find_apex(s, s_prime, alpha):
 class MuConstancyResult(Record):
     """verdict: every added vertex has a good apex (equivalently, the Newton
     numbers agree); certificates come in added-vertex order; warnings note
-    vertices with no apex at all and any weakened hypotheses."""
+    vertices with no apex at all and any weakened hypotheses.  nu_s is
+    read off the lower region of S, and nu_s_prime is nu_s minus the
+    Newton number of the difference region, exactly: the volumes V_k add
+    over the tiling of lower(S) by lower(S') and that region."""
 
     verdict: bool
     certificates: tuple
@@ -228,11 +234,17 @@ def mu_constant_test(s, s_prime):
     """Decide Newton-number constancy of a nested convenient pair.
 
     The combinatorial criterion (good apices at every added vertex) is
-    always cross-checked against the directly computed Newton numbers.  On
-    convenient data the two must coincide, so disagreement raises
-    InternalConsistencyError; when a support fails the vertex condition the
-    theorem does not cover the pair, and disagreement raises SupportError
-    naming the failing axes.
+    always cross-checked against the Newton numbers, which do not read the
+    apices.  nu(S) comes from the lower region of S.  nu(S') comes from
+    Gamma_-(S) = Gamma_-(S') u D, D the difference region that placing S'
+    on hull(S) already cut: the volumes V_k add over that tiling, one
+    coordinate section at a time, so the integer totals of S' are those
+    of S less those of D (newton_number._pair_numbers), and no lower
+    region of S' is built.  D is memoized on s', so a later
+    difference_region(s, s') is a lookup.  On convenient data the two
+    must coincide, so disagreement raises InternalConsistencyError; when
+    a support fails the vertex condition the theorem does not cover the
+    pair, and disagreement raises SupportError naming the failing axes.
     """
     rep_s = _require_axis_convenient(s, "first")
     # hull(s') placed on hull(s) when s' holds the points of s, before the
@@ -261,8 +273,7 @@ def mu_constant_test(s, s_prime):
         certificates.append(cert)
         if not cert.good:
             verdict = False
-    nu_s = newton_number_set(s)
-    nu_sp = newton_number_set(s_prime)
+    nu_s, nu_sp = _pair_numbers(s, s_prime)
     if verdict != (nu_s == nu_sp) and outside:
         raise SupportError(
             f"apex verdict {verdict} disagrees with Newton numbers {nu_s} "
@@ -279,11 +290,12 @@ def mu_constant_test(s, s_prime):
 def vertex_location_check(s, s_prime):
     """No added vertex may sit in the open positive orthant once the
     Newton numbers agree; returns that check.  Raises when the numbers
-    differ, since the location statement presupposes equality."""
+    differ, since the location statement presupposes equality.  The
+    numbers are read as mu_constant_test reads them (_pair_numbers), so
+    a pair that is not nested raises there."""
     _require_axis_convenient(s, "first")
     _require_axis_convenient(s_prime, "second")
-    nu_s = newton_number_set(s)
-    nu_sp = newton_number_set(s_prime)
+    nu_s, nu_sp = _pair_numbers(s, s_prime)
     if nu_s != nu_sp:
         raise SupportError(
             f"hypothesis violated: Newton numbers differ ({nu_s} vs {nu_sp})")

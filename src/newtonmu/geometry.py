@@ -46,9 +46,10 @@ Record is the base of the package's immutable value types: the fields are
 the class annotations, and no code is generated per class.
 
 Nothing is memoized at module level: hull rows, bounded pieces and
-triangulations are computed on every call, and the one memo of the
-package, the Newton polyhedron of a support, lives on its
-polyhedra.SupportSet.
+triangulations are computed on every call.  The package's memos live on
+their inputs: the Newton polyhedron of a support, its placement and its
+difference region on its polyhedra.SupportSet, and a region's integer
+form and totals on the region.
 
 Determinism: vertices are kept in lexicographic order, facets are sorted by
 (normal, offset), and the pulling triangulation always cones from the

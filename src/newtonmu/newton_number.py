@@ -46,6 +46,16 @@ projection_formula_check hands union_volume_vector each simplex's shadow
 as its projected points, which geometry._hull_rows turns into rows,
 because a projection is not a face.
 
+A nested pair S in S' needs no lower region of S' (_pair_numbers).
+lower(S) is tiled by lower(S') and the difference region D, each section
+with a coordinate subspace too, so the volumes V_k add over the tiling
+(Kouchnirenko 1976): T_k(S') is T_k(S) minus T_k(D) over one common den,
+in integers, and nu(S') = nu(S) - nu(D) exactly.  difference_region
+memoizes D on S' for the last S, as polyhedra._placement memoizes its
+pyramids, and each region keeps its totals (_region_totals), so the D
+that the apex test subtracts is what a later difference_region call for
+the pair returns, with its Newton number and volume vector a lookup.
+
 Axis sets in the public interface are 1-based, matching the customary
 notation I, J subsets of {1,...,n}; internals are 0-based.
 """
@@ -54,7 +64,7 @@ from __future__ import annotations
 
 import itertools
 from fractions import Fraction
-from math import factorial
+from math import factorial, lcm
 
 from .geometry import (ONE, ZERO, GeometryError, Record, _bounded_piece,
                        _hull_rows, _int_det, _pulling, _scaled, frac,
@@ -102,9 +112,7 @@ def volume_vector(region):
     members are common faces.  _totals sums the sections over the region's
     integer form, and V_k is the one Fraction T_k / (den^k k!).
     """
-    ipts, den, simplices = region._integer_form
-    return NewtonVolumeVector(_fractions(_totals(region.ambient_dim, ipts,
-                                                 simplices), den))
+    return NewtonVolumeVector(_fractions(*_region_totals(region)))
 
 
 def _fractions(totals, den):
@@ -192,12 +200,30 @@ def _totals(n, ipts, simplices):
     return totals
 
 
+def _region_totals(region):
+    """The totals (_totals) of a region over its integer form, and its den;
+    computed once per region and kept in its instance dict, no record
+    field."""
+    memo = region.__dict__.get("_totals")
+    if memo is None:
+        ipts, den, simplices = region._integer_form
+        memo = region.__dict__["_totals"] = (
+            _totals(region.ambient_dim, ipts, simplices), den)
+    return memo
+
+
 def newton_number_region(region):
-    """Newton number of a compact region: its totals (_totals) over its
-    integer form, and one Fraction."""
-    ipts, den, simplices = region._integer_form
-    return _newton_fraction(_totals(region.ambient_dim, ipts, simplices),
-                            den)
+    """Newton number of a compact region: its totals (_region_totals),
+    and one Fraction."""
+    return _newton_fraction(*_region_totals(region))
+
+
+def _lower_totals(support):
+    """The totals of lower_region(support) and their den, straight from
+    its integer form (polyhedra._lower_form), so no Fraction point is
+    built."""
+    ipts, den, simplices = _lower_form(support)
+    return _totals(support.dim, ipts, simplices), den
 
 
 def newton_number_set(support):
@@ -205,12 +231,31 @@ def newton_number_set(support):
 
     Raises SupportError (naming the offending axis) otherwise; use
     newton_number_series for supports with empty axes.  The same as
-    newton_number_region(lower_region(support)), but the region's integer
-    form (polyhedra._lower_form) goes straight to _totals, so no Fraction
-    point is built.
+    newton_number_region(lower_region(support)), from _lower_totals.
     """
-    ipts, den, simplices = _lower_form(support)
-    return _newton_fraction(_totals(support.dim, ipts, simplices), den)
+    return _newton_fraction(*_lower_totals(support))
+
+
+def _pair_numbers(s, s_prime):
+    """nu(S) and nu(S') of a nested pair whose S covers every axis, from
+    the totals of lower(S) and of the difference region D alone: no lower
+    region of S' is built.
+
+    lower(S) is lower(S') u D, and the two meet only on the boundary of
+    Gamma+(S').  Cut by a coordinate subspace R^A with |A| = k, their
+    sections still cover the section of lower(S) and meet only on the
+    boundary of Gamma+(S') n R^A, the Newton polyhedron of S' restricted
+    to R^A, which has dimension k - 1.  So every V_k adds over the tiling
+    (Kouchnirenko 1976), and over the lcm den of the two denominators
+    T_k(S') = T_k(S) (den / den_S)^k - T_k(D) (den / den_D)^k, an integer
+    identity.  D misses the origin, so T_0(S') = T_0(S) = 1.
+    """
+    ts, den_s = _lower_totals(s)
+    td, den_d = _region_totals(difference_region(s, s_prime))
+    den = lcm(den_s, den_d)
+    us, ud = den // den_s, den // den_d
+    tsp = [a * us ** k - b * ud ** k for k, (a, b) in enumerate(zip(ts, td))]
+    return _newton_fraction(ts, den_s), _newton_fraction(tsp, den)
 
 
 # --- sup over axis augmentations -------------------------------------------
@@ -307,7 +352,16 @@ def difference_region(s, s_prime):
     simplices that mu_constant_test memoized on s'; otherwise the points
     are placed on hull(s) afresh, over the union of the two supports,
     once check_nested has passed; a placed pair is nested by construction.
+
+    The region is memoized on s' for the last s, as _placement memoizes
+    its simplices, and its totals on the region (_region_totals): the
+    region mu_constant_test subtracts from lower(S) to get nu(S')
+    (_pair_numbers) is the one a later call for the pair returns, with
+    its Newton number a lookup.
     """
+    memo = s_prime.__dict__.get("_difference")
+    if memo is not None and (memo[0] is s or memo[0] == s):
+        return memo[1]
     simplices = _placement(s, s_prime)
     if simplices is None:
         check_nested(s, s_prime)
@@ -322,7 +376,9 @@ def difference_region(s, s_prime):
         simplices = _placement(s, outer)
     ipts, den = outer._scaled_points
     # index tuples sort like the point tuples they name
-    return _region(n, outer.points, ipts, den, sorted(simplices))
+    region = _region(n, outer.points, ipts, den, sorted(simplices))
+    s_prime.__dict__["_difference"] = s, region
+    return region
 
 
 # --- unions of polytopes ----------------------------------------------------

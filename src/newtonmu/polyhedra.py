@@ -76,12 +76,36 @@ class SupportError(ValueError):
     """A support-set precondition failed."""
 
 
+class _lazy:
+    """A fact computed on first access and stored in the instance dict,
+    where later reads find it before this descriptor: a
+    functools.cached_property without the lock that it takes on every
+    first access before Python 3.12.  Record compares, hashes and shows
+    its fields only, so equality, hashing and repr do not see it."""
+
+    def __init__(self, func):
+        self.func = func
+        self.__doc__ = func.__doc__
+
+    def __set_name__(self, owner, name):
+        self.name = name
+
+    def __get__(self, obj, cls=None):
+        if obj is None:
+            return self
+        value = obj.__dict__[self.name] = self.func(obj)
+        return value
+
+
 class SupportSet(Record):
     """Finite set of exponent points in the open orthant hull sense.
 
     Points are sorted lexicographically; coordinates are Fractions >= 0 and
     the origin is excluded.  Rational (non-integer) coordinates are allowed:
     nothing downstream needs integrality of the support itself.
+
+    missing_axes, _least_axis_points, _scaled_points and
+    _newton_polyhedron are lazy facts (_lazy), no record fields.
     """
 
     dim: int
@@ -100,14 +124,14 @@ class SupportSet(Record):
     def augment(self, extra):
         return support_set(self.dim, [*self.points, *extra])
 
-    @cached_property
+    @_lazy
     def missing_axes(self):
         """The 1-based axes i on which no support point lies (no point is a
         positive multiple of e_i), found once per support."""
         return tuple(k + 1 for k, i in enumerate(self._least_axis_points)
                      if i is None)
 
-    @cached_property
+    @_lazy
     def _least_axis_points(self):
         """Per axis k, the index of the least point a_k e_k on it, or None
         when there is none.  The points are sorted, so it is the first."""
@@ -118,18 +142,17 @@ class SupportSet(Record):
                 least.setdefault(p.index(max(p)), i)
         return tuple(map(least.get, range(n)))
 
-    @cached_property
+    @_lazy
     def _scaled_points(self):
         """The points times the lcm of their denominators, as a tuple of
         integer tuples, and that lcm."""
         ipts, den = _scaled(self.points)
         return tuple(ipts), den
 
-    @cached_property
+    @_lazy
     def _newton_polyhedron(self):
         """The Newton polyhedron (see newton_polyhedron), built once per
-        instance; not a record field, so equality, hashing and the field
-        tuple do not see it."""
+        instance."""
         return _placed(self)
 
 
@@ -211,7 +234,7 @@ def support_set(dim, points):
             raise SupportError(
                 f"point {render_point(value[x] for x in p)} {problem}")
     support = SupportSet(dim, tuple(tuple(map(value.get, p)) for p in ipts))
-    # the cached property, not a field: what rescaling the points would give
+    # the lazy fact, not a field: what rescaling the points would give
     support.__dict__["_scaled_points"] = tuple(ipts), den
     return support
 
@@ -336,8 +359,8 @@ def newton_polyhedron(support):
     of the seeds through them.  The result is the integer record
     NewtonPolyhedron; its Fraction views are built only when read.
 
-    The polyhedron is memoized on its SupportSet instance (a cached
-    property, no record field), so repeated calls with one support
+    The polyhedron is memoized on its SupportSet instance (a lazy fact,
+    no record field), so repeated calls with one support
     return one object, and it lives exactly as long as the support.
     Nothing is memoized at module level.
     """
@@ -565,7 +588,8 @@ def added_vertices(s, s_prime):
     polyhedron lying inside the smaller one is automatically a vertex of the
     smaller one, so the set difference equals the set of vertices strictly
     below the original boundary.  The vertices are compared as integer
-    points over the lcm of the two denominators; when s' holds the points
+    points over the lcm of the two denominators, the stored ones for a
+    polyhedron whose den is that lcm already; when s' holds the points
     of s, these are the vertex bits of s' whose points are no vertices of
     s.  They come in the order of the points of s', which is sorted.
     A pair that _placement places is nested by construction, so
@@ -575,11 +599,16 @@ def added_vertices(s, s_prime):
         check_nested(s, s_prime)
     inner, outer = newton_polyhedron(s), newton_polyhedron(s_prime)
     den = lcm(inner.den, outer.den)
-    old = {tuple(den // inner.den * x for x in inner.ipts[i])
-           for i in _members(inner.vmask)}
-    return tuple(s_prime.points[i] for i in _members(outer.vmask)
-                 if tuple(den // outer.den * x for x in outer.ipts[i])
-                 not in old)
+
+    def vertices(np_):
+        up = den // np_.den
+        for i in _members(np_.vmask):
+            yield i, np_.ipts[i] if up == 1 else tuple(up * x
+                                                       for x in np_.ipts[i])
+
+    old = {p for _, p in vertices(inner)}
+    return tuple(s_prime.points[i] for i, p in vertices(outer)
+                 if p not in old)
 
 
 # --- the region under the boundary ----------------------------------------

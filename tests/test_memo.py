@@ -1,7 +1,7 @@
 """Memoization lives on the inputs, never at module level.
 
-A Newton polyhedron is memoized on its SupportSet instance (a cached
-property, no record field): one support gives one polyhedron object, an
+A Newton polyhedron is memoized on its SupportSet instance (a lazy fact,
+no record field): one support gives one polyhedron object, an
 equal fresh support builds its own, and the polyhedron, which holds the
 support's points and not the support, is freed with it.  Hulls,
 triangulations and cone faces are not memoized at all, so running every
