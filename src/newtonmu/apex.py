@@ -6,11 +6,14 @@ at alpha leaves the hyperplane {x_i = 0}; the apex is the nearest point of
 the old vertex set on that edge.  The apex is good when its coordinates
 outside I follow the Kronecker pattern of i.  Newton numbers of nested
 convenient supports agree exactly when every added vertex has a good apex,
-and mu_constant_test decides this combinatorially while re-deriving both
-Newton numbers as a permanent cross-check of the entire stack: nu(S) from
-the lower region of S, and nu(S') = nu(S) - nu(D) from the difference
-region D that the placement of S' on hull(S) cuts
+and mu_constant_test decides this combinatorially, then cross-checks the
+verdict against the Newton numbers, which do not read the apices.  nu(S)
+comes from the lower region of S, and nu(S') = nu(S) - nu(D) from the
+difference region D that the placement of S' on hull(S) cuts
 (newton_number._pair_numbers), which vertex_location_check reads too.
+So nu(S') is not re-derived from a lower region of S' of its own: a
+defect in D moves nu(S') and nu(D) together.  The test suite holds nu(S')
+against newton_number_set of a fresh S', which builds that region.
 
 Axis sets are 1-based in this interface.
 """
@@ -240,11 +243,10 @@ def mu_constant_test(s, s_prime):
     on hull(S) already cut: the volumes V_k add over that tiling, one
     coordinate section at a time, so the integer totals of S' are those
     of S less those of D (newton_number._pair_numbers), and no lower
-    region of S' is built.  D is memoized on s', so a later
-    difference_region(s, s') is a lookup.  On convenient data the two
-    must coincide, so disagreement raises InternalConsistencyError; when
-    a support fails the vertex condition the theorem does not cover the
-    pair, and disagreement raises SupportError naming the failing axes.
+    region of S' is built.  On convenient data the two must coincide, so
+    disagreement raises InternalConsistencyError; when a support fails
+    the vertex condition the theorem does not cover the pair, and
+    disagreement raises SupportError naming the failing axes.
     """
     rep_s = _require_axis_convenient(s, "first")
     # hull(s') placed on hull(s) when s' holds the points of s, before the

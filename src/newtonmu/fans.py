@@ -34,13 +34,12 @@ from __future__ import annotations
 
 import itertools
 from fractions import Fraction
-from functools import cached_property
 from math import gcd
 
 from .geometry import (GeometryError, InternalConsistencyError, _extreme_rays,
-                       _face_lattice, _idot, _int_det, _members, _pulling,
-                       _scaled, _unit, Record, primitive_vector, render_point,
-                       vec)
+                       _face_lattice, _idot, _int_det, _lazy, _members,
+                       _pulling, _scaled, _unit, Record, primitive_vector,
+                       render_point, vec)
 from .polyhedra import SupportError, newton_polyhedron
 
 _section_cache = {}  # unused; the benchmark's cache reset still names it
@@ -57,7 +56,7 @@ class LatticeCone(Record):
     ambient_dim: int
     rays: tuple
 
-    @cached_property
+    @_lazy
     def _h_description(self):
         """(lineality, normals): integer rows with the cone equal to
         {x : <e, x> = 0 for e in lineality, <a, x> >= 0 for a in normals}.
@@ -69,13 +68,13 @@ class LatticeCone(Record):
         normals, lineality, _ = _extreme_rays((), self.rays, self.ambient_dim)
         return lineality, normals
 
-    @cached_property
+    @_lazy
     def _facet_masks(self):
         """Per facet normal, the bitmask of the rays tight on it."""
         return [sum(1 << i for i, r in enumerate(self.rays) if not _idot(a, r))
                 for a in self._h_description[1]]
 
-    @cached_property
+    @_lazy
     def _minor_chart(self):
         """(rows, adjugate, D) for a simplicial cone with k rays; raises
         GeometryError for any other cone.

@@ -47,9 +47,10 @@ the class annotations, and no code is generated per class.
 
 Nothing is memoized at module level: hull rows, bounded pieces and
 triangulations are computed on every call.  The package's memos live on
-their inputs: the Newton polyhedron of a support, its placement and its
-difference region on its polyhedra.SupportSet, and a region's integer
-form and totals on the region.
+their inputs, as lazy facts (_lazy) or seeded into the instance dict: the
+Newton polyhedron of a support and its placement on its
+polyhedra.SupportSet, a region's integer form on the region, a cone's
+rows on the cone.
 
 Determinism: vertices are kept in lexicographic order, facets are sorted by
 (normal, offset), and the pulling triangulation always cones from the
@@ -78,6 +79,27 @@ class InternalConsistencyError(RuntimeError):
     """Two independent computations of the same quantity disagreed."""
 
 
+class _lazy:
+    """A fact of a record computed on first access and stored in the
+    instance dict, where later reads find it before this descriptor: a
+    functools.cached_property without the lock that it takes on every
+    first access before Python 3.12.  Record compares, hashes and shows
+    its fields only, so equality, hashing and repr do not see it."""
+
+    def __init__(self, func):
+        self.func = func
+        self.__doc__ = func.__doc__
+
+    def __set_name__(self, owner, name):
+        self.name = name
+
+    def __get__(self, obj, cls=None):
+        if obj is None:
+            return self
+        value = obj.__dict__[self.name] = self.func(obj)
+        return value
+
+
 class Record:
     """Base of the package's immutable value types.
 
@@ -86,7 +108,7 @@ class Record:
     runs when the class defines one.  Equality, hashing and repr read the
     field tuple as a frozen dataclass's do, so hash(x) == hash(field tuple),
     but no method is generated per class.  Fields cannot be set or deleted;
-    cached properties still store their values in the instance dict.
+    lazy facts (_lazy) still store their values in the instance dict.
     """
 
     def __init_subclass__(cls):

@@ -50,11 +50,9 @@ A nested pair S in S' needs no lower region of S' (_pair_numbers).
 lower(S) is tiled by lower(S') and the difference region D, each section
 with a coordinate subspace too, so the volumes V_k add over the tiling
 (Kouchnirenko 1976): T_k(S') is T_k(S) minus T_k(D) over one common den,
-in integers, and nu(S') = nu(S) - nu(D) exactly.  difference_region
-memoizes D on S' for the last S, as polyhedra._placement memoizes its
-pyramids, and each region keeps its totals (_region_totals), so the D
-that the apex test subtracts is what a later difference_region call for
-the pair returns, with its Newton number and volume vector a lookup.
+in integers, and nu(S') = nu(S) - nu(D) exactly.  D is built once per
+call and its totals summed once; nothing of it is kept, as no caller
+reads it twice.
 
 Axis sets in the public interface are 1-based, matching the customary
 notation I, J subsets of {1,...,n}; internals are 0-based.
@@ -201,15 +199,10 @@ def _totals(n, ipts, simplices):
 
 
 def _region_totals(region):
-    """The totals (_totals) of a region over its integer form, and its den;
-    computed once per region and kept in its instance dict, no record
-    field."""
-    memo = region.__dict__.get("_totals")
-    if memo is None:
-        ipts, den, simplices = region._integer_form
-        memo = region.__dict__["_totals"] = (
-            _totals(region.ambient_dim, ipts, simplices), den)
-    return memo
+    """The totals (_totals) of a region over its integer form, and its
+    den."""
+    ipts, den, simplices = region._integer_form
+    return _totals(region.ambient_dim, ipts, simplices), den
 
 
 def newton_number_region(region):
@@ -353,15 +346,12 @@ def difference_region(s, s_prime):
     are placed on hull(s) afresh, over the union of the two supports,
     once check_nested has passed; a placed pair is nested by construction.
 
-    The region is memoized on s' for the last s, as _placement memoizes
-    its simplices, and its totals on the region (_region_totals): the
-    region mu_constant_test subtracts from lower(S) to get nu(S')
-    (_pair_numbers) is the one a later call for the pair returns, with
-    its Newton number a lookup.
+    lower(s) is tiled by lower(s') and this region, each section with a
+    coordinate subspace too, so every volume V_k adds over the tiling:
+    mu_constant_test reads nu(s') as nu(s) less the Newton number of
+    this region (_pair_numbers).  The region is built afresh on every
+    call.
     """
-    memo = s_prime.__dict__.get("_difference")
-    if memo is not None and (memo[0] is s or memo[0] == s):
-        return memo[1]
     simplices = _placement(s, s_prime)
     if simplices is None:
         check_nested(s, s_prime)
@@ -376,9 +366,7 @@ def difference_region(s, s_prime):
         simplices = _placement(s, outer)
     ipts, den = outer._scaled_points
     # index tuples sort like the point tuples they name
-    region = _region(n, outer.points, ipts, den, sorted(simplices))
-    s_prime.__dict__["_difference"] = s, region
-    return region
+    return _region(n, outer.points, ipts, den, sorted(simplices))
 
 
 # --- unions of polytopes ----------------------------------------------------

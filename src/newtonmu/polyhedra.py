@@ -12,7 +12,7 @@ bitmask.  A seed is the bitmask of the points on the facet plus bit m + i
 for each recession axis e_i.  How the facets are found, by placement
 (_place), is set out at the end.  A point is a vertex exactly when the
 meet of the seeds through it is that point alone (geometry._vertex_mask).
-The Fraction facets, the vertices and the faces are cached properties,
+The Fraction facets, the vertices and the faces are lazy facts,
 built on first access; faces walks geometry._face_lattice, which the
 fans' cones share, down level by level from the seeds.  Face lattices
 are graded, so a face's dimension is its level: no rank is computed and
@@ -64,37 +64,16 @@ own, and difference_region reads its simplices off the memo.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import cached_property
 from math import gcd, lcm
 
 from .geometry import (DIMENSION_CAP, DimensionCapExceeded, ZERO, Record,
-                       _combine, _face_lattice, _idot, _members, _pulling,
-                       _scaled, _unit, _vertex_mask, frac, render_point, vec)
+                       _combine, _face_lattice, _idot, _lazy, _members,
+                       _pulling, _scaled, _unit, _vertex_mask, frac,
+                       render_point, vec)
 
 
 class SupportError(ValueError):
     """A support-set precondition failed."""
-
-
-class _lazy:
-    """A fact computed on first access and stored in the instance dict,
-    where later reads find it before this descriptor: a
-    functools.cached_property without the lock that it takes on every
-    first access before Python 3.12.  Record compares, hashes and shows
-    its fields only, so equality, hashing and repr do not see it."""
-
-    def __init__(self, func):
-        self.func = func
-        self.__doc__ = func.__doc__
-
-    def __set_name__(self, owner, name):
-        self.name = name
-
-    def __get__(self, obj, cls=None):
-        if obj is None:
-            return self
-        value = obj.__dict__[self.name] = self.func(obj)
-        return value
 
 
 class SupportSet(Record):
@@ -105,7 +84,8 @@ class SupportSet(Record):
     nothing downstream needs integrality of the support itself.
 
     missing_axes, _least_axis_points, _scaled_points and
-    _newton_polyhedron are lazy facts (_lazy), no record fields.
+    _newton_polyhedron are lazy facts (geometry._lazy), no record
+    fields.
     """
 
     dim: int
@@ -260,7 +240,7 @@ class NewtonPolyhedron(Record):
     vmask    the bitmask of the points that are vertices
 
     Equality and hashing see these fields, which the points determine.
-    The Fraction views are cached properties, no record fields:
+    The Fraction views are lazy facts (geometry._lazy), no record fields:
     facets   ((normal, c / den, active_points, recession), ...)
     vertices sorted tuple of the 0-dimensional faces (always support points)
     faces    all proper nonempty faces, including the facets and vertices,
@@ -274,7 +254,7 @@ class NewtonPolyhedron(Record):
     ifacets: tuple
     vmask: int
 
-    @cached_property
+    @_lazy
     def facets(self):
         pts = self.points
         m = len(pts)
@@ -283,11 +263,11 @@ class NewtonPolyhedron(Record):
                       frozenset(_members(g >> m)))
                      for w, c, g in self.ifacets)
 
-    @cached_property
+    @_lazy
     def vertices(self):
         return tuple(self.points[i] for i in _members(self.vmask))
 
-    @cached_property
+    @_lazy
     def faces(self):
         pts = self.points
         m = len(pts)
@@ -620,7 +600,7 @@ class CompactRegion(Record):
     pieces come from the shared pulling rule, so faces match up exactly and
     volume computations can deduplicate by vertex set.
 
-    _integer_form, a cached property and no record field (equality, hashing
+    _integer_form, a lazy fact and no record field (equality, hashing
     and repr do not see it), is (ipts, den, index simplices): the vertices
     times the lcm den of their denominators as integer tuples, and each
     simplex as the tuple of its vertices' indices there, in its own vertex
@@ -632,7 +612,7 @@ class CompactRegion(Record):
     ambient_dim: int
     simplices: tuple
 
-    @cached_property
+    @_lazy
     def _integer_form(self):
         index = {}
         simplices = [tuple(index.setdefault(v, len(index)) for v in simplex)

@@ -76,6 +76,15 @@ def test_interior_vertex_drops_nu():
         vertex_location_check(s, sp)
 
 
+def test_vertex_location_check_names_a_pair_that_is_not_nested():
+    """The Newton numbers of a pair come from its difference region, so a
+    pair that is not nested is named as such before any number is
+    compared."""
+    s = support_set(2, [(2, 0), (0, 2)])
+    with pytest.raises(SupportError, match="^polyhedra not nested"):
+        vertex_location_check(s, support_set(2, [(3, 0), (0, 1)]))
+
+
 def test_cross_check_raises_inside_the_theorem(monkeypatch):
     """A convenient integer pair meets every hypothesis, so an apex verdict
     that contradicts the Newton numbers is an internal error."""
