@@ -8,12 +8,15 @@ outside I follow the Kronecker pattern of i.  Newton numbers of nested
 convenient supports agree exactly when every added vertex has a good apex,
 and mu_constant_test decides this combinatorially, then cross-checks the
 verdict against the Newton numbers, which do not read the apices.  nu(S)
-comes from the lower region of S, and nu(S') = nu(S) - nu(D) from the
+comes from the pyramids D0 that placing S on its axis simplex cut
+(newton_number._lower_totals), and nu(S') = nu(S) - nu(D) from the
 difference region D that the placement of S' on hull(S) cuts
 (newton_number._pair_numbers), which vertex_location_check reads too.
-So nu(S') is not re-derived from a lower region of S' of its own: a
-defect in D moves nu(S') and nu(D) together.  The test suite holds nu(S')
-against newton_number_set of a fresh S', which builds that region.
+So neither number is re-derived from a lower region of its own: a
+defect in D moves nu(S') and nu(D) together, and one in the placement
+moves both numbers.  The test suite holds them against lower_region,
+which triangulates the compact facets afresh, and against the former
+section scan.
 
 Axis sets are 1-based in this interface.
 """
@@ -213,9 +216,11 @@ class MuConstancyResult(Record):
     """verdict: every added vertex has a good apex (equivalently, the Newton
     numbers agree); certificates come in added-vertex order; warnings note
     vertices with no apex at all and any weakened hypotheses.  nu_s is
-    read off the lower region of S, and nu_s_prime is nu_s minus the
-    Newton number of the difference region, exactly: the volumes V_k add
-    over the tiling of lower(S) by lower(S') and that region."""
+    read off the placement of S on its axis simplex, as the simplex's
+    Newton number less that of the pyramids the placement cut, and
+    nu_s_prime is nu_s minus the Newton number of the difference region,
+    exactly: the volumes V_k add over the tiling of lower(S) by lower(S')
+    and that region."""
 
     verdict: bool
     certificates: tuple
@@ -238,15 +243,16 @@ def mu_constant_test(s, s_prime):
 
     The combinatorial criterion (good apices at every added vertex) is
     always cross-checked against the Newton numbers, which do not read the
-    apices.  nu(S) comes from the lower region of S.  nu(S') comes from
-    Gamma_-(S) = Gamma_-(S') u D, D the difference region that placing S'
-    on hull(S) already cut: the volumes V_k add over that tiling, one
-    coordinate section at a time, so the integer totals of S' are those
-    of S less those of D (newton_number._pair_numbers), and no lower
-    region of S' is built.  On convenient data the two must coincide, so
-    disagreement raises InternalConsistencyError; when a support fails
-    the vertex condition the theorem does not cover the pair, and
-    disagreement raises SupportError naming the failing axes.
+    apices.  nu(S) comes from the placement that built hull(S)
+    (newton_number._lower_totals), with no lower region.  nu(S') comes
+    from Gamma_-(S) = Gamma_-(S') u D, D the difference region that
+    placing S' on hull(S) already cut: the volumes V_k add over that
+    tiling, one coordinate section at a time, so the integer totals of
+    S' are those of S less those of D (newton_number._pair_numbers), and
+    no lower region of S' is built.  On convenient data the two must
+    coincide, so disagreement raises InternalConsistencyError; when a
+    support fails the vertex condition the theorem does not cover the
+    pair, and disagreement raises SupportError naming the failing axes.
     """
     rep_s = _require_axis_convenient(s, "first")
     # hull(s') placed on hull(s) when s' holds the points of s, before the

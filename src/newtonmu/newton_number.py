@@ -23,11 +23,19 @@ number is then the one Fraction (sum_k (-1)^(n-k) T_k den^(n-k)) / den^n,
 and V_k, for volume_vector and union_volume_vector, the Fraction
 T_k / (den^k k!).
 
-The integer points come with the region.  newton_number_set takes the
-pulling triangulation of the compact facets, coned from the origin, as
-tuples of indices into the polyhedron's own integer points and the origin
-(polyhedra._lower_form), so no Fraction point is built.  A
-CompactRegion carries a cached integer form (points times den, den, index
+A support's Newton number is read off the placement that built its
+polyhedron (_lower_totals), not off a triangulation of its compact
+facets.  Placing the points of S on a base B cuts lower(B) into lower(S)
+and the pyramids D (De Loera, Rambau & Santos, Triangulations, 2010,
+ch. 4), and the V_k add over that tiling (Kouchnirenko 1976), so
+T(S) = T(B) - T(D).  The base is the axis simplex that polyhedra._placed
+starts from, whose totals are the elementary symmetric sums of the
+integer intercepts, or the hull of a parent that S was placed on
+(polyhedra._placement), whose totals come the same way.  The pyramids
+are index tuples into the support's own integer points, so no Fraction
+point and no region is built.  lower_region stays the reference path,
+which the CLI's volume vector and the tests read.  A CompactRegion
+carries a cached integer form (points times den, den, index
 simplices); lower_region and difference_region seed it from the support's
 integer points, so newton_number_region and volume_vector never hash or
 scale the region's Fraction points, and only a region built by hand is
@@ -46,13 +54,12 @@ projection_formula_check hands union_volume_vector each simplex's shadow
 as its projected points, which geometry._hull_rows turns into rows,
 because a projection is not a face.
 
-A nested pair S in S' needs no lower region of S' (_pair_numbers).
-lower(S) is tiled by lower(S') and the difference region D, each section
-with a coordinate subspace too, so the volumes V_k add over the tiling
-(Kouchnirenko 1976): T_k(S') is T_k(S) minus T_k(D) over one common den,
-in integers, and nu(S') = nu(S) - nu(D) exactly.  D is built once per
-call and its totals summed once; nothing of it is kept, as no caller
-reads it twice.
+A nested pair S in S' is the same rule with S as the base
+(_pair_numbers): T_k(S') is T_k(S) minus T_k(D) over the den of S', in
+integers, and nu(S') = nu(S) - nu(D) exactly.  For a pair that
+_placement places, D is summed straight off its memoized pyramids and
+no region is built; a pair it refuses builds difference_region, whose
+nesting check runs first.
 
 Axis sets in the public interface are 1-based, matching the customary
 notation I, J subsets of {1,...,n}; internals are 0-based.
@@ -62,14 +69,14 @@ from __future__ import annotations
 
 import itertools
 from fractions import Fraction
-from math import factorial, lcm
+from math import factorial
 
 from .geometry import (ONE, ZERO, GeometryError, Record, _bounded_piece,
                        _hull_rows, _int_det, _pulling, _scaled, frac,
                        simplex_volume)
-from .polyhedra import (CompactRegion, SupportError, _lower_form, _placement,
-                        _region, check_nested, newton_polyhedron,
-                        support_set)
+from .polyhedra import (CompactRegion, SupportError, SupportSet, _placed,
+                        _placement, _region, _require_bounded, check_nested,
+                        newton_polyhedron, support_set)
 
 
 def _axes_to_internal(axes, n):
@@ -211,12 +218,53 @@ def newton_number_region(region):
     return _newton_fraction(*_region_totals(region))
 
 
+def _less(totals, den_b, td, den):
+    """The totals over den of a region R = B minus D: the totals of B
+    over den_b, which divides den, rescaled by (den / den_b)^k, less the
+    totals td of D over den.  B is tiled by R and D, each coordinate
+    section too (see _lower_totals), so every V_k adds."""
+    up = den // den_b
+    return [a * up ** k - b for k, (a, b) in enumerate(zip(totals, td))]
+
+
 def _lower_totals(support):
-    """The totals of lower_region(support) and their den, straight from
-    its integer form (polyhedra._lower_form), so no Fraction point is
-    built."""
-    ipts, den, simplices = _lower_form(support)
-    return _totals(support.dim, ipts, simplices), den
+    """The totals of lower_region(support) and their den, read off the
+    placement that built the support's polyhedron (its _placed record,
+    polyhedra._placed and _placement): no lower region is triangulated.
+
+    Placing the points of S on a base polyhedron B cuts hull(S) minus
+    hull(B) into pyramids D (De Loera, Rambau & Santos, Triangulations,
+    2010, ch. 4), so lower(B) is lower(S) u D, the two meeting only on
+    the boundary of Gamma+(S).  Cut by a coordinate subspace R^A with
+    |A| = k, their sections still cover the section of lower(B) and meet
+    only on the boundary of Gamma+(S) n R^A, of dimension k - 1.  So
+    every V_k adds over the tiling (Kouchnirenko 1976), and over the den
+    of S, a multiple of that of B, T_k(S) = T_k(B) (den / den_B)^k
+    - T_k(D), an integer identity; D misses the origin, so T_0(S) = 1.
+
+    B is either the start of the support's own placement, the polyhedron
+    of its least axis points a_k e_k (for n = 1 its first point, the
+    least point on the axis), whose lower region is the simplex with those vertices
+    and the origin: its section with R^A has volume prod_{k in A} a_k
+    / k!, so T(B) is the elementary symmetric sums e_k(a) of the integer
+    a_k.  Or B is hull(S0) of a parent S0 that S' was placed on, whose
+    totals come from its own record.  A polyhedron seeded by hand has no
+    record, and the support is placed for it.
+    """
+    _require_bounded(support)
+    newton_polyhedron(support)      # built once per support, and recorded
+    if "_placed" not in support.__dict__:
+        _placed(support)
+    base, simplices = support.__dict__["_placed"]
+    ipts, den = support._scaled_points
+    td = _totals(support.dim, ipts, simplices)
+    if isinstance(base, SupportSet):
+        return _less(*_lower_totals(base), td, den), den
+    e = [1] + [0] * support.dim
+    for k, p in enumerate(base.ipts):
+        for i in range(k + 1, 0, -1):
+            e[i] += e[i - 1] * p[k]
+    return _less(e, den, td, den), den
 
 
 def newton_number_set(support):
@@ -224,7 +272,8 @@ def newton_number_set(support):
 
     Raises SupportError (naming the offending axis) otherwise; use
     newton_number_series for supports with empty axes.  The same as
-    newton_number_region(lower_region(support)), from _lower_totals.
+    newton_number_region(lower_region(support)), from _lower_totals,
+    which reads it off the support's placement.
     """
     return _newton_fraction(*_lower_totals(support))
 
@@ -232,23 +281,25 @@ def newton_number_set(support):
 def _pair_numbers(s, s_prime):
     """nu(S) and nu(S') of a nested pair whose S covers every axis, from
     the totals of lower(S) and of the difference region D alone: no lower
-    region of S' is built.
+    region of S' is built, and of S none either (_lower_totals).
 
-    lower(S) is lower(S') u D, and the two meet only on the boundary of
-    Gamma+(S').  Cut by a coordinate subspace R^A with |A| = k, their
-    sections still cover the section of lower(S) and meet only on the
-    boundary of Gamma+(S') n R^A, the Newton polyhedron of S' restricted
-    to R^A, which has dimension k - 1.  So every V_k adds over the tiling
-    (Kouchnirenko 1976), and over the lcm den of the two denominators
-    T_k(S') = T_k(S) (den / den_S)^k - T_k(D) (den / den_D)^k, an integer
-    identity.  D misses the origin, so T_0(S') = T_0(S) = 1.
+    lower(S) is lower(S') u D, tiled as _lower_totals sets out, so
+    T_k(S') = T_k(S) (den / den_S)^k - T_k(D) over the den of D.  For a
+    pair that _placement places, D is summed straight off the memoized
+    pyramids over the integer points of S', and no region is built.  A
+    pair it refuses builds difference_region, whose nesting check raises
+    for a pair that is not nested; its den, that of S u S', is a
+    multiple of den_S too.
     """
     ts, den_s = _lower_totals(s)
-    td, den_d = _region_totals(difference_region(s, s_prime))
-    den = lcm(den_s, den_d)
-    us, ud = den // den_s, den // den_d
-    tsp = [a * us ** k - b * ud ** k for k, (a, b) in enumerate(zip(ts, td))]
-    return _newton_fraction(ts, den_s), _newton_fraction(tsp, den)
+    simplices = _placement(s, s_prime)
+    if simplices is None:
+        td, den = _region_totals(difference_region(s, s_prime))
+    else:
+        ipts, den = s_prime._scaled_points
+        td = _totals(s.dim, ipts, simplices)
+    return (_newton_fraction(ts, den_s),
+            _newton_fraction(_less(ts, den_s, td, den), den))
 
 
 # --- sup over axis augmentations -------------------------------------------

@@ -27,8 +27,10 @@ facets.  lower_region triangulates those with geometry._pulling over the
 bitmasks of support points: each face is pulled from its least vertex (the
 lowest set bit of its vertex mask) and its facets are its maximal proper
 meets with the facets' masks, so no hull is computed and the pieces form a
-simplicial complex.  Containment (NewtonPolyhedron.contains and check_nested) is one
-integer sign test per facet on the point scaled to integers.
+simplicial complex.  It is the reference path: the Newton numbers of
+newton_number do not read it, but the pyramids of the placement below.
+Containment (NewtonPolyhedron.contains and check_nested) is one integer
+sign test per facet on the point scaled to integers.
 
 Every support is built by placement (_placed): its points go one at a
 time (_place, below) onto a start that is written down.  One with a
@@ -40,7 +42,9 @@ p + R^n_{>=0}, with the facets x_k >= p_k and, read as the homogenized
 cone {(x, t) : <w, x> >= c t}, the facet at infinity t >= 0 (Ziegler,
 Lectures on Polytopes, 1995, Lecture 1).  A seen facet that meets the
 facet at infinity in a horizon ridge gives a new unbounded facet, and
-the facet at infinity leaves the result.
+the facet at infinity leaves the result.  The placement is recorded on
+the support (_placed): the start and the pyramids D0 it cut, which
+tile lower(start) minus lower(S) when S is axis-convenient.
 
 A support S' that holds every point of an axis-convenient S of its
 dimension has a nested parent, and its polyhedron is built by placing
@@ -57,8 +61,15 @@ pyramids over the seen facets: alpha coned over each seen facet's
 triangulation, the pulling one for facets of hull(S) and the inherited
 cones for the facets placement made or grew, so the pyramids of all
 steps form one simplicial complex.  _placement memoizes both on S' for
-that S; the apex test places before anything builds hull(S') on its
-own, and difference_region reads its simplices off the memo.
+that S, as the record of S' in place of its own; the apex test places
+before anything builds hull(S') on its own, and newton_number reads
+nu(S') and difference_region its simplices off the memo.
+
+A placement does only the work it needs: a point beyond every facet
+plane leaves the facet list as it is; the seed list is built only when
+a point sees a facet; and a seen compact facet with n vertices, a
+simplex, is its own triangulation (_facet_cells), so _pulling runs only
+on seen facets of a parent's hull that are not simplices.
 """
 
 from __future__ import annotations
@@ -151,7 +162,14 @@ def _placed(support):
     points are sorted: p + R^n_{>=0}, with the facets x_k >= p_k through
     p and the recession axes e_j, j != k, and the facet at infinity
     (w = 0, c = -1, every recession axis), which _place drops again.
-    The pyramids of the placement are not needed."""
+
+    The placement is recorded on the support as its _placed entry,
+    (start, pyramids): the start polyhedron and the simplices of the
+    pyramids D0 that _place cut, over the support's indices.  For an
+    axis-convenient support D0 tiles lower(start) minus lower(support),
+    and newton_number._lower_totals reads the Newton number off it.
+    Without a point on every axis a seen facet may be unbounded, and
+    its pyramid is missing; no lower region exists to read then."""
     n = support.dim
     ipts, den = support._scaled_points
     pos = support._least_axis_points
@@ -173,7 +191,8 @@ def _placed(support):
     start = NewtonPolyhedron(n, tuple(support.points[i] for i in pos),
                              tuple(ipts[i] for i in pos), den,
                              tuple(sorted(facets)), (1 << len(pos)) - 1)
-    facets, vmask, _ = _place(start, ipts, den, pos)
+    facets, vmask, simplices = _place(start, ipts, den, pos)
+    support.__dict__["_placed"] = start, simplices
     return NewtonPolyhedron(n, support.points, ipts, den, facets, vmask)
 
 
@@ -351,6 +370,17 @@ def newton_polyhedron(support):
 
 # --- placing points on a Newton polyhedron ---------------------------------
 
+def _facet_cells(n, face, vmask, seeds, memo):
+    """The pulling triangulation (geometry._pulling) of a compact facet
+    of a polyhedron in dimension n, as increasing index tuples: a facet
+    with n vertices is a simplex, its own triangulation, and is not
+    walked."""
+    verts = face & vmask
+    if verts.bit_count() == n:
+        return (tuple(_members(verts)),)
+    return _pulling(face, vmask, seeds, memo)
+
+
 def _place(small, ipts, den, pos):
     """Place the points of a support S' on the Newton polyhedron small of
     a support S, one at a time (beneath-beyond: Edelsbrunner, Algorithms
@@ -387,8 +417,9 @@ def _place(small, ipts, den, pos):
     normal entry is then a coordinate facet x_i >= 0, which no point
     sees.  An unbounded seen facet gives no pyramid.
 
-    The compact facets carry a triangulation: the _pulling triangulation
-    over the indices while a facet is one of hull(S), unchanged.  Each
+    The compact facets carry a triangulation: while a facet is one of
+    hull(S), unchanged, the facet itself when it has n vertices, a
+    simplex, else its _pulling triangulation over the indices.  Each
     pyramid is alpha coned over its facet's simplices.  A new facet is
     alpha coned over the simplices its seen facet has on the ridge, and
     an unseen compact facet with alpha on its plane grows by the same
@@ -417,17 +448,22 @@ def _place(small, ipts, den, pos):
     simplices = []
     for j in sorted(set(range(m)).difference(pos)):
         a, bit = ipts[j], 1 << j
-        seeds = [g for _, _, g in facets]
         vals = [_idot(w, a) - c for w, c, _ in facets]
-        if min(vals) >= 0:
+        low = min(vals)
+        if low > 0:         # beyond every facet plane: nothing changes
+            continue
+        if low == 0:
             facets = [(w, c, g if v else g | bit)
                       for (w, c, g), v in zip(facets, vals)]
             continue
+        seeds = [g for _, _, g in facets]
 
         def cells(w, g):
             if g >> m:      # an unbounded facet: no pyramid
                 return []
-            return tri.pop(w) if w in tri else _pulling(g, vmask, seeds, memo)
+            if w in tri:
+                return tri.pop(w)
+            return _facet_cells(n, g, vmask, seeds, memo)
 
         seen = [(w, v, g, cells(w, g))
                 for (w, _, g), v in zip(facets, vals) if v < 0]
@@ -470,9 +506,12 @@ def _placement(s, s_prime):
 
     The placed polyhedron becomes the Newton polyhedron of s_prime unless
     that was built already: it is typed-equal to the one newton_polyhedron
-    builds.  The
-    simplices are memoized on s_prime for the last s, so the apex test
-    and the difference region of one pair place once.
+    builds.  The simplices are memoized on s_prime, as its _placed record
+    (s, simplices) in place of any earlier one, so the apex test and the
+    difference region of one pair place once, and newton_number reads
+    nu(s_prime) off nu(s) and these pyramids.  A support with the points
+    of s has nothing to place and keeps its record: one pointing back at
+    s could close a loop of records.
     """
     memo = s_prime.__dict__.get("_placed")
     if memo is not None and (memo[0] is s or memo[0] == s):
@@ -489,6 +528,8 @@ def _placement(s, s_prime):
            for p in small_ipts]
     if None in pos:
         return None
+    if len(pos) == len(ipts):       # s_prime is s again
+        return []
     facets, vmask, simplices = _place(newton_polyhedron(s), ipts, den, pos)
     s_prime.__dict__.setdefault("_newton_polyhedron", NewtonPolyhedron(
         s.dim, s_prime.points, ipts, den, facets, vmask))
@@ -631,27 +672,30 @@ def _region(n, pts, ipts, den, simplices):
     return region
 
 
-def _lower_form(support):
-    """The integer form (see CompactRegion) of lower_region: the support's
-    integer points and the origin after them, their den, and the sorted
-    pulling triangulation of the compact facets as increasing tuples of
-    support-point indices, each with the origin's index put first."""
-    n = support.dim
+def _require_bounded(support):
+    """SupportError unless every axis carries a point of support, so
+    that the region under its Newton boundary is bounded."""
     if support.missing_axes:
         raise SupportError(
             "region under the Newton boundary is unbounded: no support "
             f"point on axis {support.missing_axes[0]}")
+
+
+def _lower_form(support):
+    """The integer form (see CompactRegion) of lower_region: the support's
+    integer points and the origin after them, their den, and the sorted
+    pulling triangulation of the compact facets as increasing tuples of
+    support-point indices, each with the origin's index put first.
+    lower_region is its one reader; the Newton numbers are read off the
+    placement instead (newton_number._lower_totals)."""
+    n = support.dim
+    _require_bounded(support)
     np_ = newton_polyhedron(support)
     seeds = [g for _, _, g in np_.ifacets]
     memo = {}
     simplices = set()
     for _, _, face in np_._compact_ifacets():
-        verts = face & np_.vmask
-        # a facet with n vertices is a simplex, its own pulling triangulation
-        if verts.bit_count() == n:
-            simplices.add(tuple(_members(verts)))
-        else:
-            simplices.update(_pulling(face, np_.vmask, seeds, memo))
+        simplices.update(_facet_cells(n, face, np_.vmask, seeds, memo))
     origin = len(np_.ipts)
     return np_.ipts + ((0,) * n,), np_.den, [(origin,) + s
                                              for s in sorted(simplices)]
@@ -664,7 +708,8 @@ def lower_region(support):
     unbounded).  Star-shaped from the origin: cones over the compact facets
     triangulate it.  Each compact facet is triangulated by
     geometry._pulling over the polyhedron's bitmasks of support points
-    (_lower_form).
+    (_lower_form).  The CLI's volume vector reads it, and the tests hold
+    the Newton numbers read off the placement against it.
     """
     n = support.dim
     # the origin sorts before every support point, and index tuples sort

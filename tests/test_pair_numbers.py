@@ -1,14 +1,25 @@
-"""nu(S') of a nested pair from nu(S) and the difference region.
+"""Newton numbers off the placement: nu(S) from the pyramids of the
+build of hull(S), nu(S') of a nested pair from nu(S) and the difference
+region.
 
-mu_constant_test builds no lower region of S': lower(S) is tiled by
-lower(S') and the difference region D, so its totals are those of S less
-those of D (newton_number._pair_numbers).  The Newton numbers it reports
-must be typed-equal to newton_number_set of fresh supports, which build
-their own lower regions: on every pair of the mu_sweep benchmark pool and
-on seeded pairs for n = 2..5, placed ones and ones whose S' lacks a point
-of S, some with a denominator of S' that is no multiple of that of S,
-some outside the vertex condition, with both verdicts.  A pair builds
-one lower region, that of S, and no lower region of S'.
+Placing the points of a support on a base polyhedron cuts lower(base)
+into lower(support) and the pyramids D, so its totals are those of the
+base less those of D (newton_number._lower_totals): the base is the
+support's axis simplex, whose totals are the elementary symmetric sums
+of its intercepts, or the polyhedron of a parent that the support was
+placed on.  newton_number_set must agree, typed, with the Newton number
+and the volume vector of lower_region, which triangulates the compact
+facets afresh, and with the former section scan, on seeded supports of
+dimension 1 to 6.
+
+mu_constant_test reads nu(S') as nu(S) less the Newton number of the
+difference region D (newton_number._pair_numbers).  The Newton numbers
+it reports must be typed-equal to newton_number_set of fresh supports:
+on every pair of the mu_sweep benchmark pool and on seeded pairs for
+n = 2..5, placed ones and ones whose S' lacks a point of S, some with a
+denominator of S' that is no multiple of that of S, some outside the
+vertex condition, with both verdicts.  A pair builds no lower region at
+all, places twice and pulls no facet.
 """
 
 import json
@@ -16,13 +27,18 @@ import random
 from fractions import Fraction as F
 from pathlib import Path
 
-from newtonmu import newton_number
+import pytest
+
+from newtonmu import newton_number, polyhedra
 from newtonmu.apex import mu_constant_test, vertex_location_check
-from newtonmu.newton_number import (difference_region, newton_number_region,
-                                    newton_number_set)
+from newtonmu.newton_number import (NewtonVolumeVector, _fractions,
+                                    _lower_totals, _totals,
+                                    difference_region, newton_number_region,
+                                    newton_number_set, volume_vector)
 from newtonmu.polyhedra import (SupportError, _placement, convenience_report,
-                                support_set)
+                                lower_region, newton_polyhedron, support_set)
 from corpus import bs_base_support, bs_deformed_support
+from oracles import _double_description, volume_vector_scan
 from test_conversion import typed
 from test_placement import KINDS, random_pair
 
@@ -105,26 +121,195 @@ def test_nu_s_prime_matches_fresh_supports_seeded():
     assert dropped > 100 and coprime > 50 and failing > 60
 
 
-def test_a_pair_builds_no_lower_region_of_s_prime(monkeypatch):
-    """On every pool case mu_constant_test builds one lower region, that
-    of S, and sums two: lower(S) and D.  The benchmark's second step, the
-    Newton number of difference_region, builds D afresh and sums it once
-    more; it is nu(S) - nu(S').  vertex_location_check reads a pair as
-    mu_constant_test does."""
-    calls = []
-    for name in ("_lower_form", "_totals"):
-        def counted(*args, _f=getattr(newton_number, name), _name=name):
+def count_calls(monkeypatch, calls, names):
+    """Record in calls the name of each call of the given (module, name)
+    bindings."""
+    for module, name in names:
+        def counted(*args, _f=getattr(module, name), _name=name):
             calls.append(_name)
             return _f(*args)
-        monkeypatch.setattr(newton_number, name, counted)
+        monkeypatch.setattr(module, name, counted)
+
+
+def test_a_pair_builds_no_lower_region_of_s_prime(monkeypatch):
+    """On every pool case mu_constant_test builds no lower region, not
+    even that of S, and sums two sets of simplices: the pyramids D0 of
+    the placement of S on its axis simplex, and D.  The benchmark's
+    second step, the Newton number of difference_region, builds D afresh
+    and sums it once more; it is nu(S) - nu(S').  vertex_location_check
+    reads a pair as mu_constant_test does."""
+    calls = []
+    count_calls(monkeypatch, calls, [(polyhedra, "_lower_form"),
+                                     (newton_number, "_totals")])
     for s, sp in pool_pairs():
         calls.clear()
         res = mu_constant_test(s, sp)
-        assert sorted(calls) == ["_lower_form", "_totals", "_totals"]
+        assert calls == ["_totals", "_totals"]
         calls.clear()
         region = difference_region(s, sp)
         assert newton_number_region(region) == res.nu_s - res.nu_s_prime
         assert calls == ["_totals"]
     calls.clear()
     assert vertex_location_check(bs_base_support(), bs_deformed_support())
-    assert sorted(calls) == ["_lower_form", "_totals", "_totals"]
+    assert calls == ["_totals", "_totals"]
+
+
+def test_a_pool_case_places_twice_and_pulls_nothing(monkeypatch):
+    """A pool case (the apex test, then the Newton number of the
+    difference region) places twice, S on its axis simplex and S' on
+    hull(S), triangulates no facet by pulling, since every facet that a
+    point sees is a simplex or was cut by the placement itself, and
+    builds one region, the benchmark's D."""
+    calls = []
+    count_calls(monkeypatch, calls, [
+        (polyhedra, "_place"), (polyhedra, "_pulling"),
+        (polyhedra, "_region"), (newton_number, "_region")])
+    for s, sp in pool_pairs():
+        calls.clear()
+        mu_constant_test(s, sp)
+        newton_number_region(difference_region(s, sp))
+        assert sorted(calls) == ["_place", "_place", "_region"]
+
+
+def rule_support(rng, n, k):
+    """An axis-convenient support of dimension n: every fifth one the
+    axis simplex alone, the others one to three points on each axis, at
+    least 2, and one to six more points, each with every coordinate
+    positive, on a coordinate hyperplane (n > 1), or a point drawn
+    before plus a nonnegative step, which it dominates.  The first two
+    kinds are often shrunk toward the origin by one factor, so that they
+    lie below the axis simplex.  Coordinates are rational, with
+    denominators 1, 2 and 3 mixed."""
+    def rational():
+        return F(rng.randint(1, 8), rng.choice((1, 1, 2, 3)))
+
+    def shrunk(m):
+        """m coordinates, shrunk by one factor."""
+        f = rng.choice((1, F(1, 3), F(1, 6)))
+        return [rational() * f for _ in range(m)]
+
+    pts = [tuple(rational() + 2 if j == i else 0 for j in range(n))
+           for i in range(n) for _ in range(1 if k % 5 == 4 else
+                                            rng.randint(1, 3))]
+    for _ in range(0 if k % 5 == 4 else rng.randint(1, 6)):
+        kind = rng.randrange(3)
+        if kind == 0:
+            p = tuple(shrunk(n))
+        elif kind == 1 and n > 1:
+            zeros = rng.sample(range(n), rng.randint(1, n - 1))
+            xs = iter(shrunk(n - len(zeros)))
+            p = tuple(0 if i in zeros else next(xs) for i in range(n))
+        else:
+            p = tuple(x + rng.choice((0, F(1, 2), 1))
+                      for x in rng.choice(pts))
+        pts.append(p)
+    return support_set(n, pts)
+
+
+def on_a_facet_plane(rng, s):
+    """A point on the plane of a compact facet of hull(s), in the
+    orthant: a combination of the plane's axis intercepts.  Outside the
+    facet it sees another facet, and the facet grows by it."""
+    w, c, _ = rng.choice(newton_polyhedron(s).compact_facets())
+    weights = [rng.randint(0, 3) for _ in w]
+    weights[rng.randrange(len(w))] += 1
+    return tuple(F(c * x, sum(weights) * y) for x, y in zip(weights, w))
+
+
+def below_a_fat_facet(sp):
+    """A point just below the centre of a compact facet of hull(sp) with
+    more than n vertices, which is no simplex, or None."""
+    np_ = newton_polyhedron(sp)
+    for _, _, active in np_.compact_facets():
+        verts = [p for p in active if p in np_.vertices]
+        if len(verts) > sp.dim:
+            return tuple(sum(xs) * F(9, 10 * len(verts))
+                         for xs in zip(*verts))
+    return None
+
+
+def test_newton_numbers_off_the_placement(monkeypatch):
+    """Three hundred seeds, n = 1..6 in turn: newton_number_set and the
+    volume vector of the totals _lower_totals reads off the placement are
+    typed-equal to those of lower_region, which pulls the compact facets
+    afresh, and to the former section scan.  The supports cover the
+    axis simplex alone (D0 empty), several points on an axis, dominated
+    points and points on coordinate hyperplanes, whose pyramids have
+    sections (D0 adds to some T_k, k < n).
+
+    A child placed on S, S plus a rational point or, for n > 2, plus a
+    point on the plane of a compact facet, reads its Newton number off
+    that of S and runs no second placement.  So does a grandchild placed
+    on the child below a facet that the plane point made no simplex,
+    which that placement pulls.  A support whose polyhedron was seeded
+    by hand is placed for it."""
+    calls = []
+    count_calls(monkeypatch, calls, [(polyhedra, "_place"),
+                                     (polyhedra, "_pulling")])
+    seen = {"empty": 0, "several": 0, "dominated": 0, "sections": 0,
+            "mixed": 0, "pulled": 0}
+
+    def placed_child(parent, extra, k):
+        """The child, and whether its placement pulled a facet."""
+        child = parent.augment([extra])
+        calls.clear()
+        assert _placement(parent, child) is not None
+        pulled = "_pulling" in calls
+        calls.clear()
+        nu = newton_number_set(child)
+        assert "_place" not in calls
+        assert typed(nu) == typed(newton_number_region(
+            lower_region(support_set(child.dim, child.points)))), k
+        return child, pulled
+
+    for k in range(300):
+        rng = random.Random(k)
+        n = 1 + k % 6
+        s = rule_support(rng, n, k)
+        nu = newton_number_set(s)
+        region = lower_region(support_set(n, s.points))
+        assert typed(nu) == typed(newton_number_region(region)) == typed(
+            volume_vector_scan(region).newton_number()), k
+        assert typed(NewtonVolumeVector(_fractions(*_lower_totals(s)))) == (
+            typed(volume_vector(region))), k
+        ipts, den = s._scaled_points
+        d0 = _totals(n, ipts, s.__dict__["_placed"][1])
+        seen["empty"] += not any(d0)
+        seen["sections"] += any(d0[:n])
+        axes = [p for p in ipts if sum(map(bool, p)) == 1]
+        seen["several"] += len(axes) > n
+        seen["dominated"] += any(p != q and all(x <= y for x, y in zip(p, q))
+                                 for p in ipts for q in ipts)
+        seen["mixed"] += len({x.denominator for p in s.points
+                              for x in p} - {1}) > 1
+        if n > 2 and len(newton_polyhedron(s).compact_facets()) > 1:
+            alpha = on_a_facet_plane(rng, s)
+        else:
+            alpha = tuple(F(rng.randint(0, 9), rng.choice((1, 2, 3)))
+                          for _ in range(n))
+        if any(alpha) and alpha not in s.points:
+            sp, _ = placed_child(s, alpha, k)
+            beta = below_a_fat_facet(sp)
+            if beta is not None:
+                seen["pulled"] += placed_child(sp, beta, k)[1]
+        if k % 10 == 0:     # a polyhedron seeded by hand
+            copy = support_set(n, s.points)
+            seeded = copy.__dict__["_newton_polyhedron"] = (
+                _double_description(copy))
+            assert typed(newton_number_set(copy)) == typed(nu), k
+            assert "_placed" in copy.__dict__
+            assert copy.__dict__["_newton_polyhedron"] is seeded
+    assert seen.pop("pulled") > 25 and min(seen.values()) > 40, seen
+
+
+def test_a_missing_axis_keeps_its_error_text():
+    """newton_number_set raises the text lower_region raises for a
+    support that misses an axis."""
+    s = support_set(3, [(2, 0, 0), (0, 3, 0), (1, 1, 1)])
+    with pytest.raises(SupportError) as region_error:
+        lower_region(s)
+    with pytest.raises(SupportError) as number_error:
+        newton_number_set(s)
+    assert str(number_error.value) == str(region_error.value) == (
+        "region under the Newton boundary is unbounded: no support point "
+        "on axis 3")

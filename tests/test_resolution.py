@@ -9,8 +9,8 @@ from newtonmu.families import family
 from newtonmu.fans import cone_from_rays, is_regular_cone, support_function
 from newtonmu.geometry import GeometryError
 from newtonmu.milnor import milnor_number, nondegeneracy_check
-from newtonmu.newton_number import newton_number_set
-from newtonmu.polyhedra import SupportError, support_set
+from newtonmu.newton_number import newton_number_region, newton_number_set
+from newtonmu.polyhedra import SupportError, lower_region, support_set
 from newtonmu.resolution import (chart_pullback, make_chart,
                                  simultaneous_resolution)
 from corpus import (boundary_plane_augmentation, bs_family,
@@ -141,10 +141,11 @@ def test_main_theorem_on_random_families():
         verdict = test.verdict
         assert verdict == (test.nu_s == test.nu_s_prime)
         # nu(S') again on a second build of S': a fresh copy whose
-        # polyhedron is the double description's, with no placement
+        # polyhedron is the double description's, its lower region
+        # triangulated from that polyhedron, with no placement
         copy = support_set(n, sp.points)
         copy.__dict__["_newton_polyhedron"] = _double_description(copy)
-        assert test.nu_s_prime == newton_number_set(copy)
+        assert test.nu_s_prime == newton_number_region(lower_region(copy))
         assert "_placed" not in copy.__dict__
         verdicts.add(verdict)
         if verdict:
