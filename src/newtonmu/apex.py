@@ -7,16 +7,15 @@ the old vertex set on that edge.  The apex is good when its coordinates
 outside I follow the Kronecker pattern of i.  Newton numbers of nested
 convenient supports agree exactly when every added vertex has a good apex,
 and mu_constant_test decides this combinatorially, then cross-checks the
-verdict against the Newton numbers, which do not read the apices.  nu(S)
-comes from the pyramids D0 that placing S on its axis simplex cut
-(newton_number._lower_totals), and nu(S') = nu(S) - nu(D) from the
-difference region D that the placement of S' on hull(S) cuts
-(newton_number._pair_numbers), which vertex_location_check reads too.
-So neither number is re-derived from a lower region of its own: a
-defect in D moves nu(S') and nu(D) together, and one in the placement
-moves both numbers.  The test suite holds them against lower_region,
-which triangulates the compact facets afresh, and against the former
-section scan.
+verdict against the Newton numbers, which do not read the apices.  Both
+are newton_number_set, read off the placements that built the polyhedra
+(newton_number._lower_totals): nu(S) off the pyramids D0 of S on its
+axis simplex and, when S' holds the points of S, nu(S') = nu(S) - nu(D)
+off the difference region D of S' on hull(S).  So neither number is
+re-derived from a lower region of its own: a defect in D moves nu(S')
+and nu(D) together, and one in the placement moves both numbers.  The
+test suite holds them against lower_region, which triangulates the
+compact facets afresh, and against the former section scan.
 
 Axis sets are 1-based in this interface.
 """
@@ -28,7 +27,7 @@ from math import lcm
 
 from .geometry import (InternalConsistencyError, Record, _members, _scaled,
                        render_point, vec)
-from .newton_number import _pair_numbers
+from .newton_number import newton_number_set
 from .polyhedra import (SupportError, _placement, added_vertices,
                         convenience_report, newton_polyhedron)
 
@@ -217,10 +216,10 @@ class MuConstancyResult(Record):
     numbers agree); certificates come in added-vertex order; warnings note
     vertices with no apex at all and any weakened hypotheses.  nu_s is
     read off the placement of S on its axis simplex, as the simplex's
-    Newton number less that of the pyramids the placement cut, and
-    nu_s_prime is nu_s minus the Newton number of the difference region,
-    exactly: the volumes V_k add over the tiling of lower(S) by lower(S')
-    and that region."""
+    Newton number less that of the pyramids the placement cut, and so
+    is nu_s_prime, unless S' holds the points of S: then it is nu_s minus
+    the Newton number of the difference region, exactly, as the volumes
+    V_k add over the tiling of lower(S) by lower(S') and that region."""
 
     verdict: bool
     certificates: tuple
@@ -243,16 +242,17 @@ def mu_constant_test(s, s_prime):
 
     The combinatorial criterion (good apices at every added vertex) is
     always cross-checked against the Newton numbers, which do not read the
-    apices.  nu(S) comes from the placement that built hull(S)
-    (newton_number._lower_totals), with no lower region.  nu(S') comes
-    from Gamma_-(S) = Gamma_-(S') u D, D the difference region that
-    placing S' on hull(S) already cut: the volumes V_k add over that
-    tiling, one coordinate section at a time, so the integer totals of
-    S' are those of S less those of D (newton_number._pair_numbers), and
-    no lower region of S' is built.  On convenient data the two must
-    coincide, so disagreement raises InternalConsistencyError; when a
-    support fails the vertex condition the theorem does not cover the
-    pair, and disagreement raises SupportError naming the failing axes.
+    apices.  Both are newton_number_set of their supports, read off the
+    placements that built the polyhedra (newton_number._lower_totals),
+    with no lower region.  When S' holds the points of S, hull(S') is
+    placed on hull(S), and Gamma_-(S) = Gamma_-(S') u D, D the difference
+    region the placement cut: the volumes V_k add over that tiling, so
+    the integer totals of S' are those of S less those of D.  Otherwise
+    added_vertices checks that the pair is nested.  On convenient data
+    the verdict and the equality of the numbers must coincide, so
+    disagreement raises InternalConsistencyError; when a support fails
+    the vertex condition the theorem does not cover the pair, and
+    disagreement raises SupportError naming the failing axes.
     """
     rep_s = _require_axis_convenient(s, "first")
     # hull(s') placed on hull(s) when s' holds the points of s, before the
@@ -281,7 +281,7 @@ def mu_constant_test(s, s_prime):
         certificates.append(cert)
         if not cert.good:
             verdict = False
-    nu_s, nu_sp = _pair_numbers(s, s_prime)
+    nu_s, nu_sp = newton_number_set(s), newton_number_set(s_prime)
     if verdict != (nu_s == nu_sp) and outside:
         raise SupportError(
             f"apex verdict {verdict} disagrees with Newton numbers {nu_s} "
@@ -299,13 +299,14 @@ def vertex_location_check(s, s_prime):
     """No added vertex may sit in the open positive orthant once the
     Newton numbers agree; returns that check.  Raises when the numbers
     differ, since the location statement presupposes equality.  The
-    numbers are read as mu_constant_test reads them (_pair_numbers), so
-    a pair that is not nested raises there."""
+    pair is placed and read as in mu_constant_test, so a pair that is
+    not nested raises in added_vertices."""
     _require_axis_convenient(s, "first")
+    _placement(s, s_prime)      # hull(s') on hull(s), as in mu_constant_test
     _require_axis_convenient(s_prime, "second")
-    nu_s, nu_sp = _pair_numbers(s, s_prime)
+    added = added_vertices(s, s_prime)
+    nu_s, nu_sp = newton_number_set(s), newton_number_set(s_prime)
     if nu_s != nu_sp:
         raise SupportError(
             f"hypothesis violated: Newton numbers differ ({nu_s} vs {nu_sp})")
-    return all(any(x == 0 for x in alpha)
-               for alpha in added_vertices(s, s_prime))
+    return all(any(x == 0 for x in alpha) for alpha in added)

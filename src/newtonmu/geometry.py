@@ -48,9 +48,9 @@ the class annotations, and no code is generated per class.
 Nothing is memoized at module level: hull rows, bounded pieces and
 triangulations are computed on every call.  The package's memos live on
 their inputs, as lazy facts (_lazy) or seeded into the instance dict: the
-Newton polyhedron of a support and its placement on its
-polyhedra.SupportSet, a region's integer form on the region, a cone's
-rows on the cone.
+Newton polyhedron of a support, its placement and the totals of its
+Newton number (newton_number._lower_totals) on its polyhedra.SupportSet,
+a region's integer form on the region, a cone's rows on the cone.
 
 Determinism: vertices are kept in lexicographic order, facets are sorted by
 (normal, offset), and the pulling triangulation always cones from the

@@ -54,12 +54,14 @@ projection_formula_check hands union_volume_vector each simplex's shadow
 as its projected points, which geometry._hull_rows turns into rows,
 because a projection is not a face.
 
-A nested pair S in S' is the same rule with S as the base
-(_pair_numbers): T_k(S') is T_k(S) minus T_k(D) over the den of S', in
-integers, and nu(S') = nu(S) - nu(D) exactly.  For a pair that
-_placement places, D is summed straight off its memoized pyramids and
-no region is built; a pair it refuses builds difference_region, whose
-nesting check runs first.
+A nested pair S in S' has no rule of its own: each of its Newton
+numbers is newton_number_set of its support.  When S' holds every point
+of S, polyhedra._placement has placed S' on hull(S) and recorded S as
+its base, so T_k(S') is T_k(S) minus T_k(D) over the den of S', D the
+difference region, and nu(S') = nu(S) - nu(D) exactly, summed straight
+off the pyramids with no region built.  A pair it refuses keeps the
+record of the build of S' on its own.  The totals are memoized on the
+support, so a pair sums the pyramids of S once.
 
 Axis sets in the public interface are 1-based, matching the customary
 notation I, J subsets of {1,...,n}; internals are 0-based.
@@ -250,7 +252,14 @@ def _lower_totals(support):
     a_k.  Or B is hull(S0) of a parent S0 that S' was placed on, whose
     totals come from its own record.  A polyhedron seeded by hand has no
     record, and the support is placed for it.
+
+    The totals are memoized on the support, as its _lower_totals entry
+    in the instance dict, as _placed records the placement: a nested
+    pair reads those of S once, for nu(S) and as the base of S'.
     """
+    memo = support.__dict__.get("_lower_totals")
+    if memo is not None:
+        return memo
     _require_bounded(support)
     newton_polyhedron(support)      # built once per support, and recorded
     if "_placed" not in support.__dict__:
@@ -259,12 +268,15 @@ def _lower_totals(support):
     ipts, den = support._scaled_points
     td = _totals(support.dim, ipts, simplices)
     if isinstance(base, SupportSet):
-        return _less(*_lower_totals(base), td, den), den
-    e = [1] + [0] * support.dim
-    for k, p in enumerate(base.ipts):
-        for i in range(k + 1, 0, -1):
-            e[i] += e[i - 1] * p[k]
-    return _less(e, den, td, den), den
+        totals, den_b = _lower_totals(base)
+    else:
+        totals, den_b = [1] + [0] * support.dim, den
+        for k, p in enumerate(base.ipts):
+            for i in range(k + 1, 0, -1):
+                totals[i] += totals[i - 1] * p[k]
+    memo = support.__dict__["_lower_totals"] = (
+        _less(totals, den_b, td, den), den)
+    return memo
 
 
 def newton_number_set(support):
@@ -273,33 +285,11 @@ def newton_number_set(support):
     Raises SupportError (naming the offending axis) otherwise; use
     newton_number_series for supports with empty axes.  The same as
     newton_number_region(lower_region(support)), from _lower_totals,
-    which reads it off the support's placement.
+    which reads it off the support's placement: for the bigger support
+    of a pair that polyhedra._placement placed, off the smaller one's
+    and the pyramids of the difference region.
     """
     return _newton_fraction(*_lower_totals(support))
-
-
-def _pair_numbers(s, s_prime):
-    """nu(S) and nu(S') of a nested pair whose S covers every axis, from
-    the totals of lower(S) and of the difference region D alone: no lower
-    region of S' is built, and of S none either (_lower_totals).
-
-    lower(S) is lower(S') u D, tiled as _lower_totals sets out, so
-    T_k(S') = T_k(S) (den / den_S)^k - T_k(D) over the den of D.  For a
-    pair that _placement places, D is summed straight off the memoized
-    pyramids over the integer points of S', and no region is built.  A
-    pair it refuses builds difference_region, whose nesting check raises
-    for a pair that is not nested; its den, that of S u S', is a
-    multiple of den_S too.
-    """
-    ts, den_s = _lower_totals(s)
-    simplices = _placement(s, s_prime)
-    if simplices is None:
-        td, den = _region_totals(difference_region(s, s_prime))
-    else:
-        ipts, den = s_prime._scaled_points
-        td = _totals(s.dim, ipts, simplices)
-    return (_newton_fraction(ts, den_s),
-            _newton_fraction(_less(ts, den_s, td, den), den))
 
 
 # --- sup over axis augmentations -------------------------------------------
@@ -399,9 +389,9 @@ def difference_region(s, s_prime):
 
     lower(s) is tiled by lower(s') and this region, each section with a
     coordinate subspace too, so every volume V_k adds over the tiling:
-    mu_constant_test reads nu(s') as nu(s) less the Newton number of
-    this region (_pair_numbers).  The region is built afresh on every
-    call.
+    for a placed pair newton_number_set(s') is nu(s) less the Newton
+    number of these simplices (_lower_totals), which it sums without
+    this region.  The region is built afresh on every call.
     """
     simplices = _placement(s, s_prime)
     if simplices is None:

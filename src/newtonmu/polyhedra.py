@@ -62,8 +62,10 @@ triangulation, the pulling one for facets of hull(S) and the inherited
 cones for the facets placement made or grew, so the pyramids of all
 steps form one simplicial complex.  _placement memoizes both on S' for
 that S, as the record of S' in place of its own; the apex test places
-before anything builds hull(S') on its own, and newton_number reads
-nu(S') and difference_region its simplices off the memo.
+before anything builds hull(S') on its own.  newton_number reads nu(S')
+off nu(S) and the memo, as it reads every support off its record, and
+difference_region its simplices.  A pair whose S' lacks a point of S
+keeps the record of the build of S' on its own.
 
 A placement does only the work it needs: a point beyond every facet
 plane leaves the facet list as it is; the seed list is built only when
@@ -508,10 +510,11 @@ def _placement(s, s_prime):
     that was built already: it is typed-equal to the one newton_polyhedron
     builds.  The simplices are memoized on s_prime, as its _placed record
     (s, simplices) in place of any earlier one, so the apex test and the
-    difference region of one pair place once, and newton_number reads
-    nu(s_prime) off nu(s) and these pyramids.  A support with the points
-    of s has nothing to place and keeps its record: one pointing back at
-    s could close a loop of records.
+    difference region of one pair place once, and newton_number_set
+    reads nu(s_prime) off nu(s) and these pyramids, as it reads every
+    support off its record.  A support with the points of s has nothing
+    to place and keeps its record: one pointing back at s could close a
+    loop of records.
     """
     memo = s_prime.__dict__.get("_placed")
     if memo is not None and (memo[0] is s or memo[0] == s):

@@ -12,14 +12,16 @@ and the volume vector of lower_region, which triangulates the compact
 facets afresh, and with the former section scan, on seeded supports of
 dimension 1 to 6.
 
-mu_constant_test reads nu(S') as nu(S) less the Newton number of the
-difference region D (newton_number._pair_numbers).  The Newton numbers
-it reports must be typed-equal to newton_number_set of fresh supports:
+mu_constant_test reads both numbers as newton_number_set of its
+supports: when S' holds the points of S, nu(S') is nu(S) less the
+Newton number of the difference region D that placing S' on hull(S)
+cut, and otherwise it is read off the build of S' on its own.  The
+Newton numbers it reports must be typed-equal to those of fresh supports:
 on every pair of the mu_sweep benchmark pool and on seeded pairs for
 n = 2..5, placed ones and ones whose S' lacks a point of S, some with a
 denominator of S' that is no multiple of that of S, some outside the
 vertex condition, with both verdicts.  A pair builds no lower region at
-all, places twice and pulls no facet.
+all, places twice and pulls no facet; a refused pair builds no region.
 """
 
 import json
@@ -133,25 +135,47 @@ def count_calls(monkeypatch, calls, names):
 
 def test_a_pair_builds_no_lower_region_of_s_prime(monkeypatch):
     """On every pool case mu_constant_test builds no lower region, not
-    even that of S, and sums two sets of simplices: the pyramids D0 of
-    the placement of S on its axis simplex, and D.  The benchmark's
-    second step, the Newton number of difference_region, builds D afresh
-    and sums it once more; it is nu(S) - nu(S').  vertex_location_check
-    reads a pair as mu_constant_test does."""
+    even that of S, places twice and sums two sets of simplices: the
+    pyramids D0 of the placement of S on its axis simplex, and D.  The
+    benchmark's second step, the Newton number of difference_region,
+    builds D afresh and sums it once more; it is nu(S) - nu(S').
+
+    A pair that _placement refuses (the CI pair, and seeded "below" and
+    "sevenths" pairs) runs check_nested once, places S and S' each on
+    its axis simplex, sums the two D0 and builds no region: no
+    difference region and no second hull of S'.  vertex_location_check
+    places and reads a pair as mu_constant_test does."""
     calls = []
-    count_calls(monkeypatch, calls, [(polyhedra, "_lower_form"),
-                                     (newton_number, "_totals")])
+    count_calls(monkeypatch, calls, [
+        (polyhedra, "_lower_form"), (newton_number, "_totals"),
+        (polyhedra, "_place"), (polyhedra, "_region"),
+        (newton_number, "_region"), (polyhedra, "check_nested"),
+        (newton_number, "check_nested")])
     for s, sp in pool_pairs():
         calls.clear()
         res = mu_constant_test(s, sp)
-        assert calls == ["_totals", "_totals"]
+        assert sorted(calls) == ["_place", "_place", "_totals", "_totals"]
         calls.clear()
         region = difference_region(s, sp)
         assert newton_number_region(region) == res.nu_s - res.nu_s_prime
-        assert calls == ["_totals"]
+        assert sorted(calls) == ["_region", "_totals"]
+    refused = [(support_set(2, [(4, 0), (2, 2), (0, 4)]),
+                support_set(2, [(4, 0), (1, 1), (0, 4)]))]
+    for k in range(40):
+        s, sp = nested_pair(random.Random(k), 2 + k % 4,
+                            ("below", "sevenths")[k % 2])
+        if _placement(s, sp) is None:
+            refused.append((s, sp))
+    assert len(refused) > 30
+    for s, sp in refused:
+        s, sp = (support_set(x.dim, x.points) for x in (s, sp))
+        calls.clear()
+        mu_constant_test(s, sp)
+        assert sorted(calls) == ["_place", "_place", "_totals", "_totals",
+                                 "check_nested"]
     calls.clear()
     assert vertex_location_check(bs_base_support(), bs_deformed_support())
-    assert calls == ["_totals", "_totals"]
+    assert sorted(calls) == ["_place", "_place", "_totals", "_totals"]
 
 
 def test_a_pool_case_places_twice_and_pulls_nothing(monkeypatch):
