@@ -9,13 +9,10 @@ convenient supports agree exactly when every added vertex has a good apex,
 and mu_constant_test decides this combinatorially, then cross-checks the
 verdict against the Newton numbers, which do not read the apices.  Both
 are newton_number_set, read off the placements that built the polyhedra
-(newton_number._lower_totals): nu(S) off the pyramids D0 of S on its
-axis simplex and, when S' holds the points of S, nu(S') = nu(S) - nu(D)
-off the difference region D of S' on hull(S).  So neither number is
-re-derived from a lower region of its own: a defect in D moves nu(S')
-and nu(D) together, and one in the placement moves both numbers.  The
-test suite holds them against lower_region, which triangulates the
-compact facets afresh, and against the former section scan.
+(the tiling argument of newton_number._lower_totals), the one volume
+path: a defect in the placement moves both numbers.  The test suite
+holds them against a fresh triangulation of the compact facets and the
+former section scan.
 
 Axis sets are 1-based in this interface.
 """
@@ -214,12 +211,9 @@ def find_apex(s, s_prime, alpha):
 class MuConstancyResult(Record):
     """verdict: every added vertex has a good apex (equivalently, the Newton
     numbers agree); certificates come in added-vertex order; warnings note
-    vertices with no apex at all and any weakened hypotheses.  nu_s is
-    read off the placement of S on its axis simplex, as the simplex's
-    Newton number less that of the pyramids the placement cut, and so
-    is nu_s_prime, unless S' holds the points of S: then it is nu_s minus
-    the Newton number of the difference region, exactly, as the volumes
-    V_k add over the tiling of lower(S) by lower(S') and that region."""
+    vertices with no apex at all and any weakened hypotheses.  nu_s and
+    nu_s_prime are newton_number_set of the two supports, read off their
+    placements (newton_number._lower_totals)."""
 
     verdict: bool
     certificates: tuple
@@ -243,16 +237,15 @@ def mu_constant_test(s, s_prime):
     The combinatorial criterion (good apices at every added vertex) is
     always cross-checked against the Newton numbers, which do not read the
     apices.  Both are newton_number_set of their supports, read off the
-    placements that built the polyhedra (newton_number._lower_totals),
-    with no lower region.  When S' holds the points of S, hull(S') is
-    placed on hull(S), and Gamma_-(S) = Gamma_-(S') u D, D the difference
-    region the placement cut: the volumes V_k add over that tiling, so
-    the integer totals of S' are those of S less those of D.  Otherwise
-    added_vertices checks that the pair is nested.  On convenient data
-    the verdict and the equality of the numbers must coincide, so
-    disagreement raises InternalConsistencyError; when a support fails
-    the vertex condition the theorem does not cover the pair, and
-    disagreement raises SupportError naming the failing axes.
+    placements that built the polyhedra (newton_number._lower_totals).
+    When S' holds the points of S, hull(S') is placed on hull(S), and
+    nu(S') is nu(S) less the Newton number of the difference region that
+    placement cut.  Otherwise added_vertices checks that the pair is
+    nested.  On convenient data the verdict and the equality of the
+    numbers must coincide, so disagreement raises
+    InternalConsistencyError; when a support fails the vertex condition
+    the theorem does not cover the pair, and disagreement raises
+    SupportError naming the failing axes.
     """
     rep_s = _require_axis_convenient(s, "first")
     # hull(s') placed on hull(s) when s' holds the points of s, before the

@@ -26,9 +26,9 @@ from .fans import is_regular_cone, newton_fan, regularize_fan, simplicialize
 from .geometry import GeometryError, InternalConsistencyError, Record
 from .groebner import DEFAULT_BUDGET, BudgetExceeded
 from .milnor import milnor_number, nondegeneracy_check, render_face
-from .newton_number import newton_number_series, volume_vector
+from .newton_number import newton_number_series, volume_vector_set
 from .polyhedra import (SupportError, added_vertices, convenience_report,
-                        lower_region, newton_polyhedron, support_set)
+                        newton_polyhedron, support_set)
 from .resolution import simultaneous_resolution
 
 SCHEMA_VERSION = 1
@@ -308,7 +308,7 @@ def _cmd_nu(args, load):
     warnings = []
     results = {"convenience": _convenience_json(conv)}
     if conv.axis_convenient:
-        vv = volume_vector(lower_region(s))
+        vv = volume_vector_set(s)
         results["mode"] = "exact"
         results["nu"] = _fmt(vv.newton_number())
         results["volume_vector"] = _jsonable(vv.V)

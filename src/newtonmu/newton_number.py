@@ -20,30 +20,23 @@ and returns the integer totals T_k = k! V_k den^k: a simplex adds the
 simplex's vertices off the open orthant and counted once, adds the |det|
 of its k x k minor to T_k (geometry._int_det from order 2).  A Newton
 number is then the one Fraction (sum_k (-1)^(n-k) T_k den^(n-k)) / den^n,
-and V_k, for volume_vector and union_volume_vector, the Fraction
-T_k / (den^k k!).
+and V_k, for the volume vectors, the Fraction T_k / (den^k k!).
 
-A support's Newton number is read off the placement that built its
-polyhedron (_lower_totals), not off a triangulation of its compact
-facets.  Placing the points of S on a base B cuts lower(B) into lower(S)
-and the pyramids D (De Loera, Rambau & Santos, Triangulations, 2010,
-ch. 4), and the V_k add over that tiling (Kouchnirenko 1976), so
-T(S) = T(B) - T(D).  The base is the axis simplex that polyhedra._placed
-starts from, whose totals are the elementary symmetric sums of the
-integer intercepts, or the hull of a parent that S was placed on
-(polyhedra._placement), whose totals come the same way.  The pyramids
-are index tuples into the support's own integer points, so no Fraction
-point and no region is built.  lower_region stays the reference path,
-which the CLI's volume vector and the tests read.  A CompactRegion
-carries a cached integer form (points times den, den, index
-simplices); lower_region and difference_region seed it from the support's
-integer points, so newton_number_region and volume_vector never hash or
-scale the region's Fraction points, and only a region built by hand is
-indexed and scaled on first use.  difference_region builds no hull and
-runs no double description: its simplices are the pyramids of the points
-of the bigger support placed on the smaller polyhedron
-(polyhedra._place), each placed point coned over the simplices of the
-facets it sees, so a facet that no point sees adds nothing.
+A support's volumes, for newton_number_set and volume_vector_set, are
+read off the placement that built its polyhedron, as T(S) = T(B) - T(D)
+for the base B it was placed on and the pyramids D that placement cut:
+_lower_totals, the one place that sums them, gives the tiling argument.
+The pyramids are index tuples into the support's own integer points, so
+no Fraction point and no region is built.  A CompactRegion carries a
+cached integer form (points times den, den, index simplices);
+difference_region seeds it from the support's integer points, so
+newton_number_region and volume_vector never hash or scale the region's
+Fraction points, and only a region built by hand is indexed and scaled
+on first use.  difference_region builds no hull and runs no double
+description: its simplices are the pyramids of the points of the bigger
+support placed on the smaller polyhedron (polyhedra._place), each
+placed point coned over the simplices of the facets it sees, so a facet
+that no point sees adds nothing.
 union_volume_vector builds no hull either: each intersection of its
 inclusion-exclusion is read off its homogenized rows by
 geometry._bounded_piece (one double description) and triangulated by
@@ -57,11 +50,9 @@ because a projection is not a face.
 A nested pair S in S' has no rule of its own: each of its Newton
 numbers is newton_number_set of its support.  When S' holds every point
 of S, polyhedra._placement has placed S' on hull(S) and recorded S as
-its base, so T_k(S') is T_k(S) minus T_k(D) over the den of S', D the
-difference region, and nu(S') = nu(S) - nu(D) exactly, summed straight
-off the pyramids with no region built.  A pair it refuses keeps the
-record of the build of S' on its own.  The totals are memoized on the
-support, so a pair sums the pyramids of S once.
+its base, so nu(S') = nu(S) - nu(D), D the difference region.  A pair it
+refuses keeps the record of the build of S' on its own.  The totals are
+memoized on the support, so a pair sums the pyramids of S once.
 
 Axis sets in the public interface are 1-based, matching the customary
 notation I, J subsets of {1,...,n}; internals are 0-based.
@@ -113,8 +104,8 @@ class NewtonVolumeVector(Record):
 def volume_vector(region):
     """Exact volume vector of a compact region.
 
-    The region must be a simplicial complex (the constructors in polyhedra
-    guarantee this); section faces shared between simplices are deduplicated
+    The region must be a simplicial complex (difference_region's pyramids
+    form one); section faces shared between simplices are deduplicated
     by vertex set, which is sound exactly because intersections of complex
     members are common faces.  _totals sums the sections over the region's
     integer form, and V_k is the one Fraction T_k / (den^k k!).
@@ -223,33 +214,37 @@ def newton_number_region(region):
 def _less(totals, den_b, td, den):
     """The totals over den of a region R = B minus D: the totals of B
     over den_b, which divides den, rescaled by (den / den_b)^k, less the
-    totals td of D over den.  B is tiled by R and D, each coordinate
-    section too (see _lower_totals), so every V_k adds."""
+    totals td of D over den, as every V_k adds over the tiling of B by R
+    and D (_lower_totals)."""
     up = den // den_b
     return [a * up ** k - b for k, (a, b) in enumerate(zip(totals, td))]
 
 
 def _lower_totals(support):
-    """The totals of lower_region(support) and their den, read off the
-    placement that built the support's polyhedron (its _placed record,
-    polyhedra._placed and _placement): no lower region is triangulated.
+    """The totals T_k (_totals) of the region lower(S) under the Newton
+    boundary of a support S that covers every axis, and their den, read
+    off the placement that built its polyhedron (its _placed record,
+    polyhedra._placed and _placement).  No region is built.  This is the
+    one place that sums a support's volumes: newton_number_set and
+    volume_vector_set read it.
 
-    Placing the points of S on a base polyhedron B cuts hull(S) minus
-    hull(B) into pyramids D (De Loera, Rambau & Santos, Triangulations,
-    2010, ch. 4), so lower(B) is lower(S) u D, the two meeting only on
-    the boundary of Gamma+(S).  Cut by a coordinate subspace R^A with
-    |A| = k, their sections still cover the section of lower(B) and meet
-    only on the boundary of Gamma+(S) n R^A, of dimension k - 1.  So
-    every V_k adds over the tiling (Kouchnirenko 1976), and over the den
-    of S, a multiple of that of B, T_k(S) = T_k(B) (den / den_B)^k
-    - T_k(D), an integer identity; D misses the origin, so T_0(S) = 1.
+    The tiling argument.  Placing the points of S on a base polyhedron B
+    cuts hull(S) minus hull(B) into pyramids D (De Loera, Rambau &
+    Santos, Triangulations, 2010, ch. 4), so lower(B) is lower(S) u D,
+    the two meeting only on the boundary of Gamma+(S).  Cut by a
+    coordinate subspace R^A with |A| = k, their sections still cover the
+    section of lower(B) and meet only on the boundary of Gamma+(S) n R^A,
+    of dimension k - 1.  So every V_k adds over the tiling (Kouchnirenko
+    1976), and over the den of S, a multiple of that of B, T_k(S) =
+    T_k(B) (den / den_B)^k - T_k(D) (_less), an integer identity; D
+    misses the origin, so T_0(S) = 1.
 
     B is either the start of the support's own placement, the polyhedron
     of its least axis points a_k e_k (for n = 1 its first point, the
-    least point on the axis), whose lower region is the simplex with those vertices
-    and the origin: its section with R^A has volume prod_{k in A} a_k
-    / k!, so T(B) is the elementary symmetric sums e_k(a) of the integer
-    a_k.  Or B is hull(S0) of a parent S0 that S' was placed on, whose
+    least point on the axis), whose lower region is the simplex with
+    those vertices and the origin: its section with R^A has volume
+    prod_{k in A} a_k / k!, so T(B) is the elementary symmetric sums
+    e_k(a) of the integer a_k.  Or B is hull(S0) of a parent S0 that S' was placed on, whose
     totals come from its own record.  A polyhedron seeded by hand has no
     record, and the support is placed for it.
 
@@ -283,13 +278,19 @@ def newton_number_set(support):
     """Newton number of a support set covering every axis.
 
     Raises SupportError (naming the offending axis) otherwise; use
-    newton_number_series for supports with empty axes.  The same as
-    newton_number_region(lower_region(support)), from _lower_totals,
-    which reads it off the support's placement: for the bigger support
-    of a pair that polyhedra._placement placed, off the smaller one's
-    and the pyramids of the difference region.
+    newton_number_series for supports with empty axes.  Read off the
+    support's placement (_lower_totals): for the bigger support of a pair
+    that polyhedra._placement placed, off the smaller one's and the
+    pyramids of the difference region.
     """
     return _newton_fraction(*_lower_totals(support))
+
+
+def volume_vector_set(support):
+    """Volume vector of the region under the Newton boundary of a support
+    set covering every axis, read off its placement (_lower_totals);
+    SupportError as newton_number_set."""
+    return NewtonVolumeVector(_fractions(*_lower_totals(support)))
 
 
 # --- sup over axis augmentations -------------------------------------------
@@ -387,11 +388,10 @@ def difference_region(s, s_prime):
     are placed on hull(s) afresh, over the union of the two supports,
     once check_nested has passed; a placed pair is nested by construction.
 
-    lower(s) is tiled by lower(s') and this region, each section with a
-    coordinate subspace too, so every volume V_k adds over the tiling:
-    for a placed pair newton_number_set(s') is nu(s) less the Newton
-    number of these simplices (_lower_totals), which it sums without
-    this region.  The region is built afresh on every call.
+    lower(s) is tiled by lower(s') and this region (the tiling argument
+    of _lower_totals), so for a placed pair newton_number_set(s') is
+    nu(s) less the Newton number of these simplices, summed without the
+    region.  The region is built afresh on every call.
     """
     simplices = _placement(s, s_prime)
     if simplices is None:

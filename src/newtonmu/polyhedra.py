@@ -21,16 +21,11 @@ SupportSet and holds the support's points, not the support, so
 reference counting frees it with the support; nothing is memoized at
 module level.
 
-The region under the boundary (the orthant minus the polyhedron, closed) is
-star-shaped from the origin, so it decomposes into cones over the compact
-facets.  lower_region triangulates those with geometry._pulling over the
-bitmasks of support points: each face is pulled from its least vertex (the
-lowest set bit of its vertex mask) and its facets are its maximal proper
-meets with the facets' masks, so no hull is computed and the pieces form a
-simplicial complex.  It is the reference path: the Newton numbers of
-newton_number do not read it, but the pyramids of the placement below.
-Containment (NewtonPolyhedron.contains and check_nested) is one integer
-sign test per facet on the point scaled to integers.
+The region under the boundary (the orthant minus the polyhedron, closed)
+is not built: newton_number reads its volumes off the pyramids of the
+placement below (newton_number._lower_totals).  Containment
+(NewtonPolyhedron.contains and check_nested) is one integer sign test per
+facet on the point scaled to integers.
 
 Every support is built by placement (_placed): its points go one at a
 time (_place, below) onto a start that is written down.  One with a
@@ -79,10 +74,9 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd, lcm
 
-from .geometry import (DIMENSION_CAP, DimensionCapExceeded, ZERO, Record,
-                       _combine, _face_lattice, _idot, _lazy, _members,
-                       _pulling, _scaled, _unit, _vertex_mask, frac,
-                       render_point, vec)
+from .geometry import (DIMENSION_CAP, DimensionCapExceeded, Record, _combine,
+                       _face_lattice, _idot, _lazy, _members, _pulling,
+                       _scaled, _unit, _vertex_mask, frac, render_point, vec)
 
 
 class SupportError(ValueError):
@@ -168,8 +162,9 @@ def _placed(support):
     The placement is recorded on the support as its _placed entry,
     (start, pyramids): the start polyhedron and the simplices of the
     pyramids D0 that _place cut, over the support's indices.  For an
-    axis-convenient support D0 tiles lower(start) minus lower(support),
-    and newton_number._lower_totals reads the Newton number off it.
+    axis-convenient support D0 tiles lower(start) minus lower(support)
+    (the tiling argument of newton_number._lower_totals), which reads
+    the support's volumes off it.
     Without a point on every axis a seen facet may be unbounded, and
     its pyramid is missing; no lower region exists to read then."""
     n = support.dim
@@ -328,11 +323,6 @@ class NewtonPolyhedron(Record):
                     return i
         raise SupportError(
             f"{render_point(point)} is not a vertex of the Newton boundary")
-
-    def _compact_ifacets(self):
-        """The compact facets, those with no recession axis, as ifacets."""
-        m = len(self.points)
-        return [f for f in self.ifacets if not f[2] >> m]
 
     def compact_faces(self):
         return tuple(f for f in self.faces if f.compact)
@@ -635,22 +625,23 @@ def added_vertices(s, s_prime):
                  if p not in old)
 
 
-# --- the region under the boundary ----------------------------------------
+# --- compact regions ------------------------------------------------------
 
 class CompactRegion(Record):
     """Pure n-dimensional simplicial complex inside the orthant.
 
-    simplices: tuple of simplices, each a sorted tuple of n+1 points.  The
-    pieces come from the shared pulling rule, so faces match up exactly and
-    volume computations can deduplicate by vertex set.
+    simplices: tuple of simplices, each a sorted tuple of n+1 points,
+    forming one simplicial complex (difference_region's pyramids, or some
+    of them), so faces match up exactly and volume computations can
+    deduplicate by vertex set.
 
     _integer_form, a lazy fact and no record field (equality, hashing
     and repr do not see it), is (ipts, den, index simplices): the vertices
     times the lcm den of their denominators as integer tuples, and each
     simplex as the tuple of its vertices' indices there, in its own vertex
-    order.  lower_region and difference_region seed it from the support's
-    integer points, so their Fraction points are never hashed or scaled;
-    a region built by hand indexes and scales its points on first use.
+    order.  difference_region seeds it from the support's integer points,
+    so its Fraction points are never hashed or scaled; a region built by
+    hand indexes and scales its points on first use.
     """
 
     ambient_dim: int
@@ -682,39 +673,3 @@ def _require_bounded(support):
         raise SupportError(
             "region under the Newton boundary is unbounded: no support "
             f"point on axis {support.missing_axes[0]}")
-
-
-def _lower_form(support):
-    """The integer form (see CompactRegion) of lower_region: the support's
-    integer points and the origin after them, their den, and the sorted
-    pulling triangulation of the compact facets as increasing tuples of
-    support-point indices, each with the origin's index put first.
-    lower_region is its one reader; the Newton numbers are read off the
-    placement instead (newton_number._lower_totals)."""
-    n = support.dim
-    _require_bounded(support)
-    np_ = newton_polyhedron(support)
-    seeds = [g for _, _, g in np_.ifacets]
-    memo = {}
-    simplices = set()
-    for _, _, face in np_._compact_ifacets():
-        simplices.update(_facet_cells(n, face, np_.vmask, seeds, memo))
-    origin = len(np_.ipts)
-    return np_.ipts + ((0,) * n,), np_.den, [(origin,) + s
-                                             for s in sorted(simplices)]
-
-
-def lower_region(support):
-    """The closed region between the origin and the Newton boundary.
-
-    Requires every axis to carry a support point (else the region is
-    unbounded).  Star-shaped from the origin: cones over the compact facets
-    triangulate it.  Each compact facet is triangulated by
-    geometry._pulling over the polyhedron's bitmasks of support points
-    (_lower_form).  The CLI's volume vector reads it, and the tests hold
-    the Newton numbers read off the placement against it.
-    """
-    n = support.dim
-    # the origin sorts before every support point, and index tuples sort
-    # like the point tuples they name
-    return _region(n, support.points + ((ZERO,) * n,), *_lower_form(support))

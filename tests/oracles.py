@@ -109,7 +109,14 @@ each intersection and V_0 by membership of the origin
 bitmask pulling routine.  difference_region_bounded, kept verbatim, is the
 library's routine before the added points were placed on the smaller
 polyhedron: one _bounded_piece call per piece, triangulated by _pulling
-over the vertex masks it returns.  _volumes, kept verbatim, is the
+over the vertex masks it returns.  lower_region, kept verbatim with
+_lower_form and the former method NewtonPolyhedron._compact_ifacets
+(here a function, which difference_region_bounded calls too), is the
+library's former region under the Newton boundary: the origin coned over
+the pulling triangulation of each compact facet (polyhedra._facet_cells).
+The library now reads a support's volumes off its placement
+(newton_number._lower_totals) and builds no such region; the tests hold
+those volumes against this one.  _volumes, kept verbatim, is the
 library's section scan before the integer totals (newton_number._totals):
 one pass over the simplices per coordinate subspace, faces keyed by
 frozensets, every minor through _int_det and one Fraction per V_k;
@@ -148,7 +155,8 @@ from newtonmu.groebner import (_divides, _lcm, _make_row, _mul, _quot,
                                grevlex_key)
 from newtonmu.newton_number import NewtonVolumeVector
 from newtonmu.polyhedra import (CompactRegion, Face, NewtonPolyhedron,
-                                SupportError, check_nested,
+                                SupportError, _facet_cells, _region,
+                                _require_bounded, check_nested,
                                 newton_polyhedron)
 
 
@@ -1138,6 +1146,45 @@ def _uncovered_axes(support):
                        for p in support.points)]
 
 
+def _compact_ifacets(np_):
+    """The compact facets, those with no recession axis, as ifacets."""
+    m = len(np_.points)
+    return [f for f in np_.ifacets if not f[2] >> m]
+
+
+def _lower_form(support):
+    """The integer form (see CompactRegion) of lower_region: the support's
+    integer points and the origin after them, their den, and the sorted
+    pulling triangulation of the compact facets as increasing tuples of
+    support-point indices, each with the origin's index put first."""
+    n = support.dim
+    _require_bounded(support)
+    np_ = newton_polyhedron(support)
+    seeds = [g for _, _, g in np_.ifacets]
+    memo = {}
+    simplices = set()
+    for _, _, face in _compact_ifacets(np_):
+        simplices.update(_facet_cells(n, face, np_.vmask, seeds, memo))
+    origin = len(np_.ipts)
+    return np_.ipts + ((0,) * n,), np_.den, [(origin,) + s
+                                             for s in sorted(simplices)]
+
+
+def lower_region(support):
+    """The closed region between the origin and the Newton boundary.
+
+    Requires every axis to carry a support point (else the region is
+    unbounded).  Star-shaped from the origin: cones over the compact facets
+    triangulate it.  Each compact facet is triangulated by
+    geometry._pulling over the polyhedron's bitmasks of support points
+    (_lower_form).
+    """
+    n = support.dim
+    # the origin sorts before every support point, and index tuples sort
+    # like the point tuples they name
+    return _region(n, support.points + ((ZERO,) * n,), *_lower_form(support))
+
+
 def lower_region_hulls(support):
     """The region under the Newton boundary, one convex_hull and
     triangulate_polytope_hulls per compact facet."""
@@ -1255,7 +1302,7 @@ def difference_region_bounded(s, s_prime):
             f"difference region is unbounded: no support point on axis "
             f"{missing[0]} of the smaller set")
     simplices = []
-    for w, c, g in small._compact_ifacets():
+    for w, c, g in _compact_ifacets(small):
         if all(_idot(w, p) * small.den >= c * big.den for p in big.ipts):
             continue
         normals, _, _ = _extreme_rays(

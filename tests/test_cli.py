@@ -133,6 +133,7 @@ def test_nu_exact(tmp_path, capsys):
 def test_nu_rational_support(tmp_path, capsys):
     doc = run_json(capsys, ["nu", write(tmp_path, "qa.json", QUAD_AUG)])
     assert doc["results"]["nu"] == "1/2"
+    assert doc["results"]["volume_vector"] == ["1", "4", "7/4"]
 
 
 def test_nu_terms_input(tmp_path, capsys):

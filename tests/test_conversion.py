@@ -26,11 +26,12 @@ from newtonmu.geometry import (GeometryError, Record, _bounded_piece,
 from newtonmu.newton_number import (difference_region, newton_number_region,
                                     newton_number_set, volume_vector)
 from newtonmu.polyhedra import (check_nested, convenience_report,
-                                lower_region, newton_polyhedron, support_set)
+                                newton_polyhedron, support_set)
 from corpus import extra_points, flats, mixed, supports, wide_supports
-from oracles import (_face_lattice, convex_hull, convex_hull_scan, mat_rank,
-                     newton_polyhedron_scan, polytope_from_constraints_scan,
-                     sign_canonical, triangulate_polytope_hulls)
+from oracles import (_face_lattice, convex_hull, convex_hull_scan,
+                     lower_region, mat_rank, newton_polyhedron_scan,
+                     polytope_from_constraints_scan, sign_canonical,
+                     triangulate_polytope_hulls)
 
 CASES = 80
 

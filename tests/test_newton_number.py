@@ -15,13 +15,12 @@ from newtonmu.newton_number import (NewtonVolumeVector, d_set_and_i_set,
                                     positivity_decomposition,
                                     projection_formula_check,
                                     union_volume_vector, volume_vector)
-from newtonmu.polyhedra import (CompactRegion, SupportError, lower_region,
-                                support_set)
+from newtonmu.polyhedra import CompactRegion, SupportError, support_set
 from corpus import (bs_base_support, bs_deformed_support, exe2d_augmented,
                     exe2d_support, exe3d_augmented, exe3d_support, brieskorn,
                     random_convenient_support)
-from oracles import (_volumes, nu_2d_staircase, volume_vector_fractions,
-                     volume_vector_scan)
+from oracles import (_volumes, lower_region, nu_2d_staircase,
+                     volume_vector_fractions, volume_vector_scan)
 from test_conversion import typed
 from test_placement import KINDS, random_pair
 

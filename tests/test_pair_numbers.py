@@ -7,10 +7,10 @@ into lower(support) and the pyramids D, so its totals are those of the
 base less those of D (newton_number._lower_totals): the base is the
 support's axis simplex, whose totals are the elementary symmetric sums
 of its intercepts, or the polyhedron of a parent that the support was
-placed on.  newton_number_set must agree, typed, with the Newton number
-and the volume vector of lower_region, which triangulates the compact
-facets afresh, and with the former section scan, on seeded supports of
-dimension 1 to 6.
+placed on.  newton_number_set and volume_vector_set must agree, typed,
+with the Newton number and the volume vector of oracles.lower_region,
+which triangulates the compact facets afresh, and with the former
+section scan, on seeded supports of dimension 1 to 6.
 
 mu_constant_test reads both numbers as newton_number_set of its
 supports: when S' holds the points of S, nu(S') is nu(S) less the
@@ -20,8 +20,9 @@ Newton numbers it reports must be typed-equal to those of fresh supports:
 on every pair of the mu_sweep benchmark pool and on seeded pairs for
 n = 2..5, placed ones and ones whose S' lacks a point of S, some with a
 denominator of S' that is no multiple of that of S, some outside the
-vertex condition, with both verdicts.  A pair builds no lower region at
-all, places twice and pulls no facet; a refused pair builds no region.
+vertex condition, with both verdicts.  No library module can build a
+lower region; a pair places twice and pulls no facet, and a refused
+pair builds no region.
 """
 
 import json
@@ -33,14 +34,13 @@ import pytest
 
 from newtonmu import newton_number, polyhedra
 from newtonmu.apex import mu_constant_test, vertex_location_check
-from newtonmu.newton_number import (NewtonVolumeVector, _fractions,
-                                    _lower_totals, _totals,
-                                    difference_region, newton_number_region,
-                                    newton_number_set, volume_vector)
+from newtonmu.newton_number import (_totals, difference_region,
+                                    newton_number_region, newton_number_set,
+                                    volume_vector, volume_vector_set)
 from newtonmu.polyhedra import (SupportError, _placement, convenience_report,
-                                lower_region, newton_polyhedron, support_set)
+                                newton_polyhedron, support_set)
 from corpus import bs_base_support, bs_deformed_support
-from oracles import _double_description, volume_vector_scan
+from oracles import _double_description, lower_region, volume_vector_scan
 from test_conversion import typed
 from test_placement import KINDS, random_pair
 
@@ -134,23 +134,27 @@ def count_calls(monkeypatch, calls, names):
 
 
 def test_a_pair_builds_no_lower_region_of_s_prime(monkeypatch):
-    """On every pool case mu_constant_test builds no lower region, not
-    even that of S, places twice and sums two sets of simplices: the
-    pyramids D0 of the placement of S on its axis simplex, and D.  The
-    benchmark's second step, the Newton number of difference_region,
-    builds D afresh and sums it once more; it is nu(S) - nu(S').
+    """Neither polyhedra nor newton_number has a lower_region or a
+    _lower_form, so no library path builds a lower region.  On every
+    pool case mu_constant_test places twice and sums two sets of
+    simplices: the pyramids D0 of the placement of S on its axis simplex,
+    and D.  The benchmark's second step, the Newton number of
+    difference_region, builds D afresh and sums it once more; it is
+    nu(S) - nu(S').
 
     A pair that _placement refuses (the CI pair, and seeded "below" and
     "sevenths" pairs) runs check_nested once, places S and S' each on
     its axis simplex, sums the two D0 and builds no region: no
     difference region and no second hull of S'.  vertex_location_check
     places and reads a pair as mu_constant_test does."""
+    for module in (polyhedra, newton_number):
+        assert not hasattr(module, "lower_region")
+        assert not hasattr(module, "_lower_form")
     calls = []
     count_calls(monkeypatch, calls, [
-        (polyhedra, "_lower_form"), (newton_number, "_totals"),
-        (polyhedra, "_place"), (polyhedra, "_region"),
-        (newton_number, "_region"), (polyhedra, "check_nested"),
-        (newton_number, "check_nested")])
+        (newton_number, "_totals"), (polyhedra, "_place"),
+        (polyhedra, "_region"), (newton_number, "_region"),
+        (polyhedra, "check_nested"), (newton_number, "check_nested")])
     for s, sp in pool_pairs():
         calls.clear()
         res = mu_constant_test(s, sp)
@@ -253,10 +257,10 @@ def below_a_fat_facet(sp):
 
 
 def test_newton_numbers_off_the_placement(monkeypatch):
-    """Three hundred seeds, n = 1..6 in turn: newton_number_set and the
-    volume vector of the totals _lower_totals reads off the placement are
-    typed-equal to those of lower_region, which pulls the compact facets
-    afresh, and to the former section scan.  The supports cover the
+    """Three hundred seeds, n = 1..6 in turn: newton_number_set and
+    volume_vector_set, read off the placement, are typed-equal to those
+    of oracles.lower_region, which pulls the compact facets afresh, and
+    to the former section scan.  The supports cover the
     axis simplex alone (D0 empty), several points on an axis, dominated
     points and points on coordinate hyperplanes, whose pyramids have
     sections (D0 adds to some T_k, k < n).
@@ -294,8 +298,7 @@ def test_newton_numbers_off_the_placement(monkeypatch):
         region = lower_region(support_set(n, s.points))
         assert typed(nu) == typed(newton_number_region(region)) == typed(
             volume_vector_scan(region).newton_number()), k
-        assert typed(NewtonVolumeVector(_fractions(*_lower_totals(s)))) == (
-            typed(volume_vector(region))), k
+        assert typed(volume_vector_set(s)) == typed(volume_vector(region)), k
         ipts, den = s._scaled_points
         d0 = _totals(n, ipts, s.__dict__["_placed"][1])
         seen["empty"] += not any(d0)

@@ -35,13 +35,14 @@ from newtonmu.apex import mu_constant_test
 from newtonmu.newton_number import (difference_region, newton_number_region,
                                     newton_number_set, volume_vector)
 from newtonmu.polyhedra import (SupportError, _placed, _placement,
-                                added_vertices, lower_region,
-                                newton_polyhedron, support_set)
+                                added_vertices, newton_polyhedron,
+                                support_set)
 from newtonmu.geometry import _members
 from corpus import (bs_base_support, bs_deformed_support,
                     interior_point_below, random_convenient_support)
 from oracles import (_double_description, _ridge_normal,
-                     difference_region_bounded, volume_vector_scan)
+                     difference_region_bounded, lower_region,
+                     volume_vector_scan)
 from test_conversion import typed
 from test_region_kernel import assert_common_faces
 

@@ -10,10 +10,11 @@ from newtonmu.geometry import DIMENSION_CAP, DimensionCapExceeded, _scaled
 from newtonmu.fans import support_function
 from newtonmu.newton_number import d_set_and_i_set, difference_region
 from newtonmu.polyhedra import (SupportError, added_vertices, check_nested,
-                                convenience_report, lower_region,
-                                newton_polyhedron, support_set)
+                                convenience_report, newton_polyhedron,
+                                support_set)
 from corpus import (bs_base_support, bs_deformed_support, exe2d_support,
                     exe2d_augmented)
+from oracles import lower_region
 from test_conversion import typed
 
 

@@ -1,20 +1,20 @@
 """The integer Newton-number stage against the Fraction oracles.
 
-lower_region (bitmask pulling), volume_vector (integer minors),
-union_volume_vector (one pulling triangulation per intersection) and
-newton_fan (direct dual-cone rays) are compared whole, with the type of
-every number, against the library's former routines kept in oracles.py.
+volume_vector (integer minors), union_volume_vector (one pulling
+triangulation per intersection) and newton_fan (direct dual-cone rays)
+are compared whole, with the type of every number, against the
+library's former routines kept in oracles.py, and so is the region
+under the Newton boundary that oracles.lower_region pulls over bitmasks.
 difference_region reads its simplices off the pyramids of the placed
 points, which triangulate the region differently from the former
 per-facet pieces, so its typed volume vector is compared with theirs,
 its Newton number with the drop nu(S) - nu(S'), and on small regions
 every two simplices are checked to meet in a common face.
-newton_number_set is compared with the pyramid formula, which shares no
-triangulation code with either, and with the public path through
-lower_region, whose Fraction points the fused newton_number_set never
-builds.  Each property draws its cases from random.Random(k) for the
-first CASES seeds k, fewer where it says so, the same in every run and
-every order of the suite.
+newton_number_set, read off the placement, is compared with the
+pyramid formula, which shares no triangulation code with either, and
+with the Newton number of oracles.lower_region.  Each property draws
+its cases from random.Random(k) for the first CASES seeds k, fewer where
+it says so, the same in every run and every order of the suite.
 """
 
 import itertools
@@ -26,13 +26,13 @@ from newtonmu.fans import newton_fan
 from newtonmu.newton_number import (difference_region, newton_number_region,
                                     newton_number_set, union_volume_vector,
                                     volume_vector)
-from newtonmu.polyhedra import lower_region, newton_polyhedron, support_set
+from newtonmu.polyhedra import newton_polyhedron, support_set
 from corpus import extra_points, orthant_unions, supports, touching_pairs
 from oracles import (convex_hull, difference_region_bounded,
-                     difference_region_hulls, lower_region_hulls,
-                     newton_fan_section, nu_2d_staircase, nu_pyramid,
-                     polytope_from_constraints, union_volume_vector_hulls,
-                     volume_vector_fractions)
+                     difference_region_hulls, lower_region,
+                     lower_region_hulls, newton_fan_section, nu_2d_staircase,
+                     nu_pyramid, polytope_from_constraints,
+                     union_volume_vector_hulls, volume_vector_fractions)
 from test_conversion import typed
 from test_pruned_polyhedra import assert_deleted
 
@@ -161,7 +161,7 @@ def test_union_volume_vector_matches_hulls():
 
 def test_fused_newton_number_matches_region():
     """newton_number_set, from index simplices and integer points, equals
-    the Newton number of the public lower_region, and for n = 2 the
+    the Newton number of oracles.lower_region, and for n = 2 the
     staircase formula, on rational supports with dominated points."""
     for k in range(CASES):
         s = supports(random.Random(k), dims=(1, 2, 3, 4), convenient=True)

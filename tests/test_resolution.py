@@ -10,12 +10,12 @@ from newtonmu.fans import cone_from_rays, is_regular_cone, support_function
 from newtonmu.geometry import GeometryError
 from newtonmu.milnor import milnor_number, nondegeneracy_check
 from newtonmu.newton_number import newton_number_region, newton_number_set
-from newtonmu.polyhedra import SupportError, lower_region, support_set
+from newtonmu.polyhedra import SupportError, support_set
 from newtonmu.resolution import (chart_pullback, make_chart,
                                  simultaneous_resolution)
 from corpus import (boundary_plane_augmentation, bs_family,
                     interior_point_below, random_convenient_support)
-from oracles import _double_description
+from oracles import _double_description, lower_region
 
 
 def test_chart_pullback():
