@@ -20,12 +20,11 @@ Axis sets are 1-based in this interface.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
 
 from .geometry import (InternalConsistencyError, Record, _members, _scaled,
-                       render_point, vec)
+                       _unscaled, render_point, vec)
 from .newton_number import newton_number_set
-from .polyhedra import (SupportError, _placement, added_vertices,
+from .polyhedra import (SupportError, _added, _over_lcm, _placement,
                         convenience_report, newton_polyhedron)
 
 
@@ -71,23 +70,19 @@ def _edges_at(np_, k):
         for g in through:
             if g >> j & 1:
                 meet &= g
-        if meet & np_.vmask == a | 1 << j and not meet >> len(np_.points):
+        if meet & np_.vmask == a | 1 << j and not meet >> len(np_.ipts):
             out.append((j, meet))
     return out
-
-
-def _edge(pts, k, j, meet):
-    """The BoundaryEdge between the points k and j, with the points of the
-    mask meet on it; pts is sorted, so the lower index is the lower end."""
-    return BoundaryEdge((pts[min(j, k)], pts[max(j, k)]),
-                        tuple(pts[i] for i in _members(meet)))
 
 
 def edges_at_vertex(np_, alpha):
     """Compact boundary edges through a vertex, sorted by endpoints
     (_edges_at)."""
-    k = np_._vertex_index(alpha)
-    return [_edge(np_.points, k, j, meet) for j, meet in _edges_at(np_, k)]
+    k, pts = np_._vertex_index(alpha), np_.points
+    # pts is sorted, so the lower index is the lower end
+    return [BoundaryEdge((pts[min(j, k)], pts[max(j, k)]),
+                         tuple(pts[i] for i in _members(meet)))
+            for j, meet in _edges_at(np_, k)]
 
 
 class EdgeConvenience(Record):
@@ -157,55 +152,65 @@ class ApexCertificate(Record):
     good_pairs: tuple
 
 
-def find_apex(s, s_prime, alpha):
-    """Search every axis outside the support of alpha for a good apex.
+def _apex(s, s_prime, a):
+    """The apex search of find_apex at the vertex a of hull(s_prime), an
+    index into its points.
 
-    Returns None when no axis has both a unique escaping edge and an old
-    vertex on it (in particular when alpha has full support).  The points
-    are compared as integers over one common denominator by _on_edge: an
-    old vertex v lies on the edge from alpha to its other end o at t in
-    (0, 1] when v - alpha is t (o - alpha), and the least t is the least
-    |v_k - alpha_k| on the first axis k where o and alpha differ.
+    The points are compared as integers over one common denominator by
+    _on_edge: an old vertex v lies on the edge from alpha to its other
+    end o at t in (0, 1] when v - alpha is t (o - alpha), and the least t
+    is the least |v_k - alpha_k| on the first axis k where o and alpha
+    differ.  Fraction points are built only for the certificate: alpha,
+    the edge and the old vertices it names.
     """
-    alpha = vec(alpha)
     n = s.dim
-    support = frozenset(k for k, x in enumerate(alpha) if x != 0)
-    if len(support) == n:
-        return None
     outer, inner = newton_polyhedron(s_prime), newton_polyhedron(s)
-    a = outer._vertex_index(alpha)
-    den = lcm(outer.den, inner.den)
-    up = den // outer.den
-    ia = tuple(up * x for x in outer.ipts[a])
-    old = [(i, tuple(den // inner.den * x for x in inner.ipts[i]))
-           for i in _members(inner.vmask)]
+    if 0 not in outer.ipts[a]:      # full support
+        return None
+    pts, inner_pts, den = _over_lcm(outer, inner)
+    ia, old = pts[a], [inner_pts[i] for i in _members(inner.vmask)]
     edges = _edges_at(outer, a)
     candidates = []
-    for i0 in sorted(set(range(n)) - support):
-        escaping = [(j, meet) for j, meet in edges if outer.ipts[j][i0]]
-        if len(escaping) != 1:
+    for i0 in range(n):
+        escaping = [(j, meet) for j, meet in edges if pts[j][i0]]
+        if ia[i0] or len(escaping) != 1:
             continue
         j, meet = escaping[0]
-        d = tuple(up * x - y for x, y in zip(outer.ipts[j], ia))
-        on_edge = []
-        for i, v in old:
-            t = _on_edge(v, ia, d)
-            if t:
-                on_edge.append((t, i))
-        if not on_edge:
-            continue
-        _, i = min(on_edge)
-        good = all(inner.ipts[i][q] == (inner.den if q == i0 else 0)
-                   for q in range(n) if q not in support)
-        candidates.append((i0, _edge(outer.points, a, j, meet), s.points[i],
-                           good))
+        d = tuple(x - y for x, y in zip(pts[j], ia))
+        on_edge = [(t, v) for v in old if (t := _on_edge(v, ia, d))]
+        if on_edge:
+            beta = min(on_edge)[1]
+            candidates.append((i0, j, meet, beta, all(
+                beta[q] == (den if q == i0 else 0)
+                for q in range(n) if not ia[q])))
     if not candidates:
         return None
-    good_pairs = tuple((i0 + 1, beta) for i0, _, beta, g in candidates if g)
-    pick = next((c for c in candidates if c[3]), candidates[0])
-    i0, edge, beta, good = pick
-    return ApexCertificate(alpha, tuple(a + 1 for a in sorted(support)),
-                           i0 + 1, edge, beta, good, good_pairs)
+    i0, j, meet, beta, good = next((c for c in candidates if c[4]),
+                                   candidates[0])
+    good_pairs = [(c[0] + 1, c[3]) for c in candidates if c[4]]
+    on = [pts[i] for i in _members(meet)]
+    keys = on + [beta] + [b for _, b in good_pairs]
+    point = dict(zip(keys, _unscaled(keys, den)))
+    return ApexCertificate(
+        point[ia], tuple(k + 1 for k in range(n) if ia[k]), i0 + 1,
+        BoundaryEdge(tuple(point[p] for p in sorted((ia, pts[j]))),
+                     tuple(map(point.get, on))),
+        point[beta], good, tuple((i, point[b]) for i, b in good_pairs))
+
+
+def find_apex(s, s_prime, alpha):
+    """Search every axis outside the support of alpha for a good apex
+    (_apex, at alpha's vertex index).
+
+    Returns None when no axis has both a unique escaping edge and an old
+    vertex on it, in particular when alpha has full support, vertex or
+    not; any other alpha that is no vertex of hull(s_prime) raises
+    SupportError.
+    """
+    alpha = vec(alpha)
+    if sum(x != 0 for x in alpha) == s.dim:
+        return None
+    return _apex(s, s_prime, newton_polyhedron(s_prime)._vertex_index(alpha))
 
 
 class MuConstancyResult(Record):
@@ -240,8 +245,10 @@ def mu_constant_test(s, s_prime):
     placements that built the polyhedra (newton_number._lower_totals).
     When S' holds the points of S, hull(S') is placed on hull(S), and
     nu(S') is nu(S) less the Newton number of the difference region that
-    placement cut.  Otherwise added_vertices checks that the pair is
-    nested.  On convenient data the verdict and the equality of the
+    placement cut.  Otherwise _added checks that the pair is nested.
+    The added vertices are indices into the points of S', and the apex
+    search (_apex) builds Fraction points only for the certificates; a
+    warning renders the vertex it names.  On convenient data the verdict and the equality of the
     numbers must coincide, so disagreement raises
     InternalConsistencyError; when a support fails the vertex condition
     the theorem does not cover the pair, and disagreement raises
@@ -262,18 +269,12 @@ def mu_constant_test(s, s_prime):
                 f"{label} support has vertex coordinates between 0 and 1 "
                 f"on axes {bad}; the criterion is not covered by the "
                 "constancy theorem there")
-    certificates = []
-    verdict = True
-    for alpha in added_vertices(s, s_prime):
-        cert = find_apex(s, s_prime, alpha)
-        if cert is None:
-            verdict = False
-            warnings.append(
-                f"added vertex {render_point(alpha)} admits no apex")
-            continue
-        certificates.append(cert)
-        if not cert.good:
-            verdict = False
+    added = _added(s, s_prime)
+    certificates = [_apex(s, s_prime, a) for a in added]
+    verdict = all(c is not None and c.good for c in certificates)
+    ipts, den = s_prime._scaled_points
+    warnings += [f"added vertex {render_point(_unscaled([ipts[a]], den)[0])} "
+                 "admits no apex" for a, c in zip(added, certificates) if not c]
     nu_s, nu_sp = newton_number_set(s), newton_number_set(s_prime)
     if verdict != (nu_s == nu_sp) and outside:
         raise SupportError(
@@ -284,8 +285,8 @@ def mu_constant_test(s, s_prime):
         raise InternalConsistencyError(
             f"apex verdict {verdict} contradicts Newton numbers "
             f"{nu_s} vs {nu_sp}")
-    return MuConstancyResult(verdict, tuple(certificates), nu_s, nu_sp,
-                             tuple(warnings))
+    return MuConstancyResult(verdict, tuple(c for c in certificates if c),
+                             nu_s, nu_sp, tuple(warnings))
 
 
 def vertex_location_check(s, s_prime):
@@ -293,13 +294,13 @@ def vertex_location_check(s, s_prime):
     Newton numbers agree; returns that check.  Raises when the numbers
     differ, since the location statement presupposes equality.  The
     pair is placed and read as in mu_constant_test, so a pair that is
-    not nested raises in added_vertices."""
+    not nested raises in _added."""
     _require_axis_convenient(s, "first")
     _placement(s, s_prime)      # hull(s') on hull(s), as in mu_constant_test
     _require_axis_convenient(s_prime, "second")
-    added = added_vertices(s, s_prime)
+    added = _added(s, s_prime)
     nu_s, nu_sp = newton_number_set(s), newton_number_set(s_prime)
     if nu_s != nu_sp:
         raise SupportError(
             f"hypothesis violated: Newton numbers differ ({nu_s} vs {nu_sp})")
-    return all(any(x == 0 for x in alpha) for alpha in added)
+    return all(0 in s_prime._scaled_points[0][a] for a in added)

@@ -43,14 +43,20 @@ _face_lattice is the one face-lattice walk, level by level down from the
 facets: polyhedra runs it on Newton polyhedra and fans on cones.
 
 Record is the base of the package's immutable value types: the fields are
-the class annotations, and no code is generated per class.
+the class annotations, and no code is generated per class.  A record can
+be made from its integer facts (Record._from_facts), with a field such
+as a support's Fraction points left to a lazy fact; _unscaled, the
+inverse of _scaled, builds those points when they are read.
 
 Nothing is memoized at module level: hull rows, bounded pieces and
 triangulations are computed on every call.  The package's memos live on
-their inputs, as lazy facts (_lazy) or seeded into the instance dict: the
-Newton polyhedron of a support, its placement and the totals of its
-Newton number (newton_number._lower_totals) on its polyhedra.SupportSet,
-a region's integer form on the region, a cone's rows on the cone.
+their inputs, as lazy facts (_lazy) or seeded into the instance dict: on
+a polyhedra.SupportSet its integer points and least axis points, its
+Fraction points once read, its Newton polyhedron, its placement, and the
+totals of its Newton number and of the pyramids its placement cut
+(newton_number._lower_totals); the points of a Newton polyhedron; a
+region's integer form, its Fraction simplices once read and, from
+difference_region, its totals; a cone's rows on the cone.
 
 Determinism: vertices are kept in lexicographic order, facets are sorted by
 (normal, offset), and the pulling triangulation always cones from the
@@ -129,6 +135,15 @@ class Record:
         self.__dict__.update(zip(fields, args))
         if self._post_init:
             self.__post_init__()
+
+    @classmethod
+    def _from_facts(cls, **facts):
+        """An instance whose instance dict is facts, with no __post_init__:
+        a field left out must be a lazy fact (_lazy) of those given, built
+        when first read."""
+        self = object.__new__(cls)
+        self.__dict__.update(facts)
+        return self
 
     def __setattr__(self, name, value):
         raise AttributeError(f"{type(self).__name__} is immutable: "
@@ -228,10 +243,17 @@ def _scaled(points):
             for p in points], den
 
 
+def _unscaled(ipts, den):
+    """The integer points ipts over den as Fraction tuples, the inverse of
+    _scaled: one Fraction per distinct coordinate value."""
+    value = {x: Fraction(x, den) for x in set().union(*ipts)}
+    return tuple(tuple(map(value.__getitem__, p)) for p in ipts)
+
+
 def _int_det(rows):
     """Determinant of a square integer matrix, an int.
 
-    Orders 2 and 3 are written out.  Above, fraction-free elimination
+    Orders 2 to 4 are written out.  Above, fraction-free elimination
     (Bareiss 1968): every update m_ij <- (m_ij m_kk - m_ik m_kj) / p, with
     p the previous pivot, is an exact integer division, so no rational
     arithmetic runs.
@@ -243,6 +265,14 @@ def _int_det(rows):
     if n == 3:
         (a, b, c), (d, e, f), (g, h, i) = rows
         return a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
+    if n == 4:      # Laplace expansion along the first two rows
+        (a, b, c, d), (e, f, g, h), (i, j, k, l), (m, o, p, q) = rows
+        return ((a * f - b * e) * (k * q - l * p)
+                - (a * g - c * e) * (j * q - l * o)
+                + (a * h - d * e) * (j * p - k * o)
+                + (b * g - c * f) * (i * q - l * m)
+                - (b * h - d * f) * (i * p - k * m)
+                + (c * h - d * g) * (i * o - j * m))
     m = [list(r) for r in rows]
     sign, prev = 1, 1
     for k in range(n - 1):
@@ -252,8 +282,7 @@ def _int_det(rows):
         if piv != k:
             m[k], m[piv] = m[piv], m[k]
             sign = -sign
-        lead = m[k]
-        pk = lead[k]
+        lead, pk = m[k], m[k][k]
         for row in m[k + 1:]:
             f = row[k]
             for j in range(k + 1, n):

@@ -29,10 +29,10 @@ _lower_totals, the one place that sums them, gives the tiling argument.
 The pyramids are index tuples into the support's own integer points, so
 no Fraction point and no region is built.  A CompactRegion carries a
 cached integer form (points times den, den, index simplices);
-difference_region seeds it from the support's integer points, so
-newton_number_region and volume_vector never hash or scale the region's
-Fraction points, and only a region built by hand is indexed and scaled
-on first use.  difference_region builds no hull and runs no double
+difference_region seeds it from the support's integer points and
+builds no Fraction point, so newton_number_region and volume_vector
+never hash or scale the region's Fraction points, and only a region
+built by hand is indexed and scaled on first use.  difference_region builds no hull and runs no double
 description: its simplices are the pyramids of the points of the bigger
 support placed on the smaller polyhedron (polyhedra._place), each
 placed point coned over the simplices of the facets it sees, so a facet
@@ -52,7 +52,9 @@ numbers is newton_number_set of its support.  When S' holds every point
 of S, polyhedra._placement has placed S' on hull(S) and recorded S as
 its base, so nu(S') = nu(S) - nu(D), D the difference region.  A pair it
 refuses keeps the record of the build of S' on its own.  The totals are
-memoized on the support, so a pair sums the pyramids of S once.
+memoized on the support, so a pair sums the pyramids of S once, and
+those of D once: the region difference_region cuts from the same record
+is seeded with them.
 
 Axis sets in the public interface are 1-based, matching the customary
 notation I, J subsets of {1,...,n}; internals are 0-based.
@@ -94,11 +96,8 @@ class NewtonVolumeVector(Record):
 
     def newton_number(self):
         n = len(self.V) - 1
-        total = ZERO
-        for k, vk in enumerate(self.V):
-            sign = 1 if (n - k) % 2 == 0 else -1
-            total += sign * factorial(k) * vk
-        return total
+        return sum(((-1) ** (n - k) * factorial(k) * vk
+                    for k, vk in enumerate(self.V)), ZERO)
 
 
 def volume_vector(region):
@@ -142,36 +141,39 @@ def _totals(n, ipts, simplices):
     complex in R^n given as index tuples into the integer points ipts, its
     vertices times den; the simplices list their vertices in one global
     order (sorted points or increasing indices), so equal faces are equal
-    tuples.
+    tuples.  No simplices give zeros at once.
 
-    Each simplex is read once.  One with n + 1 vertices adds its n x n
-    _minor to T_n; a flat one (union_volume_vector passes flat pieces)
-    adds nothing there.  The section with R^A, for a proper axis set A of
-    size k, is the face W_A of the vertices supported inside A, a
-    k-simplex when it has k + 1 of them; those vertices are off the open
-    orthant, so simplices with the same vertices off it have the same
-    sections.  For each such vertex set, A runs over the subsets of the
-    union of their supports, and each section face adds its k x k minor
-    to T_k once, keyed by its index tuple: 1 for the origin, a
-    coordinate difference on an axis, a _minor above.
+    Each simplex is read once.  One with n + 1 vertices adds the |det| of
+    its n x n difference matrix to T_n; a flat one (union_volume_vector
+    passes flat pieces) adds nothing there.  The section with R^A, for a
+    proper axis set A of size k, is the face W_A of the vertices supported
+    inside A, a k-simplex when it has k + 1 of them; those vertices are
+    off the open orthant (they have a zero coordinate), so simplices with
+    the same vertices off it have the same sections.  When those vertices
+    can each take a distinct axis of their support (taken greedily, the
+    lowest free one, fewest axes first), no A holds more than |A| of
+    them, and the simplex has no section.  For any other such vertex set,
+    A runs over the subsets of the union of their supports, and each
+    section face adds its k x k minor to T_k once, keyed by its index
+    tuple: 1 for the origin, a coordinate difference on an axis, a _minor
+    above.
     """
-    full = (1 << n) - 1
-    simplices = set(simplices)
-    supports = {}
-    for i in {i for simplex in simplices for i in simplex}:
-        mask = 0
-        for c, x in enumerate(ipts[i]):
-            if x:
-                mask |= 1 << c
-        supports[i] = mask
     totals = [0] * (n + 1)
-    every = range(n)
+    if not simplices:
+        return totals
     offs = set()
-    for simplex in simplices:
+    for simplex in set(simplices):
         if len(simplex) == n + 1:
-            totals[n] += _minor(ipts, simplex, every)
-        offs.add(tuple([(i, supports[i]) for i in simplex
-                        if supports[i] != full]))
+            totals[n] += _minor(ipts, simplex, range(n))
+        off = [(i, sum(1 << c for c, x in enumerate(ipts[i]) if x))
+               for i in simplex if 0 in ipts[i]]
+        used = 0
+        for mask in sorted((mask for _, mask in off), key=int.bit_count):
+            free = mask & ~used
+            used |= free & -free
+        if used.bit_count() < len(off):
+            offs.add(tuple(off))
+    full = (1 << n) - 1
     faces = set()
     for off in offs:
         union = 0
@@ -190,7 +192,7 @@ def _totals(n, ipts, simplices):
                         c = a.bit_length() - 1
                         totals[1] += abs(ipts[w[1]][c] - ipts[w[0]][c])
                     else:
-                        totals[k] += _minor(ipts, w, [c for c in every
+                        totals[k] += _minor(ipts, w, [c for c in range(n)
                                                       if a >> c & 1])
             if not a:
                 break
@@ -200,7 +202,11 @@ def _totals(n, ipts, simplices):
 
 def _region_totals(region):
     """The totals (_totals) of a region over its integer form, and its
-    den."""
+    den; difference_region seeds them (its _region_totals entry) when the
+    placement's pyramids were summed already."""
+    seeded = region.__dict__.get("_region_totals")
+    if seeded is not None:
+        return seeded
     ipts, den, simplices = region._integer_form
     return _totals(region.ambient_dim, ipts, simplices), den
 
@@ -209,15 +215,6 @@ def newton_number_region(region):
     """Newton number of a compact region: its totals (_region_totals),
     and one Fraction."""
     return _newton_fraction(*_region_totals(region))
-
-
-def _less(totals, den_b, td, den):
-    """The totals over den of a region R = B minus D: the totals of B
-    over den_b, which divides den, rescaled by (den / den_b)^k, less the
-    totals td of D over den, as every V_k adds over the tiling of B by R
-    and D (_lower_totals)."""
-    up = den // den_b
-    return [a * up ** k - b for k, (a, b) in enumerate(zip(totals, td))]
 
 
 def _lower_totals(support):
@@ -236,21 +233,25 @@ def _lower_totals(support):
     section of lower(B) and meet only on the boundary of Gamma+(S) n R^A,
     of dimension k - 1.  So every V_k adds over the tiling (Kouchnirenko
     1976), and over the den of S, a multiple of that of B, T_k(S) =
-    T_k(B) (den / den_B)^k - T_k(D) (_less), an integer identity; D
-    misses the origin, so T_0(S) = 1.
+    T_k(B) (den / den_B)^k - T_k(D), an integer identity; D misses the
+    origin, so T_0(S) = 1.
 
-    B is either the start of the support's own placement, the polyhedron
-    of its least axis points a_k e_k (for n = 1 its first point, the
-    least point on the axis), whose lower region is the simplex with
-    those vertices and the origin: its section with R^A has volume
-    prod_{k in A} a_k / k!, so T(B) is the elementary symmetric sums
-    e_k(a) of the integer a_k.  Or B is hull(S0) of a parent S0 that S' was placed on, whose
-    totals come from its own record.  A polyhedron seeded by hand has no
-    record, and the support is placed for it.
+    B is either the start of the support's own placement, whose integer
+    points the record holds: the least axis points a_k e_k (for n = 1 the
+    first point, the least point on the axis), whose lower region is the
+    simplex with those vertices and the origin.  Its section with R^A has
+    volume prod_{k in A} a_k / k!, so T(B) is the elementary symmetric
+    sums e_k(a) of the integer a_k.  Or B is hull(S0) of a parent S0 that
+    S' was placed on, whose totals come from its own record.  A
+    polyhedron seeded by hand has no record, and the support is placed
+    for it.
 
     The totals are memoized on the support, as its _lower_totals entry
     in the instance dict, as _placed records the placement: a nested
-    pair reads those of S once, for nu(S) and as the base of S'.
+    pair reads those of S once, for nu(S) and as the base of S'.  The
+    totals of D are memoized too, as the _pyramid_totals entry, with
+    the simplices they were summed from, so difference_region seeds its
+    region with them only when it reads D from that same record.
     """
     memo = support.__dict__.get("_lower_totals")
     if memo is not None:
@@ -262,15 +263,17 @@ def _lower_totals(support):
     base, simplices = support.__dict__["_placed"]
     ipts, den = support._scaled_points
     td = _totals(support.dim, ipts, simplices)
+    support.__dict__["_pyramid_totals"] = simplices, td
     if isinstance(base, SupportSet):
         totals, den_b = _lower_totals(base)
     else:
         totals, den_b = [1] + [0] * support.dim, den
-        for k, p in enumerate(base.ipts):
+        for k, p in enumerate(base):
             for i in range(k + 1, 0, -1):
                 totals[i] += totals[i - 1] * p[k]
+    up = den // den_b
     memo = support.__dict__["_lower_totals"] = (
-        _less(totals, den_b, td, den), den)
+        [a * up ** k - b for k, (a, b) in enumerate(zip(totals, td))], den)
     return memo
 
 
@@ -322,8 +325,7 @@ def _augmentation_signature(np_, aug_points):
     changing which support points and axes participate; further growth of m
     then changes nothing.
     """
-    fixed = set()
-    sliding = set()
+    fixed, sliding = set(), set()
     for nrm, off, active, rec in np_.facets:
         if rec or any(x == 0 for x in nrm):
             continue
@@ -350,10 +352,8 @@ def newton_number_series(support, missing_axis_cap=64):
         return SeriesNewtonNumber(newton_number_set(support), True, (), ())
     if missing_axis_cap < 1:
         raise ValueError("missing_axis_cap must be positive")
-    prev = None
-    value = None
-    tried = []
-    m = 1
+    prev = value = None
+    tried, m = [], 1
     while m <= missing_axis_cap:
         aug_points = {tuple(m if j == i else 0 for j in range(n)): i
                       for i in missing}
@@ -391,7 +391,12 @@ def difference_region(s, s_prime):
     lower(s) is tiled by lower(s') and this region (the tiling argument
     of _lower_totals), so for a placed pair newton_number_set(s') is
     nu(s) less the Newton number of these simplices, summed without the
-    region.  The region is built afresh on every call.
+    region.  The region is built afresh on every call, from the integer
+    points of the support (polyhedra._region); its Fraction simplices are
+    built only when read.  When _lower_totals has summed these very
+    simplices, as the _pyramid_totals entry of the same record, the
+    region is seeded with their totals, and newton_number_region sums
+    nothing again.
     """
     simplices = _placement(s, s_prime)
     if simplices is None:
@@ -407,7 +412,11 @@ def difference_region(s, s_prime):
         simplices = _placement(s, outer)
     ipts, den = outer._scaled_points
     # index tuples sort like the point tuples they name
-    return _region(n, outer.points, ipts, den, sorted(simplices))
+    region = _region(n, ipts, den, sorted(simplices))
+    summed = outer.__dict__.get("_pyramid_totals")
+    if summed is not None and summed[0] is simplices:
+        region.__dict__["_region_totals"] = summed[1], den
+    return region
 
 
 # --- unions of polytopes ----------------------------------------------------
@@ -556,8 +565,7 @@ def positivity_decomposition(region, axes):
                 "subspace not containing the given axes")
         w = frozenset(v for v in simplex if _support(v) <= k)
         groups.setdefault((tuple(sorted(k)), w), []).append(simplex)
-    pieces = []
-    total = ZERO
+    pieces, total = [], ZERO
     for (k_axes, _), simplices in sorted(
             groups.items(), key=lambda kv: (kv[0][0], sorted(kv[0][1]))):
         z = CompactRegion(n, tuple(sorted(simplices)))
@@ -596,8 +604,7 @@ def _check_positivity_hypotheses(region, coords):
     for k in range(1, n + 1):
         for axes in itertools.combinations(range(n), k):
             j = frozenset(axes)
-            faces = {}
-            top = set()
+            faces, top = {}, set()
             for simplex in region.simplices:
                 w = tuple(sorted(v for v in simplex if _support(v) <= j))
                 if not w:
@@ -629,8 +636,7 @@ def _check_connected(top_faces, k):
     top = list(top_faces)
     if len(top) <= 1:
         return
-    seen = {0}
-    frontier = [0]
+    seen, frontier = {0}, [0]
     while frontier:
         cur = frontier.pop()
         for other in range(len(top)):
@@ -693,7 +699,5 @@ def d_set_and_i_set(s, s_prime):
                 d_set.append(tuple(a + 1 for a in axes))
     if not d_set:
         return ChangedSubspaces((), tuple(range(1, n + 1)), True)
-    common = set(d_set[0])
-    for member in d_set[1:]:
-        common &= set(member)
+    common = set(d_set[0]).intersection(*d_set[1:])
     return ChangedSubspaces(tuple(sorted(d_set)), tuple(sorted(common)), False)

@@ -5,19 +5,21 @@ coordinates, none of them the origin.  Its Newton polyhedron is the convex
 hull of the union of translated orthants point + R^n_{>=0}: an unbounded
 polyhedron whose recession cone is the whole orthant.
 
-The polyhedron is an integer record: the support's sorted points, the
-same points scaled to integers by the lcm den of their denominators, the
-facets as triples (w, c, seed), meaning <w, x> >= c / den, and the vertex
-bitmask.  A seed is the bitmask of the points on the facet plus bit m + i
+Both are integer records.  support_set stores the points scaled to
+integers by the lcm den of their denominators, sorted, and den; integer
+input builds no Fraction.  The polyhedron holds the same integer points,
+the facets as triples (w, c, seed), meaning <w, x> >= c / den, and the
+vertex bitmask.  The Fraction points of either, still its record field
+points, are a lazy fact built from the integer form when a reader or a
+report needs them.  A seed is the bitmask of the points on the facet plus bit m + i
 for each recession axis e_i.  How the facets are found, by placement
 (_place), is set out at the end.  A point is a vertex exactly when the
 meet of the seeds through it is that point alone (geometry._vertex_mask).
-The Fraction facets, the vertices and the faces are lazy facts,
-built on first access; faces walks geometry._face_lattice, which the
+The Fraction facets, the vertices and the faces are lazy facts too; faces walks geometry._face_lattice, which the
 fans' cones share, down level by level from the seeds.  Face lattices
 are graded, so a face's dimension is its level: no rank is computed and
 no rational arithmetic runs.  The polyhedron is memoized on its
-SupportSet and holds the support's points, not the support, so
+SupportSet and holds the support's integer points, not the support, so
 reference counting frees it with the support; nothing is memoized at
 module level.
 
@@ -37,14 +39,16 @@ p + R^n_{>=0}, with the facets x_k >= p_k and, read as the homogenized
 cone {(x, t) : <w, x> >= c t}, the facet at infinity t >= 0 (Ziegler,
 Lectures on Polytopes, 1995, Lecture 1).  A seen facet that meets the
 facet at infinity in a horizon ridge gives a new unbounded facet, and
-the facet at infinity leaves the result.  The placement is recorded on
-the support (_placed): the start and the pyramids D0 it cut, which
-tile lower(start) minus lower(S) when S is axis-convenient.
+the facet at infinity leaves the result.  The start's seeds are written
+over the support's own indices.  The placement is recorded on the
+support (_placed): the start's integer points and the pyramids D0 it
+cut, which tile lower(start) minus lower(S) when S is axis-convenient.
 
 A support S' that holds every point of an axis-convenient S of its
 dimension has a nested parent, and its polyhedron is built by placing
 the points of S' not in S on hull(S) one at a time (_place,
-beneath-beyond).  A point alpha sees the compact facets with
+beneath-beyond), once the seeds of hull(S) have moved into the indices
+of S' (_placement).  A point alpha sees the compact facets with
 <w, alpha> < c; they go, the others stay, and each horizon ridge between
 a seen and an unseen facet spans a new compact facet with alpha (unless
 alpha lies on the unseen facet's plane, which then grows).  Its plane is
@@ -60,23 +64,31 @@ that S, as the record of S' in place of its own; the apex test places
 before anything builds hull(S') on its own.  newton_number reads nu(S')
 off nu(S) and the memo, as it reads every support off its record, and
 difference_region its simplices.  A pair whose S' lacks a point of S
-keeps the record of the build of S' on its own.
+keeps the record of the build of S' on its own.  The apex test reads the
+added vertices as indices into the points of S' (_added), and builds
+Fraction points only for what it reports.
 
 A placement does only the work it needs: a point beyond every facet
 plane leaves the facet list as it is; the seed list is built only when
-a point sees a facet; and a seen compact facet with n vertices, a
-simplex, is its own triangulation (_facet_cells), so _pulling runs only
-on seen facets of a parent's hull that are not simplices.
+a point sees a facet; a seen compact facet with n vertices, a simplex,
+is its own triangulation (_cell_masks), so _pulling runs only on seen
+facets of a parent's hull that are not simplices; the simplices are
+bitmasks until the placement returns; a horizon ridge is looked for only
+between facets that share enough points; and only the old vertices on
+a seen facet are tested again.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import chain
 from math import gcd, lcm
+from operator import mul
 
 from .geometry import (DIMENSION_CAP, DimensionCapExceeded, Record, _combine,
                        _face_lattice, _idot, _lazy, _members, _pulling,
-                       _scaled, _unit, _vertex_mask, frac, render_point, vec)
+                       _scaled, _unit, _unscaled, _vertex_mask, frac,
+                       render_point, vec)
 
 
 class SupportError(ValueError):
@@ -86,27 +98,33 @@ class SupportError(ValueError):
 class SupportSet(Record):
     """Finite set of exponent points in the open orthant hull sense.
 
-    Points are sorted lexicographically; coordinates are Fractions >= 0 and
-    the origin is excluded.  Rational (non-integer) coordinates are allowed:
-    nothing downstream needs integrality of the support itself.
+    Points are sorted lexicographically, nonnegative and not the origin.
+    Rational (non-integer) coordinates are allowed: nothing downstream
+    needs integrality of the support itself.  support_set stores the
+    canonical integer form, _scaled_points: the points times the lcm den
+    of their denominators, sorted, and den (1 for integer input).  points,
+    the Fraction tuples, is then a lazy fact (geometry._lazy) built from
+    it on first read; it is still the second field, so equality, hashing
+    and repr read it and are those of the Fraction points.
 
     missing_axes, _least_axis_points, _scaled_points and
-    _newton_polyhedron are lazy facts (geometry._lazy), no record
-    fields.
+    _newton_polyhedron are lazy facts, no record fields.
     """
 
     dim: int
     points: tuple
 
+    @_lazy
+    def points(self):
+        return _unscaled(*self._scaled_points)
+
     def restrict(self, axes):
         """Sub-support on a coordinate subspace: the points supported inside
         the given axes, with the other coordinates dropped."""
         axes = tuple(sorted(axes))
-        kept = []
-        for p in self.points:
-            if all(p[i] == 0 for i in range(self.dim) if i not in axes):
-                kept.append(tuple(p[i] for i in axes))
-        return SupportSet(len(axes), tuple(sorted(set(kept))))
+        kept = {tuple(p[i] for i in axes) for p in self.points
+                if all(p[i] == 0 for i in range(self.dim) if i not in axes)}
+        return SupportSet(len(axes), tuple(sorted(kept)))
 
     def augment(self, extra):
         return support_set(self.dim, [*self.points, *extra])
@@ -121,13 +139,9 @@ class SupportSet(Record):
     @_lazy
     def _least_axis_points(self):
         """Per axis k, the index of the least point a_k e_k on it, or None
-        when there is none.  The points are sorted, so it is the first."""
-        n = self.dim
-        least = {}
-        for i, p in enumerate(self._scaled_points[0]):
-            if p.count(0) == n - 1:     # its one nonzero entry is its max
-                least.setdefault(p.index(max(p)), i)
-        return tuple(map(least.get, range(n)))
+        when there is none; support_set finds them as it checks the
+        points."""
+        return _axis_points(self.dim, *self._scaled_points)
 
     @_lazy
     def _scaled_points(self):
@@ -141,6 +155,25 @@ class SupportSet(Record):
         """The Newton polyhedron (see newton_polyhedron), built once per
         instance."""
         return _placed(self)
+
+
+def _axis_points(n, ipts, den):
+    """Per axis k, the index of the first of the sorted integer points
+    ipts (the points times den) on it, or None.  Each point is checked
+    on the way, and SupportError names the first bad one."""
+    least = [None] * n
+    for i, p in enumerate(ipts):
+        problem = (f"does not have dimension {n}" if len(p) != n else
+                   "has a negative coordinate" if p and min(p) < 0 else "")
+        if problem:
+            raise SupportError(
+                f"point {render_point(_unscaled([p], den)[0])} {problem}")
+        if not any(p):
+            raise SupportError("support set contains the origin")
+        # a point on an axis: its one nonzero entry is its max
+        if p.count(0) == n - 1 and least[k := p.index(max(p))] is None:
+            least[k] = i
+    return tuple(least)
 
 
 def _placed(support):
@@ -159,51 +192,51 @@ def _placed(support):
     p and the recession axes e_j, j != k, and the facet at infinity
     (w = 0, c = -1, every recession axis), which _place drops again.
 
-    The placement is recorded on the support as its _placed entry,
-    (start, pyramids): the start polyhedron and the simplices of the
-    pyramids D0 that _place cut, over the support's indices.  For an
-    axis-convenient support D0 tiles lower(start) minus lower(support)
-    (the tiling argument of newton_number._lower_totals), which reads
-    the support's volumes off it.
-    Without a point on every axis a seen facet may be unbounded, and
-    its pyramid is missing; no lower region exists to read then."""
-    n = support.dim
+    The start's seeds are written over the support's own indices, so the
+    other points are placed on it as they are.  The placement is
+    recorded on the support as its _placed entry, (start points,
+    pyramids): the integer start points, the axis points a_k e_k in axis
+    order (or p), and the simplices of the pyramids D0 that _place cut,
+    over the support's indices.  newton_number._lower_totals reads the
+    support's volumes off it.  Without a point on every axis a seen facet
+    may be unbounded, and its pyramid is missing; no lower region exists
+    to read then."""
+    n, pos = support.dim, support._least_axis_points
     ipts, den = support._scaled_points
-    pos = support._least_axis_points
-    every = (1 << n) - 1
+    m, every = len(ipts), (1 << n) - 1
     if n > 1 and None not in pos:
         a = [ipts[i][k] for k, i in enumerate(pos)]
         big = lcm(*a)
         g = gcd(*(big // x for x in a))
-        facets = [(tuple(big // x // g for x in a), big // g, every)]
-        for k in range(n):
-            rest = every ^ 1 << k
-            facets.append((_unit(n, k), 0, rest | rest << n))
+        on = sum(1 << i for i in pos)
+        facets = [(tuple(big // x // g for x in a), big // g, on)] + [
+            (_unit(n, k), 0, on ^ 1 << pos[k] | (every ^ 1 << k) << m)
+            for k in range(n)]
     else:
-        pos = (0,)
-        facets = [((0,) * n, -1, every << 1)]
-        for k in range(n):
-            facets.append((_unit(n, k), ipts[0][k], 1 | (every ^ 1 << k) << 1))
-    # the start's point k is the support's point pos[k]
-    start = NewtonPolyhedron(n, tuple(support.points[i] for i in pos),
-                             tuple(ipts[i] for i in pos), den,
-                             tuple(sorted(facets)), (1 << len(pos)) - 1)
-    facets, vmask, simplices = _place(start, ipts, den, pos)
-    support.__dict__["_placed"] = start, simplices
-    return NewtonPolyhedron(n, support.points, ipts, den, facets, vmask)
+        pos, on = (0,), 1
+        facets = [((0,) * n, -1, every << m)] + [
+            (_unit(n, k), ipts[0][k], 1 | (every ^ 1 << k) << m)
+            for k in range(n)]
+    facets.sort()
+    facets, vmask, simplices = _place(
+        n, facets, on, ipts, [i for i in range(m) if not on >> i & 1])
+    support.__dict__["_placed"] = tuple(ipts[i] for i in pos), simplices
+    return NewtonPolyhedron._from_facts(dim=n, ipts=ipts, den=den,
+                                        ifacets=facets, vmask=vmask)
 
 
 def support_set(dim, points):
     """The SupportSet of the given points: deduplicated, checked and sorted.
 
     Integer input, every coordinate of exact type int, is its own scaling
-    (den = 1).  Any other input is scaled once to integer tuples over one
-    denominator (_scaled), which sort like the points they stand for.
-    Those are deduplicated, checked and sorted, and each distinct
-    coordinate value becomes one Fraction.
+    (den = 1) and builds no Fraction.  Any other input is scaled once to
+    integer tuples over one denominator (_scaled), which sort like the
+    points they stand for.  Those are deduplicated, sorted and checked in
+    one pass that also finds the least axis points, and they are the
+    support's stored form; its Fraction points are built when read.
     """
     pts = [tuple(p) for p in points]
-    if all(type(x) is int for p in pts for x in p):
+    if set(map(type, chain.from_iterable(pts))) <= {int}:
         ipts, den = pts, 1
     else:
         ipts, den = _scaled([tuple(map(frac, p)) for p in pts])
@@ -211,28 +244,10 @@ def support_set(dim, points):
         raise SupportError("support set is empty")
     if dim > DIMENSION_CAP:
         raise DimensionCapExceeded(f"dimension {dim} exceeds cap {DIMENSION_CAP}")
-    unique = set(ipts)
-    ipts = sorted(unique)
-    values = set().union(*ipts)
-    value = {x: Fraction(x, den) if den > 1 else Fraction(x) for x in values}
-    # one test of the whole set; the loop only words the first bad point
-    if (set(map(len, ipts)) != {dim} or min(values, default=0) < 0
-            or (0,) * dim in unique):
-        for p in ipts:
-            if len(p) != dim:
-                problem = f"does not have dimension {dim}"
-            elif any(x < 0 for x in p):
-                problem = "has a negative coordinate"
-            elif not any(p):
-                raise SupportError("support set contains the origin")
-            else:
-                continue
-            raise SupportError(
-                f"point {render_point(value[x] for x in p)} {problem}")
-    support = SupportSet(dim, tuple(tuple(map(value.get, p)) for p in ipts))
-    # the lazy fact, not a field: what rescaling the points would give
-    support.__dict__["_scaled_points"] = tuple(ipts), den
-    return support
+    ipts = tuple(sorted(set(ipts)))
+    least = _axis_points(dim, ipts, den)
+    return SupportSet._from_facts(dim=dim, _scaled_points=(ipts, den),
+                                  _least_axis_points=least)
 
 
 class Face(Record):
@@ -256,7 +271,8 @@ class NewtonPolyhedron(Record):
     vmask    the bitmask of the points that are vertices
 
     Equality and hashing see these fields, which the points determine.
-    The Fraction views are lazy facts (geometry._lazy), no record fields:
+    points is a lazy fact (geometry._lazy) of ipts and den when the
+    polyhedron is placed, and so are the Fraction views, no record fields:
     facets   ((normal, c / den, active_points, recession), ...)
     vertices sorted tuple of the 0-dimensional faces (always support points)
     faces    all proper nonempty faces, including the facets and vertices,
@@ -269,6 +285,10 @@ class NewtonPolyhedron(Record):
     den: int
     ifacets: tuple
     vmask: int
+
+    @_lazy
+    def points(self):
+        return _unscaled(self.ipts, self.den)
 
     @_lazy
     def facets(self):
@@ -362,32 +382,38 @@ def newton_polyhedron(support):
 
 # --- placing points on a Newton polyhedron ---------------------------------
 
-def _facet_cells(n, face, vmask, seeds, memo):
-    """The pulling triangulation (geometry._pulling) of a compact facet
-    of a polyhedron in dimension n, as increasing index tuples: a facet
-    with n vertices is a simplex, its own triangulation, and is not
-    walked."""
+def _cell_masks(n, w, face, vmask, seeds, memo, tri):
+    """The simplices of the compact facet with normal w and mask face of
+    a polyhedron in dimension n, as bitmasks of their points: those tri
+    holds for a facet that placement made or grew, taken out of it, or
+    else the pulling triangulation (geometry._pulling).  A facet with n
+    vertices is a simplex, its own triangulation, and is not walked."""
+    if w in tri:
+        return tri.pop(w)
     verts = face & vmask
     if verts.bit_count() == n:
-        return (tuple(_members(verts)),)
-    return _pulling(face, vmask, seeds, memo)
+        return (verts,)
+    return [sum(1 << i for i in t) for t in _pulling(face, vmask, seeds, memo)]
 
 
-def _place(small, ipts, den, pos):
-    """Place the points of a support S' on the Newton polyhedron small of
-    a support S, one at a time (beneath-beyond: Edelsbrunner, Algorithms
-    in Combinatorial Geometry, 1987, ch. 8; the placing triangulation:
+def _place(n, facets, vmask, ipts, todo):
+    """Place points of a support S' on the Newton polyhedron of a support
+    S, one at a time (beneath-beyond: Edelsbrunner, Algorithms in
+    Combinatorial Geometry, 1987, ch. 8; the placing triangulation:
     De Loera, Rambau & Santos, Triangulations, 2010, ch. 4).
 
-    ipts are the points of S' times den, sorted, and pos[i] is the index
-    there of small's point i.  Returns the ifacets and vmask of S' over
-    those indices and the simplices, as increasing index tuples, of the
+    ipts are the points of S' times den, sorted, in dimension n.  facets
+    (sorted) and vmask are those of hull(S) over the indices of S': a
+    facet (w, c, g) is <w, x> >= c / den, g the bitmask of the points on
+    it plus bit len(ipts) + i per recession axis e_i.  todo lists the
+    indices of the points to place, in order.  Returns the ifacets and
+    vmask of S' and the simplices, as increasing index tuples, of the
     pyramids conv(F u {alpha}) over every compact facet F that a placed
     point alpha sees.
 
     The polyhedron is read as its homogenized cone {(x, t) : <w, x> >= c t},
-    where a point is (x, 1) and a recession axis (e_i, 0).  small may
-    carry that cone's facet at infinity t >= 0, the triple (0, -1, every
+    where a point is (x, 1) and a recession axis (e_i, 0).  The facets may
+    include that cone's facet at infinity t >= 0, the triple (0, -1, every
     recession axis), which no point sees and which leaves the result
     (_placed starts from it).  alpha sees the facets with <w, alpha> < c;
     the facets that alpha does not see stay, joined by alpha when it
@@ -400,9 +426,13 @@ def _place(small, ipts, den, pos):
     that plane holds the ridge and alpha, and both coefficients are
     positive, so it points inward.  Where g is the facet at infinity it
     is w_f, unbounded like f.  In dimension 1 the horizon is the empty
-    face and the new facet is alpha alone.  The seeds stay exact over the
-    points placed so far, and the vertices are the old ones and alpha
-    that _vertex_mask keeps.
+    face and the new facet is alpha alone.  A ridge of the cone, of
+    dimension n - 1, has at least n - 1 generators, so a meet with fewer
+    bits, or an unseen seed that meets no seen one, is passed over before
+    any third seed is read.  The seeds stay exact over the points placed
+    so far.  alpha is a vertex, and an old vertex on no seen facet keeps
+    its facets, so _vertex_mask reads only the old vertices on a seen
+    facet.
 
     The pyramids are exact when no seen facet is unbounded.  That holds
     when S is axis-convenient, as in _placement: every facet with a zero
@@ -418,29 +448,17 @@ def _place(small, ipts, den, pos):
     cones.  So the boundary stays a simplicial complex, and the pyramids
     of any number of steps form one.  Pulling each grown facet afresh
     would not: it need not refine the cones an earlier pyramid has on it.
+    While placing, a simplex is the bitmask of its points (_cell_masks),
+    so a cone is a meet with the ridge and a pyramid one more bit; they
+    become index tuples when the placement returns.
     """
-    n = small.dim
-    m0, m = len(small.ipts), len(ipts)
-    scale = den // small.den
-
-    bits = [1 << i for i in pos]
-
-    def remap(g):
-        out = g >> m0 << m
-        for b in bits:
-            if g & 1:
-                out |= b
-            g >>= 1
-        return out
-
-    facets = [(w, c * scale, remap(g)) for w, c, g in small.ifacets]
-    vmask = remap(small.vmask)
+    m = len(ipts)
+    need = max(n - 1, 1)
     tri = {}            # normal -> simplices of a facet new or grown here
-    memo = {}
-    simplices = []
-    for j in sorted(set(range(m)).difference(pos)):
+    memo, pyramids = {}, []
+    for j in todo:
         a, bit = ipts[j], 1 << j
-        vals = [_idot(w, a) - c for w, c, _ in facets]
+        vals = [sum(map(mul, w, a)) - c for w, c, _ in facets]
         low = min(vals)
         if low > 0:         # beyond every facet plane: nothing changes
             continue
@@ -449,45 +467,49 @@ def _place(small, ipts, den, pos):
                       for (w, c, g), v in zip(facets, vals)]
             continue
         seeds = [g for _, _, g in facets]
-
-        def cells(w, g):
-            if g >> m:      # an unbounded facet: no pyramid
-                return []
-            if w in tri:
-                return tri.pop(w)
-            return _facet_cells(n, g, vmask, seeds, memo)
-
-        seen = [(w, v, g, cells(w, g))
-                for (w, _, g), v in zip(facets, vals) if v < 0]
-        for *_, cs in seen:
-            simplices.extend(tuple(sorted(t + (j,))) for t in cs)
+        seen, touched = [], 0
+        for (w, _, g), v in zip(facets, vals):
+            if v < 0:
+                cs = () if g >> m else _cell_masks(   # unbounded: ()
+                    n, w, g, vmask, seeds, memo, tri)
+                for t in cs:
+                    pyramids.append(t | bit)
+                seen.append((w, v, g, cs))
+                touched |= g
         kept, new = [], {}
         for (w, c, g), v in zip(facets, vals):
             if v < 0:
                 continue
-            for wf, vf, f, cs in seen:
-                ridge = f & g
-                if not ridge or any(ridge & h == ridge for h in seeds
-                                    if h != f and h != g):
-                    continue
-                cone = [tuple(sorted(r + (j,))) for r in (
-                    tuple(i for i in t if ridge >> i & 1) for t in cs)
-                    if len(r) == n - 1]
-                if v:
-                    normal = _combine(v, wf, vf, w)
-                    new[normal] = _idot(normal, a), ridge | bit, cone
-                elif not g >> m:
-                    tri[w] = [*cells(w, g), *cone]
+            if g & touched:
+                for wf, vf, f, cs in seen:
+                    ridge = f & g
+                    if ridge.bit_count() < need:
+                        continue
+                    for h in seeds:
+                        if ridge & h == ridge and h != f and h != g:
+                            break
+                    else:
+                        cone = [r | bit for r in (t & ridge for t in cs)
+                                if r.bit_count() == n - 1]
+                        if v:
+                            normal = _combine(v, wf, vf, w)
+                            new[normal] = (sum(map(mul, normal, a)),
+                                           ridge | bit, cone)
+                        elif not g >> m:
+                            tri[w] = [*_cell_masks(n, w, g, vmask, seeds,
+                                                   memo, tri), *cone]
             kept.append((w, c, g if v else g | bit))
         if n == 1:
-            new[(1,)] = a[0], bit, [(j,)]
+            new[(1,)] = a[0], bit, [bit]
         for w, (c, g, cone) in new.items():
             kept.append((w, c, g))
             tri[w] = cone
         facets = sorted(kept)
-        vmask = _vertex_mask(_members(vmask) + [j],
-                             [g for _, _, g in facets])
-    return tuple(f for f in facets if any(f[0])), vmask, simplices
+        vmask = vmask & ~touched | bit | _vertex_mask(
+            _members(vmask & touched), [g for _, _, g in facets])
+    if not any(facets[0][0]):   # the facet at infinity sorts first
+        facets = facets[1:]
+    return tuple(facets), vmask, [tuple(_members(t)) for t in pyramids]
 
 
 def _placement(s, s_prime):
@@ -496,7 +518,9 @@ def _placement(s, s_prime):
     unless s is axis-convenient, of the same dimension, and each of its
     points is a point of s_prime.
 
-    The placed polyhedron becomes the Newton polyhedron of s_prime unless
+    Each seed of hull(s) moves into the indices of s_prime by a zero bit
+    put in at each point of s_prime that s lacks, in increasing order.  The
+    placed polyhedron becomes the Newton polyhedron of s_prime unless
     that was built already: it is typed-equal to the one newton_polyhedron
     builds.  The simplices are memoized on s_prime, as its _placed record
     (s, simplices) in place of any earlier one, so the apex test and the
@@ -509,23 +533,28 @@ def _placement(s, s_prime):
     memo = s_prime.__dict__.get("_placed")
     if memo is not None and (memo[0] is s or memo[0] == s):
         return memo[1]
-    if s.dim != s_prime.dim or s.missing_axes:
-        return None
     ipts, den = s_prime._scaled_points
-    small_ipts, small_den = s._scaled_points
-    if den % small_den:
+    small, small_den = s._scaled_points
+    if s.dim != s_prime.dim or s.missing_axes or den % small_den:
         return None
     scale = den // small_den
-    index = {p: i for i, p in enumerate(ipts)}
-    pos = [index.get(tuple(scale * x for x in p) if scale > 1 else p)
-           for p in small_ipts]
-    if None in pos:
+    old = set(small) if scale == 1 else {tuple(scale * x for x in p)
+                                         for p in small}
+    todo = [j for j, p in enumerate(ipts) if p not in old]
+    if len(ipts) - len(todo) < len(old):
         return None
-    if len(pos) == len(ipts):       # s_prime is s again
+    if not todo:        # s_prime is s again
         return []
-    facets, vmask, simplices = _place(newton_polyhedron(s), ipts, den, pos)
-    s_prime.__dict__.setdefault("_newton_polyhedron", NewtonPolyhedron(
-        s.dim, s_prime.points, ipts, den, facets, vmask))
+    np_ = newton_polyhedron(s)
+    facets, vmask = [(w, c * scale, g) for w, c, g in np_.ifacets], np_.vmask
+    for j in todo:
+        low = (1 << j) - 1
+        facets = [(w, c, g & low | g >> j << j + 1) for w, c, g in facets]
+        vmask = vmask & low | vmask >> j << j + 1
+    facets, vmask, simplices = _place(s.dim, facets, vmask, ipts, todo)
+    s_prime.__dict__.setdefault(
+        "_newton_polyhedron", NewtonPolyhedron._from_facts(
+            dim=s.dim, ipts=ipts, den=den, ifacets=facets, vmask=vmask))
     s_prime.__dict__["_placed"] = s, simplices
     return simplices
 
@@ -563,13 +592,11 @@ def convenience_report(support):
     n = support.dim
     missing = support.missing_axes
     cond = dict.fromkeys(range(1, n + 1), not missing)
-    if not missing:
-        np_ = newton_polyhedron(support)
-        den = np_.den
-        if den > 1:     # an integer coordinate is 0 or at least 1
-            verts = [np_.ipts[i] for i in _members(np_.vmask)]
-            for i in range(n):
-                cond[i + 1] = all(v[i] == 0 or v[i] >= den for v in verts)
+    # an integer coordinate (den = 1) is 0 or at least 1
+    if not missing and (np_ := newton_polyhedron(support)).den > 1:
+        verts = [np_.ipts[i] for i in _members(np_.vmask)]
+        for i in range(n):
+            cond[i + 1] = all(v[i] == 0 or v[i] >= np_.den for v in verts)
     return ConvenienceReport(not missing, missing, cond,
                              not missing and all(cond.values()))
 
@@ -586,8 +613,7 @@ def check_nested(s, s_prime):
     if s.dim != s_prime.dim:
         raise SupportError(
             f"support sets of different dimensions {s.dim} and {s_prime.dim}")
-    outer = newton_polyhedron(s_prime)
-    inner = newton_polyhedron(s)
+    outer, inner = newton_polyhedron(s_prime), newton_polyhedron(s)
     for i in _members(inner.vmask):
         if not outer._contains_scaled(inner.ipts[i], inner.den):
             raise SupportError(
@@ -595,34 +621,41 @@ def check_nested(s, s_prime):
                 "of the first support set lies outside the second polyhedron")
 
 
+def _over_lcm(a, b):
+    """The integer points of the polyhedra a and b over the lcm of their
+    dens, as stored when the dens are equal, and that lcm."""
+    if a.den == b.den:
+        return a.ipts, b.ipts, a.den
+    den = lcm(a.den, b.den)
+    return (*([tuple(den // np_.den * x for x in p) for p in np_.ipts]
+              for np_ in (a, b)), den)
+
+
+def _added(s, s_prime):
+    """The indices, into the points of s_prime, of the vertices of
+    hull(s_prime) that are no vertices of hull(s), increasing: Ver(s')
+    minus Ver(s) (added_vertices).  The vertices are compared as integer
+    points over the lcm of the two dens (_over_lcm).  A pair that
+    _placement places is nested by construction, so check_nested runs
+    only on the others."""
+    if _placement(s, s_prime) is None:
+        check_nested(s, s_prime)
+    inner, outer = newton_polyhedron(s), newton_polyhedron(s_prime)
+    old, pts, _ = _over_lcm(inner, outer)
+    old = {old[i] for i in _members(inner.vmask)}
+    return [i for i in _members(outer.vmask) if pts[i] not in old]
+
+
 def added_vertices(s, s_prime):
-    """New vertices of the deformed polyhedron: Ver(s') minus Ver(s).
+    """New vertices of the deformed polyhedron: Ver(s') minus Ver(s), in
+    the order of the points of s', which is sorted (_added).
 
     Requires hull(s) contained in hull(s_prime).  A vertex of the bigger
     polyhedron lying inside the smaller one is automatically a vertex of the
     smaller one, so the set difference equals the set of vertices strictly
-    below the original boundary.  The vertices are compared as integer
-    points over the lcm of the two denominators, the stored ones for a
-    polyhedron whose den is that lcm already; when s' holds the points
-    of s, these are the vertex bits of s' whose points are no vertices of
-    s.  They come in the order of the points of s', which is sorted.
-    A pair that _placement places is nested by construction, so
-    check_nested runs only on the others.
+    below the original boundary.
     """
-    if _placement(s, s_prime) is None:
-        check_nested(s, s_prime)
-    inner, outer = newton_polyhedron(s), newton_polyhedron(s_prime)
-    den = lcm(inner.den, outer.den)
-
-    def vertices(np_):
-        up = den // np_.den
-        for i in _members(np_.vmask):
-            yield i, np_.ipts[i] if up == 1 else tuple(up * x
-                                                       for x in np_.ipts[i])
-
-    old = {p for _, p in vertices(inner)}
-    return tuple(s_prime.points[i] for i, p in vertices(outer)
-                 if p not in old)
+    return tuple(s_prime.points[i] for i in _added(s, s_prime))
 
 
 # --- compact regions ------------------------------------------------------
@@ -635,17 +668,23 @@ class CompactRegion(Record):
     of them), so faces match up exactly and volume computations can
     deduplicate by vertex set.
 
-    _integer_form, a lazy fact and no record field (equality, hashing
-    and repr do not see it), is (ipts, den, index simplices): the vertices
-    times the lcm den of their denominators as integer tuples, and each
-    simplex as the tuple of its vertices' indices there, in its own vertex
-    order.  difference_region seeds it from the support's integer points,
-    so its Fraction points are never hashed or scaled; a region built by
-    hand indexes and scales its points on first use.
+    _integer_form is (ipts, den, index simplices): the vertices times the
+    lcm den of their denominators as integer tuples, and each simplex as
+    the tuple of its vertices' indices there, in its own vertex order.
+    difference_region seeds it (_region), and simplices is then a lazy
+    fact (geometry._lazy) built from it when read; a region built by hand
+    indexes and scales its points on first use.  Either way the record's
+    field is simplices, so equality, hashing and repr see the points.
     """
 
     ambient_dim: int
     simplices: tuple
+
+    @_lazy
+    def simplices(self):
+        ipts, den, simplices = self._integer_form
+        pts = _unscaled(ipts, den)
+        return tuple(tuple(pts[i] for i in simplex) for simplex in simplices)
 
     @_lazy
     def _integer_form(self):
@@ -656,14 +695,12 @@ class CompactRegion(Record):
         return ipts, den, simplices
 
 
-def _region(n, pts, ipts, den, simplices):
+def _region(n, ipts, den, simplices):
     """The CompactRegion whose simplices are the index tuples simplices
-    into the points pts, which are ipts / den, with its integer form
-    seeded."""
-    region = CompactRegion(n, tuple(tuple(pts[i] for i in simplex)
-                                    for simplex in simplices))
-    region.__dict__["_integer_form"] = ipts, den, simplices
-    return region
+    into the integer points ipts over den, seeded as its integer form;
+    its Fraction simplices are built when read."""
+    return CompactRegion._from_facts(ambient_dim=n,
+                                     _integer_form=(ipts, den, simplices))
 
 
 def _require_bounded(support):

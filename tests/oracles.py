@@ -113,7 +113,8 @@ over the vertex masks it returns.  lower_region, kept verbatim with
 _lower_form and the former method NewtonPolyhedron._compact_ifacets
 (here a function, which difference_region_bounded calls too), is the
 library's former region under the Newton boundary: the origin coned over
-the pulling triangulation of each compact facet (polyhedra._facet_cells).
+the pulling triangulation of each compact facet (_facet_cells, the
+library's former index-tuple form of polyhedra._cell_masks).
 The library now reads a support's volumes off its placement
 (newton_number._lower_totals) and builds no such region; the tests hold
 those volumes against this one.  _volumes, kept verbatim, is the
@@ -125,6 +126,16 @@ region's points indexed and scaled afresh.  The pyramid formula
 (nu_pyramid) shares no triangulation code with any of them: it measures
 each coordinate section of the region under the Newton boundary as a sum
 of cones over its compact facets, on the scans above.
+
+support_set and find_apex, in their own section, are the library's
+former routines, kept verbatim (find_apex with its former helper _edge):
+support_set stored the Fraction points as the record's field, one
+Fraction per distinct coordinate value, and find_apex searched from a
+Fraction point and built the certificate off the supports' Fraction
+points.  The library now stores the integer form and searches from
+vertex indices; test_polyhedra and test_apex check that the supports,
+their equality and hashes, the certificates and the error texts stay
+the same.
 
 The Buchberger engine at the very end (_buchberger, _pair_data, _s_poly,
 _reduce_full, _interreduce) is the library's former one, kept verbatim on
@@ -138,10 +149,11 @@ that the two return the same rows, bases, step counts and budget texts.
 import itertools
 from itertools import combinations
 from fractions import Fraction, Fraction as F
-from math import factorial, gcd, prod
+from math import factorial, gcd, lcm, prod
 from typing import NamedTuple
 
-from newtonmu.apex import BoundaryEdge
+from newtonmu.apex import (ApexCertificate, BoundaryEdge, _edges_at,
+                           _on_edge)
 from newtonmu.fans import (Fan, LatticeCone, box_points, cone_from_rays,
                            is_regular_cone)
 from newtonmu.geometry import (DIMENSION_CAP, ONE, ZERO, DimensionCapExceeded,
@@ -150,12 +162,12 @@ from newtonmu.geometry import (DIMENSION_CAP, ONE, ZERO, DimensionCapExceeded,
                                _int_det, _integer_row, _members, _pulling,
                                _scaled, _unit, _vertex_mask,
                                determinant, dot, frac, primitive_vector,
-                               simplex_volume, vec)
+                               render_point, simplex_volume, vec)
 from newtonmu.groebner import (_divides, _lcm, _make_row, _mul, _quot,
                                grevlex_key)
 from newtonmu.newton_number import NewtonVolumeVector
 from newtonmu.polyhedra import (CompactRegion, Face, NewtonPolyhedron,
-                                SupportError, _facet_cells, _region,
+                                SupportError, SupportSet, _region,
                                 _require_bounded, check_nested,
                                 newton_polyhedron)
 
@@ -1152,6 +1164,17 @@ def _compact_ifacets(np_):
     return [f for f in np_.ifacets if not f[2] >> m]
 
 
+def _facet_cells(n, face, vmask, seeds, memo):
+    """The pulling triangulation (geometry._pulling) of a compact facet
+    of a polyhedron in dimension n, as increasing index tuples: a facet
+    with n vertices is a simplex, its own triangulation, and is not
+    walked."""
+    verts = face & vmask
+    if verts.bit_count() == n:
+        return (tuple(_members(verts)),)
+    return _pulling(face, vmask, seeds, memo)
+
+
 def _lower_form(support):
     """The integer form (see CompactRegion) of lower_region: the support's
     integer points and the origin after them, their den, and the sorted
@@ -1179,10 +1202,9 @@ def lower_region(support):
     geometry._pulling over the polyhedron's bitmasks of support points
     (_lower_form).
     """
-    n = support.dim
     # the origin sorts before every support point, and index tuples sort
     # like the point tuples they name
-    return _region(n, support.points + ((ZERO,) * n,), *_lower_form(support))
+    return _region(support.dim, *_lower_form(support))
 
 
 def lower_region_hulls(support):
@@ -1471,6 +1493,108 @@ def nu_pyramid(support):
                 vk += c * shadow / (k * w[0])
         total += (-1) ** (n - k) * factorial(k) * vk
     return total
+
+
+# --- the former support record and apex search ------------------------------
+
+def support_set(dim, points):
+    """The SupportSet of the given points: deduplicated, checked and sorted.
+
+    Integer input, every coordinate of exact type int, is its own scaling
+    (den = 1).  Any other input is scaled once to integer tuples over one
+    denominator (_scaled), which sort like the points they stand for.
+    Those are deduplicated, checked and sorted, and each distinct
+    coordinate value becomes one Fraction.
+    """
+    pts = [tuple(p) for p in points]
+    if all(type(x) is int for p in pts for x in p):
+        ipts, den = pts, 1
+    else:
+        ipts, den = _scaled([tuple(map(frac, p)) for p in pts])
+    if not ipts:
+        raise SupportError("support set is empty")
+    if dim > DIMENSION_CAP:
+        raise DimensionCapExceeded(f"dimension {dim} exceeds cap {DIMENSION_CAP}")
+    unique = set(ipts)
+    ipts = sorted(unique)
+    values = set().union(*ipts)
+    value = {x: Fraction(x, den) if den > 1 else Fraction(x) for x in values}
+    # one test of the whole set; the loop only words the first bad point
+    if (set(map(len, ipts)) != {dim} or min(values, default=0) < 0
+            or (0,) * dim in unique):
+        for p in ipts:
+            if len(p) != dim:
+                problem = f"does not have dimension {dim}"
+            elif any(x < 0 for x in p):
+                problem = "has a negative coordinate"
+            elif not any(p):
+                raise SupportError("support set contains the origin")
+            else:
+                continue
+            raise SupportError(
+                f"point {render_point(value[x] for x in p)} {problem}")
+    support = SupportSet(dim, tuple(tuple(map(value.get, p)) for p in ipts))
+    # the lazy fact, not a field: what rescaling the points would give
+    support.__dict__["_scaled_points"] = tuple(ipts), den
+    return support
+
+
+def _edge(pts, k, j, meet):
+    """The BoundaryEdge between the points k and j, with the points of the
+    mask meet on it; pts is sorted, so the lower index is the lower end."""
+    return BoundaryEdge((pts[min(j, k)], pts[max(j, k)]),
+                        tuple(pts[i] for i in _members(meet)))
+
+
+def find_apex(s, s_prime, alpha):
+    """Search every axis outside the support of alpha for a good apex.
+
+    Returns None when no axis has both a unique escaping edge and an old
+    vertex on it (in particular when alpha has full support).  The points
+    are compared as integers over one common denominator by _on_edge: an
+    old vertex v lies on the edge from alpha to its other end o at t in
+    (0, 1] when v - alpha is t (o - alpha), and the least t is the least
+    |v_k - alpha_k| on the first axis k where o and alpha differ.
+    """
+    alpha = vec(alpha)
+    n = s.dim
+    support = frozenset(k for k, x in enumerate(alpha) if x != 0)
+    if len(support) == n:
+        return None
+    outer, inner = newton_polyhedron(s_prime), newton_polyhedron(s)
+    a = outer._vertex_index(alpha)
+    den = lcm(outer.den, inner.den)
+    up = den // outer.den
+    ia = tuple(up * x for x in outer.ipts[a])
+    old = [(i, tuple(den // inner.den * x for x in inner.ipts[i]))
+           for i in _members(inner.vmask)]
+    edges = _edges_at(outer, a)
+    candidates = []
+    for i0 in sorted(set(range(n)) - support):
+        escaping = [(j, meet) for j, meet in edges if outer.ipts[j][i0]]
+        if len(escaping) != 1:
+            continue
+        j, meet = escaping[0]
+        d = tuple(up * x - y for x, y in zip(outer.ipts[j], ia))
+        on_edge = []
+        for i, v in old:
+            t = _on_edge(v, ia, d)
+            if t:
+                on_edge.append((t, i))
+        if not on_edge:
+            continue
+        _, i = min(on_edge)
+        good = all(inner.ipts[i][q] == (inner.den if q == i0 else 0)
+                   for q in range(n) if q not in support)
+        candidates.append((i0, _edge(outer.points, a, j, meet), s.points[i],
+                           good))
+    if not candidates:
+        return None
+    good_pairs = tuple((i0 + 1, beta) for i0, _, beta, g in candidates if g)
+    pick = next((c for c in candidates if c[3]), candidates[0])
+    i0, edge, beta, good = pick
+    return ApexCertificate(alpha, tuple(a + 1 for a in sorted(support)),
+                           i0 + 1, edge, beta, good, good_pairs)
 
 
 # --- Buchberger engine -----------------------------------------------------

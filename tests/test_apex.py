@@ -1,5 +1,7 @@
+import json
 import random
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 
@@ -8,11 +10,16 @@ from newtonmu.apex import (edge_convenience, edges_at_vertex, find_apex,
                            mu_constant_test, vertex_location_check)
 from newtonmu.geometry import InternalConsistencyError, _scaled
 from newtonmu.newton_number import newton_number_set
-from newtonmu.polyhedra import SupportError, newton_polyhedron, support_set
+from newtonmu.polyhedra import (SupportError, added_vertices,
+                                newton_polyhedron, support_set)
 from corpus import (boundary_plane_augmentation, bs_base_support,
                     bs_deformed_support, exe2d_augmented, exe2d_support,
                     exe3d_augmented, exe3d_support, random_convenient_support)
-from oracles import _on_segment
+from oracles import _on_segment, find_apex as fraction_find_apex
+from test_conversion import typed
+from test_placement import KINDS, random_pair
+
+POOL = Path(__file__).resolve().parents[1] / "perfbench" / "pool" / "mu_sweep.json"
 
 
 def test_bs_vertex_edges_and_apex():
@@ -90,7 +97,7 @@ def test_cross_check_raises_inside_the_theorem(monkeypatch):
     that contradicts the Newton numbers is an internal error."""
     s = support_set(3, [(2, 0, 0), (0, 2, 0), (1, 0, 1), (0, 1, 1), (0, 0, 3)])
     sp = s.augment([(0, 0, 2)])
-    monkeypatch.setattr(apex, "find_apex", lambda *args: None)
+    monkeypatch.setattr(apex, "_apex", lambda *args: None)
     with pytest.raises(InternalConsistencyError):
         mu_constant_test(s, sp)
 
@@ -149,3 +156,55 @@ def test_integer_edge_test_matches_fraction_segment_test():
         else:
             assert type(got) is int, k
             assert got == want * next((abs(x) for x in d if x), 0), k
+
+
+def apex_pairs():
+    """The 540 pairs of the mu_sweep pool, read as test_placement reads
+    it, then 120 seeded rational pairs (test_placement.random_pair),
+    n = 2..5 in turn, with one to three added points of random kinds."""
+    for case in json.loads(POOL.read_text())["cases"]:
+        n = case["n"]
+        yield (support_set(n, [tuple(p) for p in case["s"]]),
+               support_set(n, [tuple(p) for p in case["sp"]]))
+    for k in range(120):
+        rng = random.Random(k)
+        yield random_pair(rng, 2 + k % 4, [rng.choice(KINDS) for _ in
+                                           range(rng.randint(1, 3))])
+
+
+def test_public_apex_readers_keep_their_results():
+    """added_vertices, now a wrapper over the vertex indices, returns the
+    vertices of hull(S') that are no vertices of hull(S) as typed Fraction
+    points, in the order of the points of S'.  find_apex, now a wrapper
+    over the index search, is typed-equal to the former Fraction search
+    (oracles.find_apex) at every vertex of hull(S'), added or old."""
+    added, certified = 0, 0
+    for s, sp in apex_pairs():
+        old = set(newton_polyhedron(s).vertices)
+        new = tuple(v for v in newton_polyhedron(sp).vertices
+                    if v not in old)
+        assert typed(added_vertices(s, sp)) == typed(new)
+        for alpha in newton_polyhedron(sp).vertices:
+            cert = find_apex(s, sp, alpha)
+            assert typed(cert) == typed(fraction_find_apex(s, sp, alpha))
+            certified += cert is not None
+        added += len(new)
+    assert added > 300 and certified > 1000, (added, certified)
+
+
+def test_find_apex_at_a_point_that_is_no_vertex():
+    """An alpha with full support gives None, vertex or not, as before;
+    any other point that is no vertex of hull(S') raises the former
+    SupportError text."""
+    s = support_set(2, [(3, 0), (0, 3)])
+    sp = s.augment([(1, 1)])
+    for alpha in ((1, 1), (1, 2), (F(5, 2), 7)):
+        assert find_apex(s, sp, alpha) is None
+        assert fraction_find_apex(s, sp, alpha) is None
+    for alpha, text in (((0, 2), "(0, 2)"), ((F(1, 2), 0), "(1/2, 0)"),
+                        ((4, 0), "(4, 0)")):
+        for search in (find_apex, fraction_find_apex):
+            with pytest.raises(SupportError) as error:
+                search(s, sp, alpha)
+            assert str(error.value) == (
+                f"{text} is not a vertex of the Newton boundary")

@@ -13,8 +13,10 @@ the first CASES seeds k, fewer where it says so, the same in every run
 and every order of the suite.
 """
 
+import json
 import random
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 
@@ -195,6 +197,39 @@ def test_no_fraction_arithmetic_in_the_newton_numbers(monkeypatch):
     assert (res.nu_s, res.nu_s_prime) == (F(-7, 18), F(-17, 8))
     assert calls == []
     assert F(1, 2) < F(2, 3) and calls == ["__lt__"]
+
+
+POOL = Path(__file__).resolve().parents[1] / "perfbench" / "pool" / "mu_sweep.json"
+
+
+def test_an_integer_pair_builds_fractions_only_for_its_report(monkeypatch):
+    """A mu_sweep pool case, as the benchmark runs it on its integer
+    points: support_set of both supports, mu_constant_test, then the
+    Newton number of difference_region.  Fraction.__new__ runs at most
+    three times, once per Newton number, plus once per coordinate of the
+    points that the certificates and the warnings render; the supports,
+    the placements, the apex search and the region build none.  Some
+    cases render no point, and those build the three numbers alone."""
+    calls = count_fraction_calls(monkeypatch, ["__new__"])
+    bare = 0
+    for case in json.loads(POOL.read_text())["cases"]:
+        n = case["n"]
+        calls.clear()
+        s = support_set(n, [tuple(p) for p in case["s"]])
+        sp = support_set(n, [tuple(p) for p in case["sp"]])
+        res = mu_constant_test(s, sp)
+        diff = newton_number_region(difference_region(s, sp))
+        points = {p for c in res.certificates
+                  for p in (c.alpha, c.beta, *c.edge.endpoints,
+                            *c.edge.points, *(b for _, b in c.good_pairs))}
+        rendered = len(points) + sum("admits no apex" in w
+                                     for w in res.warnings)
+        assert len(calls) <= 3 + n * rendered, (case["id"], len(calls))
+        assert {"verdict": res.verdict, "nu_s": str(res.nu_s),
+                "nu_sp": str(res.nu_s_prime),
+                "diff": str(diff)} == case["expect"]
+        bare += not rendered and len(calls) == 3
+    assert bare > 50
 
 
 def test_convex_hull_degenerate_inputs_match_scan():

@@ -159,7 +159,7 @@ def test_determinant_matches_leibniz():
 
 
 def test_int_det_matches_leibniz():
-    """_int_det, orders 2 and 3 written out and Bareiss elimination above,
+    """_int_det, orders 2 to 4 written out and Bareiss elimination above,
     is the Leibniz sum on 600 seeded integer matrices of orders 0..5 with
     entries -9..9, one in five with a zero row and one in five singular
     by a row that is plus or minus another; order 0 gives 1."""

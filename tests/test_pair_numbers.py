@@ -139,8 +139,9 @@ def test_a_pair_builds_no_lower_region_of_s_prime(monkeypatch):
     pool case mu_constant_test places twice and sums two sets of
     simplices: the pyramids D0 of the placement of S on its axis simplex,
     and D.  The benchmark's second step, the Newton number of
-    difference_region, builds D afresh and sums it once more; it is
-    nu(S) - nu(S').
+    difference_region, builds D afresh and sums nothing: the region is
+    seeded with the totals of D that the apex test summed off the same
+    _placed record, and its Newton number is nu(S) - nu(S').
 
     A pair that _placement refuses (the CI pair, and seeded "below" and
     "sevenths" pairs) runs check_nested once, places S and S' each on
@@ -162,7 +163,7 @@ def test_a_pair_builds_no_lower_region_of_s_prime(monkeypatch):
         calls.clear()
         region = difference_region(s, sp)
         assert newton_number_region(region) == res.nu_s - res.nu_s_prime
-        assert sorted(calls) == ["_region", "_totals"]
+        assert sorted(calls) == ["_region"]
     refused = [(support_set(2, [(4, 0), (2, 2), (0, 4)]),
                 support_set(2, [(4, 0), (1, 1), (0, 4)]))]
     for k in range(40):
@@ -340,3 +341,31 @@ def test_a_missing_axis_keeps_its_error_text():
     assert str(number_error.value) == str(region_error.value) == (
         "region under the Newton boundary is unbounded: no support point "
         "on axis 3")
+
+
+def test_a_region_is_seeded_only_with_the_totals_of_its_own_pyramids():
+    """difference_region seeds its region with the totals that
+    _lower_totals summed only when they were summed off the simplices it
+    reads.  A support whose Newton number was read off its own placement
+    (D0) and then placed on a parent, and a support paired with itself
+    (no simplices), get a region that sums itself; a pool pair read by
+    mu_constant_test gets its region seeded, with the totals the region
+    sums from its integer form."""
+    seeded = 0
+    for k, (s, sp) in enumerate(pool_pairs()):
+        if k % 3 == 0:
+            nu_sp = newton_number_set(sp)      # off its own record, D0
+            region = difference_region(s, sp)
+            assert "_region_totals" not in region.__dict__
+            assert newton_number_region(region) == newton_number_set(s) - nu_sp
+            same = difference_region(sp, sp)
+            assert "_region_totals" not in same.__dict__
+            assert newton_number_region(same) == 0 and not same.simplices
+        else:
+            mu_constant_test(s, sp)
+            region = difference_region(s, sp)
+            ipts, den, simplices = region._integer_form
+            assert region.__dict__["_region_totals"] == (
+                _totals(s.dim, ipts, simplices), den)
+            seeded += 1
+    assert seeded == 360

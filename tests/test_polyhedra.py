@@ -14,7 +14,7 @@ from newtonmu.polyhedra import (SupportError, added_vertices, check_nested,
                                 support_set)
 from corpus import (bs_base_support, bs_deformed_support, exe2d_support,
                     exe2d_augmented)
-from oracles import lower_region
+from oracles import lower_region, support_set as fraction_support_set
 from test_conversion import typed
 
 
@@ -193,3 +193,81 @@ def test_integer_points_skip_the_scaling_with_the_same_result(monkeypatch):
     assert len(errors) == 5 and min(errors.values()) > 10, errors
     flags = [(True, False), (0, 2)]
     assert outcome(2, flags) == (True, outcome(2, [(1, 0), (0, 2)])[1])
+
+
+def support_input(rng, k):
+    """A support_set input of one of six kinds in turn: integer points,
+    rational ones (Fractions, strings and ints mixed), integer points
+    with dominated ones above them, repeated points, bool coordinates
+    among ints, and invalid points (a negative coordinate, the origin, a
+    point of the wrong dimension, an empty list or a dimension past the
+    cap), each in a random order."""
+    kind = k % 6
+    n = rng.randint(1, 4)
+
+    def point():
+        return [rng.randint(0, 5) for _ in range(n)]
+
+    pts = [p for p in (point() for _ in range(rng.randint(1, 6))) if any(p)]
+    pts = pts or [[1] * n]
+    if kind == 1:
+        pts = [[rng.choice((x, F(x, rng.choice((2, 3))), f"{x}/4"))
+                for x in p] for p in pts]
+    elif kind == 2:
+        pts += [[x + rng.randint(0, 2) for x in p] for p in pts]
+    elif kind == 3:
+        pts += rng.sample(pts, len(pts))
+    elif kind == 4:
+        pts = [[bool(x) if rng.random() < 0.5 else x for x in p]
+               for p in pts]
+    elif kind == 5:
+        bad = rng.choice(("negative", "origin", "dimension", "empty", "cap"))
+        if bad == "negative":
+            pts.append([-1] + point()[1:])
+        elif bad == "origin":
+            pts.append([0] * n)
+        elif bad == "dimension":
+            pts.append(point() + [1])
+        elif bad == "empty":
+            pts = []
+        else:
+            n = DIMENSION_CAP + 1
+    rng.shuffle(pts)
+    return n, [tuple(p) for p in pts]
+
+
+def test_support_set_matches_the_former_fraction_record():
+    """On 600 seeded inputs (support_input), support_set, which stores
+    the integer form and builds its Fraction points when read, gives the
+    points, _scaled_points and missing_axes of the former support_set
+    (oracles.support_set), typed, or the same error type and text.  Over
+    every pair of the valid inputs, two new supports are equal, and hash
+    equal, exactly when the former ones are, and each hashes as its
+    former record."""
+    made, errors = [], Counter()
+    for k in range(600):
+        n, pts = support_input(random.Random(k), k)
+        try:
+            old = fraction_support_set(n, pts)
+        except (SupportError, DimensionCapExceeded) as exc:
+            with pytest.raises(type(exc)) as new_error:
+                support_set(n, pts)
+            assert str(new_error.value) == str(exc), k
+            errors[str(exc).split()[-1]] += 1
+            continue
+        new = support_set(n, pts)
+        assert typed(new.points) == typed(old.points), k
+        assert new._scaled_points == old._scaled_points, k
+        assert new.missing_axes == old.missing_axes, k
+        # the same points in the reverse order make an equal support
+        made += [(new, old), (support_set(n, pts[::-1]),
+                              fraction_support_set(n, pts[::-1]))]
+    for new, old in made:
+        assert hash(new) == hash(old) and new == old
+    equal = 0
+    for a, old_a in made[:200]:
+        for b, old_b in made[:200]:
+            assert (a == b) == (old_a == old_b)
+            assert a != b or hash(a) == hash(b)
+            equal += a == b and a is not b
+    assert len(made) > 900 and equal > 200 and len(errors) >= 4, errors
