@@ -183,8 +183,15 @@ def vec(xs):
 
 def render_point(p):
     """A point as message text, each rational written as str writes it,
-    as the reports write rationals: (0, 3/2)."""
+    as the reports write rationals: (0, 3/2).  An int prints as the
+    integral Fraction of its value does."""
     return "(" + ", ".join(map(str, p)) + ")"
+
+
+def _render_scaled(ipoint, den):
+    """render_point of the integer point ipoint over den: over den = 1
+    the ints themselves, with no Fraction built."""
+    return render_point(ipoint if den == 1 else _unscaled([ipoint], den)[0])
 
 
 def _unit(n, i):
@@ -228,7 +235,7 @@ def _combine(s, u, t, v):
     """The primitive integer vector s*u - t*v."""
     w = [s * x - t * y for x, y in zip(u, v)]
     g = gcd(*w)
-    return tuple(x // g for x in w) if g > 1 else tuple(w)
+    return tuple([x // g for x in w]) if g > 1 else tuple(w)
 
 
 def _idot(a, b):

@@ -65,13 +65,15 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 from math import factorial
+from operator import sub
 
 from .geometry import (ONE, ZERO, GeometryError, Record, _bounded_piece,
-                       _hull_rows, _int_det, _pulling, _scaled, frac,
-                       simplex_volume)
+                       _hull_rows, _int_det, _members, _pulling, _scaled,
+                       frac, simplex_volume)
 from .polyhedra import (CompactRegion, SupportError, SupportSet, _placed,
-                        _placement, _region, _require_bounded, check_nested,
-                        newton_polyhedron, support_set)
+                        _placement, _region, _require_bounded,
+                        _scaled_support, check_nested, newton_polyhedron,
+                        support_set)
 
 
 def _axes_to_internal(axes, n):
@@ -121,11 +123,13 @@ def _fractions(totals, den):
 def _newton_fraction(totals, den):
     """The Newton number sum_k (-1)^(n-k) k! V_k from the totals
     T_k = k! V_k den^k: the integer sum_k (-1)^(n-k) T_k den^(n-k), by
-    Horner's rule, over den^n, the one Fraction built."""
+    Horner's rule, over den^n, the one Fraction built: over den = 1 the
+    integer itself, with no gcd to take."""
     acc = 0
     for t in totals:
         acc = t - acc * den
-    return Fraction(acc, den ** (len(totals) - 1))
+    return Fraction(acc) if den == 1 else Fraction(
+        acc, den ** (len(totals) - 1))
 
 
 def _minor(ipts, w, axes):
@@ -165,10 +169,10 @@ def _totals(n, ipts, simplices):
     for simplex in set(simplices):
         if len(simplex) == n + 1:
             totals[n] += _minor(ipts, simplex, range(n))
-        off = [(i, sum(1 << c for c, x in enumerate(ipts[i]) if x))
+        off = [(i, sum([1 << c for c, x in enumerate(ipts[i]) if x]))
                for i in simplex if 0 in ipts[i]]
         used = 0
-        for mask in sorted((mask for _, mask in off), key=int.bit_count):
+        for mask in sorted([mask for _, mask in off], key=int.bit_count):
             free = mask & ~used
             used |= free & -free
         if used.bit_count() < len(off):
@@ -253,27 +257,29 @@ def _lower_totals(support):
     the simplices they were summed from, so difference_region seeds its
     region with them only when it reads D from that same record.
     """
-    memo = support.__dict__.get("_lower_totals")
+    facts = support.__dict__
+    memo = facts.get("_lower_totals")
     if memo is not None:
         return memo
     _require_bounded(support)
-    newton_polyhedron(support)      # built once per support, and recorded
-    if "_placed" not in support.__dict__:
+    support._newton_polyhedron      # built once per support, and recorded
+    if "_placed" not in facts:
         _placed(support)
-    base, simplices = support.__dict__["_placed"]
+    base, simplices = facts["_placed"]
     ipts, den = support._scaled_points
-    td = _totals(support.dim, ipts, simplices)
-    support.__dict__["_pyramid_totals"] = simplices, td
     if isinstance(base, SupportSet):
         totals, den_b = _lower_totals(base)
+        if den != den_b:
+            up = den // den_b
+            totals = [t * up ** k for k, t in enumerate(totals)]
     else:
-        totals, den_b = [1] + [0] * support.dim, den
+        totals = [1] + [0] * support.dim
         for k, p in enumerate(base):
             for i in range(k + 1, 0, -1):
                 totals[i] += totals[i - 1] * p[k]
-    up = den // den_b
-    memo = support.__dict__["_lower_totals"] = (
-        [a * up ** k - b for k, (a, b) in enumerate(zip(totals, td))], den)
+    td = _totals(support.dim, ipts, simplices)
+    facts["_pyramid_totals"] = simplices, td
+    memo = facts["_lower_totals"] = list(map(sub, totals, td)), den
     return memo
 
 
@@ -323,18 +329,22 @@ def _augmentation_signature(np_, aug_points):
     mean every compact facet either never touches the augmented points
     (fixed normal and offset) or slides along the augmented axes without
     changing which support points and axes participate; further growth of m
-    then changes nothing.
+    then changes nothing.  It is read off the integer record: a facet
+    <w, x> >= c / den as (w, c) and a point as its integer point, over
+    the den of the support, which augmenting by integer points keeps.
     """
+    m, ipts = len(np_.ipts), np_.ipts
+    aug = {tuple(np_.den * x for x in p): i for p, i in aug_points.items()}
     fixed, sliding = set(), set()
-    for nrm, off, active, rec in np_.facets:
-        if rec or any(x == 0 for x in nrm):
+    for w, c, g in np_.ifacets:
+        if g >> m or 0 in w:
             continue
-        touched = frozenset(aug_points[p] for p in active if p in aug_points)
-        plain = frozenset(p for p in active if p not in aug_points)
+        on = [ipts[i] for i in _members(g)]
+        touched = frozenset(aug[p] for p in on if p in aug)
         if touched:
-            sliding.add((plain, touched))
+            sliding.add((frozenset(p for p in on if p not in aug), touched))
         else:
-            fixed.add((nrm, frac(off)))
+            fixed.add((w, c))
     return frozenset(fixed), frozenset(sliding)
 
 
@@ -385,8 +395,10 @@ def difference_region(s, s_prime):
     form one simplicial complex; no hull is built and no double
     description runs.  When each point of s is a point of s', they are the
     simplices that mu_constant_test memoized on s'; otherwise the points
-    are placed on hull(s) afresh, over the union of the two supports,
-    once check_nested has passed; a placed pair is nested by construction.
+    are placed on hull(s) afresh, over the union of the two supports
+    (built from their integer points when their dens agree, so no
+    Fraction point is built), once check_nested has passed; a placed
+    pair is nested by construction.
 
     lower(s) is tiled by lower(s') and this region (the tiling argument
     of _lower_totals), so for a placed pair newton_number_set(s') is
@@ -408,7 +420,9 @@ def difference_region(s, s_prime):
             f"{s.missing_axes[0]} of the smaller set")
     outer = s_prime
     if simplices is None:
-        outer = s.augment(s_prime.points)
+        (ipts, den), (ipts_p, den_p) = s._scaled_points, s_prime._scaled_points
+        outer = (_scaled_support(n, [*ipts, *ipts_p], den) if den == den_p
+                 else s.augment(s_prime.points))
         simplices = _placement(s, outer)
     ipts, den = outer._scaled_points
     # index tuples sort like the point tuples they name

@@ -66,29 +66,32 @@ off nu(S) and the memo, as it reads every support off its record, and
 difference_region its simplices.  A pair whose S' lacks a point of S
 keeps the record of the build of S' on its own.  The apex test reads the
 added vertices as indices into the points of S' (_added), and builds
-Fraction points only for what it reports.
+Fraction points only for the fields of its report that are read; the
+vertex condition (_fractional_axes) needs no polyhedron over den = 1.
 
-A placement does only the work it needs: a point beyond every facet
-plane leaves the facet list as it is; the seed list is built only when
-a point sees a facet; a seen compact facet with n vertices, a simplex,
-is its own triangulation (_cell_masks), so _pulling runs only on seen
-facets of a parent's hull that are not simplices; the simplices are
-bitmasks until the placement returns; a horizon ridge is looked for only
-between facets that share enough points; and only the old vertices on
-a seen facet are tested again.
+A placement does only the work it needs: a point inside the axis
+simplex start is not placed at all (_placed); a point beyond every facet
+plane leaves the facet list as it is, and a facet a step leaves alone
+keeps its tuple; the seed list is built only when a point sees a facet;
+a seen compact facet with n vertices, a simplex, is its own
+triangulation (_cell_masks), so _pulling runs only on seen facets of a
+parent's hull that are not simplices; the simplices are bitmasks until
+the placement returns; a horizon ridge is looked for only between
+facets that share enough points; and only the old vertices on a seen
+facet are tested again.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from itertools import chain
-from math import gcd, lcm
+from math import lcm
 from operator import mul
 
 from .geometry import (DIMENSION_CAP, DimensionCapExceeded, Record, _combine,
                        _face_lattice, _idot, _lazy, _members, _pulling,
-                       _scaled, _unit, _unscaled, _vertex_mask, frac,
-                       render_point, vec)
+                       _render_scaled, _scaled, _unit, _unscaled,
+                       _vertex_mask, frac, render_point, vec)
 
 
 class SupportError(ValueError):
@@ -127,14 +130,20 @@ class SupportSet(Record):
         return SupportSet(len(axes), tuple(sorted(kept)))
 
     def augment(self, extra):
-        return support_set(self.dim, [*self.points, *extra])
+        """The support of these points and the extra ones.  Over den = 1
+        the stored integer points go in as they are, so integer extra
+        points build no Fraction."""
+        ipts, den = self._scaled_points
+        return support_set(self.dim, [*(ipts if den == 1 else self.points),
+                                      *extra])
 
     @_lazy
     def missing_axes(self):
         """The 1-based axes i on which no support point lies (no point is a
         positive multiple of e_i), found once per support."""
-        return tuple(k + 1 for k, i in enumerate(self._least_axis_points)
-                     if i is None)
+        least = self._least_axis_points
+        return () if None not in least else tuple(
+            [k + 1 for k, i in enumerate(least) if i is None])
 
     @_lazy
     def _least_axis_points(self):
@@ -159,21 +168,35 @@ class SupportSet(Record):
 
 def _axis_points(n, ipts, den):
     """Per axis k, the index of the first of the sorted integer points
-    ipts (the points times den) on it, or None.  Each point is checked
-    on the way, and SupportError names the first bad one."""
-    least = [None] * n
+    ipts (the points times den) on it, or None.
+
+    The points are checked on the whole set at once: every length is n,
+    the least coordinate is not negative, and the first point, the least
+    of them then, is not the origin.  Only when that fails does a loop
+    over the points run, to name the first bad one (_first_bad_point).
+    A point on an axis has n - 1 zero entries, its nonzero one its max.
+    """
+    if not (n > 0 and set(map(len, ipts)) == {n}
+            and min(chain.from_iterable(ipts)) >= 0 and any(ipts[0])):
+        _first_bad_point(n, ipts, den)
+    least, rest = [None] * n, n - 1
     for i, p in enumerate(ipts):
+        if p.count(0) == rest and least[k := p.index(max(p))] is None:
+            least[k] = i
+    return tuple(least)
+
+
+def _first_bad_point(n, ipts, den):
+    """SupportError naming the first of the sorted points ipts / den that
+    has another dimension than n or a negative coordinate, or else the
+    origin."""
+    for p in ipts:
         problem = (f"does not have dimension {n}" if len(p) != n else
                    "has a negative coordinate" if p and min(p) < 0 else "")
         if problem:
-            raise SupportError(
-                f"point {render_point(_unscaled([p], den)[0])} {problem}")
+            raise SupportError(f"point {_render_scaled(p, den)} {problem}")
         if not any(p):
             raise SupportError("support set contains the origin")
-        # a point on an axis: its one nonzero entry is its max
-        if p.count(0) == n - 1 and least[k := p.index(max(p))] is None:
-            least[k] = i
-    return tuple(least)
 
 
 def _placed(support):
@@ -181,11 +204,16 @@ def _placed(support):
     a start that is written down, in the support's integer coordinates.
 
     With a point on every axis and n > 1, the start is the polyhedron of
-    the least axis points a_k e_k.  With L = lcm(a_1, ..., a_n) and
-    g = gcd(L / a_1, ..., L / a_n), its facets are the compact
-    <w, x> >= L / g, w_k = L / (a_k g), through the n axis points, and
-    for each k the coordinate facet x_k >= 0 through the other axis
-    points and the recession axes e_j, j != k.
+    the least axis points a_k e_k.  With L = lcm(a_1, ..., a_n), its
+    facets are the compact <w, x> >= L, w_k = L / a_k, through the n axis
+    points (w is primitive: gcd_k(L / a_k) = L / lcm(a) = 1), and for
+    each k the coordinate facet x_k >= 0 through the other axis points
+    and the recession axes e_j, j != k.
+
+    A point with no zero coordinate and <w, x> > L lies inside the
+    start, off every facet plane.  The polyhedron only grows as points
+    are placed, so it stays inside, where placing it changes nothing:
+    it is not placed.
 
     Otherwise the start is the first point p, which is minimal, as the
     points are sorted: p + R^n_{>=0}, with the facets x_k >= p_k through
@@ -206,21 +234,26 @@ def _placed(support):
     m, every = len(ipts), (1 << n) - 1
     if n > 1 and None not in pos:
         a = [ipts[i][k] for k, i in enumerate(pos)]
-        big = lcm(*a)
-        g = gcd(*(big // x for x in a))
-        on = sum(1 << i for i in pos)
-        facets = [(tuple(big // x // g for x in a), big // g, on)] + [
-            (_unit(n, k), 0, on ^ 1 << pos[k] | (every ^ 1 << k) << m)
-            for k in range(n)]
+        c = lcm(*a)
+        w = tuple([c // x for x in a])
+        on = 0
+        for i in pos:
+            on |= 1 << i
+        # sorted: e_{n-1}, ..., e_0, then w, whose entries are all positive
+        facets = [(_unit(n, k), 0, on ^ 1 << pos[k] | (every ^ 1 << k) << m)
+                  for k in range(n - 1, -1, -1)]
+        facets.append((w, c, on))
+        # a point inside the start, on no facet plane, stays inside
+        todo = [i for i, p in enumerate(ipts) if not on >> i & 1
+                and (0 in p or sum(map(mul, w, p)) <= c)]
     else:
         pos, on = (0,), 1
-        facets = [((0,) * n, -1, every << m)] + [
+        facets = sorted([((0,) * n, -1, every << m)] + [
             (_unit(n, k), ipts[0][k], 1 | (every ^ 1 << k) << m)
-            for k in range(n)]
-    facets.sort()
-    facets, vmask, simplices = _place(
-        n, facets, on, ipts, [i for i in range(m) if not on >> i & 1])
-    support.__dict__["_placed"] = tuple(ipts[i] for i in pos), simplices
+            for k in range(n)])
+        todo = range(1, m)
+    facets, vmask, simplices = _place(n, facets, on, ipts, todo)
+    support.__dict__["_placed"] = tuple([ipts[i] for i in pos]), simplices
     return NewtonPolyhedron._from_facts(dim=n, ipts=ipts, den=den,
                                         ifacets=facets, vmask=vmask)
 
@@ -231,23 +264,31 @@ def support_set(dim, points):
     Integer input, every coordinate of exact type int, is its own scaling
     (den = 1) and builds no Fraction.  Any other input is scaled once to
     integer tuples over one denominator (_scaled), which sort like the
-    points they stand for.  Those are deduplicated, sorted and checked in
-    one pass that also finds the least axis points, and they are the
-    support's stored form; its Fraction points are built when read.
+    points they stand for.  Those are deduplicated, sorted and checked
+    (_scaled_support): the lengths, the least coordinate and the origin
+    on the whole set at once with builtins, the per-point loop running
+    only to word the first error (_axis_points), and the least axis
+    points in one pass.  They are the support's stored form; its
+    Fraction points are built when read.
     """
-    pts = [tuple(p) for p in points]
+    pts = list(map(tuple, points))
     if set(map(type, chain.from_iterable(pts))) <= {int}:
-        ipts, den = pts, 1
-    else:
-        ipts, den = _scaled([tuple(map(frac, p)) for p in pts])
+        return _scaled_support(dim, pts, 1)
+    return _scaled_support(dim, *_scaled([tuple(map(frac, p)) for p in pts]))
+
+
+def _scaled_support(dim, ipts, den):
+    """The SupportSet of the points ipts / den, for integer tuples ipts
+    and den the lcm of the denominators of those points: deduplicated,
+    sorted, checked (_axis_points) and stored as they are."""
     if not ipts:
         raise SupportError("support set is empty")
     if dim > DIMENSION_CAP:
         raise DimensionCapExceeded(f"dimension {dim} exceeds cap {DIMENSION_CAP}")
     ipts = tuple(sorted(set(ipts)))
-    least = _axis_points(dim, ipts, den)
-    return SupportSet._from_facts(dim=dim, _scaled_points=(ipts, den),
-                                  _least_axis_points=least)
+    return SupportSet._from_facts(
+        dim=dim, _scaled_points=(ipts, den),
+        _least_axis_points=_axis_points(dim, ipts, den))
 
 
 class Face(Record):
@@ -463,8 +504,8 @@ def _place(n, facets, vmask, ipts, todo):
         if low > 0:         # beyond every facet plane: nothing changes
             continue
         if low == 0:
-            facets = [(w, c, g if v else g | bit)
-                      for (w, c, g), v in zip(facets, vals)]
+            facets = [f if v else (f[0], f[1], f[2] | bit)
+                      for f, v in zip(facets, vals)]
             continue
         seeds = [g for _, _, g in facets]
         seen, touched = [], 0
@@ -477,20 +518,19 @@ def _place(n, facets, vmask, ipts, todo):
                 seen.append((w, v, g, cs))
                 touched |= g
         kept, new = [], {}
-        for (w, c, g), v in zip(facets, vals):
+        for facet, v in zip(facets, vals):
             if v < 0:
                 continue
+            w, c, g = facet
             if g & touched:
                 for wf, vf, f, cs in seen:
                     ridge = f & g
                     if ridge.bit_count() < need:
                         continue
-                    for h in seeds:
-                        if ridge & h == ridge and h != f and h != g:
-                            break
-                    else:
-                        cone = [r | bit for r in (t & ridge for t in cs)
-                                if r.bit_count() == n - 1]
+                    # a ridge: no seed but f and g contains it
+                    if list(map(ridge.__and__, seeds)).count(ridge) == 2:
+                        cone = [r | bit for t in cs
+                                if (r := t & ridge).bit_count() == n - 1]
                         if v:
                             normal = _combine(v, wf, vf, w)
                             new[normal] = (sum(map(mul, normal, a)),
@@ -498,7 +538,7 @@ def _place(n, facets, vmask, ipts, todo):
                         elif not g >> m:
                             tri[w] = [*_cell_masks(n, w, g, vmask, seeds,
                                                    memo, tri), *cone]
-            kept.append((w, c, g if v else g | bit))
+            kept.append(facet if v else (w, c, g | bit))
         if n == 1:
             new[(1,)] = a[0], bit, [bit]
         for w, (c, g, cone) in new.items():
@@ -545,8 +585,10 @@ def _placement(s, s_prime):
         return None
     if not todo:        # s_prime is s again
         return []
-    np_ = newton_polyhedron(s)
-    facets, vmask = [(w, c * scale, g) for w, c, g in np_.ifacets], np_.vmask
+    np_ = s._newton_polyhedron
+    facets, vmask = np_.ifacets, np_.vmask
+    if scale > 1:
+        facets = [(w, c * scale, g) for w, c, g in facets]
     for j in todo:
         low = (1 << j) - 1
         facets = [(w, c, g & low | g >> j << j + 1) for w, c, g in facets]
@@ -585,20 +627,33 @@ def convenience_report(support):
     The vertex condition for axis i asks that every vertex of the Newton
     polyhedron has i-th coordinate zero or at least 1.  Restrictions to
     coordinate subspaces are faces of the polyhedron, so checking the global
-    vertex set covers every restricted support too.  The test runs on the
-    vertices' integer points ipts = points * den: x == 0 or x >= den,
-    which every integer support (den = 1) meets.
+    vertex set covers every restricted support too.  The axes where it
+    fails come from _fractional_axes, which the apex test reads too; a
+    support that misses an axis fails it on every axis.
     """
     n = support.dim
     missing = support.missing_axes
     cond = dict.fromkeys(range(1, n + 1), not missing)
-    # an integer coordinate (den = 1) is 0 or at least 1
-    if not missing and (np_ := newton_polyhedron(support)).den > 1:
-        verts = [np_.ipts[i] for i in _members(np_.vmask)]
-        for i in range(n):
-            cond[i + 1] = all(v[i] == 0 or v[i] >= np_.den for v in verts)
+    if not missing:
+        for i in _fractional_axes(support):
+            cond[i] = False
     return ConvenienceReport(not missing, missing, cond,
                              not missing and all(cond.values()))
+
+
+def _fractional_axes(support):
+    """The 1-based axes on which a vertex of the Newton polyhedron of a
+    support that covers every axis has a coordinate strictly between 0
+    and 1: those whose vertex condition fails.  The test runs on the
+    vertices' integer points ipts = points * den, as 0 < x < den.  Over
+    den = 1 no integer lies there, so every condition holds and no
+    polyhedron is built."""
+    if support._scaled_points[1] == 1:
+        return ()
+    np_ = newton_polyhedron(support)
+    verts = [np_.ipts[i] for i in _members(np_.vmask)]
+    return tuple(i + 1 for i in range(support.dim)
+                 if any(0 < v[i] < np_.den for v in verts))
 
 
 def check_nested(s, s_prime):
@@ -617,7 +672,8 @@ def check_nested(s, s_prime):
     for i in _members(inner.vmask):
         if not outer._contains_scaled(inner.ipts[i], inner.den):
             raise SupportError(
-                f"polyhedra not nested: vertex {render_point(s.points[i])} "
+                "polyhedra not nested: vertex "
+                f"{_render_scaled(inner.ipts[i], inner.den)} "
                 "of the first support set lies outside the second polyhedron")
 
 
@@ -640,7 +696,7 @@ def _added(s, s_prime):
     only on the others."""
     if _placement(s, s_prime) is None:
         check_nested(s, s_prime)
-    inner, outer = newton_polyhedron(s), newton_polyhedron(s_prime)
+    inner, outer = s._newton_polyhedron, s_prime._newton_polyhedron
     old, pts, _ = _over_lcm(inner, outer)
     old = {old[i] for i in _members(inner.vmask)}
     return [i for i in _members(outer.vmask) if pts[i] not in old]

@@ -8,15 +8,17 @@ import pytest
 from newtonmu import apex
 from newtonmu.apex import (edge_convenience, edges_at_vertex, find_apex,
                            mu_constant_test, vertex_location_check)
-from newtonmu.geometry import InternalConsistencyError, _scaled
+from newtonmu.geometry import InternalConsistencyError, _members, _scaled
 from newtonmu.newton_number import newton_number_set
 from newtonmu.polyhedra import (SupportError, added_vertices,
                                 newton_polyhedron, support_set)
 from corpus import (boundary_plane_augmentation, bs_base_support,
                     bs_deformed_support, exe2d_augmented, exe2d_support,
                     exe3d_augmented, exe3d_support, random_convenient_support)
-from oracles import _on_segment, find_apex as fraction_find_apex
+from oracles import (_apex as eager_apex, _on_segment,
+                     find_apex as fraction_find_apex)
 from test_conversion import typed
+from test_pair_numbers import nested_pair
 from test_placement import KINDS, random_pair
 
 POOL = Path(__file__).resolve().parents[1] / "perfbench" / "pool" / "mu_sweep.json"
@@ -208,3 +210,61 @@ def test_find_apex_at_a_point_that_is_no_vertex():
                 search(s, sp, alpha)
             assert str(error.value) == (
                 f"{text} is not a vertex of the Newton boundary")
+
+
+# the mu-test pairs of the CI's installed-script step, as (n, S, S')
+CI_PAIRS = [
+    (2, [(4, 0), (2, 2), (0, 4)], [(4, 0), (1, 1), (0, 4)]),
+    (2, [(4, 0), (3, 3), (0, 4)], [(4, 0), (0, 4)]),
+    (3, [(4, 0, 0), (0, 4, 0), (0, 0, 4), (2, 1, 0)],
+     [(4, 0, 0), (0, 4, 0), (0, 0, 4), (2, 1, 0), (1, 1, 1)]),
+    (3, [(F(5, 2), 0, 0), (0, 3, 0), (0, 0, F(7, 3))],
+     [(F(5, 2), 0, 0), (0, 3, 0), (0, 0, F(7, 3)), (0, 1, F(3, 2))]),
+    (2, [(3, 0), (0, 2)], [(3, 0), (0, 2), (F(3, 2), F(1, 2))]),
+    (2, [(0, 4), (1, 1), (2, 0), (4, 2)],
+     [(0, 4), (1, 1), (2, 0), (4, 2), (0, 2)]),
+]
+
+
+def lazy_certificate_pairs():
+    """Factories of fresh pairs: the 540 mu_sweep pool pairs, 120 seeded
+    nested_pair pairs, n = 2..5, half "below" and half "sevenths", and
+    the CI pairs."""
+    for case in json.loads(POOL.read_text())["cases"]:
+        yield lambda c=case: (support_set(c["n"], [tuple(p) for p in c["s"]]),
+                              support_set(c["n"], [tuple(p) for p in c["sp"]]))
+    for k in range(120):
+        yield lambda k=k: nested_pair(random.Random(k), 2 + k % 4,
+                                      ("below", "sevenths")[k % 2])
+    for n, s, sp in CI_PAIRS:
+        yield lambda n=n, s=s, sp=sp: (support_set(n, s), support_set(n, sp))
+
+
+def test_lazy_certificates_match_the_eager_search():
+    """apex._apex, which searches every candidate edge in one integer
+    pass and builds its certificate from integer facts, against the
+    former search (oracles._apex), which built every Fraction field
+    eagerly, at every vertex of hull(S') of every pair of
+    lazy_certificate_pairs.  repr and hash are those of the eager record,
+    read first on a fresh certificate; each field, read on another fresh
+    one in reverse order, is typed-equal to the eager field; and the
+    whole record is typed-equal."""
+    certified, good, bad = 0, 0, 0
+    for make in lazy_certificate_pairs():
+        s, sp = make()
+        for a in _members(newton_polyhedron(sp).vmask):
+            old = eager_apex(s, sp, a)
+            new = apex._apex(*make(), a)
+            if old is None:
+                assert new is None
+                continue
+            assert repr(new) == repr(old) and hash(new) == hash(old)
+            fresh = apex._apex(*make(), a)
+            for name in reversed(old._fields):
+                assert typed(getattr(fresh, name)) == typed(getattr(old, name))
+            assert typed(new) == typed(old) and new == old
+            certified += 1
+            good += old.good
+            bad += not old.good
+    assert certified > 1000 and good > 50 and bad > 500, (certified, good,
+                                                         bad)

@@ -25,7 +25,8 @@ from newtonmu.fans import newton_fan, support_function
 from newtonmu.geometry import (GeometryError, Record, _bounded_piece,
                                _extreme_rays, _hull_rows, _pulling,
                                primitive_vector)
-from newtonmu.newton_number import (difference_region, newton_number_region,
+from newtonmu.newton_number import (SeriesNewtonNumber, difference_region,
+                                    newton_number_region, newton_number_series,
                                     newton_number_set, volume_vector)
 from newtonmu.polyhedra import (check_nested, convenience_report,
                                 newton_polyhedron, support_set)
@@ -230,6 +231,54 @@ def test_an_integer_pair_builds_fractions_only_for_its_report(monkeypatch):
                 "diff": str(diff)} == case["expect"]
         bare += not rendered and len(calls) == 3
     assert bare > 50
+
+
+def test_an_unread_report_builds_only_the_three_newton_numbers(monkeypatch):
+    """On every mu_sweep pool case, as the benchmark runs it on fresh
+    integer supports, mu_constant_test and then newton_number_region of
+    difference_region call Fraction.__new__ exactly three times, once per
+    Newton number, when no certificate field and no warning is read:
+    the certificates keep their points as integers until a field is
+    read, and a warning renders the integer point it names.  Cases with
+    certificates and with warnings are both among them."""
+    calls = count_fraction_calls(monkeypatch, ["__new__"])
+    certified = warned = 0
+    for case in json.loads(POOL.read_text())["cases"]:
+        n = case["n"]
+        s = support_set(n, [tuple(p) for p in case["s"]])
+        sp = support_set(n, [tuple(p) for p in case["sp"]])
+        calls.clear()
+        res = mu_constant_test(s, sp)
+        newton_number_region(difference_region(s, sp))
+        assert len(calls) == 3, (case["id"], len(calls))
+        certified += bool(res.certificates)
+        warned += bool(res.warnings)
+    assert certified > 30 and warned > 250, (certified, warned)
+
+
+def test_a_refused_pair_and_a_series_build_no_fraction_point(monkeypatch):
+    """SupportSet.augment hands support_set the stored integer points of
+    a support over den = 1, and difference_region builds S u S' of a
+    pair that _placement refuses from the two supports' integer points
+    when their dens agree, so only the Newton numbers returned build
+    Fractions: one for newton_number_region of the difference region
+    of the refused CI pair {(4, 0), (2, 2), (0, 4)} in
+    {(4, 0), (1, 1), (0, 4)} (7 when S u S' was built from the Fraction
+    points), and one per multiple tried for newton_number_series on
+    {(5, 0, 3), (0, 7, 1), (0, 0, 15), (12, 8, 0)}, whose facet
+    signature is read off the integer facets (155 with the Fraction
+    ones)."""
+    calls = count_fraction_calls(monkeypatch, ["__new__"])
+    s = support_set(2, [(4, 0), (2, 2), (0, 4)])
+    sp = support_set(2, [(4, 0), (1, 1), (0, 4)])
+    nu = newton_number_region(difference_region(s, sp))
+    assert len(calls) == 1 and nu == 8
+    calls.clear()
+    series = newton_number_series(support_set(
+        3, [(5, 0, 3), (0, 7, 1), (0, 0, 15), (12, 8, 0)]))
+    assert len(calls) == 7
+    assert series == SeriesNewtonNumber(F(1547), False,
+                                        (1, 2, 4, 8, 16, 32, 64), (1, 2))
 
 
 def test_convex_hull_degenerate_inputs_match_scan():

@@ -236,10 +236,49 @@ def support_input(rng, k):
     return n, [tuple(p) for p in pts]
 
 
+def tangled_input(rng, k):
+    """A support_set input where the check of the whole set and the loop
+    that names the first bad point could disagree, of five kinds in
+    turn: a short point with a negative one, a long point with the
+    origin, bool coordinates among ints, ints and Fractions mixed in one
+    point set, and an empty tuple point.  The bool and mixed kinds get
+    one flaw of the others half the time.  Valid points go in too, and
+    the order is random."""
+    kind = k % 5
+    n = rng.randint(1, 4)
+
+    def point():
+        return tuple(rng.randint(0, 5) for _ in range(n))
+
+    def negative():
+        p = list(point())
+        p[rng.randrange(n)] = -rng.choice((1, 2, F(1, 2)))
+        return tuple(p)
+
+    flaws = (negative, lambda: point()[:rng.randrange(n)],
+             lambda: point() + (rng.randint(0, 2),), lambda: (0,) * n)
+    pts = [p for p in (point() for _ in range(rng.randint(1, 4))) if any(p)]
+    if kind == 0:
+        pts += [negative(), point()[:rng.randrange(n)]]
+    elif kind == 1:
+        pts += [(0,) * rng.randint(0, 1) + point() + (rng.randint(0, 2),),
+                (0,) * n]
+    elif kind in (2, 3):
+        pts = [tuple((bool(x) if kind == 2 else F(x, rng.choice((1, 2))))
+                     if rng.random() < 0.5 else x for x in p) for p in pts]
+        if rng.random() < 0.5:
+            pts.append(rng.choice(flaws)())
+    else:
+        pts.append(())
+    rng.shuffle(pts)
+    return n, pts
+
+
 def test_support_set_matches_the_former_fraction_record():
-    """On 600 seeded inputs (support_input), support_set, which stores
-    the integer form and builds its Fraction points when read, gives the
-    points, _scaled_points and missing_axes of the former support_set
+    """On 600 seeded inputs (support_input) and 400 tangled ones
+    (tangled_input), support_set, which stores the integer form, checks
+    the whole set at once and builds its Fraction points when read, gives
+    the points, _scaled_points and missing_axes of the former support_set
     (oracles.support_set), typed, or the same error type and text.  Over
     every pair of the valid inputs, two new supports are equal, and hash
     equal, exactly when the former ones are, and each hashes as its
@@ -262,6 +301,24 @@ def test_support_set_matches_the_former_fraction_record():
         # the same points in the reverse order make an equal support
         made += [(new, old), (support_set(n, pts[::-1]),
                               fraction_support_set(n, pts[::-1]))]
+    tangled = Counter()
+    for k in range(400):
+        n, pts = tangled_input(random.Random(k), k)
+        try:
+            old = fraction_support_set(n, pts)
+        except (SupportError, DimensionCapExceeded) as exc:
+            with pytest.raises(type(exc)) as new_error:
+                support_set(n, pts)
+            assert str(new_error.value) == str(exc), k
+            tangled[next(word for word in ("origin", "negative", "dimension")
+                         if word in str(exc))] += 1
+            continue
+        new = support_set(n, pts)
+        assert typed(new.points) == typed(old.points), k
+        assert new._scaled_points == old._scaled_points, k
+        assert new.missing_axes == old.missing_axes, k
+        tangled["valid"] += 1
+    assert len(tangled) == 4 and min(tangled.values()) > 20, tangled
     for new, old in made:
         assert hash(new) == hash(old) and new == old
     equal = 0
