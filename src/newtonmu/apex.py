@@ -14,14 +14,10 @@ path: a defect in the placement moves both numbers.  The test suite
 holds them against a fresh triangulation of the compact facets and the
 former section scan.
 
-The decision builds only what its verdict reads.  Axis coverage is read
-off the support, the vertex condition off polyhedra._fractional_axes, and
-the added vertices and their apices off the integer points over one
-denominator.  A certificate keeps those integer points, and its Fraction
-fields (alpha, edge, beta, good_pairs) are built on first read; a warning
-renders the integer point it names.  So an integer pair whose report is
-not read builds three Fractions, its Newton numbers, and the CLI, which
-reads every field, gets the same certificates as before.
+The decision reads axis coverage off the support, the vertex condition
+off polyhedra._fractional_axes, and the added vertices and their apices
+off the integer points over one denominator; Fraction points are built
+only for the certificates.
 
 Axis sets are 1-based in this interface.
 """
@@ -30,7 +26,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .geometry import (InternalConsistencyError, Record, _lazy, _members,
+from .geometry import (InternalConsistencyError, Record, _members,
                        _render_scaled, _scaled, _unscaled, vec)
 from .newton_number import newton_number_set
 from .polyhedra import (SupportError, _added, _fractional_axes, _over_lcm,
@@ -41,9 +37,7 @@ class BoundaryEdge(Record):
     """A compact 1-face of a Newton boundary.
 
     endpoints are the two polyhedron vertices; points lists every support
-    point lying on the closed segment, endpoints included.  The edge of
-    an apex certificate, with these Fraction fields, is built on first
-    read of the certificate's edge, from its integer facts.
+    point lying on the closed segment, endpoints included.
     """
 
     endpoints: tuple
@@ -152,12 +146,6 @@ class ApexCertificate(Record):
     beta       the old vertex on the edge nearest to alpha
     good       whether beta is the Kronecker pattern of i outside I
     good_pairs all (i, beta) pairs that came out good
-
-    _apex makes it from integer facts (Record._from_facts): the points it
-    names over their lcm den.  axes, i and good are stored; alpha, edge,
-    beta and good_pairs are Fraction fields built on first read
-    (geometry._lazy), all from one table of the points named, so a
-    verdict that reads only good builds no Fraction.
     """
 
     alpha: tuple
@@ -168,88 +156,51 @@ class ApexCertificate(Record):
     good: bool
     good_pairs: tuple
 
-    @_lazy
-    def _point(self):
-        """The Fraction point of each integer point named: those on the
-        edge, beta and the good betas, one Fraction per distinct
-        coordinate value (geometry._unscaled)."""
-        keys = [*self._on, self._beta, *(b for _, b in self._good)]
-        return dict(zip(keys, _unscaled(keys, self._den)))
-
-    @_lazy
-    def alpha(self):
-        return self._point[self._alpha]
-
-    @_lazy
-    def edge(self):
-        point = self._point
-        return BoundaryEdge(tuple(map(point.get, self._ends)),
-                            tuple(map(point.get, self._on)))
-
-    @_lazy
-    def beta(self):
-        return self._point[self._beta]
-
-    @_lazy
-    def good_pairs(self):
-        return tuple((i, self._point[b]) for i, b in self._good)
-
 
 def _apex(s, s_prime, a):
     """The apex search of find_apex at the vertex a of hull(s_prime), an
     index into its points.
 
-    The points are integers over one common denominator.  A candidate
-    axis i0 is one outside the support of alpha with exactly one
-    escaping edge, from alpha to its other end o, d = o - alpha.  An old
-    vertex v lies on it at t in (0, 1] when v - alpha is t d, and the
-    least t is the least |v_k - alpha_k| on the first axis k with d_k
-    != 0, so one integer pass over the old vertices finds the nearest
-    on every candidate edge.  The certificate keeps these integer
-    points and builds its Fraction fields when read.
+    The points are compared as integers over one common denominator by
+    _on_edge: an old vertex v lies on the edge from alpha to its other
+    end o at t in (0, 1] when v - alpha is t (o - alpha), and the least t
+    is the least |v_k - alpha_k| on the first axis k where o and alpha
+    differ.  Fraction points are built only for the certificate: alpha,
+    the edge and the old vertices it names.
     """
     outer, inner = s_prime._newton_polyhedron, s._newton_polyhedron
     if 0 not in outer.ipts[a]:      # full support
         return None
     pts, inner_pts, den = _over_lcm(outer, inner)
     ia, n = pts[a], s.dim
+    old = [inner_pts[i] for i in _members(inner.vmask)]
     edges = _edges_at(outer, a)
-    candidates = []     # (i0, j, meet, d, k, d_k)
+    candidates = []
     for i0 in range(n):
-        if not ia[i0]:
-            escaping = [e for e in edges if pts[e[0]][i0]]
-            if len(escaping) == 1:
-                j, meet = escaping[0]
-                d = [x - y for x, y in zip(pts[j], ia)]
-                k = next(k for k, x in enumerate(d) if x)
-                candidates.append((i0, j, meet, d, k, d[k]))
-    if not candidates:
-        return None
-    nearest = [None] * len(candidates)      # (t, v) per candidate
-    for q in _members(inner.vmask):
-        v = inner_pts[q]
-        r = [x - y for x, y in zip(v, ia)]
-        for c, (_, _, _, d, k, dk) in enumerate(candidates):
-            rk = r[k]
-            if (0 < rk * dk and abs(rk) <= abs(dk)
-                    and (nearest[c] is None or abs(rk) < nearest[c][0])
-                    and all(x * dk == y * rk for x, y in zip(r, d))):
-                nearest[c] = abs(rk), v
-    found = []          # (i0, j, meet, beta, good)
-    for (i0, j, meet, *_), hit in zip(candidates, nearest):
-        if hit:
-            beta = hit[1]
-            found.append((i0, j, meet, beta, all(
+        escaping = [(j, meet) for j, meet in edges if pts[j][i0]]
+        if ia[i0] or len(escaping) != 1:
+            continue
+        j, meet = escaping[0]
+        d = tuple(x - y for x, y in zip(pts[j], ia))
+        on_edge = [(t, v) for v in old if (t := _on_edge(v, ia, d))]
+        if on_edge:
+            beta = min(on_edge)[1]
+            candidates.append((i0, j, meet, beta, all(
                 beta[q] == (den if q == i0 else 0)
                 for q in range(n) if not ia[q])))
-    if not found:
+    if not candidates:
         return None
-    i0, j, meet, beta, good = next((f for f in found if f[4]), found[0])
-    return ApexCertificate._from_facts(
-        axes=tuple(k + 1 for k in range(n) if ia[k]), i=i0 + 1, good=good,
-        _den=den, _alpha=ia, _ends=tuple(sorted((ia, pts[j]))),
-        _on=[pts[q] for q in _members(meet)], _beta=beta,
-        _good=[(f[0] + 1, f[3]) for f in found if f[4]])
+    i0, j, meet, beta, good = next((c for c in candidates if c[4]),
+                                   candidates[0])
+    good_pairs = [(c[0] + 1, c[3]) for c in candidates if c[4]]
+    on = [pts[i] for i in _members(meet)]
+    keys = on + [beta] + [b for _, b in good_pairs]
+    point = dict(zip(keys, _unscaled(keys, den)))
+    return ApexCertificate(
+        point[ia], tuple(k + 1 for k in range(n) if ia[k]), i0 + 1,
+        BoundaryEdge(tuple(point[p] for p in sorted((ia, pts[j]))),
+                     tuple(map(point.get, on))),
+        point[beta], good, tuple((i, point[b]) for i, b in good_pairs))
 
 
 def find_apex(s, s_prime, alpha):
@@ -298,17 +249,12 @@ def mu_constant_test(s, s_prime):
     When S' holds the points of S, hull(S') is placed on hull(S), and
     nu(S') is nu(S) less the Newton number of the difference region that
     placement cut.  Otherwise _added checks that the pair is nested.
-    The test builds only what its verdict reads: axis coverage is read
-    off missing_axes and the vertex condition off
-    polyhedra._fractional_axes, with no convenience report; the added
-    vertices are indices into the points of S'; the apex search (_apex)
-    returns certificates whose Fraction fields are built when read; a
-    warning renders the integer point it names (geometry._render_scaled).
-    On convenient data the verdict and the equality of the
-    numbers must coincide, so disagreement raises
-    InternalConsistencyError; when a support fails the vertex condition
-    the theorem does not cover the pair, and disagreement raises
-    SupportError naming the failing axes.
+    The added vertices are indices into the points of S', and a warning
+    renders the integer point it names (geometry._render_scaled).  On
+    convenient data the verdict and the equality of the numbers must
+    coincide, so disagreement raises InternalConsistencyError; when a
+    support fails the vertex condition the theorem does not cover the
+    pair, and disagreement raises SupportError naming the failing axes.
     """
     _require_axis_convenient(s, "first")
     # hull(s') placed on hull(s) when s' holds the points of s, before the

@@ -25,13 +25,14 @@ fans call _extreme_rays directly, for a cone's facet normals, a cone from
 its generators and the meet of two cones.  Those are all its callers:
 none of them runs in a Newton polyhedron build, nor in the apex test and
 the difference region of a pair S in S' with a point of S on every
-axis.  _int_det is the one determinant routine: orders 2 and 3 written
+axis.  _int_det is the one determinant routine: orders 2 to 4 written
 out, and Bareiss (1968) elimination on an integer matrix above;
-determinant scales rational rows to it, and the minors of
-newton_number._totals and the fan kernels call it on integer matrices
-directly.  _combine, the update of _extreme_rays, also gives
-polyhedra._place the normal of each facet it makes, from the pencil of
-the two facet planes through the facet's horizon ridge.
+determinant scales rational rows to it, and the fan kernels and the
+minors of _totals, the integer section volumes of a simplicial complex,
+call it on integer matrices directly.  _combine, the update of
+_extreme_rays, also gives polyhedra._place the normal of each facet it
+makes, from the pencil of the two facet planes through the facet's
+horizon ridge.
 _pulling is the one pulling triangulation, over bitmasks of points, so no
 face is hulled either; it triangulates the bounded pieces of unions, the
 compact facets of Newton polyhedra (those under the boundary, and those
@@ -52,11 +53,10 @@ Nothing is memoized at module level: hull rows, bounded pieces and
 triangulations are computed on every call.  The package's memos live on
 their inputs, as lazy facts (_lazy) or seeded into the instance dict: on
 a polyhedra.SupportSet its integer points and least axis points, its
-Fraction points once read, its Newton polyhedron, its placement, and the
-totals of its Newton number and of the pyramids its placement cut
-(newton_number._lower_totals); the points of a Newton polyhedron; a
-region's integer form, its Fraction simplices once read and, from
-difference_region, its totals; a cone's rows on the cone.
+Fraction points once read, its Newton polyhedron, its placement record
+and the totals of its Newton number (newton_number._lower_totals); the
+points of a Newton polyhedron; a region's integer form, its totals and
+its Fraction simplices once read; a cone's rows on the cone.
 
 Determinism: vertices are kept in lexicographic order, facets are sorted by
 (normal, offset), and the pulling triangulation always cones from the
@@ -296,6 +296,78 @@ def _int_det(rows):
                 row[j] = (row[j] * pk - f * lead[j]) // prev
         prev = pk
     return sign * m[-1][-1] if n else 1
+
+
+def _minor(ipts, w, axes):
+    """|det| of the k x k minor, on the k axes, of the differences of the
+    points ipts[i] for i in w[1:] from ipts[w[0]]: k! times the k-volume
+    of their simplex, times den^k."""
+    p = ipts[w[0]]
+    return abs(_int_det([[ipts[i][c] - p[c] for c in axes] for i in w[1:]]))
+
+
+def _totals(n, ipts, simplices):
+    """The integer totals T_k = k! V_k den^k, k = 0..n, of a simplicial
+    complex in R^n given as index tuples into the integer points ipts, its
+    vertices times den; the simplices list their vertices in one global
+    order (sorted points or increasing indices), so equal faces are equal
+    tuples.  No simplices give zeros at once.
+
+    Each simplex is read once.  One with n + 1 vertices adds the |det| of
+    its n x n difference matrix to T_n; a flat one (union_volume_vector
+    passes flat pieces) adds nothing there.  The section with R^A, for a
+    proper axis set A of size k, is the face W_A of the vertices supported
+    inside A, a k-simplex when it has k + 1 of them; those vertices are
+    off the open orthant (they have a zero coordinate), so simplices with
+    the same vertices off it have the same sections.  When those vertices
+    can each take a distinct axis of their support (taken greedily, the
+    lowest free one, fewest axes first), no A holds more than |A| of
+    them, and the simplex has no section.  For any other such vertex set,
+    A runs over the subsets of the union of their supports, and each
+    section face adds its k x k minor to T_k once, keyed by its index
+    tuple: 1 for the origin, a coordinate difference on an axis, a _minor
+    above.
+    """
+    totals = [0] * (n + 1)
+    if not simplices:
+        return totals
+    offs = set()
+    for simplex in set(simplices):
+        if len(simplex) == n + 1:
+            totals[n] += _minor(ipts, simplex, range(n))
+        off = [(i, sum([1 << c for c, x in enumerate(ipts[i]) if x]))
+               for i in simplex if 0 in ipts[i]]
+        used = 0
+        for mask in sorted([mask for _, mask in off], key=int.bit_count):
+            free = mask & ~used
+            used |= free & -free
+        if used.bit_count() < len(off):
+            offs.add(tuple(off))
+    full = (1 << n) - 1
+    faces = set()
+    for off in offs:
+        union = 0
+        for _, mask in off:
+            union |= mask
+        a = union
+        while True:
+            k = a.bit_count()
+            if k < len(off) and a != full:
+                w = tuple([i for i, mask in off if mask | a == a])
+                if len(w) == k + 1 and w not in faces:
+                    faces.add(w)
+                    if k == 0:
+                        totals[0] += 1
+                    elif k == 1:
+                        c = a.bit_length() - 1
+                        totals[1] += abs(ipts[w[1]][c] - ipts[w[0]][c])
+                    else:
+                        totals[k] += _minor(ipts, w, [c for c in range(n)
+                                                      if a >> c & 1])
+            if not a:
+                break
+            a = (a - 1) & union
+    return totals
 
 
 def determinant(rows):

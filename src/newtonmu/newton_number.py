@@ -13,48 +13,28 @@ section with a coordinate subspace is a face, namely the hull of the
 vertices lying in that subspace.  For a simplicial complex each section
 is a union of faces of its simplices, deduplicated by vertex set.
 
-The whole stage runs on integers.  A region's vertices are scaled once by
-the lcm den of their denominators, and _totals reads each simplex once
-and returns the integer totals T_k = k! V_k den^k: a simplex adds the
-|det| of its n x n minor to T_n, and each section face, found among the
-simplex's vertices off the open orthant and counted once, adds the |det|
-of its k x k minor to T_k (geometry._int_det from order 2).  A Newton
-number is then the one Fraction (sum_k (-1)^(n-k) T_k den^(n-k)) / den^n,
-and V_k, for the volume vectors, the Fraction T_k / (den^k k!).
+The whole stage runs on integers.  A region's totals
+T_k = k! V_k den^k, over the lcm den of its vertices' denominators, are
+a lazy fact of the region (polyhedra.CompactRegion, geometry._totals).
+A Newton number is then the one Fraction
+(sum_k (-1)^(n-k) T_k den^(n-k)) / den^n, and V_k, for the volume
+vectors, the Fraction T_k / (den^k k!).
 
-A support's volumes, for newton_number_set and volume_vector_set, are
-read off the placement that built its polyhedron, as T(S) = T(B) - T(D)
-for the base B it was placed on and the pyramids D that placement cut:
-_lower_totals, the one place that sums them, gives the tiling argument.
-The pyramids are index tuples into the support's own integer points, so
-no Fraction point and no region is built.  A CompactRegion carries a
-cached integer form (points times den, den, index simplices);
-difference_region seeds it from the support's integer points and
-builds no Fraction point, so newton_number_region and volume_vector
-never hash or scale the region's Fraction points, and only a region
-built by hand is indexed and scaled on first use.  difference_region builds no hull and runs no double
-description: its simplices are the pyramids of the points of the bigger
-support placed on the smaller polyhedron (polyhedra._place), each
-placed point coned over the simplices of the facets it sees, so a facet
-that no point sees adds nothing.
-union_volume_vector builds no hull either: each intersection of its
+A support's volumes are read off its placement record (base, D) as
+T(S) = T(base) - T(D) (_lower_totals, the one place that sums them).
+When polyhedra._placement has placed S' on hull(S), the base of S' is
+S, so nu(S') = nu(S) - nu(D), and difference_region returns that same
+D: a pair sums the pyramids of S once and those of D once, and builds
+no Fraction point.  A pair it refuses keeps the record of the build of
+S' on its own.
+
+union_volume_vector builds no hull: each intersection of its
 inclusion-exclusion is read off its homogenized rows by
-geometry._bounded_piece (one double description) and triangulated by
-geometry._pulling over the vertex masks it returns.  The pulling rule
-restricts to every face, so _totals sums an intersection's sections off
-its one triangulation, flat intersections included.
-projection_formula_check hands union_volume_vector each simplex's shadow
-as its projected points, which geometry._hull_rows turns into rows,
-because a projection is not a face.
-
-A nested pair S in S' has no rule of its own: each of its Newton
-numbers is newton_number_set of its support.  When S' holds every point
-of S, polyhedra._placement has placed S' on hull(S) and recorded S as
-its base, so nu(S') = nu(S) - nu(D), D the difference region.  A pair it
-refuses keeps the record of the build of S' on its own.  The totals are
-memoized on the support, so a pair sums the pyramids of S once, and
-those of D once: the region difference_region cuts from the same record
-is seeded with them.
+geometry._bounded_piece and triangulated by geometry._pulling, which
+restricts to every face, so _totals sums its sections, flat
+intersections included, off one triangulation.
+projection_formula_check hands union_volume_vector each simplex's
+shadow as its projected points, because a projection is not a face.
 
 Axis sets in the public interface are 1-based, matching the customary
 notation I, J subsets of {1,...,n}; internals are 0-based.
@@ -68,12 +48,11 @@ from math import factorial
 from operator import sub
 
 from .geometry import (ONE, ZERO, GeometryError, Record, _bounded_piece,
-                       _hull_rows, _int_det, _members, _pulling, _scaled,
+                       _hull_rows, _members, _pulling, _scaled, _totals,
                        frac, simplex_volume)
 from .polyhedra import (CompactRegion, SupportError, SupportSet, _placed,
-                        _placement, _region, _require_bounded,
-                        _scaled_support, check_nested, newton_polyhedron,
-                        support_set)
+                        _placement, _require_bounded, _scaled_support,
+                        check_nested, newton_polyhedron, support_set)
 
 
 def _axes_to_internal(axes, n):
@@ -111,7 +90,7 @@ def volume_vector(region):
     members are common faces.  _totals sums the sections over the region's
     integer form, and V_k is the one Fraction T_k / (den^k k!).
     """
-    return NewtonVolumeVector(_fractions(*_region_totals(region)))
+    return NewtonVolumeVector(_fractions(*region._integer_totals))
 
 
 def _fractions(totals, den):
@@ -132,102 +111,18 @@ def _newton_fraction(totals, den):
         acc, den ** (len(totals) - 1))
 
 
-def _minor(ipts, w, axes):
-    """|det| of the k x k minor, on the k axes, of the differences of the
-    points ipts[i] for i in w[1:] from ipts[w[0]]: k! times the k-volume
-    of their simplex, times den^k."""
-    p = ipts[w[0]]
-    return abs(_int_det([[ipts[i][c] - p[c] for c in axes] for i in w[1:]]))
-
-
-def _totals(n, ipts, simplices):
-    """The integer totals T_k = k! V_k den^k, k = 0..n, of a simplicial
-    complex in R^n given as index tuples into the integer points ipts, its
-    vertices times den; the simplices list their vertices in one global
-    order (sorted points or increasing indices), so equal faces are equal
-    tuples.  No simplices give zeros at once.
-
-    Each simplex is read once.  One with n + 1 vertices adds the |det| of
-    its n x n difference matrix to T_n; a flat one (union_volume_vector
-    passes flat pieces) adds nothing there.  The section with R^A, for a
-    proper axis set A of size k, is the face W_A of the vertices supported
-    inside A, a k-simplex when it has k + 1 of them; those vertices are
-    off the open orthant (they have a zero coordinate), so simplices with
-    the same vertices off it have the same sections.  When those vertices
-    can each take a distinct axis of their support (taken greedily, the
-    lowest free one, fewest axes first), no A holds more than |A| of
-    them, and the simplex has no section.  For any other such vertex set,
-    A runs over the subsets of the union of their supports, and each
-    section face adds its k x k minor to T_k once, keyed by its index
-    tuple: 1 for the origin, a coordinate difference on an axis, a _minor
-    above.
-    """
-    totals = [0] * (n + 1)
-    if not simplices:
-        return totals
-    offs = set()
-    for simplex in set(simplices):
-        if len(simplex) == n + 1:
-            totals[n] += _minor(ipts, simplex, range(n))
-        off = [(i, sum([1 << c for c, x in enumerate(ipts[i]) if x]))
-               for i in simplex if 0 in ipts[i]]
-        used = 0
-        for mask in sorted([mask for _, mask in off], key=int.bit_count):
-            free = mask & ~used
-            used |= free & -free
-        if used.bit_count() < len(off):
-            offs.add(tuple(off))
-    full = (1 << n) - 1
-    faces = set()
-    for off in offs:
-        union = 0
-        for _, mask in off:
-            union |= mask
-        a = union
-        while True:
-            k = a.bit_count()
-            if k < len(off) and a != full:
-                w = tuple([i for i, mask in off if mask | a == a])
-                if len(w) == k + 1 and w not in faces:
-                    faces.add(w)
-                    if k == 0:
-                        totals[0] += 1
-                    elif k == 1:
-                        c = a.bit_length() - 1
-                        totals[1] += abs(ipts[w[1]][c] - ipts[w[0]][c])
-                    else:
-                        totals[k] += _minor(ipts, w, [c for c in range(n)
-                                                      if a >> c & 1])
-            if not a:
-                break
-            a = (a - 1) & union
-    return totals
-
-
-def _region_totals(region):
-    """The totals (_totals) of a region over its integer form, and its
-    den; difference_region seeds them (its _region_totals entry) when the
-    placement's pyramids were summed already."""
-    seeded = region.__dict__.get("_region_totals")
-    if seeded is not None:
-        return seeded
-    ipts, den, simplices = region._integer_form
-    return _totals(region.ambient_dim, ipts, simplices), den
-
-
 def newton_number_region(region):
-    """Newton number of a compact region: its totals (_region_totals),
-    and one Fraction."""
-    return _newton_fraction(*_region_totals(region))
+    """Newton number of a compact region: its totals, a lazy fact of the
+    region (CompactRegion), and one Fraction."""
+    return _newton_fraction(*region._integer_totals)
 
 
 def _lower_totals(support):
     """The totals T_k (_totals) of the region lower(S) under the Newton
     boundary of a support S that covers every axis, and their den, read
-    off the placement that built its polyhedron (its _placed record,
-    polyhedra._placed and _placement).  No region is built.  This is the
-    one place that sums a support's volumes: newton_number_set and
-    volume_vector_set read it.
+    off the placement that built its polyhedron (its _placed record
+    (base, D), polyhedra._placed and _placement).  No lower region is
+    built.  newton_number_set and volume_vector_set read it.
 
     The tiling argument.  Placing the points of S on a base polyhedron B
     cuts hull(S) minus hull(B) into pyramids D (De Loera, Rambau &
@@ -246,16 +141,11 @@ def _lower_totals(support):
     simplex with those vertices and the origin.  Its section with R^A has
     volume prod_{k in A} a_k / k!, so T(B) is the elementary symmetric
     sums e_k(a) of the integer a_k.  Or B is hull(S0) of a parent S0 that
-    S' was placed on, whose totals come from its own record.  A
-    polyhedron seeded by hand has no record, and the support is placed
-    for it.
-
-    The totals are memoized on the support, as its _lower_totals entry
-    in the instance dict, as _placed records the placement: a nested
-    pair reads those of S once, for nu(S) and as the base of S'.  The
-    totals of D are memoized too, as the _pyramid_totals entry, with
-    the simplices they were summed from, so difference_region seeds its
-    region with them only when it reads D from that same record.
+    S' was placed on, whose totals come from its own record.  T(D) is a
+    lazy fact of the region D.  A polyhedron seeded by hand has no
+    record, and the support is placed for it.  The totals are memoized
+    on the support, so a nested pair reads those of S once, for nu(S)
+    and as the base of S'.
     """
     facts = support.__dict__
     memo = facts.get("_lower_totals")
@@ -265,8 +155,8 @@ def _lower_totals(support):
     support._newton_polyhedron      # built once per support, and recorded
     if "_placed" not in facts:
         _placed(support)
-    base, simplices = facts["_placed"]
-    ipts, den = support._scaled_points
+    base, pyramids = facts["_placed"]
+    td, den = pyramids._integer_totals
     if isinstance(base, SupportSet):
         totals, den_b = _lower_totals(base)
         if den != den_b:
@@ -277,8 +167,6 @@ def _lower_totals(support):
         for k, p in enumerate(base):
             for i in range(k + 1, 0, -1):
                 totals[i] += totals[i - 1] * p[k]
-    td = _totals(support.dim, ipts, simplices)
-    facts["_pyramid_totals"] = simplices, td
     memo = facts["_lower_totals"] = list(map(sub, totals, td)), den
     return memo
 
@@ -389,47 +277,29 @@ def difference_region(s, s_prime):
     to the closure of lower(s) minus lower(s_prime), which is hull(s u s')
     minus hull(s): placing the points of s' on hull(s) one at a time
     (polyhedra._place) cuts it into the pyramids conv(F u {alpha}) over
-    the facets F that each placed point alpha sees, each alpha coned over
-    the simplices of its facet.  A point that sees no facet adds nothing,
-    so facets with no point below them add nothing either.  The simplices
-    form one simplicial complex; no hull is built and no double
-    description runs.  When each point of s is a point of s', they are the
-    simplices that mu_constant_test memoized on s'; otherwise the points
-    are placed on hull(s) afresh, over the union of the two supports
-    (built from their integer points when their dens agree, so no
-    Fraction point is built), once check_nested has passed; a placed
-    pair is nested by construction.
+    the facets F that each placed point alpha sees, which form one
+    simplicial complex; no hull is built and no double description runs.
 
-    lower(s) is tiled by lower(s') and this region (the tiling argument
-    of _lower_totals), so for a placed pair newton_number_set(s') is
-    nu(s) less the Newton number of these simplices, summed without the
-    region.  The region is built afresh on every call, from the integer
-    points of the support (polyhedra._region); its Fraction simplices are
-    built only when read.  When _lower_totals has summed these very
-    simplices, as the _pyramid_totals entry of the same record, the
-    region is seeded with their totals, and newton_number_region sums
-    nothing again.
+    When each point of s is a point of s', the region is the D of the
+    placement record of s' (polyhedra._placement), the one that
+    newton_number_set(s') = nu(s) - nu(D) read, with its totals; a second
+    call returns the same region.  Otherwise, once check_nested has
+    passed, the points are placed on hull(s) over the union of the two
+    supports, built from their integer points when their dens agree, so
+    no Fraction point is built.
     """
-    simplices = _placement(s, s_prime)
-    if simplices is None:
+    region = _placement(s, s_prime)
+    if region is None:
         check_nested(s, s_prime)
-    n = s.dim
     if s.missing_axes:
         raise SupportError(
             f"difference region is unbounded: no support point on axis "
             f"{s.missing_axes[0]} of the smaller set")
-    outer = s_prime
-    if simplices is None:
+    if region is None:
         (ipts, den), (ipts_p, den_p) = s._scaled_points, s_prime._scaled_points
-        outer = (_scaled_support(n, [*ipts, *ipts_p], den) if den == den_p
-                 else s.augment(s_prime.points))
-        simplices = _placement(s, outer)
-    ipts, den = outer._scaled_points
-    # index tuples sort like the point tuples they name
-    region = _region(n, ipts, den, sorted(simplices))
-    summed = outer.__dict__.get("_pyramid_totals")
-    if summed is not None and summed[0] is simplices:
-        region.__dict__["_region_totals"] = summed[1], den
+        outer = (_scaled_support(s.dim, [*ipts, *ipts_p], den)
+                 if den == den_p else s.augment(s_prime.points))
+        region = _placement(s, outer)
     return region
 
 

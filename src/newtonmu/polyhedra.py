@@ -6,79 +6,25 @@ hull of the union of translated orthants point + R^n_{>=0}: an unbounded
 polyhedron whose recession cone is the whole orthant.
 
 Both are integer records.  support_set stores the points scaled to
-integers by the lcm den of their denominators, sorted, and den; integer
-input builds no Fraction.  The polyhedron holds the same integer points,
-the facets as triples (w, c, seed), meaning <w, x> >= c / den, and the
-vertex bitmask.  The Fraction points of either, still its record field
-points, are a lazy fact built from the integer form when a reader or a
-report needs them.  A seed is the bitmask of the points on the facet plus bit m + i
-for each recession axis e_i.  How the facets are found, by placement
-(_place), is set out at the end.  A point is a vertex exactly when the
-meet of the seeds through it is that point alone (geometry._vertex_mask).
-The Fraction facets, the vertices and the faces are lazy facts too; faces walks geometry._face_lattice, which the
-fans' cones share, down level by level from the seeds.  Face lattices
-are graded, so a face's dimension is its level: no rank is computed and
-no rational arithmetic runs.  The polyhedron is memoized on its
+integers by the lcm den of their denominators; the polyhedron holds the
+same points, its facets as integer triples and its vertex bitmask
+(NewtonPolyhedron).  Their Fraction views are lazy facts, built when a
+reader or a report needs them.  The polyhedron is memoized on its
 SupportSet and holds the support's integer points, not the support, so
 reference counting frees it with the support; nothing is memoized at
 module level.
 
-The region under the boundary (the orthant minus the polyhedron, closed)
-is not built: newton_number reads its volumes off the pyramids of the
-placement below (newton_number._lower_totals).  Containment
-(NewtonPolyhedron.contains and check_nested) is one integer sign test per
-facet on the point scaled to integers.
-
-Every support is built by placement (_placed): its points go one at a
-time (_place, below) onto a start that is written down.  One with a
-point on every axis and n > 1 starts from the polyhedron of its least
-axis points a_k e_k: the compact facet through those n points and the n
-coordinate facets x_k >= 0.  Any other support, which misses an axis or
-has dimension 1, starts from its first point p, which is minimal:
-p + R^n_{>=0}, with the facets x_k >= p_k and, read as the homogenized
-cone {(x, t) : <w, x> >= c t}, the facet at infinity t >= 0 (Ziegler,
-Lectures on Polytopes, 1995, Lecture 1).  A seen facet that meets the
-facet at infinity in a horizon ridge gives a new unbounded facet, and
-the facet at infinity leaves the result.  The start's seeds are written
-over the support's own indices.  The placement is recorded on the
-support (_placed): the start's integer points and the pyramids D0 it
-cut, which tile lower(start) minus lower(S) when S is axis-convenient.
-
-A support S' that holds every point of an axis-convenient S of its
-dimension has a nested parent, and its polyhedron is built by placing
-the points of S' not in S on hull(S) one at a time (_place,
-beneath-beyond), once the seeds of hull(S) have moved into the indices
-of S' (_placement).  A point alpha sees the compact facets with
-<w, alpha> < c; they go, the others stay, and each horizon ridge between
-a seen and an unseen facet spans a new compact facet with alpha (unless
-alpha lies on the unseen facet's plane, which then grows).  Its plane is
-in the pencil of the two facet planes through the ridge, so its normal
-is one integer combination of theirs (geometry._combine), no minor.
-The record is typed-equal to the one _placed builds.  The same
-pass cuts hull(S') minus hull(S), the difference region, into the
-pyramids over the seen facets: alpha coned over each seen facet's
-triangulation, the pulling one for facets of hull(S) and the inherited
-cones for the facets placement made or grew, so the pyramids of all
-steps form one simplicial complex.  _placement memoizes both on S' for
-that S, as the record of S' in place of its own; the apex test places
-before anything builds hull(S') on its own.  newton_number reads nu(S')
-off nu(S) and the memo, as it reads every support off its record, and
-difference_region its simplices.  A pair whose S' lacks a point of S
-keeps the record of the build of S' on its own.  The apex test reads the
-added vertices as indices into the points of S' (_added), and builds
-Fraction points only for the fields of its report that are read; the
-vertex condition (_fractional_axes) needs no polyhedron over den = 1.
-
-A placement does only the work it needs: a point inside the axis
-simplex start is not placed at all (_placed); a point beyond every facet
-plane leaves the facet list as it is, and a facet a step leaves alone
-keeps its tuple; the seed list is built only when a point sees a facet;
-a seen compact facet with n vertices, a simplex, is its own
-triangulation (_cell_masks), so _pulling runs only on seen facets of a
-parent's hull that are not simplices; the simplices are bitmasks until
-the placement returns; a horizon ridge is looked for only between
-facets that share enough points; and only the old vertices on a seen
-facet are tested again.
+Every polyhedron is built by placement (_place, beneath-beyond): the
+points of a support go one at a time onto a start that is written down
+(_placed), or, for a support S' that holds every point of an
+axis-convenient S of its dimension, onto hull(S) (_placement), so the
+apex test and the difference region of a pair place S' once.  Each
+placement is one record on the support, its _placed entry (base, D):
+what the points were placed on, and the CompactRegion D of the pyramids
+the placement cut.  newton_number reads the support's volumes off it
+(newton_number._lower_totals), and the difference region of a placed
+pair is its D.  Containment (NewtonPolyhedron.contains, check_nested)
+is one integer sign test per facet.
 """
 
 from __future__ import annotations
@@ -90,7 +36,7 @@ from operator import mul
 
 from .geometry import (DIMENSION_CAP, DimensionCapExceeded, Record, _combine,
                        _face_lattice, _idot, _lazy, _members, _pulling,
-                       _render_scaled, _scaled, _unit, _unscaled,
+                       _render_scaled, _scaled, _totals, _unit, _unscaled,
                        _vertex_mask, frac, render_point, vec)
 
 
@@ -101,17 +47,15 @@ class SupportError(ValueError):
 class SupportSet(Record):
     """Finite set of exponent points in the open orthant hull sense.
 
-    Points are sorted lexicographically, nonnegative and not the origin.
-    Rational (non-integer) coordinates are allowed: nothing downstream
-    needs integrality of the support itself.  support_set stores the
-    canonical integer form, _scaled_points: the points times the lcm den
-    of their denominators, sorted, and den (1 for integer input).  points,
-    the Fraction tuples, is then a lazy fact (geometry._lazy) built from
-    it on first read; it is still the second field, so equality, hashing
-    and repr read it and are those of the Fraction points.
-
-    missing_axes, _least_axis_points, _scaled_points and
-    _newton_polyhedron are lazy facts, no record fields.
+    Points are sorted lexicographically, nonnegative and not the origin;
+    rational coordinates are allowed.  support_set stores the integer
+    form, _scaled_points: the points times the lcm den of their
+    denominators, sorted, and den (1 for integer input).  points, the
+    Fraction tuples, is a lazy fact (geometry._lazy) built from it on
+    first read; it is still the second field, so equality, hashing and
+    repr are those of the Fraction points.  missing_axes,
+    _least_axis_points, _scaled_points, _newton_polyhedron and the
+    placement record _placed are no record fields.
     """
 
     dim: int
@@ -168,35 +112,20 @@ class SupportSet(Record):
 
 def _axis_points(n, ipts, den):
     """Per axis k, the index of the first of the sorted integer points
-    ipts (the points times den) on it, or None.
-
-    The points are checked on the whole set at once: every length is n,
-    the least coordinate is not negative, and the first point, the least
-    of them then, is not the origin.  Only when that fails does a loop
-    over the points run, to name the first bad one (_first_bad_point).
-    A point on an axis has n - 1 zero entries, its nonzero one its max.
-    """
-    if not (n > 0 and set(map(len, ipts)) == {n}
-            and min(chain.from_iterable(ipts)) >= 0 and any(ipts[0])):
-        _first_bad_point(n, ipts, den)
-    least, rest = [None] * n, n - 1
+    ipts (the points times den) on it, or None.  Each point is checked
+    on the way, and SupportError names the first bad one."""
+    least = [None] * n
     for i, p in enumerate(ipts):
-        if p.count(0) == rest and least[k := p.index(max(p))] is None:
-            least[k] = i
-    return tuple(least)
-
-
-def _first_bad_point(n, ipts, den):
-    """SupportError naming the first of the sorted points ipts / den that
-    has another dimension than n or a negative coordinate, or else the
-    origin."""
-    for p in ipts:
         problem = (f"does not have dimension {n}" if len(p) != n else
                    "has a negative coordinate" if p and min(p) < 0 else "")
         if problem:
             raise SupportError(f"point {_render_scaled(p, den)} {problem}")
         if not any(p):
             raise SupportError("support set contains the origin")
+        # a point on an axis: its one nonzero entry is its max
+        if p.count(0) == n - 1 and least[k := p.index(max(p))] is None:
+            least[k] = i
+    return tuple(least)
 
 
 def _placed(support):
@@ -222,11 +151,10 @@ def _placed(support):
 
     The start's seeds are written over the support's own indices, so the
     other points are placed on it as they are.  The placement is
-    recorded on the support as its _placed entry, (start points,
-    pyramids): the integer start points, the axis points a_k e_k in axis
-    order (or p), and the simplices of the pyramids D0 that _place cut,
-    over the support's indices.  newton_number._lower_totals reads the
-    support's volumes off it.  Without a point on every axis a seen facet
+    recorded on the support as its _placed entry (start, D0): the
+    integer start points, the axis points a_k e_k in axis order (or p),
+    and the region of the pyramids that _place cut, over the support's
+    integer points (_region).  Without a point on every axis a seen facet
     may be unbounded, and its pyramid is missing; no lower region exists
     to read then."""
     n, pos = support.dim, support._least_axis_points
@@ -253,7 +181,8 @@ def _placed(support):
             for k in range(n)])
         todo = range(1, m)
     facets, vmask, simplices = _place(n, facets, on, ipts, todo)
-    support.__dict__["_placed"] = tuple([ipts[i] for i in pos]), simplices
+    support.__dict__["_placed"] = (tuple([ipts[i] for i in pos]),
+                                   _region(n, ipts, den, simplices))
     return NewtonPolyhedron._from_facts(dim=n, ipts=ipts, den=den,
                                         ifacets=facets, vmask=vmask)
 
@@ -264,12 +193,8 @@ def support_set(dim, points):
     Integer input, every coordinate of exact type int, is its own scaling
     (den = 1) and builds no Fraction.  Any other input is scaled once to
     integer tuples over one denominator (_scaled), which sort like the
-    points they stand for.  Those are deduplicated, sorted and checked
-    (_scaled_support): the lengths, the least coordinate and the origin
-    on the whole set at once with builtins, the per-point loop running
-    only to word the first error (_axis_points), and the least axis
-    points in one pass.  They are the support's stored form; its
-    Fraction points are built when read.
+    points they stand for.  Those are the support's stored form
+    (_scaled_support); its Fraction points are built when read.
     """
     pts = list(map(tuple, points))
     if set(map(type, chain.from_iterable(pts))) <= {int}:
@@ -397,24 +322,12 @@ _np_cache = {}  # unused; the benchmark's cache reset still names it
 
 
 def newton_polyhedron(support):
-    """Build the Newton polyhedron of a support set.
+    """The Newton polyhedron of a support set, the integer record
+    NewtonPolyhedron, built by placement on integer points (_placed).
 
-    The points are scaled to integers by the lcm of their denominators
-    first, so the whole build is integer arithmetic.  They are placed one
-    at a time (_placed, _place) on a start whose facets are written down:
-    for a support of dimension n > 1 with a point on every axis, the
-    polyhedron of its least axis points a_k e_k,
-    {x >= 0 : sum_k x_k / a_k >= 1}; for any other support, the orthant
-    p + R^n_{>=0} of its first point p with the facet at infinity of its
-    homogenized cone, which leaves the result.  The facet list alone is
-    the H-description, and the vertices are the points that are the meet
-    of the seeds through them.  The result is the integer record
-    NewtonPolyhedron; its Fraction views are built only when read.
-
-    The polyhedron is memoized on its SupportSet instance (a lazy fact,
-    no record field), so repeated calls with one support
-    return one object, and it lives exactly as long as the support.
-    Nothing is memoized at module level.
+    It is memoized on its SupportSet instance (a lazy fact, no record
+    field), so repeated calls with one support return one object, and it
+    lives exactly as long as the support.
     """
     if not isinstance(support, SupportSet):
         raise SupportError("newton_polyhedron expects a SupportSet")
@@ -448,9 +361,9 @@ def _place(n, facets, vmask, ipts, todo):
     facet (w, c, g) is <w, x> >= c / den, g the bitmask of the points on
     it plus bit len(ipts) + i per recession axis e_i.  todo lists the
     indices of the points to place, in order.  Returns the ifacets and
-    vmask of S' and the simplices, as increasing index tuples, of the
-    pyramids conv(F u {alpha}) over every compact facet F that a placed
-    point alpha sees.
+    vmask of S' and the sorted simplices, as increasing index tuples, of
+    the pyramids conv(F u {alpha}) over every compact facet F that a
+    placed point alpha sees.
 
     The polyhedron is read as its homogenized cone {(x, t) : <w, x> >= c t},
     where a point is (x, 1) and a recession axis (e_i, 0).  The facets may
@@ -549,25 +462,23 @@ def _place(n, facets, vmask, ipts, todo):
             _members(vmask & touched), [g for _, _, g in facets])
     if not any(facets[0][0]):   # the facet at infinity sorts first
         facets = facets[1:]
-    return tuple(facets), vmask, [tuple(_members(t)) for t in pyramids]
+    return tuple(facets), vmask, sorted([tuple(_members(t)) for t in pyramids])
 
 
 def _placement(s, s_prime):
-    """The simplices, as index tuples over the points of s_prime, of the
-    pyramids of placing the points of s_prime on hull(s) (_place); None
-    unless s is axis-convenient, of the same dimension, and each of its
-    points is a point of s_prime.
+    """The region D of the pyramids of placing the points of s_prime on
+    hull(s) (_place), over the integer points of s_prime; None unless s
+    is axis-convenient, of the same dimension, and each of its points is
+    a point of s_prime.
 
     Each seed of hull(s) moves into the indices of s_prime by a zero bit
-    put in at each point of s_prime that s lacks, in increasing order.  The
-    placed polyhedron becomes the Newton polyhedron of s_prime unless
+    put in at each point of s_prime that s lacks, in increasing order.
+    The placed polyhedron becomes the Newton polyhedron of s_prime unless
     that was built already: it is typed-equal to the one newton_polyhedron
-    builds.  The simplices are memoized on s_prime, as its _placed record
-    (s, simplices) in place of any earlier one, so the apex test and the
-    difference region of one pair place once, and newton_number_set
-    reads nu(s_prime) off nu(s) and these pyramids, as it reads every
-    support off its record.  A support with the points of s has nothing
-    to place and keeps its record: one pointing back at s could close a
+    builds.  The placement is recorded on s_prime as its _placed entry
+    (s, D), in place of any earlier one, so a pair places once.  A
+    support with the points of s has nothing to place: its D is empty,
+    and it keeps its record, since one pointing back at s could close a
     loop of records.
     """
     memo = s_prime.__dict__.get("_placed")
@@ -584,7 +495,7 @@ def _placement(s, s_prime):
     if len(ipts) - len(todo) < len(old):
         return None
     if not todo:        # s_prime is s again
-        return []
+        return _region(s.dim, ipts, den, [])
     np_ = s._newton_polyhedron
     facets, vmask = np_.ifacets, np_.vmask
     if scale > 1:
@@ -597,8 +508,9 @@ def _placement(s, s_prime):
     s_prime.__dict__.setdefault(
         "_newton_polyhedron", NewtonPolyhedron._from_facts(
             dim=s.dim, ipts=ipts, den=den, ifacets=facets, vmask=vmask))
-    s_prime.__dict__["_placed"] = s, simplices
-    return simplices
+    region = _region(s.dim, ipts, den, simplices)
+    s_prime.__dict__["_placed"] = s, region
+    return region
 
 
 # --- convenience ----------------------------------------------------------
@@ -720,17 +632,18 @@ class CompactRegion(Record):
     """Pure n-dimensional simplicial complex inside the orthant.
 
     simplices: tuple of simplices, each a sorted tuple of n+1 points,
-    forming one simplicial complex (difference_region's pyramids, or some
+    forming one simplicial complex (the pyramids of a placement, or some
     of them), so faces match up exactly and volume computations can
     deduplicate by vertex set.
 
+    Two lazy facts (geometry._lazy) carry the integer arithmetic.
     _integer_form is (ipts, den, index simplices): the vertices times the
-    lcm den of their denominators as integer tuples, and each simplex as
-    the tuple of its vertices' indices there, in its own vertex order.
-    difference_region seeds it (_region), and simplices is then a lazy
-    fact (geometry._lazy) built from it when read; a region built by hand
-    indexes and scales its points on first use.  Either way the record's
-    field is simplices, so equality, hashing and repr see the points.
+    lcm den of their denominators, and each simplex as the tuple of its
+    vertices' indices there.  _integer_totals sums it once.  A placement
+    makes its region from its integer form (_region), and simplices is
+    then built when read; a region built by hand indexes and scales its
+    points on first use.  Either way the record's field is simplices, so
+    equality, hashing and repr see the points.
     """
 
     ambient_dim: int
@@ -750,10 +663,17 @@ class CompactRegion(Record):
         ipts, den = _scaled(list(index))
         return ipts, den, simplices
 
+    @_lazy
+    def _integer_totals(self):
+        """The totals T_k = k! V_k den^k of the simplices (geometry._totals),
+        and den."""
+        ipts, den, simplices = self._integer_form
+        return _totals(self.ambient_dim, ipts, simplices), den
+
 
 def _region(n, ipts, den, simplices):
     """The CompactRegion whose simplices are the index tuples simplices
-    into the integer points ipts over den, seeded as its integer form;
+    into the integer points ipts over den, given as its integer form;
     its Fraction simplices are built when read."""
     return CompactRegion._from_facts(ambient_dim=n,
                                      _integer_form=(ipts, den, simplices))

@@ -118,7 +118,7 @@ library's former index-tuple form of polyhedra._cell_masks).
 The library now reads a support's volumes off its placement
 (newton_number._lower_totals) and builds no such region; the tests hold
 those volumes against this one.  _volumes, kept verbatim, is the
-library's section scan before the integer totals (newton_number._totals):
+library's section scan before the integer totals (geometry._totals):
 one pass over the simplices per coordinate subspace, faces keyed by
 frozensets, every minor through _int_det and one Fraction per V_k;
 volume_vector_scan runs it, as the former volume_vector did, over the
@@ -127,18 +127,15 @@ region's points indexed and scaled afresh.  The pyramid formula
 each coordinate section of the region under the Newton boundary as a sum
 of cones over its compact facets, on the scans above.
 
-support_set, find_apex and _apex, in their own section, are the
-library's former routines, kept verbatim (find_apex with its former
-helper _edge): support_set stored the Fraction points as the record's
-field, one Fraction per distinct coordinate value, and find_apex searched
-from a Fraction point and built the certificate off the supports'
-Fraction points.  _apex searched from vertex indices with one _on_edge
-call per old vertex and candidate axis, and built every Fraction field
-of the certificate eagerly.  The library now stores the integer form,
-searches every candidate edge in one pass over the old vertices and
-builds a certificate's Fraction fields when they are read; test_polyhedra
-and test_apex check that the supports, their equality and hashes, the
-certificates and the error texts stay the same.
+support_set and find_apex, in their own section, are the library's
+former routines, kept verbatim (find_apex with its former helper
+_edge): support_set stored the Fraction points as the record's field,
+one Fraction per distinct coordinate value, and find_apex searched from
+a Fraction point and built the certificate off the supports' Fraction
+points.  The library now stores the integer form and searches from
+vertex indices over integer points; test_polyhedra and test_apex check
+that the supports, their equality and hashes, the certificates and the
+error texts stay the same.
 
 The Buchberger engine at the very end (_buchberger, _pair_data, _s_poly,
 _reduce_full, _interreduce) is the library's former one, kept verbatim on
@@ -163,14 +160,14 @@ from newtonmu.geometry import (DIMENSION_CAP, ONE, ZERO, DimensionCapExceeded,
                                GeometryError, InternalConsistencyError,
                                Record, _bounded_piece, _extreme_rays, _idot,
                                _int_det, _integer_row, _members, _pulling,
-                               _scaled, _unit, _unscaled, _vertex_mask,
+                               _scaled, _unit, _vertex_mask,
                                determinant, dot, frac, primitive_vector,
                                render_point, simplex_volume, vec)
 from newtonmu.groebner import (_divides, _lcm, _make_row, _mul, _quot,
                                grevlex_key)
 from newtonmu.newton_number import NewtonVolumeVector
 from newtonmu.polyhedra import (CompactRegion, Face, NewtonPolyhedron,
-                                SupportError, SupportSet, _over_lcm, _region,
+                                SupportError, SupportSet, _region,
                                 _require_bounded, check_nested,
                                 newton_polyhedron)
 
@@ -1598,52 +1595,6 @@ def find_apex(s, s_prime, alpha):
     i0, edge, beta, good = pick
     return ApexCertificate(alpha, tuple(a + 1 for a in sorted(support)),
                            i0 + 1, edge, beta, good, good_pairs)
-
-
-def _apex(s, s_prime, a):
-    """The apex search of find_apex at the vertex a of hull(s_prime), an
-    index into its points.
-
-    The points are compared as integers over one common denominator by
-    _on_edge: an old vertex v lies on the edge from alpha to its other
-    end o at t in (0, 1] when v - alpha is t (o - alpha), and the least t
-    is the least |v_k - alpha_k| on the first axis k where o and alpha
-    differ.  Fraction points are built only for the certificate: alpha,
-    the edge and the old vertices it names.
-    """
-    n = s.dim
-    outer, inner = newton_polyhedron(s_prime), newton_polyhedron(s)
-    if 0 not in outer.ipts[a]:      # full support
-        return None
-    pts, inner_pts, den = _over_lcm(outer, inner)
-    ia, old = pts[a], [inner_pts[i] for i in _members(inner.vmask)]
-    edges = _edges_at(outer, a)
-    candidates = []
-    for i0 in range(n):
-        escaping = [(j, meet) for j, meet in edges if pts[j][i0]]
-        if ia[i0] or len(escaping) != 1:
-            continue
-        j, meet = escaping[0]
-        d = tuple(x - y for x, y in zip(pts[j], ia))
-        on_edge = [(t, v) for v in old if (t := _on_edge(v, ia, d))]
-        if on_edge:
-            beta = min(on_edge)[1]
-            candidates.append((i0, j, meet, beta, all(
-                beta[q] == (den if q == i0 else 0)
-                for q in range(n) if not ia[q])))
-    if not candidates:
-        return None
-    i0, j, meet, beta, good = next((c for c in candidates if c[4]),
-                                   candidates[0])
-    good_pairs = [(c[0] + 1, c[3]) for c in candidates if c[4]]
-    on = [pts[i] for i in _members(meet)]
-    keys = on + [beta] + [b for _, b in good_pairs]
-    point = dict(zip(keys, _unscaled(keys, den)))
-    return ApexCertificate(
-        point[ia], tuple(k + 1 for k in range(n) if ia[k]), i0 + 1,
-        BoundaryEdge(tuple(point[p] for p in sorted((ia, pts[j]))),
-                     tuple(map(point.get, on))),
-        point[beta], good, tuple((i, point[b]) for i, b in good_pairs))
 
 
 # --- Buchberger engine -----------------------------------------------------

@@ -18,13 +18,12 @@ from newtonmu.milnor import (kouchnirenko_crosscheck, milnor_number,
                              nondegeneracy_check)
 from newtonmu.newton_number import (difference_region, newton_number_region,
                                     newton_number_set, partial_homothety)
-from newtonmu.polyhedra import added_vertices, support_set
+from newtonmu.polyhedra import added_vertices
 from newtonmu.resolution import simultaneous_resolution
-from corpus import (boundary_plane_augmentation, brieskorn, bs_base_support,
-                    bs_deformed_support, bs_family, bs_scaled_family,
-                    exe2d_augmented, exe2d_support, exe3d_augmented,
-                    exe3d_support, interior_point_below, quintic_family,
-                    random_convenient_support)
+from corpus import (boundary_plane_augmentation, brieskorn, bs_family,
+                    bs_scaled_family, exe2d_augmented, exe2d_support,
+                    exe3d_augmented, exe3d_support, interior_point_below,
+                    quintic_family, random_convenient_support)
 
 
 def _pass(k, budget, t0, msg):

@@ -15,8 +15,9 @@ from newtonmu.polyhedra import (SupportError, added_vertices,
 from corpus import (boundary_plane_augmentation, bs_base_support,
                     bs_deformed_support, exe2d_augmented, exe2d_support,
                     exe3d_augmented, exe3d_support, random_convenient_support)
-from oracles import (_apex as eager_apex, _on_segment,
-                     find_apex as fraction_find_apex)
+from oracles import (_on_segment, find_apex as fraction_find_apex,
+                     nu_2d_staircase)
+from planar_box import check_box
 from test_conversion import typed
 from test_pair_numbers import nested_pair
 from test_placement import KINDS, random_pair
@@ -127,6 +128,14 @@ def test_verdict_tracks_nu_equality():
     assert checked == 60 and verdicts == {False, True}
 
 
+def test_the_planar_box_of_exponents_up_to_5():
+    """Every convenient planar staircase with exponents at most 5, each
+    with every other point of the box added (planar_box): the verdict is
+    nu(S) = nu(S'), nu(S') <= nu(S), and both numbers are those of
+    oracles.nu_2d_staircase."""
+    assert check_box(5, nu_2d_staircase) == (251, 7904)
+
+
 def test_integer_edge_test_matches_fraction_segment_test():
     """apex._on_edge against the former Fraction test, on rational points
     with small denominators in n = 2..4 scaled to one denominator: on
@@ -226,7 +235,7 @@ CI_PAIRS = [
 ]
 
 
-def lazy_certificate_pairs():
+def certificate_pairs():
     """Factories of fresh pairs: the 540 mu_sweep pool pairs, 120 seeded
     nested_pair pairs, n = 2..5, half "below" and half "sevenths", and
     the CI pairs."""
@@ -241,28 +250,21 @@ def lazy_certificate_pairs():
 
 
 def test_lazy_certificates_match_the_eager_search():
-    """apex._apex, which searches every candidate edge in one integer
-    pass and builds its certificate from integer facts, against the
-    former search (oracles._apex), which built every Fraction field
-    eagerly, at every vertex of hull(S') of every pair of
-    lazy_certificate_pairs.  repr and hash are those of the eager record,
-    read first on a fresh certificate; each field, read on another fresh
-    one in reverse order, is typed-equal to the eager field; and the
-    whole record is typed-equal."""
+    """apex._apex, at every vertex of hull(S') of every pair of
+    certificate_pairs, against the former Fraction search
+    (oracles.find_apex) at that vertex's point: the certificates are
+    typed-equal, with the same repr and hash."""
     certified, good, bad = 0, 0, 0
-    for make in lazy_certificate_pairs():
+    for make in certificate_pairs():
         s, sp = make()
         for a in _members(newton_polyhedron(sp).vmask):
-            old = eager_apex(s, sp, a)
+            old = fraction_find_apex(s, sp, sp.points[a])
             new = apex._apex(*make(), a)
             if old is None:
                 assert new is None
                 continue
             assert repr(new) == repr(old) and hash(new) == hash(old)
-            fresh = apex._apex(*make(), a)
-            for name in reversed(old._fields):
-                assert typed(getattr(fresh, name)) == typed(getattr(old, name))
-            assert typed(new) == typed(old) and new == old
+            assert typed(new) == typed(old)
             certified += 1
             good += old.good
             bad += not old.good

@@ -7,7 +7,6 @@ from newtonmu.families import spoly
 from newtonmu.groebner import BudgetExceeded
 from newtonmu.milnor import (kouchnirenko_crosscheck, milnor_number,
                              nondegeneracy_check)
-from newtonmu.newton_number import newton_number_set
 from corpus import brieskorn
 
 

@@ -6,7 +6,7 @@ import pytest
 
 from newtonmu import newton_number
 from newtonmu.geometry import (GeometryError, _bounded_piece, _hull_rows,
-                               _pulling, _scaled)
+                               _pulling, _scaled, _totals)
 from newtonmu.newton_number import (NewtonVolumeVector, d_set_and_i_set,
                                     difference_region,
                                     newton_number_region, newton_number_series,
@@ -242,7 +242,7 @@ def random_piece(rng, n):
 
 def test_totals_match_the_section_scan():
     """A hundred seeds, n = 1..5 in turn.  The integer totals
-    (newton_number._totals) give typed-equal volume vectors and Newton
+    (geometry._totals) give typed-equal volume vectors and Newton
     numbers to the former per-subspace scan (oracles._volumes) and to one
     Fraction simplex volume per section face
     (oracles.volume_vector_fractions): on the lower region of a rational
@@ -267,7 +267,7 @@ def test_totals_match_the_section_scan():
             whole = (1 << len(verts)) - 1
             simplices = _pulling(whole, whole, facets, {})
             ipts, den = _scaled(verts)
-            totals = newton_number._totals(n, ipts, simplices)
+            totals = _totals(n, ipts, simplices)
             want = NewtonVolumeVector(_volumes(n, ipts, den, simplices))
             assert typed(NewtonVolumeVector(newton_number._fractions(
                 totals, den))) == typed(want)

@@ -21,8 +21,8 @@ on every pair of the mu_sweep benchmark pool and on seeded pairs for
 n = 2..5, placed ones and ones whose S' lacks a point of S, some with a
 denominator of S' that is no multiple of that of S, some outside the
 vertex condition, with both verdicts.  No library module can build a
-lower region; a pair places twice and pulls no facet, and a refused
-pair builds no region.
+lower region; a pair places twice and pulls no facet, and each support
+keeps one placement record, its base and the region D it cut.
 """
 
 import json
@@ -34,9 +34,9 @@ import pytest
 
 from newtonmu import newton_number, polyhedra
 from newtonmu.apex import mu_constant_test, vertex_location_check
-from newtonmu.newton_number import (_totals, difference_region,
-                                    newton_number_region, newton_number_set,
-                                    volume_vector, volume_vector_set)
+from newtonmu.newton_number import (difference_region, newton_number_region,
+                                    newton_number_set, volume_vector,
+                                    volume_vector_set)
 from newtonmu.polyhedra import (SupportError, _placement, convenience_report,
                                 newton_polyhedron, support_set)
 from corpus import bs_base_support, bs_deformed_support
@@ -136,34 +136,35 @@ def count_calls(monkeypatch, calls, names):
 def test_a_pair_builds_no_lower_region_of_s_prime(monkeypatch):
     """Neither polyhedra nor newton_number has a lower_region or a
     _lower_form, so no library path builds a lower region.  On every
-    pool case mu_constant_test places twice and sums two sets of
-    simplices: the pyramids D0 of the placement of S on its axis simplex,
-    and D.  The benchmark's second step, the Newton number of
-    difference_region, builds D afresh and sums nothing: the region is
-    seeded with the totals of D that the apex test summed off the same
-    _placed record, and its Newton number is nu(S) - nu(S').
+    pool case mu_constant_test places twice, and each placement records
+    the region of the pyramids it cut: D0 of S placed on its axis
+    simplex, and D of S' placed on hull(S).  It sums the two, once each.
+    The benchmark's second step, the Newton number of difference_region,
+    builds and sums nothing: the region is D off the record of S', with
+    its totals, and its Newton number is nu(S) - nu(S').
 
     A pair that _placement refuses (the CI pair, and seeded "below" and
     "sevenths" pairs) runs check_nested once, places S and S' each on
-    its axis simplex, sums the two D0 and builds no region: no
-    difference region and no second hull of S'.  vertex_location_check
-    places and reads a pair as mu_constant_test does."""
+    its axis simplex and sums the two D0: no difference region and no
+    second hull of S'.  vertex_location_check places and reads a pair
+    as mu_constant_test does."""
     for module in (polyhedra, newton_number):
         assert not hasattr(module, "lower_region")
         assert not hasattr(module, "_lower_form")
     calls = []
     count_calls(monkeypatch, calls, [
-        (newton_number, "_totals"), (polyhedra, "_place"),
-        (polyhedra, "_region"), (newton_number, "_region"),
+        (polyhedra, "_totals"), (newton_number, "_totals"),
+        (polyhedra, "_place"), (polyhedra, "_region"),
         (polyhedra, "check_nested"), (newton_number, "check_nested")])
+    placed = ["_place", "_place", "_region", "_region", "_totals", "_totals"]
     for s, sp in pool_pairs():
         calls.clear()
         res = mu_constant_test(s, sp)
-        assert sorted(calls) == ["_place", "_place", "_totals", "_totals"]
+        assert sorted(calls) == placed
         calls.clear()
         region = difference_region(s, sp)
         assert newton_number_region(region) == res.nu_s - res.nu_s_prime
-        assert sorted(calls) == ["_region"]
+        assert calls == []
     refused = [(support_set(2, [(4, 0), (2, 2), (0, 4)]),
                 support_set(2, [(4, 0), (1, 1), (0, 4)]))]
     for k in range(40):
@@ -176,11 +177,10 @@ def test_a_pair_builds_no_lower_region_of_s_prime(monkeypatch):
         s, sp = (support_set(x.dim, x.points) for x in (s, sp))
         calls.clear()
         mu_constant_test(s, sp)
-        assert sorted(calls) == ["_place", "_place", "_totals", "_totals",
-                                 "check_nested"]
+        assert sorted(calls) == [*placed, "check_nested"]
     calls.clear()
     assert vertex_location_check(bs_base_support(), bs_deformed_support())
-    assert sorted(calls) == ["_place", "_place", "_totals", "_totals"]
+    assert sorted(calls) == placed
 
 
 def test_a_pool_case_places_twice_and_pulls_nothing(monkeypatch):
@@ -188,16 +188,16 @@ def test_a_pool_case_places_twice_and_pulls_nothing(monkeypatch):
     difference region) places twice, S on its axis simplex and S' on
     hull(S), triangulates no facet by pulling, since every facet that a
     point sees is a simplex or was cut by the placement itself, and
-    builds one region, the benchmark's D."""
+    builds two regions, the pyramids D0 of S and the benchmark's D."""
     calls = []
     count_calls(monkeypatch, calls, [
         (polyhedra, "_place"), (polyhedra, "_pulling"),
-        (polyhedra, "_region"), (newton_number, "_region")])
+        (polyhedra, "_region")])
     for s, sp in pool_pairs():
         calls.clear()
         mu_constant_test(s, sp)
         newton_number_region(difference_region(s, sp))
-        assert sorted(calls) == ["_place", "_place", "_region"]
+        assert sorted(calls) == ["_place", "_place", "_region", "_region"]
 
 
 def rule_support(rng, n, k):
@@ -301,7 +301,9 @@ def test_newton_numbers_off_the_placement(monkeypatch):
             volume_vector_scan(region).newton_number()), k
         assert typed(volume_vector_set(s)) == typed(volume_vector(region)), k
         ipts, den = s._scaled_points
-        d0 = _totals(n, ipts, s.__dict__["_placed"][1])
+        pyramids = s.__dict__["_placed"][1]
+        assert pyramids._integer_form[:2] == (ipts, den), k
+        d0, _ = pyramids._integer_totals
         seen["empty"] += not any(d0)
         seen["sections"] += any(d0[:n])
         axes = [p for p in ipts if sum(map(bool, p)) == 1]
@@ -343,29 +345,26 @@ def test_a_missing_axis_keeps_its_error_text():
         "on axis 3")
 
 
-def test_a_region_is_seeded_only_with_the_totals_of_its_own_pyramids():
-    """difference_region seeds its region with the totals that
-    _lower_totals summed only when they were summed off the simplices it
-    reads.  A support whose Newton number was read off its own placement
-    (D0) and then placed on a parent, and a support paired with itself
-    (no simplices), get a region that sums itself; a pool pair read by
-    mu_constant_test gets its region seeded, with the totals the region
-    sums from its integer form."""
-    seeded = 0
+def test_a_support_keeps_one_placement_record():
+    """A support's placement is one record, its _placed entry: the base
+    it was placed on and the region D of the pyramids cut, whose totals
+    are a lazy fact of D.  On every pool pair, a support S' whose Newton
+    number was read off its own record, its least axis points and D0,
+    and which is then placed on S keeps its Newton number, and its
+    record becomes (S, D).  difference_region(S, S') is that recorded
+    region, with Newton number nu(S) - nu(S'), and
+    difference_region(S', S') is empty, with Newton number 0, and
+    leaves the record as it was."""
     for k, (s, sp) in enumerate(pool_pairs()):
-        if k % 3 == 0:
-            nu_sp = newton_number_set(sp)      # off its own record, D0
-            region = difference_region(s, sp)
-            assert "_region_totals" not in region.__dict__
-            assert newton_number_region(region) == newton_number_set(s) - nu_sp
-            same = difference_region(sp, sp)
-            assert "_region_totals" not in same.__dict__
-            assert newton_number_region(same) == 0 and not same.simplices
-        else:
-            mu_constant_test(s, sp)
-            region = difference_region(s, sp)
-            ipts, den, simplices = region._integer_form
-            assert region.__dict__["_region_totals"] == (
-                _totals(s.dim, ipts, simplices), den)
-            seeded += 1
-    assert seeded == 360
+        nu_sp = newton_number_set(sp)      # off its own record, D0
+        ipts = sp._scaled_points[0]
+        start, d0 = sp.__dict__["_placed"]
+        assert start == tuple(ipts[i] for i in sp._least_axis_points), k
+        region = difference_region(s, sp)
+        base, recorded = sp.__dict__["_placed"]
+        assert base is s and recorded is region and region is not d0, k
+        assert newton_number_set(sp) == nu_sp == fresh(sp), k
+        assert newton_number_region(region) == newton_number_set(s) - nu_sp
+        same = difference_region(sp, sp)
+        assert same.simplices == () and newton_number_region(same) == 0, k
+        assert sp.__dict__["_placed"][1] is region, k

@@ -221,9 +221,9 @@ def test_mu_constant_test_places_the_bigger_polyhedron(monkeypatch):
     for name in ("_extreme_rays", "_bounded_piece"):
         monkeypatch.setattr(geometry, name, refuse)
     res = mu_constant_test(s, sp)
-    pyramids = sp.__dict__["_placed"][1]
     region = difference_region(s, sp)
-    assert sp.__dict__["_placed"][1] is pyramids
+    base, recorded = sp.__dict__["_placed"]
+    assert base is s and recorded is region
     assert res.verdict and typed(newton_polyhedron(sp)) == typed(direct)
     assert newton_number_region(region) == res.nu_s - res.nu_s_prime == 0
 
