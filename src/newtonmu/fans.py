@@ -16,18 +16,19 @@ bitmasks over the rays; its faces are the levels of geometry._face_lattice
 over those masks.  simplicialize and the volume comparison of
 subdivisions both take the geometry._pulling triangulation of each cone
 over its facet masks, with the rays in one global order, so no polytope
-is built and no face gets a double description of its own.  A simplicial
-cone carries the k-row minor of its ray matrix with the least nonzero
-|det| D and that minor's adjugate; the chart exists exactly when the cone
-is simplicial.  Coordinates in the rays are adjugate products over D:
-stellar_subdivide reads membership and the pieces off them, and the
-fundamental-box points are read off the group that adjugate generates
-mod D, so no rational solve runs.  Regularity is the gcd of the k x k
-minors.  A regularization step swaps ray tuples on its target's star.
+is built and no face gets a double description of its own.  A cone with
+k rays carries one table, _minors, of its k-row ray minors, and every
+minor rule reads it: simplicial is some minor nonzero, regular is gcd 1,
+the chart is the first least nonzero |det| D with its adjugate, and the
+apex pyramid's certificate reads the tables of its pieces.  Coordinates
+in the rays are adjugate products over D: stellar_subdivide reads
+membership and the pieces off them, and the box points are read off the
+group that adjugate generates mod D, so no rational solve runs.  A
+regularization step swaps ray tuples on its target's star.
 
 Nothing is memoized at module level: each cone caches its own
-H-description, facet masks and minor chart, and faces() is computed on
-every call.
+H-description, facet masks, minors and minor chart, and faces() is
+computed on every call.
 """
 
 from __future__ import annotations
@@ -75,34 +76,37 @@ class LatticeCone(Record):
                 for a in self._h_description[1]]
 
     @_lazy
-    def _minor_chart(self):
-        """(rows, adjugate, D) for a simplicial cone with k rays; raises
-        GeometryError for any other cone.
+    def _minors(self):
+        """The minor table: each k-row tuple, in lexicographic order, to the
+        determinant of that minor of the ray matrix (coordinates as rows,
+        the k rays as columns).  Every entry vanishes exactly when the
+        rays are linearly dependent; the zero cone's one entry is 1."""
+        return {rows: _int_det([[r[j] for r in self.rays] for j in rows])
+                for rows in itertools.combinations(range(self.ambient_dim),
+                                                   len(self.rays))}
 
-        M is the k-row minor of the ray matrix (coordinates as rows, rays
-        as columns) with the least nonzero |det| = D, the first such rows
-        in lexicographic order.  The adjugate is adj(M) sign(det M), so a
-        point p of the span has coordinates lambda = adjugate p_rows / D in
-        the rays.  Every k-row minor vanishes exactly when the rays are
-        linearly dependent, that is when the cone is not simplicial.
+    @_lazy
+    def _minor_chart(self):
+        """(rows, adjugate, D) for a simplicial cone; raises GeometryError
+        for any other cone.
+
+        M is the first minor of _minors with the least nonzero |det| = D.
+        The adjugate is adj(M) sign(det M), so a point p of the span has
+        coordinates lambda = adjugate p_rows / D in the rays.
         """
-        k = len(self.rays)
-        best = None
-        for rows in itertools.combinations(range(self.ambient_dim), k):
-            m = [[r[j] for r in self.rays] for j in rows]
-            det = _int_det(m)
-            if det and (best is None or abs(det) < abs(best[2])):
-                best = (rows, m, det)
-        if best is None:
+        if not self.is_simplicial:
             raise GeometryError(f"cone {self.rays} is not simplicial")
-        rows, m, det = best
-        sign = 1 if det > 0 else -1
+        d, rows = min((abs(det), rows) for rows, det in self._minors.items()
+                      if det)
+        k = len(self.rays)
+        m = [[r[j] for r in self.rays] for j in rows]
+        sign = 1 if self._minors[rows] > 0 else -1
         cof = [[(-1) ** (i + j) * _int_det(
             [row[:j] + row[j + 1:] for row in m[:i] + m[i + 1:]])
             for j in range(k)] for i in range(k)]
         adj = tuple(tuple(sign * cof[j][i] for j in range(k))
                     for i in range(k))
-        return rows, adj, abs(det)
+        return rows, adj, d
 
     @property
     def dim(self):
@@ -110,7 +114,8 @@ class LatticeCone(Record):
 
     @property
     def is_simplicial(self):
-        return len(self.rays) == self.dim
+        """Independent rays: some entry of _minors is nonzero."""
+        return any(self._minors.values())
 
     def _face(self, mask):
         return LatticeCone(self.ambient_dim,
@@ -284,18 +289,20 @@ def _measure(rays, rows):
 def is_subdivision(sub, base):
     """Every maximal sub-cone sits inside a base cone, and per base cone
     the volumes of its pieces' slices by the coordinate-sum-one hyperplane
-    add up to the whole.
+    add up to the whole.  Each (base cone, piece) containment is tested
+    once.
 
     Volumes are measured by |det| in one fixed set of dim coordinate rows
     per base cone, rows on which the base cone's span projects
     injectively."""
     if sub.ambient_dim != base.ambient_dim:
         raise GeometryError("ambient dimension mismatch")
-    for piece in sub.maximal:
-        if not any(all(parent.contains(r) for r in piece.rays)
-                   for parent in base.maximal):
-            return False
-    for parent in base.maximal:
+    inside = {parent: [piece for piece in sub.maximal
+                       if all(map(parent.contains, piece.rays))]
+              for parent in base.maximal}
+    if set(sub.maximal) - set().union(*inside.values()):
+        return False
+    for parent, pieces in inside.items():
         if not parent.rays:
             continue
         d = parent.dim
@@ -303,13 +310,8 @@ def is_subdivision(sub, base):
         rows = next(rows for rows in itertools.combinations(
             range(parent.ambient_dim), d) if _measure(whole[0], rows))
         want = sum(_measure(s, rows) for s in whole)
-        have = 0
-        for piece in sub.maximal:
-            if piece.dim != d:
-                continue
-            if not all(parent.contains(r) for r in piece.rays):
-                continue
-            have += sum(_measure(s, rows) for s in _simplices(piece))
+        have = sum(_measure(s, rows) for piece in pieces if piece.dim == d
+                   for s in _simplices(piece))
         if have != want:
             return False
     return True
@@ -341,14 +343,10 @@ def is_admissible_subdivision(sub, base, s):
 
 
 def is_regular_cone(c):
-    """Unimodularity: the gcd of the k x k minors of the k rays is 1 (for
-    k = n, the one minor is the determinant).  Every minor vanishes
-    exactly when the rays are dependent, that is when the cone is not
-    simplicial."""
-    k = len(c.rays)
-    g = 0
-    for cols in itertools.combinations(range(c.ambient_dim), k):
-        g = gcd(g, _int_det([[r[j] for j in cols] for r in c.rays]))
+    """Unimodularity: the entries of c._minors have gcd 1 (for k = n, the
+    one minor is the determinant).  They all vanish exactly when the cone
+    is not simplicial, which raises."""
+    g = gcd(*c._minors.values())
     if not g:
         raise GeometryError("regularity is only defined for simplicial cones")
     return g == 1
@@ -495,14 +493,15 @@ def pyramid_subdivision(sigma_alpha, i, tau_sub):
     """Cone the apex ray e_i over a regular subdivision of the opposite
     facet and certify that every piece is regular.
 
-    The certification follows the minor argument: for a piece with facet
-    rays q_1..q_n, the maximal minors d_j of the ray matrix satisfy
-    d_j = |c_j| d_i because the i-th column is an integer combination of
-    the others along the edge direction; together with gcd(d_1..d_{n+1}) = 1
-    from regularity of the facet piece this forces d_i = 1, which is |det|
-    of the piece.  Both the divisibility pattern and the final |det| are
-    checked; failure means the apex structure was violated and raises
-    InternalConsistencyError.
+    The certificate is the minor argument on each facet piece tau with
+    rays q_1..q_n.  Its n maximal minors d_j (tau._minors, row j left
+    out) satisfy d_j = |c_j| d_i, because the i-th coordinate row is an
+    integer combination of the others along the edge direction; and
+    their gcd is 1, because tau is regular.  So d_i divides the gcd and
+    is 1, and |det| of the piece, d_i by expansion along e_i, is 1.  Two
+    facts are checked: the divisibility pattern (d_i nonzero and dividing
+    every d_j) and the full |det| = 1.  Either failing means the apex
+    structure was violated and raises InternalConsistencyError.
     """
     n1 = sigma_alpha.ambient_dim
     if not 1 <= i <= n1:
@@ -526,23 +525,13 @@ def pyramid_subdivision(sigma_alpha, i, tau_sub):
             continue
         if not is_regular_cone(tau):
             raise GeometryError("the facet subdivision must be regular")
-        minors = []
-        for j in range(n1):
-            cols = [c for c in range(n1) if c != j]
-            minors.append(abs(_int_det(
-                [[r[c] for c in cols] for r in tau.rays])))
-        g = 0
-        for d in minors:
-            g = gcd(g, d)
+        minors = [abs(tau._minors[tuple(c for c in range(n1) if c != j)])
+                  for j in range(n1)]
         d_i = minors[i - 1]
-        if g != 1 or d_i == 0 or any(d % d_i for d in minors):
+        if d_i == 0 or any(d % d_i for d in minors):
             raise InternalConsistencyError(
                 f"apex relation violated on piece {tau.rays}: minors "
                 f"{minors} lack the divisibility pattern for axis {i}")
-        if d_i != 1:
-            raise InternalConsistencyError(
-                f"piece {tau.rays}: divisibility forces d_i = gcd = 1 "
-                f"but d_i = {d_i}")
         full = tau.rays + (e,)
         if abs(_int_det(full)) != 1:
             raise InternalConsistencyError(

@@ -476,13 +476,15 @@ def _placement(s, s_prime):
     The placed polyhedron becomes the Newton polyhedron of s_prime unless
     that was built already: it is typed-equal to the one newton_polyhedron
     builds.  The placement is recorded on s_prime as its _placed entry
-    (s, D), in place of any earlier one, so a pair places once.  A
-    support with the points of s has nothing to place: its D is empty,
-    and it keeps its record, since one pointing back at s could close a
-    loop of records.
+    (s, D), in place of any earlier one, so a pair places once; a copy
+    of s (equal integer points) reads the same record.  A support with
+    the points of s has nothing to place: its D is empty, and it keeps
+    its record, since one pointing back at s could close a loop of
+    records.
     """
     memo = s_prime.__dict__.get("_placed")
-    if memo is not None and (memo[0] is s or memo[0] == s):
+    if memo is not None and (memo[0] is s or isinstance(memo[0], SupportSet)
+                             and memo[0]._scaled_points == s._scaled_points):
         return memo[1]
     ipts, den = s_prime._scaled_points
     small, small_den = s._scaled_points

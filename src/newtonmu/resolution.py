@@ -15,7 +15,7 @@ polynomial's nondegeneracy report is computed on every run.
 
 from .geometry import (GeometryError, InternalConsistencyError, ZERO, _unit,
                        Record, dot, render_point)
-from .polyhedra import SupportError, convenience_report, added_vertices
+from .polyhedra import SupportError, added_vertices
 from .families import DeformationFamily, family, spoly
 from .apex import mu_constant_test
 from .fans import (LatticeCone, newton_fan, simplicialize, regularize_fan,
@@ -261,19 +261,18 @@ def simultaneous_resolution(fam, skip_smoothness=False, budget=DEFAULT_BUDGET):
     base = fam.base()
     s_base = base.support()
     s_gen = fam.generic_support()
-    conv = convenience_report(s_base)
-    if not conv.axis_convenient:
+    if s_base.missing_axes:
         raise SupportError(
-            f"base polynomial is not convenient; axes {conv.missing_axes} "
+            f"base polynomial is not convenient; axes {s_base.missing_axes} "
             "carry no support point")
     warnings = []
 
     mu_res = mu_constant_test(s_base, s_gen)
     warnings.extend(mu_res.warnings)
+    verd = added_vertices(s_base, s_gen)
     if not mu_res.verdict:
         offenders = sorted(c.alpha for c in mu_res.certificates if not c.good)
-        rendered = ", ".join(map(
-            render_point, offenders or sorted(added_vertices(s_base, s_gen))))
+        rendered = ", ".join(map(render_point, offenders or sorted(verd)))
         raise GeometryError(
             f"family is not mu-constant; added vertices without a good "
             f"apex: {rendered}")
@@ -289,7 +288,6 @@ def simultaneous_resolution(fam, skip_smoothness=False, budget=DEFAULT_BUDGET):
                 "nondegeneracy unchecked on face "
                 f"{render_face(fv.points)}")
 
-    verd = added_vertices(s_base, s_gen)
     certs_by_vertex = {c.alpha: c for c in mu_res.certificates}
     apex_rays = []
     for alpha in verd:

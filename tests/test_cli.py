@@ -4,7 +4,7 @@ import time
 
 import pytest
 
-from newtonmu import cli
+from newtonmu import cli, fans
 from newtonmu.cli import input_to_json, main, parse_input
 from newtonmu.geometry import InternalConsistencyError
 
@@ -208,6 +208,28 @@ def test_internal_inconsistency_exits_5(tmp_path, capsys, monkeypatch):
     assert error == {"type": "internal",
                      "message": "two computations disagreed"}
     assert err.startswith("error:")
+
+
+def test_boundary_box_point_exits_5(tmp_path, capsys, monkeypatch):
+    """regularize on x + y^2 with the box point of the cone over (0, 1)
+    and (2, 1) given a zero coordinate: the regularization loop's
+    consistency check fires and the command reports an internal error."""
+    box_points = fans.box_points
+
+    def on_the_boundary(cone):
+        xi, lam = box_points(cone)[0]
+        return ((xi, (0,) * len(lam)),)
+
+    monkeypatch.setattr(fans, "box_points", on_the_boundary)
+    path = write(tmp_path, "xy2.json", {
+        "schema_version": 1, "variables": ["x", "y"], "parameters": [],
+        "support": [["1", "0"], ["0", "2"]]})
+    code, out, _ = run(capsys, ["regularize", path])
+    assert code == 5
+    assert json.loads(out)["results"]["error"] == {
+        "type": "internal",
+        "message": "minimal non-regular cone has a boundary box point; a "
+                   "smaller face should have been non-regular"}
 
 
 def test_apex_disagreement_outside_the_theorem_exits_3(tmp_path, capsys):

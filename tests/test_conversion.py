@@ -30,7 +30,8 @@ from newtonmu.newton_number import (SeriesNewtonNumber, difference_region,
                                     newton_number_set, volume_vector)
 from newtonmu.polyhedra import (check_nested, convenience_report,
                                 newton_polyhedron, support_set)
-from corpus import extra_points, flats, mixed, supports, wide_supports
+from corpus import (bs_base_support, bs_deformed_support, extra_points, flats,
+                    mixed, supports, wide_supports)
 from oracles import (_face_lattice, convex_hull, convex_hull_scan,
                      lower_region, mat_rank, newton_polyhedron_scan,
                      polytope_from_constraints_scan, sign_canonical,
@@ -284,6 +285,21 @@ def test_a_refused_pair_and_a_series_build_no_fraction_point(monkeypatch):
     assert len(calls) == 7
     assert series == SeriesNewtonNumber(F(1547), False,
                                         (1, 2, 4, 8, 16, 32, 64), (1, 2))
+
+
+def test_a_copy_of_the_base_reads_the_placement_record(monkeypatch):
+    """polyhedra._placement matches its record by the integer points of
+    the base.  After mu_constant_test on the Briancon-Speder pair,
+    difference_region of a fresh copy of the base and the same deformed
+    support returns the region recorded on the deformed support and
+    builds no Fraction (12 when the record test compared the two bases'
+    Fraction points)."""
+    s, sp = bs_base_support(), bs_deformed_support()
+    mu_constant_test(s, sp)
+    copy = bs_base_support()
+    calls = count_fraction_calls(monkeypatch, ["__new__"])
+    assert difference_region(copy, sp) is sp.__dict__["_placed"][1]
+    assert calls == []
 
 
 def test_convex_hull_degenerate_inputs_match_scan():

@@ -148,7 +148,8 @@ def test_intersect_cones_matches_section():
 def test_intersect_cones_rejects_a_line():
     # not a pointed cone: rays pointing both ways along the first axis
     line = LatticeCone(2, ((-1, 0), (1, 0)))
-    with pytest.raises(InternalConsistencyError):
+    with pytest.raises(InternalConsistencyError,
+                       match="meet in a cone with a line"):
         intersect_cones(line, line)
 
 

@@ -12,7 +12,7 @@ from newtonmu.fans import (Fan, LatticeCone, box_points, cone_from_rays,
                            simplicialize, stellar_subdivide, support_function)
 from newtonmu.geometry import (GeometryError, InternalConsistencyError,
                                primitive_vector)
-from newtonmu.polyhedra import support_set
+from newtonmu.polyhedra import NewtonPolyhedron, newton_polyhedron, support_set
 from corpus import (bs_base_support, bs_deformed_support,
                     random_convenient_support)
 from oracles import regularize_fan_records
@@ -168,8 +168,49 @@ def test_pyramid_rejects_nonunimodular_result():
     # base is regular but the pyramid with apex e3 has determinant 2
     sigma = cone_from_rays(3, [(0, 0, 1), (1, 1, 1), (2, 0, 1)])
     base = cone_from_rays(3, [(1, 1, 1), (2, 0, 1)])
-    with pytest.raises(InternalConsistencyError):
+    with pytest.raises(InternalConsistencyError,
+                       match="divisibility pattern for axis 3"):
         pyramid_subdivision(sigma, 3, Fan(3, (base,)))
+
+
+def test_pyramid_checks_the_full_determinant(monkeypatch):
+    """The minors of the regular piece pass, but the 3 x 3 determinant of
+    the piece with its apex ray is made to read 2: the second check
+    fires."""
+    sigma_alpha = cone_from_rays(3, [(0, 0, 1), (2, 1, 1), (3, 2, 1)])
+    tau_sub = regularize(cone_from_rays(3, [(2, 1, 1), (3, 2, 1)]))
+    det = fans._int_det
+    monkeypatch.setattr(fans, "_int_det",
+                        lambda rows: 2 if len(rows) == 3 else det(rows))
+    with pytest.raises(InternalConsistencyError,
+                       match="not unimodular despite the certified minors"):
+        pyramid_subdivision(sigma_alpha, 3, tau_sub)
+
+
+def test_newton_fan_rejects_a_degenerate_dual_cone(monkeypatch):
+    """A vertex on fewer than n facets has no full-dimensional normal
+    cone.  With the facet y >= 0 dropped from the record of x^2 + y^3,
+    the vertex (2, 0) lies on the compact facet alone."""
+    s = support_set(2, [(2, 0), (0, 3)])
+    real = newton_polyhedron(s)
+    assert real.ifacets[0][0] == (0, 1)
+    broken = NewtonPolyhedron._from_facts(
+        dim=2, ipts=real.ipts, den=real.den, ifacets=real.ifacets[1:],
+        vmask=real.vmask)
+    monkeypatch.setattr(fans, "newton_polyhedron", lambda support: broken)
+    with pytest.raises(InternalConsistencyError,
+                       match=r"vertex \(2, 0\) has a degenerate dual cone"):
+        newton_fan(s)
+
+
+def test_regularize_fan_rejects_an_empty_box(monkeypatch):
+    """The cone over (0, 1) and (2, 1) in the Newton fan of x + y^2 has
+    determinant 2, so its box must hold a point."""
+    simp = simplicialize(newton_fan(support_set(2, [(1, 0), (0, 2)])))
+    monkeypatch.setattr(fans, "box_points", lambda cone: ())
+    with pytest.raises(InternalConsistencyError,
+                       match=r"cone \(\(0, 1\), \(2, 1\)\) has an empty box"):
+        regularize_fan(simp)
 
 
 def test_regularize_fan_property():
