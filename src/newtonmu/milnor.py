@@ -5,14 +5,14 @@ Q[x]/(J(f) + (x^N)) for the truncation exponents N = 4, 8, ..., 512; for
 an isolated singularity the truncation eventually localizes the quotient at
 the origin and the dimension stabilizes at mu.  None of this shares code
 with the Newton number path, so agreement between the two is evidence.
-Nondegeneracy is decided face by face: vertices pass, edges by a
-squarefreeness test, higher faces by a torus emptiness test on the
-Groebner engine.
+Nondegeneracy is decided face by face: vertices pass, edges by
+gcd(p, p') on the Groebner engine, under the budget, and higher faces by
+a torus emptiness test on the same engine.
 """
 
 
-from .geometry import (ZERO, InternalConsistencyError, GeometryError, Record,
-                       primitive_vector, render_point)
+from .geometry import (InternalConsistencyError, Record, primitive_vector,
+                       render_point)
 from .families import spoly
 from .polyhedra import SupportError, newton_polyhedron
 from .newton_number import newton_number_series
@@ -79,46 +79,16 @@ class NondegeneracyReport(Record):
     faces: tuple
 
 
-def _poly_deg(coeffs):
-    for d in range(len(coeffs) - 1, -1, -1):
-        if coeffs[d] != 0:
-            return d
-    return -1
-
-
-def _poly_rem(a, b):
-    """Remainder of a mod b over Q; b nonzero."""
-    a = list(a)
-    db = _poly_deg(b)
-    lead = b[db]
-    while _poly_deg(a) >= db:
-        da = _poly_deg(a)
-        factor = a[da] / lead
-        for i in range(db + 1):
-            a[da - db + i] -= factor * b[i]
-        a[da] = ZERO  # guard against residue from exact cancellation
-    return a
-
-
-def _poly_gcd_degree(a, b):
-    while _poly_deg(b) >= 0:
-        a, b = b, _poly_rem(a, b)
-    return _poly_deg(a)
-
-
-def _edge_univariate(points, coeffs):
-    """Coefficients of the one-variable polynomial carried by an edge."""
-    pts = sorted(points)
-    direction = primitive_vector(tuple(b - a for a, b in zip(pts[0], pts[-1])))
+def _edge_univariate(edge_poly):
+    """The one-variable polynomial an edge carries: each term at its
+    number of lattice steps from the edge's first point.  The lattice
+    points of a segment between lattice endpoints are whole multiples of
+    its primitive direction, so every step is an integer."""
+    (a, _), (b, _) = edge_poly.terms[0], edge_poly.terms[-1]
+    direction = primitive_vector(tuple(y - x for x, y in zip(a, b)))
     j = next(i for i, d in enumerate(direction) if d != 0)
-    by_step = {}
-    for p in pts:
-        step, extra = divmod(p[j] - pts[0][j], direction[j])
-        if extra != 0:
-            raise GeometryError("edge point off the lattice direction")
-        by_step[step] = coeffs[p]
-    top = max(by_step)
-    return [by_step.get(k, ZERO) for k in range(top + 1)]
+    return spoly(1, [(((m[j] - a[j]) // direction[j],), c)
+                     for m, c in edge_poly.terms])
 
 
 def _torus_ideal(face_poly):
@@ -134,47 +104,45 @@ def _torus_ideal(face_poly):
     return gens
 
 
+def _face_verdict(face_poly, dim, budget):
+    """(status, detail) of a compact face of dimension at least 1: an
+    edge by the degree of gcd(p, p'), the one element of the reduced
+    basis of (p, p'), a higher face by the torus emptiness test."""
+    if dim == 1:
+        uni = _edge_univariate(face_poly)
+        (common,) = groebner_basis([uni, uni.partial(1)], budget)
+        degree = common.terms[-1][0][0]
+        if degree == 0:
+            return "nondegenerate", "edge polynomial squarefree"
+        return ("degenerate",
+                f"edge polynomial has a repeated factor of degree {degree}")
+    if ideal_contains_one(_torus_ideal(face_poly), budget):
+        return "nondegenerate", "no critical torus point"
+    return "degenerate", "face partials share a torus zero"
+
+
 def nondegeneracy_check(g, budget=DEFAULT_BUDGET):
     """Verdict per compact face of the Newton polyhedron of g.
 
-    Vertices pass automatically; edges reduce to a squarefreeness test of a
-    one-variable polynomial; higher faces run a torus emptiness test on the
-    Groebner engine, and are reported unchecked when it exceeds budget.
+    Vertices pass automatically.  Every other face is one Groebner call
+    under budget: edges by gcd(p, p') on the Groebner engine, higher
+    faces by a torus emptiness test.  A face whose call exceeds budget is
+    reported unchecked.
     """
     if g.is_zero:
         raise SupportError("zero polynomial")
-    coeffs = g.as_dict()
     np_ = newton_polyhedron(g.support())
     verdicts = []
     for face in sorted(np_.compact_faces(), key=lambda f: (f.dim, f.points)):
         if face.dim == 0:
-            verdicts.append(FaceVerdict(face.points, 0, "nondegenerate",
-                                        "monomial face"))
-        elif face.dim == 1:
-            uni = _edge_univariate(face.points, coeffs)
-            deriv = [c * k for k, c in enumerate(uni)][1:]
-            common = _poly_gcd_degree(uni, deriv)
-            if common == 0:
-                verdicts.append(FaceVerdict(face.points, 1, "nondegenerate",
-                                            "edge polynomial squarefree"))
-            else:
-                verdicts.append(FaceVerdict(
-                    face.points, 1, "degenerate",
-                    f"edge polynomial has a repeated factor of degree {common}"))
+            status, detail = "nondegenerate", "monomial face"
         else:
-            gens = _torus_ideal(g.face_part(face.points))
             try:
-                empty = ideal_contains_one(gens, budget)
+                status, detail = _face_verdict(g.face_part(face.points),
+                                               face.dim, budget)
             except BudgetExceeded:
-                verdicts.append(FaceVerdict(face.points, face.dim, "unchecked",
-                                            "budget exceeded"))
-                continue
-            if empty:
-                verdicts.append(FaceVerdict(face.points, face.dim, "nondegenerate",
-                                            "no critical torus point"))
-            else:
-                verdicts.append(FaceVerdict(face.points, face.dim, "degenerate",
-                                            "face partials share a torus zero"))
+                status, detail = "unchecked", "budget exceeded"
+        verdicts.append(FaceVerdict(face.points, face.dim, status, detail))
     if any(v.status == "degenerate" for v in verdicts):
         overall = "degenerate"
     elif any(v.status == "unchecked" for v in verdicts):

@@ -109,14 +109,6 @@ def _dual_vertex(fam, transform):
     return hits[0]
 
 
-def _coefficient_at_zero(fam, mono):
-    zero_s = (0,) * fam.n_params
-    for m, coeff in fam.terms:
-        if m == mono:
-            return dict(coeff).get(zero_s, ZERO)
-    return ZERO
-
-
 def _decomposable_positions(strict, apex_pos):
     """Chart positions j (1-based, != apex) for which every term free of
     y_j is constant, pure in the apex variable, or free of it."""
@@ -155,8 +147,8 @@ def _smoothness_on_hyperplane(strict_base, position, budget):
     return ideal_contains_one(gens, budget)
 
 
-def _certify_unit(fam, transform, alpha):
-    c0 = _coefficient_at_zero(fam, alpha)
+def _certify_unit(base, transform, alpha):
+    c0 = base.coefficient(alpha)
     if c0 == 0:
         raise InternalConsistencyError(
             f"unit chart over {render_point(alpha)} has vanishing constant "
@@ -165,11 +157,11 @@ def _certify_unit(fam, transform, alpha):
     return ChartCertificate(transform.chart, alpha, "unit", witness)
 
 
-def _certify_added(fam, transform, alpha, cert, skip_smoothness, budget,
+def _certify_added(base, transform, alpha, cert, skip_smoothness, budget,
                    warnings):
     chart = transform.chart
     strict = transform.strict_part
-    n = fam.n_vars
+    n = base.n_vars
     apex_ray = _unit(n, cert.i - 1)
     if apex_ray not in chart.generators:
         raise GeometryError(
@@ -180,7 +172,7 @@ def _certify_added(fam, transform, alpha, cert, skip_smoothness, budget,
     if transform.monomial_exponents[apex_pos] != 0:
         raise InternalConsistencyError(
             "apex generator carries a nonzero monomial exponent")
-    c0 = _coefficient_at_zero(fam, alpha)
+    c0 = base.coefficient(alpha)
     if c0 != 0:
         raise InternalConsistencyError(
             f"added vertex {render_point(alpha)} has a coefficient surviving "
@@ -194,7 +186,7 @@ def _certify_added(fam, transform, alpha, cert, skip_smoothness, budget,
             f"good apex {render_point(cert.beta)} pulls back to "
             f"{render_point(expected)}, not the unit vector at the apex "
             "position")
-    linear = _coefficient_at_zero(fam, cert.beta)
+    linear = base.coefficient(cert.beta)
     if linear == 0:
         raise InternalConsistencyError(
             f"apex term {render_point(cert.beta)} vanishes at s = 0")
@@ -318,11 +310,11 @@ def simultaneous_resolution(fam, skip_smoothness=False, budget=DEFAULT_BUDGET):
                     "support function")
         alpha = _dual_vertex(fam, transform)
         if alpha in certs_by_vertex:
-            cert = _certify_added(fam, transform, alpha,
+            cert = _certify_added(base, transform, alpha,
                                   certs_by_vertex[alpha], skip_smoothness,
                                   budget, warnings)
         else:
-            cert = _certify_unit(fam, transform, alpha)
+            cert = _certify_unit(base, transform, alpha)
         charts.append(chart)
         transforms.append(transform)
         certificates.append(cert)

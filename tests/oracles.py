@@ -144,6 +144,13 @@ over a dict of pairs, computes each S-polynomial and each reduction with
 its own loop, and filters minimal leads pairwise.  The library pops the
 same pairs off a heap and shares one row update; test_groebner checks
 that the two return the same rows, bases, step counts and budget texts.
+
+The edge Euclid (_poly_deg, _poly_rem, _poly_gcd_degree) and the dense
+_edge_univariate are the library's former edge test of nondegeneracy,
+kept verbatim: the edge polynomial as a list with one Fraction per
+lattice step, and the degree of gcd(p, p') by remainders over Q.  The
+library now reads that gcd off a Groebner basis of the sparse edge
+polynomial; test_milnor checks every edge verdict against this one.
 """
 
 import itertools
@@ -1718,3 +1725,47 @@ def _interreduce(rows, meter):
         monic[row.lead] = ONE
         out.append(monic)
     return out
+
+
+# --- edge Euclid ------------------------------------------------------------
+
+def _poly_deg(coeffs):
+    for d in range(len(coeffs) - 1, -1, -1):
+        if coeffs[d] != 0:
+            return d
+    return -1
+
+
+def _poly_rem(a, b):
+    """Remainder of a mod b over Q; b nonzero."""
+    a = list(a)
+    db = _poly_deg(b)
+    lead = b[db]
+    while _poly_deg(a) >= db:
+        da = _poly_deg(a)
+        factor = a[da] / lead
+        for i in range(db + 1):
+            a[da - db + i] -= factor * b[i]
+        a[da] = ZERO  # guard against residue from exact cancellation
+    return a
+
+
+def _poly_gcd_degree(a, b):
+    while _poly_deg(b) >= 0:
+        a, b = b, _poly_rem(a, b)
+    return _poly_deg(a)
+
+
+def _edge_univariate(points, coeffs):
+    """Coefficients of the one-variable polynomial carried by an edge."""
+    pts = sorted(points)
+    direction = primitive_vector(tuple(b - a for a, b in zip(pts[0], pts[-1])))
+    j = next(i for i, d in enumerate(direction) if d != 0)
+    by_step = {}
+    for p in pts:
+        step, extra = divmod(p[j] - pts[0][j], direction[j])
+        if extra != 0:
+            raise GeometryError("edge point off the lattice direction")
+        by_step[step] = coeffs[p]
+    top = max(by_step)
+    return [by_step.get(k, ZERO) for k in range(top + 1)]

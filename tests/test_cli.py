@@ -1,9 +1,14 @@
 import hashlib
 import json
+import os
+import resource
+import subprocess
+import sys
 import time
 
 import pytest
 
+import newtonmu
 from newtonmu import cli, fans
 from newtonmu.cli import input_to_json, main, parse_input
 from newtonmu.geometry import InternalConsistencyError
@@ -581,27 +586,74 @@ def test_reports_are_byte_identical(tmp_path, capsys, monkeypatch, argv,
 
 def test_budget_warnings_write_rationals_as_strings(tmp_path, capsys,
                                                     monkeypatch):
-    """At --budget 1 the torus tests of both 2-D faces of the
-    Briancon-Speder base run out: nondeg and resolve report the faces
-    unchecked, and their warnings write the points as the report writes
-    rationals, with no Fraction repr on stdout or stderr."""
+    """At --budget 1 and 2 the gcd tests of two edges and the torus tests
+    of both 2-D faces of the Briancon-Speder base run out: nondeg and
+    resolve report the faces unchecked, edges first, and their warnings
+    write the points as the report writes rationals, with no Fraction
+    repr on stdout or stderr."""
     for name, doc in GOLDEN_DOCUMENTS.items():
         with open(tmp_path / name, "w") as fh:
             json.dump(doc, fh)
     monkeypatch.chdir(tmp_path)
-    faces = ["[(0, 0, 15), (0, 7, 1), (5, 0, 0)]",
+    faces = ["[(0, 0, 15), (0, 7, 1)]", "[(0, 0, 15), (5, 0, 0)]",
+             "[(0, 0, 15), (0, 7, 1), (5, 0, 0)]",
              "[(0, 7, 1), (0, 8, 0), (5, 0, 0)]"]
+    chart = ("chart ((0, 0, 1), (2, 1, 1), (3, 2, 1)): smoothness budget "
+             "exceeded on hyperplane")
     for argv, key, want in (
             (["nondeg", "poly.json"], "verdict",
              [f"face {f} unchecked: budget exceeded" for f in faces]),
             (["resolve", "fam.json"], "nondegeneracy",
-             [f"nondegeneracy unchecked on face {f}" for f in faces])):
-        code, out, err = run(capsys, argv + ["--budget", "1"])
-        assert code == 0
-        assert "Fraction(" not in out and "Fraction(" not in err
-        doc = json.loads(out)
-        assert doc["results"][key] == "unknown"
-        assert doc["warnings"][:2] == want
+             [f"nondegeneracy unchecked on face {f}" for f in faces]
+             + [f"{chart} {k}" for k in (2, 3)])):
+        for budget in ("1", "2"):
+            code, out, err = run(capsys, argv + ["--budget", budget])
+            assert code == 0
+            assert "Fraction(" not in out and "Fraction(" not in err
+            doc = json.loads(out)
+            assert doc["results"][key] == "unknown"
+            assert doc["warnings"] == want
+
+
+def _poly_document(terms):
+    return {"schema_version": 1, "variables": ["x", "y"], "parameters": [],
+            "terms": [{"exponent": e,
+                       "coefficient": [{"s_exponent": [], "value": v}]}
+                      for e, v in terms]}
+
+
+def _cap_address_space():
+    resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+
+def test_nondeg_decides_huge_edges_in_bounded_memory(tmp_path):
+    """nondeg ends, in a child process held to 1 GiB of address space and
+    20 s, on edges whose exponents no dense coefficient list could hold:
+    x^(10^12) + 2x^(5*10^11)y^(5*10^11) + y^(10^12) is degenerate with a
+    repeated factor of degree 5*10^11, and x^(10^7) + y^(10^7) is
+    nondegenerate."""
+    src = os.path.dirname(os.path.dirname(newtonmu.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    half, whole = 5 * 10**11, 10**12
+    for name, terms, verdict, detail in (
+            ("trinomial.json",
+             [([whole, 0], "1"), ([half, half], "2"), ([0, whole], "1")],
+             "degenerate",
+             f"edge polynomial has a repeated factor of degree {half}"),
+            ("binomial.json", [([10**7, 0], "1"), ([0, 10**7], "1")],
+             "nondegenerate", "edge polynomial squarefree")):
+        doc = write(tmp_path, name, _poly_document(terms))
+        proc = subprocess.run(
+            [sys.executable, "-m", "newtonmu.cli", "nondeg", doc],
+            capture_output=True, text=True, timeout=20,
+            env=dict(os.environ, PYTHONPATH=path),
+            preexec_fn=_cap_address_space)
+        assert proc.returncode == 0, proc.stderr
+        assert "Traceback" not in proc.stderr
+        results = json.loads(proc.stdout)["results"]
+        assert results["verdict"] == verdict
+        edges = [f for f in results["faces"] if f["dim"] == 1]
+        assert [f["detail"] for f in edges] == [detail]
 
 
 def test_messages_write_points_as_rationals(tmp_path, capsys):

@@ -1,8 +1,11 @@
 import random
 import time
+from fractions import Fraction
+from math import gcd, prod
 
 import pytest
 
+import oracles
 from newtonmu.families import spoly
 from newtonmu.groebner import BudgetExceeded
 from newtonmu.milnor import (kouchnirenko_crosscheck, milnor_number,
@@ -56,6 +59,82 @@ def test_nondegeneracy_verdicts():
     assert r.verdict == "degenerate"
     bad = [v for v in r.faces if v.status == "degenerate"]
     assert len(bad) == 1 and bad[0].dim == 1
+    # x^3 + y^3 + z^3 - 3xyz: squarefree edges, and a torus zero (1, 1, 1)
+    # of the 2-face's partials
+    r = nondegeneracy_check(P(3, ((3, 0, 0), 1), ((0, 3, 0), 1),
+                              ((0, 0, 3), 1), ((1, 1, 1), -3)))
+    assert [(v.dim, v.status, v.detail) for v in r.faces if v.dim] == (
+        [(1, "nondegenerate", "edge polynomial squarefree")] * 3
+        + [(2, "degenerate", "face partials share a torus zero")])
+
+
+def _edge_terms(start, end, c_start, c_end, rng, squared):
+    """Terms on the segment from start to end whose polynomial in the
+    lattice step t is c_start times one factor (1 + r t) per step.  When
+    c_end is given, the last factor makes the end coefficient c_end; when
+    squared is set and two factors are left free, the first is doubled."""
+    g = gcd(*(b - a for a, b in zip(start, end)))
+    roots = [Fraction(rng.choice([-3, -2, -1, 1, 2, 3]), rng.randint(1, 2))
+             for _ in range(g)]
+    free = g - (c_end is not None)
+    if squared and free >= 2:
+        roots[1] = roots[0]
+    if c_end is not None:
+        roots[-1] = c_end / (c_start * prod(roots[:-1]))
+    coeffs = [c_start]
+    for r in roots:
+        coeffs = [a + r * b for a, b in zip(coeffs + [0], [0] + coeffs)]
+    step = tuple((b - a) // g for a, b in zip(start, end))
+    return [(tuple(a + k * d for a, d in zip(start, step)), c)
+            for k, c in enumerate(coeffs)]
+
+
+def _random_germ(rng):
+    """A germ whose compact edges are products of linear factors in the
+    lattice step, half of them with one factor squared: the two edges
+    through an even vertex below the chord in the plane, or the three
+    edges of an even axis triangle in space."""
+    if rng.random() < 0.5:
+        big = rng.choice([6, 8, 12, 16])
+        top = (big // 2 - 1) // 2
+        mid = (2 * rng.randint(1, top), 2 * rng.randint(1, top))
+        chain = [(big, 0), mid, (0, big)]
+        edges = list(zip(chain, chain[1:]))
+    else:
+        chain = [(rng.choice([2, 4, 6]), 0, 0), (0, rng.choice([2, 4, 6]), 0),
+                 (0, 0, rng.choice([2, 4]))]
+        edges = list(zip(chain, chain[1:] + chain[:1]))
+    terms = {chain[0]: Fraction(rng.choice([1, 2, -1]))}
+    for u, v in edges:
+        terms.update(_edge_terms(u, v, terms[u], terms.get(v), rng,
+                                 rng.random() < 0.5))
+    return spoly(len(chain[0]), sorted(terms.items()))
+
+
+def _edge_oracle(points, coeffs):
+    uni = oracles._edge_univariate(points, coeffs)
+    deriv = [c * k for k, c in enumerate(uni)][1:]
+    common = oracles._poly_gcd_degree(uni, deriv)
+    if common == 0:
+        return "nondegenerate", "edge polynomial squarefree"
+    return ("degenerate",
+            f"edge polynomial has a repeated factor of degree {common}")
+
+
+def test_edge_verdicts_match_the_euclid_oracle():
+    """Every edge verdict, read off the Groebner basis of (p, p'), is the
+    status and detail of the former dense Euclid on the same edge, over
+    seeded germs in two and three variables whose edges are products of
+    linear factors, half of them with a squared factor."""
+    seen = set()
+    for k in range(40):
+        f = _random_germ(random.Random(k))
+        coeffs = f.as_dict()
+        for v in nondegeneracy_check(f).faces:
+            if v.dim == 1:
+                assert (v.status, v.detail) == _edge_oracle(v.points, coeffs), f
+                seen.add(v.status)
+    assert seen == {"degenerate", "nondegenerate"}
 
 
 def test_crosscheck_nondegenerate():
