@@ -30,7 +30,7 @@ from .geometry import (InternalConsistencyError, Record, _members,
                        _render_scaled, _scaled, _unscaled, vec)
 from .newton_number import newton_number_set
 from .polyhedra import (SupportError, _added, _fractional_axes, _over_lcm,
-                        _placement, newton_polyhedron)
+                        newton_polyhedron)
 
 
 class BoundaryEdge(Record):
@@ -246,9 +246,11 @@ def mu_constant_test(s, s_prime):
     always cross-checked against the Newton numbers, which do not read the
     apices.  Both are newton_number_set of their supports, read off the
     placements that built the polyhedra (newton_number._lower_totals).
-    When S' holds the points of S, hull(S') is placed on hull(S), and
-    nu(S') is nu(S) less the Newton number of the difference region that
-    placement cut.  Otherwise _added checks that the pair is nested.
+    Right after the axis checks, _added places hull(S') on hull(S) when S'
+    holds the points of S, so nu(S') is nu(S) less the Newton number of
+    the difference region that placement cut and the vertex condition
+    reads the placed polyhedron; otherwise it checks that the pair is
+    nested.
     The added vertices are indices into the points of S', and a warning
     renders the integer point it names (geometry._render_scaled).  On
     convenient data the verdict and the equality of the numbers must
@@ -257,10 +259,8 @@ def mu_constant_test(s, s_prime):
     pair, and disagreement raises SupportError naming the failing axes.
     """
     _require_axis_convenient(s, "first")
-    # hull(s') placed on hull(s) when s' holds the points of s, before the
-    # vertex condition would build it directly
-    _placement(s, s_prime)
     _require_axis_convenient(s_prime, "second")
+    added = _added(s, s_prime)
     warnings, outside = [], []
     for support, label in ((s, "first"), (s_prime, "second")):
         bad = _fractional_axes(support)
@@ -270,7 +270,6 @@ def mu_constant_test(s, s_prime):
                 f"{label} support has vertex coordinates between 0 and 1 "
                 f"on axes {bad}; the criterion is not covered by the "
                 "constancy theorem there")
-    added = _added(s, s_prime)
     certificates = [_apex(s, s_prime, a) for a in added]
     verdict = all([c is not None and c.good for c in certificates])
     ipts, den = s_prime._scaled_points
@@ -297,7 +296,6 @@ def vertex_location_check(s, s_prime):
     pair is placed and read as in mu_constant_test, so a pair that is
     not nested raises in _added."""
     _require_axis_convenient(s, "first")
-    _placement(s, s_prime)      # hull(s') on hull(s), as in mu_constant_test
     _require_axis_convenient(s_prime, "second")
     added = _added(s, s_prime)
     nu_s, nu_sp = newton_number_set(s), newton_number_set(s_prime)

@@ -4,7 +4,11 @@ Input documents carry either a support set (rational exponent vectors) or
 polynomial terms with parameter-dependent coefficients.  Reports echo the
 command, digest the inputs, and serialize every rational as an exact "p/q"
 string.  Field order is fixed so identical invocations produce identical
-bytes.
+bytes.  One writer, _jsonable, writes a result record (a convenience
+report, a face verdict, an arc, a parameter comparison) as
+{field: value} in its field order; only the apex certificates and the
+resolution charts, whose report keys are not their fields, are written
+by hand.
 
 Exit codes: 0 success, 2 input error (usage errors included), 3
 mathematical precondition failure, 4 budget exceeded, 5 internal
@@ -174,13 +178,16 @@ def _fmt(x):
 
 
 def _jsonable(x):
-    """Recursive report serialization: Fractions become 'p/q' strings."""
+    """Recursive report serialization: Fractions become 'p/q' strings, and
+    a Record becomes {field: value} in field order."""
     if isinstance(x, Fraction):
         return str(x)
     if isinstance(x, (tuple, list)):
         return [_jsonable(v) for v in x]
     if isinstance(x, dict):
         return {str(k): _jsonable(v) for k, v in x.items()}
+    if isinstance(x, Record):
+        return _jsonable(dict(zip(x._fields, x._astuple(x))))
     if x is None or isinstance(x, (bool, int, str)):
         return x
     raise TypeError(f"cannot serialize {type(x).__name__}")
@@ -279,14 +286,6 @@ def _emit(doc, pretty):
         print(f"warning: {w}", file=sys.stderr)
 
 
-def _convenience_json(report):
-    return {"axis_convenient": report.axis_convenient,
-            "missing_axes": list(report.missing_axes),
-            "vertex_condition": {str(i): report.vertex_condition[i]
-                                 for i in sorted(report.vertex_condition)},
-            "convenient": report.convenient}
-
-
 def _polytope_json(support):
     np_ = newton_polyhedron(support)
     return {"vertices": _jsonable(np_.vertices)}
@@ -306,7 +305,7 @@ def _cmd_nu(args, load):
     s = _support_of(parse_input(load(args.file)), "nu")
     conv = convenience_report(s)
     warnings = []
-    results = {"convenience": _convenience_json(conv)}
+    results = {"convenience": _jsonable(conv)}
     if conv.axis_convenient:
         vv = volume_vector_set(s)
         results["mode"] = "exact"
@@ -426,12 +425,9 @@ def _cmd_milnor(args, load):
 def _cmd_nondeg(args, load):
     f = _polynomial_of(parse_input(load(args.file)), "nondeg")
     rep = nondegeneracy_check(f, budget=args.budget)
-    faces = [{"points": _jsonable(fc.points), "dim": fc.dim,
-              "status": fc.status, "detail": fc.detail}
-             for fc in rep.faces]
     warnings = [f"face {render_face(fc.points)} unchecked: {fc.detail}"
                 for fc in rep.faces if fc.status == "unchecked"]
-    return {"verdict": rep.verdict, "faces": faces}, warnings
+    return {"verdict": rep.verdict, "faces": _jsonable(rep.faces)}, warnings
 
 
 def _arc_orders(value, length, where):
@@ -469,26 +465,14 @@ def _parse_arcs(obj, n, m):
     return arcs
 
 
-def _arc_json(arc):
-    return {"x_orders": list(arc.x_orders), "s_orders": list(arc.s_orders),
-            "x_coeffs": _jsonable(arc.x_coeffs),
-            "s_coeffs": _jsonable(arc.s_coeffs)}
-
-
 def _cmd_valuative(args, load):
     fam = _family_of(parse_input(load(args.file)), "valuative")
     arcs = _parse_arcs(load(args.arcs), fam.n_vars, fam.n_params)
     rep = valuative_falsifier(fam, arcs)
     out_arcs, warnings = [], []
     for k, v in enumerate(rep.arcs):
-        rows = [{"parameter": r.parameter,
-                 "lhs_order": r.lhs_order,
-                 "lhs_vanishes": r.lhs_vanishes,
-                 "rhs_order": r.rhs_order,
-                 "rhs_exact": r.rhs_exact,
-                 "verdict": r.verdict} for r in v.rows]
-        out_arcs.append({"arc": _arc_json(v.arc), "verdict": v.verdict,
-                         "comparisons": rows})
+        out_arcs.append({"arc": _jsonable(v.arc), "verdict": v.verdict,
+                         "comparisons": _jsonable(v.rows)})
         if v.verdict == "indeterminate":
             warnings.append(f"arc {k} is indeterminate: leading forms cancel")
     results = {"falsified": rep.falsified, "disclaimer": rep.disclaimer,

@@ -10,6 +10,7 @@ nothing.
 
 from itertools import product
 
+from .families import _monomial
 from .geometry import Record, frac
 from .polyhedra import SupportError
 
@@ -75,20 +76,15 @@ def arc_order(g, arc):
         raise SupportError("arc shape does not match the family")
     best = None
     value = 0
-    for mono, coeff in g.terms:
-        x_part = sum(r * e for r, e in zip(arc.x_orders, mono))
-        for s_exp, c in coeff:
-            order = x_part + sum(q * e for q, e in zip(arc.s_orders, s_exp))
-            lead = c
-            for a, e in zip(arc.x_coeffs, mono):
-                lead *= a ** e
-            for b, e in zip(arc.s_coeffs, s_exp):
-                lead *= b ** e
-            if best is None or order < best:
-                best = order
-                value = lead
-            elif order == best:
-                value += lead
+    orders, coeffs = arc.x_orders + arc.s_orders, arc.x_coeffs + arc.s_coeffs
+    for e, c in g._flat():
+        order = sum(q * k for q, k in zip(orders, e))
+        lead = c * _monomial(coeffs, e)
+        if best is None or order < best:
+            best = order
+            value = lead
+        elif order == best:
+            value += lead
     return ArcOrder(best, value == 0, value)
 
 

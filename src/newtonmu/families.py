@@ -5,9 +5,18 @@ An SPoly is an exact polynomial in the ambient variables.  A
 DeformationFamily is a polynomial in the ambient variables whose
 coefficients are themselves polynomials in deformation parameters; setting
 the parameters to zero recovers the base polynomial.
+
+Both share one term algebra.  A family's terms read flat are those of a
+polynomial in x and s together: (x-exponent + s-exponent, rational).
+_collect puts a list of terms in normal form, _lowered differentiates
+in one exponent entry, and _monomial evaluates prod x_i^(e_i), so
+partial_x and partial_s lower an x or an s entry of the flat terms, and
+F(x, 0) is specialize at s = 0.
 """
 
 from fractions import Fraction
+from itertools import groupby
+from math import prod
 
 from .geometry import ZERO, Record, frac
 from .polyhedra import SupportError, support_set
@@ -22,6 +31,28 @@ def _exponent(e, length, what):
     if tuple(e) != t and any(frac(x) != y for x, y in zip(e, t)):
         raise SupportError(f"{what} {tuple(e)} is not integral")
     return t
+
+
+def _collect(terms):
+    """The terms (key, value) in normal form: the values of equal keys
+    added, those that cancel dropped, sorted by key."""
+    acc = {}
+    for key, value in terms:
+        acc[key] = acc[key] + value if key in acc else value
+    return tuple(sorted(item for item in acc.items() if item[1]))
+
+
+def _lowered(terms, j):
+    """The derivative of the terms (exponent, value) in the j-th exponent
+    entry (0-based): a term with e_j > 0 lowers it by one and takes the
+    factor e_j, the others go."""
+    return [(e[:j] + (e[j] - 1,) + e[j + 1:], v * e[j])
+            for e, v in terms if e[j]]
+
+
+def _monomial(values, exponents):
+    """prod x_i^(e_i) at the values x_i."""
+    return prod(map(pow, values, exponents))
 
 
 class SPoly(Record):
@@ -39,11 +70,7 @@ class SPoly(Record):
         return not self.terms
 
     def coefficient(self, exponent):
-        e = tuple(exponent)
-        for mono, c in self.terms:
-            if mono == e:
-                return c
-        return ZERO
+        return self.as_dict().get(tuple(exponent), ZERO)
 
     def support_points(self):
         return tuple(mono for mono, _ in self.terms)
@@ -57,14 +84,7 @@ class SPoly(Record):
         """Derivative with respect to the axis-th variable (1-based)."""
         if not 1 <= axis <= self.n_vars:
             raise SupportError(f"axis {axis} out of range 1..{self.n_vars}")
-        j = axis - 1
-        out = []
-        for mono, c in self.terms:
-            if mono[j] == 0:
-                continue
-            dropped = mono[:j] + (mono[j] - 1,) + mono[j + 1:]
-            out.append((dropped, c * mono[j]))
-        return spoly(self.n_vars, out)
+        return spoly(self.n_vars, _lowered(self.terms, axis - 1))
 
     def face_part(self, points):
         """Sub-polynomial supported on the given exponents."""
@@ -91,26 +111,20 @@ class SPoly(Record):
 
 
 def spoly(n_vars, terms):
-    acc = {}
-    for e, c in terms:
-        mono = _exponent(e, n_vars, "exponent")
-        acc[mono] = acc.get(mono, ZERO) + frac(c)
-    cleaned = tuple(sorted((m, c) for m, c in acc.items() if c != 0))
-    return SPoly(n_vars, cleaned)
+    return SPoly(n_vars, _collect((_exponent(e, n_vars, "exponent"), frac(c))
+                                  for e, c in terms))
 
 
 def _coefficient_poly(coeff, n_params):
-    """Normalize a coefficient: a bare rational means an s-free constant,
-    otherwise an iterable of (s_exponent, value)."""
-    if isinstance(coeff, (int, Fraction)) or isinstance(coeff, str):
+    """The terms (s_exponent, rational) of a coefficient, checked: a bare
+    rational means an s-free constant, otherwise an iterable of
+    (s_exponent, value)."""
+    if isinstance(coeff, (int, Fraction, str)):
         pairs = [((0,) * n_params, frac(coeff))]
     else:
         pairs = [(se, frac(v)) for se, v in coeff]
-    acc = {}
-    for se, v in pairs:
-        key = _exponent(se, n_params, "parameter exponent")
-        acc[key] = acc.get(key, ZERO) + v
-    return tuple(sorted((se, v) for se, v in acc.items() if v != 0))
+    return [(_exponent(se, n_params, "parameter exponent"), v)
+            for se, v in pairs]
 
 
 class DeformationFamily(Record):
@@ -126,15 +140,14 @@ class DeformationFamily(Record):
     def is_zero(self):
         return not self.terms
 
+    def _flat(self):
+        """The terms (x-exponent + s-exponent, rational): F read as a
+        polynomial in x and s together."""
+        return [(mono + se, v) for mono, coeff in self.terms for se, v in coeff]
+
     def base(self):
         """F(x, 0)."""
-        zero_s = (0,) * self.n_params
-        out = []
-        for mono, coeff in self.terms:
-            for se, v in coeff:
-                if se == zero_s:
-                    out.append((mono, v))
-        return spoly(self.n_vars, out)
+        return self.specialize((0,) * self.n_params)
 
     def generic_support(self):
         """Exponents whose coefficient is not the zero polynomial in s."""
@@ -158,44 +171,22 @@ class DeformationFamily(Record):
     def partial_x(self, axis):
         if not 1 <= axis <= self.n_vars:
             raise SupportError(f"axis {axis} out of range 1..{self.n_vars}")
-        j = axis - 1
-        out = []
-        for mono, coeff in self.terms:
-            if mono[j] == 0:
-                continue
-            dropped = mono[:j] + (mono[j] - 1,) + mono[j + 1:]
-            out.append((dropped, [(se, v * mono[j]) for se, v in coeff]))
-        return family(self.n_vars, self.n_params, out)
+        return _grouped(self.n_vars, self.n_params,
+                        _lowered(self._flat(), axis - 1))
 
     def partial_s(self, index):
         if not 1 <= index <= self.n_params:
             raise SupportError(f"parameter {index} out of range 1..{self.n_params}")
-        k = index - 1
-        out = []
-        for mono, coeff in self.terms:
-            shifted = []
-            for se, v in coeff:
-                if se[k] == 0:
-                    continue
-                shifted.append((se[:k] + (se[k] - 1,) + se[k + 1:], v * se[k]))
-            if shifted:
-                out.append((mono, shifted))
-        return family(self.n_vars, self.n_params, out)
+        return _grouped(self.n_vars, self.n_params,
+                        _lowered(self._flat(), self.n_vars + index - 1))
 
     def specialize(self, s_values):
         vals = [frac(v) for v in s_values]
         if len(vals) != self.n_params:
             raise SupportError("parameter vector has the wrong length")
-        out = []
-        for mono, coeff in self.terms:
-            total = ZERO
-            for se, v in coeff:
-                term = v
-                for x, e in zip(vals, se):
-                    term *= x ** e
-                total += term
-            out.append((mono, total))
-        return spoly(self.n_vars, out)
+        n = self.n_vars
+        return spoly(n, [(e[:n], v * _monomial(vals, e[n:]))
+                         for e, v in self._flat()])
 
     def restrict(self, axes):
         """Terms whose x-exponent is supported inside the given 1-based
@@ -208,17 +199,18 @@ class DeformationFamily(Record):
         return family(self.n_vars, self.n_params, out)
 
 
+def _grouped(n_vars, n_params, flat):
+    """The family of the flat terms (x-exponent + s-exponent, rational),
+    collected: each x-exponent's coefficient is its run of the sorted
+    terms."""
+    return DeformationFamily(n_vars, n_params, tuple(
+        (mono, tuple((e[n_vars:], v) for e, v in run))
+        for mono, run in groupby(_collect(flat), lambda t: t[0][:n_vars])))
+
+
 def family(n_vars, n_params, terms):
-    acc = {}
+    flat = []
     for e, coeff in terms:
         mono = _exponent(e, n_vars, "exponent")
-        pairs = _coefficient_poly(coeff, n_params)
-        if mono in acc:
-            merged = dict(acc[mono])
-            for se, v in pairs:
-                merged[se] = merged.get(se, ZERO) + v
-            acc[mono] = tuple(sorted((se, v) for se, v in merged.items() if v != 0))
-        else:
-            acc[mono] = pairs
-    cleaned = tuple(sorted((m, c) for m, c in acc.items() if c))
-    return DeformationFamily(n_vars, n_params, cleaned)
+        flat += [(mono + se, v) for se, v in _coefficient_poly(coeff, n_params)]
+    return _grouped(n_vars, n_params, flat)

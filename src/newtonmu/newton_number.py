@@ -47,11 +47,11 @@ from fractions import Fraction
 from math import factorial
 from operator import sub
 
-from .geometry import (ONE, ZERO, GeometryError, Record, _bounded_piece,
-                       _hull_rows, _members, _pulling, _scaled, _totals,
-                       frac, simplex_volume)
-from .polyhedra import (CompactRegion, SupportError, SupportSet, _placed,
-                        _placement, _require_bounded, _scaled_support,
+from .geometry import (ONE, ZERO, GeometryError, InternalConsistencyError,
+                       Record, _bounded_piece, _hull_rows, _members, _pulling,
+                       _scaled, _totals, frac, simplex_volume)
+from .polyhedra import (CompactRegion, SupportError, SupportSet, _over_lcm,
+                        _placed, _placement, _require_bounded, _scaled_support,
                         check_nested, newton_polyhedron, support_set)
 
 
@@ -443,10 +443,6 @@ def positivity_decomposition(region, axes):
     groups = {}
     for simplex in region.simplices:
         k = minimal_full_support(simplex, n)
-        if not coords <= k:
-            raise GeometryError(
-                "hypothesis failure: a simplex is fully supported on a "
-                "subspace not containing the given axes")
         w = frozenset(v for v in simplex if _support(v) <= k)
         groups.setdefault((tuple(sorted(k)), w), []).append(simplex)
     pieces, total = [], ZERO
@@ -456,7 +452,7 @@ def positivity_decomposition(region, axes):
         piece_axes = tuple(a + 1 for a in k_axes)
         lhs, rhs = projection_formula_check(z, piece_axes)
         if lhs != rhs:
-            raise GeometryError(
+            raise InternalConsistencyError(
                 "internal consistency failure: projection identity broke "
                 f"on a piece with axes {piece_axes}: {lhs} != {rhs}")
         if lhs < 0:
@@ -565,22 +561,28 @@ def d_set_and_i_set(s, s_prime):
     """Compute D(S,S') and I(S,S') by exact subspace comparison.
 
     A subset J belongs to D when the polyhedra of the restrictions to R^J
-    differ (equivalently the lower regions differ there).  Restrictions are
-    compared by vertex sets, which determine a pointed polyhedron.
+    differ (equivalently the lower regions differ there).  The polyhedron
+    of the restriction of S is the face of hull(S) on R^J, so its vertices
+    are those of hull(S) supported inside J, and a pointed polyhedron is
+    determined by its vertices: J is in D exactly when a vertex of one
+    polyhedron that is no vertex of the other is supported inside J.  The
+    vertices are compared as integer points over the lcm of the two dens
+    (polyhedra._over_lcm), and supports as bitmasks; no restriction is
+    built.
     """
     check_nested(s, s_prime)
     n = s.dim
+    a, b = newton_polyhedron(s), newton_polyhedron(s_prime)
+    pa, pb, _ = _over_lcm(a, b)
+    changed = ({pa[i] for i in _members(a.vmask)}
+               ^ {pb[i] for i in _members(b.vmask)})
+    masks = {sum(1 << i for i, x in enumerate(p) if x) for p in changed}
     d_set = []
     for k in range(1, n + 1):
         for axes in itertools.combinations(range(n), k):
-            ra = s.restrict(axes)
-            rb = s_prime.restrict(axes)
-            if ra == rb:    # equal restrictions, empty ones included
-                continue
-            if (not ra.points or not rb.points
-                    or newton_polyhedron(ra).vertices
-                    != newton_polyhedron(rb).vertices):
-                d_set.append(tuple(a + 1 for a in axes))
+            j = sum(1 << i for i in axes)
+            if any(m | j == j for m in masks):
+                d_set.append(tuple(i + 1 for i in axes))
     if not d_set:
         return ChangedSubspaces((), tuple(range(1, n + 1)), True)
     common = set(d_set[0]).intersection(*d_set[1:])

@@ -141,9 +141,7 @@ def _smoothness_on_hyperplane(strict_base, position, budget):
         p = strict_base.partial(i)
         if not p.is_zero:
             gens.append(p)
-    axis = [0] * n
-    axis[position] = 1
-    gens.append(spoly(n, [(tuple(axis), 1)]))
+    gens.append(spoly(n, [(_unit(n, position), 1)]))
     return ideal_contains_one(gens, budget)
 
 

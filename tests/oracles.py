@@ -151,6 +151,24 @@ kept verbatim: the edge polynomial as a list with one Fraction per
 lattice step, and the degree of gcd(p, p') by remainders over Q.  The
 library now reads that gcd off a Groebner basis of the sparse edge
 polynomial; test_milnor checks every edge verdict against this one.
+
+d_set_and_i_set, at the end of the Newton-number section, is the
+library's former changed-subspace test, kept verbatim: it restricts both
+supports to every coordinate subspace R^J (SupportSet.restrict, on the
+Fraction points) and compares the vertices of the restrictions' freshly
+built polyhedra.  The library now reads the vertices of hull(S) supported
+inside J, the face of hull(S) on R^J, as integer points; test_newton_number
+checks that both return the same record or raise the same error.
+
+The term algebra at the end (spoly, _coefficient_poly, family, partial,
+partial_x, partial_s, base, specialize and arc_order) is the library's
+former one, kept verbatim as functions of the polynomial or family: an
+accumulator per builder, one exponent-lowering loop per derivative, a
+scan for the s-free coefficients in base, and a monomial product in
+specialize and in arc_order.  The library now collects, lowers and
+evaluates the terms (x-exponent + s-exponent, rational) once each, and
+base is specialize at s = 0; test_families checks that the two build
+equal records and arc orders.
 """
 
 import itertools
@@ -161,6 +179,8 @@ from typing import NamedTuple
 
 from newtonmu.apex import (ApexCertificate, BoundaryEdge, _edges_at,
                            _on_edge)
+from newtonmu.degenerate import ArcOrder
+from newtonmu.families import DeformationFamily, SPoly, _exponent
 from newtonmu.fans import (Fan, LatticeCone, box_points, cone_from_rays,
                            is_regular_cone)
 from newtonmu.geometry import (DIMENSION_CAP, ONE, ZERO, DimensionCapExceeded,
@@ -172,7 +192,7 @@ from newtonmu.geometry import (DIMENSION_CAP, ONE, ZERO, DimensionCapExceeded,
                                render_point, simplex_volume, vec)
 from newtonmu.groebner import (_divides, _lcm, _make_row, _mul, _quot,
                                grevlex_key)
-from newtonmu.newton_number import NewtonVolumeVector
+from newtonmu.newton_number import ChangedSubspaces, NewtonVolumeVector
 from newtonmu.polyhedra import (CompactRegion, Face, NewtonPolyhedron,
                                 SupportError, SupportSet, _region,
                                 _require_bounded, check_nested,
@@ -1502,6 +1522,32 @@ def nu_pyramid(support):
     return total
 
 
+def d_set_and_i_set(s, s_prime):
+    """Compute D(S,S') and I(S,S') by exact subspace comparison.
+
+    A subset J belongs to D when the polyhedra of the restrictions to R^J
+    differ (equivalently the lower regions differ there).  Restrictions are
+    compared by vertex sets, which determine a pointed polyhedron.
+    """
+    check_nested(s, s_prime)
+    n = s.dim
+    d_set = []
+    for k in range(1, n + 1):
+        for axes in itertools.combinations(range(n), k):
+            ra = s.restrict(axes)
+            rb = s_prime.restrict(axes)
+            if ra == rb:    # equal restrictions, empty ones included
+                continue
+            if (not ra.points or not rb.points
+                    or newton_polyhedron(ra).vertices
+                    != newton_polyhedron(rb).vertices):
+                d_set.append(tuple(a + 1 for a in axes))
+    if not d_set:
+        return ChangedSubspaces((), tuple(range(1, n + 1)), True)
+    common = set(d_set[0]).intersection(*d_set[1:])
+    return ChangedSubspaces(tuple(sorted(d_set)), tuple(sorted(common)), False)
+
+
 # --- the former support record and apex search ------------------------------
 
 def support_set(dim, points):
@@ -1769,3 +1815,139 @@ def _edge_univariate(points, coeffs):
         by_step[step] = coeffs[p]
     top = max(by_step)
     return [by_step.get(k, ZERO) for k in range(top + 1)]
+
+
+# --- term algebra -------------------------------------------------------------
+
+def spoly(n_vars, terms):
+    acc = {}
+    for e, c in terms:
+        mono = _exponent(e, n_vars, "exponent")
+        acc[mono] = acc.get(mono, ZERO) + frac(c)
+    cleaned = tuple(sorted((m, c) for m, c in acc.items() if c != 0))
+    return SPoly(n_vars, cleaned)
+
+
+def _coefficient_poly(coeff, n_params):
+    """Normalize a coefficient: a bare rational means an s-free constant,
+    otherwise an iterable of (s_exponent, value)."""
+    if isinstance(coeff, (int, Fraction)) or isinstance(coeff, str):
+        pairs = [((0,) * n_params, frac(coeff))]
+    else:
+        pairs = [(se, frac(v)) for se, v in coeff]
+    acc = {}
+    for se, v in pairs:
+        key = _exponent(se, n_params, "parameter exponent")
+        acc[key] = acc.get(key, ZERO) + v
+    return tuple(sorted((se, v) for se, v in acc.items() if v != 0))
+
+
+def family(n_vars, n_params, terms):
+    acc = {}
+    for e, coeff in terms:
+        mono = _exponent(e, n_vars, "exponent")
+        pairs = _coefficient_poly(coeff, n_params)
+        if mono in acc:
+            merged = dict(acc[mono])
+            for se, v in pairs:
+                merged[se] = merged.get(se, ZERO) + v
+            acc[mono] = tuple(sorted((se, v) for se, v in merged.items() if v != 0))
+        else:
+            acc[mono] = pairs
+    cleaned = tuple(sorted((m, c) for m, c in acc.items() if c))
+    return DeformationFamily(n_vars, n_params, cleaned)
+
+
+def partial(p, axis):
+    """Derivative with respect to the axis-th variable (1-based)."""
+    if not 1 <= axis <= p.n_vars:
+        raise SupportError(f"axis {axis} out of range 1..{p.n_vars}")
+    j = axis - 1
+    out = []
+    for mono, c in p.terms:
+        if mono[j] == 0:
+            continue
+        dropped = mono[:j] + (mono[j] - 1,) + mono[j + 1:]
+        out.append((dropped, c * mono[j]))
+    return spoly(p.n_vars, out)
+
+
+def partial_x(fam, axis):
+    if not 1 <= axis <= fam.n_vars:
+        raise SupportError(f"axis {axis} out of range 1..{fam.n_vars}")
+    j = axis - 1
+    out = []
+    for mono, coeff in fam.terms:
+        if mono[j] == 0:
+            continue
+        dropped = mono[:j] + (mono[j] - 1,) + mono[j + 1:]
+        out.append((dropped, [(se, v * mono[j]) for se, v in coeff]))
+    return family(fam.n_vars, fam.n_params, out)
+
+
+def partial_s(fam, index):
+    if not 1 <= index <= fam.n_params:
+        raise SupportError(f"parameter {index} out of range 1..{fam.n_params}")
+    k = index - 1
+    out = []
+    for mono, coeff in fam.terms:
+        shifted = []
+        for se, v in coeff:
+            if se[k] == 0:
+                continue
+            shifted.append((se[:k] + (se[k] - 1,) + se[k + 1:], v * se[k]))
+        if shifted:
+            out.append((mono, shifted))
+    return family(fam.n_vars, fam.n_params, out)
+
+
+def base(fam):
+    """F(x, 0)."""
+    zero_s = (0,) * fam.n_params
+    out = []
+    for mono, coeff in fam.terms:
+        for se, v in coeff:
+            if se == zero_s:
+                out.append((mono, v))
+    return spoly(fam.n_vars, out)
+
+
+def specialize(fam, s_values):
+    vals = [frac(v) for v in s_values]
+    if len(vals) != fam.n_params:
+        raise SupportError("parameter vector has the wrong length")
+    out = []
+    for mono, coeff in fam.terms:
+        total = ZERO
+        for se, v in coeff:
+            term = v
+            for x, e in zip(vals, se):
+                term *= x ** e
+            total += term
+        out.append((mono, total))
+    return spoly(fam.n_vars, out)
+
+
+def arc_order(g, arc):
+    """Leading t-order of g composed with the arc."""
+    if g.is_zero:
+        raise SupportError("arc order of the zero polynomial")
+    if len(arc.x_orders) != g.n_vars or len(arc.s_orders) != g.n_params:
+        raise SupportError("arc shape does not match the family")
+    best = None
+    value = 0
+    for mono, coeff in g.terms:
+        x_part = sum(r * e for r, e in zip(arc.x_orders, mono))
+        for s_exp, c in coeff:
+            order = x_part + sum(q * e for q, e in zip(arc.s_orders, s_exp))
+            lead = c
+            for a, e in zip(arc.x_coeffs, mono):
+                lead *= a ** e
+            for b, e in zip(arc.s_coeffs, s_exp):
+                lead *= b ** e
+            if best is None or order < best:
+                best = order
+                value = lead
+            elif order == best:
+                value += lead
+    return ArcOrder(best, value == 0, value)

@@ -1,12 +1,14 @@
 import itertools
 import random
+import re
 from fractions import Fraction as F
 
 import pytest
 
 from newtonmu import newton_number
-from newtonmu.geometry import (GeometryError, _bounded_piece, _hull_rows,
-                               _pulling, _scaled, _totals)
+from newtonmu.geometry import (GeometryError, InternalConsistencyError,
+                               _bounded_piece, _hull_rows, _pulling, _scaled,
+                               _totals)
 from newtonmu.newton_number import (NewtonVolumeVector, d_set_and_i_set,
                                     difference_region,
                                     newton_number_region, newton_number_series,
@@ -18,9 +20,10 @@ from newtonmu.newton_number import (NewtonVolumeVector, d_set_and_i_set,
 from newtonmu.polyhedra import CompactRegion, SupportError, support_set
 from corpus import (bs_base_support, bs_deformed_support, exe2d_augmented,
                     exe2d_support, exe3d_augmented, exe3d_support, brieskorn,
-                    random_convenient_support)
+                    extra_points, random_convenient_support, supports)
 from oracles import (_volumes, lower_region, nu_2d_staircase,
                      volume_vector_fractions, volume_vector_scan)
+from oracles import d_set_and_i_set as d_and_i_by_restriction
 from test_conversion import typed
 from test_placement import KINDS, random_pair
 
@@ -108,6 +111,37 @@ def test_positivity_decomposition_rejects_a_disconnected_section():
         positivity_decomposition(region, (1,))
 
 
+def _two_triangles():
+    """The difference region of S = {(6,0), (0,5), (2,3)} and S plus
+    (0,4): two triangles on the edge from (0,4) to (2,3), fully supported
+    on axes (1, 2) and (2,)."""
+    s = support_set(2, [(6, 0), (0, 5), (2, 3)])
+    return difference_region(s, s.augment([(0, 4)]))
+
+
+def test_positivity_decomposition_walks_a_connected_section():
+    """The section on R^2 is the two triangles, which share an edge, so
+    the connectivity walk reaches the second one; the pieces are the two
+    triangles, with Newton numbers 2 and 1."""
+    region = _two_triangles()
+    assert newton_number_region(region) == 3
+    pieces = positivity_decomposition(region, (2,))
+    assert [axes for _, axes in pieces] == [(1, 2), (2,)]
+    assert [newton_number_region(z) for z, _ in pieces] == [2, 1]
+
+
+def test_broken_projection_identity_is_an_internal_error(monkeypatch):
+    """A projection Newton number one too large breaks the projection
+    identity of the piece on axis 2."""
+    union = newton_number.newton_number_union
+    monkeypatch.setattr(newton_number, "newton_number_union",
+                        lambda *args: union(*args) + 1)
+    with pytest.raises(InternalConsistencyError, match=re.escape(
+            "internal consistency failure: projection identity broke on a "
+            "piece with axes (2,): 1 != 2")):
+        positivity_decomposition(_two_triangles(), (2,))
+
+
 def test_partial_homothety_identity():
     f_sup, F_sup = bs_base_support(), bs_deformed_support()
     nf, nF = newton_number_set(f_sup), newton_number_set(F_sup)
@@ -124,6 +158,32 @@ def test_d_and_i_sets():
     assert not di.degenerate
     di = d_set_and_i_set(bs_base_support(), bs_base_support())
     assert di.degenerate and di.i_set == (1, 2, 3)
+
+
+def test_d_and_i_sets_match_the_restrictions():
+    """d_set_and_i_set against the former restriction loop
+    (oracles.d_set_and_i_set) on 300 seeded pairs, n = 2..4 with rational
+    points: a support and the support with one or two points more (half
+    the pairs), the pair swapped, mostly not nested, and two unrelated
+    supports.  Both return equal records or raise the same error text."""
+    errors, changed = 0, 0
+    for k in range(300):
+        rng = random.Random(k)
+        s = supports(rng)
+        sp = s.augment(extra_points(rng, s.dim))
+        a, b = rng.choice(((s, sp), (s, sp), (sp, s),
+                           (s, supports(rng, (s.dim,)))))
+        try:
+            want = d_and_i_by_restriction(a, b)
+        except SupportError as e:
+            errors += 1
+            with pytest.raises(SupportError) as got:
+                d_set_and_i_set(a, b)
+            assert str(got.value) == str(e), k
+            continue
+        assert d_set_and_i_set(a, b) == want, k
+        changed += not want.degenerate
+    assert (errors, changed) == (114, 129)
 
 
 def test_union():
