@@ -65,14 +65,6 @@ class SupportSet(Record):
     def points(self):
         return _unscaled(*self._scaled_points)
 
-    def restrict(self, axes):
-        """Sub-support on a coordinate subspace: the points supported inside
-        the given axes, with the other coordinates dropped."""
-        axes = tuple(sorted(axes))
-        kept = {tuple(p[i] for i in axes) for p in self.points
-                if all(p[i] == 0 for i in range(self.dim) if i not in axes)}
-        return SupportSet(len(axes), tuple(sorted(kept)))
-
     def augment(self, extra):
         """The support of these points and the extra ones.  Over den = 1
         the stored integer points go in as they are, so integer extra

@@ -1,17 +1,22 @@
-"""Simultaneous resolution pipeline: monomial charts over a regular
-admissible subdivision of the Newton fan of the generic support, with a
-per-chart certificate.
+"""Simultaneous resolution: monomial charts over a regular admissible
+subdivision of the Newton fan of the generic support, one certificate
+per chart.
 
-Charts over original vertices carry a unit certificate (the strict
-transform has a constant term that survives at s = 0).  Charts over added
-vertices verify the pyramid normal form (constant term vanishing at s = 0,
-the good apex pulling back to a linear term with unit coefficient) and a
-Jacobian smoothness test of the strict transform on the exceptional
-hyperplanes; a strict transform with more than SMOOTH_MONOMIAL_CAP terms
-or more than SMOOTH_VARIABLE_CAP variables is left unchecked.  The base
-polynomial's nondegeneracy report is computed on every run.
-"""
+The family must pass the mu-test, whose good certificates (one per
+added vertex) name the apex rays pulled first when the Newton fan is
+simplicialized; the base's nondegeneracy report runs every time.  The
+regularized fan is checked admissible, then one pass per maximal cone
+checks it regular, pulls the family back through its chart, checks the
+monomial factor against the support function and reads the dual vertex
+off the pulled exponents.  Over an original vertex the chart carries a
+unit certificate (a constant term surviving at s = 0); over an added
+vertex, the pyramid normal form (no base term there, the good apex
+pulling back to the unit vector at the apex position with a term
+surviving at s = 0) and a Jacobian smoothness test on the exceptional
+hyperplanes, left unchecked beyond SMOOTH_MONOMIAL_CAP terms or
+SMOOTH_VARIABLE_CAP variables."""
 
+from collections import Counter
 
 from .geometry import (GeometryError, InternalConsistencyError, ZERO, _unit,
                        Record, dot, render_point)
@@ -60,17 +65,23 @@ def chart_pullback(fam, chart):
     """Total transform of the family through the chart: every exponent maps
     to its generator pairing vector, the common monomial factor is divided
     out, coefficients ride along unchanged."""
+    return _pullback(fam, chart)[0]
+
+
+def _pullback(fam, chart):
+    """chart_pullback, and the terms pulling back onto its monomial factor."""
     n = fam.n_vars
     if chart.cone.ambient_dim != n:
         raise SupportError("chart dimension does not match the family")
-    pulled = [(chart.pullback_exponent(mono), coeff) for mono, coeff in fam.terms]
-    if not pulled:
+    if not fam.terms:
         raise SupportError("cannot pull back the zero family")
-    m = tuple(min(p[k] for p, _ in pulled) for k in range(n))
+    pulled = [chart.pullback_exponent(mono) for mono, _ in fam.terms]
+    m = tuple(map(min, zip(*pulled)))
     strict = family(n, fam.n_params,
                     [(tuple(a - b for a, b in zip(p, m)), coeff)
-                     for p, coeff in pulled])
-    return TotalTransform(chart, m, strict)
+                     for p, (_, coeff) in zip(pulled, fam.terms)])
+    hits = [mono for p, (mono, _) in zip(pulled, fam.terms) if p == m]
+    return TotalTransform(chart, m, strict), hits
 
 
 class ChartCertificate(Record):
@@ -96,40 +107,14 @@ class ResolutionResult(Record):
     report: ResolutionReport
 
 
-def _dual_vertex(fam, transform):
-    """The unique generic-support point pulling back onto the monomial
-    factor exactly."""
-    m = transform.monomial_exponents
-    hits = [mono for mono, _ in fam.terms
-            if transform.chart.pullback_exponent(mono) == m]
-    if len(hits) != 1:
-        raise InternalConsistencyError(
-            f"chart {transform.chart.generators} has {len(hits)} dual "
-            "vertices; expected exactly one")
-    return hits[0]
-
-
 def _decomposable_positions(strict, apex_pos):
     """Chart positions j (1-based, != apex) for which every term free of
     y_j is constant, pure in the apex variable, or free of it."""
-    n = strict.n_vars
-    out = []
-    for j in range(n):
-        if j == apex_pos:
-            continue
-        ok = True
-        for mono, _ in strict.terms:
-            if mono[j] != 0:
-                continue
-            if all(e == 0 for e in mono):
-                continue
-            pure_apex = all(e == 0 for k, e in enumerate(mono) if k != apex_pos)
-            if not pure_apex and mono[apex_pos] != 0:
-                ok = False
-                break
-        if ok:
-            out.append(j + 1)
-    return tuple(out)
+    def splits(mono, j):
+        return (mono[j] or not mono[apex_pos]
+                or not any(e for k, e in enumerate(mono) if k != apex_pos))
+    return tuple(j + 1 for j in range(strict.n_vars) if j != apex_pos
+                 and all(splits(mono, j) for mono, _ in strict.terms))
 
 
 def _smoothness_on_hyperplane(strict_base, position, budget):
@@ -145,20 +130,25 @@ def _smoothness_on_hyperplane(strict_base, position, budget):
     return ideal_contains_one(gens, budget)
 
 
-def _certify_unit(base, transform, alpha):
-    c0 = base.coefficient(alpha)
-    if c0 == 0:
-        raise InternalConsistencyError(
-            f"unit chart over {render_point(alpha)} has vanishing constant "
-            "term at s = 0")
-    witness = (("constant_at_zero", c0),)
-    return ChartCertificate(transform.chart, alpha, "unit", witness)
+def _hyperplane_status(strict_base, position, budget):
+    try:
+        empty = _smoothness_on_hyperplane(strict_base, position, budget)
+    except BudgetExceeded:
+        return "budget exceeded"
+    return "empty" if empty else "nonempty"
+
+
+# the warning for each hyperplane status that leaves a chart unchecked
+_UNCHECKED = {
+    "budget exceeded": "smoothness budget exceeded on hyperplane {}",
+    "nonempty": "strict transform singular somewhere on hyperplane {}; "
+                "not localized, certificate left unchecked",
+}
 
 
 def _certify_added(base, transform, alpha, cert, skip_smoothness, budget,
                    warnings):
-    chart = transform.chart
-    strict = transform.strict_part
+    chart, m = transform.chart, transform.monomial_exponents
     n = base.n_vars
     apex_ray = _unit(n, cert.i - 1)
     if apex_ray not in chart.generators:
@@ -167,19 +157,13 @@ def _certify_added(base, transform, alpha, cert, skip_smoothness, budget,
             f"the apex ray e_{cert.i}; conflicting apex axes between added "
             "vertices are not supported")
     apex_pos = chart.generators.index(apex_ray)
-    if transform.monomial_exponents[apex_pos] != 0:
-        raise InternalConsistencyError(
-            "apex generator carries a nonzero monomial exponent")
-    c0 = base.coefficient(alpha)
-    if c0 != 0:
+    if base.coefficient(alpha) != 0:
         raise InternalConsistencyError(
             f"added vertex {render_point(alpha)} has a coefficient surviving "
             "at s = 0")
-    beta_strict = chart.pullback_exponent(cert.beta)
-    unit = _unit(n, apex_pos)
-    expected = tuple(b - m for b, m in zip(beta_strict,
-                                           transform.monomial_exponents))
-    if expected != unit:
+    beta_pulled = chart.pullback_exponent(cert.beta)
+    expected = tuple(b - e for b, e in zip(beta_pulled, m))
+    if expected != _unit(n, apex_pos):
         raise InternalConsistencyError(
             f"good apex {render_point(cert.beta)} pulls back to "
             f"{render_point(expected)}, not the unit vector at the apex "
@@ -188,63 +172,45 @@ def _certify_added(base, transform, alpha, cert, skip_smoothness, budget,
     if linear == 0:
         raise InternalConsistencyError(
             f"apex term {render_point(cert.beta)} vanishes at s = 0")
-    witness = [
+    exceptional = tuple(k + 1 for k, e in enumerate(m) if e > 0)
+    strict_base = transform.strict_part.base()
+    if skip_smoothness:
+        results = [(k, "skipped") for k in exceptional]
+        problems = ["smoothness check skipped"]
+    elif (len(strict_base.terms) > SMOOTH_MONOMIAL_CAP
+          or n > SMOOTH_VARIABLE_CAP):
+        results = [(k, "beyond cap") for k in exceptional]
+        problems = ["strict transform beyond the smoothness cap; "
+                    "certificate left unchecked"]
+    else:
+        results = [(k, _hyperplane_status(strict_base, k - 1, budget))
+                   for k in exceptional]
+        problems = [_UNCHECKED[r].format(k) for k, r in results
+                    if r in _UNCHECKED]
+    warnings.extend(f"chart {chart.generators}: {p}" for p in problems)
+    witness = (    # in key order
         ("apex_axis", cert.i),
         ("apex_position", apex_pos + 1),
         ("beta", cert.beta),
         ("constant_at_zero", ZERO),
+        ("decomposable_positions",
+         _decomposable_positions(transform.strict_part, apex_pos)),
+        ("exceptional_positions", exceptional),
         ("linear_at_zero", linear),
-        ("decomposable_positions", _decomposable_positions(strict, apex_pos)),
-    ]
-    exceptional = [k for k, m in enumerate(transform.monomial_exponents) if m > 0]
-    witness.append(("exceptional_positions", tuple(k + 1 for k in exceptional)))
-    status = "smooth-verified"
-    results = []
-    strict_base = strict.base()
-    if skip_smoothness:
-        status = "unchecked"
-        results = [(k + 1, "skipped") for k in exceptional]
-        warnings.append(f"chart {chart.generators}: smoothness check skipped")
-    elif (len(strict_base.terms) > SMOOTH_MONOMIAL_CAP
-          or n > SMOOTH_VARIABLE_CAP):
-        status = "unchecked"
-        results = [(k + 1, "beyond cap") for k in exceptional]
-        warnings.append(
-            f"chart {chart.generators}: strict transform beyond the "
-            "smoothness cap; certificate left unchecked")
-    else:
-        for k in exceptional:
-            try:
-                empty = _smoothness_on_hyperplane(strict_base, k, budget)
-            except BudgetExceeded:
-                status = "unchecked"
-                results.append((k + 1, "budget exceeded"))
-                warnings.append(
-                    f"chart {chart.generators}: smoothness budget exceeded "
-                    f"on hyperplane {k + 1}")
-                continue
-            if empty:
-                results.append((k + 1, "empty"))
-            else:
-                status = "unchecked"
-                results.append((k + 1, "nonempty"))
-                warnings.append(
-                    f"chart {chart.generators}: strict transform singular "
-                    f"somewhere on hyperplane {k + 1}; not localized, "
-                    "certificate left unchecked")
-    witness.append(("singular_locus", tuple(results)))
-    return ChartCertificate(chart, alpha, status, tuple(sorted(witness)))
+        ("singular_locus", tuple(results)),
+    )
+    return ChartCertificate(chart, alpha, "unchecked" if problems
+                            else "smooth-verified", witness)
 
 
 def simultaneous_resolution(fam, skip_smoothness=False, budget=DEFAULT_BUDGET):
-    """Resolve a deformation family: Newton fan of the generic support,
-    simplicialized with the apex rays pulled first, regularized, then one
-    certified monomial chart per maximal cone.
+    """Resolve a deformation family: one certified monomial chart per
+    maximal cone of the regularized Newton fan of the generic support.
 
-    The base polynomial must be nondegenerate (nondegeneracy_check).  The
-    Newton fan is built once and the emitted fan checked admissible against
-    it.  The smoothness tests of
-    the charts over added vertices run within budget, or not at all under
+    A family failing the mu-test is refused, naming the sorted added
+    vertices with no good apex; so is a degenerate base.  The Newton fan
+    is built once and the emitted fan checked admissible against it.  The
+    smoothness tests run within budget, or not at all under
     skip_smoothness.
     """
     fam.check_deformation()
@@ -255,14 +221,14 @@ def simultaneous_resolution(fam, skip_smoothness=False, budget=DEFAULT_BUDGET):
         raise SupportError(
             f"base polynomial is not convenient; axes {s_base.missing_axes} "
             "carry no support point")
-    warnings = []
 
     mu_res = mu_constant_test(s_base, s_gen)
-    warnings.extend(mu_res.warnings)
-    verd = added_vertices(s_base, s_gen)
+    warnings = list(mu_res.warnings)
     if not mu_res.verdict:
-        offenders = sorted(c.alpha for c in mu_res.certificates if not c.good)
-        rendered = ", ".join(map(render_point, offenders or sorted(verd)))
+        good = {c.alpha for c in mu_res.certificates if c.good}
+        rendered = ", ".join(render_point(a) for a in
+                             sorted(added_vertices(s_base, s_gen))
+                             if a not in good)
         raise GeometryError(
             f"family is not mu-constant; added vertices without a good "
             f"apex: {rendered}")
@@ -278,49 +244,51 @@ def simultaneous_resolution(fam, skip_smoothness=False, budget=DEFAULT_BUDGET):
                 "nondegeneracy unchecked on face "
                 f"{render_face(fv.points)}")
 
+    # the verdict holds: one good certificate per added vertex, in order
     certs_by_vertex = {c.alpha: c for c in mu_res.certificates}
-    apex_rays = []
-    for alpha in verd:
-        cert = certs_by_vertex[alpha]
-        ray = _unit(fam.n_vars, cert.i - 1)
-        if ray not in apex_rays:
-            apex_rays.append(ray)
-
+    apex_rays = dict.fromkeys(_unit(fam.n_vars, c.i - 1)
+                              for c in mu_res.certificates)
     nfan = newton_fan(s_gen)
     fan = regularize_fan(simplicialize(nfan, priority=apex_rays))
+    if is_admissible_subdivision(fan, nfan, s_gen) is not True:
+        raise InternalConsistencyError("emitted fan is not admissible")
+
+    charts, transforms, certificates = [], [], []
     for cone in fan.maximal:
         if not is_regular_cone(cone):
             raise InternalConsistencyError(
                 f"regularization left a non-regular cone {cone.rays}")
-    if is_admissible_subdivision(fan, nfan, s_gen) is not True:
-        raise InternalConsistencyError("emitted fan is not admissible")
-
-    charts = []
-    transforms = []
-    certificates = []
-    for cone in fan.maximal:
-        chart = make_chart(cone)
-        transform = chart_pullback(fam, chart)
-        for pos, q in enumerate(chart.generators):
-            if transform.monomial_exponents[pos] != support_function(s_gen, q):
+        chart = Chart(cone)
+        transform, hits = _pullback(fam, chart)
+        for q, e in zip(chart.generators, transform.monomial_exponents):
+            if e != support_function(s_gen, q):
                 raise InternalConsistencyError(
                     f"monomial exponent at generator {q} disagrees with the "
                     "support function")
-        alpha = _dual_vertex(fam, transform)
+        if len(hits) != 1:
+            raise InternalConsistencyError(
+                f"chart {chart.generators} has {len(hits)} dual vertices; "
+                "expected exactly one")
+        alpha = hits[0]
         if alpha in certs_by_vertex:
             cert = _certify_added(base, transform, alpha,
                                   certs_by_vertex[alpha], skip_smoothness,
                                   budget, warnings)
+        elif (c0 := base.coefficient(alpha)) == 0:
+            raise InternalConsistencyError(
+                f"unit chart over {render_point(alpha)} has vanishing "
+                "constant term at s = 0")
         else:
-            cert = _certify_unit(base, transform, alpha)
+            cert = ChartCertificate(chart, alpha, "unit",
+                                    (("constant_at_zero", c0),))
         charts.append(chart)
         transforms.append(transform)
         certificates.append(cert)
 
-    counts = {}
-    for cert in certificates:
-        counts[cert.status] = counts.get(cert.status, 0) + 1
-    report = ResolutionReport(mu_res.nu_s, verd, tuple(sorted(counts.items())),
-                              nondegeneracy_report.verdict, tuple(warnings))
+    counts = Counter(cert.status for cert in certificates)
+    report = ResolutionReport(
+        mu_res.nu_s, tuple(c.alpha for c in mu_res.certificates),
+        tuple(sorted(counts.items())), nondegeneracy_report.verdict,
+        tuple(warnings))
     return ResolutionResult(fan, tuple(charts), tuple(transforms),
                             tuple(certificates), report)

@@ -154,11 +154,12 @@ polynomial; test_milnor checks every edge verdict against this one.
 
 d_set_and_i_set, at the end of the Newton-number section, is the
 library's former changed-subspace test, kept verbatim: it restricts both
-supports to every coordinate subspace R^J (SupportSet.restrict, on the
-Fraction points) and compares the vertices of the restrictions' freshly
-built polyhedra.  The library now reads the vertices of hull(S) supported
-inside J, the face of hull(S) on R^J, as integer points; test_newton_number
-checks that both return the same record or raise the same error.
+supports to every coordinate subspace R^J (restrict, the library's former
+SupportSet.restrict on the Fraction points, which nu_pyramid also reads)
+and compares the vertices of the restrictions' freshly built polyhedra.
+The library now reads the vertices of hull(S) supported inside J, the
+face of hull(S) on R^J, as integer points; test_newton_number checks
+that both return the same record or raise the same error.
 
 The term algebra at the end (spoly, _coefficient_poly, family, partial,
 partial_x, partial_s, base, specialize and arc_order) is the library's
@@ -1499,6 +1500,15 @@ def pyramid_volume(poly):
     return total
 
 
+def restrict(support, axes):
+    """Sub-support on a coordinate subspace: the points supported inside
+    the given axes, with the other coordinates dropped."""
+    axes = tuple(sorted(axes))
+    kept = {tuple(p[i] for i in axes) for p in support.points
+            if all(p[i] == 0 for i in range(support.dim) if i not in axes)}
+    return SupportSet(len(axes), tuple(sorted(kept)))
+
+
 def nu_pyramid(support):
     """Newton number of a convenient support from the pyramid formula.
 
@@ -1513,7 +1523,7 @@ def nu_pyramid(support):
     for k in range(1, n + 1):
         vk = ZERO
         for axes in itertools.combinations(range(n), k):
-            np_ = newton_polyhedron_scan(support.restrict(axes))
+            np_ = newton_polyhedron_scan(restrict(support, axes))
             for w, c, active in np_.compact_facets():
                 shadow = (ONE if k == 1 else pyramid_volume(
                     convex_hull_scan([_drop(p, 0) for p in active])))
@@ -1534,8 +1544,8 @@ def d_set_and_i_set(s, s_prime):
     d_set = []
     for k in range(1, n + 1):
         for axes in itertools.combinations(range(n), k):
-            ra = s.restrict(axes)
-            rb = s_prime.restrict(axes)
+            ra = restrict(s, axes)
+            rb = restrict(s_prime, axes)
             if ra == rb:    # equal restrictions, empty ones included
                 continue
             if (not ra.points or not rb.points

@@ -9,7 +9,7 @@ import time
 import pytest
 
 import newtonmu
-from newtonmu import cli, fans
+from newtonmu import cli, fans, resolution
 from newtonmu.cli import input_to_json, main, parse_input
 from newtonmu.geometry import InternalConsistencyError
 
@@ -213,6 +213,21 @@ def test_internal_inconsistency_exits_5(tmp_path, capsys, monkeypatch):
     assert error == {"type": "internal",
                      "message": "two computations disagreed"}
     assert err.startswith("error:")
+
+
+def test_resolve_chart_checks_exit_5(tmp_path, capsys, monkeypatch):
+    """resolve on Briancon-Speder with the regularization left out: the
+    chart loop's regularity check fires, and the command reports an
+    internal error, exit 5."""
+    monkeypatch.setattr(resolution, "regularize_fan", lambda fan: fan)
+    path = write(tmp_path, "f.json", BS_FAMILY)
+    code, out, err = run(capsys, ["resolve", path])
+    assert code == 5
+    message = ("regularization left a non-regular cone "
+               "((0, 0, 1), (0, 1, 0), (3, 2, 1))")
+    assert json.loads(out)["results"]["error"] == {"type": "internal",
+                                                   "message": message}
+    assert err == f"error: {message}\n"
 
 
 def test_boundary_box_point_exits_5(tmp_path, capsys, monkeypatch):

@@ -14,7 +14,8 @@ from newtonmu.polyhedra import (SupportError, added_vertices, check_nested,
                                 support_set)
 from corpus import (bs_base_support, bs_deformed_support, exe2d_support,
                     exe2d_augmented)
-from oracles import lower_region, support_set as fraction_support_set
+from oracles import (lower_region, restrict,
+                     support_set as fraction_support_set)
 from test_conversion import typed
 
 
@@ -46,7 +47,7 @@ def test_support_set_operations():
     assert s.missing_axes == ()    # found once, then read off the support
     assert "missing_axes" in s.__dict__
     assert support_set(3, [(0, 1, 1), (2, 0, 0)]).missing_axes == (2, 3)
-    r = s.restrict((1, 2))  # 0-based internal axes: keep y and z
+    r = restrict(s, (1, 2))  # 0-based internal axes: keep y and z
     assert r.dim == 2 and (7, 1) in r.points
     aug = s.augment([(9, 9, 9)])
     assert (9, 9, 9) in aug.points and len(aug.points) == 6

@@ -4,14 +4,14 @@ from fractions import Fraction as F
 import pytest
 
 from newtonmu import fans, resolution
-from newtonmu.apex import mu_constant_test
-from newtonmu.families import family
+from newtonmu.apex import ApexCertificate, MuConstancyResult, mu_constant_test
+from newtonmu.families import family, spoly
 from newtonmu.fans import cone_from_rays, is_regular_cone, support_function
-from newtonmu.geometry import GeometryError
+from newtonmu.geometry import GeometryError, InternalConsistencyError
 from newtonmu.milnor import milnor_number, nondegeneracy_check
 from newtonmu.newton_number import newton_number_region, newton_number_set
 from newtonmu.polyhedra import SupportError, support_set
-from newtonmu.resolution import (chart_pullback, make_chart,
+from newtonmu.resolution import (_certify_added, chart_pullback, make_chart,
                                  simultaneous_resolution)
 from corpus import (boundary_plane_augmentation, bs_family,
                     interior_point_below, random_convenient_support)
@@ -32,6 +32,20 @@ def test_chart_pullback():
 def test_make_chart_requires_regular():
     with pytest.raises(GeometryError):
         make_chart(cone_from_rays(2, [(1, 2), (2, 1)]))
+
+
+def test_chart_inputs_are_checked():
+    """make_chart refuses a lower-dimensional cone; chart_pullback refuses
+    a chart of another dimension and the zero family."""
+    with pytest.raises(GeometryError,
+                       match="^chart cone must be full-dimensional$"):
+        make_chart(cone_from_rays(3, [(1, 0, 0), (0, 1, 0)]))
+    plane = make_chart(cone_from_rays(2, [(1, 0), (0, 1)]))
+    with pytest.raises(SupportError, match="^chart dimension does not "):
+        chart_pullback(family(3, 0, [((2, 0, 0), 1)]), plane)
+    with pytest.raises(SupportError,
+                       match="^cannot pull back the zero family$"):
+        chart_pullback(family(2, 0, [((1, 0), 1), ((1, 0), -1)]), plane)
 
 
 def test_trivial_family():
@@ -75,6 +89,152 @@ def test_rejects_non_mu_constant_family():
     with pytest.raises(GeometryError) as ei:
         simultaneous_resolution(bad)
     assert "added vertices without a good apex: (1, 1)" in str(ei.value)
+
+
+def _quartic_family(s_terms):
+    """x^4 + y^4 + z^4 + x^2 y + s (the given monomials)."""
+    base = [((4, 0, 0), 1), ((0, 4, 0), 1), ((0, 0, 4), 1), ((2, 1, 0), 1)]
+    return family(3, 1, base + [(m, [((1,), 1)]) for m in s_terms])
+
+
+@pytest.mark.parametrize("s_terms, rendered", [
+    # (3, 0, 0) has a good apex; (0, 0, 1) has none
+    (((0, 0, 1), (3, 0, 0)), "(0, 0, 1)"),
+    # (0, 3, 0) has an apex that is not good; (0, 0, 1) has none
+    (((0, 0, 1), (0, 3, 0)), "(0, 0, 1), (0, 3, 0)"),
+])
+def test_refusal_names_exactly_the_vertices_without_a_good_apex(s_terms,
+                                                               rendered):
+    with pytest.raises(GeometryError) as ei:
+        simultaneous_resolution(_quartic_family(s_terms))
+    assert str(ei.value) == ("family is not mu-constant; added vertices "
+                             f"without a good apex: {rendered}")
+
+
+def test_rejects_degenerate_base():
+    """x^2 + 2xy + y^2 + s x^3 adds no vertex, and its base (x + y)^2 is
+    degenerate on its one edge."""
+    fam = family(2, 1, [((2, 0), 1), ((1, 1), 2), ((0, 2), 1),
+                        ((3, 0), [((1,), 1)])])
+    with pytest.raises(GeometryError) as ei:
+        simultaneous_resolution(fam)
+    assert str(ei.value) == ("base polynomial is degenerate on face "
+                             "[(0, 2), (1, 1), (2, 0)]")
+
+
+def _drop_certificates(s, s_prime):
+    res = mu_constant_test(s, s_prime)
+    return MuConstancyResult(res.verdict, (), res.nu_s, res.nu_s_prime,
+                             res.warnings)
+
+
+def _orthant_fan(fan):
+    return fans.orthant_fan(fan.ambient_dim)
+
+
+def _support_function_plus_one(s, q):
+    return support_function(s, q) + 1
+
+
+# each chart check of simultaneous_resolution on Briancon-Speder, with the
+# fault that makes it fire: (patched names, the error message)
+CHART_CHECKS = {
+    "regularity": (
+        {"regularize_fan": lambda fan: fan},
+        "regularization left a non-regular cone "
+        "((0, 0, 1), (0, 1, 0), (3, 2, 1))"),
+    "admissibility": (
+        {"is_admissible_subdivision": lambda *args: False},
+        "emitted fan is not admissible"),
+    "support function": (
+        {"support_function": _support_function_plus_one},
+        "monomial exponent at generator (0, 0, 1) disagrees with the "
+        "support function"),
+    "dual vertex": (
+        {"regularize_fan": _orthant_fan,
+         "is_admissible_subdivision": lambda *args: True},
+        "chart ((0, 0, 1), (0, 1, 0), (1, 0, 0)) has 0 dual vertices; "
+        "expected exactly one"),
+    "unit": (
+        {"mu_constant_test": _drop_certificates},
+        "unit chart over (1, 6, 0) has vanishing constant term at s = 0"),
+}
+
+
+@pytest.mark.parametrize("check", CHART_CHECKS)
+def test_chart_checks_fire(monkeypatch, check):
+    patches, message = CHART_CHECKS[check]
+    for name, fake in patches.items():
+        monkeypatch.setattr(resolution, name, fake)
+    with pytest.raises(InternalConsistencyError) as ei:
+        simultaneous_resolution(bs_family())
+    assert str(ei.value) == message
+
+
+def _added_chart():
+    """The Briancon-Speder chart over (1, 6, 0), its base and certificate."""
+    fam = bs_family()
+    res = simultaneous_resolution(fam)
+    (transform,) = [t for t, c in zip(res.transforms, res.certificates)
+                    if c.status != "unit"]
+    (cert,) = mu_constant_test(fam.base().support(),
+                               fam.generic_support()).certificates
+    return fam.base(), transform, cert
+
+
+def _with_certificate(cert, i=None, beta=None):
+    return ApexCertificate(cert.alpha, cert.axes, i or cert.i, cert.edge,
+                           beta or cert.beta, True, cert.good_pairs)
+
+
+def test_added_chart_checks_fire():
+    """_certify_added on the chart over (1, 6, 0) with a base that keeps
+    alpha's term, a base without beta's term, a wrong beta, and an apex
+    axis whose ray the chart lacks."""
+    base, transform, cert = _added_chart()
+    alpha = (1, 6, 0)
+    with_alpha = spoly(3, [*base.terms, (alpha, 1)])
+    without_beta = spoly(3, [t for t in base.terms if t[0] != (0, 7, 1)])
+    for args, error, message in (
+            ((with_alpha, cert), InternalConsistencyError,
+             "added vertex (1, 6, 0) has a coefficient surviving at s = 0"),
+            ((without_beta, cert), InternalConsistencyError,
+             "apex term (0, 7, 1) vanishes at s = 0"),
+            ((base, _with_certificate(cert, beta=(0, 8, 0))),
+             InternalConsistencyError,
+             "good apex (0, 8, 0) pulls back to (0, 0, 1), not the unit "
+             "vector at the apex position"),
+            ((base, _with_certificate(cert, i=1)), GeometryError,
+             "chart over added vertex (1, 6, 0) does not contain the apex "
+             "ray e_1; conflicting apex axes between added vertices are "
+             "not supported")):
+        chart_base, chart_cert = args
+        with pytest.raises(error) as ei:
+            _certify_added(chart_base, transform, alpha, chart_cert, False,
+                           10**6, [])
+        assert str(ei.value) == message
+
+
+@pytest.mark.parametrize("patch, result, warnings", [
+    (("SMOOTH_MONOMIAL_CAP", 0), "beyond cap",
+     ["strict transform beyond the smoothness cap; certificate left "
+      "unchecked"]),
+    (("_smoothness_on_hyperplane", lambda *args: False), "nonempty",
+     [f"strict transform singular somewhere on hyperplane {k}; not "
+      "localized, certificate left unchecked" for k in (2, 3)]),
+])
+def test_smoothness_branches_leave_the_chart_unchecked(monkeypatch, patch,
+                                                        result, warnings):
+    """Beyond the monomial cap, and with a strict transform singular on
+    both exceptional hyperplanes, the chart over (1, 6, 0) is unchecked
+    and says why."""
+    monkeypatch.setattr(resolution, *patch)
+    res = simultaneous_resolution(bs_family())
+    assert res.report.status_counts == (("unchecked", 1), ("unit", 8))
+    chart = "chart ((0, 0, 1), (2, 1, 1), (3, 2, 1)): "
+    assert list(res.report.warnings) == [chart + w for w in warnings]
+    (cert,) = [c for c in res.certificates if c.status != "unit"]
+    assert dict(cert.witness)["singular_locus"] == ((2, result), (3, result))
 
 
 def test_rejects_non_convenient_base():

@@ -4,7 +4,9 @@ A standard-library line collector: sys.settrace records each line that
 runs in a module under src/ while pytest runs the suite in this process.
 A module's executable lines are the line table of its compiled code
 objects; those that never ran are printed module by module, each with
-its source text.  CLI subprocesses that a test starts are not traced.
+its source text.  Both the line tables and the source text are read
+before the run, so an edit made while it runs cannot shift the report.
+CLI subprocesses that a test starts are not traced.
 
 A test can fail under the tracer alone: tracing slows the run several
 times over, and a wall-clock bound such as
@@ -30,9 +32,9 @@ ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src"
 
 
-def executable_lines(path):
+def executable_lines(path, text):
     """The line numbers of every instruction of the module's code."""
-    lines, todo = set(), [compile(path.read_text(), str(path), "exec")]
+    lines, todo = set(), [compile(text, str(path), "exec")]
     while todo:
         code = todo.pop()
         lines.update(n for _, _, n in code.co_lines() if n)
@@ -51,10 +53,10 @@ class FailedTests:
             self.ids.append(report.nodeid)
 
 
-def run_traced(args):
+def run_traced(args, paths):
     """pytest's exit code, the lines that ran per resolved source path,
     and the ids of the tests that failed."""
-    ran = {path: set() for path in SRC.rglob("*.py")}
+    ran = {path: set() for path in paths}
     by_name = {}    # code filename -> its set in ran, or None
 
     def trace(frame, event, arg):
@@ -90,14 +92,17 @@ def passes_untraced(test_id):
 
 
 def main(args):
-    code, ran, failed = run_traced(args)
+    texts = {path: path.read_text() for path in SRC.rglob("*.py")}
+    tables = {path: executable_lines(path, text)
+              for path, text in texts.items()}
+    code, ran, failed = run_traced(args, texts)
     if code not in (pytest.ExitCode.OK, pytest.ExitCode.TESTS_FAILED):
         return code
     print()
     for path in sorted(ran):
-        missed = sorted(executable_lines(path) - ran[path])
+        missed = sorted(tables[path] - ran[path])
         print(f"{path.relative_to(ROOT)}: {len(missed)} lines never ran")
-        source = path.read_text().splitlines()
+        source = texts[path].splitlines()
         for n in missed:
             print(f"{n:7}  {source[n - 1].strip()}")
     tracer_only = [t for t in failed if passes_untraced(t)]
