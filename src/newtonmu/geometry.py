@@ -26,10 +26,10 @@ its generators and the meet of two cones.  Those are all its callers:
 none of them runs in a Newton polyhedron build, nor in the apex test and
 the difference region of a pair S in S' with a point of S on every
 axis.  _int_det is the one determinant routine: orders 2 to 4 written
-out, and Bareiss (1968) elimination on an integer matrix above;
-determinant scales rational rows to it, and the fan kernels and the
-minors of _totals, the integer section volumes of a simplicial complex,
-call it on integer matrices directly.  _combine, the update of
+out, and Bareiss (1968) elimination on an integer matrix above.  Every
+caller hands it an integer matrix: the fan kernels, and _minor, the
+integer section volumes of a simplicial complex that _totals sums and
+newton_number's projection formula reads.  _combine, the update of
 _extreme_rays, also gives polyhedra._place the normal of each facet it
 makes, from the pencil of the two facet planes through the facet's
 horizon ridge.
@@ -67,7 +67,7 @@ structures in every run.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import factorial, gcd, lcm
+from math import gcd, lcm
 from operator import attrgetter, mul
 
 DIMENSION_CAP = 8
@@ -370,19 +370,6 @@ def _totals(n, ipts, simplices):
     return totals
 
 
-def determinant(rows):
-    """Exact determinant, a Fraction.
-
-    The k rows are scaled to integers by one common denominator D
-    (_scaled), and _int_det eliminates the integer matrix: the determinant
-    is _int_det(D M) / D^k.
-    """
-    m, den = _scaled(rows)
-    if any(len(r) != len(m) for r in m):
-        raise GeometryError("determinant needs a square matrix")
-    return Fraction(_int_det(m), den ** len(m))
-
-
 # --- double description ---------------------------------------------------
 
 def _extreme_rays(equalities, inequalities, dim):
@@ -674,18 +661,3 @@ def _pulling(face, vmask, facet_masks, memo):
 
 
 _tri_cache = {}  # unused; the benchmark's cache reset still names it
-
-
-def simplex_volume(verts, coords=None):
-    """Volume of a simplex given as k+1 points, measured in the listed
-    coordinate positions (defaults to all)."""
-    verts = [vec(v) for v in verts]
-    k = len(verts) - 1
-    if k == 0:
-        return ONE
-    if coords is None:
-        coords = tuple(range(len(verts[0])))
-    if len(coords) != k:
-        raise GeometryError("simplex dimension does not match coordinate count")
-    rows = [[verts[i][c] - verts[0][c] for c in coords] for i in range(1, k + 1)]
-    return abs(determinant(rows)) / factorial(k)

@@ -11,7 +11,10 @@ Sections are computed without any projection tricks: every polytope here
 lives in the orthant, where each hyperplane {x_j = 0} is supporting, so the
 section with a coordinate subspace is a face, namely the hull of the
 vertices lying in that subspace.  For a simplicial complex each section
-is a union of faces of its simplices, deduplicated by vertex set.
+is a union of faces of its simplices, deduplicated by vertex set.  A
+point's support is the bitmask of its nonzero axes, and the section on
+an axis mask J takes the vertices whose mask m has m | J == J, the one
+section rule of _totals, d_set_and_i_set and the positivity stack.
 
 The whole stage runs on integers.  A region's totals
 T_k = k! V_k den^k, over the lcm den of its vertices' denominators, are
@@ -48,8 +51,8 @@ from math import factorial
 from operator import sub
 
 from .geometry import (ONE, ZERO, GeometryError, InternalConsistencyError,
-                       Record, _bounded_piece, _hull_rows, _members, _pulling,
-                       _scaled, _totals, frac, simplex_volume)
+                       Record, _bounded_piece, _hull_rows, _members, _minor,
+                       _pulling, _scaled, _totals, frac)
 from .polyhedra import (CompactRegion, SupportError, SupportSet, _over_lcm,
                         _placed, _placement, _require_bounded, _scaled_support,
                         check_nested, newton_polyhedron, support_set)
@@ -64,10 +67,6 @@ def _axes_to_internal(axes, n):
     if len(set(out)) != len(out):
         raise ValueError("duplicate axes")
     return frozenset(out)
-
-
-def _support(v):
-    return frozenset(i for i, x in enumerate(v) if x != 0)
 
 
 class NewtonVolumeVector(Record):
@@ -359,67 +358,85 @@ def newton_number_union(pieces, ambient_dim):
 
 # --- projection formula and positivity --------------------------------------
 
+def _support_mask(v):
+    """The bitmask of the nonzero axes of a point, integer or rational."""
+    return sum(1 << i for i, x in enumerate(v) if x)
+
+
+def _full_section(simplex, n):
+    """(K, W): the first axis set K, by size and then lexicographically,
+    on which the simplex meets R^K in full dimension, as a sorted tuple of
+    0-based axes, and that section W, a tuple of |K| + 1 vertices.
+
+    The section on an axis mask J is the face of the vertices with
+    mask | J == J, as in geometry._totals.  The full mask takes every
+    vertex, so an n-simplex always has a K, and the GeometryError below
+    is reached only by a simplex without n + 1 vertices.
+    """
+    masks = [_support_mask(v) for v in simplex]
+    for k in range(n + 1):
+        for axes in itertools.combinations(range(n), k):
+            j = sum(1 << i for i in axes)
+            w = tuple(v for v, m in zip(simplex, masks) if m | j == j)
+            if len(w) == k + 1:
+                return axes, w
+    raise GeometryError("simplex has no full-supporting subspace; "
+                        "is it really n-dimensional?")
+
+
 def minimal_full_support(simplex, n):
     """Minimal coordinate subspace meeting the simplex in full dimension.
 
     Returns the 0-based axis frozenset K with dim(simplex cap R^K) = |K|,
     minimal under inclusion; such a K is unique for a simplex inside the
-    orthant, and the section is the hull of the vertices supported inside K.
+    orthant, and the section is the hull of the vertices supported inside K
+    (_full_section).
     """
-    for k in range(n + 1):
-        for axes in itertools.combinations(range(n), k):
-            coords = frozenset(axes)
-            w = [v for v in simplex if _support(v) <= coords]
-            if len(w) == k + 1:
-                return coords
-    raise GeometryError("simplex has no full-supporting subspace; "
-                        "is it really n-dimensional?")
-
-
-def _project_out(points, axes):
-    """Drop the listed 0-based coordinates."""
-    keep = [i for i in range(len(points[0])) if i not in axes]
-    return [tuple(p[i] for i in keep) for p in points]
+    return frozenset(_full_section(simplex, n)[0])
 
 
 def projection_formula_check(region, axes):
     """Both sides of the projection identity, computed independently.
 
     axes is the 1-based set I; requires every simplex of the region to have
-    minimal full-supporting subspace R^I and the same I-section.  The left
-    side is the direct Newton number of the region; the right side is
+    minimal full-supporting subspace R^I and the same I-section P^I.  The
+    left side is the direct Newton number of the region; the right side is
     |I|! vol(P^I) nu(projection along I), the projection evaluated by
-    inclusion-exclusion since simplex shadows may overlap.
+    inclusion-exclusion since simplex shadows may overlap.  |I|! vol(P^I)
+    is the one integer minor of the section, scaled by its den
+    (geometry._minor).  A simplex has the empty minimal subspace exactly
+    when the origin is one of its vertices, so the origin is refused by
+    I being empty.
     """
     n = region.ambient_dim
     coords = _axes_to_internal(axes, n)
     if not region.simplices:
         raise GeometryError("projection formula needs a nonempty region")
-    base_face = None
+    sections = set()
     for simplex in region.simplices:
-        if minimal_full_support(simplex, n) != coords:
+        k_axes, w = _full_section(simplex, n)
+        if frozenset(k_axes) != coords:
             raise GeometryError(
                 "hypothesis failure: a simplex has minimal full-supporting "
                 f"subspace different from the given axes {tuple(sorted(axes))}")
-        w = frozenset(v for v in simplex if _support(v) <= coords)
-        if base_face is None:
-            base_face = w
-        elif base_face != w:
+        if not coords:
+            raise GeometryError(
+                "hypothesis failure: region contains the origin")
+        sections.add(frozenset(w))
+        if len(sections) > 1:
             raise GeometryError(
                 "hypothesis failure: simplices have different sections "
                 "on the given coordinate subspace")
-        if any(all(x == 0 for x in v) for v in simplex):
-            raise GeometryError("hypothesis failure: region contains the origin")
+    (base,) = sections
     lhs = newton_number_region(region)
     k = len(coords)
-    base_vol = simplex_volume(sorted(base_face), tuple(sorted(coords)))
-    if k == n:
-        proj_nu = ONE
-    else:
-        shadows = [_project_out(list(simplex), coords)
-                   for simplex in region.simplices]
-        proj_nu = newton_number_union(shadows, n - k)
-    rhs = factorial(k) * base_vol * proj_nu
+    ipts, den = _scaled(sorted(base))
+    rhs = Fraction(_minor(ipts, range(k + 1), sorted(coords)), den ** k)
+    if k < n:
+        keep = [i for i in range(n) if i not in coords]
+        rhs *= newton_number_union(
+            [[tuple(v[i] for i in keep) for v in simplex]
+             for simplex in region.simplices], n - k)
     return lhs, rhs
 
 
@@ -442,12 +459,10 @@ def positivity_decomposition(region, axes):
     _check_positivity_hypotheses(region, coords)
     groups = {}
     for simplex in region.simplices:
-        k = minimal_full_support(simplex, n)
-        w = frozenset(v for v in simplex if _support(v) <= k)
-        groups.setdefault((tuple(sorted(k)), w), []).append(simplex)
+        k_axes, w = _full_section(simplex, n)
+        groups.setdefault((k_axes, tuple(sorted(w))), []).append(simplex)
     pieces, total = [], ZERO
-    for (k_axes, _), simplices in sorted(
-            groups.items(), key=lambda kv: (kv[0][0], sorted(kv[0][1]))):
+    for (k_axes, _), simplices in sorted(groups.items()):
         z = CompactRegion(n, tuple(sorted(simplices)))
         piece_axes = tuple(a + 1 for a in k_axes)
         lhs, rhs = projection_formula_check(z, piece_axes)
@@ -474,56 +489,52 @@ def _check_positivity_hypotheses(region, coords):
     comp = [i for i in range(n) if i not in coords]
     for simplex in region.simplices:
         for v in simplex:
-            if all(x == 0 for x in v):
+            if not any(v):
                 raise GeometryError("hypothesis failure: origin in region")
             for i in comp:
                 if 0 < v[i] < 1:
                     raise GeometryError(
                         "hypothesis failure: vertex coordinate "
                         f"{v[i]} on axis {i + 1} lies strictly between 0 and 1")
+    i_mask = sum(1 << i for i in coords)
+    masked = [[(v, _support_mask(v)) for v in simplex]
+              for simplex in region.simplices]
     for k in range(1, n + 1):
         for axes in itertools.combinations(range(n), k):
-            j = frozenset(axes)
-            faces, top = {}, set()
-            for simplex in region.simplices:
-                w = tuple(sorted(v for v in simplex if _support(v) <= j))
-                if not w:
-                    continue
-                faces[frozenset(w)] = w
-                if len(w) == k + 1:
-                    top.add(frozenset(w))
-            if not coords <= j:
+            j = sum(1 << i for i in axes)
+            faces = {frozenset(v for v, m in simplex if m | j == j)
+                     for simplex in masked} - {frozenset()}
+            top = {w for w in faces if len(w) == k + 1}
+            named = tuple(a + 1 for a in axes)
+            if i_mask | j != j:
                 if top:
                     raise GeometryError(
                         "hypothesis failure: full-dimensional section on "
-                        f"axes {tuple(a + 1 for a in sorted(j))}, which do "
-                        "not contain the given axes")
+                        f"axes {named}, which do not contain the given axes")
                 continue
             if not top:
                 raise GeometryError(
                     "hypothesis failure: empty or degenerate section on "
-                    f"axes {tuple(a + 1 for a in sorted(j))}")
-            for key, w in faces.items():
-                if len(w) <= k and not any(key <= t for t in top):
-                    raise GeometryError(
-                        "hypothesis failure: section on axes "
-                        f"{tuple(a + 1 for a in sorted(j))} is not pure "
-                        f"{k}-dimensional")
+                    f"axes {named}")
+            # pure: every non-top face lies in a top face
+            if any(len(w) <= k and not any(w <= t for t in top)
+                   for w in faces):
+                raise GeometryError(
+                    f"hypothesis failure: section on axes {named} is not "
+                    f"pure {k}-dimensional")
             _check_connected(top, k)
 
 
-def _check_connected(top_faces, k):
-    top = list(top_faces)
-    if len(top) <= 1:
-        return
-    seen, frontier = {0}, [0]
+def _check_connected(top, k):
+    """GeometryError unless the nonempty set top of k-simplices, as
+    vertex sets, is connected through common (k - 1)-faces."""
+    seen, frontier = set(), [next(iter(top))]
     while frontier:
-        cur = frontier.pop()
-        for other in range(len(top)):
-            if other not in seen and len(top[cur] & top[other]) == k:
-                seen.add(other)
-                frontier.append(other)
-    if len(seen) != len(top):
+        face = frontier.pop()
+        if face not in seen:
+            seen.add(face)
+            frontier += [t for t in top if len(face & t) == k]
+    if seen != top:
         raise GeometryError(
             "hypothesis failure: a coordinate section is disconnected "
             "through codimension-one faces")
@@ -576,7 +587,7 @@ def d_set_and_i_set(s, s_prime):
     pa, pb, _ = _over_lcm(a, b)
     changed = ({pa[i] for i in _members(a.vmask)}
                ^ {pb[i] for i in _members(b.vmask)})
-    masks = {sum(1 << i for i, x in enumerate(p) if x) for p in changed}
+    masks = {_support_mask(p) for p in changed}
     d_set = []
     for k in range(1, n + 1):
         for axes in itertools.combinations(range(n), k):

@@ -372,11 +372,13 @@ def _place(n, facets, vmask, ipts, todo):
     that plane holds the ridge and alpha, and both coefficients are
     positive, so it points inward.  Where g is the facet at infinity it
     is w_f, unbounded like f.  In dimension 1 the horizon is the empty
-    face and the new facet is alpha alone.  A meet of two seeds that no
-    third seed contains needs no size test to be a ridge, since a lower
-    face lies in three or more facets; an unseen seed that meets no seen
-    one is passed over before any third seed is read.  The seeds stay
-    exact over the points placed so far.  alpha is a vertex, and an old
+    face and the new facet is alpha alone.  A ridge of the cone, of
+    dimension n - 1, has at least n - 1 generators, so a meet with fewer
+    bits, or an unseen seed that meets no seen one, is passed over before
+    any third seed is read: most seen/unseen pairs share a point or two
+    and no ridge.  A meet that passes and that no third seed contains is
+    a ridge, since a lower face lies in three or more facets.  The seeds
+    stay exact over the points placed so far.  alpha is a vertex, and an old
     vertex on no seen facet keeps its facets, so _vertex_mask reads only
     the old vertices on a seen facet.
 
@@ -399,6 +401,7 @@ def _place(n, facets, vmask, ipts, todo):
     become index tuples when the placement returns.
     """
     m = len(ipts)
+    need = max(n - 1, 1)
     tri = {}            # normal -> simplices of a facet new or grown here
     memo, pyramids = {}, []
     for j in todo:
@@ -429,6 +432,8 @@ def _place(n, facets, vmask, ipts, todo):
             if g & touched:
                 for wf, vf, f, cs in seen:
                     ridge = f & g
+                    if ridge.bit_count() < need:
+                        continue
                     # a ridge: no seed but f and g contains it
                     if list(map(ridge.__and__, seeds)).count(ridge) == 2:
                         cone = [r | bit for t in cs

@@ -208,10 +208,11 @@ def simultaneous_resolution(fam, skip_smoothness=False, budget=DEFAULT_BUDGET):
     maximal cone of the regularized Newton fan of the generic support.
 
     A family failing the mu-test is refused, naming the sorted added
-    vertices with no good apex; so is a degenerate base.  The Newton fan
-    is built once and the emitted fan checked admissible against it.  The
-    smoothness tests run within budget, or not at all under
-    skip_smoothness.
+    vertices with no good apex, each marked "(no apex)" when no
+    certificate names it (the mu-test's warning); so is a degenerate
+    base.  The Newton fan is built once and the emitted fan checked
+    admissible against it.  The smoothness tests run within budget, or
+    not at all under skip_smoothness.
     """
     fam.check_deformation()
     base = fam.base()
@@ -225,10 +226,11 @@ def simultaneous_resolution(fam, skip_smoothness=False, budget=DEFAULT_BUDGET):
     mu_res = mu_constant_test(s_base, s_gen)
     warnings = list(mu_res.warnings)
     if not mu_res.verdict:
-        good = {c.alpha for c in mu_res.certificates if c.good}
-        rendered = ", ".join(render_point(a) for a in
-                             sorted(added_vertices(s_base, s_gen))
-                             if a not in good)
+        named = {c.alpha: c.good for c in mu_res.certificates}
+        rendered = ", ".join(
+            render_point(a) + ("" if a in named else " (no apex)")
+            for a in sorted(added_vertices(s_base, s_gen))
+            if not named.get(a))
         raise GeometryError(
             f"family is not mu-constant; added vertices without a good "
             f"apex: {rendered}")

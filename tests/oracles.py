@@ -4,7 +4,12 @@ nu_2d_staircase is written from scratch against the definitions, without
 calling into the package, so an agreement is meaningful.
 
 leibniz_det, the determinant as a sum over permutations, checks the
-Bareiss elimination geometry._int_det and the rational determinant.
+Bareiss elimination geometry._int_det and determinant.  determinant and
+simplex_volume are the library's former Fraction front-end to _int_det,
+kept verbatim: rational rows scaled by one common denominator, and a
+simplex volume as |det| / k! over the listed coordinates.  The library
+now measures a section by the integer minor geometry._minor, and the
+Newton-number oracles below still measure their faces with these.
 
 The Fraction linear algebra below (vsub, rref, mat_rank, nullspace,
 solve_linear, solve_unique), the affine-chart helpers (_affine_basis,
@@ -161,6 +166,17 @@ The library now reads the vertices of hull(S) supported inside J, the
 face of hull(S) on R^J, as integer points; test_newton_number checks
 that both return the same record or raise the same error.
 
+The positivity stack (minimal_full_support, _project_out,
+projection_formula_check, positivity_decomposition,
+_check_positivity_hypotheses and _check_connected) is the library's
+former one, kept verbatim: each section a frozenset of the vertices whose
+support (_support, a frozenset of nonzero axes) lies inside the axes,
+and |I|! vol(P^I) as simplex_volume times |I|!.  The library now reads
+every section off support bitmasks (mask | J == J) and measures P^I by
+one integer minor; test_newton_number checks that both return equal
+records, or raise the same error type and text, on difference regions
+and on regions broken by hand.
+
 The term algebra at the end (spoly, _coefficient_poly, family, partial,
 partial_x, partial_s, base, specialize and arc_order) is the library's
 former one, kept verbatim as functions of the polynomial or family: an
@@ -189,11 +205,13 @@ from newtonmu.geometry import (DIMENSION_CAP, ONE, ZERO, DimensionCapExceeded,
                                Record, _bounded_piece, _extreme_rays, _idot,
                                _int_det, _integer_row, _members, _pulling,
                                _scaled, _unit, _vertex_mask,
-                               determinant, dot, frac, primitive_vector,
-                               render_point, simplex_volume, vec)
+                               dot, frac, primitive_vector, render_point,
+                               vec)
 from newtonmu.groebner import (_divides, _lcm, _make_row, _mul, _quot,
                                grevlex_key)
-from newtonmu.newton_number import ChangedSubspaces, NewtonVolumeVector
+from newtonmu.newton_number import (ChangedSubspaces, NewtonVolumeVector,
+                                    _axes_to_internal, newton_number_region,
+                                    newton_number_union)
 from newtonmu.polyhedra import (CompactRegion, Face, NewtonPolyhedron,
                                 SupportError, SupportSet, _region,
                                 _require_bounded, check_nested,
@@ -213,6 +231,34 @@ def leibniz_det(rows):
                          for i in range(k) for j in range(i + 1, k))
         total += (-1) ** inversions * prod(rows[i][perm[i]] for i in range(k))
     return total
+
+
+def determinant(rows):
+    """Exact determinant, a Fraction.
+
+    The k rows are scaled to integers by one common denominator D
+    (_scaled), and _int_det eliminates the integer matrix: the determinant
+    is _int_det(D M) / D^k.
+    """
+    m, den = _scaled(rows)
+    if any(len(r) != len(m) for r in m):
+        raise GeometryError("determinant needs a square matrix")
+    return Fraction(_int_det(m), den ** len(m))
+
+
+def simplex_volume(verts, coords=None):
+    """Volume of a simplex given as k+1 points, measured in the listed
+    coordinate positions (defaults to all)."""
+    verts = [vec(v) for v in verts]
+    k = len(verts) - 1
+    if k == 0:
+        return ONE
+    if coords is None:
+        coords = tuple(range(len(verts[0])))
+    if len(coords) != k:
+        raise GeometryError("simplex dimension does not match coordinate count")
+    rows = [[verts[i][c] - verts[0][c] for c in coords] for i in range(1, k + 1)]
+    return abs(determinant(rows)) / factorial(k)
 
 
 def vsub(a, b):
@@ -1556,6 +1602,178 @@ def d_set_and_i_set(s, s_prime):
         return ChangedSubspaces((), tuple(range(1, n + 1)), True)
     common = set(d_set[0]).intersection(*d_set[1:])
     return ChangedSubspaces(tuple(sorted(d_set)), tuple(sorted(common)), False)
+
+
+# --- the former positivity stack --------------------------------------------
+
+def minimal_full_support(simplex, n):
+    """Minimal coordinate subspace meeting the simplex in full dimension.
+
+    Returns the 0-based axis frozenset K with dim(simplex cap R^K) = |K|,
+    minimal under inclusion; such a K is unique for a simplex inside the
+    orthant, and the section is the hull of the vertices supported inside K.
+    """
+    for k in range(n + 1):
+        for axes in itertools.combinations(range(n), k):
+            coords = frozenset(axes)
+            w = [v for v in simplex if _support(v) <= coords]
+            if len(w) == k + 1:
+                return coords
+    raise GeometryError("simplex has no full-supporting subspace; "
+                        "is it really n-dimensional?")
+
+
+def _project_out(points, axes):
+    """Drop the listed 0-based coordinates."""
+    keep = [i for i in range(len(points[0])) if i not in axes]
+    return [tuple(p[i] for i in keep) for p in points]
+
+
+def projection_formula_check(region, axes):
+    """Both sides of the projection identity, computed independently.
+
+    axes is the 1-based set I; requires every simplex of the region to have
+    minimal full-supporting subspace R^I and the same I-section.  The left
+    side is the direct Newton number of the region; the right side is
+    |I|! vol(P^I) nu(projection along I), the projection evaluated by
+    inclusion-exclusion since simplex shadows may overlap.
+    """
+    n = region.ambient_dim
+    coords = _axes_to_internal(axes, n)
+    if not region.simplices:
+        raise GeometryError("projection formula needs a nonempty region")
+    base_face = None
+    for simplex in region.simplices:
+        if minimal_full_support(simplex, n) != coords:
+            raise GeometryError(
+                "hypothesis failure: a simplex has minimal full-supporting "
+                f"subspace different from the given axes {tuple(sorted(axes))}")
+        w = frozenset(v for v in simplex if _support(v) <= coords)
+        if base_face is None:
+            base_face = w
+        elif base_face != w:
+            raise GeometryError(
+                "hypothesis failure: simplices have different sections "
+                "on the given coordinate subspace")
+        if any(all(x == 0 for x in v) for v in simplex):
+            raise GeometryError("hypothesis failure: region contains the origin")
+    lhs = newton_number_region(region)
+    k = len(coords)
+    base_vol = simplex_volume(sorted(base_face), tuple(sorted(coords)))
+    if k == n:
+        proj_nu = ONE
+    else:
+        shadows = [_project_out(list(simplex), coords)
+                   for simplex in region.simplices]
+        proj_nu = newton_number_union(shadows, n - k)
+    rhs = factorial(k) * base_vol * proj_nu
+    return lhs, rhs
+
+
+def positivity_decomposition(region, axes):
+    """Split a region into pieces with nonnegative Newton numbers.
+
+    axes is the 1-based set I of the positivity hypotheses: the region must
+    avoid the origin, have vertex coordinates in {0} or [1, inf) outside I,
+    meet coordinate subspaces not containing I in dimension < |J|, and meet
+    the others in full-dimensional connected sections (the decidable stand-in
+    for the disk condition).  Pieces group the simplices by minimal
+    full-supporting subspace and common section; the identity
+    sum nu(Z_j) = nu(region) and each nu(Z_j) >= 0 are verified exactly and
+    raise on failure.
+    """
+    n = region.ambient_dim
+    coords = _axes_to_internal(axes, n)
+    if not region.simplices:
+        return []
+    _check_positivity_hypotheses(region, coords)
+    groups = {}
+    for simplex in region.simplices:
+        k = minimal_full_support(simplex, n)
+        w = frozenset(v for v in simplex if _support(v) <= k)
+        groups.setdefault((tuple(sorted(k)), w), []).append(simplex)
+    pieces, total = [], ZERO
+    for (k_axes, _), simplices in sorted(
+            groups.items(), key=lambda kv: (kv[0][0], sorted(kv[0][1]))):
+        z = CompactRegion(n, tuple(sorted(simplices)))
+        piece_axes = tuple(a + 1 for a in k_axes)
+        lhs, rhs = projection_formula_check(z, piece_axes)
+        if lhs != rhs:
+            raise InternalConsistencyError(
+                "internal consistency failure: projection identity broke "
+                f"on a piece with axes {piece_axes}: {lhs} != {rhs}")
+        if lhs < 0:
+            raise GeometryError(
+                f"hypothesis failure: piece with axes {piece_axes} has "
+                f"negative Newton number {lhs}")
+        total += lhs
+        pieces.append((z, piece_axes))
+    whole = newton_number_region(region)
+    if total != whole:
+        raise GeometryError(
+            "hypothesis failure: piece Newton numbers sum to "
+            f"{total}, region has {whole}; sections must be overlapping")
+    return pieces
+
+
+def _check_positivity_hypotheses(region, coords):
+    n = region.ambient_dim
+    comp = [i for i in range(n) if i not in coords]
+    for simplex in region.simplices:
+        for v in simplex:
+            if all(x == 0 for x in v):
+                raise GeometryError("hypothesis failure: origin in region")
+            for i in comp:
+                if 0 < v[i] < 1:
+                    raise GeometryError(
+                        "hypothesis failure: vertex coordinate "
+                        f"{v[i]} on axis {i + 1} lies strictly between 0 and 1")
+    for k in range(1, n + 1):
+        for axes in itertools.combinations(range(n), k):
+            j = frozenset(axes)
+            faces, top = {}, set()
+            for simplex in region.simplices:
+                w = tuple(sorted(v for v in simplex if _support(v) <= j))
+                if not w:
+                    continue
+                faces[frozenset(w)] = w
+                if len(w) == k + 1:
+                    top.add(frozenset(w))
+            if not coords <= j:
+                if top:
+                    raise GeometryError(
+                        "hypothesis failure: full-dimensional section on "
+                        f"axes {tuple(a + 1 for a in sorted(j))}, which do "
+                        "not contain the given axes")
+                continue
+            if not top:
+                raise GeometryError(
+                    "hypothesis failure: empty or degenerate section on "
+                    f"axes {tuple(a + 1 for a in sorted(j))}")
+            for key, w in faces.items():
+                if len(w) <= k and not any(key <= t for t in top):
+                    raise GeometryError(
+                        "hypothesis failure: section on axes "
+                        f"{tuple(a + 1 for a in sorted(j))} is not pure "
+                        f"{k}-dimensional")
+            _check_connected(top, k)
+
+
+def _check_connected(top_faces, k):
+    top = list(top_faces)
+    if len(top) <= 1:
+        return
+    seen, frontier = {0}, [0]
+    while frontier:
+        cur = frontier.pop()
+        for other in range(len(top)):
+            if other not in seen and len(top[cur] & top[other]) == k:
+                seen.add(other)
+                frontier.append(other)
+    if len(seen) != len(top):
+        raise GeometryError(
+            "hypothesis failure: a coordinate section is disconnected "
+            "through codimension-one faces")
 
 
 # --- the former support record and apex search ------------------------------

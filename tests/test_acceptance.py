@@ -13,7 +13,6 @@ from newtonmu.degenerate import (arc_grid, b1d_detector, monomial_arc,
                                  valuative_falsifier)
 from newtonmu.families import family, spoly
 from newtonmu.fans import is_admissible, is_regular_cone, support_function
-from newtonmu.geometry import determinant
 from newtonmu.milnor import (kouchnirenko_crosscheck, milnor_number,
                              nondegeneracy_check)
 from newtonmu.newton_number import (difference_region, newton_number_region,
@@ -24,6 +23,7 @@ from corpus import (boundary_plane_augmentation, brieskorn, bs_family,
                     bs_scaled_family, exe2d_augmented, exe2d_support,
                     exe3d_augmented, exe3d_support, interior_point_below,
                     quintic_family, random_convenient_support)
+from oracles import determinant
 
 
 def _pass(k, budget, t0, msg):

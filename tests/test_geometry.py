@@ -4,11 +4,11 @@ from fractions import Fraction as F
 import pytest
 
 from newtonmu.geometry import (GeometryError, _bounded_piece, _extreme_rays,
-                               _hull_rows, _idot, _int_det, _pulling,
-                               determinant, dot, primitive_vector,
-                               simplex_volume)
+                               _hull_rows, _idot, _int_det, _pulling, dot,
+                               primitive_vector)
 from newtonmu.newton_number import union_volume_vector
-from oracles import leibniz_det, nullspace, solve_unique
+from oracles import (determinant, leibniz_det, nullspace, simplex_volume,
+                     solve_unique)
 
 
 def test_primitive_vector():

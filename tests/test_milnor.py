@@ -1,4 +1,5 @@
 import random
+import re
 import time
 from fractions import Fraction
 from math import gcd, prod
@@ -6,10 +7,13 @@ from math import gcd, prod
 import pytest
 
 import oracles
+from newtonmu import milnor
 from newtonmu.families import spoly
+from newtonmu.geometry import InternalConsistencyError
 from newtonmu.groebner import BudgetExceeded
 from newtonmu.milnor import (kouchnirenko_crosscheck, milnor_number,
-                             nondegeneracy_check)
+                             nondegeneracy_check, render_face)
+from newtonmu.polyhedra import SupportError
 from corpus import brieskorn
 
 
@@ -52,13 +56,51 @@ def test_milnor_number_is_bounded():
         milnor_number(f, budget=63)
 
 
+@pytest.mark.parametrize("f, message", [
+    (P(2), "zero polynomial has no Milnor number"),
+    (P(2, ((0, 0), 1), ((2, 0), 1)),
+     "polynomial does not vanish at the origin"),
+    (P(2, ((1, 0), 1), ((0, 2), 1)), "origin is not a critical point"),
+])
+def test_milnor_number_input_errors(f, message):
+    with pytest.raises(SupportError, match=f"^{message}$"):
+        milnor_number(f)
+
+
+def test_milnor_number_gives_up_past_the_last_truncation(monkeypatch):
+    """With the last truncation at 4, two rungs never run, so no value is
+    confirmed."""
+    monkeypatch.setattr(milnor, "MAX_TRUNCATION", 4)
+    with pytest.raises(BudgetExceeded, match=re.escape(
+            "Milnor number did not stabilize up to truncation 4; the "
+            "singularity may not be isolated")):
+        milnor_number(P(2, ((2, 0), 1), ((0, 3), 1)))
+
+
+def test_infinite_truncated_quotient_is_an_internal_error(monkeypatch):
+    """A truncated quotient always has finite dimension; an infinite one
+    is a fault of the Groebner engine."""
+    monkeypatch.setattr(milnor, "quotient_dimension", lambda *args: None)
+    with pytest.raises(InternalConsistencyError, match=re.escape(
+            "truncated Jacobian quotient came out infinite-dimensional")):
+        milnor_number(P(2, ((2, 0), 1), ((0, 3), 1)))
+
+
 def test_nondegeneracy_verdicts():
     r = nondegeneracy_check(P(2, ((2, 0), 1), ((0, 3), 1)))
     assert r.verdict == "nondegenerate"
+    r = nondegeneracy_check(P(2, ((2, 0), 1), ((0, 3), 1)), budget=0)
+    assert r.verdict == "unknown"
+    assert [(v.dim, v.status, v.detail) for v in r.faces] == [
+        (0, "nondegenerate", "monomial face")] * 2 + [
+        (1, "unchecked", "budget exceeded")]
+    with pytest.raises(SupportError, match="^zero polynomial$"):
+        nondegeneracy_check(P(2))
     r = nondegeneracy_check(P(2, ((2, 0), 1), ((1, 1), 2), ((0, 2), 1)))
     assert r.verdict == "degenerate"
     bad = [v for v in r.faces if v.status == "degenerate"]
     assert len(bad) == 1 and bad[0].dim == 1
+    assert render_face(bad[0].points) == "[(0, 2), (1, 1), (2, 0)]"
     # x^3 + y^3 + z^3 - 3xyz: squarefree edges, and a torus zero (1, 1, 1)
     # of the 2-face's partials
     r = nondegeneracy_check(P(3, ((3, 0, 0), 1), ((0, 3, 0), 1),
@@ -141,6 +183,36 @@ def test_crosscheck_nondegenerate():
     c = kouchnirenko_crosscheck(P(2, ((3, 0), 1), ((0, 3), 1)))
     assert c.mu == 4 and c.nu == 4
     assert c.equal is True and c.nondegeneracy == "nondegenerate"
+
+
+def test_crosscheck_notes():
+    """x^2 has a non-isolated singularity and an unbounded Newton region;
+    at budget 0 nothing about x^2 + y^3 is decided but its nu."""
+    c = kouchnirenko_crosscheck(P(2, ((2, 0), 1)), budget=50)
+    assert (c.mu, c.nu, c.nu_stabilized, c.equal) == (None, None, False, None)
+    assert c.notes == (
+        "Newton number series did not stabilize; nu may be infinite",
+        "Milnor oracle gave up: step budget exhausted after 51 steps")
+    c = kouchnirenko_crosscheck(P(2, ((2, 0), 1), ((0, 3), 1)), budget=0)
+    assert (c.mu, c.nu, c.nondegeneracy, c.equal) == (None, 2, "unknown",
+                                                      None)
+    assert c.notes == (
+        "nondegeneracy undecided on some faces",
+        "Milnor oracle gave up: step budget exhausted after 1 steps")
+
+
+@pytest.mark.parametrize("shift, message", [
+    (-1, "mu = 3 < nu = 4 contradicts the Milnor-Newton inequality"),
+    (1, "mu = 5 != nu = 4 on a nondegenerate polynomial"),
+])
+def test_crosscheck_catches_a_wrong_milnor_number(monkeypatch, shift,
+                                                  message):
+    """x^3 + y^3 is nondegenerate with nu = 4: a Milnor number one below
+    breaks mu >= nu, one above breaks mu = nu."""
+    monkeypatch.setattr(milnor, "milnor_number",
+                        lambda f, budget: 4 + shift)
+    with pytest.raises(InternalConsistencyError, match=f"^{message}$"):
+        kouchnirenko_crosscheck(P(2, ((3, 0), 1), ((0, 3), 1)))
 
 
 def test_crosscheck_degenerate_has_excess():

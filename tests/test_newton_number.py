@@ -5,22 +5,25 @@ from fractions import Fraction as F
 
 import pytest
 
-from newtonmu import newton_number
+from newtonmu import geometry, newton_number
 from newtonmu.geometry import (GeometryError, InternalConsistencyError,
                                _bounded_piece, _hull_rows, _pulling, _scaled,
                                _totals)
 from newtonmu.newton_number import (NewtonVolumeVector, d_set_and_i_set,
-                                    difference_region,
+                                    difference_region, minimal_full_support,
                                     newton_number_region, newton_number_series,
                                     newton_number_set, newton_number_union,
                                     partial_homothety,
                                     positivity_decomposition,
                                     projection_formula_check,
-                                    union_volume_vector, volume_vector)
-from newtonmu.polyhedra import CompactRegion, SupportError, support_set
+                                    union_volume_vector, volume_vector,
+                                    volume_vector_set)
+from newtonmu.polyhedra import (CompactRegion, SupportError, newton_polyhedron,
+                                support_set)
 from corpus import (bs_base_support, bs_deformed_support, exe2d_augmented,
                     exe2d_support, exe3d_augmented, exe3d_support, brieskorn,
                     extra_points, random_convenient_support, supports)
+import oracles
 from oracles import (_volumes, lower_region, nu_2d_staircase,
                      volume_vector_fractions, volume_vector_scan)
 from oracles import d_set_and_i_set as d_and_i_by_restriction
@@ -47,6 +50,7 @@ def test_2d_sweep():
         assert newton_number_set(exe2d_augmented(a)) == F(1, 2)
     vv = volume_vector(lower_region(exe2d_support(F(1, 2))))
     assert vv.V == (1, 4, F(7, 4))
+    assert volume_vector_set(exe2d_support(F(1, 2))) == vv
 
 
 def test_3d_sweep():
@@ -60,6 +64,11 @@ def test_bs_pair():
     assert newton_number_set(bs_deformed_support()) == 364
     # restriction of the base to the yz-plane
     assert newton_number_set(support_set(2, [(7, 1), (0, 15), (8, 0)])) == 91
+    # a polyhedron seeded by hand has no placement record, so the support
+    # is placed for its Newton number
+    s = bs_base_support()
+    s.__dict__["_newton_polyhedron"] = newton_polyhedron(bs_base_support())
+    assert newton_number_set(s) == 364
 
 
 def test_missing_axis_rejected():
@@ -75,6 +84,8 @@ def test_series():
     assert res.stabilized and res.value == 1 and res.augmented_axes == (2,)
     res = newton_number_series(support_set(2, [(2, 0), (0, 2)]))
     assert res.stabilized and res.value == 1 and res.tried_m == ()
+    with pytest.raises(ValueError, match="missing_axis_cap must be positive"):
+        newton_number_series(support_set(2, [(2, 0)]), missing_axis_cap=0)
 
 
 def test_difference_region_identity():
@@ -84,6 +95,22 @@ def test_difference_region_identity():
         assert got == newton_number_set(s) - newton_number_set(sp)
     reg = difference_region(bs_base_support(), bs_deformed_support())
     assert newton_number_region(reg) == 0
+    # a pair placed over a finer den; a pair refused for placement, since
+    # S' lacks the point (2, 2) of S, with S' over the den of S and over a
+    # finer one; a smaller support that misses an axis
+    s = support_set(2, [(2, 0), (0, 2)])
+    sp = s.augment([(F(1, 2), F(1, 2))])
+    assert newton_number_region(difference_region(s, sp)) == 2
+    assert newton_number_set(sp) == -1
+    s = support_set(2, [(4, 0), (2, 2), (0, 4)])
+    for middle, nu in (((1, 1), 1), ((F(1, 2), 1), -1)):
+        sp = support_set(2, [(4, 0), middle, (0, 4)])
+        assert newton_number_region(difference_region(s, sp)) == 9 - nu
+    s = support_set(2, [(2, 0), (1, 1)])
+    with pytest.raises(SupportError, match=re.escape(
+            "difference region is unbounded: no support point on axis 2 "
+            "of the smaller set")):
+        difference_region(s, s.augment([(0, 3)]))
 
 
 def test_projection_formula():
@@ -92,6 +119,26 @@ def test_projection_formula():
         (F(1), F(6), F(0)), (F(0), F(7), F(1))])),))
     lhs, rhs = projection_formula_check(pyr, (1, 2))
     assert lhs == rhs == 0
+    assert minimal_full_support(pyr.simplices[0], 3) == {0, 1}
+
+
+@pytest.mark.parametrize("simplices, axes, message", [
+    ((), (1,), "projection formula needs a nonempty region"),
+    ((((1,), (2,)),), (),
+     "hypothesis failure: a simplex has minimal full-supporting subspace "
+     "different from the given axes ()"),
+    ((((0,), (1,)),), (), "hypothesis failure: region contains the origin"),
+    ((((1,), (2,)), ((3,), (4,))), (1,),
+     "hypothesis failure: simplices have different sections on the given "
+     "coordinate subspace"),
+    ((((1,),),), (1,), "simplex has no full-supporting subspace; is it "
+     "really n-dimensional?"),
+])
+def test_projection_formula_hypotheses(simplices, axes, message):
+    """Each hypothesis of the projection formula on a least bad region
+    in dimension 1; a region of one point is no 1-simplex."""
+    with pytest.raises(GeometryError, match=f"^{re.escape(message)}$"):
+        projection_formula_check(CompactRegion(1, simplices), axes)
 
 
 def test_positivity_decomposition():
@@ -99,6 +146,29 @@ def test_positivity_decomposition():
     pieces = positivity_decomposition(reg, (1, 2))
     assert pieces
     assert sum(newton_number_region(z) for z, _ in pieces) == 0
+    assert positivity_decomposition(CompactRegion(3, ()), (1, 2)) == []
+
+
+@pytest.mark.parametrize("n, simplices, axes, message", [
+    (1, (((0,), (1,)),), (1,), "origin in region"),
+    (2, (((1, 0), (1, F(1, 2)), (2, 0)),), (1,),
+     "vertex coordinate 1/2 on axis 2 lies strictly between 0 and 1"),
+    (2, (((0, 1), (1, 0), (2, 0)),), (2,),
+     "full-dimensional section on axes (1,), which do not contain the "
+     "given axes"),
+    (2, (((1, 1), (1, 2), (2, 1)),), (1,),
+     "empty or degenerate section on axes (1,)"),
+    (1, (((1,), (2,)), ((3,),)), (1,),
+     "section on axes (1,) is not pure 1-dimensional"),
+])
+def test_positivity_hypotheses(n, simplices, axes, message):
+    """Each hypothesis of the positivity decomposition on a least bad
+    region: the origin as a vertex, a coordinate in (0, 1) off I, a
+    full-dimensional section on axes without I, no full-dimensional
+    section on axes with I, and a point of a section in no top face."""
+    with pytest.raises(GeometryError, match=re.escape(
+            f"hypothesis failure: {message}")):
+        positivity_decomposition(CompactRegion(n, simplices), axes)
 
 
 def test_positivity_decomposition_rejects_a_disconnected_section():
@@ -142,8 +212,109 @@ def test_broken_projection_identity_is_an_internal_error(monkeypatch):
         positivity_decomposition(_two_triangles(), (2,))
 
 
+def test_positivity_checks_each_piece_and_the_sum(monkeypatch):
+    """The last two checks on the pieces fire on no region known to pass
+    the hypotheses.  The sign check guards the positivity theorem; the
+    sum check can fail only on degenerate simplices, since two simplices
+    with a common section face fall in one piece.  A projection check
+    that returns -1 for each piece, or each piece's Newton number plus
+    one (3 and 2 against the region's 3), makes them fire."""
+    check = newton_number.projection_formula_check
+    for shift, message in (
+            (lambda x: F(-1), "piece with axes (1, 2) has negative Newton "
+             "number -1"),
+            (lambda x: x + 1, "piece Newton numbers sum to 5, region has "
+             "3; sections must be overlapping")):
+        monkeypatch.setattr(newton_number, "projection_formula_check",
+                            lambda z, axes: tuple(map(shift, check(z, axes))))
+        with pytest.raises(GeometryError, match=re.escape(
+                f"hypothesis failure: {message}")):
+            positivity_decomposition(_two_triangles(), (2,))
+
+
+def _outcome(func, *args):
+    """repr of what func returns, or the type and text of its error."""
+    try:
+        return repr(func(*args))
+    except (GeometryError, InternalConsistencyError) as e:
+        return type(e).__name__, str(e)
+
+
+def _broken_regions(rng, n):
+    """The difference region of a random nested pair (test_placement's
+    random_pair, points added by cutting kinds), and that region broken
+    by hand: a vertex moved to the origin, a coordinate moved into
+    (0, 1), a simplex dropped, or the simplices of a second region
+    merged in."""
+    cutting = ("rational", "facet", "plane", "below")
+    region = difference_region(*random_pair(
+        rng, n, [rng.choice(cutting) for _ in range(rng.randint(1, 3))]))
+    simplices = list(region.simplices)
+    out = [region]
+    if simplices:
+        i = rng.randrange(len(simplices))
+        for vertex in ((F(0),) * n, None):
+            s = list(simplices[i])
+            j = rng.randrange(n + 1)
+            if vertex is None:
+                a = rng.randrange(n)
+                vertex = s[j][:a] + (F(rng.randint(1, 5), 6),) + s[j][a + 1:]
+            s[j] = vertex
+            out.append(CompactRegion(n, tuple(sorted(
+                simplices[:i] + [tuple(sorted(s))] + simplices[i + 1:]))))
+        if len(simplices) > 1:
+            out.append(CompactRegion(n, tuple(simplices[:i]
+                                              + simplices[i + 1:])))
+    other = difference_region(*random_pair(rng, n, [rng.choice(cutting)]))
+    out.append(CompactRegion(n, tuple(sorted(
+        set(simplices) | set(other.simplices)))))
+    return out
+
+
+def test_positivity_stack_matches_the_former_code():
+    """minimal_full_support, projection_formula_check and
+    positivity_decomposition against the former frozenset and Fraction
+    code, kept verbatim in oracles.py, over 160 seeds, n = 2 and 3: each
+    seed's difference region and its broken copies (_broken_regions),
+    under every axis set I.  Both return records equal by repr, or raise
+    the same error type and text.  The Fraction determinant and simplex
+    volume left geometry with the frozenset support."""
+    assert not any(hasattr(mod, name) for mod in (geometry, newton_number)
+                   for name in ("determinant", "simplex_volume", "_support"))
+    regions, seen = 0, set()
+    for k in range(160):
+        rng = random.Random(k)
+        n = 2 + k % 2
+        for region in _broken_regions(rng, n):
+            regions += 1
+            for simplex in region.simplices:
+                assert _outcome(minimal_full_support, simplex, n) == (
+                    _outcome(oracles.minimal_full_support, simplex, n)), k
+            for size in range(n + 1):
+                for axes in itertools.combinations(range(1, n + 1), size):
+                    for name in ("projection_formula_check",
+                                 "positivity_decomposition"):
+                        got = _outcome(getattr(newton_number, name),
+                                       region, axes)
+                        assert got == _outcome(getattr(oracles, name),
+                                               region, axes), (k, axes)
+                        seen.add(re.split(r"[\d(;]", got[1])[0].strip()
+                                 if isinstance(got, tuple) else got[:2])
+    assert regions == 572
+    # a pair of Fractions, pieces, no pieces, and ten of the error texts:
+    # all but those of the three checks on the pieces (identity, sign,
+    # sum) and of the one raise that needs a simplex short of n + 1
+    # vertices
+    assert len(seen) == 13, sorted(seen)
+
+
 def test_partial_homothety_identity():
     f_sup, F_sup = bs_base_support(), bs_deformed_support()
+    for axes, lam, message in (((1,), 0, "homothety factor must be positive"),
+                               ((4,), 2, "axis 4 out of range 1..3"),
+                               ((1, 1), 2, "duplicate axes")):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            partial_homothety(f_sup, axes, lam)
     nf, nF = newton_number_set(f_sup), newton_number_set(F_sup)
     for lam in [F(1, 2), 2, 3]:
         hf = partial_homothety(f_sup, (1, 2), lam)
@@ -191,6 +362,11 @@ def test_union():
     b = [(F(1, 2),), (F(2),)]
     assert newton_number_union([a, b], 1) == 1
     assert newton_number_union([], 1) == 0
+    # three disjoint segments: no intersection is nonempty
+    assert newton_number_union([[(0,), (1,)], [(2,), (3,)], [(4,), (5,)]],
+                               1) == 2
+    assert newton_number_union([[()]], 0) == 1
+    assert newton_number_union([], 0) == 0
 
 
 @pytest.mark.parametrize("pieces, message", [

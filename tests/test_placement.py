@@ -20,11 +20,13 @@ the apex test with the difference region of a pair runs no double
 description at all.  Each facet normal that placement takes from the
 pencil of a horizon ridge's two facet planes is the former normal from
 the minors (oracles._ridge_normal), and placement computes no
-determinant.
+determinant.  A large build stays cheap: the ridge pre-filter of _place
+passes over seed pairs that share too few points to meet in a ridge.
 """
 
 import json
 import random
+import time
 from fractions import Fraction as F
 from pathlib import Path
 
@@ -516,3 +518,26 @@ def test_placement_computes_no_determinant(monkeypatch):
         calls.clear()
         assert _placement(s, sp) is not None
         assert calls == []
+
+
+def convex_support(n, count, rng):
+    """count points of Z^n near convex position: the axis points 60 e_i and
+    points round(60 (y_i / sum y)^2) for uniform y."""
+    pts = {tuple(60 if j == i else 0 for j in range(n)) for i in range(n)}
+    while len(pts) < count:
+        y = [rng.random() for _ in range(n)]
+        total = sum(y)
+        p = tuple(round(60 * (x / total) ** 2) for x in y)
+        if any(p):
+            pts.add(p)
+    return support_set(n, sorted(pts))
+
+
+def test_placement_is_bounded():
+    """The n = 5 support of 80 points near convex position (629 facets) is
+    built far inside 3 s: about 0.2-0.5 s with the ridge pre-filter of
+    _place, 14-18 s without it."""
+    s = convex_support(5, 80, random.Random(1))
+    start = time.perf_counter()
+    assert len(newton_polyhedron(s).ifacets) == 629
+    assert time.perf_counter() - start < 3

@@ -99,9 +99,9 @@ def _quartic_family(s_terms):
 
 @pytest.mark.parametrize("s_terms, rendered", [
     # (3, 0, 0) has a good apex; (0, 0, 1) has none
-    (((0, 0, 1), (3, 0, 0)), "(0, 0, 1)"),
+    (((0, 0, 1), (3, 0, 0)), "(0, 0, 1) (no apex)"),
     # (0, 3, 0) has an apex that is not good; (0, 0, 1) has none
-    (((0, 0, 1), (0, 3, 0)), "(0, 0, 1), (0, 3, 0)"),
+    (((0, 0, 1), (0, 3, 0)), "(0, 0, 1) (no apex), (0, 3, 0)"),
 ])
 def test_refusal_names_exactly_the_vertices_without_a_good_apex(s_terms,
                                                                rendered):
