@@ -14,6 +14,12 @@ Exit codes: 0 success, 2 input error (usage errors included), 3
 mathematical precondition failure, 4 budget exceeded, 5 internal
 inconsistency (two independent computations of the same quantity
 disagreed, a bug to report).
+
+A command pays for its own work only.  The module imports the layers
+that parsing, the reports and the exit codes need (geometry, polyhedra,
+families, groebner); each _cmd_* imports the layers it runs when it
+runs.  main builds the subparser of the command named first on the
+command line, and the full parser only when no command is named there.
 """
 
 import argparse
@@ -23,17 +29,11 @@ import re
 import sys
 from fractions import Fraction
 
-from .apex import mu_constant_test
-from .degenerate import b1d_detector, monomial_arc, valuative_falsifier
 from .families import family
-from .fans import is_regular_cone, newton_fan, regularize_fan, simplicialize
 from .geometry import GeometryError, InternalConsistencyError, Record
 from .groebner import DEFAULT_BUDGET, BudgetExceeded
-from .milnor import milnor_number, nondegeneracy_check, render_face
-from .newton_number import newton_number_series, volume_vector_set
 from .polyhedra import (SupportError, added_vertices, convenience_report,
                         newton_polyhedron, support_set)
-from .resolution import simultaneous_resolution
 
 SCHEMA_VERSION = 1
 
@@ -302,6 +302,7 @@ def _cone_matrices(fan):
 # main writes the report.
 
 def _cmd_nu(args, load):
+    from .newton_number import newton_number_series, volume_vector_set
     s = _support_of(parse_input(load(args.file)), "nu")
     conv = convenience_report(s)
     warnings = []
@@ -343,6 +344,7 @@ def _certificate_json(cert):
 
 
 def _cmd_mu_test(args, load):
+    from .apex import mu_constant_test
     base_doc = parse_input(load(args.base))
     def_doc = parse_input(load(args.deformed))
     if len(base_doc.variables) != len(def_doc.variables):
@@ -367,6 +369,7 @@ def _cmd_mu_test(args, load):
 
 
 def _cmd_resolve(args, load):
+    from .resolution import simultaneous_resolution
     fam = _family_of(parse_input(load(args.file)), "resolve")
     res = simultaneous_resolution(fam, skip_smoothness=args.skip_smoothness,
                                   budget=args.budget)
@@ -393,6 +396,7 @@ def _cmd_resolve(args, load):
 
 
 def _cmd_fan(args, load):
+    from .fans import is_regular_cone, newton_fan
     s = _support_of(parse_input(load(args.file)), "fan")
     fan = newton_fan(s)
     results = {"ambient_dim": fan.ambient_dim,
@@ -406,6 +410,8 @@ def _cmd_fan(args, load):
 
 
 def _cmd_regularize(args, load):
+    from .fans import (is_regular_cone, newton_fan, regularize_fan,
+                       simplicialize)
     s = _support_of(parse_input(load(args.file)), "regularize")
     fan = regularize_fan(simplicialize(newton_fan(s)))
     results = {"ambient_dim": fan.ambient_dim,
@@ -418,11 +424,13 @@ def _cmd_regularize(args, load):
 
 
 def _cmd_milnor(args, load):
+    from .milnor import milnor_number
     f = _polynomial_of(parse_input(load(args.file)), "milnor")
     return {"mu": str(milnor_number(f, budget=args.budget))}, []
 
 
 def _cmd_nondeg(args, load):
+    from .milnor import nondegeneracy_check, render_face
     f = _polynomial_of(parse_input(load(args.file)), "nondeg")
     rep = nondegeneracy_check(f, budget=args.budget)
     warnings = [f"face {render_face(fc.points)} unchecked: {fc.detail}"
@@ -447,6 +455,7 @@ def _arc_coeffs(value, length, where):
 
 
 def _parse_arcs(obj, n, m):
+    from .degenerate import monomial_arc
     if not isinstance(obj, list):
         raise InputError("arcs file must be a JSON list of arc records")
     arcs = []
@@ -466,6 +475,7 @@ def _parse_arcs(obj, n, m):
 
 
 def _cmd_valuative(args, load):
+    from .degenerate import valuative_falsifier
     fam = _family_of(parse_input(load(args.file)), "valuative")
     arcs = _parse_arcs(load(args.arcs), fam.n_vars, fam.n_params)
     rep = valuative_falsifier(fam, arcs)
@@ -481,6 +491,7 @@ def _cmd_valuative(args, load):
 
 
 def _cmd_b1d(args, load):
+    from .degenerate import b1d_detector
     doc = parse_input(load(args.file))
     fam = _family_of(doc, "b1d")
     try:
@@ -512,10 +523,14 @@ def _cmd_b1d(args, load):
 class _Parser(argparse.ArgumentParser):
     """Usage errors keep argparse's usage text on stderr and raise
     InputError, so they end in the JSON report like every other input
-    error.  The subcommand parsers share this class."""
+    error.  The subcommand parsers share this class.  A top-level parser
+    built for one subcommand prints the full parser's usage, so its
+    errors read as the full parser's do."""
+
+    partial = False
 
     def error(self, message):
-        self.print_usage(sys.stderr)
+        (_build_parser() if self.partial else self).print_usage(sys.stderr)
         raise InputError(message)
 
 
@@ -554,17 +569,23 @@ _COMMANDS = (
                  "help": "comma-separated 1-based axes of J"}}, False),
 )
 
+_NAMES = {c[0] for c in _COMMANDS}
+
 # namespace entries that are not a report's arguments
 _NOT_ARGUMENTS = ("command", "run", "pretty", "emit_polytope")
 
 
-def _build_parser():
+def _build_parser(command=None):
+    """The parser of every subcommand, or of the named one only."""
     top = _Parser(
         prog="newtonmu",
         description="Newton polyhedra, Newton numbers, and mu-constancy "
                     "tools with exact rational arithmetic.")
+    top.partial = command is not None
     sub = top.add_subparsers(dest="command", required=True)
     for name, run, help_, positionals, options, polytope in _COMMANDS:
+        if command not in (None, name):
+            continue
         p = sub.add_parser(name, help=help_)
         for dest in positionals:
             p.add_argument(dest)
@@ -586,7 +607,9 @@ _EXIT_CODES = ((InputError, 2, "input"), (SupportError, 3, "precondition"),
 
 
 def main(argv=None):
-    parser = _build_parser()
+    argv = sys.argv[1:] if argv is None else argv
+    # a command builds only its own subparser
+    parser = _build_parser(argv[0] if argv and argv[0] in _NAMES else None)
     # the subcommand is recorded here before its own arguments are parsed
     args = argparse.Namespace(command=None)
     inputs = []

@@ -26,6 +26,15 @@ membership and the pieces off them, and the box points are read off the
 group that adjugate generates mod D, so no rational solve runs.  A
 regularization step swaps ray tuples on its target's star.
 
+A Fan checks its maximal cones on construction.  A fan of simplicial,
+full-dimensional cones (every subdivision of a Newton fan) is checked by
+a ridge certificate: its ridges matched in pairs on opposite sides, its
+unmatched ridges supporting the whole fan, and one point covered once,
+one cofactor normal per ridge and linear in the cones.  Every other fan,
+and one the certificate cannot decide, such as a fan whose union is not
+convex, takes the pairwise check: one double-description intersection
+per pair of maximal cones.
+
 Nothing is memoized at module level: each cone caches its own
 H-description, facet masks, minors and minor chart, and faces() is
 computed on every call.
@@ -39,8 +48,7 @@ from math import gcd
 
 from .geometry import (GeometryError, InternalConsistencyError, _extreme_rays,
                        _face_lattice, _idot, _int_det, _lazy, _members,
-                       _pulling, _scaled, _unit, Record, primitive_vector,
-                       render_point, vec)
+                       _pulling, _scaled, _unit, Record, render_point, vec)
 from .polyhedra import SupportError, newton_polyhedron
 
 _section_cache = {}  # unused; the benchmark's cache reset still names it
@@ -50,8 +58,8 @@ _faces_cache = {}  # unused; the benchmark's cache reset still names it
 class LatticeCone(Record):
     """Pointed cone in the orthant, by sorted primitive integer rays.
 
-    The zero cone has an empty ray tuple.  Build through cone_from_rays
-    unless the rays are already known to be extremal and primitive.
+    The zero cone has an empty ray tuple.  The rays must already be
+    extremal and primitive.
     """
 
     ambient_dim: int
@@ -157,28 +165,6 @@ class LatticeCone(Record):
         return face == set(self.rays)
 
 
-def cone_from_rays(ambient_dim, rays):
-    """Canonical cone: primitive rays, redundant generators dropped.
-
-    The extreme rays are those of the H-description of the generators,
-    both read by the double-description routine."""
-    prims = set()
-    for r in rays:
-        r = vec(r)
-        if any(x < 0 for x in r):
-            raise GeometryError("cone generators must be nonnegative")
-        if len(r) != ambient_dim:
-            raise GeometryError("generator dimension mismatch")
-        if all(x == 0 for x in r):
-            continue
-        prims.add(primitive_vector(r))
-    if not prims:
-        return LatticeCone(ambient_dim, ())
-    normals, lineality, _ = _extreme_rays((), sorted(prims), ambient_dim)
-    rays, _, _ = _extreme_rays(lineality, normals, ambient_dim)
-    return LatticeCone(ambient_dim, tuple(sorted(rays)))
-
-
 def intersect_cones(a, b):
     if a.ambient_dim != b.ambient_dim:
         raise GeometryError("ambient dimension mismatch")
@@ -194,9 +180,90 @@ def intersect_cones(a, b):
     return LatticeCone(a.ambient_dim, tuple(sorted(rays)))
 
 
+def _ridge_normal(ridge, n):
+    """The cofactor normal w of n - 1 rays in Z^n: <w, x> is the
+    determinant of the rays with x appended as the last row."""
+    return tuple((-1) ** (n - 1 + j) * _int_det([r[:j] + r[j + 1:]
+                                                 for r in ridge])
+                 for j in range(n))
+
+
+def _ridge_certificate(n, cones):
+    """True when the ridges of the cones prove them a fan; False when the
+    certificate cannot decide (the caller then checks every pair).
+
+    Every cone must be simplicial and n-dimensional.  Its n ridges are the
+    tuples of n - 1 of its sorted rays, so a shared ridge has one key, each
+    with its cofactor normal w; the cone lies on the side of sign
+    <w, opposite ray>, never 0.  Passing
+    takes three facts (De Loera, Rambau & Santos, *Triangulations*, 2010,
+    §4.5):
+    (a) a ridge lies in one or two cones, and two lie on opposite sides;
+    (b) the hyperplane of each ridge in one cone supports every ray, so
+        the cones lie in the convex cone K those half-spaces cut out;
+    (c) the ray sum of the first cone lies in no other cone.
+    Soundness.  Count the cones whose interior holds a point x of int K
+    off every ridge hyperplane.  Along a segment of such points that
+    meets no face of dimension below n - 1, the count changes only where
+    the segment crosses the relative interior of ridges: a ridge of two
+    cones gives one up and one down by (a), and a ridge of one cone lies
+    on the boundary of K by (b), so it is never crossed.  The count is 1
+    near (c)'s point, so it is 1 on int K: the interiors are disjoint and
+    the cones cover K.  The same count on the quotient by a face F of a
+    cone, over the cones holding F, shows that they cover a neighbourhood
+    in K of any point z of the relative interior of F; a cone D through z
+    then meets one of their interiors, so D holds F.  Hence any two cones
+    meet in the cone over their common rays, a face of both.
+    A cone that is not simplicial or not n-dimensional, a shared ridge
+    that breaks (a), a one-cone ridge that does not support the fan (as
+    in a fan whose union is not convex) or a point found twice ends the
+    certificate undecided.
+    """
+    walls, normals, sides = [], {}, {}
+    for c in cones:
+        rays = c.rays
+        if len(rays) != n:
+            return False
+        own = []
+        for i, opposite in enumerate(rays):
+            ridge = rays[:i] + rays[i + 1:]
+            w = normals.get(ridge)
+            if w is None:
+                w = normals[ridge] = _ridge_normal(ridge, n)
+            side = _idot(w, opposite)
+            if not side:
+                return False
+            sides.setdefault(ridge, []).append(side > 0)
+            own.append((w, side))
+        walls.append(own)
+    bounds = set()
+    for ridge, (first, *rest) in sides.items():
+        if rest:
+            if len(rest) > 1 or rest[0] == first:
+                return False
+            continue
+        w = normals[ridge]
+        g = gcd(*w) if first else -gcd(*w)
+        bounds.add(tuple(x // g for x in w))
+    fan_rays = {r for c in cones for r in c.rays}
+    if any(_idot(h, r) < 0 for h in bounds for r in fan_rays):
+        return False
+    point = [sum(col) for col in zip(*cones[0].rays)]
+    return not any(all(_idot(w, point) * side >= 0 for w, side in own)
+                   for own in walls[1:])
+
+
 class Fan(Record):
     """A fan given by its maximal cones; compatibility (every pairwise
-    intersection is a face of both sides) is verified on construction."""
+    intersection is a face of both sides) is verified on construction.
+
+    When every maximal cone is simplicial and full-dimensional, as in
+    every fan that simplicialize, stellar_subdivide and regularize_fan
+    build from a Newton fan, the ridge certificate verifies it, linear in
+    the cones.  Any other fan, and any fan the certificate cannot decide
+    (a fan whose union is not convex, or one that is not a fan at all),
+    goes through the pairwise check: one intersect_cones per pair of
+    maximal cones."""
 
     ambient_dim: int
     maximal: tuple
@@ -209,6 +276,9 @@ class Fan(Record):
         for c in self.maximal:
             if c.ambient_dim != self.ambient_dim:
                 raise GeometryError("cone ambient dimension mismatch")
+        if self.maximal and _ridge_certificate(self.ambient_dim,
+                                               self.maximal):
+            return
         for a, b in itertools.combinations(self.maximal, 2):
             meet = intersect_cones(a, b)
             if not (meet.is_face_of(a) and meet.is_face_of(b)):

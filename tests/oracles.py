@@ -64,6 +64,10 @@ regularity with a full-dimensional |det| branch behind an is_simplicial
 double description (is_regular_cone_two_branch), and the stellar step
 that tests membership with contains (stellar_raw_contains); the library
 now reads all three off geometry._pulling and the minor chart.
+cone_from_rays, the canonical cone of its generators by two double
+descriptions, is kept verbatim from the library, which builds every cone
+from rays already known to be extremal and primitive; the tests build
+their cones with it.
 
 edges_at_vertex_lattice is the library's former apex.edges_at_vertex,
 which read the compact edges at a vertex off the whole face lattice; the
@@ -198,8 +202,7 @@ from newtonmu.apex import (ApexCertificate, BoundaryEdge, _edges_at,
                            _on_edge)
 from newtonmu.degenerate import ArcOrder
 from newtonmu.families import DeformationFamily, SPoly, _exponent
-from newtonmu.fans import (Fan, LatticeCone, box_points, cone_from_rays,
-                           is_regular_cone)
+from newtonmu.fans import Fan, LatticeCone, box_points, is_regular_cone
 from newtonmu.geometry import (DIMENSION_CAP, ONE, ZERO, DimensionCapExceeded,
                                GeometryError, InternalConsistencyError,
                                Record, _bounded_piece, _extreme_rays, _idot,
@@ -878,6 +881,28 @@ def cone_faces_section(cone):
                                     for i in vs))
                 out.add(LatticeCone(cone.ambient_dim, rays))
     return tuple(sorted(out, key=lambda c: (len(c.rays), c.rays)))
+
+
+def cone_from_rays(ambient_dim, rays):
+    """Canonical cone: primitive rays, redundant generators dropped.
+
+    The extreme rays are those of the H-description of the generators,
+    both read by the double-description routine."""
+    prims = set()
+    for r in rays:
+        r = vec(r)
+        if any(x < 0 for x in r):
+            raise GeometryError("cone generators must be nonnegative")
+        if len(r) != ambient_dim:
+            raise GeometryError("generator dimension mismatch")
+        if all(x == 0 for x in r):
+            continue
+        prims.add(primitive_vector(r))
+    if not prims:
+        return LatticeCone(ambient_dim, ())
+    normals, lineality, _ = _extreme_rays((), sorted(prims), ambient_dim)
+    rays, _, _ = _extreme_rays(lineality, normals, ambient_dim)
+    return LatticeCone(ambient_dim, tuple(sorted(rays)))
 
 
 def cone_from_rays_section(ambient_dim, rays):

@@ -205,7 +205,7 @@ def test_internal_inconsistency_exits_5(tmp_path, capsys, monkeypatch):
     def disagree(fan):
         raise InternalConsistencyError("two computations disagreed")
 
-    monkeypatch.setattr(cli, "regularize_fan", disagree)
+    monkeypatch.setattr(fans, "regularize_fan", disagree)
     path = write(tmp_path, "q.json", QUAD)
     code, out, err = run(capsys, ["regularize", path])
     assert code == 5
@@ -297,6 +297,37 @@ def test_usage_errors_report_json(tmp_path, capsys):
     with pytest.raises(SystemExit) as exit_:
         main(["nu", "--help"])
     assert exit_.value.code == 0 and "usage:" in capsys.readouterr().out
+
+
+def test_usage_errors_match_the_full_parser(capsys, monkeypatch):
+    """main builds the subparser of the command it is given only; every
+    usage error and help text, the top-level parser's included, has the
+    exit code, stdout and stderr of the full parser."""
+    def outcome(argv):
+        try:
+            code = main(argv)
+        except SystemExit as exit_:
+            code = exit_.code
+        out = capsys.readouterr()
+        return code, out.out, out.err
+
+    full, built = cli._build_parser, []
+
+    def spy(command=None):
+        built.append(command)
+        return full(command)
+
+    for argv in ([], ["-h"], ["bogus"], ["nu"], ["nu", "-h"],
+                 ["nu", "f.json", "extra"], ["nu", "--bogus", "f.json"],
+                 ["milnor", "f.json", "--budget", "x"],
+                 ["valuative", "f.json"]):
+        built.clear()
+        monkeypatch.setattr(cli, "_build_parser", spy)
+        got = outcome(argv)
+        assert built[0] == (None if argv[:1] in ([], ["-h"], ["bogus"])
+                            else argv[0]), argv
+        monkeypatch.setattr(cli, "_build_parser", lambda command=None: full())
+        assert got == outcome(argv), argv
 
 
 def test_input_errors(tmp_path, capsys):

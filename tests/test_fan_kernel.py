@@ -7,7 +7,9 @@ non-simplicial ones, proper and improper fans, covering and non-covering
 subdivisions.  Each draws its examples from random.Random(k) for the
 first CASES seeds k, fewer where it says so, the same in every run and
 every order of the suite.  The subdivision steps are compared with their former
-code on the cones of random Newton fans.  The last tests run the fan
+code on the cones of random Newton fans, and Fan's ridge certificate and
+its pairwise fallback with the section oracle on regularized fans and
+their broken variants.  The last tests run the fan
 pipeline with the polytope routines disabled, so they show the cone
 kernel builds no polytope, and the subdivision steps with the double
 description disabled, so they show those steps read cached
@@ -22,18 +24,18 @@ import pytest
 
 from newtonmu import fans, geometry, newton_number
 from newtonmu.fans import (Fan, LatticeCone, _simplices, box_points,
-                           cone_from_rays, intersect_cones, is_admissible,
-                           is_regular_cone, is_subdivision, newton_fan,
-                           orthant_fan, regularize_fan, simplicialize,
-                           stellar_subdivide)
+                           intersect_cones, is_admissible, is_regular_cone,
+                           is_subdivision, newton_fan, orthant_fan,
+                           regularize_fan, simplicialize, stellar_subdivide)
 from newtonmu.geometry import (GeometryError, InternalConsistencyError,
                                primitive_vector)
 from newtonmu.newton_number import union_volume_vector
 from newtonmu.polyhedra import support_set
 from corpus import bs_deformed_support, random_convenient_support
 from oracles import (box_points_scan, cone_contains, cone_dim,
-                     cone_faces_section, cone_from_rays_section,
-                     fan_compatible_section, intersect_cones_section,
+                     cone_faces_section, cone_from_rays,
+                     cone_from_rays_section, fan_compatible_section,
+                     intersect_cones_section,
                      is_face_of_section, is_regular_cone_two_branch,
                      is_subdivision_chart, mat_rank, simplicialize_recursive,
                      stellar_raw_contains, union_volume_vector_hulls)
@@ -171,6 +173,113 @@ def test_fan_check_matches_section():
         except GeometryError:
             built = False
         assert built is fan_compatible_section(tuple(set(cs))), k
+
+
+def _cone(n, rays):
+    return LatticeCone(n, tuple(sorted(rays)))
+
+
+def fan_variants(rng, n):
+    """A complete regularized fan of the orthant (the ridge certificate
+    decides it), the same with cones removed (a union that is not convex
+    in general, decided by the pairwise check), and broken variants: an
+    overlapping cone added, a cone folded across a ridge it shares, one
+    cone subdivided at a point of that ridge without its neighbour, and
+    the orthant cone over the whole fan, covering each point twice."""
+    s = random_convenient_support(rng, n, max_intercept=3, extra=1)
+    full = regularize_fan(simplicialize(newton_fan(s))).maximal
+    out = {"complete": full}
+    if len(full) > 1:
+        drop = rng.sample(full, rng.randint(1, len(full) - 1))
+        out["removed"] = tuple(c for c in full if c not in drop)
+    rays = sorted({r for c in full for r in c.rays})
+    for _ in range(10):
+        c = _cone(n, rng.sample(rays, n))
+        if c not in full and mat_rank(c.rays) == n:
+            out["overlap"] = full + (c,)
+            break
+    shared = {}
+    for c in full:
+        for r in c.rays:
+            shared.setdefault(tuple(q for q in c.rays if q != r),
+                              []).append((c, r))
+    pairs = [(ridge, cs) for ridge, cs in shared.items() if len(cs) == 2]
+    if pairs:
+        ridge, ((c, _), (_, far)) = rng.choice(pairs)
+        rest = tuple(e for e in full if e != c)
+        into_d = primitive_vector(tuple(map(sum, zip(far, *ridge))))
+        out["folded"] = rest + (_cone(n, ridge + (into_d,)),)
+    if pairs and n > 2:     # for n = 2 a ridge is one ray: nothing hangs
+        xi = primitive_vector(tuple(map(sum, zip(*ridge))))
+        opposite = next(q for q in c.rays if q not in ridge)
+        out["hanging"] = rest + tuple(
+            _cone(n, [xi if q == r else q for q in ridge] + [opposite])
+            for r in ridge)
+    orthant = orthant_fan(n).maximal[0]
+    if orthant not in full:
+        out["twice"] = full + (orthant,)
+    return out
+
+
+def test_ridge_certificate_matches_section(monkeypatch):
+    """Fan accepts exactly the fans the cross-section oracle accepts, for
+    fans of every kind of fan_variants, n = 2..4, and both the ridge
+    certificate and the pairwise check decide some of the accepted ones."""
+    certificate = fans._ridge_certificate
+    decided = []
+
+    def recorded(n, cones):
+        decided.append(certificate(n, cones))
+        return decided[-1]
+
+    monkeypatch.setattr(fans, "_ridge_certificate", recorded)
+    seen = set()
+    for k in range(18):
+        n = 2 + k % 3
+        for kind, cones in fan_variants(random.Random(k), n).items():
+            decided.clear()
+            try:
+                Fan(n, cones)
+                built = True
+            except GeometryError:
+                built = False
+            assert built is fan_compatible_section(tuple(set(cones))), (k,
+                                                                       kind)
+            seen.add((kind, built, decided[0]))
+    assert ("complete", True, True) in seen
+    assert ("removed", True, False) in seen
+    assert {kind for kind, built, _ in seen if not built} == {
+        "overlap", "folded", "hanging", "twice"}
+    assert not any(certified and not built for _, built, certified in seen)
+
+
+def _same_side():
+    """(5,1) is a ridge of two cones on the same side, and the ray sum
+    (1,1) of the first cone is covered once."""
+    return 2, [((0, 1), (1, 0)), ((4, 1), (5, 1)), ((3, 1), (5, 1)),
+               ((3, 1), (4, 1))]
+
+
+def _double_cover():
+    """The orthant cone over its stellar subdivision at (1,1,0), (1,0,1)
+    and (0,1,1): every ridge is matched or on the boundary, and the ray
+    sum of the first cone is covered twice."""
+    fan = orthant_fan(3)
+    for xi in ((1, 1, 0), (1, 0, 1), (0, 1, 1)):
+        fan = stellar_subdivide(fan, xi)
+    return 3, [c.rays for c in orthant_fan(3).maximal + fan.maximal]
+
+
+@pytest.mark.parametrize("build", [_same_side, _double_cover])
+def test_ridge_certificate_needs_each_of_its_checks(build):
+    """Two non-fans that pass every check of the ridge certificate but
+    one: the opposite sides of a shared ridge, or the point covered once."""
+    n, rays = build()
+    cones = tuple(LatticeCone(n, r) for r in rays)
+    assert not fan_compatible_section(cones)
+    assert not fans._ridge_certificate(n, cones)
+    with pytest.raises(GeometryError):
+        Fan(n, cones)
 
 
 def test_stellar_pieces_with_their_parent_are_improper():

@@ -1,21 +1,22 @@
 import collections
 import random
+import time
 from fractions import Fraction as F
 
 import pytest
 
 from newtonmu import fans
-from newtonmu.fans import (Fan, LatticeCone, box_points, cone_from_rays,
-                           intersect_cones, is_admissible, is_regular_cone,
-                           is_subdivision, newton_fan, orthant_fan,
-                           pyramid_subdivision, regularize, regularize_fan,
-                           simplicialize, stellar_subdivide, support_function)
+from newtonmu.fans import (Fan, LatticeCone, box_points, intersect_cones,
+                           is_admissible, is_regular_cone, is_subdivision,
+                           newton_fan, orthant_fan, pyramid_subdivision,
+                           regularize, regularize_fan, simplicialize,
+                           stellar_subdivide, support_function)
 from newtonmu.geometry import (GeometryError, InternalConsistencyError,
                                primitive_vector)
 from newtonmu.polyhedra import NewtonPolyhedron, newton_polyhedron, support_set
 from corpus import (bs_base_support, bs_deformed_support,
                     random_convenient_support)
-from oracles import regularize_fan_records
+from oracles import cone_from_rays, regularize_fan_records
 
 
 def test_support_function():
@@ -229,6 +230,16 @@ def test_regularize_fan_property():
         assert all(is_regular_cone(c) for c in reg.maximal)
         assert is_subdivision(reg, nf)
         assert is_subdivision(reg, orthant_fan(n))
+
+
+def test_regularize_is_bounded():
+    """The support {(5,0,3), (0,7,1), (0,0,15), (12,8,0)} misses the x axis
+    and regularizes to 886 cones far inside 5 s: about 0.3 s with the
+    ridge certificate, 16-28 s with a pairwise check of the final fan."""
+    s = support_set(3, [(5, 0, 3), (0, 7, 1), (0, 0, 15), (12, 8, 0)])
+    start = time.perf_counter()
+    assert len(regularize_fan(simplicialize(newton_fan(s))).maximal) == 886
+    assert time.perf_counter() - start < 5
 
 
 @pytest.mark.parametrize("e", [60, 120])

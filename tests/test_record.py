@@ -17,9 +17,10 @@ from fractions import Fraction as F
 import pytest
 
 import newtonmu
-from newtonmu.fans import Fan, LatticeCone, cone_from_rays
+from newtonmu.fans import Fan, LatticeCone
 from newtonmu.newton_number import NewtonVolumeVector
 from newtonmu.polyhedra import SupportSet, support_set
+from oracles import cone_from_rays
 
 
 def test_fields_cannot_be_set_or_deleted():

@@ -6,7 +6,7 @@ import pytest
 from newtonmu import fans, resolution
 from newtonmu.apex import ApexCertificate, MuConstancyResult, mu_constant_test
 from newtonmu.families import family, spoly
-from newtonmu.fans import cone_from_rays, is_regular_cone, support_function
+from newtonmu.fans import is_regular_cone, support_function
 from newtonmu.geometry import GeometryError, InternalConsistencyError
 from newtonmu.milnor import milnor_number, nondegeneracy_check
 from newtonmu.newton_number import newton_number_region, newton_number_set
@@ -15,7 +15,7 @@ from newtonmu.resolution import (_certify_added, chart_pullback, make_chart,
                                  simultaneous_resolution)
 from corpus import (boundary_plane_augmentation, bs_family,
                     interior_point_below, random_convenient_support)
-from oracles import _double_description, lower_region
+from oracles import _double_description, cone_from_rays, lower_region
 
 
 def test_chart_pullback():
