@@ -242,7 +242,8 @@ def _family_of(doc, command):
 # --- report rendering -------------------------------------------------------
 
 def _render(doc, indent=0, out=None):
-    """Plain-text rendering of a report tree for --pretty."""
+    """Plain-text rendering of a report tree for --pretty: a dict or a
+    list, whose nonempty dicts and lists nest."""
     top = out is None
     if top:
         out = []
@@ -254,15 +255,13 @@ def _render(doc, indent=0, out=None):
                 _render(v, indent + 1, out)
             else:
                 out.append(f"{pad}{k}: {_render_leaf(v)}")
-    elif isinstance(doc, list):
+    else:
         for v in doc:
             if isinstance(v, (dict, list)) and v:
                 out.append(f"{pad}-")
                 _render(v, indent + 1, out)
             else:
                 out.append(f"{pad}- {_render_leaf(v)}")
-    else:
-        out.append(f"{pad}{_render_leaf(doc)}")
     if top:
         return "\n".join(out) + "\n"
 

@@ -26,14 +26,15 @@ membership and the pieces off them, and the box points are read off the
 group that adjugate generates mod D, so no rational solve runs.  A
 regularization step swaps ray tuples on its target's star.
 
-A Fan checks its maximal cones on construction.  A fan of simplicial,
-full-dimensional cones (every subdivision of a Newton fan) is checked by
-a ridge certificate: its ridges matched in pairs on opposite sides, its
-unmatched ridges supporting the whole fan, and one point covered once,
-one cofactor normal per ridge and linear in the cones.  Every other fan,
-and one the certificate cannot decide, such as a fan whose union is not
-convex, takes the pairwise check: one double-description intersection
-per pair of maximal cones.
+A Fan checks its maximal cones on construction.  A fan of
+full-dimensional cones (every Newton fan and every subdivision of one)
+is checked by a facet certificate: its facets, read off each cone's
+cached H-description and keyed by their rays, matched in pairs on
+opposite sides, its unmatched facets supporting the whole fan, and one
+point covered once, linear in the cones.  Every other fan, and one the
+certificate cannot decide, such as a fan whose union is not convex,
+takes the pairwise check: one double-description intersection per pair
+of maximal cones.
 
 Nothing is memoized at module level: each cone caches its own
 H-description, facet masks, minors and minor chart, and faces() is
@@ -180,90 +181,73 @@ def intersect_cones(a, b):
     return LatticeCone(a.ambient_dim, tuple(sorted(rays)))
 
 
-def _ridge_normal(ridge, n):
-    """The cofactor normal w of n - 1 rays in Z^n: <w, x> is the
-    determinant of the rays with x appended as the last row."""
-    return tuple((-1) ** (n - 1 + j) * _int_det([r[:j] + r[j + 1:]
-                                                 for r in ridge])
-                 for j in range(n))
-
-
 def _ridge_certificate(n, cones):
-    """True when the ridges of the cones prove them a fan; False when the
+    """True when the facets of the cones prove them a fan; False when the
     certificate cannot decide (the caller then checks every pair).
 
-    Every cone must be simplicial and n-dimensional.  Its n ridges are the
-    tuples of n - 1 of its sorted rays, so a shared ridge has one key, each
-    with its cofactor normal w; the cone lies on the side of sign
-    <w, opposite ray>, never 0.  Passing
-    takes three facts (De Loera, Rambau & Santos, *Triangulations*, 2010,
-    §4.5):
-    (a) a ridge lies in one or two cones, and two lie on opposite sides;
-    (b) the hyperplane of each ridge in one cone supports every ray, so
-        the cones lie in the convex cone K those half-spaces cut out;
-    (c) the ray sum of the first cone lies in no other cone.
+    Every cone must be n-dimensional.  Its facets are read off its cached
+    H-description: the facet normals, primitive and inward, and per normal
+    the rays tight on it (_facet_masks).  Each facet is keyed by the tuple
+    of the cone's rays on it, so two cones share a key exactly when they
+    share that facet face to face.  Passing takes three facts (De Loera,
+    Rambau & Santos, *Triangulations*, 2010, §4.5):
+    (a) a facet lies in one or two cones, and the normals of two are
+        exact negatives, so the cones lie on opposite sides of it;
+    (b) the normal of each facet in one cone is >= 0 on every ray, so the
+        cones lie in the convex cone K those half-spaces cut out;
+    (c) the ray sum of the first cone, an interior point of it, lies in
+        no other cone.
     Soundness.  Count the cones whose interior holds a point x of int K
-    off every ridge hyperplane.  Along a segment of such points that
+    off every facet hyperplane.  Along a segment of such points that
     meets no face of dimension below n - 1, the count changes only where
-    the segment crosses the relative interior of ridges: a ridge of two
-    cones gives one up and one down by (a), and a ridge of one cone lies
+    the segment crosses the relative interior of facets: a facet of two
+    cones gives one up and one down by (a), and a facet of one cone lies
     on the boundary of K by (b), so it is never crossed.  The count is 1
     near (c)'s point, so it is 1 on int K: the interiors are disjoint and
-    the cones cover K.  The same count on the quotient by a face F of a
-    cone, over the cones holding F, shows that they cover a neighbourhood
-    in K of any point z of the relative interior of F; a cone D through z
-    then meets one of their interiors, so D holds F.  Hence any two cones
-    meet in the cone over their common rays, a face of both.
-    A cone that is not simplicial or not n-dimensional, a shared ridge
-    that breaks (a), a one-cone ridge that does not support the fan (as
-    in a fan whose union is not convex) or a point found twice ends the
-    certificate undecided.
+    the cones cover K.  Now let z be a relative-interior point of the
+    meet of two cones A and B, and F the face of A whose relative
+    interior holds z; F is the least face of A holding A ∩ B.  The same
+    count on the quotient by F, over the cones with F as a face, changes
+    only across their facets through F, and by (a) the matched cone of
+    such a facet has F as a face too; so those cones cover a
+    neighbourhood of z in K.  B is n-dimensional and holds z, so its
+    interior meets one of their interiors; the interiors are disjoint, so
+    B is one of those cones and has F as a face.  Hence A ∩ B = F, a
+    face of both.
+    A cone that is not n-dimensional, a shared facet that breaks (a), a
+    one-cone facet that does not support the fan (as in a fan whose union
+    is not convex, or two cones meeting in part of a facet) or a point
+    found twice ends the certificate undecided.
     """
-    walls, normals, sides = [], {}, {}
+    walls = {}
     for c in cones:
-        rays = c.rays
-        if len(rays) != n:
+        if c.dim != n:
             return False
-        own = []
-        for i, opposite in enumerate(rays):
-            ridge = rays[:i] + rays[i + 1:]
-            w = normals.get(ridge)
-            if w is None:
-                w = normals[ridge] = _ridge_normal(ridge, n)
-            side = _idot(w, opposite)
-            if not side:
-                return False
-            sides.setdefault(ridge, []).append(side > 0)
-            own.append((w, side))
-        walls.append(own)
-    bounds = set()
-    for ridge, (first, *rest) in sides.items():
-        if rest:
-            if len(rest) > 1 or rest[0] == first:
-                return False
-            continue
-        w = normals[ridge]
-        g = gcd(*w) if first else -gcd(*w)
-        bounds.add(tuple(x // g for x in w))
+        for a, mask in zip(c._h_description[1], c._facet_masks):
+            key = tuple(r for i, r in enumerate(c.rays) if mask >> i & 1)
+            walls.setdefault(key, []).append(a)
     fan_rays = {r for c in cones for r in c.rays}
-    if any(_idot(h, r) < 0 for h in bounds for r in fan_rays):
-        return False
+    for a, *rest in walls.values():
+        if rest:
+            if rest != [tuple(-x for x in a)]:  # (a)
+                return False
+        elif any(_idot(a, r) < 0 for r in fan_rays):  # (b)
+            return False
     point = [sum(col) for col in zip(*cones[0].rays)]
-    return not any(all(_idot(w, point) * side >= 0 for w, side in own)
-                   for own in walls[1:])
+    return not any(c.contains(point) for c in cones[1:])
 
 
 class Fan(Record):
     """A fan given by its maximal cones; compatibility (every pairwise
     intersection is a face of both sides) is verified on construction.
 
-    When every maximal cone is simplicial and full-dimensional, as in
-    every fan that simplicialize, stellar_subdivide and regularize_fan
-    build from a Newton fan, the ridge certificate verifies it, linear in
-    the cones.  Any other fan, and any fan the certificate cannot decide
-    (a fan whose union is not convex, or one that is not a fan at all),
-    goes through the pairwise check: one intersect_cones per pair of
-    maximal cones."""
+    When every maximal cone is full-dimensional, as in every Newton fan
+    and every fan that simplicialize, stellar_subdivide and regularize_fan
+    build from one, the facet certificate verifies it, linear in the
+    cones.  Any other fan, and any fan the certificate cannot decide (a
+    fan whose union is not convex, or one that is not a fan at all), goes
+    through the pairwise check: one intersect_cones per pair of maximal
+    cones."""
 
     ambient_dim: int
     maximal: tuple

@@ -52,7 +52,7 @@ from operator import sub
 
 from .geometry import (ONE, ZERO, GeometryError, InternalConsistencyError,
                        Record, _bounded_piece, _hull_rows, _members, _minor,
-                       _pulling, _scaled, _totals, frac)
+                       _pulling, _scaled, _totals, frac, render_point)
 from .polyhedra import (CompactRegion, SupportError, SupportSet, _over_lcm,
                         _placed, _placement, _require_bounded, _scaled_support,
                         check_nested, newton_polyhedron, support_set)
@@ -447,10 +447,13 @@ def positivity_decomposition(region, axes):
     avoid the origin, have vertex coordinates in {0} or [1, inf) outside I,
     meet coordinate subspaces not containing I in dimension < |J|, and meet
     the others in full-dimensional connected sections (the decidable stand-in
-    for the disk condition).  Pieces group the simplices by minimal
-    full-supporting subspace and common section; the identity
-    sum nu(Z_j) = nu(region) and each nu(Z_j) >= 0 are verified exactly and
-    raise on failure.
+    for the disk condition); every simplex must have affinely independent
+    vertices, and two simplices must meet in a common face.  Pieces group
+    the simplices by minimal full-supporting subspace and common section;
+    each piece's projection identity and nu(Z_j) >= 0 are verified exactly
+    and raise on failure.  The pieces' Newton numbers sum to nu(region):
+    two simplices with a common section face share their minimal subspace
+    and section, so they fall in one piece and no face is counted twice.
     """
     n = region.ambient_dim
     coords = _axes_to_internal(axes, n)
@@ -461,7 +464,7 @@ def positivity_decomposition(region, axes):
     for simplex in region.simplices:
         k_axes, w = _full_section(simplex, n)
         groups.setdefault((k_axes, tuple(sorted(w))), []).append(simplex)
-    pieces, total = [], ZERO
+    pieces = []
     for (k_axes, _), simplices in sorted(groups.items()):
         z = CompactRegion(n, tuple(sorted(simplices)))
         piece_axes = tuple(a + 1 for a in k_axes)
@@ -474,13 +477,7 @@ def positivity_decomposition(region, axes):
             raise GeometryError(
                 f"hypothesis failure: piece with axes {piece_axes} has "
                 f"negative Newton number {lhs}")
-        total += lhs
         pieces.append((z, piece_axes))
-    whole = newton_number_region(region)
-    if total != whole:
-        raise GeometryError(
-            "hypothesis failure: piece Newton numbers sum to "
-            f"{total}, region has {whole}; sections must be overlapping")
     return pieces
 
 
@@ -496,6 +493,21 @@ def _check_positivity_hypotheses(region, coords):
                     raise GeometryError(
                         "hypothesis failure: vertex coordinate "
                         f"{v[i]} on axis {i + 1} lies strictly between 0 and 1")
+        if len(simplex) > n + 1 or (len(simplex) == n + 1 and not _minor(
+                _scaled(simplex)[0], range(n + 1), range(n))):
+            raise GeometryError(
+                "hypothesis failure: simplex "
+                f"{' '.join(map(render_point, simplex))} has affinely "
+                "dependent vertices")
+    hulls = [_hull_rows(simplex) for simplex in region.simplices]
+    for (a, (eq_a, in_a)), (b, (eq_b, in_b)) in itertools.combinations(
+            zip(region.simplices, hulls), 2):
+        meet = _bounded_piece(eq_a + eq_b, in_a + in_b, n)
+        for v in meet[0] if meet else ():
+            if v not in a or v not in b:
+                raise GeometryError(
+                    "hypothesis failure: two simplices meet in "
+                    f"{render_point(v)}, which is not a common vertex")
     i_mask = sum(1 << i for i in coords)
     masked = [[(v, _support_mask(v)) for v in simplex]
               for simplex in region.simplices]

@@ -179,7 +179,12 @@ and |I|! vol(P^I) as simplex_volume times |I|!.  The library now reads
 every section off support bitmasks (mask | J == J) and measures P^I by
 one integer minor; test_newton_number checks that both return equal
 records, or raise the same error type and text, on difference regions
-and on regions broken by hand.
+and on regions broken by hand.  The hypothesis check here also refuses
+what the library's now refuses: a simplex with affinely dependent
+vertices, by the Fraction determinant, and two simplices that meet
+beyond a common face (_stray_meet_vertex).  The former sum check on the
+pieces stays here; the library dropped it, and the comparison shows it
+never fires on a region that passes the hypotheses.
 
 The term algebra at the end (spoly, _coefficient_poly, family, partial,
 partial_x, partial_s, base, specialize and arc_order) is the library's
@@ -192,6 +197,7 @@ base is specialize at s = 0; test_families checks that the two build
 equal records and arc orders.
 """
 
+import functools
 import itertools
 from itertools import combinations
 from fractions import Fraction, Fraction as F
@@ -1753,6 +1759,18 @@ def _check_positivity_hypotheses(region, coords):
                     raise GeometryError(
                         "hypothesis failure: vertex coordinate "
                         f"{v[i]} on axis {i + 1} lies strictly between 0 and 1")
+        if len(simplex) > n + 1 or (len(simplex) == n + 1 and not determinant(
+                [vsub(v, simplex[0]) for v in simplex[1:]])):
+            raise GeometryError(
+                "hypothesis failure: simplex "
+                f"{' '.join(map(render_point, simplex))} has affinely "
+                "dependent vertices")
+    for a, b in itertools.combinations(region.simplices, 2):
+        v = _stray_meet_vertex(a, b)
+        if v is not None:
+            raise GeometryError(
+                "hypothesis failure: two simplices meet in "
+                f"{render_point(v)}, which is not a common vertex")
     for k in range(1, n + 1):
         for axes in itertools.combinations(range(n), k):
             j = frozenset(axes)
@@ -1782,6 +1800,20 @@ def _check_positivity_hypotheses(region, coords):
                         f"{tuple(a + 1 for a in sorted(j))} is not pure "
                         f"{k}-dimensional")
             _check_connected(top, k)
+
+
+@functools.lru_cache(maxsize=None)
+def _stray_meet_vertex(a, b):
+    """The first vertex of the intersection of the hulls of a and b that
+    is not a vertex of both, or None: both hulls by the former
+    convex_hull, the vertices of their intersection by
+    polytope_from_constraints on its rows.  Memoized, since the
+    comparison test asks again for every axis set of a region."""
+    ha, hb = convex_hull(a), convex_hull(b)
+    meet = polytope_from_constraints(ha.equalities + hb.equalities,
+                                     ha.facets + hb.facets, len(a[0]))
+    return next((v for v in meet.vertices if v not in a or v not in b),
+                None) if meet else None
 
 
 def _check_connected(top_faces, k):

@@ -13,17 +13,32 @@ question).  Given an oracle, both numbers must also equal it;
 test_apex passes oracles.nu_2d_staircase, which shares no code with
 placement, on the box E = 5 (251 staircases, 7904 pairs).
 
+The other half of the theorem goes through resolve: check_resolve_box
+turns each pair into the family f_0 + s x^p, f_0 the staircase's
+polynomial, all coefficients 1.  A false apex verdict must be refused as
+not mu-constant.  A true one must resolve with every chart unit or
+smooth-verified and no warning, or be refused for a degenerate base,
+the latter exactly when nondegeneracy_check(f_0) says degenerate.
+test_resolution runs the box E = 3 (236 families).
+
 The file has no test_ prefix, so pytest does not collect it.  Run as a
-script, it checks a larger box without the oracle and prints its size:
+script, it checks a larger box without the oracle and prints its size,
+or with --resolve the resolve box:
 
     PYTHONPATH=src python tests/planar_box.py 6
+    PYTHONPATH=src python tests/planar_box.py --resolve 4
 """
 
 import sys
+from collections import Counter
 from itertools import combinations
 
 from newtonmu.apex import mu_constant_test
+from newtonmu.families import family, spoly
+from newtonmu.geometry import GeometryError
+from newtonmu.milnor import nondegeneracy_check
 from newtonmu.polyhedra import support_set
+from newtonmu.resolution import simultaneous_resolution
 
 
 def staircases(e):
@@ -61,8 +76,56 @@ def check_box(e, oracle=None):
     return count, pairs
 
 
+def check_resolve_box(e):
+    """Run the family f_0 + s x^p of every pair of the box of exponents
+    at most e through simultaneous_resolution and check its outcome (see
+    above).  Returns a Counter of the outcomes: "resolved", "not
+    mu-constant" and "degenerate base"."""
+    box = [(x, y) for x in range(e + 1) for y in range(e + 1) if x or y]
+    outcomes = Counter()
+    for pts in staircases(e):
+        s = support_set(2, pts)
+        terms = [(p, 1) for p in pts]
+        degenerate = nondegeneracy_check(
+            spoly(2, terms)).verdict == "degenerate"
+        for p in box:
+            if p in pts:
+                continue
+            where = f"{pts} + s {p}"
+            verdict = mu_constant_test(s, s.augment([p])).verdict
+            try:
+                res = simultaneous_resolution(
+                    family(2, 1, terms + [(p, [((1,), 1)])]))
+            except GeometryError as err:
+                refusal = str(err)
+            else:
+                assert verdict and not degenerate, where
+                assert {c.status for c in res.certificates} <= {
+                    "unit", "smooth-verified"}, where
+                assert res.report.warnings == (), where
+                outcomes["resolved"] += 1
+                continue
+            if not verdict:
+                assert refusal.startswith("family is not mu-constant"), where
+                outcomes["not mu-constant"] += 1
+            else:
+                assert degenerate, where
+                assert refusal.startswith(
+                    "base polynomial is degenerate on face"), where
+                outcomes["degenerate base"] += 1
+    return outcomes
+
+
 if __name__ == "__main__":
-    e = int(sys.argv[1])
-    count, pairs = check_box(e)
-    print(f"exponents at most {e}: {count} staircases, {pairs} pairs; "
-          "every verdict equals nu(S) = nu(S'), and nu(S') <= nu(S)")
+    if sys.argv[1] == "--resolve":
+        e = int(sys.argv[2])
+        outcomes = check_resolve_box(e)
+        print(f"exponents at most {e}: {sum(outcomes.values())} families, "
+              + ", ".join(f"{v} {k}" for k, v in sorted(outcomes.items()))
+              + "; every outcome agrees with the apex verdict and the "
+              "base's nondegeneracy")
+    else:
+        e = int(sys.argv[1])
+        count, pairs = check_box(e)
+        print(f"exponents at most {e}: {count} staircases, {pairs} pairs; "
+              "every verdict equals nu(S) = nu(S'), and nu(S') <= nu(S)")

@@ -382,6 +382,90 @@ def test_input_errors(tmp_path, capsys):
         assert "Traceback" not in err
 
 
+def _one(value="1", s_exponent=(0,)):
+    return {"s_exponent": list(s_exponent), "value": value}
+
+
+# x^2 + y^2 + s (x - y): along x = y = s = t the s-derivative x - y has
+# leading forms that cancel
+CANCEL_FAMILY = {
+    "schema_version": 1,
+    "variables": ["x", "y"],
+    "parameters": ["s"],
+    "terms": [{"exponent": [2, 0], "coefficient": [_one()]},
+              {"exponent": [0, 2], "coefficient": [_one()]},
+              {"exponent": [1, 0], "coefficient": [_one("1", (1,))]},
+              {"exponent": [0, 1], "coefficient": [_one("-1", (1,))]}],
+}
+
+# argv (a dict or list is written to a file and passed by its path), the
+# exit code, the error type (None for a report) and a text of the error
+# message, or of stdout and stderr for a report
+MAIN_CASES = {
+    "zero-denominator": (
+        ["nu", dict(QUAD, support=[["1/0", "1"], ["2", "0"], ["0", "2"]])],
+        2, "input", "cannot parse rational '1/0'"),
+    "no-variables": (["nu", dict(QUAD, variables=[], support=[])], 2,
+                     "input", "'variables' must be nonempty"),
+    "support-not-a-list": (["nu", dict(QUAD, support="2 0")], 2, "input",
+                           "'support' must be a list of vectors"),
+    "terms-not-a-list": (["nu", dict(CUSP, terms={})], 2, "input",
+                         "'terms' must be a list"),
+    "duplicate-exponent": (
+        ["nu", dict(CUSP, terms=CUSP["terms"] + CUSP["terms"][:1])], 2,
+        "input", "terms[2]: duplicate exponent [2, 0]"),
+    "duplicate-s-exponent": (
+        ["resolve", dict(XY_FAMILY, terms=[
+            {"exponent": [3, 0], "coefficient": [_one(), _one("2")]}])],
+        2, "input", "terms[0].coefficient[1]: duplicate s_exponent"),
+    "entry-not-an-object": (
+        ["nu", dict(CUSP, terms=[{"exponent": [2, 0],
+                                  "coefficient": ["1"]}])],
+        2, "input", "terms[0].coefficient[0]: expected an object"),
+    "missing-file": (["nu", "absent.json"], 2, "input",
+                     "cannot read absent.json"),
+    "resolve-a-support": (["resolve", QUAD], 2, "input",
+                          "resolve needs a 'terms' document"),
+    "resolve-polytope": (["resolve", BS_FAMILY, "--emit-polytope"], 0, None,
+                         '"polytope": {'),
+    "pretty-null": (["b1d", QUINTIC, "--axes", "1,2", "--pretty"], 0, None,
+                    "restriction: null"),
+    "zero-arc-coefficient": (
+        ["valuative", XY_FAMILY, "--arcs",
+         [{"x_orders": [1, 1], "s_orders": [1], "x_coeffs": ["0", "1"]}]],
+        2, "input", "arcs[0]: arc leading coefficients must be nonzero"),
+    "indeterminate-arc": (
+        ["valuative", CANCEL_FAMILY, "--arcs",
+         [{"x_orders": [1, 1], "s_orders": [1]}]],
+        0, None, "warning: arc 0 is indeterminate: leading forms cancel"),
+    "axes-not-integers": (["b1d", QUINTIC, "--axes", "a,b"], 2, "input",
+                          "--axes: expected comma-separated integers, got "
+                          "'a,b'"),
+}
+
+
+@pytest.mark.parametrize("argv, code, kind, text", MAIN_CASES.values(),
+                         ids=MAIN_CASES)
+def test_main_reports_each_case(tmp_path, capsys, monkeypatch, argv, code,
+                                kind, text):
+    """Malformed documents, flags and arcs through main(): each exits 2
+    with an input error naming what is wrong, and no traceback.  Three
+    reports run the rarer paths of their writers: resolve with its
+    polytope, a null field under --pretty and an indeterminate arc's
+    warning."""
+    monkeypatch.chdir(tmp_path)
+    argv = [a if isinstance(a, str) else write(tmp_path, f"{k}.json", a)
+            for k, a in enumerate(argv)]
+    got, out, err = run(capsys, argv)
+    assert got == code, out
+    assert "Traceback" not in err
+    if kind is None:
+        assert text in out + err
+    else:
+        error = json.loads(out)["results"]["error"]
+        assert error["type"] == kind and text in error["message"], error
+
+
 def test_rationals_are_integers_or_fractions(tmp_path, capsys):
     """Only integers and 'p/q' strings parse; exponent notation is rejected
     before any integer is built (Fraction would spend seconds on this

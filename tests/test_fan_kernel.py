@@ -7,9 +7,9 @@ non-simplicial ones, proper and improper fans, covering and non-covering
 subdivisions.  Each draws its examples from random.Random(k) for the
 first CASES seeds k, fewer where it says so, the same in every run and
 every order of the suite.  The subdivision steps are compared with their former
-code on the cones of random Newton fans, and Fan's ridge certificate and
-its pairwise fallback with the section oracle on regularized fans and
-their broken variants.  The last tests run the fan
+code on the cones of random Newton fans, and Fan's facet certificate and
+its pairwise fallback with the section oracle on regularized fans, Newton
+fans and their broken variants.  The last tests run the fan
 pipeline with the polytope routines disabled, so they show the cone
 kernel builds no polytope, and the subdivision steps with the double
 description disabled, so they show those steps read cached
@@ -31,7 +31,8 @@ from newtonmu.geometry import (GeometryError, InternalConsistencyError,
                                primitive_vector)
 from newtonmu.newton_number import union_volume_vector
 from newtonmu.polyhedra import support_set
-from corpus import bs_deformed_support, random_convenient_support
+from corpus import (bs_base_support, bs_deformed_support,
+                    random_convenient_support, supports)
 from oracles import (box_points_scan, cone_contains, cone_dim,
                      cone_faces_section, cone_from_rays,
                      cone_from_rays_section, fan_compatible_section,
@@ -179,13 +180,29 @@ def _cone(n, rays):
     return LatticeCone(n, tuple(sorted(rays)))
 
 
+def cornered_support(rng, n):
+    """Axis points 3..6 and two to four points of [0, 2]^n, many of them
+    vertices: the Newton fan often has non-simplicial cones and, for
+    n = 4, non-simplicial facets."""
+    pts = [tuple(rng.randint(3, 6) if j == i else 0 for j in range(n))
+           for i in range(n)]
+    pts += [tuple(rng.randint(0, 2) for _ in range(n))
+            for _ in range(rng.randint(2, 4))]
+    return support_set(n, [p for p in pts if any(p)])
+
+
 def fan_variants(rng, n):
-    """A complete regularized fan of the orthant (the ridge certificate
+    """A complete regularized fan of the orthant (the facet certificate
     decides it), the same with cones removed (a union that is not convex
     in general, decided by the pairwise check), and broken variants: an
     overlapping cone added, a cone folded across a ridge it shares, one
     cone subdivided at a point of that ridge without its neighbour, and
-    the orthant cone over the whole fan, covering each point twice."""
+    the orthant cone over the whole fan, covering each point twice.
+    Then a Newton fan, often with non-simplicial cones (the certificate
+    decides it), the same with one non-simplicial cone replaced by its
+    pulling pieces (not a fan when a neighbour keeps a shared
+    non-simplicial facet whole), and the same with an overlapping cone
+    added."""
     s = random_convenient_support(rng, n, max_intercept=3, extra=1)
     full = regularize_fan(simplicialize(newton_fan(s))).maximal
     out = {"complete": full}
@@ -218,13 +235,31 @@ def fan_variants(rng, n):
     orthant = orthant_fan(n).maximal[0]
     if orthant not in full:
         out["twice"] = full + (orthant,)
+    nf = newton_fan(cornered_support(rng, n)).maximal
+    out["newton"] = nf
+    flat = [c for c in nf if not c.is_simplicial]
+    if flat:
+        # a cone with a non-simplicial facet shared by a neighbour first:
+        # its pieces cut that facet, which the neighbour keeps whole
+        c = max(flat, key=lambda c: any(
+            len(f.rays) >= n and f.is_face_of(d)
+            for f in c.facets() for d in nf if d != c))
+        out["split"] = tuple(d for d in nf if d != c) + tuple(
+            LatticeCone(n, rays) for rays in _simplices(c))
+    rays = sorted({r for c in nf for r in c.rays})
+    for _ in range(10):
+        c = _cone(n, rng.sample(rays, n))
+        if c not in nf and mat_rank(c.rays) == n:
+            out["newton overlap"] = nf + (c,)
+            break
     return out
 
 
 def test_ridge_certificate_matches_section(monkeypatch):
     """Fan accepts exactly the fans the cross-section oracle accepts, for
-    fans of every kind of fan_variants, n = 2..4, and both the ridge
-    certificate and the pairwise check decide some of the accepted ones."""
+    fans of every kind of fan_variants, n = 2..4, and both the facet
+    certificate and the pairwise check decide some of the accepted ones;
+    the certificate decides every Newton fan."""
     certificate = fans._ridge_certificate
     decided = []
 
@@ -248,8 +283,10 @@ def test_ridge_certificate_matches_section(monkeypatch):
             seen.add((kind, built, decided[0]))
     assert ("complete", True, True) in seen
     assert ("removed", True, False) in seen
+    assert {(built, certified) for kind, built, certified in seen
+            if kind == "newton"} == {(True, True)}
     assert {kind for kind, built, _ in seen if not built} == {
-        "overlap", "folded", "hanging", "twice"}
+        "overlap", "folded", "hanging", "twice", "split", "newton overlap"}
     assert not any(certified and not built for _, built, certified in seen)
 
 
@@ -270,10 +307,19 @@ def _double_cover():
     return 3, [c.rays for c in orthant_fan(3).maximal + fan.maximal]
 
 
-@pytest.mark.parametrize("build", [_same_side, _double_cover])
+def _crossing_planes():
+    """Two plane cones of R^3 that cross along the ray (1,2,0), inside
+    the second: every facet is in one cone and supports the fan, and the
+    ray sum of the first cone lies in no other."""
+    return 3, [((0, 0, 1), (1, 2, 0)), ((0, 1, 0), (1, 0, 0))]
+
+
+@pytest.mark.parametrize("build", [_same_side, _double_cover,
+                                   _crossing_planes])
 def test_ridge_certificate_needs_each_of_its_checks(build):
-    """Two non-fans that pass every check of the ridge certificate but
-    one: the opposite sides of a shared ridge, or the point covered once."""
+    """Three non-fans that pass every check of the facet certificate but
+    one: the opposite sides of a shared facet, the point covered once, or
+    the full dimension of every cone."""
     n, rays = build()
     cones = tuple(LatticeCone(n, r) for r in rays)
     assert not fan_compatible_section(cones)
@@ -338,6 +384,29 @@ def test_newton_fan_subdivides_the_orthant():
         assert is_subdivision_chart(nf, orthant_fan(n)), k
         simp = simplicialize(nf)
         assert is_subdivision(simp, nf) and is_subdivision_chart(simp, nf), k
+
+
+def test_newton_fans_take_no_pairwise_check(monkeypatch):
+    """The facet certificate decides every Newton fan: with intersect_cones
+    counted, building the Newton fans of seeded convenient and
+    non-convenient supports, n = 2..4, of cornered supports and of the
+    Briancon-Speder supports intersects no pair of cones, and some of
+    those fans have non-simplicial cones."""
+    calls = []
+    pairwise = fans.intersect_cones
+    monkeypatch.setattr(fans, "intersect_cones",
+                        lambda a, b: calls.append(1) or pairwise(a, b))
+    drawn = [bs_base_support(), bs_deformed_support(), support_set(
+        3, [(5, 0, 3), (0, 7, 1), (0, 0, 15), (12, 8, 0)])]
+    for k in range(CASES):
+        rng = random.Random(k)
+        drawn += [supports(rng, convenient=k % 2 == 0),
+                  cornered_support(rng, 2 + k % 3)]
+    non_simplicial = sum(
+        not all(c.is_simplicial for c in newton_fan(s).maximal)
+        for s in drawn)
+    assert not calls
+    assert non_simplicial == 51 and {s.dim for s in drawn} == {2, 3, 4}
 
 
 def _stellar_maximal(cones, xi):
@@ -447,8 +516,8 @@ def test_subdivision_steps_run_without_double_description(monkeypatch):
     """With _extreme_rays raising, is_regular_cone, box_points, the
     stellar step and _simplices run on cones whose H-description is
     cached: full-dimensional, lower-dimensional, non-simplicial and zero
-    cones.  The stellar step's output Fan is left unbuilt: its pairwise
-    check intersects the new pieces by double description."""
+    cones.  The stellar step's output Fan is left unbuilt: its check reads
+    the new pieces' facets off a double description."""
     gens = [(1, 0, 0), (0, 1, 0), (1, 0, 1), (0, 1, 1), (1, 1, 2)]
     square = cone_from_rays(3, gens)
     simplicial = [cone_from_rays(3, [(1, 2, 0), (2, 1, 0), (0, 1, 3)]),

@@ -234,8 +234,10 @@ def test_regularize_fan_property():
 
 def test_regularize_is_bounded():
     """The support {(5,0,3), (0,7,1), (0,0,15), (12,8,0)} misses the x axis
-    and regularizes to 886 cones far inside 5 s: about 0.3 s with the
-    ridge certificate, 16-28 s with a pairwise check of the final fan."""
+    and regularizes to 886 cones far inside 5 s: 0.3-0.5 s with the facet
+    certificate (30-60 ms of it the check of the final fan, most of that
+    the facet normals of its cones), 16-28 s with a pairwise check of the
+    final fan."""
     s = support_set(3, [(5, 0, 3), (0, 7, 1), (0, 0, 15), (12, 8, 0)])
     start = time.perf_counter()
     assert len(regularize_fan(simplicialize(newton_fan(s))).maximal) == 886

@@ -160,12 +160,19 @@ def test_positivity_decomposition():
      "empty or degenerate section on axes (1,)"),
     (1, (((1,), (2,)), ((3,),)), (1,),
      "section on axes (1,) is not pure 1-dimensional"),
+    (2, (((1, 1), (2, 2), (3, 3)),), (1, 2),
+     "simplex (1, 1) (2, 2) (3, 3) has affinely dependent vertices"),
+    (2, (((0, 2), (0, 3), (1, 0)), ((0, 2), (0, 3), (1, 3))), (2,),
+     "two simplices meet in (1/4, 9/4), which is not a common vertex"),
 ])
 def test_positivity_hypotheses(n, simplices, axes, message):
     """Each hypothesis of the positivity decomposition on a least bad
     region: the origin as a vertex, a coordinate in (0, 1) off I, a
     full-dimensional section on axes without I, no full-dimensional
-    section on axes with I, and a point of a section in no top face."""
+    section on axes with I, a point of a section in no top face, a
+    simplex on a line, and two triangles on one edge that overlap (before
+    the overlap check, these broke the projection identity, an internal
+    error for bad input; the flat simplex passed as one piece)."""
     with pytest.raises(GeometryError, match=re.escape(
             f"hypothesis failure: {message}")):
         positivity_decomposition(CompactRegion(n, simplices), axes)
@@ -213,23 +220,34 @@ def test_broken_projection_identity_is_an_internal_error(monkeypatch):
 
 
 def test_positivity_checks_each_piece_and_the_sum(monkeypatch):
-    """The last two checks on the pieces fire on no region known to pass
-    the hypotheses.  The sign check guards the positivity theorem; the
-    sum check can fail only on degenerate simplices, since two simplices
-    with a common section face fall in one piece.  A projection check
-    that returns -1 for each piece, or each piece's Newton number plus
-    one (3 and 2 against the region's 3), makes them fire."""
-    check = newton_number.projection_formula_check
-    for shift, message in (
-            (lambda x: F(-1), "piece with axes (1, 2) has negative Newton "
-             "number -1"),
-            (lambda x: x + 1, "piece Newton numbers sum to 5, region has "
-             "3; sections must be overlapping")):
-        monkeypatch.setattr(newton_number, "projection_formula_check",
-                            lambda z, axes: tuple(map(shift, check(z, axes))))
-        with pytest.raises(GeometryError, match=re.escape(
-                f"hypothesis failure: {message}")):
-            positivity_decomposition(_two_triangles(), (2,))
+    """The sign check on the pieces fires on no region known to pass the
+    hypotheses: it guards the positivity theorem, and a projection check
+    that returns -1 for each piece makes it fire.  The pieces' Newton
+    numbers sum to the region's on every region that passes the
+    hypotheses, since two simplices with a common section face fall in
+    one piece; positivity_decomposition no longer checks the sum, so it
+    is checked here, on the difference regions of 40 seeds and their
+    broken copies (_broken_regions), under every axis set."""
+    passed = 0
+    for k in range(40):
+        n = 2 + k % 2
+        for region in _broken_regions(random.Random(k), n):
+            for size in range(n + 1):
+                for axes in itertools.combinations(range(1, n + 1), size):
+                    try:
+                        pieces = positivity_decomposition(region, axes)
+                    except GeometryError:
+                        continue
+                    passed += bool(pieces)
+                    assert sum(newton_number_region(z) for z, _ in pieces
+                               ) == newton_number_region(region), (k, axes)
+    assert passed == 63
+    monkeypatch.setattr(newton_number, "projection_formula_check",
+                        lambda z, axes: (F(-1), F(-1)))
+    with pytest.raises(GeometryError, match=re.escape(
+            "hypothesis failure: piece with axes (1, 2) has negative "
+            "Newton number -1")):
+        positivity_decomposition(_two_triangles(), (2,))
 
 
 def _outcome(func, *args):
@@ -301,11 +319,12 @@ def test_positivity_stack_matches_the_former_code():
                         seen.add(re.split(r"[\d(;]", got[1])[0].strip()
                                  if isinstance(got, tuple) else got[:2])
     assert regions == 572
-    # a pair of Fractions, pieces, no pieces, and ten of the error texts:
-    # all but those of the three checks on the pieces (identity, sign,
-    # sum) and of the one raise that needs a simplex short of n + 1
-    # vertices
-    assert len(seen) == 13, sorted(seen)
+    # a pair of Fractions, pieces, no pieces, and eleven of the error
+    # texts: all but those of the two checks on the pieces (identity,
+    # sign), of the flat-simplex check (test_positivity_hypotheses fires
+    # it) and of the one raise that needs a simplex short of n + 1
+    # vertices; the former code's sum check never fires
+    assert len(seen) == 14, sorted(seen)
 
 
 def test_partial_homothety_identity():

@@ -16,6 +16,7 @@ from newtonmu.resolution import (_certify_added, chart_pullback, make_chart,
 from corpus import (boundary_plane_augmentation, bs_family,
                     interior_point_below, random_convenient_support)
 from oracles import _double_description, cone_from_rays, lower_region
+from planar_box import check_resolve_box
 
 
 def test_chart_pullback():
@@ -235,6 +236,39 @@ def test_smoothness_branches_leave_the_chart_unchecked(monkeypatch, patch,
     assert list(res.report.warnings) == [chart + w for w in warnings]
     (cert,) = [c for c in res.certificates if c.status != "unit"]
     assert dict(cert.witness)["singular_locus"] == ((2, result), (3, result))
+
+
+def test_small_budgets_leave_checks_undecided():
+    """Briancon-Speder within a budget of 50: two faces of the base are
+    left unchecked, each a warning, and the chart over (1, 6, 0) is still
+    smooth-verified.  Within 10, both smoothness tests of that chart run
+    out of budget too, and it is unchecked."""
+    faces = ["nondegeneracy unchecked on face [(0, 0, 15), (0, 7, 1), "
+             "(5, 0, 0)]",
+             "nondegeneracy unchecked on face [(0, 7, 1), (0, 8, 0), "
+             "(5, 0, 0)]"]
+    res = simultaneous_resolution(bs_family(), budget=50)
+    assert res.report.nondegeneracy == "unknown"
+    assert res.report.status_counts == (("smooth-verified", 1), ("unit", 8))
+    assert list(res.report.warnings) == faces
+    res = simultaneous_resolution(bs_family(), budget=10)
+    assert res.report.status_counts == (("unchecked", 1), ("unit", 8))
+    chart = "chart ((0, 0, 1), (2, 1, 1), (3, 2, 1)): "
+    assert list(res.report.warnings) == faces + [
+        f"{chart}smoothness budget exceeded on hyperplane {k}"
+        for k in (2, 3)]
+    (cert,) = [c for c in res.certificates if c.status != "unit"]
+    assert dict(cert.witness)["singular_locus"] == (
+        (2, "budget exceeded"), (3, "budget exceeded"))
+
+
+def test_resolve_over_the_planar_box_of_exponents_up_to_3():
+    """The theorem through resolve on every family f_0 + s x^p of the
+    planar box of exponents at most 3 (planar_box.check_resolve_box): a
+    false apex verdict is refused as not mu-constant, and a true one
+    resolves with every chart unit or smooth-verified and no warning (no
+    base in this box is degenerate; the box at 4 has 11, a CI step)."""
+    assert check_resolve_box(3) == {"resolved": 185, "not mu-constant": 51}
 
 
 def test_rejects_non_convenient_base():
