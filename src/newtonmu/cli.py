@@ -372,26 +372,22 @@ def _cmd_resolve(args, load):
     fam = _family_of(parse_input(load(args.file)), "resolve")
     res = simultaneous_resolution(fam, skip_smoothness=args.skip_smoothness,
                                   budget=args.budget)
-    charts = []
-    for chart, tt, cert in zip(res.charts, res.transforms, res.certificates):
-        charts.append({
-            "generators": _jsonable(chart.generators),
-            "m": _jsonable(tt.monomial_exponents),
-            "dual_vertex": _jsonable(cert.dual_vertex),
-            "status": cert.status,
-            "witness": {k: _jsonable(v) for k, v in cert.witness},
-        })
     results = {
-        "nu": _fmt(res.report.nu),
-        "added_vertices": _jsonable(res.report.verd),
+        "nu": _fmt(res.nu),
+        "added_vertices": _jsonable(res.added_vertices),
         "fan": {"maximal_cones": _cone_matrices(res.fan)},
-        "charts": charts,
-        "counts": {k: v for k, v in res.report.status_counts},
-        "nondegeneracy": res.report.nondegeneracy,
+        "charts": [{"generators": _jsonable(c.cone.rays),
+                    "m": [_fmt(e) for e in c.monomial_exponents],
+                    "dual_vertex": _jsonable(c.dual_vertex),
+                    "status": c.status,
+                    "witness": {k: _jsonable(v) for k, v in c.witness}}
+                   for c in res.charts],
+        "counts": {k: v for k, v in res.status_counts},
+        "nondegeneracy": res.nondegeneracy,
     }
     if args.emit_polytope:
         results["polytope"] = _polytope_json(fam.base().support())
-    return results, res.report.warnings
+    return results, res.warnings
 
 
 def _cmd_fan(args, load):

@@ -199,13 +199,6 @@ def _unit(n, i):
     return (0,) * i + (1,) + (0,) * (n - 1 - i)
 
 
-def dot(a, b):
-    s = ZERO
-    for x, y in zip(a, b):
-        s += x * y
-    return s
-
-
 def primitive_vector(v):
     """Scale a nonzero rational vector to the primitive integer vector with
     the same direction (gcd of entries 1, orientation preserved)."""
@@ -479,8 +472,8 @@ def _dual_facets(ipts, equalities):
 
     They are the rays (w, c) with w != 0 of the cone of valid inequalities
     {(w, c) : <e, w> = 0, <w, P> >= c}, which is pointed when the hull is
-    full-dimensional in that flat.  Returns (w primitive, c = least
-    <w, P>, bitmask of the points P attaining c) triples sorted by w.
+    full-dimensional in that flat.  Returns the pairs (w primitive,
+    c = least <w, P>) sorted by w.
     """
     n = len(ipts[0])
     rays, _, _ = _extreme_rays([e + (0,) for e in equalities],
@@ -489,10 +482,7 @@ def _dual_facets(ipts, equalities):
     for ray in rays:
         if any(ray[:n]):  # else the ray (0, -1) of the valid 0 >= -1
             w = _integer_row(ray[:n])
-            vals = [_idot(w, p) for p in ipts]
-            c = min(vals)
-            facets.append(
-                (w, c, sum(1 << i for i, v in enumerate(vals) if v == c)))
+            facets.append((w, min(_idot(w, p) for p in ipts)))
     facets.sort()
     return facets
 
@@ -548,7 +538,7 @@ def _hull_rows(points):
     found = _dual_facets(ipts, normals) if len(normals) < n else ()
     return ([tuple(den * x for x in e) + (-_idot(e, ipts[0]),)
              for e in normals],
-            [tuple(den * x for x in w) + (-c,) for w, c, _ in found])
+            [tuple(den * x for x in w) + (-c,) for w, c in found])
 
 
 def _bounded_piece(equalities, inequalities, dim):

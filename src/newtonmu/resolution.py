@@ -1,25 +1,28 @@
 """Simultaneous resolution: monomial charts over a regular admissible
-subdivision of the Newton fan of the generic support, one certificate
-per chart.
+subdivision of the Newton fan of the generic support, one record per
+chart.
 
 The family must pass the mu-test, whose good certificates (one per
 added vertex) name the apex rays pulled first when the Newton fan is
 simplicialized; the base's nondegeneracy report runs every time.  The
 regularized fan is checked admissible, then one pass per maximal cone
-checks it regular, pulls the family back through its chart, checks the
-monomial factor against the support function and reads the dual vertex
-off the pulled exponents.  Over an original vertex the chart carries a
-unit certificate (a constant term surviving at s = 0); over an added
-vertex, the pyramid normal form (no base term there, the good apex
-pulling back to the unit vector at the apex position with a term
+checks it regular, pulls the family back through the chart of its rays,
+checks the monomial factor against the support function and reads the
+dual vertex off the pulled exponents.  Each pass yields one
+ChartCertificate: the cone, the monomial factor m, the strict part, the
+dual vertex, a status and a witness.  Over an original vertex the chart
+carries a unit certificate (a constant term surviving at s = 0); over
+an added vertex, the pyramid normal form (no base term there, the good
+apex pulling back to the unit vector at the apex position with a term
 surviving at s = 0) and a Jacobian smoothness test on the exceptional
 hyperplanes, left unchecked beyond SMOOTH_MONOMIAL_CAP terms or
-SMOOTH_VARIABLE_CAP variables."""
+SMOOTH_VARIABLE_CAP variables.  ResolutionResult holds the fan, the
+charts in fan order and the report fields."""
 
 from collections import Counter
 
 from .geometry import (GeometryError, InternalConsistencyError, ZERO, _unit,
-                       Record, dot, render_point)
+                       Record, _idot, render_point)
 from .polyhedra import SupportError, added_vertices
 from .families import DeformationFamily, family, spoly
 from .apex import mu_constant_test
@@ -33,78 +36,58 @@ SMOOTH_MONOMIAL_CAP = 30
 SMOOTH_VARIABLE_CAP = 4
 
 
-class Chart(Record):
-    """Monomial chart of a full-dimensional regular cone: with generators
-    q_1..q_n in row order, x_j = prod_k y_k^(q_k)_j."""
+class ChartCertificate(Record):
+    """The monomial chart of one maximal cone and its certificate: the
+    family pulls back to y^m times strict_part, and dual_vertex is the one
+    exponent whose term pulls back onto y^m."""
 
     cone: LatticeCone
-
-    @property
-    def generators(self):
-        return self.cone.rays
-
-    def pullback_exponent(self, alpha):
-        return tuple(dot(q, alpha) for q in self.cone.rays)
-
-
-def make_chart(cone):
-    if cone.dim != cone.ambient_dim:
-        raise GeometryError("chart cone must be full-dimensional")
-    if not is_regular_cone(cone):
-        raise GeometryError(f"chart cone {cone.rays} is not regular")
-    return Chart(cone)
-
-
-class TotalTransform(Record):
-    chart: Chart
     monomial_exponents: tuple
     strict_part: DeformationFamily
-
-
-def chart_pullback(fam, chart):
-    """Total transform of the family through the chart: every exponent maps
-    to its generator pairing vector, the common monomial factor is divided
-    out, coefficients ride along unchanged."""
-    return _pullback(fam, chart)[0]
-
-
-def _pullback(fam, chart):
-    """chart_pullback, and the terms pulling back onto its monomial factor."""
-    n = fam.n_vars
-    if chart.cone.ambient_dim != n:
-        raise SupportError("chart dimension does not match the family")
-    if not fam.terms:
-        raise SupportError("cannot pull back the zero family")
-    pulled = [chart.pullback_exponent(mono) for mono, _ in fam.terms]
-    m = tuple(map(min, zip(*pulled)))
-    strict = family(n, fam.n_params,
-                    [(tuple(a - b for a, b in zip(p, m)), coeff)
-                     for p, (_, coeff) in zip(pulled, fam.terms)])
-    hits = [mono for p, (mono, _) in zip(pulled, fam.terms) if p == m]
-    return TotalTransform(chart, m, strict), hits
-
-
-class ChartCertificate(Record):
-    chart: Chart
     dual_vertex: tuple
     status: str    # unit | smooth-verified | unchecked
     witness: tuple # sorted (key, value) pairs
 
 
-class ResolutionReport(Record):
+class ResolutionResult(Record):
+    fan: object
+    charts: tuple  # one ChartCertificate per maximal cone, in fan order
     nu: object
-    verd: tuple
+    added_vertices: tuple
     status_counts: tuple
     nondegeneracy: str
     warnings: tuple
 
 
-class ResolutionResult(Record):
-    fan: object
-    charts: tuple
-    transforms: tuple
-    certificates: tuple
-    report: ResolutionReport
+def chart_pullback(fam, cone):
+    """Total transform of the family through the monomial chart of a
+    full-dimensional regular cone: with rays q_1..q_n in row order,
+    x_j = prod_k y_k^(q_k)_j, so every exponent maps to its ray pairing
+    vector.  The common monomial factor y^m is divided out, coefficients
+    ride along unchanged.  Returns (m, strict part)."""
+    if cone.dim != cone.ambient_dim:
+        raise GeometryError("chart cone must be full-dimensional")
+    if not is_regular_cone(cone):
+        raise GeometryError(f"chart cone {cone.rays} is not regular")
+    return _pullback(fam, cone)[:2]
+
+
+def _pullback(fam, cone):
+    """chart_pullback without the cone checks, and the exponents whose
+    terms pull back onto y^m."""
+    n = fam.n_vars
+    if cone.ambient_dim != n:
+        raise SupportError("chart dimension does not match the family")
+    if not fam.terms:
+        raise SupportError("cannot pull back the zero family")
+    pulled = [tuple(_idot(q, mono) for q in cone.rays)
+              for mono, _ in fam.terms]
+    m = tuple(map(min, zip(*pulled)))
+    strict = family(n, fam.n_params,
+                    [(tuple(a - b for a, b in zip(p, m)), coeff)
+                     for p, (_, coeff) in zip(pulled, fam.terms)])
+    hits = [mono for p, (mono, _) in zip(pulled, fam.terms) if p == m]
+    return m, strict, hits
 
 
 def _decomposable_positions(strict, apex_pos):
@@ -146,23 +129,23 @@ _UNCHECKED = {
 }
 
 
-def _certify_added(base, transform, alpha, cert, skip_smoothness, budget,
-                   warnings):
-    chart, m = transform.chart, transform.monomial_exponents
+def _certify_added(base, cone, m, strict, alpha, cert, skip_smoothness,
+                   budget, warnings):
+    """(status, witness) of the chart of the cone over the added vertex
+    alpha, whose pulled family is y^m times strict."""
     n = base.n_vars
     apex_ray = _unit(n, cert.i - 1)
-    if apex_ray not in chart.generators:
+    if apex_ray not in cone.rays:
         raise GeometryError(
             f"chart over added vertex {render_point(alpha)} does not contain "
             f"the apex ray e_{cert.i}; conflicting apex axes between added "
             "vertices are not supported")
-    apex_pos = chart.generators.index(apex_ray)
+    apex_pos = cone.rays.index(apex_ray)
     if base.coefficient(alpha) != 0:
         raise InternalConsistencyError(
             f"added vertex {render_point(alpha)} has a coefficient surviving "
             "at s = 0")
-    beta_pulled = chart.pullback_exponent(cert.beta)
-    expected = tuple(b - e for b, e in zip(beta_pulled, m))
+    expected = tuple(_idot(q, cert.beta) - e for q, e in zip(cone.rays, m))
     if expected != _unit(n, apex_pos):
         raise InternalConsistencyError(
             f"good apex {render_point(cert.beta)} pulls back to "
@@ -173,7 +156,7 @@ def _certify_added(base, transform, alpha, cert, skip_smoothness, budget,
         raise InternalConsistencyError(
             f"apex term {render_point(cert.beta)} vanishes at s = 0")
     exceptional = tuple(k + 1 for k, e in enumerate(m) if e > 0)
-    strict_base = transform.strict_part.base()
+    strict_base = strict.base()
     if skip_smoothness:
         results = [(k, "skipped") for k in exceptional]
         problems = ["smoothness check skipped"]
@@ -187,20 +170,19 @@ def _certify_added(base, transform, alpha, cert, skip_smoothness, budget,
                    for k in exceptional]
         problems = [_UNCHECKED[r].format(k) for k, r in results
                     if r in _UNCHECKED]
-    warnings.extend(f"chart {chart.generators}: {p}" for p in problems)
+    warnings.extend(f"chart {cone.rays}: {p}" for p in problems)
     witness = (    # in key order
         ("apex_axis", cert.i),
         ("apex_position", apex_pos + 1),
         ("beta", cert.beta),
         ("constant_at_zero", ZERO),
         ("decomposable_positions",
-         _decomposable_positions(transform.strict_part, apex_pos)),
+         _decomposable_positions(strict, apex_pos)),
         ("exceptional_positions", exceptional),
         ("linear_at_zero", linear),
         ("singular_locus", tuple(results)),
     )
-    return ChartCertificate(chart, alpha, "unchecked" if problems
-                            else "smooth-verified", witness)
+    return "unchecked" if problems else "smooth-verified", witness
 
 
 def simultaneous_resolution(fam, skip_smoothness=False, budget=DEFAULT_BUDGET):
@@ -255,42 +237,38 @@ def simultaneous_resolution(fam, skip_smoothness=False, budget=DEFAULT_BUDGET):
     if is_admissible_subdivision(fan, nfan, s_gen) is not True:
         raise InternalConsistencyError("emitted fan is not admissible")
 
-    charts, transforms, certificates = [], [], []
+    charts = []
     for cone in fan.maximal:
         if not is_regular_cone(cone):
             raise InternalConsistencyError(
                 f"regularization left a non-regular cone {cone.rays}")
-        chart = Chart(cone)
-        transform, hits = _pullback(fam, chart)
-        for q, e in zip(chart.generators, transform.monomial_exponents):
+        m, strict, hits = _pullback(fam, cone)
+        for q, e in zip(cone.rays, m):
             if e != support_function(s_gen, q):
                 raise InternalConsistencyError(
                     f"monomial exponent at generator {q} disagrees with the "
                     "support function")
         if len(hits) != 1:
             raise InternalConsistencyError(
-                f"chart {chart.generators} has {len(hits)} dual vertices; "
+                f"chart {cone.rays} has {len(hits)} dual vertices; "
                 "expected exactly one")
         alpha = hits[0]
         if alpha in certs_by_vertex:
-            cert = _certify_added(base, transform, alpha,
-                                  certs_by_vertex[alpha], skip_smoothness,
-                                  budget, warnings)
+            status, witness = _certify_added(
+                base, cone, m, strict, alpha, certs_by_vertex[alpha],
+                skip_smoothness, budget, warnings)
         elif (c0 := base.coefficient(alpha)) == 0:
             raise InternalConsistencyError(
                 f"unit chart over {render_point(alpha)} has vanishing "
                 "constant term at s = 0")
         else:
-            cert = ChartCertificate(chart, alpha, "unit",
-                                    (("constant_at_zero", c0),))
-        charts.append(chart)
-        transforms.append(transform)
-        certificates.append(cert)
+            status, witness = "unit", (("constant_at_zero", c0),)
+        charts.append(
+            ChartCertificate(cone, m, strict, alpha, status, witness))
 
-    counts = Counter(cert.status for cert in certificates)
-    report = ResolutionReport(
-        mu_res.nu_s, tuple(c.alpha for c in mu_res.certificates),
+    counts = Counter(c.status for c in charts)
+    return ResolutionResult(
+        fan, tuple(charts), mu_res.nu_s,
+        tuple(c.alpha for c in mu_res.certificates),
         tuple(sorted(counts.items())), nondegeneracy_report.verdict,
         tuple(warnings))
-    return ResolutionResult(fan, tuple(charts), tuple(transforms),
-                            tuple(certificates), report)

@@ -3,8 +3,8 @@
 from fractions import Fraction as F
 
 from newtonmu.families import family
-from newtonmu.geometry import dot
 from newtonmu.polyhedra import newton_polyhedron, support_set
+from oracles import dot
 
 
 def family_from_spoly(p, n_params=0):

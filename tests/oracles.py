@@ -11,7 +11,7 @@ simplex volume as |det| / k! over the listed coordinates.  The library
 now measures a section by the integer minor geometry._minor, and the
 Newton-number oracles below still measure their faces with these.
 
-The Fraction linear algebra below (vsub, rref, mat_rank, nullspace,
+The Fraction linear algebra below (dot, vsub, rref, mat_rank, nullspace,
 solve_linear, solve_unique), the affine-chart helpers (_affine_basis,
 _coords_in_basis, _lift_normal) and the face lattice over tuples of
 Fraction points (_face_lattice), with Fraction rank dimensions, are the
@@ -214,7 +214,7 @@ from newtonmu.geometry import (DIMENSION_CAP, ONE, ZERO, DimensionCapExceeded,
                                Record, _bounded_piece, _extreme_rays, _idot,
                                _int_det, _integer_row, _members, _pulling,
                                _scaled, _unit, _vertex_mask,
-                               dot, frac, primitive_vector, render_point,
+                               frac, primitive_vector, render_point,
                                vec)
 from newtonmu.groebner import (_divides, _lcm, _make_row, _mul, _quot,
                                grevlex_key)
@@ -268,6 +268,13 @@ def simplex_volume(verts, coords=None):
         raise GeometryError("simplex dimension does not match coordinate count")
     rows = [[verts[i][c] - verts[0][c] for c in coords] for i in range(1, k + 1)]
     return abs(determinant(rows)) / factorial(k)
+
+
+def dot(a, b):
+    s = ZERO
+    for x, y in zip(a, b):
+        s += x * y
+    return s
 
 
 def vsub(a, b):

@@ -21,12 +21,23 @@ smooth-verified and no warning, or be refused for a degenerate base,
 the latter exactly when nondegeneracy_check(f_0) says degenerate.
 test_resolution runs the box E = 3 (236 families).
 
+check_milnor_box judges the theorem's other half by the Groebner Milnor
+oracle, which shares no code with the Newton numbers.  On every pair
+whose germs f_0 and f_1 = f_0 + x^p (all coefficients 1) are both called
+nondegenerate by nondegeneracy_check, mu(f_0) = nu(S) and
+mu(f_1) = nu(S') (Kouchnirenko), and the apex verdict must be
+mu(f_0) = mu(f_1).  A germ with an axis
+point at exponent 1 is smooth at the origin, mu = 0.  The pairs with a
+germ not called nondegenerate are counted as skipped.  test_milnor runs
+the box E = 3 (236 pairs, none skipped).
+
 The file has no test_ prefix, so pytest does not collect it.  Run as a
 script, it checks a larger box without the oracle and prints its size,
-or with --resolve the resolve box:
+with --resolve the resolve box, or with --milnor the Milnor box:
 
     PYTHONPATH=src python tests/planar_box.py 6
     PYTHONPATH=src python tests/planar_box.py --resolve 4
+    PYTHONPATH=src python tests/planar_box.py --milnor 4
 """
 
 import sys
@@ -36,8 +47,8 @@ from itertools import combinations
 from newtonmu.apex import mu_constant_test
 from newtonmu.families import family, spoly
 from newtonmu.geometry import GeometryError
-from newtonmu.milnor import nondegeneracy_check
-from newtonmu.polyhedra import support_set
+from newtonmu.milnor import milnor_number, nondegeneracy_check
+from newtonmu.polyhedra import SupportError, support_set
 from newtonmu.resolution import simultaneous_resolution
 
 
@@ -100,9 +111,9 @@ def check_resolve_box(e):
                 refusal = str(err)
             else:
                 assert verdict and not degenerate, where
-                assert {c.status for c in res.certificates} <= {
+                assert {c.status for c in res.charts} <= {
                     "unit", "smooth-verified"}, where
-                assert res.report.warnings == (), where
+                assert res.warnings == (), where
                 outcomes["resolved"] += 1
                 continue
             if not verdict:
@@ -116,8 +127,59 @@ def check_resolve_box(e):
     return outcomes
 
 
+def _nondegenerate_mu(germs, pts):
+    """mu of the germ with support pts, all coefficients 1, when
+    nondegeneracy_check calls it nondegenerate, else None; memoized in
+    germs by support."""
+    key = tuple(sorted(pts))
+    if key not in germs:
+        f = spoly(2, [(p, 1) for p in key])
+        if nondegeneracy_check(f).verdict != "nondegenerate":
+            germs[key] = None
+        else:
+            try:
+                germs[key] = milnor_number(f)
+            except SupportError as err:
+                assert str(err) == "origin is not a critical point", key
+                germs[key] = 0
+    return germs[key]
+
+
+def check_milnor_box(e):
+    """Judge every pair of the box of exponents at most e by the Milnor
+    oracle (see above).  Returns a Counter of the judged pairs by apex
+    verdict, "true" and "false", and of the "skipped" ones."""
+    box = [(x, y) for x in range(e + 1) for y in range(e + 1) if x or y]
+    germs = {}
+    outcomes = Counter()
+    for pts in staircases(e):
+        s = support_set(2, pts)
+        mu0 = _nondegenerate_mu(germs, pts)
+        for p in box:
+            if p in pts:
+                continue
+            mu1 = _nondegenerate_mu(germs, pts + [p])
+            if mu0 is None or mu1 is None:
+                outcomes["skipped"] += 1
+                continue
+            res = mu_constant_test(s, s.augment([p]))
+            where = f"{pts} + {p}"
+            assert (mu0, mu1) == (res.nu_s, res.nu_s_prime), where
+            assert res.verdict == (mu0 == mu1), where
+            outcomes[str(res.verdict).lower()] += 1
+    return outcomes
+
+
 if __name__ == "__main__":
-    if sys.argv[1] == "--resolve":
+    if sys.argv[1] == "--milnor":
+        e = int(sys.argv[2])
+        outcomes = check_milnor_box(e)
+        print(f"exponents at most {e}: {outcomes['true']} true and "
+              f"{outcomes['false']} false verdicts judged, "
+              f"{outcomes['skipped']} pairs skipped for a germ not called "
+              "nondegenerate; mu = nu on both germs of every judged pair, "
+              "and its verdict is mu(f_0) = mu(f_1)")
+    elif sys.argv[1] == "--resolve":
         e = int(sys.argv[2])
         outcomes = check_resolve_box(e)
         print(f"exponents at most {e}: {sum(outcomes.values())} families, "

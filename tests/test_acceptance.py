@@ -146,15 +146,15 @@ def test_criterion_07_resolution_pipeline():
     res = simultaneous_resolution(fam)
     s_gen = fam.generic_support()
     assert is_admissible(res.fan, s_gen) is True
-    for chart, transform in zip(res.charts, res.transforms):
+    for chart in res.charts:
         assert is_regular_cone(chart.cone)
-        assert abs(determinant(chart.generators)) == 1
-        for pos, q in enumerate(chart.generators):
-            assert transform.monomial_exponents[pos] == support_function(
+        assert abs(determinant(chart.cone.rays)) == 1
+        for pos, q in enumerate(chart.cone.rays):
+            assert chart.monomial_exponents[pos] == support_function(
                 s_gen, q)
-    statuses = dict(res.report.status_counts)
+    statuses = dict(res.status_counts)
     assert "unchecked" not in statuses
-    verd_certs = [c for c in res.certificates if c.status == "smooth-verified"]
+    verd_certs = [c for c in res.charts if c.status == "smooth-verified"]
     assert len(verd_certs) == 1
     w = dict(verd_certs[0].witness)
     assert w["constant_at_zero"] == 0 and w["linear_at_zero"] != 0

@@ -4,7 +4,7 @@ from fractions import Fraction as F
 import pytest
 
 from newtonmu.geometry import (GeometryError, _bounded_piece, _extreme_rays,
-                               _hull_rows, _idot, _int_det, _pulling, dot,
+                               _hull_rows, _idot, _int_det, _pulling,
                                primitive_vector)
 from newtonmu.newton_number import union_volume_vector
 from oracles import (determinant, leibniz_det, nullspace, simplex_volume,
@@ -24,7 +24,7 @@ def test_determinant_and_solve():
     assert determinant([(0, 0, 1), (2, 1, 1), (3, 2, 1)]) == 1
     assert solve_unique([(2, 0), (0, 3)], (4, 9)) == (2, 3)
     ns = nullspace([(1, 1, 1)])
-    assert len(ns) == 2 and all(dot((1, 1, 1), v) == 0 for v in ns)
+    assert len(ns) == 2 and all(_idot((1, 1, 1), v) == 0 for v in ns)
 
 
 def _contains(rows, point):

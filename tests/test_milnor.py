@@ -15,6 +15,7 @@ from newtonmu.milnor import (kouchnirenko_crosscheck, milnor_number,
                              nondegeneracy_check, render_face)
 from newtonmu.polyhedra import SupportError
 from corpus import brieskorn
+from planar_box import check_milnor_box
 
 
 def P(n, *terms):
@@ -245,3 +246,12 @@ def test_randomized_crosschecks():
         if c.nondegeneracy == "nondegenerate":
             assert c.mu == c.nu, f
         done += 1
+
+
+def test_milnor_oracle_judges_the_planar_box_of_exponents_up_to_3():
+    """The Groebner Milnor oracle on every pair of the planar box of
+    exponents at most 3 (planar_box.check_milnor_box): mu = nu on both
+    germs, and the apex verdict is mu(f_0) = mu(f_1).  No germ in this box
+    is degenerate, so every pair is judged; the box at 4 skips 24, a CI
+    step."""
+    assert check_milnor_box(3) == {"true": 185, "false": 51}

@@ -11,7 +11,7 @@ from newtonmu.geometry import GeometryError, InternalConsistencyError
 from newtonmu.milnor import milnor_number, nondegeneracy_check
 from newtonmu.newton_number import newton_number_region, newton_number_set
 from newtonmu.polyhedra import SupportError, support_set
-from newtonmu.resolution import (_certify_added, chart_pullback, make_chart,
+from newtonmu.resolution import (_certify_added, chart_pullback,
                                  simultaneous_resolution)
 from corpus import (boundary_plane_augmentation, bs_family,
                     interior_point_below, random_convenient_support)
@@ -22,26 +22,29 @@ from planar_box import check_resolve_box
 def test_chart_pullback():
     # x1 = y1, x2 = y1 y2: x1^2 + x2^2 -> y1^2 (1 + y2^2)
     fam2 = family(2, 0, [((2, 0), 1), ((0, 2), 1)])
-    tt = chart_pullback(fam2, make_chart(cone_from_rays(2, [(1, 1), (0, 1)])))
-    assert tt.monomial_exponents == (0, 2)
-    assert [m for m, _ in tt.strict_part.terms] == [(0, 0), (2, 0)]
-    tt = chart_pullback(fam2, make_chart(cone_from_rays(2, [(1, 0), (0, 1)])))
-    assert tt.monomial_exponents == (0, 0)
-    assert tt.strict_part.terms == fam2.terms
+    m, strict = chart_pullback(fam2, cone_from_rays(2, [(1, 1), (0, 1)]))
+    assert m == (0, 2)
+    assert [mono for mono, _ in strict.terms] == [(0, 0), (2, 0)]
+    m, strict = chart_pullback(fam2, cone_from_rays(2, [(1, 0), (0, 1)]))
+    assert m == (0, 0)
+    assert strict.terms == fam2.terms
 
 
-def test_make_chart_requires_regular():
-    with pytest.raises(GeometryError):
-        make_chart(cone_from_rays(2, [(1, 2), (2, 1)]))
+def test_chart_pullback_requires_regular():
+    with pytest.raises(GeometryError, match=r"^chart cone \(\(1, 2\), "
+                       r"\(2, 1\)\) is not regular$"):
+        chart_pullback(family(2, 0, [((2, 0), 1)]),
+                       cone_from_rays(2, [(1, 2), (2, 1)]))
 
 
 def test_chart_inputs_are_checked():
-    """make_chart refuses a lower-dimensional cone; chart_pullback refuses
-    a chart of another dimension and the zero family."""
+    """chart_pullback refuses a lower-dimensional cone, a cone of another
+    dimension than the family and the zero family."""
     with pytest.raises(GeometryError,
                        match="^chart cone must be full-dimensional$"):
-        make_chart(cone_from_rays(3, [(1, 0, 0), (0, 1, 0)]))
-    plane = make_chart(cone_from_rays(2, [(1, 0), (0, 1)]))
+        chart_pullback(family(3, 0, [((2, 0, 0), 1)]),
+                       cone_from_rays(3, [(1, 0, 0), (0, 1, 0)]))
+    plane = cone_from_rays(2, [(1, 0), (0, 1)])
     with pytest.raises(SupportError, match="^chart dimension does not "):
         chart_pullback(family(3, 0, [((2, 0, 0), 1)]), plane)
     with pytest.raises(SupportError,
@@ -52,37 +55,39 @@ def test_chart_inputs_are_checked():
 def test_trivial_family():
     res = simultaneous_resolution(family(2, 0, [((2, 0), 1), ((0, 2), 1)]))
     assert len(res.charts) == 2
-    assert all(c.status == "unit" for c in res.certificates)
-    assert res.report.nu == 1 and res.report.verd == ()
+    assert all(c.status == "unit" for c in res.charts)
+    assert res.nu == 1 and res.added_vertices == ()
 
 
 def test_bs_resolution():
     res = simultaneous_resolution(bs_family())
     assert len(res.charts) == 9
-    assert res.report.nu == 364 and res.report.verd == ((1, 6, 0),)
-    assert res.report.status_counts == (("smooth-verified", 1), ("unit", 8))
-    assert res.report.nondegeneracy == "nondegenerate"
+    assert res.nu == 364 and res.added_vertices == ((1, 6, 0),)
+    assert res.status_counts == (("smooth-verified", 1), ("unit", 8))
+    assert res.nondegeneracy == "nondegenerate"
     s_gen = bs_family().generic_support()
-    for chart, transform in zip(res.charts, res.transforms):
+    assert len(res.charts) == len(res.fan.maximal)
+    for chart, cone in zip(res.charts, res.fan.maximal):
+        assert chart.cone is cone
         assert is_regular_cone(chart.cone)
-        for pos, q in enumerate(chart.generators):
-            assert transform.monomial_exponents[pos] == support_function(
+        for pos, q in enumerate(chart.cone.rays):
+            assert chart.monomial_exponents[pos] == support_function(
                 s_gen, q)
-    verd_cert = [c for c in res.certificates if c.status != "unit"]
+    verd_cert = [c for c in res.charts if c.status != "unit"]
     assert len(verd_cert) == 1
     assert verd_cert[0].status == "smooth-verified"
     w = dict(verd_cert[0].witness)
     assert w["apex_axis"] == 3 and w["beta"] == (0, 7, 1)
     assert w["linear_at_zero"] == 1 and w["constant_at_zero"] == 0
     assert w["apex_position"] == 1
-    assert verd_cert[0].chart.generators == ((0, 0, 1), (2, 1, 1), (3, 2, 1))
+    assert verd_cert[0].cone.rays == ((0, 0, 1), (2, 1, 1), (3, 2, 1))
 
 
 def test_skip_smoothness_leaves_unchecked():
     res = simultaneous_resolution(bs_family(), skip_smoothness=True)
-    statuses = dict(res.report.status_counts)
+    statuses = dict(res.status_counts)
     assert statuses.get("unchecked") == 1 and statuses.get("unit") == 8
-    assert any("skipped" in wmsg for wmsg in res.report.warnings)
+    assert any("skipped" in wmsg for wmsg in res.warnings)
 
 
 def test_rejects_non_mu_constant_family():
@@ -176,11 +181,10 @@ def _added_chart():
     """The Briancon-Speder chart over (1, 6, 0), its base and certificate."""
     fam = bs_family()
     res = simultaneous_resolution(fam)
-    (transform,) = [t for t, c in zip(res.transforms, res.certificates)
-                    if c.status != "unit"]
+    (chart,) = [c for c in res.charts if c.status != "unit"]
     (cert,) = mu_constant_test(fam.base().support(),
                                fam.generic_support()).certificates
-    return fam.base(), transform, cert
+    return fam.base(), chart, cert
 
 
 def _with_certificate(cert, i=None, beta=None):
@@ -192,7 +196,7 @@ def test_added_chart_checks_fire():
     """_certify_added on the chart over (1, 6, 0) with a base that keeps
     alpha's term, a base without beta's term, a wrong beta, and an apex
     axis whose ray the chart lacks."""
-    base, transform, cert = _added_chart()
+    base, chart, cert = _added_chart()
     alpha = (1, 6, 0)
     with_alpha = spoly(3, [*base.terms, (alpha, 1)])
     without_beta = spoly(3, [t for t in base.terms if t[0] != (0, 7, 1)])
@@ -211,7 +215,8 @@ def test_added_chart_checks_fire():
              "not supported")):
         chart_base, chart_cert = args
         with pytest.raises(error) as ei:
-            _certify_added(chart_base, transform, alpha, chart_cert, False,
+            _certify_added(chart_base, chart.cone, chart.monomial_exponents,
+                           chart.strict_part, alpha, chart_cert, False,
                            10**6, [])
         assert str(ei.value) == message
 
@@ -231,10 +236,10 @@ def test_smoothness_branches_leave_the_chart_unchecked(monkeypatch, patch,
     and says why."""
     monkeypatch.setattr(resolution, *patch)
     res = simultaneous_resolution(bs_family())
-    assert res.report.status_counts == (("unchecked", 1), ("unit", 8))
+    assert res.status_counts == (("unchecked", 1), ("unit", 8))
     chart = "chart ((0, 0, 1), (2, 1, 1), (3, 2, 1)): "
-    assert list(res.report.warnings) == [chart + w for w in warnings]
-    (cert,) = [c for c in res.certificates if c.status != "unit"]
+    assert list(res.warnings) == [chart + w for w in warnings]
+    (cert,) = [c for c in res.charts if c.status != "unit"]
     assert dict(cert.witness)["singular_locus"] == ((2, result), (3, result))
 
 
@@ -248,16 +253,16 @@ def test_small_budgets_leave_checks_undecided():
              "nondegeneracy unchecked on face [(0, 7, 1), (0, 8, 0), "
              "(5, 0, 0)]"]
     res = simultaneous_resolution(bs_family(), budget=50)
-    assert res.report.nondegeneracy == "unknown"
-    assert res.report.status_counts == (("smooth-verified", 1), ("unit", 8))
-    assert list(res.report.warnings) == faces
+    assert res.nondegeneracy == "unknown"
+    assert res.status_counts == (("smooth-verified", 1), ("unit", 8))
+    assert list(res.warnings) == faces
     res = simultaneous_resolution(bs_family(), budget=10)
-    assert res.report.status_counts == (("unchecked", 1), ("unit", 8))
+    assert res.status_counts == (("unchecked", 1), ("unit", 8))
     chart = "chart ((0, 0, 1), (2, 1, 1), (3, 2, 1)): "
-    assert list(res.report.warnings) == faces + [
+    assert list(res.warnings) == faces + [
         f"{chart}smoothness budget exceeded on hyperplane {k}"
         for k in (2, 3)]
-    (cert,) = [c for c in res.certificates if c.status != "unit"]
+    (cert,) = [c for c in res.charts if c.status != "unit"]
     assert dict(cert.witness)["singular_locus"] == (
         (2, "budget exceeded"), (3, "budget exceeded"))
 
@@ -344,7 +349,7 @@ def test_main_theorem_on_random_families():
         verdicts.add(verdict)
         if verdict:
             res = simultaneous_resolution(fam, budget=budget)
-            assert res.report.nu == newton_number_set(s)
+            assert res.nu == newton_number_set(s)
         else:
             with pytest.raises(GeometryError, match="not mu-constant"):
                 simultaneous_resolution(fam, budget=budget)
