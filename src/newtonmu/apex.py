@@ -26,7 +26,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .geometry import (InternalConsistencyError, Record, _members,
+from .geometry import (InternalConsistencyError, Record, _closure, _members,
                        _render_scaled, _scaled, _unscaled, vec)
 from .newton_number import newton_number_set
 from .polyhedra import (SupportError, _added, _fractional_axes, _over_lcm,
@@ -62,19 +62,16 @@ def _edges_at(np_, k):
     """The compact boundary edges at vertex k, as (j, meet) pairs by
     increasing j: the other vertex and the mask of the points on the edge.
 
-    The meet of the facets through two vertices k and j is the least face
-    containing both; it is a compact edge exactly when its vertices are k
-    and j and it has no recession axis.  The meets are taken on the
-    polyhedron's facet bitmasks, so no face lattice is walked.
+    The least face containing two vertices k and j is their
+    geometry._closure on the polyhedron's facet bitmasks, taken over the
+    facets through k; it is a compact edge exactly when its vertices are
+    k and j and it has no recession axis.  So no face lattice is walked.
     """
     a = 1 << k
     through = [g for _, _, g in np_.ifacets if g & a]
     out = []
     for j in _members(np_.vmask & ~a):
-        meet = -1
-        for g in through:
-            if g >> j & 1:
-                meet &= g
+        meet = _closure(a | 1 << j, through)
         if meet & np_.vmask == a | 1 << j and not meet >> len(np_.ipts):
             out.append((j, meet))
     return out

@@ -8,23 +8,25 @@ assumed.
 
 Cones are stored by their primitive integer extremal rays.  Each cone also
 carries one integer H-description, computed once by the double-description
-routine and cached on the instance: the equalities of its linear span and
-its facet normals.  Dimension, membership, intersections and the face test
-are integer sign tests and double-description calls on those rows.  A
-cone's facets are the sets of its rays tight on each facet normal, kept as
-bitmasks over the rays; its faces are the levels of geometry._face_lattice
-over those masks.  simplicialize and the volume comparison of
-subdivisions both take the geometry._pulling triangulation of each cone
-over its facet masks, with the rays in one global order, so no polytope
-is built and no face gets a double description of its own.  A cone with
-k rays carries one table, _minors, of its k-row ray minors, and every
+routine and cached on the instance: the equalities of its linear span, its
+facet normals and, per normal, the bitmask of the rays tight on it, the
+zero sets that same call returns.  Dimension, membership and intersections
+are integer sign tests and double-description calls on those rows.  The
+face test is geometry._closure, the face rule of Newton polyhedra, on the
+facet masks: rays of a cone span a face exactly when the least face holding
+them has no other ray.  A cone's faces are the levels of
+geometry._face_lattice over those masks.  simplicialize and the volume
+comparison of subdivisions both take the geometry._pulling triangulation of
+each cone over its facet masks, with the rays in one global order, so no
+polytope is built and no face gets a double description of its own.  A cone
+with k rays carries one table, _minors, of its k-row ray minors, and every
 minor rule reads it: simplicial is some minor nonzero, regular is gcd 1,
 the chart is the first least nonzero |det| D with its adjugate, and the
-apex pyramid's certificate reads the tables of its pieces.  Coordinates
-in the rays are adjugate products over D: stellar_subdivide reads
-membership and the pieces off them, and the box points are read off the
-group that adjugate generates mod D, so no rational solve runs.  A
-regularization step swaps ray tuples on its target's star.
+apex pyramid's certificate reads the tables of its pieces.  Coordinates in
+the rays are adjugate products over D: stellar_subdivide reads membership
+and the pieces off them, and the box points are read off the group that
+adjugate generates mod D, so no rational solve runs.  A regularization step
+swaps ray tuples on its target's star.
 
 A Fan checks its maximal cones on construction.  A fan of
 full-dimensional cones (every Newton fan and every subdivision of one)
@@ -37,8 +39,8 @@ takes the pairwise check: one double-description intersection per pair
 of maximal cones.
 
 Nothing is memoized at module level: each cone caches its own
-H-description, facet masks, minors and minor chart, and faces() is
-computed on every call.
+H-description with its facet masks, minors and minor chart, and faces()
+is computed on every call.
 """
 
 from __future__ import annotations
@@ -47,9 +49,10 @@ import itertools
 from fractions import Fraction
 from math import gcd
 
-from .geometry import (GeometryError, InternalConsistencyError, _extreme_rays,
-                       _face_lattice, _idot, _int_det, _lazy, _members,
-                       _pulling, _scaled, _unit, Record, render_point, vec)
+from .geometry import (GeometryError, InternalConsistencyError, _closure,
+                       _extreme_rays, _face_lattice, _idot, _int_det, _lazy,
+                       _members, _pulling, _scaled, _unit, Record,
+                       render_point, vec)
 from .polyhedra import SupportError, newton_polyhedron
 
 _section_cache = {}  # unused; the benchmark's cache reset still names it
@@ -68,21 +71,24 @@ class LatticeCone(Record):
 
     @_lazy
     def _h_description(self):
-        """(lineality, normals): integer rows with the cone equal to
-        {x : <e, x> = 0 for e in lineality, <a, x> >= 0 for a in normals}.
+        """(lineality, normals, masks): integer rows with the cone equal to
+        {x : <e, x> = 0 for e in lineality, <a, x> >= 0 for a in normals},
+        and per normal the bitmask of the rays tight on it.
 
-        They are the lineality basis and the extreme rays of the dual cone
-        {y : <r, y> >= 0 for every ray r}: the lineality space is the
-        orthogonal complement of the span, the rays are the facet normals.
+        All three come from one double description of the dual cone
+        {y : <r, y> >= 0 for every ray r}: its lineality space is the
+        orthogonal complement of the span, its rays are the facet normals,
+        and their zero sets are the masks.  The rows of that call are the
+        rays, all nonzero, so none is dropped and ray i is bit i.
         """
-        normals, lineality, _ = _extreme_rays((), self.rays, self.ambient_dim)
-        return lineality, normals
+        normals, lineality, masks = _extreme_rays((), self.rays,
+                                                  self.ambient_dim)
+        return lineality, normals, masks
 
-    @_lazy
+    @property
     def _facet_masks(self):
         """Per facet normal, the bitmask of the rays tight on it."""
-        return [sum(1 << i for i, r in enumerate(self.rays) if not _idot(a, r))
-                for a in self._h_description[1]]
+        return self._h_description[2]
 
     @_lazy
     def _minors(self):
@@ -132,7 +138,7 @@ class LatticeCone(Record):
                                  if mask >> i & 1))
 
     def contains(self, point):
-        lineality, normals = self._h_description
+        lineality, normals, _ = self._h_description
         return (all(_idot(e, point) == 0 for e in lineality)
                 and all(_idot(a, point) >= 0 for a in normals))
 
@@ -150,29 +156,21 @@ class LatticeCone(Record):
                             key=lambda c: (len(c.rays), c.rays)))
 
     def is_face_of(self, other):
-        """Exact face test: the face of other cut out by its facet normals
-        that vanish on all of self's rays has exactly self's rays."""
-        if not self.rays:
-            return True
-        if self == other:
-            return True
-        if not other.rays:
-            return False
-        if not all(other.contains(r) for r in self.rays):
-            return False
-        tight = [a for a in other._h_description[1]
-                 if all(_idot(a, r) == 0 for r in self.rays)]
-        face = {r for r in other.rays if all(_idot(a, r) == 0 for a in tight)}
-        return face == set(self.rays)
+        """Exact face test: self's rays are rays of other, and the least
+        face of other holding them, their geometry._closure over other's
+        facet masks, has exactly those rays."""
+        bit = {r: 1 << i for i, r in enumerate(other.rays)}
+        mask = sum(bit.get(r, 0) for r in self.rays)
+        whole = (1 << len(other.rays)) - 1
+        return (all(r in bit for r in self.rays)
+                and _closure(mask, other._facet_masks) & whole == mask)
 
 
 def intersect_cones(a, b):
     if a.ambient_dim != b.ambient_dim:
         raise GeometryError("ambient dimension mismatch")
-    if not a.rays or not b.rays:
-        return LatticeCone(a.ambient_dim, ())
-    lin_a, nrm_a = a._h_description
-    lin_b, nrm_b = b._h_description
+    lin_a, nrm_a, _ = a._h_description
+    lin_b, nrm_b, _ = b._h_description
     rays, lineality, _ = _extreme_rays(lin_a + lin_b, nrm_a + nrm_b,
                                        a.ambient_dim)
     if lineality:

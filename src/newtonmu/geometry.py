@@ -21,8 +21,9 @@ constraints: one _extreme_rays call on its homogenized rows, whose rays
 with t > 0 are the vertices and whose zero sets give the relative facets
 as vertex masks, with no hull and no normal solved for;
 newton_number.union_volume_vector reads its intersections with it.  The
-fans call _extreme_rays directly, for a cone's facet normals, a cone from
-its generators and the meet of two cones.  Those are all its callers:
+fans call _extreme_rays directly, for a cone's facet normals with their
+zero sets over its rays, and for the meet of two cones.  Those are all
+its callers:
 none of them runs in a Newton polyhedron build, nor in the apex test and
 the difference region of a pair S in S' with a point of S on every
 axis.  _int_det is the one determinant routine: orders 2 to 4 written
@@ -39,7 +40,10 @@ compact facets of Newton polyhedra (those under the boundary, and those
 that polyhedra._place cones the placed points over) and the fans' cones
 (over ray masks).  _maximal_meets is the one step that finds a face's
 facets from bitmasks; _pulling and _face_lattice both use it.
-_vertex_mask is the one vertex rule, for Newton polyhedra.
+_closure is the one face rule: the meet of the facet masks that contain
+a set of points is the least face holding them (Ziegler 1995, §2.2).
+_vertex_mask, the one vertex rule for Newton polyhedra, reads it, and so
+do apex._edges_at for compact edges and the fans' face test.
 _face_lattice is the one face-lattice walk, level by level down from the
 facets: polyhedra runs it on Newton polyhedra and fans on cones.
 
@@ -212,12 +216,9 @@ def primitive_vector(v):
 
 def _integer_row(row):
     """Coprime integer row with the direction of a rational row; None for
-    the zero row.  A row of ints needs no common denominator."""
-    if all(type(x) is int for x in row):
-        ints = row
-    else:
-        den = lcm(*(x.denominator for x in row))
-        ints = [x.numerator * (den // x.denominator) for x in row]
+    the zero row.  An int is its own numerator over denominator 1."""
+    den = lcm(*(x.denominator for x in row))
+    ints = [x.numerator * (den // x.denominator) for x in row]
     g = gcd(*ints)
     if g == 0:
         return None
@@ -497,17 +498,27 @@ def _members(mask):
     return out
 
 
+def _closure(mask, facet_masks):
+    """The meet of the facet masks that contain mask, -1 when none does.
+
+    When facet_masks are the facets of a polyhedron, as bitmasks over its
+    points, this is the least face holding the points of mask: every face
+    is the meet of the facets that contain it (Ziegler, *Lectures on
+    Polytopes*, 1995, §2.2)."""
+    meet = -1
+    for g in facet_masks:
+        if g & mask == mask:
+            meet &= g
+    return meet
+
+
 def _vertex_mask(candidates, facet_masks):
     """The bitmask of the candidate point indices i that are vertices:
-    those where the meet of the masks of the facets through i is i alone."""
+    those whose _closure is i alone."""
     vmask = 0
     for i in candidates:
-        meet = -1
-        for g in facet_masks:
-            if g >> i & 1:
-                meet &= g
-        if meet == 1 << i:
-            vmask |= meet
+        if _closure(1 << i, facet_masks) == 1 << i:
+            vmask |= 1 << i
     return vmask
 
 

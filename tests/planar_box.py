@@ -18,8 +18,13 @@ turns each pair into the family f_0 + s x^p, f_0 the staircase's
 polynomial, all coefficients 1.  A false apex verdict must be refused as
 not mu-constant.  A true one must resolve with every chart unit or
 smooth-verified and no warning, or be refused for a degenerate base,
-the latter exactly when nondegeneracy_check(f_0) says degenerate.
-test_resolution runs the box E = 3 (236 families).
+the latter exactly when nondegeneracy_check(f_0) says degenerate.  On a
+resolved family the paper's own construction is checked at each apex
+certificate (alpha, i): the emitted cones inside sigma_alpha, the
+Newton-fan cone of S' at alpha, all hold e_i, and
+fans.pyramid_subdivision, given their facets opposite e_i, returns
+exactly them.  test_resolution runs the box E = 3 (236 families, 10
+certificates).
 
 check_milnor_box judges the theorem's other half by the Groebner Milnor
 oracle, which shares no code with the Newton numbers.  On every pair
@@ -43,10 +48,13 @@ with --resolve the resolve box, or with --milnor the Milnor box:
 import sys
 from collections import Counter
 from itertools import combinations
+from operator import mul
 
 from newtonmu.apex import mu_constant_test
 from newtonmu.families import family, spoly
-from newtonmu.geometry import GeometryError
+from newtonmu.fans import (Fan, LatticeCone, newton_fan, pyramid_subdivision,
+                           support_function)
+from newtonmu.geometry import GeometryError, _unit
 from newtonmu.milnor import milnor_number, nondegeneracy_check
 from newtonmu.polyhedra import SupportError, support_set
 from newtonmu.resolution import simultaneous_resolution
@@ -87,11 +95,32 @@ def check_box(e, oracle=None):
     return count, pairs
 
 
+def check_apex_pyramid(sp, fan, cert, where):
+    """Check the apex pyramid of the certificate cert (alpha, i) in the
+    emitted fan of the generic support sp (see above).  sigma_alpha is
+    the Newton-fan cone whose ray sum, an interior point, is minimized
+    at alpha."""
+    n, e = sp.dim, _unit(sp.dim, cert.i - 1)
+
+    def at_alpha(cone):
+        y = tuple(map(sum, zip(*cone.rays)))
+        return support_function(sp, y) == sum(map(mul, cert.alpha, y))
+
+    sigma = next(filter(at_alpha, newton_fan(sp).maximal))
+    inside = tuple(c for c in fan.maximal if all(map(sigma.contains, c.rays)))
+    assert inside and all(e in c.rays for c in inside), where
+    opposite = tuple(LatticeCone(n, tuple(r for r in c.rays if r != e))
+                     for c in inside)
+    assert pyramid_subdivision(sigma, cert.i, Fan(n, opposite)).maximal \
+        == inside, where
+
+
 def check_resolve_box(e):
     """Run the family f_0 + s x^p of every pair of the box of exponents
     at most e through simultaneous_resolution and check its outcome (see
     above).  Returns a Counter of the outcomes: "resolved", "not
-    mu-constant" and "degenerate base"."""
+    mu-constant" and "degenerate base", and of the certificates whose
+    "apex pyramid" was checked."""
     box = [(x, y) for x in range(e + 1) for y in range(e + 1) if x or y]
     outcomes = Counter()
     for pts in staircases(e):
@@ -103,20 +132,24 @@ def check_resolve_box(e):
             if p in pts:
                 continue
             where = f"{pts} + s {p}"
-            verdict = mu_constant_test(s, s.augment([p])).verdict
+            sp = s.augment([p])
+            mu = mu_constant_test(s, sp)
             try:
                 res = simultaneous_resolution(
                     family(2, 1, terms + [(p, [((1,), 1)])]))
             except GeometryError as err:
                 refusal = str(err)
             else:
-                assert verdict and not degenerate, where
+                assert mu.verdict and not degenerate, where
                 assert {c.status for c in res.charts} <= {
                     "unit", "smooth-verified"}, where
                 assert res.warnings == (), where
+                for cert in mu.certificates:
+                    check_apex_pyramid(sp, res.fan, cert, where)
                 outcomes["resolved"] += 1
+                outcomes["apex pyramid"] += len(mu.certificates)
                 continue
-            if not verdict:
+            if not mu.verdict:
                 assert refusal.startswith("family is not mu-constant"), where
                 outcomes["not mu-constant"] += 1
             else:
@@ -182,10 +215,12 @@ if __name__ == "__main__":
     elif sys.argv[1] == "--resolve":
         e = int(sys.argv[2])
         outcomes = check_resolve_box(e)
+        pyramids = outcomes.pop("apex pyramid", 0)
         print(f"exponents at most {e}: {sum(outcomes.values())} families, "
               + ", ".join(f"{v} {k}" for k, v in sorted(outcomes.items()))
               + "; every outcome agrees with the apex verdict and the "
-              "base's nondegeneracy")
+              f"base's nondegeneracy, and {pyramids} apex pyramids match "
+              "the emitted fan")
     else:
         e = int(sys.argv[1])
         count, pairs = check_box(e)

@@ -6,8 +6,9 @@ from pathlib import Path
 import pytest
 
 from newtonmu import apex
-from newtonmu.apex import (edge_convenience, edges_at_vertex, find_apex,
-                           mu_constant_test, vertex_location_check)
+from newtonmu.apex import (EdgeConvenience, edge_convenience,
+                           edges_at_vertex, find_apex, mu_constant_test,
+                           vertex_location_check)
 from newtonmu.geometry import InternalConsistencyError, _members, _scaled
 from newtonmu.newton_number import newton_number_set
 from newtonmu.polyhedra import (SupportError, added_vertices,
@@ -61,6 +62,49 @@ def test_2d_sweep_verdicts():
         assert ec.classification == want_cls and not ec.vacuous
         if a == F(3, 4):
             assert cert.beta == (F(3, 8), F(3, 2)) and not cert.good
+
+
+# the supports of test_cli's test_apex_disagreement_outside_the_theorem_exits_3
+OUTSIDE = [(5, F(5, 3)), (F(2, 3), F(1, 3)), (2, 0), (0, 1)]
+OUTSIDE_ADDED = [(F(2, 3), 0), (F(1, 2), 0)]
+
+
+def test_edge_convenience_checks_its_axes():
+    """I must lie strictly inside J, inside the axis range; an edge with
+    no old vertex on it is strict by convention, and marked vacuous."""
+    s = support_set(2, OUTSIDE)
+    (edge,) = edges_at_vertex(newton_polyhedron(s), (2, 0))
+    # no vertex of hull(S') lies on the edge from (2/3, 1/3) to (2, 0)
+    assert edge_convenience(edge, s.augment(OUTSIDE_ADDED), (1,), (1, 2)) \
+        == EdgeConvenience("strict", True, ())
+    for i_axes, j_axes in (((1, 2), (1, 2)), ((2,), (1,)), ((1,), (1, 3))):
+        with pytest.raises(ValueError, match="^need I strictly inside J"):
+            edge_convenience(edge, s, i_axes, j_axes)
+
+
+def test_a_support_off_an_axis_is_refused():
+    """Both the mu-test and the vertex location check name the support
+    with no point on an axis, first or second, and the axis."""
+    s, off = support_set(2, OUTSIDE), support_set(2, OUTSIDE[:3])
+    for pair, label in (((off, s), "first"), ((s, off), "second")):
+        for check in (mu_constant_test, vertex_location_check):
+            with pytest.raises(SupportError, match=(
+                    f"^{label} support is not convenient: no point on "
+                    "axis 2$")):
+                check(*pair)
+
+
+def test_disagreement_outside_the_theorem_names_the_failing_axes():
+    """Both supports fail the vertex condition, and the apex verdict and
+    the Newton numbers disagree: a SupportError, not an internal error,
+    that names the axes of each failing support."""
+    s = support_set(2, OUTSIDE)
+    with pytest.raises(SupportError, match=(
+            r"^apex verdict True disagrees with Newton numbers -2/3 vs 0: "
+            r"the vertex condition fails for the first support on axes "
+            r"\(1, 2\) and the second support on axes \(1,\), outside the "
+            r"constancy theorem$")):
+        mu_constant_test(s, s.augment(OUTSIDE_ADDED))
 
 
 def test_3d_sweep_verdicts():

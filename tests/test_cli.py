@@ -441,6 +441,9 @@ MAIN_CASES = {
     "axes-not-integers": (["b1d", QUINTIC, "--axes", "a,b"], 2, "input",
                           "--axes: expected comma-separated integers, got "
                           "'a,b'"),
+    "mu-test-not-convenient": (
+        ["mu-test", dict(QUAD, support=[["2", "0"], ["1", "1"]]), QUAD], 3,
+        "precondition", "first support is not convenient: no point on axis 2"),
 }
 
 
@@ -449,8 +452,9 @@ MAIN_CASES = {
 def test_main_reports_each_case(tmp_path, capsys, monkeypatch, argv, code,
                                 kind, text):
     """Malformed documents, flags and arcs through main(): each exits 2
-    with an input error naming what is wrong, and no traceback.  Three
-    reports run the rarer paths of their writers: resolve with its
+    with an input error naming what is wrong, and no traceback.  A base
+    support with no point on an axis exits 3 with a precondition error.
+    Three reports run the rarer paths of their writers: resolve with its
     polytope, a null field under --pretty and an indeterminate arc's
     warning."""
     monkeypatch.chdir(tmp_path)

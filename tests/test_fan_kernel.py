@@ -28,7 +28,7 @@ from newtonmu.fans import (Fan, LatticeCone, _simplices, box_points,
                            is_subdivision, newton_fan, orthant_fan,
                            regularize_fan, simplicialize, stellar_subdivide)
 from newtonmu.geometry import (GeometryError, InternalConsistencyError,
-                               primitive_vector)
+                               _idot, primitive_vector)
 from newtonmu.newton_number import union_volume_vector
 from newtonmu.polyhedra import support_set
 from corpus import (bs_base_support, bs_deformed_support,
@@ -106,6 +106,15 @@ def test_cone_queries_match_section():
             f for f in faces if cone_dim(f) == cone_dim(c) - 1)), k
         for f in c.faces():
             assert f.is_face_of(c) and is_face_of_section(f, c), k
+        for j in range(len(c.rays) + 1):
+            for rays in itertools.combinations(c.rays, j):
+                sub = LatticeCone(c.ambient_dim, rays)
+                assert sub.is_face_of(c) is is_face_of_section(sub, c), k
+        zero = LatticeCone(c.ambient_dim, ())
+        assert c.is_face_of(zero) is is_face_of_section(c, zero), k
+        assert c._facet_masks == [
+            sum(1 << i for i, r in enumerate(c.rays) if not _idot(a, r))
+            for a in c._h_description[1]], k
 
 
 def generator_sets(rng, n, d):

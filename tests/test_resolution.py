@@ -272,8 +272,12 @@ def test_resolve_over_the_planar_box_of_exponents_up_to_3():
     planar box of exponents at most 3 (planar_box.check_resolve_box): a
     false apex verdict is refused as not mu-constant, and a true one
     resolves with every chart unit or smooth-verified and no warning (no
-    base in this box is degenerate; the box at 4 has 11, a CI step)."""
-    assert check_resolve_box(3) == {"resolved": 185, "not mu-constant": 51}
+    base in this box is degenerate; the box at 4 has 11, a CI step).  At
+    each of the 10 apex certificates of the resolved families, the
+    emitted cones inside sigma_alpha are the apex pyramid
+    (pyramid_subdivision) over their facets opposite e_i."""
+    assert check_resolve_box(3) == {"resolved": 185, "not mu-constant": 51,
+                                    "apex pyramid": 10}
 
 
 def test_rejects_non_convenient_base():
